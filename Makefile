@@ -21,13 +21,14 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # extension differential vs a global-lock reference) and the RDD lineage
 # recovery suite (recompute vs concurrent actions on a shared cache,
 # retry-budget exhaustion, shuffle epoch retries, speculative-duplicate
-# suppression, checkpoint truncation).
-STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Breaker|Shed|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Speculative|Epoch|Checkpoint|Budget|Lineage'
-STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm
+# suppression, checkpoint truncation). minilang's FuzzCompile seed corpus
+# (compile, then baseline vs quickened execution) rides along too.
+STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Breaker|Shed|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Speculative|Epoch|Checkpoint|Budget|Lineage|FuzzCompile'
+STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang
 
-.PHONY: check vet build test race stress chaos bench bench-all bench-ci bench-contention analyze
+.PHONY: check vet build test test-rbench race stress chaos bench bench-all bench-ci bench-contention analyze rbench
 
-check: vet build test race
+check: vet build test test-rbench race
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +38,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark is a module of its own (benchmarks/go.mod), so ./... at
+# the root does not reach its tests.
+test-rbench:
+	$(GO) test -C benchmarks ./...
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
@@ -81,7 +87,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'FusedVsMaterialized|LockedVsExchange|RecoveryOverhead' -benchmem -cpu 1,2,4,8 ./internal/rdd | tee BENCH_rdd.txt
 	$(GO) test -run '^$$' -bench 'FanOut' -benchmem -cpu 1,2,4,8 ./internal/forkjoin | tee BENCH_forkjoin.txt
 	$(GO) test -run '^$$' -bench 'ActorPingPong|ActorFanIn|ActorSpawnStorm|ActorAsk' -benchmem -cpu 1,2,4,8 ./internal/actors | tee BENCH_actors.txt
-	$(GO) test -run '^$$' -bench 'Dispatch|InlineCache|ArrayLoop' -benchmem -cpu 1 ./internal/rvm | tee BENCH_rvm.txt
+	$(GO) test -run '^$$' -bench 'Dispatch|InlineCache|ArrayLoop|ArrayAlloc' -benchmem -cpu 1 ./internal/rvm | tee BENCH_rvm.txt
 	$(GO) test -run '^$$' -bench 'CommitNoWaiters|RetryWakeup|ReadOnlyTraversal|PhilosophersE2E|STMBench7E2E' -benchmem -cpu 1,2,4,8 ./internal/stm | tee BENCH_stm.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkML' -benchmem -cpu 1,2,4,8 ./internal/rdd | tee BENCH_ml.txt
 
@@ -90,7 +96,7 @@ bench:
 bench-ci:
 	$(GO) test -run '^$$' -bench 'FusedVsMaterialized|LockedVsExchange|RecoveryOverhead|FanOut' -benchtime 1x -benchmem ./internal/rdd ./internal/forkjoin
 	$(GO) test -run '^$$' -bench 'ActorPingPong|ActorFanIn|ActorSpawnStorm|ActorAsk' -benchtime 1x -benchmem ./internal/actors
-	$(GO) test -run '^$$' -bench 'Dispatch|InlineCache|ArrayLoop' -benchtime 1x -benchmem -cpu 1 ./internal/rvm
+	$(GO) test -run '^$$' -bench 'Dispatch|InlineCache|ArrayLoop|ArrayAlloc' -benchtime 1x -benchmem -cpu 1 ./internal/rvm
 	$(GO) test -run '^$$' -bench 'CommitNoWaiters|RetryWakeup|ReadOnlyTraversal|PhilosophersE2E|STMBench7E2E' -benchtime 1x -benchmem ./internal/stm
 	$(GO) test -run '^$$' -bench '^BenchmarkML' -benchtime 1x -benchmem ./internal/rdd
 	$(GO) run ./cmd/renaissance run -bench finagle-chirper -openloop.rate 200 -openloop.duration 500ms
@@ -98,6 +104,14 @@ bench-ci:
 # Every benchmark in the repo (paper figures included); slow.
 bench-all:
 	$(GO) test -run '^$$' -bench . ./...
+
+# The repository's benchmark (BENCHMARK.json, benchmarks/README.md): one
+# workload, untraced for the end-to-end metrics, e.g. `make rbench
+# W=compiler`; add TRACE=1 for the per-layer metrics.
+W     ?= compiler
+TRACE ?= 0
+rbench:
+	bash benchmarks/run.sh --workload $(W) --seed 1 --seconds 10 --trace $(TRACE)
 
 analyze:
 	$(GO) run ./cmd/analyze all

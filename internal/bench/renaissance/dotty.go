@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"renaissance/internal/core"
+	"renaissance/internal/metrics"
 	"renaissance/internal/minilang"
 	"renaissance/internal/rvm"
 )
@@ -78,7 +79,9 @@ func (w *dottyWorkload) RunIteration() error {
 				errCh <- err
 				return
 			}
-			v, err := rvm.NewInterp(p).Run()
+			vm := rvm.NewInterp(p)
+			v, err := vm.Run()
+			recordCounters(vm.Counters)
 			if err != nil {
 				errCh <- err
 				return
@@ -100,11 +103,30 @@ func (w *dottyWorkload) RunIteration() error {
 	return nil
 }
 
+// recordCounters forwards one guest execution's event counts to the
+// paper's metric recorder, once per unit rather than once per operation.
+func recordCounters(c rvm.Counters) {
+	metrics.AddObject(c.Object)
+	metrics.AddArray(c.Array)
+	metrics.AddMethod(c.Method)
+	metrics.AddIDynamic(c.IDynamic)
+	metrics.Default.Add(metrics.Synch, c.Synch)
+	metrics.AddAtomic(c.Atomic)
+}
+
+// Validate checks that every corpus unit's fingerprint is cached with
+// the checksum setup computed for it.
 func (w *dottyWorkload) Validate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.cache) == 0 {
-		return fmt.Errorf("dotty: nothing compiled")
+	for i, src := range w.corpus {
+		got, ok := w.cache[src[:24]]
+		if !ok {
+			return fmt.Errorf("dotty: unit %d was never compiled", i)
+		}
+		if int64(got) != w.want[i] {
+			return fmt.Errorf("dotty: unit %d cached checksum %d, want %d", i, got, w.want[i])
+		}
 	}
 	return nil
 }

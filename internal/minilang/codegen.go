@@ -27,8 +27,10 @@ func Generate(prog *ProgramAST) (*rvm.Program, error) {
 	p := rvm.NewProgram()
 	class := rvm.NewClass(ClassName, nil)
 	streams := false
+	asm := rvm.NewAsm() // one instruction buffer for the whole unit
 	for _, fn := range prog.Funcs {
-		g := &codegen{asm: rvm.NewAsm(), slots: map[string]int{}}
+		asm.Reset()
+		g := &codegen{asm: asm, slots: map[string]int{}}
 		m, err := g.genFunc(fn)
 		if err != nil {
 			return nil, err
@@ -41,7 +43,7 @@ func Generate(prog *ProgramAST) (*rvm.Program, error) {
 		}
 	}
 	if streams {
-		for _, m := range streamLib() {
+		for _, m := range streamLib(asm) {
 			m.Static = true
 			class.AddMethod(m)
 		}
@@ -395,71 +397,70 @@ func canonicalFor(s *For) (idx, arr string, ok bool) {
 // canonical counted array loop (with LoopInfo metadata) applying a method
 // handle per element, so both the tier-1 quickener and the rvm/opt
 // stream-fusion pass can recognize and optimize the shape.
-func streamLib() []*rvm.Method {
+func streamLib(a *rvm.Asm) []*rvm.Method {
 	// $smap(arr, h): out[i] = h(arr[i])
-	sm := rvm.NewAsm()
-	sm.Load(0).Op(rvm.OpArrayLen).Op(rvm.OpNewArray).Store(2)
-	sm.ConstInt(0).Store(3)
-	sm.Label("head")
-	sm.Load(3).Load(0).Op(rvm.OpArrayLen).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "exit")
-	sm.Load(2).Load(3)
-	sm.Load(1).Load(0).Load(3).Op(rvm.OpALoad)
-	sm.Invoke(rvm.OpInvokeHandle, "", 1)
-	sm.Op(rvm.OpAStore)
-	sm.Load(3).ConstInt(1).Op(rvm.OpAdd).Store(3)
-	sm.Jump(rvm.OpJump, "head")
-	sm.Label("exit")
-	sm.Load(2).Op(rvm.OpReturn)
-	sm.MarkLoop("head", "exit", 3, 0, true)
+	a.Reset()
+	a.Load(0).Op(rvm.OpArrayLen).Op(rvm.OpNewArray).Store(2)
+	a.ConstInt(0).Store(3)
+	a.Label("head")
+	a.Load(3).Load(0).Op(rvm.OpArrayLen).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "exit")
+	a.Load(2).Load(3)
+	a.Load(1).Load(0).Load(3).Op(rvm.OpALoad)
+	a.Invoke(rvm.OpInvokeHandle, "", 1)
+	a.Op(rvm.OpAStore)
+	a.Load(3).ConstInt(1).Op(rvm.OpAdd).Store(3)
+	a.Jump(rvm.OpJump, "head")
+	a.Label("exit")
+	a.Load(2).Op(rvm.OpReturn)
+	a.MarkLoop("head", "exit", 3, 0, true)
+	smap := a.MustBuild("$smap", 2)
 
 	// $sfilter(arr, h): two passes — count matches, then fill exact-size out.
-	sf := rvm.NewAsm()
-	sf.ConstInt(0).Store(2) // cnt
-	sf.ConstInt(0).Store(3) // i
-	sf.Label("head1")
-	sf.Load(3).Load(0).Op(rvm.OpArrayLen).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "mid")
-	sf.Load(1).Load(0).Load(3).Op(rvm.OpALoad).Invoke(rvm.OpInvokeHandle, "", 1)
-	sf.Jump(rvm.OpJumpIfNot, "skip1")
-	sf.Load(2).ConstInt(1).Op(rvm.OpAdd).Store(2)
-	sf.Label("skip1")
-	sf.Load(3).ConstInt(1).Op(rvm.OpAdd).Store(3)
-	sf.Jump(rvm.OpJump, "head1")
-	sf.Label("mid")
-	sf.Load(2).Op(rvm.OpNewArray).Store(4) // out
-	sf.ConstInt(0).Store(5)                // j
-	sf.ConstInt(0).Store(3)
-	sf.Label("head2")
-	sf.Load(3).Load(0).Op(rvm.OpArrayLen).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "exit")
-	sf.Load(0).Load(3).Op(rvm.OpALoad).Store(6) // tmp
-	sf.Load(1).Load(6).Invoke(rvm.OpInvokeHandle, "", 1)
-	sf.Jump(rvm.OpJumpIfNot, "skip2")
-	sf.Load(4).Load(5).Load(6).Op(rvm.OpAStore)
-	sf.Load(5).ConstInt(1).Op(rvm.OpAdd).Store(5)
-	sf.Label("skip2")
-	sf.Load(3).ConstInt(1).Op(rvm.OpAdd).Store(3)
-	sf.Jump(rvm.OpJump, "head2")
-	sf.Label("exit")
-	sf.Load(4).Op(rvm.OpReturn)
-	sf.MarkLoop("head1", "mid", 3, 0, true)
-	sf.MarkLoop("head2", "exit", 3, 0, true)
+	a.Reset()
+	a.ConstInt(0).Store(2) // cnt
+	a.ConstInt(0).Store(3) // i
+	a.Label("head1")
+	a.Load(3).Load(0).Op(rvm.OpArrayLen).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "mid")
+	a.Load(1).Load(0).Load(3).Op(rvm.OpALoad).Invoke(rvm.OpInvokeHandle, "", 1)
+	a.Jump(rvm.OpJumpIfNot, "skip1")
+	a.Load(2).ConstInt(1).Op(rvm.OpAdd).Store(2)
+	a.Label("skip1")
+	a.Load(3).ConstInt(1).Op(rvm.OpAdd).Store(3)
+	a.Jump(rvm.OpJump, "head1")
+	a.Label("mid")
+	a.Load(2).Op(rvm.OpNewArray).Store(4) // out
+	a.ConstInt(0).Store(5)                // j
+	a.ConstInt(0).Store(3)
+	a.Label("head2")
+	a.Load(3).Load(0).Op(rvm.OpArrayLen).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "exit")
+	a.Load(0).Load(3).Op(rvm.OpALoad).Store(6) // tmp
+	a.Load(1).Load(6).Invoke(rvm.OpInvokeHandle, "", 1)
+	a.Jump(rvm.OpJumpIfNot, "skip2")
+	a.Load(4).Load(5).Load(6).Op(rvm.OpAStore)
+	a.Load(5).ConstInt(1).Op(rvm.OpAdd).Store(5)
+	a.Label("skip2")
+	a.Load(3).ConstInt(1).Op(rvm.OpAdd).Store(3)
+	a.Jump(rvm.OpJump, "head2")
+	a.Label("exit")
+	a.Load(4).Op(rvm.OpReturn)
+	a.MarkLoop("head1", "mid", 3, 0, true)
+	a.MarkLoop("head2", "exit", 3, 0, true)
+	sfilter := a.MustBuild("$sfilter", 2)
 
 	// $sreduce(arr, acc, h): acc = h(acc, arr[i])
-	sr := rvm.NewAsm()
-	sr.ConstInt(0).Store(3)
-	sr.Label("head")
-	sr.Load(3).Load(0).Op(rvm.OpArrayLen).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "exit")
-	sr.Load(2).Load(1).Load(0).Load(3).Op(rvm.OpALoad)
-	sr.Invoke(rvm.OpInvokeHandle, "", 2)
-	sr.Store(1)
-	sr.Load(3).ConstInt(1).Op(rvm.OpAdd).Store(3)
-	sr.Jump(rvm.OpJump, "head")
-	sr.Label("exit")
-	sr.Load(1).Op(rvm.OpReturn)
-	sr.MarkLoop("head", "exit", 3, 0, true)
+	a.Reset()
+	a.ConstInt(0).Store(3)
+	a.Label("head")
+	a.Load(3).Load(0).Op(rvm.OpArrayLen).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "exit")
+	a.Load(2).Load(1).Load(0).Load(3).Op(rvm.OpALoad)
+	a.Invoke(rvm.OpInvokeHandle, "", 2)
+	a.Store(1)
+	a.Load(3).ConstInt(1).Op(rvm.OpAdd).Store(3)
+	a.Jump(rvm.OpJump, "head")
+	a.Label("exit")
+	a.Load(1).Op(rvm.OpReturn)
+	a.MarkLoop("head", "exit", 3, 0, true)
+	sreduce := a.MustBuild("$sreduce", 3)
 
-	return []*rvm.Method{
-		sm.MustBuild("$smap", 2),
-		sf.MustBuild("$sfilter", 2),
-		sr.MustBuild("$sreduce", 3),
-	}
+	return []*rvm.Method{smap, sfilter, sreduce}
 }

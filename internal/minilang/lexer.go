@@ -9,11 +9,11 @@ package minilang
 
 import (
 	"fmt"
-	"unicode"
+	"unicode/utf8"
 )
 
 // TokKind classifies tokens.
-type TokKind int
+type TokKind uint8
 
 // Token kinds.
 const (
@@ -25,12 +25,13 @@ const (
 	TokOp      // operators and punctuation
 )
 
-// Token is one lexeme with its source position.
+// Token is one lexeme with its source position. Text is a substring of
+// the source; Col counts bytes.
 type Token struct {
 	Kind TokKind
 	Text string
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
 
 var keywords = map[string]bool{
@@ -49,87 +50,109 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("minilang:%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-func errAt(line, col int, format string, args ...any) error {
-	return &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+func errAt(line, col int32, format string, args ...any) error {
+	return &SyntaxError{Line: int(line), Col: int(col), Msg: fmt.Sprintf(format, args...)}
 }
+
+// Byte classes. The language is ASCII outside comments: every byte of
+// 0x80 and above has class 0 and is rejected where a token must start.
+const (
+	clsLetter = 1 << iota // a-z A-Z _
+	clsDigit
+	clsSpace
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = clsLetter
+		t[c-'a'+'A'] = clsLetter
+	}
+	t['_'] = clsLetter
+	for c := '0'; c <= '9'; c++ {
+		t[c] = clsDigit
+	}
+	for _, c := range " \t\n\r" {
+		t[c] = clsSpace
+	}
+	return t
+}()
 
 // Lex tokenizes the source.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
-	line, col := 1, 1
+	// The corpus averages one token per 2.6 source bytes; sizing for one
+	// per 2.5 makes regrowth the exception.
+	toks := make([]Token, 0, len(src)*2/5+1)
+	line, lineStart := int32(1), 0 // lineStart: index of the current line's first byte
 	i := 0
 	n := len(src)
 
-	advance := func(k int) {
-		for j := 0; j < k; j++ {
-			if src[i+j] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
-		}
-		i += k
-	}
-
 	for i < n {
 		c := src[i]
+		col := int32(i-lineStart) + 1
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			advance(1)
+		case byteClass[c]&clsSpace != 0:
+			i++
+			if c == '\n' {
+				line++
+				lineStart = i
+			}
 		case c == '/' && i+1 < n && src[i+1] == '/':
 			for i < n && src[i] != '\n' {
-				advance(1)
+				i++
 			}
-		case unicode.IsLetter(rune(c)) || c == '_':
-			start, l0, c0 := i, line, col
-			for i < n && (unicode.IsLetter(rune(src[i])) || unicode.IsDigit(rune(src[i])) || src[i] == '_') {
-				advance(1)
+		case byteClass[c]&clsLetter != 0:
+			start := i
+			for i < n && byteClass[src[i]]&(clsLetter|clsDigit) != 0 {
+				i++
 			}
 			text := src[start:i]
 			kind := TokIdent
 			if keywords[text] {
 				kind = TokKeyword
 			}
-			toks = append(toks, Token{kind, text, l0, c0})
-		case unicode.IsDigit(rune(c)):
-			start, l0, c0 := i, line, col
+			toks = append(toks, Token{kind, text, line, col})
+		case byteClass[c]&clsDigit != 0:
+			start := i
 			isFloat := false
-			for i < n && (unicode.IsDigit(rune(src[i])) || src[i] == '.') {
+			for i < n && (byteClass[src[i]]&clsDigit != 0 || src[i] == '.') {
 				if src[i] == '.' {
 					if isFloat {
-						return nil, errAt(line, col, "malformed number")
+						return nil, errAt(line, int32(i-lineStart)+1, "malformed number")
 					}
 					isFloat = true
 				}
-				advance(1)
+				i++
 			}
 			kind := TokInt
 			if isFloat {
 				kind = TokFloat
 			}
-			toks = append(toks, Token{kind, src[start:i], l0, c0})
+			toks = append(toks, Token{kind, src[start:i], line, col})
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRuneInString(src[i:])
+			if r == utf8.RuneError && size == 1 {
+				return nil, errAt(line, col, "invalid UTF-8 byte 0x%02x", c)
+			}
+			return nil, errAt(line, col, "unexpected character %q", r)
 		default:
-			l0, c0 := line, col
-			two := ""
+			width := 1
 			if i+1 < n {
-				two = src[i : i+2]
+				switch src[i : i+2] {
+				case "==", "!=", "<=", ">=", "&&", "||":
+					width = 2
+				}
 			}
-			switch two {
-			case "==", "!=", "<=", ">=", "&&", "||":
-				toks = append(toks, Token{TokOp, two, l0, c0})
-				advance(2)
-				continue
+			if width == 1 {
+				switch c {
+				case '+', '-', '*', '/', '%', '<', '>', '=', '!', '(', ')', '{', '}', '[', ']', ',', ';':
+				default:
+					return nil, errAt(line, col, "unexpected character %q", c)
+				}
 			}
-			switch c {
-			case '+', '-', '*', '/', '%', '<', '>', '=', '!', '(', ')', '{', '}', '[', ']', ',', ';':
-				toks = append(toks, Token{TokOp, string(c), l0, c0})
-				advance(1)
-			default:
-				return nil, errAt(line, col, "unexpected character %q", c)
-			}
+			toks = append(toks, Token{TokOp, src[i : i+width], line, col})
+			i += width
 		}
 	}
-	toks = append(toks, Token{TokEOF, "", line, col})
+	toks = append(toks, Token{TokEOF, "", line, int32(n-lineStart) + 1})
 	return toks, nil
 }

@@ -81,7 +81,7 @@ func (p *parser) funcDecl() (*FuncDecl, error) {
 	if _, err := p.expect(TokOp, "("); err != nil {
 		return nil, err
 	}
-	fn := &FuncDecl{Name: name.Text, Ret: TypeVoid, Line: kw.Line}
+	fn := &FuncDecl{Name: name.Text, Ret: TypeVoid, Line: int(kw.Line)}
 	for !p.at(TokOp, ")") {
 		if len(fn.Params) > 0 {
 			if _, err := p.expect(TokOp, ","); err != nil {
@@ -150,7 +150,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if _, err := p.expect(TokOp, ";"); err != nil {
 			return nil, err
 		}
-		return &VarDecl{Name: name.Text, Init: init, Line: name.Line}, nil
+		return &VarDecl{Name: name.Text, Init: init, Line: int(name.Line)}, nil
 
 	case p.accept(TokKeyword, "if"):
 		cond, err := p.expr()
@@ -208,10 +208,10 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &For{Init: init, Cond: cond, Post: postAssign, Body: body, Line: t.Line}, nil
+		return &For{Init: init, Cond: cond, Post: postAssign, Body: body, Line: int(t.Line)}, nil
 
 	case p.accept(TokKeyword, "return"):
-		r := &Return{Line: t.Line}
+		r := &Return{Line: int(t.Line)}
 		if !p.at(TokOp, ";") {
 			v, err := p.expr()
 			if err != nil {
@@ -234,7 +234,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if _, err := p.expect(TokOp, ";"); err != nil {
 			return nil, err
 		}
-		return &Assign{Name: name.Text, Value: v, Line: name.Line}, nil
+		return &Assign{Name: name.Text, Value: v, Line: int(name.Line)}, nil
 
 	case t.Kind == TokIdent && p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "[":
 		// Could be `a[i] = v;` or an expression statement starting with an
@@ -267,7 +267,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if _, err := p.expect(TokOp, ";"); err != nil {
 			return nil, err
 		}
-		return &IndexAssign{Name: name.Text, Index: idx, Value: v, Line: name.Line}, nil
+		return &IndexAssign{Name: name.Text, Index: idx, Value: v, Line: int(name.Line)}, nil
 
 	default:
 		e, err := p.expr()
@@ -297,7 +297,7 @@ func (p *parser) simpleStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &VarDecl{Name: name.Text, Init: init, Line: name.Line}, nil
+		return &VarDecl{Name: name.Text, Init: init, Line: int(name.Line)}, nil
 	}
 	name, err := p.expect(TokIdent, "")
 	if err != nil {
@@ -310,7 +310,7 @@ func (p *parser) simpleStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Assign{Name: name.Text, Value: v, Line: name.Line}, nil
+	return &Assign{Name: name.Text, Value: v, Line: int(name.Line)}, nil
 }
 
 // Operator precedence climbing.
@@ -342,7 +342,7 @@ func (p *parser) binExpr(minPrec int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Binary{Op: t.Text, Left: left, Right: right, Line: t.Line}
+		left = &Binary{Op: t.Text, Left: left, Right: right, Line: int(t.Line)}
 	}
 }
 
@@ -354,7 +354,7 @@ func (p *parser) unary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: t.Text, Sub: sub, Line: t.Line}, nil
+		return &Unary{Op: t.Text, Sub: sub, Line: int(t.Line)}, nil
 	}
 	return p.primary()
 }
@@ -393,7 +393,7 @@ func (p *parser) primary() (Expr, error) {
 		p.pos++
 		var e Expr
 		if p.accept(TokOp, "(") {
-			call := &Call{Name: t.Text, Line: t.Line}
+			call := &Call{Name: t.Text, Line: int(t.Line)}
 			for !p.at(TokOp, ")") {
 				if len(call.Args) > 0 {
 					if _, err := p.expect(TokOp, ","); err != nil {
@@ -409,7 +409,7 @@ func (p *parser) primary() (Expr, error) {
 			p.pos++ // )
 			e = call
 		} else {
-			e = &VarRef{Name: t.Text, Line: t.Line}
+			e = &VarRef{Name: t.Text, Line: int(t.Line)}
 		}
 		for p.accept(TokOp, "[") {
 			idx, err := p.expr()
@@ -419,7 +419,7 @@ func (p *parser) primary() (Expr, error) {
 			if _, err := p.expect(TokOp, "]"); err != nil {
 				return nil, err
 			}
-			e = &IndexExpr{Arr: e, Index: idx, Line: t.Line}
+			e = &IndexExpr{Arr: e, Index: idx, Line: int(t.Line)}
 		}
 		return e, nil
 	default:

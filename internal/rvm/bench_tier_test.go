@@ -177,3 +177,32 @@ func BenchmarkArrayLoop(b *testing.B) {
 	p := benchProgram(a.MustBuild("main", 1))
 	benchTiers(b, p, Int(1024))
 }
+
+// BenchmarkArrayAlloc is the allocation kernel: one NewArray plus one
+// store per element, for an array that stays in pointer-free int storage
+// and for one whose first store moves it to general storage. B/op is the
+// number to read.
+func BenchmarkArrayAlloc(b *testing.B) {
+	const n = 1024
+	for _, c := range []struct {
+		name  string
+		first Value
+	}{
+		{"ints", Int(1)},
+		{"mixed", Float(1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o := NewArray(n)
+				o.Set(0, c.first)
+				for j := 1; j < n; j++ {
+					o.Set(j, Int(int64(j)))
+				}
+				if o.Len() != n {
+					b.Fatal("bad length")
+				}
+			}
+		})
+	}
+}

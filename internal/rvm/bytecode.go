@@ -146,6 +146,17 @@ func NewAsm() *Asm {
 	return &Asm{labels: make(map[string]int), fixups: make(map[int]string)}
 }
 
+// Reset empties the assembler for the next method, keeping its buffers:
+// Build copies everything it returns, so a compiler can assemble all the
+// methods of a unit through one Asm and grow the instruction buffer once.
+func (a *Asm) Reset() {
+	a.code = a.code[:0]
+	clear(a.labels)
+	clear(a.fixups)
+	a.nlocals = 0
+	a.loops = a.loops[:0]
+}
+
 // Emit appends an instruction and returns its index.
 func (a *Asm) Emit(in Instr) int {
 	a.code = append(a.code, in)

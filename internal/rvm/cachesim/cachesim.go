@@ -105,7 +105,7 @@ func (s *Sim) Access(obj *rvm.Object, index int, write bool) {
 	if !ok {
 		// Place objects at 64-byte-aligned synthetic addresses, spaced by
 		// their payload size.
-		size := uint64(len(obj.Fields)+len(obj.Elems))*slotBytes + 16
+		size := uint64(len(obj.Fields)+obj.Len())*slotBytes + 16
 		size = (size + 63) &^ 63
 		base = s.nextObj
 		s.nextObj += size

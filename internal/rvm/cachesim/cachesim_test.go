@@ -33,7 +33,7 @@ func TestCapacityMisses(t *testing.T) {
 	// accesses to distinct lines must miss L1.
 	s := New(nil)
 	big := rvm.NewArray(64 * 1024) // 512 KiB at 8 B/slot
-	for i := 0; i < len(big.Elems); i += 8 {
+	for i := 0; i < big.Len(); i += 8 {
 		s.Access(big, i, false)
 	}
 	counts := s.Counts()

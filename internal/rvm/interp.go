@@ -294,10 +294,10 @@ func (vm *Interp) flatLoop(st *mstate, m *Method, fr *frame, depth, maxDepth int
 			if obj == nil {
 				return Null(), fmt.Errorf("%w: aload", ErrNullPointer)
 			}
-			if i < 0 || i >= int64(len(obj.Elems)) {
-				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+			if i < 0 || i >= int64(obj.Len()) {
+				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 			}
-			regs[sp-1] = obj.Elems[i]
+			regs[sp-1] = obj.At(int(i))
 		case OpAStore:
 			v := regs[sp-1]
 			i := regs[sp-2].AsInt()
@@ -306,16 +306,16 @@ func (vm *Interp) flatLoop(st *mstate, m *Method, fr *frame, depth, maxDepth int
 			if obj == nil {
 				return Null(), fmt.Errorf("%w: astore", ErrNullPointer)
 			}
-			if i < 0 || i >= int64(len(obj.Elems)) {
-				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+			if i < 0 || i >= int64(obj.Len()) {
+				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 			}
-			obj.Elems[i] = v
+			obj.Set(int(i), v)
 		case OpArrayLen:
 			obj := regs[sp-1].AsRef()
 			if obj == nil {
 				return Null(), fmt.Errorf("%w: arraylen", ErrNullPointer)
 			}
-			regs[sp-1] = Int(int64(len(obj.Elems)))
+			regs[sp-1] = Int(int64(obj.Len()))
 
 		case OpInvokeStatic:
 			callee, err := vm.resolveStatic(in.S)
@@ -648,10 +648,10 @@ func (vm *Interp) runDynamic(m *Method, args []Value, depth, maxDepth int) (Valu
 				return Null(), fmt.Errorf("%w: aload", ErrNullPointer)
 			}
 			i := idx.AsInt()
-			if i < 0 || i >= int64(len(obj.Elems)) {
-				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+			if i < 0 || i >= int64(obj.Len()) {
+				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 			}
-			push(obj.Elems[i])
+			push(obj.At(int(i)))
 		case OpAStore:
 			v, err := pop()
 			if err != nil {
@@ -666,10 +666,10 @@ func (vm *Interp) runDynamic(m *Method, args []Value, depth, maxDepth int) (Valu
 				return Null(), fmt.Errorf("%w: astore", ErrNullPointer)
 			}
 			i := idx.AsInt()
-			if i < 0 || i >= int64(len(obj.Elems)) {
-				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+			if i < 0 || i >= int64(obj.Len()) {
+				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 			}
-			obj.Elems[i] = v
+			obj.Set(int(i), v)
 		case OpArrayLen:
 			arr, err := pop()
 			if err != nil {
@@ -679,7 +679,7 @@ func (vm *Interp) runDynamic(m *Method, args []Value, depth, maxDepth int) (Valu
 			if obj == nil {
 				return Null(), fmt.Errorf("%w: arraylen", ErrNullPointer)
 			}
-			push(Int(int64(len(obj.Elems))))
+			push(Int(int64(obj.Len())))
 
 		case OpInvokeStatic:
 			callee, err := vm.resolveStatic(in.S)

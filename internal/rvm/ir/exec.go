@@ -259,13 +259,13 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 					return rvm.Null(), fmt.Errorf("%w: aload", rvm.ErrNullPointer)
 				}
 				i := regs[in.B].AsInt()
-				if i < 0 || i >= int64(len(obj.Elems)) {
-					return rvm.Null(), fmt.Errorf("%w: %d of %d", rvm.ErrBounds, i, len(obj.Elems))
+				if i < 0 || i >= int64(obj.Len()) {
+					return rvm.Null(), fmt.Errorf("%w: %d of %d", rvm.ErrBounds, i, obj.Len())
 				}
 				if e.Tracer != nil {
 					e.Tracer.Access(obj, int(i), false)
 				}
-				regs[in.Dst] = obj.Elems[i]
+				regs[in.Dst] = obj.At(int(i))
 				charge(CostLoad)
 			case OpAStore:
 				obj := regs[in.A].AsRef()
@@ -273,20 +273,20 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 					return rvm.Null(), fmt.Errorf("%w: astore", rvm.ErrNullPointer)
 				}
 				i := regs[in.B].AsInt()
-				if i < 0 || i >= int64(len(obj.Elems)) {
-					return rvm.Null(), fmt.Errorf("%w: %d of %d", rvm.ErrBounds, i, len(obj.Elems))
+				if i < 0 || i >= int64(obj.Len()) {
+					return rvm.Null(), fmt.Errorf("%w: %d of %d", rvm.ErrBounds, i, obj.Len())
 				}
 				if e.Tracer != nil {
 					e.Tracer.Access(obj, int(i), true)
 				}
-				obj.Elems[i] = regs[in.C]
+				obj.Set(int(i), regs[in.C])
 				charge(CostStore)
 			case OpArrayLen:
 				obj := regs[in.A].AsRef()
 				if obj == nil {
 					return rvm.Null(), fmt.Errorf("%w: arraylen", rvm.ErrNullPointer)
 				}
-				regs[in.Dst] = rvm.Int(int64(len(obj.Elems)))
+				regs[in.Dst] = rvm.Int(int64(obj.Len()))
 				charge(CostArrayLen)
 
 			case OpCallStatic:
@@ -423,8 +423,8 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 					return rvm.Null(), fmt.Errorf("%w: bounds guard on null in %s", ErrDeopt, f.Name)
 				}
 				i := regs[in.B].AsInt()
-				if i < 0 || i >= int64(len(obj.Elems)) {
-					return rvm.Null(), fmt.Errorf("%w: bounds guard %d of %d in %s", ErrDeopt, i, len(obj.Elems), f.Name)
+				if i < 0 || i >= int64(obj.Len()) {
+					return rvm.Null(), fmt.Errorf("%w: bounds guard %d of %d in %s", ErrDeopt, i, obj.Len(), f.Name)
 				}
 
 			case OpVecArith:
@@ -434,28 +434,28 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 					return rvm.Null(), fmt.Errorf("%w: vecarith", rvm.ErrNullPointer)
 				}
 				base := regs[in.B].AsInt()
-				if base < 0 || base+VectorWidth > int64(len(dst.Elems)) || base+VectorWidth > int64(len(a1.Elems)) {
+				if base < 0 || base+VectorWidth > int64(dst.Len()) || base+VectorWidth > int64(a1.Len()) {
 					return rvm.Null(), fmt.Errorf("%w: vecarith lanes %d..%d", rvm.ErrBounds, base, base+VectorWidth)
 				}
 				var a2 *rvm.Object
 				if in.ConstOperand == nil {
 					a2 = regs[in.C].AsRef()
-					if a2 == nil || base+VectorWidth > int64(len(a2.Elems)) {
+					if a2 == nil || base+VectorWidth > int64(a2.Len()) {
 						return rvm.Null(), fmt.Errorf("%w: vecarith operand", rvm.ErrBounds)
 					}
 				}
-				for lane := int64(0); lane < VectorWidth; lane++ {
+				for i := int(base); i < int(base+VectorWidth); i++ {
 					var o rvm.Value
 					if in.ConstOperand != nil {
 						o = *in.ConstOperand
 					} else {
-						o = a2.Elems[base+lane]
+						o = a2.At(i)
 					}
-					v, err := evalArith(in.ArithOp, a1.Elems[base+lane], o)
+					v, err := evalArith(in.ArithOp, a1.At(i), o)
 					if err != nil {
 						return rvm.Null(), err
 					}
-					dst.Elems[base+lane] = v
+					dst.Set(i, v)
 				}
 				charge(CostVecArith)
 

@@ -14,10 +14,10 @@ import (
 // unoptimized IR, and the fully optimized IR all compute the same result.
 // This is the repository-wide semantic oracle for the optimization passes.
 func TestFuzzDifferential(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		seed := seed
-		rng := rand.New(rand.NewSource(seed))
-		p := genProgram(rng)
+	for seed := int64(0); seed < 300; seed++ {
+		mixed := seed >= 150 // the second half stores every kind into an array
+		rng := rand.New(rand.NewSource(seed % 150))
+		p := genProgram(rng, mixed)
 
 		want, werr := rvm.NewInterp(p).Run()
 		if werr != nil {
@@ -58,7 +58,13 @@ func TestFuzzDifferential(t *testing.T) {
 
 // genProgram builds a random but always-terminating, trap-free program.
 // Locals: 0..3 ints, 4 = object (Cell with field x), 5 = array of len 8.
-func genProgram(rng *rand.Rand) *rvm.Program {
+// With mixed set, local 10 is a second array of len 8 that receives
+// stores of every kind — ints (including the one with no pointer-free
+// encoding), floats, nulls and references — so it leaves int storage at
+// a random point of the program; its elements are only copied, compared
+// and type-tested, never used in arithmetic. With mixed clear the
+// generator draws exactly the programs it always has.
+func genProgram(rng *rand.Rand, mixed bool) *rvm.Program {
 	p := rvm.NewProgram()
 	cell := rvm.NewClass("Cell", nil, "x")
 	base := rvm.NewClass("Base", nil)
@@ -79,6 +85,11 @@ func genProgram(rng *rand.Rand) *rvm.Program {
 		a.Sym(rvm.OpNew, "Derived").Store(6)
 	} else {
 		a.Sym(rvm.OpNew, "Base").Store(6)
+	}
+
+	const mixedArr = 10
+	if mixed {
+		a.ConstInt(8).Op(rvm.OpNewArray).Store(mixedArr)
 	}
 
 	label := 0
@@ -108,10 +119,53 @@ func genProgram(rng *rand.Rand) *rvm.Program {
 		// Keep magnitudes bounded.
 		a.ConstInt(1000003).Op(rvm.OpRem)
 	}
+	// mixedStmt stores into, copies within, or inspects the mixed array.
+	mixedStmt := func() {
+		elem := func() { a.Load(mixedArr).ConstInt(int64(rng.Intn(8))) }
+		switch rng.Intn(9) {
+		case 0:
+			elem()
+			expr()
+			a.Op(rvm.OpAStore)
+		case 1:
+			elem()
+			a.ConstFloat(float64(rng.Intn(9)) / 2).Op(rvm.OpAStore)
+		case 2:
+			elem()
+			a.Op(rvm.OpConstNull).Op(rvm.OpAStore)
+		case 3:
+			elem()
+			a.Load([]int{4, 5, 6, mixedArr}[rng.Intn(4)]).Op(rvm.OpAStore)
+		case 4:
+			elem()
+			a.ConstInt(-1 << 63).Op(rvm.OpAStore)
+		case 5: // copy an element of whatever kind
+			elem()
+			elem()
+			a.Op(rvm.OpALoad).Op(rvm.OpAStore)
+		case 6:
+			elem()
+			a.Op(rvm.OpALoad).Op(rvm.OpConstNull).Op(rvm.OpCmpEQ).Store(rng.Intn(4))
+		case 7:
+			elem()
+			a.Op(rvm.OpALoad).Sym(rvm.OpInstanceOf, "Cell").Store(rng.Intn(4))
+		case 8:
+			elem()
+			a.Op(rvm.OpALoad)
+			elem()
+			a.Op(rvm.OpALoad).Op(rvm.OpCmpEQ).Store(rng.Intn(4))
+		}
+	}
+	choices := 8
+	if mixed {
+		choices = 11 // 8..10: mixed-array statements
+	}
 	stmts = func(depth int) {
 		n := rng.Intn(4) + 1
 		for s := 0; s < n; s++ {
-			switch choice := rng.Intn(8); {
+			switch choice := rng.Intn(choices); {
+			case choice >= 8:
+				mixedStmt()
 			case choice < 3: // assignment
 				expr()
 				a.Store(rng.Intn(4))
@@ -179,6 +233,18 @@ func genProgram(rng *rand.Rand) *rvm.Program {
 	a.Load(4).Sym(rvm.OpGetField, "x").Op(rvm.OpAdd)
 	a.Load(5).ConstInt(0).Op(rvm.OpALoad).Op(rvm.OpAdd)
 	a.Load(5).ConstInt(7).Op(rvm.OpALoad).Op(rvm.OpAdd)
+	if mixed {
+		// Fold every mixed element in as null-ness, truthiness and type.
+		for i := int64(0); i < 8; i++ {
+			a.Load(mixedArr).ConstInt(i).Op(rvm.OpALoad).Op(rvm.OpConstNull).Op(rvm.OpCmpEQ).Op(rvm.OpAdd)
+			skip := fresh("t")
+			a.Load(mixedArr).ConstInt(i).Op(rvm.OpALoad).Jump(rvm.OpJumpIfNot, skip)
+			a.ConstInt(i + 2).Op(rvm.OpMul)
+			a.Label(skip)
+			a.Load(mixedArr).ConstInt(i).Op(rvm.OpALoad).Sym(rvm.OpInstanceOf, "Base").Op(rvm.OpAdd)
+			a.ConstInt(1000003).Op(rvm.OpRem)
+		}
+	}
 	a.Op(rvm.OpReturn)
 
 	m := a.MustBuild("main", 0)

@@ -244,9 +244,9 @@ func TestOptPipelineOnMinilangCorpus(t *testing.T) {
 // baseline tier-0 interpreter and with quickening forced; values, traps,
 // and all dynamic counters must agree (the rvm tier-up satellite).
 func TestTierDifferentialFuzz(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := genProgram(rng)
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed % 150))
+		p := genProgram(rng, seed >= 150)
 
 		vm0 := rvm.NewInterp(p)
 		vm0.Tier = rvm.TierBaseline

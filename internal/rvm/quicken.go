@@ -292,6 +292,7 @@ func buildQuick(st *mstate) (*qcode, bool) {
 	n := len(code)
 	q := &qcode{
 		m:         m,
+		code:      make([]qinstr, 0, n+1), // fusion only shrinks; +1 for qEnd
 		entry:     make(map[int]int),
 		nlocals:   m.NLocals,
 		frameSize: m.NLocals + st.maxStack,

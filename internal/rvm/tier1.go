@@ -86,20 +86,20 @@ func (vm *Interp) dispatch(fr *frame, pc int) (Value, error) {
 
 // cmpFast is compare with an integer fast path.
 func cmpFast(op Opcode, a, b Value) bool {
-	if a.kind == KindInt && b.kind == KindInt {
+	if a.isInt() && b.isInt() {
 		switch op {
 		case OpCmpLT:
-			return a.i < b.i
+			return a.int() < b.int()
 		case OpCmpLE:
-			return a.i <= b.i
+			return a.int() <= b.int()
 		case OpCmpGT:
-			return a.i > b.i
+			return a.int() > b.int()
 		case OpCmpGE:
-			return a.i >= b.i
+			return a.int() >= b.int()
 		case OpCmpEQ:
-			return a.i == b.i
+			return a.int() == b.int()
 		case OpCmpNE:
-			return a.i != b.i
+			return a.int() != b.int()
 		}
 	}
 	return compare(op, a, b)
@@ -108,21 +108,21 @@ func cmpFast(op Opcode, a, b Value) bool {
 // arithFast performs trap-free integer arithmetic inline; ok is false
 // when the generic (float-promoting or trapping) path must run.
 func arithFast(op Opcode, a, b Value) (Value, bool) {
-	if a.kind == KindInt && b.kind == KindInt {
+	if a.isInt() && b.isInt() {
 		switch op {
 		case OpAdd:
-			return Int(a.i + b.i), true
+			return Int(a.int() + b.int()), true
 		case OpSub:
-			return Int(a.i - b.i), true
+			return Int(a.int() - b.int()), true
 		case OpMul:
-			return Int(a.i * b.i), true
+			return Int(a.int() * b.int()), true
 		case OpDiv:
-			if b.i != 0 {
-				return Int(a.i / b.i), true
+			if b.int() != 0 {
+				return Int(a.int() / b.int()), true
 			}
 		case OpRem:
-			if b.i != 0 {
-				return Int(a.i % b.i), true
+			if b.int() != 0 {
+				return Int(a.int() % b.int()), true
 			}
 		}
 	}
@@ -407,10 +407,10 @@ func qhALoad(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		return 0, fmt.Errorf("%w: aload", ErrNullPointer)
 	}
 	i := idx.AsInt()
-	if i < 0 || i >= int64(len(obj.Elems)) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+	if i < 0 || i >= int64(obj.Len()) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 	}
-	fr.regs[fr.sp-1] = obj.Elems[i]
+	fr.regs[fr.sp-1] = obj.At(int(i))
 	return pc + 1, nil
 }
 
@@ -426,10 +426,10 @@ func qhALoadNB(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	if obj == nil {
 		return 0, fmt.Errorf("%w: aload", ErrNullPointer)
 	}
-	if uint64(i) >= uint64(len(obj.Elems)) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+	if uint64(i) >= uint64(obj.Len()) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 	}
-	fr.regs[fr.sp-1] = obj.Elems[i]
+	fr.regs[fr.sp-1] = obj.At(int(i))
 	return pc + 1, nil
 }
 
@@ -443,10 +443,10 @@ func qhAStore(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		return 0, fmt.Errorf("%w: astore", ErrNullPointer)
 	}
 	i := idx.AsInt()
-	if i < 0 || i >= int64(len(obj.Elems)) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+	if i < 0 || i >= int64(obj.Len()) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 	}
-	obj.Elems[i] = v
+	obj.Set(int(i), v)
 	return pc + 1, nil
 }
 
@@ -459,10 +459,10 @@ func qhAStoreNB(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	if obj == nil {
 		return 0, fmt.Errorf("%w: astore", ErrNullPointer)
 	}
-	if uint64(i) >= uint64(len(obj.Elems)) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+	if uint64(i) >= uint64(obj.Len()) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 	}
-	obj.Elems[i] = v
+	obj.Set(int(i), v)
 	return pc + 1, nil
 }
 
@@ -472,7 +472,7 @@ func qhArrayLen(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	if obj == nil {
 		return 0, fmt.Errorf("%w: arraylen", ErrNullPointer)
 	}
-	fr.regs[fr.sp-1] = Int(int64(len(obj.Elems)))
+	fr.regs[fr.sp-1] = Int(int64(obj.Len()))
 	return pc + 1, nil
 }
 
@@ -739,10 +739,10 @@ func qhLenCmpBr(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed += 2 // CmpLT; JumpIfNot
 	iv := fr.regs[in.a]
 	var lt bool
-	if iv.kind == KindInt {
-		lt = iv.i < int64(len(obj.Elems))
+	if iv.isInt() {
+		lt = iv.int() < int64(obj.Len())
 	} else {
-		lt = compare(OpCmpLT, iv, Int(int64(len(obj.Elems))))
+		lt = compare(OpCmpLT, iv, Int(int64(obj.Len())))
 	}
 	if !lt {
 		return int(in.c), nil
@@ -783,19 +783,19 @@ func qhCmpBr(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 func qhLCArithStore(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed += 4
 	x := fr.regs[in.a]
-	if x.kind == KindInt {
+	if x.isInt() {
 		// Fusion guarantees the constant divisor is non-zero.
 		switch in.xop {
 		case OpAdd:
-			fr.regs[in.b] = Int(x.i + in.i)
+			fr.regs[in.b] = Int(x.int() + in.i)
 		case OpSub:
-			fr.regs[in.b] = Int(x.i - in.i)
+			fr.regs[in.b] = Int(x.int() - in.i)
 		case OpMul:
-			fr.regs[in.b] = Int(x.i * in.i)
+			fr.regs[in.b] = Int(x.int() * in.i)
 		case OpDiv:
-			fr.regs[in.b] = Int(x.i / in.i)
+			fr.regs[in.b] = Int(x.int() / in.i)
 		case OpRem:
-			fr.regs[in.b] = Int(x.i % in.i)
+			fr.regs[in.b] = Int(x.int() % in.i)
 		}
 		return pc + 1, nil
 	}
@@ -863,10 +863,10 @@ func qhLLALoad(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		return 0, fmt.Errorf("%w: aload", ErrNullPointer)
 	}
 	i := fr.regs[in.b].AsInt()
-	if i < 0 || i >= int64(len(obj.Elems)) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+	if i < 0 || i >= int64(obj.Len()) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 	}
-	fr.regs[fr.sp] = obj.Elems[i]
+	fr.regs[fr.sp] = obj.At(int(i))
 	fr.sp++
 	return pc + 1, nil
 }
@@ -878,10 +878,10 @@ func qhLLALoadNB(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		return 0, fmt.Errorf("%w: aload", ErrNullPointer)
 	}
 	i := fr.regs[in.b].AsInt()
-	if uint64(i) >= uint64(len(obj.Elems)) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+	if uint64(i) >= uint64(obj.Len()) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 	}
-	fr.regs[fr.sp] = obj.Elems[i]
+	fr.regs[fr.sp] = obj.At(int(i))
 	fr.sp++
 	return pc + 1, nil
 }
@@ -893,10 +893,10 @@ func qhLLLAStore(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		return 0, fmt.Errorf("%w: astore", ErrNullPointer)
 	}
 	i := fr.regs[in.b].AsInt()
-	if i < 0 || i >= int64(len(obj.Elems)) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+	if i < 0 || i >= int64(obj.Len()) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 	}
-	obj.Elems[i] = fr.regs[in.c]
+	obj.Set(int(i), fr.regs[in.c])
 	return pc + 1, nil
 }
 
@@ -907,9 +907,9 @@ func qhLLLAStoreNB(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		return 0, fmt.Errorf("%w: astore", ErrNullPointer)
 	}
 	i := fr.regs[in.b].AsInt()
-	if uint64(i) >= uint64(len(obj.Elems)) {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, len(obj.Elems))
+	if uint64(i) >= uint64(obj.Len()) {
+		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
 	}
-	obj.Elems[i] = fr.regs[in.c]
+	obj.Set(int(i), fr.regs[in.c])
 	return pc + 1, nil
 }

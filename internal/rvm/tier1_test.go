@@ -2,6 +2,7 @@ package rvm
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -15,23 +16,42 @@ func runTier(p *Program, tier TierPolicy, fuel int64, args ...Value) (Value, err
 	return v, err, vm.Counters
 }
 
-// diffTiers asserts tier-0 (baseline) and tier-1 (forced quickening)
-// agree on result, trap, and every counter.
+// runLegacy executes a program on the dynamic-stack path, as if no
+// method had passed verification.
+func runLegacy(p *Program, args ...Value) (Value, error, Counters) {
+	vm := NewInterp(p)
+	vm.Tier = TierBaseline
+	forceLegacy(vm, p)
+	v, err := vm.Run(args...)
+	return v, err, vm.Counters
+}
+
+// diffTiers asserts the legacy dynamic-stack interpreter, tier-0
+// (baseline) and tier-1 (forced quickening) agree on result, trap, and
+// every counter.
 func diffTiers(t *testing.T, name string, p *Program, args ...Value) {
 	t.Helper()
 	v0, e0, c0 := runTier(p, TierBaseline, 0, args...)
-	v1, e1, c1 := runTier(p, TierQuick, 0, args...)
-	if (e0 == nil) != (e1 == nil) {
-		t.Fatalf("%s: tier0 err=%v tier1 err=%v", name, e0, e1)
-	}
-	if e0 != nil && e0.Error() != e1.Error() {
-		t.Errorf("%s: trap diverged:\n tier0: %v\n tier1: %v", name, e0, e1)
-	}
-	if e0 == nil && !v0.Equal(v1) {
-		t.Errorf("%s: result diverged: tier0=%v tier1=%v", name, v0, v1)
-	}
-	if c0 != c1 {
-		t.Errorf("%s: counters diverged:\n tier0: %+v\n tier1: %+v", name, c0, c1)
+	for _, other := range []struct {
+		engine string
+		run    func() (Value, error, Counters)
+	}{
+		{"legacy", func() (Value, error, Counters) { return runLegacy(p, args...) }},
+		{"tier1", func() (Value, error, Counters) { return runTier(p, TierQuick, 0, args...) }},
+	} {
+		v1, e1, c1 := other.run()
+		if (e0 == nil) != (e1 == nil) {
+			t.Fatalf("%s: tier0 err=%v %s err=%v", name, e0, other.engine, e1)
+		}
+		if e0 != nil && e0.Error() != e1.Error() {
+			t.Errorf("%s: trap diverged:\n tier0: %v\n %s: %v", name, e0, other.engine, e1)
+		}
+		if e0 == nil && !v0.Equal(v1) {
+			t.Errorf("%s: result diverged: tier0=%v %s=%v", name, v0, other.engine, v1)
+		}
+		if c0 != c1 {
+			t.Errorf("%s: counters diverged:\n tier0: %+v\n %s: %+v", name, c0, other.engine, c1)
+		}
 	}
 }
 
@@ -145,6 +165,69 @@ func TestTierDifferentialArrays(t *testing.T) {
 	b.Load(1).Load(0).Op(OpALoad).Op(OpReturn)
 	diffTiers(t, "bounds-trap", buildProg(t, b.MustBuild("main", 1)), Int(5))
 	diffTiers(t, "bounds-neg", buildProg(t, b.MustBuild("main", 1)), Int(-1))
+}
+
+// TestTierDifferentialMixedArrays stores every kind of value into arrays
+// that start in pointer-free storage: the move to general storage happens
+// mid-program, behind an alias, and must be invisible at every tier.
+func TestTierDifferentialMixedArrays(t *testing.T) {
+	id := NewAsm()
+	id.Load(0).Op(OpReturn)
+
+	a := NewAsm()
+	// slot 0 = probe index (arg), 1 = arr, 2 = alias of arr, 3 = second array, 4 = acc
+	a.ConstInt(6).Op(OpNewArray).Op(OpDup).Store(1).Store(2)
+	a.Load(1).ConstInt(0).ConstInt(5).Op(OpAStore)
+	a.Load(1).ConstInt(1).ConstInt(-1).Op(OpAStore)
+	a.Load(2).ConstInt(2).ConstInt(0).Op(OpAStore)
+	a.Load(2).ConstInt(3).ConstFloat(2.5).Op(OpAStore) // first non-int: through the alias
+	a.Load(1).ConstInt(4).Sym(OpNew, "Main").Op(OpAStore)
+	a.Load(2).ConstInt(5).Sym(OpInvokeDynamic, "Main.id").Op(OpAStore)
+	a.Load(1).ConstInt(0).Op(OpConstNull).Op(OpAStore) // null over an int
+	a.ConstInt(2).Op(OpNewArray).Store(3)
+	a.Load(3).ConstInt(0).ConstInt(-1 << 63).Op(OpAStore) // the one int without a word
+	a.Load(3).ConstInt(1).ConstInt(3).Op(OpAStore)
+
+	a.Load(1).ConstInt(1).Op(OpALoad).Load(2).ConstInt(2).Op(OpALoad).Op(OpAdd).Store(4) // -1 + 0
+	a.Load(4).Load(1).ConstInt(3).Op(OpALoad).ConstInt(2).Op(OpMul).Op(OpAdd).Store(4)   // + 5.0
+	a.Load(4).Load(2).ConstInt(4).Op(OpALoad).Sym(OpInstanceOf, "Main").Op(OpAdd).Store(4)
+	a.Load(4).Load(1).ConstInt(5).Op(OpALoad).ConstInt(9).Invoke(OpInvokeHandle, "", 1).Op(OpAdd).Store(4)
+	a.Load(4).Load(2).ConstInt(0).Op(OpALoad).Op(OpConstNull).Op(OpCmpEQ).Op(OpAdd).Store(4)
+	a.Load(4).Load(3).ConstInt(0).Op(OpALoad).ConstInt(-1 << 63).Op(OpCmpEQ).Op(OpAdd).Store(4)
+	a.Load(4).Load(3).ConstInt(1).Op(OpALoad).Op(OpAdd).Store(4)
+	a.Load(4).Load(3).Op(OpArrayLen).Load(2).Op(OpArrayLen).Op(OpMul).Op(OpAdd).Store(4)
+	a.Load(4).Load(1).Load(0).Op(OpALoad).Op(OpAdd).Op(OpReturn) // probe: may trap
+	p := buildProg(t, a.MustBuild("main", 1), id.MustBuild("id", 1))
+
+	diffTiers(t, "mixed", p, Int(1))
+	diffTiers(t, "mixed-bounds", p, Int(6))
+	diffTiers(t, "mixed-neg", p, Int(-1))
+	v, err, _ := runTier(p, TierQuick, 0, Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := -1.0 + 5 + 1 + 9 + 1 + 1 + 3 + 12 - 1; v.Kind() != KindFloat || v.AsFloat() != want {
+		t.Errorf("mixed checksum = %v, want %v", v, want)
+	}
+
+	// The canonical BCE loops over an array that left int storage before
+	// (sum) and between (fill) the loops.
+	b := NewAsm()
+	b.Load(0).Op(OpNewArray).Store(1)
+	b.Load(1).ConstInt(0).ConstFloat(0.5).Op(OpAStore)
+	b.Load(1).Invoke(OpInvokeStatic, "Main.fillarr", 1).Op(OpPop)
+	b.Load(1).ConstInt(1).ConstFloat(1.5).Op(OpAStore)
+	b.Load(1).Invoke(OpInvokeStatic, "Main.sumarr", 1).Op(OpReturn)
+	pb := buildProg(t, b.MustBuild("main", 1), sumArrMethod(), fillArrMethod())
+	diffTiers(t, "bce-mixed", pb, Int(9))
+	diffTiers(t, "bce-mixed-short", pb, Int(1)) // the second store traps
+	v, err, _ = runTier(pb, TierQuick, 0, Int(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(3*9*8/2) - 3 + 1.5; v.AsFloat() != want {
+		t.Errorf("bce-mixed sum = %v, want %v", v, want)
+	}
 }
 
 // TestBCEAdversarialEntry jumps from outside the loop straight to the
@@ -383,6 +466,46 @@ func TestSteadyStateAllocs(t *testing.T) {
 		})
 		if allocs > 0 {
 			t.Errorf("tier=%d: %v allocs/op in steady state, want 0", tier, allocs)
+		}
+	}
+}
+
+// TestIntArrayAllocation: an array that only ever holds ints costs 8
+// bytes an element plus a fixed header, in two allocations, and filling
+// and summing it allocates nothing more — at either tier.
+func TestIntArrayAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are perturbed by the race detector")
+	}
+	const n, header = 4096, 256
+	a := NewAsm()
+	a.Load(0).Op(OpNewArray).Invoke(OpInvokeStatic, "Main.fillarr", 1)
+	a.Invoke(OpInvokeStatic, "Main.sumarr", 1).Op(OpReturn)
+	m := a.MustBuild("main", 1)
+	p := buildProg(t, m, sumArrMethod(), fillArrMethod())
+
+	for _, tier := range []TierPolicy{TierBaseline, TierQuick} {
+		vm := NewInterp(p)
+		vm.Tier = tier
+		args := []Value{Int(n)}
+		run := func() {
+			if v, err := vm.Call(m, args...); err != nil || v.AsInt() != 3*n*(n-1)/2 {
+				t.Fatalf("tier=%d: %v, %v", tier, v, err)
+			}
+		}
+		run() // warm: verify, quicken, grow the frame pool
+		if allocs := testing.AllocsPerRun(20, run); allocs != 2 {
+			t.Errorf("tier=%d: %v allocs/run, want 2 (object + elements)", tier, allocs)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 8*n+header {
+			t.Errorf("tier=%d: %d bytes/run for a %d-element int array, want <= %d", tier, perRun, n, 8*n+header)
 		}
 	}
 }

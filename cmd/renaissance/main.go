@@ -8,7 +8,7 @@
 //	renaissance run [-suite name] [-bench name] [-size f] [-warmup n] [-measured n]
 //	                [-timeout d] [-retries n] [-fault spec]
 //	                [-chaos.seed n] [-chaos.rate f] [-chaos.stats] [-json]
-//	                [-rdd.retries n] [-rdd.speculate]
+//	                [-rdd.retries n]
 //	                [-rvm.tier auto|0|1] [-rvm.profile]
 //	                [-openloop.rate r] [-openloop.sweep r1,r2,...] [-openloop.duration d]
 //	renaissance metrics
@@ -21,10 +21,9 @@
 // reports the saturation knee where p99 diverges from p50.
 //
 // The RDD engine recovers from partition faults by lineage recompute:
-// -rdd.retries bounds the per-partition recompute budget, -rdd.speculate
-// enables straggler speculation, and -chaos.stats dumps each chaos
-// point's trial/fire counts after the run so a chaos sweep's coverage is
-// auditable.
+// -rdd.retries bounds the per-partition recompute budget, and
+// -chaos.stats dumps each chaos point's trial/fire counts after the run
+// so a chaos sweep's coverage is auditable.
 //
 // Runs degrade gracefully: a benchmark that fails, panics, or exceeds its
 // deadline is recorded with its status and the sweep continues; the exit
@@ -87,7 +86,7 @@ func usage() {
   renaissance run [-suite name] [-bench name] [-size f] [-warmup n] [-measured n]
                   [-timeout d] [-retries n] [-fault spec]
                   [-chaos.seed n] [-chaos.rate f] [-chaos.stats] [-json]
-                  [-rdd.retries n] [-rdd.speculate]
+                  [-rdd.retries n]
                   [-rvm.tier auto|0|1] [-rvm.profile]
                   [-openloop.rate r] [-openloop.sweep r1,r2,...] [-openloop.duration d]
   renaissance metrics`)
@@ -180,7 +179,6 @@ func cmdRun(args []string) error {
 	chaosRate := fs.Float64("chaos.rate", 0, "chaos injection rate in [0,1); 0 disables injection")
 	chaosStats := fs.Bool("chaos.stats", false, "dump per-point chaos trial/fire counts to stderr after the run")
 	rddRetries := fs.Int("rdd.retries", -1, "RDD per-partition recompute budget (extra attempts after the first; -1 = engine default)")
-	rddSpec := fs.Bool("rdd.speculate", false, "enable RDD straggler speculation (speculative duplicates of slow partitions)")
 	var faults faultFlags
 	fs.Var(&faults, "fault", "inject a fault: kind[:benchmark[:iteration]], kind = delay=DUR | error[=msg] | panic[=msg] (repeatable)")
 	asJSON := fs.Bool("json", false, "emit JSON results")
@@ -228,9 +226,6 @@ func cmdRun(args []string) error {
 	}
 	if *rddRetries >= 0 {
 		rdd.SetTaskRetries(*rddRetries)
-	}
-	if *rddSpec {
-		rdd.SetSpeculation(true)
 	}
 
 	var specs []*core.Spec
@@ -448,7 +443,6 @@ func cmdMetrics() error {
 		metrics.StmAbort:     "STM transaction aborts (conflicts and contention)",
 		metrics.StmExtend:    "STM read-version timestamp extensions",
 		metrics.RddRecompute: "RDD partition recomputes (lineage recovery, fault path)",
-		metrics.RddSpec:      "RDD speculative straggler duplicates launched",
 	}
 	t := &report.Table{Title: "Table 2: characterizing metrics", Headers: []string{"name", "description"}}
 	for _, m := range metrics.AllMetrics() {

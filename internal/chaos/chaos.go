@@ -31,6 +31,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 var (
@@ -134,9 +135,11 @@ func nameHash(name string) uint64 {
 	return h
 }
 
-// splitmix64 is the decision mixer: full-avalanche, so consecutive trial
-// indices produce uncorrelated decisions.
-func splitmix64(x uint64) uint64 {
+// Mix64 is the splitmix64 finalizer, the decision mixer: full-avalanche,
+// so consecutive trial indices produce uncorrelated decisions. It is
+// exported as the one stateless mixer behind every seeded stream in the
+// repository (chaos decisions, retry jitter).
+func Mix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
@@ -156,13 +159,34 @@ func Maybe(name string) bool {
 	if r <= 0 {
 		return false
 	}
-	h := splitmix64(uint64(seed.Load()) ^ p.hash ^ splitmix64(uint64(trial)))
+	h := Mix64(uint64(seed.Load()) ^ p.hash ^ Mix64(uint64(trial)))
 	// Compare the top 53 bits against the rate as a dyadic fraction.
 	if float64(h>>11)/float64(1<<53) < r {
 		p.fires.Add(1)
 		return true
 	}
 	return false
+}
+
+// Backoff returns the sleep before retry n (n ≥ 1) of the operation
+// identified by nonce: base doubled per retry and capped at max, then
+// half-jittered — uniform in [d/2, d] as a pure function of (seed, nonce,
+// n) — so synchronized retriers spread out instead of retrying in
+// lockstep, and a pinned seed reproduces the exact schedule. It is the
+// one backoff shared by the netstack client's RetryPolicy and the
+// fork-join job's chunk retries.
+func Backoff(base, max time.Duration, n int, seed int64, nonce uint64) time.Duration {
+	d := base
+	for i := 1; i < n && d < max; i++ {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	h := Mix64(uint64(seed) ^ Mix64(nonce<<8^uint64(n)))
+	frac := float64(h>>11) / float64(1<<53) // uniform in [0, 1)
+	half := d / 2
+	return half + time.Duration(frac*float64(half))
 }
 
 func (p *point) rate() float64 {

@@ -2,93 +2,13 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"sync"
-	"time"
 )
 
 // This file provides ready-made measurement plugins (paper §2.2: "the
 // harness also provides an interface for custom measurement plugins, which
 // can latch onto benchmark execution events to perform additional
 // operations").
-
-// LatencyHistogram records per-iteration durations and reports
-// percentiles per benchmark — the latency-profile plugin.
-type LatencyHistogram struct {
-	Base
-	// IncludeWarmup also records warmup iterations when true.
-	IncludeWarmup bool
-
-	mu      sync.Mutex
-	samples map[string][]time.Duration
-}
-
-// NewLatencyHistogram creates an empty histogram plugin.
-func NewLatencyHistogram() *LatencyHistogram {
-	return &LatencyHistogram{samples: make(map[string][]time.Duration)}
-}
-
-// AfterIteration implements Plugin.
-func (p *LatencyHistogram) AfterIteration(ev IterationEvent) {
-	if ev.Warmup && !p.IncludeWarmup {
-		return
-	}
-	key := ev.Suite + "/" + ev.Benchmark
-	p.mu.Lock()
-	p.samples[key] = append(p.samples[key], ev.Duration)
-	p.mu.Unlock()
-}
-
-// Percentile returns the q-th (0..1) latency percentile of a benchmark.
-func (p *LatencyHistogram) Percentile(suite, benchmark string, q float64) (time.Duration, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.samples[suite+"/"+benchmark]
-	if len(s) == 0 {
-		return 0, false
-	}
-	sorted := append([]time.Duration(nil), s...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx], true
-}
-
-// Write dumps per-benchmark p50/p90/p99 latencies.
-func (p *LatencyHistogram) Write(w io.Writer) error {
-	p.mu.Lock()
-	keys := make([]string, 0, len(p.samples))
-	for k := range p.samples {
-		keys = append(keys, k)
-	}
-	p.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts := splitKey(k)
-		p50, _ := p.Percentile(parts[0], parts[1], 0.5)
-		p90, _ := p.Percentile(parts[0], parts[1], 0.9)
-		p99, _ := p.Percentile(parts[0], parts[1], 0.99)
-		if _, err := fmt.Fprintf(w, "%-40s p50=%-12v p90=%-12v p99=%v\n", k, p50, p90, p99); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func splitKey(k string) [2]string {
-	for i := 0; i < len(k); i++ {
-		if k[i] == '/' {
-			return [2]string{k[:i], k[i+1:]}
-		}
-	}
-	return [2]string{k, ""}
-}
 
 // FailureLogger records iteration errors (the harness's dead-simple
 // data-race/validation triage plugin).

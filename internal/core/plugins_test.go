@@ -1,71 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestLatencyHistogram(t *testing.T) {
-	p := NewLatencyHistogram()
-	for i := 1; i <= 100; i++ {
-		p.AfterIteration(IterationEvent{
-			Suite: "s", Benchmark: "b", Index: i,
-			Duration: time.Duration(i) * time.Millisecond,
-		})
-	}
-	// Warmup excluded by default.
-	p.AfterIteration(IterationEvent{Suite: "s", Benchmark: "b", Warmup: true,
-		Duration: time.Hour})
-
-	p50, ok := p.Percentile("s", "b", 0.5)
-	if !ok || p50 < 45*time.Millisecond || p50 > 55*time.Millisecond {
-		t.Errorf("p50 = %v", p50)
-	}
-	p99, _ := p.Percentile("s", "b", 0.99)
-	if p99 < 95*time.Millisecond {
-		t.Errorf("p99 = %v", p99)
-	}
-	if _, ok := p.Percentile("s", "missing", 0.5); ok {
-		t.Error("missing benchmark has percentile")
-	}
-
-	var buf bytes.Buffer
-	if err := p.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "s/b") || !strings.Contains(buf.String(), "p99=") {
-		t.Errorf("report = %q", buf.String())
-	}
-}
-
-func TestLatencyHistogramIncludeWarmup(t *testing.T) {
-	p := NewLatencyHistogram()
-	p.IncludeWarmup = true
-	p.AfterIteration(IterationEvent{Suite: "s", Benchmark: "b", Warmup: true, Duration: time.Second})
-	if _, ok := p.Percentile("s", "b", 0.5); !ok {
-		t.Error("warmup sample not recorded despite IncludeWarmup")
-	}
-}
-
-func TestLatencyHistogramWithRunner(t *testing.T) {
-	hist := NewLatencyHistogram()
-	r := NewRunner()
-	r.Use(hist)
-	spec := testSpec("latency", WorkloadFunc(func() error {
-		time.Sleep(time.Millisecond)
-		return nil
-	}))
-	if _, err := r.Run(&spec); err != nil {
-		t.Fatal(err)
-	}
-	p50, ok := hist.Percentile("test", "latency", 0.5)
-	if !ok || p50 < time.Millisecond/2 {
-		t.Errorf("p50 = %v, ok=%v", p50, ok)
-	}
-}
 
 func TestFailureLogger(t *testing.T) {
 	fl := &FailureLogger{}
@@ -74,14 +13,5 @@ func TestFailureLogger(t *testing.T) {
 	fails := fl.Failures()
 	if len(fails) != 1 || !strings.Contains(fails[0], "boom") {
 		t.Errorf("failures = %v", fails)
-	}
-}
-
-func TestSplitKey(t *testing.T) {
-	if got := splitKey("a/b"); got[0] != "a" || got[1] != "b" {
-		t.Errorf("splitKey = %v", got)
-	}
-	if got := splitKey("noslash"); got[0] != "noslash" {
-		t.Errorf("splitKey = %v", got)
 	}
 }

@@ -89,9 +89,6 @@ type Result struct {
 	// (the lineage recovery engine re-running a failed partition); zero —
 	// and omitted — in fault-free runs.
 	Recomputes int64 `json:"rddRecomputes,omitempty"`
-	// Speculations counts speculative straggler duplicates launched over
-	// the measured phase; zero unless -rdd.speculate is on.
-	Speculations int64 `json:"rddSpeculations,omitempty"`
 }
 
 // MeanMillis returns the mean steady-state iteration time in milliseconds.
@@ -292,7 +289,6 @@ func (r *Runner) runSpec(spec *Spec) (*Result, error) {
 			return
 		}
 		res.Recomputes = res.Profile.Counts.Get(metrics.RddRecompute)
-		res.Speculations = res.Profile.Counts.Get(metrics.RddSpec)
 	}
 	prof := metrics.StartProfile(spec.Suite, spec.Name)
 	for i := 0; i < measured; i++ {
@@ -344,11 +340,9 @@ type Tally struct {
 	// Retried counts results that needed more than one attempt, whatever
 	// their final status.
 	Retried int
-	// Recomputes and Speculations total the RDD recovery engine's
-	// partition recomputes and speculative duplicates across the result
-	// set — nonzero only under fault injection or -rdd.speculate.
-	Recomputes   int64
-	Speculations int64
+	// Recomputes totals the RDD recovery engine's partition recomputes
+	// across the result set — nonzero only under fault injection.
+	Recomputes int64
 }
 
 // TallyResults tallies the statuses of a result set.
@@ -369,7 +363,6 @@ func TallyResults(results []*Result) Tally {
 			t.Retried++
 		}
 		t.Recomputes += res.Recomputes
-		t.Speculations += res.Speculations
 	}
 	return t
 }
@@ -391,9 +384,6 @@ func (t Tally) String() string {
 	}
 	if t.Recomputes > 0 {
 		s += fmt.Sprintf(" (%d recomputed)", t.Recomputes)
-	}
-	if t.Speculations > 0 {
-		s += fmt.Sprintf(" (%d speculated)", t.Speculations)
 	}
 	return s
 }

@@ -13,8 +13,8 @@
 //     always makes progress even when every pool worker is blocked —
 //     which genuinely happens in this engine: shuffles execute *inside*
 //     partition tasks (a wide RDD's partitions all call into a
-//     sync.Once-guarded shuffle), so a worker can invoke a nested For
-//     while its siblings are parked in the Once. With a blocking
+//     mutex-guarded shuffle exchange), so a worker can invoke a nested
+//     For while its siblings are parked on the mutex. With a blocking
 //     barrier-style fan-out that is a deadlock; with caller-runs the
 //     nested For drains its own counter and completes.
 //   - Bounded parallelism: at most Parallelism()+1 goroutines (the
@@ -98,11 +98,24 @@ func (p *Pool) ForMax(n, grain, maxPar int, body func(lo, hi int)) {
 
 // ForMaxE runs body over chunked subranges of [0, n) with the caller
 // participating, like ForMax, and returns the job's first failure as a
-// *TaskError instead of panicking. A failing chunk cancels its siblings
-// via the job's cancellation token (checked at every chunk claim); chunks
-// already executing finish before ForMaxE returns, so no helper goroutine
-// outlives the call and the barrier can never be left stuck.
+// *TaskError instead of panicking. It is the zero-retry case of
+// ForRetryE: a failing chunk fails the job at once.
 func (p *Pool) ForMaxE(n, grain, maxPar int, body func(lo, hi int)) error {
+	return p.ForRetryE(n, grain, maxPar, 0, func(lo, hi, _ int) { body(lo, hi) })
+}
+
+// ForRetryE is the parallel-for job every data-parallel layer runs on:
+// body(lo, hi, attempt) over chunked subranges of [0, n), the caller
+// participating, at most maxPar executors (see ForMax). A chunk whose
+// body panics is re-run — same range, attempt counting up from 0, a
+// seeded-jitter backoff in between — up to retries extra times, so body
+// must be idempotent per chunk when retries > 0. When a chunk's budget is
+// spent its last failure is returned as a *TaskError and the siblings are
+// cancelled via the job's cancellation token (checked at every chunk
+// claim and before every retry); chunks already executing finish before
+// ForRetryE returns, so no helper goroutine outlives the call and the
+// barrier can never be left stuck.
+func (p *Pool) ForRetryE(n, grain, maxPar, retries int, body func(lo, hi, attempt int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -117,12 +130,14 @@ func (p *Pool) ForMaxE(n, grain, maxPar int, body func(lo, hi int)) error {
 		}
 	}
 	chunks := (n + grain - 1) / grain
-	j := &parJob{n: n, grain: grain, chunks: int64(chunks)}
+	j := &parJob{n: n, grain: grain, retries: retries, body: body, chunks: int64(chunks)}
 	if chunks == 1 {
 		// Pre-claim the single chunk so a failure's cancel sweep finds
 		// nothing left to swallow (there is no barrier to release).
 		j.next.Store(int64(n))
-		j.runChunk(0, n, body)
+		if te := j.attempt(0, n, 0); te != nil {
+			j.retry(0, n, te)
+		}
 		if te := j.failure.Load(); te != nil {
 			return te
 		}
@@ -136,15 +151,15 @@ func (p *Pool) ForMaxE(n, grain, maxPar int, body func(lo, hi int)) error {
 	}
 	for i := 0; i < helpers; i++ {
 		if !p.trySubmit(func(w *Worker) any {
-			j.drain(w.local, body)
+			j.drain(w.local)
 			return nil
 		}) {
-			break // queue full or pool closed; the caller still finishes
+			break // queue full; the caller still finishes
 		}
 	}
 
 	loc := metrics.Acquire()
-	j.drain(loc, body)
+	j.drain(loc)
 	// The counter is drained; wait for chunks still in flight on workers.
 	loc.IncPark()
 	<-j.done
@@ -158,33 +173,19 @@ func (p *Pool) ForMaxE(n, grain, maxPar int, body func(lo, hi int)) error {
 	return nil
 }
 
-// Help submits fn as a completion-quiet helper task: it runs on a pool
-// worker when one frees up, nobody joins it, and a full queue or closed
-// pool drops it (returning false). Engine-level schedulers that manage
-// their own completion barriers — the RDD recovery engine's partition
-// jobs and speculative straggler duplicates — use Help for opportunistic
-// parallelism the same way ForMaxE uses its internal helpers: correctness
-// must never depend on the helper running, and the caller must be
-// prepared to do the work itself when Help returns false.
-func (p *Pool) Help(fn func()) bool {
-	return p.trySubmit(func(w *Worker) any {
-		fn()
-		return nil
-	})
-}
-
 // trySubmit enqueues a task without ever blocking: a full submission
-// queue or a closed pool drops the task. Used for the optional For
-// helpers, which are pure parallelism hints — correctness never depends
-// on them running. Helper tasks are completion-quiet: nobody joins them,
-// and a helper finishing after its For has returned must not leak
-// completion bumps into a later measurement window.
+// queue drops the task. Used for the optional For helpers, which are pure
+// parallelism hints — correctness never depends on them running. Helper
+// tasks are completion-quiet: nobody joins them, and a helper finishing
+// after its For has returned must not leak completion bumps into a later
+// measurement window. Only an enqueued helper counts as an allocated
+// object, so the count does not depend on queue-full timing.
 func (p *Pool) trySubmit(fn Fn) bool {
-	metrics.IncObject()
 	t := newTask(fn)
 	t.quiet = true
 	select {
 	case p.submit <- t:
+		metrics.IncObject()
 		p.wakeOne()
 		return true
 	default:

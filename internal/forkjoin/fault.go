@@ -1,21 +1,31 @@
 // Fault domain of the fork–join substrate. A panic inside a task body or a
 // parallel-for chunk must never take down a pool worker, leak a helper
 // goroutine, or wedge the completion barrier; it is converted into a
-// *TaskError (first failure wins) and the job's remaining chunks are
-// cancelled via a per-job cancellation token checked at every chunk claim.
-// The legacy For/ForMax/Join APIs re-panic the TaskError at the join point
-// — the fork/join exception-propagation discipline — while the new
-// ForE/ForMaxE entry points surface it as an ordinary error.
+// *TaskError. A chunk that fails is re-run under the job's retry budget
+// (zero for the plain parallel-for, the partition recompute budget for
+// the RDD engine's jobs); once the budget is spent the failure becomes
+// the job's (first failure wins) and the remaining chunks are cancelled
+// via a per-job cancellation token checked at every chunk claim and
+// before every retry. The legacy For/ForMax/Join APIs re-panic the
+// TaskError at the join point — the fork/join exception-propagation
+// discipline — while the ForE/ForMaxE/ForRetryE entry points surface it
+// as an ordinary error.
 package forkjoin
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
+	"time"
 
 	"renaissance/internal/chaos"
 	"renaissance/internal/metrics"
 )
+
+// ErrPoolClosed is the cause of the *TaskError that Invoke re-panics when
+// the pool was closed before the task could run.
+var ErrPoolClosed = errors.New("forkjoin: pool closed")
 
 // TaskError wraps the first panic recovered from a parallel job's chunk or
 // from a pool task, with the panicking goroutine's stack attached. Sibling
@@ -46,24 +56,47 @@ func (e *TaskError) Unwrap() error {
 	return nil
 }
 
-// parJob is the shared state of one ForMaxE invocation: the chunk-claim
-// counter, the completion count, the cancellation token, and the
-// first-failure slot. Every executor (caller and helpers) drains the same
-// job; cancellation is observed at chunk-claim granularity.
+// Backoff between the attempts of one chunk: chaos.Backoff from
+// retryBackoffBase, capped, jittered from (chaos seed, chunk start,
+// attempt) — reproducible under a pinned chaos seed, decorrelated across
+// chunks so concurrent retries do not re-collide in lockstep.
+const (
+	retryBackoffBase = 100 * time.Microsecond
+	retryBackoffMax  = 5 * time.Millisecond
+)
+
+// parJob is the shared state of one parallel-for invocation — the only
+// claim/cancel/join implementation in the repository: the chunk-claim
+// counter, the completion count, the cancellation token, the retry
+// budget, and the first-failure slot. Every executor (caller and
+// helpers) drains the same job; cancellation is observed at chunk-claim
+// and retry granularity, never inside a running body.
 type parJob struct {
-	n, grain  int
-	chunks    int64
+	// Fixed when the job starts; read by every executor at every claim.
+	n, grain int
+	retries  int
+	body     func(lo, hi, attempt int)
+	chunks   int64
+	done     chan struct{}
+	_        [cacheLine - 48]byte
+
+	// Written by every executor. Kept on a cache line of their own so a
+	// claim does not evict the fields above from the other executors'
+	// caches (the struct is two lines exactly, so the allocator aligns it).
 	next      atomic.Int64
 	completed atomic.Int64
-	cancelled atomic.Bool
 	failure   atomic.Pointer[TaskError]
-	done      chan struct{}
+	cancelled atomic.Bool
+	_         [cacheLine - 28]byte
 }
+
+// cacheLine is the assumed cache-line size.
+const cacheLine = 64
 
 // drain claims and executes chunks until the range is exhausted or the job
 // is cancelled. The cancellation token is checked before every claim, so a
 // failing job stops scheduling new work within one chunk per executor.
-func (j *parJob) drain(loc metrics.Local, body func(lo, hi int)) {
+func (j *parJob) drain(loc metrics.Local) {
 	for {
 		if j.cancelled.Load() {
 			return
@@ -79,7 +112,10 @@ func (j *parJob) drain(loc metrics.Local, body func(lo, hi int)) {
 		if hi > j.n {
 			hi = j.n
 		}
-		j.runChunk(lo, hi, body)
+		// The retry loop is out of line: the fault-free path is one call.
+		if te := j.attempt(lo, hi, 0); te != nil {
+			j.retry(lo, hi, te)
+		}
 		if j.completed.Add(1) == j.chunks {
 			close(j.done)
 			return
@@ -87,30 +123,45 @@ func (j *parJob) drain(loc metrics.Local, body func(lo, hi int)) {
 	}
 }
 
-// runChunk executes one chunk under a recover that converts a panic into
-// the job's failure and cancels the siblings.
-func (j *parJob) runChunk(lo, hi int, body func(lo, hi int)) {
+// retry drives a chunk whose first attempt failed with te through the
+// bounded retry loop: back off and re-run the body with the next attempt
+// number until it succeeds or the budget is spent, then make the last
+// attempt's failure the job's and cancel the siblings. A sibling that
+// failed the job first stops this loop at its next retry — the chunk is
+// abandoned, not failed.
+func (j *parJob) retry(lo, hi int, te *TaskError) {
+	for attempt := 1; attempt <= j.retries; attempt++ {
+		time.Sleep(chaos.Backoff(retryBackoffBase, retryBackoffMax, attempt, chaos.Seed(), uint64(lo)))
+		if j.cancelled.Load() {
+			return
+		}
+		if te = j.attempt(lo, hi, attempt); te == nil {
+			return
+		}
+	}
+	j.failure.CompareAndSwap(nil, te)
+	j.cancel()
+}
+
+// attempt runs the body once under a recover that converts a panic —
+// organic, injected at the job's own forkjoin.claim point, or a nested
+// job's re-panicked *TaskError, which keeps its identity (the innermost
+// failing chunk) instead of being re-wrapped at every level — into the
+// attempt's *TaskError.
+func (j *parJob) attempt(lo, hi, attempt int) (te *TaskError) {
 	defer func() {
 		if p := recover(); p != nil {
-			j.fail(lo, p)
+			var ok bool
+			if te, ok = p.(*TaskError); !ok {
+				te = &TaskError{Index: lo, Value: p, Stack: debug.Stack()}
+			}
 		}
 	}()
 	if chaos.Maybe("forkjoin.claim") {
 		panic(&chaos.InjectedError{Point: "forkjoin.claim"})
 	}
-	body(lo, hi)
-}
-
-// fail records the job's first failure and cancels the remaining chunks. A
-// nested job's re-panicked *TaskError keeps its identity (the innermost
-// failing chunk) instead of being re-wrapped at every level.
-func (j *parJob) fail(lo int, p any) {
-	te, ok := p.(*TaskError)
-	if !ok {
-		te = &TaskError{Index: lo, Value: p, Stack: debug.Stack()}
-	}
-	j.failure.CompareAndSwap(nil, te)
-	j.cancel()
+	j.body(lo, hi, attempt)
+	return nil
 }
 
 // cancel flips the cancellation token and swallows every not-yet-claimed

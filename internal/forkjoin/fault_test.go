@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"renaissance/internal/metrics"
 )
 
 func TestForEPanicReturnsTaskError(t *testing.T) {
@@ -184,6 +186,176 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	}
 	if sum.Load() != 499500 {
 		t.Errorf("post-fault coverage sum = %d, want 499500", sum.Load())
+	}
+
+	// A retrying job nested inside a chunk while every worker is blocked
+	// (the shuffle-exchange shape: siblings parked on the exchange mutex)
+	// still completes — caller-runs claims and retries on the caller alone.
+	p := NewPool(2)
+	defer p.Close()
+	release := make(chan struct{})
+	var blocked atomic.Int32
+	for i := 0; i < p.Parallelism(); i++ {
+		p.Submit(func(*Worker) any { blocked.Add(1); <-release; return nil })
+	}
+	for blocked.Load() < int32(p.Parallelism()) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	var nestedOK atomic.Int64
+	err := p.ForE(4, 1, func(lo, hi int) {
+		if err := p.ForRetryE(64, 1, 0, 2, func(lo, hi, attempt int) {
+			if lo%3 == 0 && attempt == 0 {
+				panic("first attempt down")
+			}
+			nestedOK.Add(1)
+		}); err != nil {
+			panic(err)
+		}
+	})
+	close(release)
+	if err != nil || nestedOK.Load() != 4*64 {
+		t.Fatalf("nested retrying job with every worker blocked: err = %v, %d/%d indices succeeded",
+			err, nestedOK.Load(), 4*64)
+	}
+}
+
+func TestForRetryAttemptsUntilSuccess(t *testing.T) {
+	// A chunk failing k <= budget times sees attempts 0..k in order, the
+	// job returns nil, and every index runs to success exactly once.
+	p := NewPool(4)
+	defer p.Close()
+
+	const n, grain, budget = 256, 4, 3
+	succeeded := make([]int, n)
+	nextAttempt := make([]int, n/grain) // a chunk's attempts never overlap
+	err := p.ForRetryE(n, grain, 0, budget, func(lo, hi, attempt int) {
+		c := lo / grain
+		if attempt != nextAttempt[c] {
+			t.Errorf("chunk %d: attempt %d, want %d", c, attempt, nextAttempt[c])
+		}
+		nextAttempt[c]++
+		if attempt < c%(budget+1) {
+			panic("transient")
+		}
+		for i := lo; i < hi; i++ {
+			succeeded[i]++
+		}
+	})
+	if err != nil {
+		t.Fatalf("ForRetryE within budget: %v", err)
+	}
+	for c, a := range nextAttempt {
+		if want := c%(budget+1) + 1; a != want {
+			t.Errorf("chunk %d ran %d attempts, want %d", c, a, want)
+		}
+	}
+	for i, k := range succeeded {
+		if k != 1 {
+			t.Fatalf("index %d succeeded %d times, want exactly 1", i, k)
+		}
+	}
+}
+
+func TestForRetryBudgetExhaustionCancelsSiblings(t *testing.T) {
+	// Chunk 0 fails every attempt; chunk 1 fails once, after chunk 0 has
+	// started its last attempt. Exhaustion returns the *last* attempt's
+	// TaskError, the sibling's retry loop stops at the cancellation token
+	// instead of spending its own budget, and unclaimed chunks never run.
+	p := NewPool(4)
+	defer p.Close()
+
+	const budget = 3
+	last := make(chan struct{})
+	var siblingAttempts, unclaimedRan atomic.Int32
+	err := p.ForRetryE(1000, 1, 2, budget, func(lo, hi, attempt int) {
+		switch lo {
+		case 0:
+			if attempt == budget {
+				close(last)
+			}
+			panic(attempt)
+		case 1:
+			siblingAttempts.Add(1)
+			<-last
+			time.Sleep(20 * time.Millisecond) // let chunk 0's failure cancel the job
+			panic("sibling")
+		default:
+			unclaimedRan.Add(1)
+		}
+	})
+	var te *TaskError
+	if !errors.As(err, &te) || te.Index != 0 || te.Value != budget {
+		t.Fatalf("err = %v, want chunk 0's attempt-%d TaskError", err, budget)
+	}
+	if n := siblingAttempts.Load(); n > 1 {
+		t.Errorf("sibling ran %d attempts after the job failed, want its retry loop stopped", n)
+	}
+	if n := unclaimedRan.Load(); n != 0 {
+		t.Errorf("%d unclaimed chunks ran after cancellation", n)
+	}
+}
+
+func TestForRetryExhaustionNoGoroutineLeak(t *testing.T) {
+	Shared().For(16, 1, func(lo, hi int) {}) // warm the shared pool up front
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if err := Shared().ForRetryE(256, 1, 0, 1, func(lo, hi, attempt int) {
+			if lo%5 == 0 {
+				panic("leak probe")
+			}
+		}); err == nil {
+			t.Fatal("persistently failing job returned nil")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestInvokeOnClosedPoolPanicsErrPoolClosed(t *testing.T) {
+	// Submit on a closed pool returns a task that can never run; Invoke
+	// used to park on it forever.
+	p := NewPool(2)
+	p.Close()
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		p.Invoke(func(*Worker) any { return 1 })
+	}()
+	select {
+	case r := <-recovered:
+		te, ok := r.(*TaskError)
+		if !ok || !errors.Is(te, ErrPoolClosed) {
+			t.Fatalf("recovered %v, want *TaskError wrapping ErrPoolClosed", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Invoke on a closed pool never returned")
+	}
+}
+
+func TestExecutorDroppedHelperNotCounted(t *testing.T) {
+	// With the only worker busy, fill the submission queue with helpers:
+	// the object count must equal the helpers actually enqueued, not the
+	// submit attempts (the dropped one used to be counted too).
+	p := NewPool(1)
+	defer p.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	p.Submit(func(*Worker) any { close(started); <-release; return nil })
+	<-started
+	defer close(release)
+
+	before := metrics.Default.Snapshot().Get(metrics.Object)
+	enqueued := int64(0)
+	for p.trySubmit(func(*Worker) any { return nil }) {
+		enqueued++
+	}
+	if got := metrics.Default.Snapshot().Get(metrics.Object) - before; got != enqueued {
+		t.Fatalf("object count rose by %d for %d enqueued helpers (one dropped)", got, enqueued)
 	}
 }
 

@@ -159,11 +159,19 @@ func (p *Pool) Submit(fn Fn) *Task {
 }
 
 // Invoke submits fn and blocks until it completes, returning its result. A
-// panicking fn is re-panicked here as a *TaskError (the join point).
+// panicking fn is re-panicked here as a *TaskError (the join point), and
+// so is a task that can never run because the pool is closed (its cause
+// is ErrPoolClosed).
 func (p *Pool) Invoke(fn Fn) any {
 	t := p.Submit(fn)
 	metrics.IncPark()
-	<-t.doneCh
+	select {
+	case <-t.doneCh:
+	case <-p.done:
+		if !t.done.Load() {
+			panic(&TaskError{Index: -1, Value: ErrPoolClosed})
+		}
+	}
 	if t.err != nil {
 		panic(t.err)
 	}

@@ -74,10 +74,6 @@ const (
 	// TaskError, or injected chaos fault) and was re-evaluated from its
 	// lineage. Zero on a fault-free run.
 	RddRecompute
-	// RddSpec counts speculative duplicates the RDD engine launched for
-	// straggling partitions (first-writer-wins publication; the loser is
-	// suppressed). Zero unless speculation is enabled.
-	RddSpec
 
 	NumMetrics // number of metrics
 )
@@ -85,7 +81,7 @@ const (
 var metricNames = [NumMetrics]string{
 	"synch", "wait", "notify", "atomic", "park", "cpu",
 	"cachemiss", "object", "array", "method", "idynamic", "deadletter",
-	"stmabort", "stmextend", "rddrecompute", "rddspec",
+	"stmabort", "stmextend", "rddrecompute",
 }
 
 // String returns the paper's short name for the metric.
@@ -304,9 +300,6 @@ func (l Local) IncStmExtend() { l.sh.lanes[StmExtend].v.Add(1) }
 // IncRddRecompute records one RDD partition recompute.
 func (l Local) IncRddRecompute() { l.sh.lanes[RddRecompute].v.Add(1) }
 
-// IncRddSpec records one speculative RDD partition duplicate.
-func (l Local) IncRddSpec() { l.sh.lanes[RddSpec].v.Add(1) }
-
 // A Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
 	Counts [NumMetrics]int64
@@ -390,7 +383,3 @@ func IncStmExtend() { Default.Add(StmExtend, 1) }
 // IncRddRecompute records one RDD partition recompute (a failed partition
 // attempt re-evaluated from its lineage).
 func IncRddRecompute() { Default.Add(RddRecompute, 1) }
-
-// IncRddSpec records one speculative RDD partition duplicate launched for
-// a straggler.
-func IncRddSpec() { Default.Add(RddSpec, 1) }

@@ -381,21 +381,9 @@ type RetryPolicy struct {
 	Seed int64
 }
 
-// mix64 is a splitmix64 finalizer: the stateless full-avalanche mixer
-// behind the jitter stream (same construction as the chaos engine's
-// decision streams).
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // delay returns the sleep before retry n (n ≥ 1) of the call identified by
-// nonce: the base backoff doubled per retry and capped at MaxBackoff, then
-// half-jittered — uniform in [d/2, d] as a pure function of (Seed, nonce,
-// n) — so synchronized clients spread out instead of retrying in lockstep,
-// and a pinned seed reproduces the exact schedule.
+// nonce: chaos.Backoff over the policy's base and cap (defaulted when
+// unset), jittered from the policy's Seed.
 func (p RetryPolicy) delay(n int, nonce uint64) time.Duration {
 	d := p.Backoff
 	if d <= 0 {
@@ -405,16 +393,7 @@ func (p RetryPolicy) delay(n int, nonce uint64) time.Duration {
 	if max <= 0 {
 		max = DefaultMaxBackoff
 	}
-	for i := 1; i < n && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	h := mix64(uint64(p.Seed) ^ mix64(nonce<<8^uint64(n)))
-	frac := float64(h>>11) / float64(1<<53) // uniform in [0, 1)
-	half := d / 2
-	return half + time.Duration(frac*float64(half))
+	return chaos.Backoff(d, max, n, p.Seed, nonce)
 }
 
 // poolConn is one pool slot. Exactly poolSize tokens circulate through the

@@ -23,12 +23,10 @@ import (
 )
 
 // collectPartitionsE evaluates every partition like collectPartitions
-// with per-partition recovery (and straggler speculation, when enabled),
-// returning a persistent partition failure instead of panicking.
+// with per-partition recovery, returning a persistent partition failure
+// instead of panicking.
 func collectPartitionsE[T any](r *RDD[T]) ([][]T, error) {
-	return runParts(r.numPartitions, true, func(ctx *taskCtx, p int) []T {
-		return r.partitionCtx(ctx, p)
-	}, nil)
+	return runParts(r.numPartitions, r.partition, nil)
 }
 
 // CollectE evaluates the dataset and returns all elements, surfacing a
@@ -53,10 +51,10 @@ func (r *RDD[T]) CollectE() ([]T, error) {
 // CountE counts elements like Count, surfacing a persistent partition
 // failure as an error.
 func (r *RDD[T]) CountE() (int, error) {
-	counts, err := runParts(r.numPartitions, true, func(ctx *taskCtx, p int) int {
+	counts, err := runParts(r.numPartitions, func(p int) int {
 		metrics.IncMethod()
 		n := 0
-		r.run(p, guardSink(ctx, func(T) bool { n++; return true }))
+		r.run(p, func(T) bool { n++; return true })
 		return n
 	}, nil)
 	if err != nil {
@@ -78,12 +76,12 @@ func (r *RDD[T]) ReduceE(fn func(T, T) T) (T, error) {
 		have bool
 	}
 	var zero T
-	partials, err := runParts(r.numPartitions, true, func(ctx *taskCtx, p int) partial {
+	partials, err := runParts(r.numPartitions, func(p int) partial {
 		metrics.IncMethod()
 		loc := metrics.Acquire()
 		var acc T
 		have := false
-		r.run(p, guardSink(ctx, func(x T) bool {
+		r.run(p, func(x T) bool {
 			if !have {
 				acc, have = x, true
 				return true
@@ -91,7 +89,7 @@ func (r *RDD[T]) ReduceE(fn func(T, T) T) (T, error) {
 			loc.IncIDynamic()
 			acc = fn(acc, x)
 			return true
-		}))
+		})
 		return partial{acc, have}
 	}, nil)
 	if err != nil {
@@ -118,16 +116,16 @@ func (r *RDD[T]) ReduceE(fn func(T, T) T) (T, error) {
 // AggregateE folds like Aggregate, surfacing a persistent partition
 // failure as an error.
 func AggregateE[T, A any](r *RDD[T], zero func() A, seqOp func(A, T) A, combOp func(A, A) A) (A, error) {
-	partials, err := runParts(r.numPartitions, true, func(ctx *taskCtx, p int) A {
+	partials, err := runParts(r.numPartitions, func(p int) A {
 		metrics.IncMethod()
 		loc := metrics.Acquire()
 		loc.IncIDynamic()
 		acc := zero()
-		r.run(p, guardSink(ctx, func(x T) bool {
+		r.run(p, func(x T) bool {
 			loc.IncIDynamic()
 			acc = seqOp(acc, x)
 			return true
-		}))
+		})
 		return acc
 	}, nil)
 	var out A

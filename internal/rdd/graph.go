@@ -121,15 +121,14 @@ func (g *Graph) newPRState(damping float64) *prState {
 // seed simply dropped it, which is why the benchmark's mass check needed
 // a 1% tolerance.
 //
-// The scatter runs on the recovery engine (forPartsRetry): each attempt
-// clears its private accumulator row first, so a faulted range replays
-// alone instead of failing the whole iteration. The merge stays on the
-// plain chunked parallel-for — it is allocation-free per chunk, and
-// keeping it off the recovery path preserves the engine's per-iteration
-// allocation bound (ml_alloc_test.go).
+// The scatter runs under the recompute budget (forPartsRetry): each
+// attempt clears its private accumulator row first, so a faulted range
+// replays alone instead of failing the whole iteration. The merge is the
+// same job with no retries (forkjoin.For), chunked by the automatic
+// grain rather than by partition.
 func (s *prState) step() {
 	n := s.g.NumVertices()
-	if err := forPartsRetry(prParts, func(_ *taskCtx, p int) {
+	if err := forPartsRetry(prParts, func(p int) {
 		loc := metrics.Acquire()
 		row := s.acc.Row(p)[:n]
 		clear(row)

@@ -99,7 +99,7 @@ func LogisticRegression(points *RDD[LabeledPoint], iterations int, learningRate 
 		// forPartsRetry, not For: a failed chunk re-clears its private
 		// gradient row and recomputes, so a transient fault costs one
 		// chunk replay instead of the whole pass.
-		if err := forPartsRetry(parts, func(_ *taskCtx, c int) {
+		if err := forPartsRetry(parts, func(c int) {
 			loc := metrics.Acquire()
 			g := grads.Row(c)[:dim]
 			clear(g)
@@ -150,11 +150,11 @@ func NaiveBayes(points *RDD[LabeledPoint], numClasses, numFeatures int) (*NaiveB
 	tab := lin.NewMat(parts, lin.PadStride(width))
 	// Each attempt clears its private table row first, so a recompute
 	// after a mid-stream fault never double-counts.
-	if err := forPartsRetry(parts, func(ctx *taskCtx, c int) {
+	if err := forPartsRetry(parts, func(c int) {
 		loc := metrics.Acquire()
 		acc := tab.Row(c)[:width]
 		clear(acc)
-		points.run(c, guardSink(ctx, func(p LabeledPoint) bool {
+		points.run(c, func(p LabeledPoint) bool {
 			loc.IncIDynamic()
 			if p.Label < 0 || p.Label >= numClasses || len(p.Features) != numFeatures {
 				return true
@@ -163,7 +163,7 @@ func NaiveBayes(points *RDD[LabeledPoint], numClasses, numFeatures int) (*NaiveB
 			row[0]++
 			lin.Axpy(1, p.Features, row[1:])
 			return true
-		}))
+		})
 	}); err != nil {
 		return nil, err
 	}
@@ -226,11 +226,11 @@ func ChiSquare(points *RDD[LabeledPoint], numClasses, numFeatures, numBuckets in
 	tab := lin.NewMat(parts, lin.PadStride(width))
 	// Attempts clear their private table row first — recompute-safe, like
 	// NaiveBayes. A persistent failure re-panics (legacy action contract).
-	if err := forPartsRetry(parts, func(ctx *taskCtx, c int) {
+	if err := forPartsRetry(parts, func(c int) {
 		loc := metrics.Acquire()
 		acc := tab.Row(c)[:width]
 		clear(acc)
-		points.run(c, guardSink(ctx, func(p LabeledPoint) bool {
+		points.run(c, func(p LabeledPoint) bool {
 			loc.IncIDynamic()
 			if p.Label < 0 || p.Label >= numClasses {
 				return true
@@ -246,7 +246,7 @@ func ChiSquare(points *RDD[LabeledPoint], numClasses, numFeatures, numBuckets in
 				acc[f*stride+b*numClasses+p.Label]++
 			}
 			return true
-		}))
+		})
 	}); err != nil {
 		panic(err)
 	}

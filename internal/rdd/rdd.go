@@ -25,8 +25,7 @@
 //   - Lineage-based recovery (recovery.go, lineage.go): a failed
 //     partition attempt is recomputed from the nearest materialized
 //     ancestor under a bounded retry budget; failed shuffle exchanges
-//     retry under fresh epochs; Checkpoint truncates lineage; straggler
-//     speculation (opt-in) duplicates slow partitions first-writer-wins.
+//     retry under fresh epochs; Checkpoint truncates lineage.
 package rdd
 
 import (
@@ -182,16 +181,15 @@ func (r *RDD[T]) run(p int, sink func(T) bool) {
 }
 
 // materialize evaluates partition p into a slice: the whole fused
-// pipeline runs in one pass into a single size-hinted allocation, with
-// the attempt's cancellation checked at the strided sink guard.
-func (r *RDD[T]) materialize(ctx *taskCtx, p int) []T {
+// pipeline runs in one pass into a single size-hinted allocation.
+func (r *RDD[T]) materialize(p int) []T {
 	loc := metrics.Acquire()
 	loc.IncArray()
 	out := make([]T, 0, r.sizeHint(p))
-	r.iterate(p, guardSink(ctx, func(x T) bool {
+	r.iterate(p, func(x T) bool {
 		out = append(out, x)
 		return true
-	}))
+	})
 	return out
 }
 
@@ -208,7 +206,7 @@ func (r *RDD[T]) cachedPartition(p int) []T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v := s.val.Load(); v == nil {
-		part := r.materialize(noCtx, p)
+		part := r.materialize(p)
 		s.val.Store(&part)
 	}
 	return *s.val.Load()
@@ -216,19 +214,16 @@ func (r *RDD[T]) cachedPartition(p int) []T {
 
 // partition evaluates one partition to a slice (the materialization
 // boundary used by actions and by MapPartitions).
-func (r *RDD[T]) partition(p int) []T { return r.partitionCtx(noCtx, p) }
-
-// partitionCtx is partition under an attempt's cancellation context.
-func (r *RDD[T]) partitionCtx(ctx *taskCtx, p int) []T {
+func (r *RDD[T]) partition(p int) []T {
 	metrics.IncMethod()
 	if r.cache != nil {
 		return r.cachedPartition(p)
 	}
-	return r.materialize(ctx, p)
+	return r.materialize(p)
 }
 
-// collectPartitions evaluates every partition on the recovery-aware
-// partition scheduler (recovery.go), re-panicking a persistent failure's
+// collectPartitions evaluates every partition with recovery (runParts,
+// recovery.go), re-panicking a persistent failure's
 // *forkjoin.TaskError at the join — the legacy action contract.
 func collectPartitions[T any](r *RDD[T]) [][]T {
 	parts, err := collectPartitionsE(r)
@@ -468,8 +463,8 @@ func putStagingRow[K comparable, V any](pool *sync.Pool, row *stagingRow[K, V]) 
 // rdd.shuffle fault — is retried per partition under the task budget,
 // and only a persistent failure panics out of shuffle, unwinding into
 // the enclosing exchange whose next consumer retries under a fresh
-// epoch. Staging rows owned by failed or abandoned attempts are
-// recycled via the job's discard callback.
+// epoch. The staging rows a failed producer phase had already published
+// are recycled via the job's discard callback.
 func shuffle[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) [][]Pair[K, V] {
 	producers := r.numPartitions
 	pool := stagingPoolFor[K, V]()
@@ -480,7 +475,7 @@ func shuffle[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) [][]Pai
 			putStagingRow(pool, row)
 		}
 	}
-	staging, err := runParts(producers, false, func(ctx *taskCtx, p int) *stagingRow[K, V] {
+	staging, err := runParts(producers, func(p int) *stagingRow[K, V] {
 		if chaos.Maybe("rdd.shuffle") {
 			// A failing producer used to poison this shuffle's sync.Once
 			// forever; now the attempt's staging is discarded and the
@@ -490,15 +485,11 @@ func shuffle[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) [][]Pai
 		}
 		metrics.IncMethod()
 		row := getStagingRow[K, V](pool, numPartitions, r.sizeHint(p))
-		r.run(p, guardSink(ctx, func(kv Pair[K, V]) bool {
+		r.run(p, func(kv Pair[K, V]) bool {
 			b := hashKey(kv.Key, numPartitions)
 			row.buckets[b] = append(row.buckets[b], kv)
 			return true
-		}))
-		if ctx.stopped {
-			discardRow(row)
-			return nil
-		}
+		})
 		return row
 	}, discardRow)
 	if err != nil {
@@ -506,7 +497,7 @@ func shuffle[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) [][]Pai
 	}
 
 	metrics.IncArray()
-	buckets, err := runParts(numPartitions, false, func(ctx *taskCtx, b int) []Pair[K, V] {
+	buckets, err := runParts(numPartitions, func(b int) []Pair[K, V] {
 		loc := metrics.Acquire()
 		total := 0
 		for _, row := range staging {

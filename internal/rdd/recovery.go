@@ -1,37 +1,32 @@
 // Lineage-based partition recovery (DESIGN.md §14). Every action and
-// shuffle phase evaluates its partitions through runParts, the engine's
-// recovery-aware partition scheduler:
+// shuffle phase evaluates its partitions through runParts, a thin wrapper
+// that runs them as grain-1 chunks of forkjoin's retrying parallel-for —
+// the one claim/cancel/join implementation in the repository. The engine
+// adds only what is RDD-specific:
 //
-//   - Bounded recompute: a partition attempt that fails — an organic
-//     panic, a *forkjoin.TaskError from a nested job, or an injected
-//     chaos fault — is recomputed from the partition's lineage (the fused
-//     pipeline re-runs from the nearest materialized ancestor: a cached
-//     partition, a published shuffle exchange, or a checkpoint) under a
-//     bounded per-partition retry budget with seeded-jitter backoff.
-//     When the budget is spent the final *forkjoin.TaskError surfaces
-//     from the action exactly as before this engine existed.
-//   - Straggler speculation (off by default, like Spark's
-//     spark.speculation): once most siblings have published, a partition
-//     running far past the completed-sibling median gets one speculative
-//     duplicate; the first writer wins publication and the loser is
-//     cancelled mid-stream via its taskCtx and its value discarded.
-//   - Caller-runs discipline: like forkjoin's parallel-for, the calling
+//   - Bounded recompute: the job's per-chunk retry budget is the
+//     partition recompute budget (SetTaskRetries). A partition attempt
+//     that fails — an organic panic, a *forkjoin.TaskError from a nested
+//     job, or an injected chaos fault — is recomputed from the partition's
+//     lineage (the fused pipeline re-runs from the nearest materialized
+//     ancestor: a cached partition, a published shuffle exchange, or a
+//     checkpoint). When the budget is spent the final *forkjoin.TaskError
+//     surfaces from the action; unclaimed siblings are cancelled, and
+//     partitions already in flight run to completion before it returns.
+//   - Caller-runs discipline, inherited from the job: the calling
 //     goroutine claims and evaluates partitions itself while pool workers
-//     help opportunistically (forkjoin.Pool.Help), so a nested runParts —
-//     a shuffle exchange evaluated inside a consumer partition — always
-//     makes progress even when every worker is busy.
+//     help opportunistically, so a nested runParts — a shuffle exchange
+//     evaluated inside a consumer partition — always makes progress even
+//     when every worker is busy.
 //
-// Chaos points: "rdd.task" fires before every first partition attempt
-// (and every speculative duplicate), "rdd.recompute" before every retry,
-// so a chaos sweep exercises both the failure and the recovery paths.
+// Chaos points: "rdd.task" fires before every first partition attempt,
+// "rdd.recompute" before every retry, and the job's own "forkjoin.claim"
+// before both, so a chaos sweep exercises the failure and the recovery
+// paths. The rddrecompute metric counts the retries.
 package rdd
 
 import (
-	"runtime/debug"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"renaissance/internal/chaos"
 	"renaissance/internal/forkjoin"
@@ -59,464 +54,47 @@ func SetTaskRetries(n int) int {
 // TaskRetries returns the current per-partition recompute budget.
 func TaskRetries() int { return int(taskRetries.Load()) }
 
-// specEnabled gates straggler speculation. Default off: speculative
-// duplicates are timing-triggered, so enabling them makes the engine's
-// metric counts (rddspec, plus the duplicates' pipeline bumps) depend on
-// scheduling — acceptable in a recovery-focused run, not in the default
-// profile-characterization runs. Spark ships the same default
-// (spark.speculation=false).
-var specEnabled atomic.Bool
-
-// SetSpeculation toggles straggler speculation and returns the previous
-// setting. The CLI exposes this as -rdd.speculate.
-func SetSpeculation(on bool) bool { return specEnabled.Swap(on) }
-
-// Speculation tuning. The quantile and multiplier mirror Spark's
-// speculation.quantile (0.75) and speculation.multiplier; the floor keeps
-// micro-partitions from speculating on scheduler noise. specMinRuntime is
-// a variable so the adversarial tests can shrink it.
-const (
-	specQuantileNum = 3 // at least 3/4 of the partitions must have published
-	specQuantileDen = 4
-	specMultiplier  = 4
-	specTick        = 200 * time.Microsecond
-)
-
-var specMinRuntime atomic.Int64
-
-func init() { specMinRuntime.Store(int64(time.Millisecond)) }
-
-// Retry backoff: exponential from backoffBase, capped, with deterministic
-// jitter mixed from (chaos seed, partition, attempt) — reproducible under
-// a pinned chaos seed, decorrelated across partitions.
-const (
-	backoffBase = 50 * time.Microsecond
-	backoffMax  = 5 * time.Millisecond
-)
-
-// mix64 is a splitmix64 finalizer (full avalanche), the same mixer the
-// chaos engine uses for its decision streams.
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// recoveryBackoff sleeps before retry number attempt (1-based) of
-// partition p: half the exponential step plus seeded jitter over the
-// other half, so concurrent recomputes de-synchronize deterministically.
-func recoveryBackoff(p, attempt int) {
-	shift := uint(attempt)
-	if shift > 8 {
-		shift = 8
-	}
-	d := backoffBase << shift
-	if d > backoffMax {
-		d = backoffMax
-	}
-	h := mix64(uint64(chaos.Seed())<<32 ^ uint64(p)<<16 ^ uint64(attempt))
-	time.Sleep(d/2 + time.Duration(h%uint64(d/2+1)))
-}
-
-// taskCtx is the per-attempt execution context threaded into a partition
-// computation. A losing speculative duplicate (or any attempt of a job
-// that already failed) has its cancel flag set; the compute body observes
-// it at strided sink checks, sets stopped, and bails — its partial value
-// is discarded, never published.
-type taskCtx struct {
-	cancel  *atomic.Bool
-	stopped bool
-}
-
-// noCtx is the context of uncancellable evaluation paths (legacy helpers,
-// cache fills under the slot mutex).
-var noCtx = &taskCtx{}
-
-// cancelCheckMask strides the cancellation poll: the guarded sink checks
-// the cancel flag once every 256 elements, so the fault-free per-element
-// cost is a local counter increment and a mask, not an atomic load.
-const cancelCheckMask = 255
-
-// guardSink wraps sink with the strided cancellation check. With no
-// cancel flag (noCtx) the sink is returned unwrapped — zero overhead on
-// uncancellable paths.
-func guardSink[T any](ctx *taskCtx, sink func(T) bool) func(T) bool {
-	if ctx.cancel == nil {
-		return sink
-	}
-	n := 0
-	return func(x T) bool {
-		n++
-		if n&cancelCheckMask == 0 && ctx.cancel.Load() {
-			ctx.stopped = true
-			return false
-		}
-		return sink(x)
-	}
-}
-
-// partState is the per-partition scheduling state of one runParts job.
-type partState struct {
-	cancel     atomic.Bool
-	published  atomic.Bool
-	speculated atomic.Bool
-	start      atomic.Int64 // ns since job start, +1 (0 = not started)
-	dur        atomic.Int64 // published attempt's runtime, ns
-}
-
-// partJob is the shared state of one runParts invocation: the claim
-// counter, per-partition states, the first-failure slot, the completion
-// barrier, and the inflight/terminal quiescence handshake that joins
-// every *started* attempt before the call returns.
-//
-// Helpers submitted to the pool are deliberately NOT joined — only
-// attempts that actually started are. Joining submitted-but-unstarted
-// helpers deadlocks the nested case this engine exists for: a shuffle
-// exchange evaluated inside a consumer partition runs while every pool
-// worker is blocked on the exchange mutex, so the nested job's helpers
-// would never be scheduled. A helper that fires after the job completed
-// finds the claim counter drained and exits without touching anything
-// (the same completion-quiet discipline as forkjoin's For helpers).
-type partJob[R any] struct {
-	n       int
-	compute func(*taskCtx, int) R
-	discard func(R)
-	out     []R
-	st      []partState
-
-	next      atomic.Int64
-	remaining atomic.Int64
-	failure   atomic.Pointer[forkjoin.TaskError]
-	aborted   atomic.Bool
-	barrier   chan struct{}
-	closeOnce sync.Once
-
-	// Quiescence: inflight counts started-and-unfinished attempt loops
-	// (helpers and speculative duplicates; the caller's own drain needs no
-	// tracking). After the barrier releases, the caller sets terminal and
-	// waits for quiesced iff inflight is still nonzero; the last exiting
-	// attempt observes terminal and closes quiesced. Both orders of the
-	// final store/load pair are covered by the seq-cst atomics.
-	inflight atomic.Int64
-	terminal atomic.Bool
-	qOnce    sync.Once
-	quiesced chan struct{}
-
-	t0   time.Time
-	spec bool
-}
-
-// exit balances one enter (an attempt-loop start); the last exit after
-// the job turned terminal releases the quiescence channel.
-func (j *partJob[R]) exit() {
-	if j.inflight.Add(-1) == 0 && j.terminal.Load() {
-		j.qOnce.Do(func() { close(j.quiesced) })
-	}
-}
-
-// quiesce waits until every started attempt has finished. Called by the
-// owner after the barrier released, so no new helper can claim work (the
-// counter is drained or the job is aborted) and the wait is bounded by
-// the in-flight attempts' cancellation latency.
-func (j *partJob[R]) quiesce() {
-	j.terminal.Store(true)
-	if j.inflight.Load() == 0 {
-		return
-	}
-	<-j.quiesced
-}
-
-// runParts evaluates compute(ctx, p) for every partition p in [0, n) with
-// bounded recompute and (when allowSpec and speculation is enabled)
-// straggler speculation, returning the published values in partition
-// order. On persistent failure it returns the final *forkjoin.TaskError
-// after discarding any published values (so a failed shuffle exchange can
-// recycle its staging rows before the retry's fresh epoch). discard, when
-// non-nil, also receives the values of cancelled and losing attempts.
-func runParts[R any](n int, allowSpec bool, compute func(*taskCtx, int) R, discard func(R)) ([]R, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	loc := metrics.Acquire()
-	loc.IncArray()
-	j := &partJob[R]{
-		n:        n,
-		compute:  compute,
-		discard:  discard,
-		out:      make([]R, n),
-		st:       make([]partState, n),
-		barrier:  make(chan struct{}),
-		quiesced: make(chan struct{}),
-		t0:       time.Now(),
-		spec:     allowSpec && specEnabled.Load(),
-	}
-	j.remaining.Store(int64(n))
-
-	if n > 1 {
-		pool := forkjoin.Shared()
-		helpers := pool.Parallelism()
-		if helpers > n-1 {
-			helpers = n - 1
-		}
-		for i := 0; i < helpers; i++ {
-			if !pool.Help(func() {
-				j.inflight.Add(1)
-				defer j.exit()
-				j.drain(metrics.Acquire())
-			}) {
-				break // queue full or pool closed; the caller still finishes
-			}
-		}
-	}
-	// Straggler watching runs on a dedicated control-plane goroutine (the
-	// analogue of Spark's driver-side speculation monitor), not on the
-	// caller: the caller participates in partition evaluation, so it may
-	// itself be executing the straggler it would need to speculate. The
-	// watcher is joined before return.
-	var watcherDone chan struct{}
-	if j.spec {
-		watcherDone = make(chan struct{})
-		go func() {
-			defer close(watcherDone)
-			j.specWatch()
-		}()
-	}
-	j.drain(loc)
-	loc.IncPark()
-	<-j.barrier
-	loc.IncNotify()
-	if watcherDone != nil {
-		<-watcherDone
-	}
-	j.quiesce()
-
-	if te := j.failure.Load(); te != nil {
-		if j.discard != nil {
-			for p := range j.out {
-				if j.st[p].published.Load() {
-					j.discard(j.out[p])
-				}
-			}
-		}
-		return nil, te
-	}
-	return j.out, nil
-}
-
-// forPartsRetry evaluates body(ctx, p) for every partition under the
-// recompute budget with speculation force-disabled: the recovery
-// primitive for kernels that accumulate into shared per-partition state
-// in place (naive Bayes, chi-square, logistic regression, the PageRank
-// scatter). Their bodies are idempotent — every attempt starts by
-// clearing its accumulator row — but two attempts of the same partition
-// must never run concurrently, which rules out duplicates.
-func forPartsRetry(n int, body func(ctx *taskCtx, p int)) error {
-	_, err := runParts(n, false, func(ctx *taskCtx, p int) struct{} {
-		body(ctx, p)
-		return struct{}{}
-	}, nil)
-	return err
-}
-
-// drain claims and evaluates partitions until the range is exhausted or
-// the job aborts — the same guided self-scheduling loop as forkjoin's
-// parJob, at partition granularity with recovery per claim.
-func (j *partJob[R]) drain(loc metrics.Local) {
-	for {
-		if j.aborted.Load() {
-			return
-		}
-		p := int(j.next.Add(1)) - 1
-		if p >= j.n {
-			return
-		}
-		// Counted per successful claim, like a parallel-for chunk claim.
-		loc.IncAtomic()
-		j.runAttempts(p)
-	}
-}
-
-// runAttempts drives partition p through the bounded recompute loop:
-// evaluate, and on failure back off and recompute until the budget is
-// spent, then record the final TaskError and abort the job.
-func (j *partJob[R]) runAttempts(p int) {
-	st := &j.st[p]
-	st.start.Store(time.Since(j.t0).Nanoseconds() + 1)
-	budget := TaskRetries()
-	for attempt := 0; ; attempt++ {
-		if st.published.Load() || j.aborted.Load() {
-			return // a speculative duplicate won, or a sibling already failed the job
-		}
+// forPartsRetry evaluates body(p) for every partition p in [0, n) under
+// the recompute budget, returning the final *forkjoin.TaskError of a
+// partition whose budget was spent. Kernels that accumulate into shared
+// per-partition state in place (naive Bayes, chi-square, logistic
+// regression, the PageRank scatter) call it directly: their bodies are
+// idempotent — every attempt starts by clearing its accumulator row — and
+// the job never runs two attempts of one partition concurrently.
+func forPartsRetry(n int, body func(p int)) error {
+	return forkjoin.Shared().ForRetryE(n, 1, 0, TaskRetries(), func(p, _, attempt int) {
 		point := "rdd.task"
 		if attempt > 0 {
 			point = "rdd.recompute"
 			metrics.IncRddRecompute()
 		}
-		v, stopped, te := j.attempt(p, point)
-		if te == nil {
-			if stopped {
-				if j.discard != nil {
-					j.discard(v)
-				}
-				return
-			}
-			j.publish(p, v)
-			return
+		if chaos.Maybe(point) {
+			panic(&chaos.InjectedError{Point: point})
 		}
-		if attempt >= budget {
-			j.fail(p, te)
-			return
-		}
-		recoveryBackoff(p, attempt+1)
-	}
+		body(p)
+	})
 }
 
-// attempt runs one evaluation of partition p under a recover that
-// converts any panic — organic, nested *forkjoin.TaskError, or injected
-// chaos fault — into the attempt's *forkjoin.TaskError.
-func (j *partJob[R]) attempt(p int, point string) (v R, stopped bool, te *forkjoin.TaskError) {
-	defer func() {
-		if r := recover(); r != nil {
-			if t, ok := r.(*forkjoin.TaskError); ok {
-				te = t
-			} else {
-				te = &forkjoin.TaskError{Index: p, Value: r, Stack: debug.Stack()}
+// runParts evaluates compute(p) for every partition p in [0, n) with
+// bounded recompute, returning the values in partition order. On
+// persistent failure it returns the final *forkjoin.TaskError after
+// handing every slot to discard, when non-nil — the published values plus
+// the zero value of each partition that never published — so a failed
+// shuffle exchange can recycle its staging rows before the retry's fresh
+// epoch.
+func runParts[R any](n int, compute func(p int) R, discard func(R)) ([]R, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	metrics.Acquire().IncArray()
+	out := make([]R, n)
+	if err := forPartsRetry(n, func(p int) { out[p] = compute(p) }); err != nil {
+		if discard != nil {
+			for _, v := range out {
+				discard(v)
 			}
 		}
-	}()
-	if chaos.Maybe(point) {
-		panic(&chaos.InjectedError{Point: point})
+		return nil, err
 	}
-	ctx := &taskCtx{cancel: &j.st[p].cancel}
-	v = j.compute(ctx, p)
-	return v, ctx.stopped, nil
-}
-
-// publish records partition p's value, first writer wins: the losing
-// attempt of a speculated partition has its value discarded and — via the
-// shared cancel flag — any still-running duplicate is told to stop.
-func (j *partJob[R]) publish(p int, v R) {
-	st := &j.st[p]
-	if !st.published.CompareAndSwap(false, true) {
-		if j.discard != nil {
-			j.discard(v)
-		}
-		return
-	}
-	st.dur.Store(time.Since(j.t0).Nanoseconds() - (st.start.Load() - 1))
-	st.cancel.Store(true) // suppress the losing duplicate, if any
-	j.out[p] = v
-	if j.remaining.Add(-1) == 0 {
-		j.closeOnce.Do(func() { close(j.barrier) })
-	}
-}
-
-// fail records the job's first failure — unless a speculative duplicate
-// already delivered the partition — and aborts the siblings.
-func (j *partJob[R]) fail(p int, te *forkjoin.TaskError) {
-	if j.st[p].published.Load() {
-		return
-	}
-	j.failure.CompareAndSwap(nil, te)
-	j.abort()
-}
-
-// abort cancels every in-flight attempt and releases the barrier so the
-// caller stops waiting; unclaimed partitions are swallowed by the aborted
-// check at the top of the drain and attempt loops.
-func (j *partJob[R]) abort() {
-	j.aborted.Store(true)
-	for i := range j.st {
-		j.st[i].cancel.Store(true)
-	}
-	j.closeOnce.Do(func() { close(j.barrier) })
-}
-
-// specWatch scans for stragglers on a periodic tick until the job's
-// barrier releases. It runs on its own goroutine so it stays responsive
-// while every executor — the caller included — is busy in long partition
-// attempts.
-func (j *partJob[R]) specWatch() {
-	tick := time.NewTicker(specTick)
-	defer tick.Stop()
-	for {
-		select {
-		case <-j.barrier:
-			return
-		case <-tick.C:
-			j.speculate()
-		}
-	}
-}
-
-// speculate launches duplicates for stragglers: once at least
-// specQuantileNum/specQuantileDen of the partitions have published, any
-// started, unpublished, not-yet-speculated partition running longer than
-// specMultiplier times the published-sibling median (with an absolute
-// floor) gets exactly one speculative duplicate.
-func (j *partJob[R]) speculate() {
-	done := int64(j.n) - j.remaining.Load()
-	if int(done)*specQuantileDen < j.n*specQuantileNum {
-		return
-	}
-	durs := make([]int64, 0, done)
-	for i := range j.st {
-		if j.st[i].published.Load() {
-			durs = append(durs, j.st[i].dur.Load())
-		}
-	}
-	if len(durs) == 0 {
-		return
-	}
-	sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
-	threshold := durs[len(durs)/2] * specMultiplier
-	if floor := specMinRuntime.Load(); threshold < floor {
-		threshold = floor
-	}
-	now := time.Since(j.t0).Nanoseconds()
-	for p := range j.st {
-		st := &j.st[p]
-		start := st.start.Load()
-		if start == 0 || st.published.Load() || st.speculated.Load() {
-			continue
-		}
-		if now-(start-1) <= threshold {
-			continue
-		}
-		if !st.speculated.CompareAndSwap(false, true) {
-			continue
-		}
-		metrics.IncRddSpec()
-		dup := p
-		// inflight registration happens inside the task, not here: a
-		// submitted-but-unscheduled duplicate must not block quiescence
-		// (when it finally fires the partition is published and it exits
-		// at the guard in duplicate).
-		run := func() {
-			j.inflight.Add(1)
-			defer j.exit()
-			j.duplicate(dup)
-		}
-		if !forkjoin.Shared().Help(run) {
-			run() // no helper slot free; the watcher runs the duplicate itself
-		}
-	}
-}
-
-// duplicate is one speculative attempt: a single evaluation (no retry
-// chain — the original attempt is still the partition's retrier),
-// publishing only if it beats the original.
-func (j *partJob[R]) duplicate(p int) {
-	if j.st[p].published.Load() || j.aborted.Load() {
-		return
-	}
-	v, stopped, te := j.attempt(p, "rdd.task")
-	if te != nil || stopped {
-		if te == nil && j.discard != nil {
-			j.discard(v)
-		}
-		return
-	}
-	j.publish(p, v)
+	return out, nil
 }

@@ -1,8 +1,8 @@
 // Adversarial tests for the lineage recovery engine: injected-fault
 // recompute, retry-budget exhaustion, recovery racing concurrent actions
-// on a shared cache, shuffle epoch retries, speculative-duplicate
-// suppression, and checkpoint lineage truncation. Names match the stress
-// regex in the Makefile so `make stress` shakes them under -race.
+// on a shared cache, shuffle epoch retries, and checkpoint lineage
+// truncation. Names match the stress regex in the Makefile so `make
+// stress` shakes them under -race.
 package rdd
 
 import (
@@ -10,9 +10,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"renaissance/internal/chaos"
 	"renaissance/internal/forkjoin"
@@ -58,6 +56,56 @@ func TestRecomputeRecoversInjectedTaskFaults(t *testing.T) {
 	}
 	if fires := chaos.FireCount("rdd.recompute"); fires != 0 {
 		t.Errorf("rdd.recompute fired %d times while dormant", fires)
+	}
+}
+
+func TestRecomputeRecoversInjectedClaimFaults(t *testing.T) {
+	// Only the job's own forkjoin.claim point is armed. It sits inside the
+	// partition retry loop, so a claim fault costs one recompute and both a
+	// narrow and a wide action stay bit-identical to the fault-free run.
+	// (Before partitions ran on forkjoin's job the point was not on the
+	// partition path at all, so nothing fired.)
+	run := func() ([]int, map[int]int) {
+		base := Parallelize(ints(300), 8)
+		narrow, err := Map(base, func(x int) int { return x*x - x }).CollectE()
+		if err != nil {
+			t.Fatalf("CollectE: %v", err)
+		}
+		pairs := Map(base, func(x int) Pair[int, int] { return Pair[int, int]{x % 17, x} })
+		return narrow, CollectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
+	}
+	chaos.Disable()
+	wantNarrow, wantByKey := run()
+
+	chaosQuiet(t, 7, map[string]float64{"forkjoin.claim": 0.2})
+	SetTaskRetries(10)
+	gotNarrow, gotByKey := run()
+	if !reflect.DeepEqual(gotNarrow, wantNarrow) || !reflect.DeepEqual(gotByKey, wantByKey) {
+		t.Fatal("run under injected claim faults diverged from fault-free run")
+	}
+	if chaos.FireCount("forkjoin.claim") == 0 {
+		t.Fatal("forkjoin.claim never fired on the partition path")
+	}
+
+	// All four points on the partition path armed together.
+	for _, pt := range []string{"rdd.task", "rdd.recompute", "rdd.shuffle", "forkjoin.claim"} {
+		chaos.SetRate(pt, 0.05)
+	}
+	gotNarrow, gotByKey = run()
+	if !reflect.DeepEqual(gotNarrow, wantNarrow) || !reflect.DeepEqual(gotByKey, wantByKey) {
+		t.Fatal("run under all four injected points diverged from fault-free run")
+	}
+
+	// A claim fault on every attempt spends the budget and surfaces as the
+	// one TaskError wrapping the injected fault.
+	chaos.Configure(7, 0)
+	chaos.SetRate("forkjoin.claim", 1)
+	SetTaskRetries(2)
+	_, err := Parallelize(ints(64), 4).CollectE()
+	var te *forkjoin.TaskError
+	var inj *chaos.InjectedError
+	if !errors.As(err, &te) || !errors.As(err, &inj) || inj.Point != "forkjoin.claim" {
+		t.Fatalf("CollectE error = %v, want *forkjoin.TaskError wrapping the forkjoin.claim fault", err)
 	}
 }
 
@@ -176,64 +224,6 @@ func TestShuffleEpochRetryAfterInjectedExchangeFault(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotMap, want) {
 		t.Fatal("retried exchange produced different sums than fault-free")
-	}
-}
-
-func TestSpeculativeDuplicateSuppression(t *testing.T) {
-	// One straggler partition stalls until cancelled; speculation
-	// duplicates it. Exactly one value per partition publishes (the
-	// loser's is discarded through the discard callback), and no attempt
-	// outlives runParts — entered and exited counts match at return.
-	prev := SetSpeculation(true)
-	prevFloor := specMinRuntime.Swap(int64(10 * time.Microsecond))
-	t.Cleanup(func() {
-		SetSpeculation(prev)
-		specMinRuntime.Store(prevFloor)
-	})
-
-	const n = 8
-	const straggler = 5
-	var entered, exited, discards atomic.Int32
-	var entries [n]atomic.Int32
-
-	out, err := runParts(n, true, func(ctx *taskCtx, p int) int {
-		entered.Add(1)
-		defer exited.Add(1)
-		if p == straggler && entries[p].Add(1) == 1 {
-			// The original attempt: stall until the winning duplicate's
-			// publish cancels us (bounded by a deadline so a suppression
-			// bug fails the test instead of hanging it).
-			deadline := time.Now().Add(5 * time.Second)
-			for !ctx.cancel.Load() {
-				if time.Now().After(deadline) {
-					t.Error("straggler was never cancelled")
-					break
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-			ctx.stopped = true
-			return -1 // must never publish
-		}
-		return p * 10
-	}, func(v int) { discards.Add(1) })
-
-	if err != nil {
-		t.Fatalf("runParts: %v", err)
-	}
-	for p := 0; p < n; p++ {
-		if out[p] != p*10 {
-			t.Fatalf("out[%d] = %d, want %d (loser published?)", p, out[p], p*10)
-		}
-	}
-	if got := entries[straggler].Load(); got != 2 {
-		t.Fatalf("straggler ran %d attempts, want 2 (original + one duplicate)", got)
-	}
-	if entered.Load() != exited.Load() {
-		t.Fatalf("attempt leak: %d entered, %d exited after runParts returned",
-			entered.Load(), exited.Load())
-	}
-	if discards.Load() != 1 {
-		t.Errorf("discards = %d, want exactly 1 (the suppressed original)", discards.Load())
 	}
 }
 

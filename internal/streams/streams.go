@@ -318,18 +318,13 @@ func parallelWorkers(workers int) int {
 // order — the parallel stream map. Chunks run on the shared work-stealing
 // pool (forkjoin.Shared) rather than on per-chunk goroutines, so
 // parallel-stream terminals and RDD partition tasks share one bounded
-// executor.
+// executor. A panicking fn is re-panicked at the join as a
+// *forkjoin.TaskError; use ParMapE to receive it as an error.
 func ParMap[T, U any](xs []T, workers int, fn func(T) U) []U {
-	workers = parallelWorkers(workers)
-	metrics.IncArray()
-	out := make([]U, len(xs))
-	forkjoin.Shared().ForMax(len(xs), 0, workers, func(lo, hi int) {
-		loc := metrics.Acquire()
-		for i := lo; i < hi; i++ {
-			loc.IncIDynamic()
-			out[i] = fn(xs[i])
-		}
-	})
+	out, err := ParMapE(xs, workers, fn)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -354,28 +349,12 @@ func ParMapE[T, U any](xs []T, workers int, fn func(T) U) ([]U, error) {
 }
 
 // ParReduce folds xs in parallel: each worker folds its chunk with fold
-// starting from init(), and merge combines the per-worker accumulators.
+// starting from init(), and merge combines the per-worker accumulators. A
+// panicking fold/init is re-panicked at the join.
 func ParReduce[T, A any](xs []T, workers int, init func() A, fold func(A, T) A, merge func(A, A) A) A {
-	workers = parallelWorkers(workers)
-	chunks := splitIndex(len(xs), workers)
-	partials := make([]A, len(chunks))
-	forkjoin.Shared().ForMax(len(chunks), 1, workers, func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			loc := metrics.Acquire()
-			loc.IncIDynamic()
-			acc := init()
-			for i := chunks[ci][0]; i < chunks[ci][1]; i++ {
-				loc.IncIDynamic()
-				acc = fold(acc, xs[i])
-			}
-			partials[ci] = acc
-		}
-	})
-	metrics.IncIDynamic()
-	acc := init()
-	for _, p := range partials {
-		metrics.IncIDynamic()
-		acc = merge(acc, p)
+	acc, err := ParReduceE(xs, workers, init, fold, merge)
+	if err != nil {
+		panic(err)
 	}
 	return acc
 }
@@ -411,16 +390,12 @@ func ParReduceE[T, A any](xs []T, workers int, init func() A, fold func(A, T) A,
 }
 
 // ParForEach applies fn to every element with at most the given number of
-// concurrent executors, on the shared work-stealing pool.
+// concurrent executors, on the shared work-stealing pool. A panicking fn
+// is re-panicked at the join.
 func ParForEach[T any](xs []T, workers int, fn func(T)) {
-	workers = parallelWorkers(workers)
-	forkjoin.Shared().ForMax(len(xs), 0, workers, func(lo, hi int) {
-		loc := metrics.Acquire()
-		for i := lo; i < hi; i++ {
-			loc.IncIDynamic()
-			fn(xs[i])
-		}
-	})
+	if err := ParForEachE(xs, workers, fn); err != nil {
+		panic(err)
+	}
 }
 
 // ParForEachE is ParForEach surfacing a panicking fn as an error.

@@ -2,6 +2,8 @@
 # pass: vet, build, the full test suite, and the race detector over the
 # packages with lock-free and sharded concurrent code (metrics, forkjoin,
 # stm), which ordinary `go test` does not exercise under -race.
+# `make rbench` (benchmarks/run.sh) is the only target that produces a
+# performance number; there is no `go test -bench` target.
 
 GO ?= go
 
@@ -26,7 +28,7 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Breaker|Shed|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Checkpoint|Budget|Lineage|FuzzCompile'
 STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang
 
-.PHONY: check vet build test test-rbench race stress chaos bench bench-all bench-ci bench-contention analyze rbench loc
+.PHONY: check vet build test test-rbench race stress chaos smoke analyze rbench loc
 
 check: vet build test test-rbench race
 
@@ -71,40 +73,6 @@ chaos:
 		fi; \
 	done; echo "chaos sweeps completed with terminal statuses"
 
-# Contention benchmarks: flat vs sharded recorder, mutex vs Chase–Lev
-# deque, at 1/2/4/8 virtual CPUs (see EXPERIMENTS.md "Profiler
-# perturbation").
-bench-contention:
-	$(GO) test -run '^$$' -bench 'Recorder|Snapshot' -cpu 1,2,4,8 ./internal/metrics
-	$(GO) test -run '^$$' -bench 'Deque' -cpu 1,2,4,8 ./internal/forkjoin
-
-# Data-parallel engine benchmarks: fused pipeline vs per-stage
-# materialization, lock-free shuffle exchange vs the mutex baseline, and
-# executor fan-out vs goroutine-per-task, at 1/2/4/8 virtual CPUs (see
-# EXPERIMENTS.md "Data-parallel engine"). Output is teed to BENCH_*.txt
-# so runs can be diffed with benchstat-style tooling.
-bench:
-	$(GO) test -run '^$$' -bench 'FusedVsMaterialized|LockedVsExchange' -benchmem -cpu 1,2,4,8 ./internal/rdd | tee BENCH_rdd.txt
-	$(GO) test -run '^$$' -bench 'FanOut' -benchmem -cpu 1,2,4,8 ./internal/forkjoin | tee BENCH_forkjoin.txt
-	$(GO) test -run '^$$' -bench 'ActorPingPong|ActorFanIn|ActorSpawnStorm|ActorAsk' -benchmem -cpu 1,2,4,8 ./internal/actors | tee BENCH_actors.txt
-	$(GO) test -run '^$$' -bench 'Dispatch|InlineCache|ArrayLoop|ArrayAlloc' -benchmem -cpu 1 ./internal/rvm | tee BENCH_rvm.txt
-	$(GO) test -run '^$$' -bench 'CommitNoWaiters|RetryWakeup|ReadOnlyTraversal|PhilosophersE2E|STMBench7E2E' -benchmem -cpu 1,2,4,8 ./internal/stm | tee BENCH_stm.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkML' -benchmem -cpu 1,2,4,8 ./internal/rdd | tee BENCH_ml.txt
-
-# One-iteration smoke pass over the engine benchmarks for CI: proves they
-# still compile and run without paying full measurement time.
-bench-ci:
-	$(GO) test -run '^$$' -bench 'FusedVsMaterialized|LockedVsExchange|FanOut' -benchtime 1x -benchmem ./internal/rdd ./internal/forkjoin
-	$(GO) test -run '^$$' -bench 'ActorPingPong|ActorFanIn|ActorSpawnStorm|ActorAsk' -benchtime 1x -benchmem ./internal/actors
-	$(GO) test -run '^$$' -bench 'Dispatch|InlineCache|ArrayLoop|ArrayAlloc' -benchtime 1x -benchmem -cpu 1 ./internal/rvm
-	$(GO) test -run '^$$' -bench 'CommitNoWaiters|RetryWakeup|ReadOnlyTraversal|PhilosophersE2E|STMBench7E2E' -benchtime 1x -benchmem ./internal/stm
-	$(GO) test -run '^$$' -bench '^BenchmarkML' -benchtime 1x -benchmem ./internal/rdd
-	$(GO) run ./cmd/renaissance run -bench finagle-chirper -openloop.rate 200 -openloop.duration 500ms
-
-# Every benchmark in the repo (paper figures included); slow.
-bench-all:
-	$(GO) test -run '^$$' -bench . ./...
-
 # The repository's benchmark (BENCHMARK.json, benchmarks/README.md): one
 # workload, untraced for the end-to-end metrics, e.g. `make rbench
 # W=compiler`; add TRACE=1 for the per-layer metrics.
@@ -113,10 +81,19 @@ TRACE ?= 0
 rbench:
 	bash benchmarks/run.sh --workload $(W) --seed 1 --seconds 10 --trace $(TRACE)
 
+# Exit-code smoke for CI, not a measurement: the open-loop load generator
+# against finagle-chirper (nothing else drives -openloop.* from the CLI),
+# and one 1-second rbench workload, which exits non-zero when a sample
+# fails ("correct":false).
+smoke:
+	$(GO) run ./cmd/renaissance run -bench finagle-chirper -openloop.rate 200 -openloop.duration 500ms
+	bash benchmarks/run.sh --workload compiler --seed 1 --seconds 1
+
 analyze:
 	$(GO) run ./cmd/analyze all
 
-# Non-test Go lines at the root module: the number ROADMAP item 3's
-# deletion target is read from, the same way on every PR.
+# Go lines at the root module, non-test then test: the two numbers
+# ROADMAP item 3's deletion targets are read from, the same way on every PR.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l
+	@find . -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l

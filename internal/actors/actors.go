@@ -78,8 +78,8 @@ type System struct {
 	wg      sync.WaitGroup
 	stopped atomic.Bool
 	idle    atomic.Int64
-	// Steals counts successful run-queue steals, exposed for benches and
-	// the scheduling ablation.
+	// Steals counts successful run-queue steals; the adversarial suite
+	// reads it to prove work does not stay pinned to one worker.
 	Steals atomic.Int64
 
 	cells     [maxCells]quiesceCell
@@ -323,7 +323,12 @@ const batchSize = 64
 // processBatch drains up to batchSize messages on worker w, which holds the
 // actor's scheduling slot. Every popped envelope is accounted with exactly
 // one messageDone, whether it was delivered, dead-lettered after a stop, or
-// consumed by the supervision machinery — the quiescence sum depends on it.
+// consumed by the supervision machinery, and only after everything the
+// envelope causes has been published: the sends of its Receive, its dead
+// letter, and the supervision decision (an escalation enqueued on the
+// supervisor, a root failure counted). The quiescence sum depends on both:
+// a messageDone ahead of fail lets the sum reach a verified zero while
+// the failure is still climbing the tree.
 func (r *Ref) processBatch(w *worker) {
 	processed := 0
 	for processed < batchSize {
@@ -348,20 +353,23 @@ func (r *Ref) processBatch(w *worker) {
 		if esc, ok := env.msg.(escalated); ok {
 			// A child failure escalated here: apply this actor's own
 			// strategy under its own slot (see supervision.go).
+			suspended := r.fail(w, esc.err)
 			r.sys.messageDone(w)
-			if r.fail(w, esc.err) {
+			if suspended {
 				return // suspended for a backoff restart; slot handed off
 			}
 			continue
 		}
 		failure, failed := r.deliver(w, env)
-		r.sys.messageDone(w)
 		if failed {
-			if r.fail(w, failure) {
+			suspended := r.fail(w, failure)
+			r.sys.messageDone(w)
+			if suspended {
 				return // suspended for a backoff restart; slot handed off
 			}
 			continue
 		}
+		r.sys.messageDone(w)
 		if r.restarts != 0 {
 			r.restarts = 0 // a clean delivery resets the backoff ladder
 		}

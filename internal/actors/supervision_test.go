@@ -215,6 +215,46 @@ func TestEscalationClimbsToRootFailure(t *testing.T) {
 	}
 }
 
+func TestQuiescenceWaitsForEscalation(t *testing.T) {
+	// The popped message (the failing one at the leaf, the escalated
+	// system message at mid and top) must stay in flight until the
+	// supervision decision has published its consequence. One level's
+	// strategy announces that it is deciding and then holds the decision
+	// open; a quiescence wait started inside that window must not return
+	// before the failure has reached the root.
+	for slow, level := range []string{"leaf", "mid", "top"} {
+		t.Run(level, func(t *testing.T) {
+			sys := NewSystem(2)
+			defer sys.Shutdown()
+
+			deciding := make(chan struct{})
+			strategy := func(i int) Strategy {
+				if i != slow {
+					return AlwaysEscalate
+				}
+				return StrategyFunc(func(any, int) Directive {
+					close(deciding)
+					time.Sleep(5 * time.Millisecond)
+					return Escalate
+				})
+			}
+			inert := ReceiverFunc(func(ctx *Context, msg any) {})
+			top := sys.SpawnWith("top", inert, SpawnOpts{Strategy: strategy(2)})
+			mid := sys.SpawnWith("mid", inert, SpawnOpts{Supervisor: top, Strategy: strategy(1)})
+			leaf := sys.SpawnWith("leaf", ReceiverFunc(func(ctx *Context, msg any) {
+				panic("leaf failure")
+			}), SpawnOpts{Supervisor: mid, Strategy: strategy(0)})
+
+			leaf.Tell("go")
+			<-deciding
+			sys.AwaitQuiescence()
+			if got := sys.RootFailures(); got != 1 {
+				t.Fatalf("quiescent while %s was still deciding: RootFailures = %d, want 1", level, got)
+			}
+		})
+	}
+}
+
 func TestEscalationRestartsSupervisor(t *testing.T) {
 	// A supervisor whose own strategy says Restart treats an escalated
 	// child failure like its own: it restarts (fresh behavior via factory)

@@ -84,9 +84,6 @@ type Pool struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 	closed  atomic.Bool
-	// Steals counts successful steals, exposed for the ablation bench that
-	// compares work-stealing against a single shared queue.
-	Steals atomic.Int64
 }
 
 // Worker is one pool worker; tasks receive their executing worker to fork
@@ -241,7 +238,6 @@ func (w *Worker) findTask() *Task {
 			continue
 		}
 		if t := victim.dq.Steal(); t != nil {
-			w.pool.Steals.Add(1)
 			if !t.quiet {
 				w.local.IncAtomic()
 			}

@@ -22,9 +22,9 @@ import (
 	"renaissance/internal/metrics"
 )
 
-// collectPartitionsE evaluates every partition like collectPartitions
-// with per-partition recovery, returning a persistent partition failure
-// instead of panicking.
+// collectPartitionsE evaluates every partition with per-partition
+// recovery (runParts, recovery.go), returning a persistent partition
+// failure as a *forkjoin.TaskError.
 func collectPartitionsE[T any](r *RDD[T]) ([][]T, error) {
 	return runParts(r.numPartitions, r.partition, nil)
 }

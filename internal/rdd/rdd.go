@@ -222,17 +222,6 @@ func (r *RDD[T]) partition(p int) []T {
 	return r.materialize(p)
 }
 
-// collectPartitions evaluates every partition with recovery (runParts,
-// recovery.go), re-panicking a persistent failure's
-// *forkjoin.TaskError at the join — the legacy action contract.
-func collectPartitions[T any](r *RDD[T]) [][]T {
-	parts, err := collectPartitionsE(r)
-	if err != nil {
-		panic(err)
-	}
-	return parts
-}
-
 // Map applies fn to every element (narrow dependency, fused).
 func Map[T, U any](r *RDD[T], fn func(T) U) *RDD[U] {
 	metrics.IncObject()
@@ -316,17 +305,12 @@ func MapPartitions[T, U any](r *RDD[T], fn func([]T) []U) *RDD[U] {
 	}
 }
 
-// Collect evaluates the dataset and returns all elements.
+// Collect evaluates the dataset and returns all elements. A persistent
+// partition failure re-panics at the join.
 func (r *RDD[T]) Collect() []T {
-	parts := collectPartitions(r)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	metrics.IncArray()
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
+	out, err := r.CollectE()
+	if err != nil {
+		panic(err)
 	}
 	return out
 }

@@ -1,14 +1,13 @@
 package rdd
 
-// The seed ML kernels, kept verbatim as in-test differential baselines
-// and the "seed" side of the BENCH_ml.txt benchmark pairs (the PR 4/6/8
-// convention: the replaced algorithm survives in the test binary so the
-// comparison outlives future edits to the live path). These are the
-// map-keyed, pointer-chasing implementations that internal/lin's flat
-// layout replaced: map[int][]float64 ALS factors re-grouped per call,
-// per-iteration FlatMap/ReduceByKey/CollectAsMap PageRank, nested-slice
-// aggregation tables. Only the names carry a seed prefix; the bodies are
-// unchanged except where they call each other.
+// The seed ML kernels, kept verbatim as the oracle of
+// ml_differential_test.go: the replaced algorithm survives in the test
+// binary so the comparison outlives future edits to the live path. These
+// are the map-keyed, pointer-chasing implementations that internal/lin's
+// flat layout replaced: map[int][]float64 ALS factors re-grouped per
+// call, per-iteration FlatMap/ReduceByKey/CollectAsMap PageRank,
+// nested-slice aggregation tables. Only the names carry a seed prefix;
+// the bodies are unchanged except where they call each other.
 
 import (
 	"math"

@@ -16,12 +16,17 @@ func runTier(p *Program, tier TierPolicy, fuel int64, args ...Value) (Value, err
 	return v, err, vm.Counters
 }
 
-// runLegacy executes a program on the dynamic-stack path, as if no
-// method had passed verification.
+// runLegacy executes a program with every method pinned to the
+// dynamic-stack path, as if none had passed verification — the seed
+// interpreter's behavior.
 func runLegacy(p *Program, args ...Value) (Value, error, Counters) {
 	vm := NewInterp(p)
 	vm.Tier = TierBaseline
-	forceLegacy(vm, p)
+	for _, m := range p.Methods() {
+		st := vm.state(m)
+		st.flat = false
+		st.noQuick = true
+	}
 	v, err := vm.Run(args...)
 	return v, err, vm.Counters
 }

@@ -22,10 +22,10 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # does the STM adversarial suite (lost-wakeup, opacity, timestamp
 # extension differential vs a global-lock reference) and the RDD lineage
 # recovery suite (recompute vs concurrent actions on a shared cache,
-# retry-budget exhaustion, shuffle epoch retries, checkpoint truncation).
+# retry-budget exhaustion, shuffle epoch retries).
 # minilang's FuzzCompile seed corpus (compile, then baseline vs quickened
 # execution) rides along too.
-STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Breaker|Shed|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Checkpoint|Budget|Lineage|FuzzCompile'
+STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Breaker|Shed|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile'
 STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang
 
 .PHONY: check vet build test test-rbench race stress chaos smoke analyze rbench loc

@@ -108,7 +108,7 @@ type Spec struct {
 	Timeout time.Duration
 	// Retries is how many times a run ending in error, timeout, or panic
 	// is re-run from scratch before its last result stands. 0 means no
-	// retries; the runner's RetriesOverride takes precedence when >= 0.
+	// retries; the runner's RetriesOverride takes precedence when > 0.
 	Retries int
 	// Setup builds the workload for the given configuration.
 	Setup func(cfg Config) (Workload, error)

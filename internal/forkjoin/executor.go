@@ -17,10 +17,10 @@
 //     For while its siblings are parked on the mutex. With a blocking
 //     barrier-style fan-out that is a deadlock; with caller-runs the
 //     nested For drains its own counter and completes.
-//   - Bounded parallelism: at most Parallelism()+1 goroutines (the
-//     workers plus the caller) ever execute chunks, however large n is —
-//     replacing the goroutine-per-partition fan-out whose cost the Task
-//     Bench results flag as the dominant overhead at task granularity.
+//   - Bounded parallelism: only the pool's workers and the caller ever
+//     execute chunks, however large n is — replacing the
+//     goroutine-per-partition fan-out whose cost the Task Bench results
+//     flag as the dominant overhead at task granularity.
 //   - Chunked granularity: grain 0 picks n/(par·4) so stealing has
 //     something to balance without per-element scheduling overhead;
 //     partition-shaped callers pass grain 1 because each index is already
@@ -53,60 +53,39 @@ func Shared() *Pool {
 	return sharedPool
 }
 
-// For runs body over chunked subranges of [0, n) on the shared pool.
-// See Pool.ForMax for the execution discipline.
-func For(n, grain int, body func(lo, hi int)) {
-	Shared().ForMax(n, grain, 0, body)
-}
-
-// ForE is For surfacing a chunk panic as a *TaskError instead of
-// re-panicking it at the join.
-func ForE(n, grain int, body func(lo, hi int)) error {
-	return Shared().ForMaxE(n, grain, 0, body)
-}
-
-// For runs body over chunked subranges of [0, n) on this pool, with the
-// calling goroutine participating. It returns when every index has been
-// processed exactly once.
-func (p *Pool) For(n, grain int, body func(lo, hi int)) {
-	p.ForMax(n, grain, 0, body)
-}
-
-// ForE is Pool.For surfacing a chunk panic as a *TaskError.
-func (p *Pool) ForE(n, grain int, body func(lo, hi int)) error {
-	return p.ForMaxE(n, grain, 0, body)
-}
-
 // chunksPerExecutor is the load-balancing factor of the automatic grain:
 // enough chunks per executor that an uneven body still spreads, few
 // enough that claim traffic stays negligible.
 const chunksPerExecutor = 4
 
-// ForMax is For with an explicit concurrency bound: at most maxPar
-// executors (counting the caller) run chunks concurrently; maxPar <= 0
-// means the pool's full width plus the caller. grain <= 0 picks an
-// automatic chunk size of n/(par·chunksPerExecutor), at least 1.
+// For runs body over chunked subranges of [0, n) on the shared pool, with
+// the calling goroutine participating. It returns when every index has
+// been processed exactly once. grain <= 0 picks an automatic chunk size
+// of n/(par·chunksPerExecutor), at least 1.
 //
 // A panic in body cancels the job's remaining chunks and is re-panicked
 // here, at the join point, as a *TaskError — the legacy fork/join
-// exception-propagation contract. Use ForMaxE to receive it as an error.
-func (p *Pool) ForMax(n, grain, maxPar int, body func(lo, hi int)) {
-	if err := p.ForMaxE(n, grain, maxPar, body); err != nil {
+// exception-propagation contract. Use Pool.ForMaxE to receive it as an
+// error.
+func For(n, grain int, body func(lo, hi int)) {
+	if err := Shared().ForMaxE(n, grain, 0, body); err != nil {
 		panic(err)
 	}
 }
 
-// ForMaxE runs body over chunked subranges of [0, n) with the caller
-// participating, like ForMax, and returns the job's first failure as a
-// *TaskError instead of panicking. It is the zero-retry case of
-// ForRetryE: a failing chunk fails the job at once.
+// ForMaxE runs body over chunked subranges of [0, n) on this pool with the
+// caller participating, like For, and returns the job's first failure as
+// a *TaskError instead of panicking. At most maxPar executors (counting
+// the caller) run chunks concurrently; maxPar <= 0 means the pool's full
+// width plus the caller. It is the zero-retry case of ForRetryE: a
+// failing chunk fails the job at once.
 func (p *Pool) ForMaxE(n, grain, maxPar int, body func(lo, hi int)) error {
 	return p.ForRetryE(n, grain, maxPar, 0, func(lo, hi, _ int) { body(lo, hi) })
 }
 
 // ForRetryE is the parallel-for job every data-parallel layer runs on:
 // body(lo, hi, attempt) over chunked subranges of [0, n), the caller
-// participating, at most maxPar executors (see ForMax). A chunk whose
+// participating, at most maxPar executors (see ForMaxE). A chunk whose
 // body panics is re-run — same range, attempt counting up from 0, a
 // seeded-jitter backoff in between — up to retries extra times, so body
 // must be idempotent per chunk when retries > 0. When a chunk's budget is

@@ -10,13 +10,12 @@ import (
 // TestForCoversAllIndices checks that every index in [0, n) is processed
 // exactly once across grain choices, including the automatic one.
 func TestForCoversAllIndices(t *testing.T) {
-	p := Shared()
 	for _, tc := range []struct{ n, grain int }{
 		{1, 1}, {7, 1}, {7, 3}, {100, 1}, {100, 0}, {1000, 17}, {1000, 0},
 		{3, 100}, // grain larger than n: single-chunk fast path
 	} {
 		hits := make([]atomic.Int32, tc.n)
-		p.For(tc.n, tc.grain, func(lo, hi int) {
+		For(tc.n, tc.grain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hits[i].Add(1)
 			}
@@ -31,8 +30,8 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	ran := false
-	Shared().For(0, 1, func(lo, hi int) { ran = true })
-	Shared().For(-5, 1, func(lo, hi int) { ran = true })
+	For(0, 1, func(lo, hi int) { ran = true })
+	For(-5, 1, func(lo, hi int) { ran = true })
 	if ran {
 		t.Error("body ran for empty range")
 	}
@@ -42,13 +41,16 @@ func TestForZeroAndNegative(t *testing.T) {
 // at once (no helpers are enqueued, the caller runs everything).
 func TestForMaxBoundsConcurrency(t *testing.T) {
 	var running, peak atomic.Int32
-	Shared().ForMax(64, 1, 1, func(lo, hi int) {
+	err := Shared().ForMaxE(64, 1, 1, func(lo, hi int) {
 		if r := running.Add(1); r > peak.Load() {
 			peak.Store(r)
 		}
 		time.Sleep(50 * time.Microsecond)
 		running.Add(-1)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := peak.Load(); got != 1 {
 		t.Errorf("maxPar=1 peak concurrency = %d", got)
 	}
@@ -62,9 +64,9 @@ func TestForNestedExecutor(t *testing.T) {
 	go func() {
 		defer close(done)
 		var total atomic.Int64
-		Shared().For(8, 1, func(lo, hi int) {
+		For(8, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				Shared().For(100, 7, func(ilo, ihi int) {
+				For(100, 7, func(ilo, ihi int) {
 					total.Add(int64(ihi - ilo))
 				})
 			}
@@ -89,10 +91,10 @@ func TestForNestedUnderOnce(t *testing.T) {
 		defer close(done)
 		var once sync.Once
 		var inner atomic.Int64
-		Shared().For(16, 1, func(lo, hi int) {
+		For(16, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				once.Do(func() {
-					Shared().For(64, 1, func(ilo, ihi int) {
+					For(64, 1, func(ilo, ihi int) {
 						inner.Add(int64(ihi - ilo))
 					})
 				})
@@ -122,7 +124,7 @@ func TestExecutorConcurrentForRace(t *testing.T) {
 			for iter := 0; iter < 20; iter++ {
 				var sum atomic.Int64
 				n := 50 + c*13 + iter
-				Shared().For(n, 0, func(lo, hi int) {
+				For(n, 0, func(lo, hi int) {
 					local := int64(0)
 					for i := lo; i < hi; i++ {
 						local += int64(i)
@@ -140,19 +142,23 @@ func TestExecutorConcurrentForRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestForOnPrivatePool checks For against a dedicated (closeable) pool,
+// TestForOnPrivatePool checks the job against a dedicated (closeable) pool,
 // including after Close: the caller-runs discipline still completes the
 // range even though helpers are dropped.
 func TestForOnPrivatePool(t *testing.T) {
 	p := NewPool(2)
 	var n atomic.Int64
-	p.For(100, 3, func(lo, hi int) { n.Add(int64(hi - lo)) })
+	if err := p.ForMaxE(100, 3, 0, func(lo, hi int) { n.Add(int64(hi - lo)) }); err != nil {
+		t.Fatal(err)
+	}
 	if n.Load() != 100 {
 		t.Errorf("pre-close total = %d", n.Load())
 	}
 	p.Close()
 	n.Store(0)
-	p.For(100, 3, func(lo, hi int) { n.Add(int64(hi - lo)) })
+	if err := p.ForMaxE(100, 3, 0, func(lo, hi int) { n.Add(int64(hi - lo)) }); err != nil {
+		t.Fatal(err)
+	}
 	if n.Load() != 100 {
 		t.Errorf("post-close total = %d (caller must finish the range alone)", n.Load())
 	}

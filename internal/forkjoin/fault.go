@@ -6,10 +6,10 @@
 // the RDD engine's jobs); once the budget is spent the failure becomes
 // the job's (first failure wins) and the remaining chunks are cancelled
 // via a per-job cancellation token checked at every chunk claim and
-// before every retry. The legacy For/ForMax/Join APIs re-panic the
+// before every retry. The legacy For/Join/Invoke APIs re-panic the
 // TaskError at the join point — the fork/join exception-propagation
-// discipline — while the ForE/ForMaxE/ForRetryE entry points surface it
-// as an ordinary error.
+// discipline — while the ForMaxE/ForRetryE entry points surface it as an
+// ordinary error.
 package forkjoin
 
 import (

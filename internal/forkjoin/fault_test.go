@@ -14,14 +14,14 @@ func TestForEPanicReturnsTaskError(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 
-	err := p.ForE(1000, 1, func(lo, hi int) {
+	err := p.ForMaxE(1000, 1, 0, func(lo, hi int) {
 		if lo == 500 {
 			panic("chunk failure")
 		}
 	})
 	var te *TaskError
 	if !errors.As(err, &te) {
-		t.Fatalf("ForE error = %v, want *TaskError", err)
+		t.Fatalf("ForMaxE error = %v, want *TaskError", err)
 	}
 	if te.Index != 500 || te.Value != "chunk failure" {
 		t.Errorf("TaskError = {Index:%d Value:%v}, want {500 chunk failure}", te.Index, te.Value)
@@ -37,19 +37,16 @@ func TestForEPanicSingleChunkFastPath(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 
-	err := p.ForE(3, 10, func(lo, hi int) { panic("tiny") })
+	err := p.ForMaxE(3, 10, 0, func(lo, hi int) { panic("tiny") })
 	var te *TaskError
 	if !errors.As(err, &te) || te.Value != "tiny" {
-		t.Fatalf("single-chunk ForE error = %v, want TaskError(tiny)", err)
+		t.Fatalf("single-chunk ForMaxE error = %v, want TaskError(tiny)", err)
 	}
 }
 
 func TestForPanicRepanicsAtJoin(t *testing.T) {
 	// The legacy For keeps the fork/join exception-propagation contract:
 	// the TaskError is re-panicked at the join point.
-	p := NewPool(4)
-	defer p.Close()
-
 	defer func() {
 		p := recover()
 		te, ok := p.(*TaskError)
@@ -60,7 +57,7 @@ func TestForPanicRepanicsAtJoin(t *testing.T) {
 			t.Errorf("TaskError.Value = %v, want legacy", te.Value)
 		}
 	}()
-	p.For(100, 1, func(lo, hi int) {
+	For(100, 1, func(lo, hi int) {
 		if lo == 50 {
 			panic("legacy")
 		}
@@ -75,7 +72,7 @@ func TestForEFirstFailureWinsAndCancels(t *testing.T) {
 	defer p.Close()
 
 	var executed atomic.Int64
-	err := p.ForE(10000, 1, func(lo, hi int) {
+	err := p.ForMaxE(10000, 1, 0, func(lo, hi int) {
 		executed.Add(1)
 		panic(lo) // every chunk fails; first one in wins
 	})
@@ -88,9 +85,9 @@ func TestForEFirstFailureWinsAndCancels(t *testing.T) {
 	}
 	// Cancellation is claim-granular: at most one in-flight chunk per
 	// executor (workers + caller) runs after the first failure.
-	if n := executed.Load(); n > int64(p.Parallelism()+1) {
+	if n := executed.Load(); n > int64(len(p.workers)+1) {
 		t.Errorf("%d chunks executed after universal failure, want <= %d",
-			n, p.Parallelism()+1)
+			n, len(p.workers)+1)
 	}
 }
 
@@ -113,12 +110,10 @@ func TestSubmitPanicSurfacesViaErr(t *testing.T) {
 	defer p.Close()
 
 	task := p.Submit(func(w *Worker) any { panic("submitted") })
-	deadline := time.Now().Add(5 * time.Second)
-	for !task.IsDone() {
-		if time.Now().After(deadline) {
-			t.Fatal("panicked task never completed")
-		}
-		time.Sleep(100 * time.Microsecond)
+	select {
+	case <-task.doneCh:
+	case <-time.After(5 * time.Second):
+		t.Fatal("panicked task never completed")
 	}
 	var te *TaskError
 	if !errors.As(task.Err(), &te) || te.Value != "submitted" {
@@ -160,11 +155,11 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	// pattern.
 	for round := 0; round < 20; round++ {
 		var nestedDone atomic.Int64
-		err := Shared().ForE(8, 1, func(lo, hi int) {
+		err := Shared().ForMaxE(8, 1, 0, func(lo, hi int) {
 			if lo == 3 {
 				panic("partition down")
 			}
-			ForE(256, 0, func(lo, hi int) { // nested parallel-for, caller-runs
+			Shared().ForMaxE(256, 0, 0, func(lo, hi int) { // nested parallel-for, caller-runs
 				for i := lo; i < hi; i++ {
 					nestedDone.Add(1)
 				}
@@ -177,12 +172,12 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	}
 	// The shared pool must still run clean jobs at full coverage.
 	var sum atomic.Int64
-	if err := ForE(1000, 0, func(lo, hi int) {
+	if err := Shared().ForMaxE(1000, 0, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sum.Add(int64(i))
 		}
 	}); err != nil {
-		t.Fatalf("clean ForE after fault rounds: %v", err)
+		t.Fatalf("clean ForMaxE after fault rounds: %v", err)
 	}
 	if sum.Load() != 499500 {
 		t.Errorf("post-fault coverage sum = %d, want 499500", sum.Load())
@@ -195,14 +190,14 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	defer p.Close()
 	release := make(chan struct{})
 	var blocked atomic.Int32
-	for i := 0; i < p.Parallelism(); i++ {
+	for i := 0; i < len(p.workers); i++ {
 		p.Submit(func(*Worker) any { blocked.Add(1); <-release; return nil })
 	}
-	for blocked.Load() < int32(p.Parallelism()) {
+	for blocked.Load() < int32(len(p.workers)) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	var nestedOK atomic.Int64
-	err := p.ForE(4, 1, func(lo, hi int) {
+	err := p.ForMaxE(4, 1, 0, func(lo, hi int) {
 		if err := p.ForRetryE(64, 1, 0, 2, func(lo, hi, attempt int) {
 			if lo%3 == 0 && attempt == 0 {
 				panic("first attempt down")
@@ -296,7 +291,7 @@ func TestForRetryBudgetExhaustionCancelsSiblings(t *testing.T) {
 }
 
 func TestForRetryExhaustionNoGoroutineLeak(t *testing.T) {
-	Shared().For(16, 1, func(lo, hi int) {}) // warm the shared pool up front
+	For(16, 1, func(lo, hi int) {}) // warm the shared pool up front
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
@@ -362,11 +357,11 @@ func TestExecutorDroppedHelperNotCounted(t *testing.T) {
 func TestForEPanicNoGoroutineLeak(t *testing.T) {
 	// Helpers are pool tasks, not goroutines, so panicking jobs must leave
 	// the goroutine count flat; a stuck barrier would strand the caller.
-	Shared().For(16, 1, func(lo, hi int) {}) // warm the shared pool up front
+	For(16, 1, func(lo, hi int) {}) // warm the shared pool up front
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		_ = ForE(1024, 1, func(lo, hi int) {
+		_ = Shared().ForMaxE(1024, 1, 0, func(lo, hi int) {
 			if lo%7 == 0 {
 				panic("leak probe")
 			}

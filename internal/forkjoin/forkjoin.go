@@ -56,19 +56,9 @@ func (t *Task) complete(v any, loc metrics.Local) {
 	}
 }
 
-// IsDone reports whether the task has completed.
-func (t *Task) IsDone() bool {
-	metrics.IncAtomic()
-	return t.done.Load()
-}
-
-// Result returns the task result; it must only be called after the task is
-// known to be done.
-func (t *Task) Result() any { return t.result }
-
 // Err returns the task's failure (a *TaskError wrapping a recovered body
 // panic), or nil. It must only be called after the task is known to be
-// done.
+// done (its Join or Invoke returned, or re-panicked).
 func (t *Task) Err() error {
 	if t.err == nil {
 		return nil
@@ -90,7 +80,6 @@ type Pool struct {
 // and join subtasks.
 type Worker struct {
 	pool  *Pool
-	index int
 	dq    Deque[Task]
 	rng   *rand.Rand
 	local metrics.Local
@@ -109,7 +98,6 @@ func NewPool(n int) *Pool {
 	for i := 0; i < n; i++ {
 		w := &Worker{
 			pool:  p,
-			index: i,
 			rng:   rand.New(rand.NewSource(int64(i)*7919 + 1)),
 			local: metrics.AcquireAt(i),
 		}
@@ -121,9 +109,6 @@ func NewPool(n int) *Pool {
 	}
 	return p
 }
-
-// Parallelism returns the number of workers.
-func (p *Pool) Parallelism() int { return len(p.workers) }
 
 // Close shuts the pool down. Outstanding tasks are not waited for; callers
 // should join their tasks first.
@@ -149,7 +134,7 @@ func (p *Pool) Submit(fn Fn) *Task {
 	select {
 	case p.submit <- t:
 	case <-p.done:
-		return t // pool closed; task never runs (IsDone stays false)
+		return t // pool closed; the task never runs
 	}
 	p.wakeOne()
 	return t
@@ -260,8 +245,8 @@ func (w *Worker) Fork(fn Fn) *Task {
 // Join waits for the task to finish, helping execute pending tasks while
 // it waits (the fork-join "helping" discipline that avoids blocking worker
 // threads). A task whose body panicked re-panics its *TaskError here, at
-// the join point — the fork/join exception-propagation contract. Use
-// Task.Err after IsDone to inspect without panicking.
+// the join point — the fork/join exception-propagation contract; Task.Err
+// still holds it afterwards.
 func (w *Worker) Join(t *Task) any {
 	for {
 		w.local.IncAtomic()
@@ -277,24 +262,4 @@ func (w *Worker) Join(t *Task) any {
 			runtime.Gosched()
 		}
 	}
-}
-
-// Pool returns the worker's pool.
-func (w *Worker) Pool() *Pool { return w.pool }
-
-// Index returns the worker index in [0, Parallelism).
-func (w *Worker) Index() int { return w.index }
-
-// InvokeAll forks all functions and joins them in order, returning their
-// results — the common "divide into K parts" idiom.
-func (w *Worker) InvokeAll(fns ...Fn) []any {
-	tasks := make([]*Task, len(fns))
-	for i, fn := range fns {
-		tasks[i] = w.Fork(fn)
-	}
-	out := make([]any, len(fns))
-	for i, t := range tasks {
-		out[i] = w.Join(t)
-	}
-	return out
 }

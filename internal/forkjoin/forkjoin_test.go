@@ -68,26 +68,6 @@ func TestParallelSum(t *testing.T) {
 	}
 }
 
-func TestInvokeAll(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	got := p.Invoke(func(w *Worker) any {
-		results := w.InvokeAll(
-			func(*Worker) any { return 1 },
-			func(*Worker) any { return 2 },
-			func(*Worker) any { return 3 },
-		)
-		total := 0
-		for _, r := range results {
-			total += r.(int)
-		}
-		return total
-	})
-	if got != 6 {
-		t.Errorf("InvokeAll total = %v, want 6", got)
-	}
-}
-
 func TestConcurrentSubmitters(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -115,36 +95,6 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-func TestTaskState(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	task := p.Submit(func(*Worker) any { return "ok" })
-	<-task.doneCh
-	if !task.IsDone() {
-		t.Error("task not done after doneCh closed")
-	}
-	if task.Result() != "ok" {
-		t.Errorf("Result = %v", task.Result())
-	}
-}
-
-func TestParallelismAndIndex(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	if p.Parallelism() != 3 {
-		t.Errorf("Parallelism = %d", p.Parallelism())
-	}
-	idx := p.Invoke(func(w *Worker) any {
-		if w.Pool() != p {
-			t.Error("worker pool mismatch")
-		}
-		return w.Index()
-	}).(int)
-	if idx < 0 || idx >= 3 {
-		t.Errorf("worker index = %d", idx)
-	}
-}
-
 func TestCloseIdempotent(t *testing.T) {
 	p := NewPool(2)
 	p.Close()
@@ -154,8 +104,8 @@ func TestCloseIdempotent(t *testing.T) {
 func TestDefaultPoolSize(t *testing.T) {
 	p := NewPool(0)
 	defer p.Close()
-	if p.Parallelism() < 1 {
-		t.Errorf("Parallelism = %d, want >= 1", p.Parallelism())
+	if len(p.workers) < 1 {
+		t.Errorf("NewPool(0) started %d workers, want >= 1", len(p.workers))
 	}
 }
 

@@ -2,14 +2,15 @@
 // of Twitter Util / Scala futures (SIP-14), used by the future-genetic and
 // finagle-chirper benchmarks (Table 1: "task-parallel, contention" and
 // "network stack, futures, atomics"). Completion uses an atomic state
-// transition; continuations registered with Map/FlatMap/OnComplete are
-// closure dispatches, which is what the paper's idynamic metric estimates.
+// transition; continuations registered with Map/OnComplete are closure
+// dispatches, which is what the paper's idynamic metric estimates.
 package futures
 
 import (
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
-	"time"
 
 	"renaissance/internal/metrics"
 )
@@ -17,9 +18,26 @@ import (
 // ErrAlreadyCompleted is returned when a promise is completed twice.
 var ErrAlreadyCompleted = errors.New("futures: promise already completed")
 
-// ErrTimeout is returned by AwaitTimeout when the deadline elapses before
-// the future completes.
-var ErrTimeout = errors.New("futures: await timed out")
+// PanicError is the failure of a future whose Async body panicked: the
+// recovered value with the panicking goroutine's stack attached.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+// Error implements error.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("futures: async body panicked: %v", e.Value)
+}
+
+// Unwrap exposes a panic value that was itself an error, so errors.Is/As
+// see through the wrapper.
+func (e *PanicError) Unwrap() error {
+	if err, ok := e.Value.(error); ok {
+		return err
+	}
+	return nil
+}
 
 // Future is a read handle on an eventually available value of type T.
 type Future[T any] struct {
@@ -55,11 +73,6 @@ func (p *Promise[T]) Failure(err error) error {
 	var zero T
 	return p.complete(zero, err)
 }
-
-// TrySuccess completes the future with a value if it is not yet completed,
-// reporting whether this call won the race — the idiom finagle-chirper-like
-// services use for request hedging.
-func (p *Promise[T]) TrySuccess(v T) bool { return p.complete(v, nil) == nil }
 
 func (p *Promise[T]) complete(v T, err error) error {
 	won := false
@@ -109,44 +122,6 @@ func (f *Future[T]) Await() (T, error) {
 	return f.value, f.err
 }
 
-// AwaitTimeout blocks until the future completes or d elapses, returning
-// ErrTimeout in the latter case. The future itself is unaffected: it may
-// still complete later and can be awaited again.
-func (f *Future[T]) AwaitTimeout(d time.Duration) (T, error) {
-	metrics.IncPark()
-	// An already-completed future must return its result even when the
-	// timeout is zero or expired; without this check the select below
-	// chooses randomly between the two ready channels.
-	select {
-	case <-f.done:
-		return f.value, f.err
-	default:
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-f.done:
-		return f.value, f.err
-	case <-timer.C:
-		var zero T
-		return zero, ErrTimeout
-	}
-}
-
-// Poll returns the result if the future is complete.
-func (f *Future[T]) Poll() (v T, err error, ok bool) {
-	select {
-	case <-f.done:
-		return f.value, f.err, true
-	default:
-		var zero T
-		return zero, nil, false
-	}
-}
-
-// Done returns a channel closed upon completion, for use in select.
-func (f *Future[T]) Done() <-chan struct{} { return f.done }
-
 // Completed returns a future that is already successfully completed.
 func Completed[T any](v T) *Future[T] {
 	p := NewPromise[T]()
@@ -154,19 +129,15 @@ func Completed[T any](v T) *Future[T] {
 	return p.f
 }
 
-// Failed returns a future that is already completed with err.
-func Failed[T any](err error) *Future[T] {
-	p := NewPromise[T]()
-	_ = p.Failure(err)
-	return p.f
-}
-
-// Async runs fn on a new goroutine and returns its future.
+// Async runs fn on a new goroutine and returns its future. A panicking fn
+// fails the future with a *PanicError instead of killing the process: the
+// goroutine is not the harness's iteration goroutine, so nothing above it
+// would recover.
 func Async[T any](fn func() (T, error)) *Future[T] {
 	p := NewPromise[T]()
 	go func() {
 		metrics.IncIDynamic()
-		v, err := fn()
+		v, err := protect(fn)
 		if err != nil {
 			_ = p.Failure(err)
 			return
@@ -174,6 +145,16 @@ func Async[T any](fn func() (T, error)) *Future[T] {
 		_ = p.Success(v)
 	}()
 	return p.f
+}
+
+// protect calls fn, converting a panic into a *PanicError.
+func protect[T any](fn func() (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
 }
 
 // Map returns a future holding fn applied to f's value; errors pass
@@ -189,47 +170,6 @@ func Map[T, U any](f *Future[T], fn func(T) U) *Future[U] {
 		_ = p.Success(fn(v))
 	})
 	return p.f
-}
-
-// FlatMap chains an asynchronous continuation.
-func FlatMap[T, U any](f *Future[T], fn func(T) *Future[U]) *Future[U] {
-	p := NewPromise[U]()
-	f.OnComplete(func(v T, err error) {
-		if err != nil {
-			_ = p.Failure(err)
-			return
-		}
-		metrics.IncIDynamic()
-		fn(v).OnComplete(func(u U, err error) {
-			if err != nil {
-				_ = p.Failure(err)
-				return
-			}
-			_ = p.Success(u)
-		})
-	})
-	return p.f
-}
-
-// Zip pairs the results of two futures.
-func Zip[T, U any](a *Future[T], b *Future[U]) *Future[struct {
-	A T
-	B U
-}] {
-	return FlatMap(a, func(av T) *Future[struct {
-		A T
-		B U
-	}] {
-		return Map(b, func(bv U) struct {
-			A T
-			B U
-		} {
-			return struct {
-				A T
-				B U
-			}{av, bv}
-		})
-	})
 }
 
 // Sequence converts a slice of futures into a future of the slice of
@@ -261,21 +201,6 @@ func Sequence[T any](fs []*Future[T]) *Future[[]T] {
 			if last {
 				_ = p.Success(results)
 			}
-		})
-	}
-	return p.f
-}
-
-// FirstCompletedOf completes with the first future to complete.
-func FirstCompletedOf[T any](fs []*Future[T]) *Future[T] {
-	p := NewPromise[T]()
-	for _, f := range fs {
-		f.OnComplete(func(v T, err error) {
-			if err != nil {
-				_ = p.Failure(err)
-				return
-			}
-			p.TrySuccess(v)
 		})
 	}
 	return p.f

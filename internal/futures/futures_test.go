@@ -11,8 +11,10 @@ import (
 func TestPromiseSuccess(t *testing.T) {
 	p := NewPromise[int]()
 	f := p.Future()
-	if _, _, ok := f.Poll(); ok {
+	select {
+	case <-f.done:
 		t.Error("future complete before promise fulfilled")
+	default:
 	}
 	if err := p.Success(7); err != nil {
 		t.Fatal(err)
@@ -20,9 +22,6 @@ func TestPromiseSuccess(t *testing.T) {
 	v, err := f.Await()
 	if err != nil || v != 7 {
 		t.Errorf("Await = (%v, %v), want (7, nil)", v, err)
-	}
-	if v, err, ok := f.Poll(); !ok || v != 7 || err != nil {
-		t.Errorf("Poll = (%v, %v, %v)", v, err, ok)
 	}
 }
 
@@ -62,7 +61,7 @@ func TestTrySuccessRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if p.TrySuccess(i) {
+			if p.Success(i) == nil {
 				wins.Add(1)
 			}
 		}(i)
@@ -100,8 +99,10 @@ func TestCompletedAndFailed(t *testing.T) {
 		t.Errorf("Completed = (%v, %v)", v, err)
 	}
 	boom := errors.New("boom")
-	if _, err := Failed[int](boom).Await(); !errors.Is(err, boom) {
-		t.Errorf("Failed err = %v", err)
+	p := NewPromise[int]()
+	_ = p.Failure(boom)
+	if _, err := p.Future().Await(); !errors.Is(err, boom) {
+		t.Errorf("failed future err = %v", err)
 	}
 }
 
@@ -117,16 +118,37 @@ func TestAsync(t *testing.T) {
 	}
 }
 
-func TestMapFlatMapChain(t *testing.T) {
-	f := Completed(10)
+// A panicking body runs on a bare goroutine that nothing above recovers:
+// it must fail the future, not kill the process.
+func TestAsyncPanicFailsFuture(t *testing.T) {
+	_, err := Async(func() (int, error) { panic("fitness exploded") }).Await()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "fitness exploded" {
+		t.Fatalf("Async err = %v, want PanicError(fitness exploded)", err)
+	}
+	if len(pe.Stack) == 0 {
+		t.Error("PanicError carries no stack")
+	}
+	boom := errors.New("boom")
+	_, err = Async(func() (int, error) { panic(boom) }).Await()
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want it to unwrap to the panicked error", err)
+	}
+	// Continuations see the failure like any other.
+	g := Map(Async(func() (int, error) { panic("again") }), func(v int) int { return v + 1 })
+	if _, err := g.Await(); !errors.As(err, &pe) {
+		t.Errorf("Map over a panicked future: err = %v", err)
+	}
+}
+
+func TestMapChain(t *testing.T) {
+	f := Async(func() (int, error) { return 10, nil })
 	g := Map(f, func(v int) int { return v * 2 })
-	h := FlatMap(g, func(v int) *Future[string] {
-		return Async(func() (string, error) {
-			if v == 20 {
-				return "twenty", nil
-			}
-			return "", errors.New("wrong")
-		})
+	h := Map(g, func(v int) string {
+		if v == 20 {
+			return "twenty"
+		}
+		return "wrong"
 	})
 	v, err := h.Await()
 	if err != nil || v != "twenty" {
@@ -136,7 +158,7 @@ func TestMapFlatMapChain(t *testing.T) {
 
 func TestMapErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
-	f := Failed[int](boom)
+	f := Async(func() (int, error) { return 0, boom })
 	calls := 0
 	g := Map(f, func(v int) int { calls++; return v })
 	if _, err := g.Await(); !errors.Is(err, boom) {
@@ -144,22 +166,6 @@ func TestMapErrorPropagation(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Error("Map function ran despite failure")
-	}
-	h := FlatMap(f, func(int) *Future[int] { calls++; return Completed(0) })
-	if _, err := h.Await(); !errors.Is(err, boom) {
-		t.Errorf("FlatMap err = %v", err)
-	}
-	if calls != 0 {
-		t.Error("FlatMap function ran despite failure")
-	}
-}
-
-func TestZip(t *testing.T) {
-	a := Async(func() (int, error) { return 1, nil })
-	b := Async(func() (string, error) { return "x", nil })
-	pair, err := Zip(a, b).Await()
-	if err != nil || pair.A != 1 || pair.B != "x" {
-		t.Errorf("Zip = (%+v, %v)", pair, err)
 	}
 }
 
@@ -178,33 +184,9 @@ func TestSequence(t *testing.T) {
 	}
 	// Failure propagates.
 	boom := errors.New("boom")
-	bad := []*Future[int]{Completed(1), Failed[int](boom)}
+	bad := []*Future[int]{Completed(1), Async(func() (int, error) { return 0, boom })}
 	if _, err := Sequence(bad).Await(); !errors.Is(err, boom) {
 		t.Errorf("Sequence err = %v", err)
-	}
-}
-
-func TestFirstCompletedOf(t *testing.T) {
-	slow := Async(func() (int, error) { time.Sleep(50 * time.Millisecond); return 1, nil })
-	fast := Completed(2)
-	v, err := FirstCompletedOf([]*Future[int]{slow, fast}).Await()
-	if err != nil || v != 2 {
-		t.Errorf("FirstCompletedOf = (%v, %v), want fast value 2", v, err)
-	}
-}
-
-func TestDoneChannelSelect(t *testing.T) {
-	p := NewPromise[int]()
-	select {
-	case <-p.Future().Done():
-		t.Fatal("done before completion")
-	default:
-	}
-	_ = p.Success(1)
-	select {
-	case <-p.Future().Done():
-	case <-time.After(time.Second):
-		t.Fatal("done channel never closed")
 	}
 }
 
@@ -230,33 +212,5 @@ func TestConcurrentCallbacksAllRun(t *testing.T) {
 	}
 	if count.Load() != 50 {
 		t.Errorf("callbacks run = %d, want 50", count.Load())
-	}
-}
-
-func TestAwaitTimeout(t *testing.T) {
-	// Incomplete future: times out with ErrTimeout.
-	p := NewPromise[int]()
-	start := time.Now()
-	_, err := p.Future().AwaitTimeout(20 * time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Error("AwaitTimeout did not respect the deadline")
-	}
-
-	// The future is unaffected: it can still complete and be awaited.
-	_ = p.Success(7)
-	if v, err := p.Future().AwaitTimeout(time.Second); err != nil || v != 7 {
-		t.Errorf("after completion = (%d, %v)", v, err)
-	}
-
-	// Completed future returns immediately with its value or error.
-	if v, err := Completed(3).AwaitTimeout(time.Nanosecond); err != nil || v != 3 {
-		t.Errorf("completed = (%d, %v)", v, err)
-	}
-	boom := errors.New("boom")
-	if _, err := Failed[int](boom).AwaitTimeout(time.Second); !errors.Is(err, boom) {
-		t.Errorf("failed future err = %v, want boom", err)
 	}
 }

@@ -26,8 +26,7 @@ var (
 // NodeID identifies a node.
 type NodeID int64
 
-// Node is a labelled property vertex. Returned nodes are snapshots; mutate
-// through a transaction.
+// Node is a labelled property vertex; mutate through a transaction.
 type Node struct {
 	ID     NodeID
 	Label  string
@@ -119,29 +118,6 @@ func (t *Tx) CreateNode(label string, props map[string]any) (NodeID, error) {
 	return id, nil
 }
 
-// SetProp stages a property update on an existing or staged node.
-func (t *Tx) SetProp(id NodeID, key string, value any) error {
-	if t.done {
-		return ErrTxDone
-	}
-	t.ops = append(t.ops, txOp{
-		validate: func(g *Graph) error {
-			if !t.exists(g, id) {
-				return fmt.Errorf("%w: %d", ErrNodeMissing, id)
-			}
-			return nil
-		},
-		apply: func(g *Graph) {
-			n := g.nodes[id]
-			if n.Props == nil {
-				n.Props = make(map[string]any)
-			}
-			n.Props[key] = value
-		},
-	})
-	return nil
-}
-
 // Relate stages a directed relationship from -> to of the given type.
 func (t *Tx) Relate(from, to NodeID, relType string, props map[string]any) error {
 	if t.done {
@@ -229,29 +205,6 @@ func (g *Graph) NodeCount() int {
 	return len(g.nodes)
 }
 
-// GetNode returns a snapshot of the node.
-func (g *Graph) GetNode(id NodeID) (Node, bool) {
-	metrics.IncSynch()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
-		return Node{}, false
-	}
-	return Node{ID: n.ID, Label: n.Label, Props: cloneProps(n.Props)}, true
-}
-
-// ByLabel returns the IDs of all nodes with the label, ascending.
-func (g *Graph) ByLabel(label string) []NodeID {
-	metrics.IncSynch()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	metrics.IncArray()
-	out := append([]NodeID(nil), g.byLabel[label]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Direction selects traversal orientation.
 type Direction int
 
@@ -289,25 +242,6 @@ func (g *Graph) Neighbors(id NodeID, relType string, dir Direction) []NodeID {
 		}
 	}
 	return out
-}
-
-// Degree returns the number of relationships of the node in the direction.
-func (g *Graph) Degree(id NodeID, dir Direction) int {
-	metrics.IncSynch()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	if !ok {
-		return 0
-	}
-	switch dir {
-	case Outgoing:
-		return len(n.outRel)
-	case Incoming:
-		return len(n.inRel)
-	default:
-		return len(n.outRel) + len(n.inRel)
-	}
 }
 
 // MatchRow is one result of a pattern match (a)-[r]->(b).

@@ -54,20 +54,19 @@ func TestCreateAndQuery(t *testing.T) {
 	if g.NodeCount() != 8 {
 		t.Errorf("NodeCount = %d, want 8", g.NodeCount())
 	}
-	if got := g.ByLabel("User"); len(got) != 5 {
+	if got := g.byLabel["User"]; len(got) != 5 {
 		t.Errorf("Users = %v", got)
 	}
-	if got := g.ByLabel("Post"); len(got) != 3 {
+	if got := g.byLabel["Post"]; len(got) != len(posts) {
 		t.Errorf("Posts = %v", got)
 	}
-	n, ok := g.GetNode(users[0])
+	n, ok := g.nodes[users[0]]
 	if !ok || n.Label != "User" || n.Props["name"] != "u0" {
-		t.Errorf("GetNode = %+v, %v", n, ok)
+		t.Errorf("node u0 = %+v, %v", n, ok)
 	}
-	if _, ok := g.GetNode(9999); ok {
+	if _, ok := g.nodes[9999]; ok {
 		t.Error("found nonexistent node")
 	}
-	_ = posts
 }
 
 func TestNeighborsAndDegree(t *testing.T) {
@@ -84,10 +83,10 @@ func TestNeighborsAndDegree(t *testing.T) {
 	if len(both) != 3 {
 		t.Errorf("u2 all both = %v", both)
 	}
-	if d := g.Degree(users[0], Outgoing); d != 5 { // 2 follows + 3 posted
+	if d := len(g.Neighbors(users[0], "", Outgoing)); d != 5 { // 2 follows + 3 posted
 		t.Errorf("u0 out-degree = %d", d)
 	}
-	if d := g.Degree(9999, Both); d != 0 {
+	if d := len(g.Neighbors(9999, "", Both)); d != 0 {
 		t.Errorf("missing node degree = %d", d)
 	}
 }
@@ -145,22 +144,6 @@ func TestTopDegree(t *testing.T) {
 	}
 }
 
-func TestSetProp(t *testing.T) {
-	g := New()
-	tx := g.WriteTx()
-	id, _ := tx.CreateNode("X", nil)
-	if err := tx.SetProp(id, "k", 42); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := g.GetNode(id)
-	if n.Props["k"] != 42 {
-		t.Errorf("prop = %v", n.Props)
-	}
-}
-
 func TestRollback(t *testing.T) {
 	g := New()
 	tx := g.WriteTx()
@@ -205,9 +188,6 @@ func TestTxDoneGuards(t *testing.T) {
 	}
 	if _, err := tx.CreateNode("X", nil); !errors.Is(err, ErrTxDone) {
 		t.Errorf("CreateNode err = %v", err)
-	}
-	if err := tx.SetProp(1, "k", 1); !errors.Is(err, ErrTxDone) {
-		t.Errorf("SetProp err = %v", err)
 	}
 	if err := tx.Relate(1, 2, "R", nil); !errors.Is(err, ErrTxDone) {
 		t.Errorf("Relate err = %v", err)

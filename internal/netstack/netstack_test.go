@@ -111,7 +111,7 @@ func TestAsyncFutureComposition(t *testing.T) {
 
 func TestServiceError(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func(req []byte) *futures.Future[[]byte] {
-		return futures.Failed[[]byte](errors.New("backend down"))
+		return futures.Async(func() ([]byte, error) { return nil, errors.New("backend down") })
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
-// Error-surfacing actions. The legacy actions (Collect, Count, Reduce,
-// Aggregate) follow the fork–join discipline of re-panicking a partition
-// task's failure at the join; these variants run the same fused pipelines
+// Error-surfacing actions. The legacy actions (Collect, Count, Aggregate)
+// follow the fork–join discipline of re-panicking a partition task's
+// failure at the join; these variants run the same fused pipelines
 // through the recovery engine (runParts) and return the first *persistent*
 // failure as a *forkjoin.TaskError instead. A partition panic — user code,
 // a nested shuffle, an injected chaos fault — no longer fails the action
@@ -13,7 +13,7 @@
 // A panic inside a shuffle (wide dependency) no longer poisons the
 // exchange: the failed attempt's staging is discarded, and the next
 // consumer retries the whole exchange under a fresh epoch (see
-// exchange.ensure in lineage.go). Only persistent failure — every retry
+// exchange.ensure in exchange.go). Only persistent failure — every retry
 // exhausted — degrades to the pre-recovery behavior of one error
 // surfacing from the enclosing action.
 package rdd
@@ -22,17 +22,11 @@ import (
 	"renaissance/internal/metrics"
 )
 
-// collectPartitionsE evaluates every partition with per-partition
-// recovery (runParts, recovery.go), returning a persistent partition
-// failure as a *forkjoin.TaskError.
-func collectPartitionsE[T any](r *RDD[T]) ([][]T, error) {
-	return runParts(r.numPartitions, r.partition, nil)
-}
-
-// CollectE evaluates the dataset and returns all elements, surfacing a
-// persistent partition failure as an error.
+// CollectE evaluates every partition with per-partition recovery
+// (runParts, recovery.go) and returns all elements, surfacing a persistent
+// partition failure as a *forkjoin.TaskError.
 func (r *RDD[T]) CollectE() ([]T, error) {
-	parts, err := collectPartitionsE(r)
+	parts, err := runParts(r.numPartitions, r.partition, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -65,52 +59,6 @@ func (r *RDD[T]) CountE() (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// ReduceE folds all elements like Reduce, surfacing a persistent
-// partition failure as an error (ErrEmpty still reports an empty
-// dataset).
-func (r *RDD[T]) ReduceE(fn func(T, T) T) (T, error) {
-	type partial struct {
-		acc  T
-		have bool
-	}
-	var zero T
-	partials, err := runParts(r.numPartitions, func(p int) partial {
-		metrics.IncMethod()
-		loc := metrics.Acquire()
-		var acc T
-		have := false
-		r.run(p, func(x T) bool {
-			if !have {
-				acc, have = x, true
-				return true
-			}
-			loc.IncIDynamic()
-			acc = fn(acc, x)
-			return true
-		})
-		return partial{acc, have}
-	}, nil)
-	if err != nil {
-		return zero, err
-	}
-	acc, have := zero, false
-	for _, pt := range partials {
-		if !pt.have {
-			continue
-		}
-		if !have {
-			acc, have = pt.acc, true
-			continue
-		}
-		metrics.IncIDynamic()
-		acc = fn(acc, pt.acc)
-	}
-	if !have {
-		return acc, ErrEmpty
-	}
-	return acc, nil
 }
 
 // AggregateE folds like Aggregate, surfacing a persistent partition

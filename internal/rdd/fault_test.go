@@ -39,7 +39,7 @@ func TestCollectECleanMatchesCollect(t *testing.T) {
 	}
 }
 
-func TestCountEAndReduceESurfaceErrors(t *testing.T) {
+func TestCountESurfacesErrors(t *testing.T) {
 	bad := Parallelize(ints(64), 8).Filter(func(x int) bool {
 		if x == 7 {
 			panic("filter failure")
@@ -49,25 +49,11 @@ func TestCountEAndReduceESurfaceErrors(t *testing.T) {
 	if _, err := bad.CountE(); err == nil {
 		t.Error("CountE returned nil error for a panicking pipeline")
 	}
-	if _, err := bad.ReduceE(func(a, b int) int { return a + b }); err == nil {
-		t.Error("ReduceE returned nil error for a panicking pipeline")
-	}
 
 	good := Parallelize(ints(64), 8)
 	n, err := good.CountE()
 	if err != nil || n != 64 {
 		t.Errorf("CountE = (%d, %v), want (64, nil)", n, err)
-	}
-	sum, err := good.ReduceE(func(a, b int) int { return a + b })
-	if err != nil || sum != 64*63/2 {
-		t.Errorf("ReduceE = (%d, %v), want (%d, nil)", sum, err, 64*63/2)
-	}
-}
-
-func TestReduceEEmptyDataset(t *testing.T) {
-	empty := Parallelize([]int{}, 4)
-	if _, err := empty.ReduceE(func(a, b int) int { return a + b }); !errors.Is(err, ErrEmpty) {
-		t.Errorf("ReduceE on empty = %v, want ErrEmpty", err)
 	}
 }
 

@@ -68,9 +68,6 @@ func GraphFrom(edges *RDD[Pair[int, int]]) *Graph {
 // NumVertices returns the number of distinct vertices.
 func (g *Graph) NumVertices() int { return len(g.ids) }
 
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return g.out.NumEdges() }
-
 // prParts is the fixed partition count of the PageRank scatter phase.
 // It is fixed (not GOMAXPROCS-derived) so the accumulator merge order —
 // and therefore every floating-point result — is identical at any -cpu

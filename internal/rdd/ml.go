@@ -312,18 +312,6 @@ func (n *TreeNode) Predict(features []float64) int {
 	return n.Prediction
 }
 
-// Depth returns the tree height (a single leaf has depth 1).
-func (n *TreeNode) Depth() int {
-	if n.IsLeaf() {
-		return 1
-	}
-	l, r := n.Left.Depth(), n.Right.Depth()
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // DecisionTree fits a CART-style classification tree: at every node the
 // Gini-best (feature, threshold) split is selected from per-feature
 // histograms computed in parallel over the features — the dec-tree

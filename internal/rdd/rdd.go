@@ -1,11 +1,12 @@
 // Package rdd implements an in-process data-parallel engine in the style
 // of Apache Spark (Zaharia et al., HotCloud 2010): resilient datasets are
 // split into partitions, narrow transformations (map, filter) compose
-// lazily per partition, wide transformations (reduceByKey, join) insert a
-// hash shuffle, and actions evaluate partitions in parallel. It is the
-// substrate of the paper's Spark-based benchmarks — als, chi-square,
-// dec-tree, log-regression, movie-lens, naive-bayes, and page-rank
-// (Table 1: "data-parallel, machine learning / compute-bound / atomics").
+// lazily per partition, wide transformations (reduceByKey, groupByKey)
+// insert a hash shuffle, and actions evaluate partitions in parallel. It
+// is the substrate of the paper's Spark-based benchmarks — als,
+// chi-square, dec-tree, log-regression, movie-lens, naive-bayes, and
+// page-rank (Table 1: "data-parallel, machine learning / compute-bound /
+// atomics").
 //
 // Internally the engine is built around four mechanisms (DESIGN.md §7,
 // §14):
@@ -22,10 +23,10 @@
 //   - Lock-free shuffle: wide dependencies exchange pairs through a
 //     private [producer][bucket] staging matrix followed by per-bucket
 //     concatenation — no mutex is acquired on the shuffle hot path.
-//   - Lineage-based recovery (recovery.go, lineage.go): a failed
+//   - Lineage-based recovery (recovery.go, exchange.go): a failed
 //     partition attempt is recomputed from the nearest materialized
 //     ancestor under a bounded retry budget; failed shuffle exchanges
-//     retry under fresh epochs; Checkpoint truncates lineage.
+//     retry under fresh epochs.
 package rdd
 
 import (
@@ -40,7 +41,7 @@ import (
 	"renaissance/internal/metrics"
 )
 
-// ErrEmpty is returned by Reduce on an empty dataset.
+// ErrEmpty is returned by the ML kernels on an empty dataset.
 var ErrEmpty = errors.New("rdd: empty dataset")
 
 // RDD is a partitioned, lazily evaluated dataset of T.
@@ -62,12 +63,8 @@ type RDD[T any] struct {
 	// Cache and cachedPartition).
 	cache []cacheSlot[T]
 
-	// lin records how this dataset was derived (lineage.go); nil on
-	// directly constructed datasets, which recovery treats as sources.
-	lin *lineage
-
-	// wideEpochs points at the exchange-attempt counter of a wide or
-	// checkpointed dataset (nil for narrow ones); see ShuffleEpochs.
+	// wideEpochs points at the exchange-attempt counter of a wide dataset
+	// (nil for narrow ones); see ShuffleEpochs.
 	wideEpochs *atomic.Int64
 }
 
@@ -134,7 +131,6 @@ func Parallelize[T any](data []T, partitions int) *RDD[T] {
 	n := len(data)
 	return &RDD[T]{
 		numPartitions: partitions,
-		lin:           newLineage("parallelize", depSource, nil),
 		sizeHint: func(p int) int {
 			return (p+1)*n/partitions - p*n/partitions
 		},
@@ -160,7 +156,6 @@ func (r *RDD[T]) NumPartitions() int { return r.numPartitions }
 func (r *RDD[T]) Cache() *RDD[T] {
 	if r.cache == nil {
 		r.cache = make([]cacheSlot[T], r.numPartitions)
-		r.lin = newLineage("cache", depBarrier, r.lin)
 	}
 	return r
 }
@@ -213,7 +208,7 @@ func (r *RDD[T]) cachedPartition(p int) []T {
 }
 
 // partition evaluates one partition to a slice (the materialization
-// boundary used by actions and by MapPartitions).
+// boundary used by the collecting actions).
 func (r *RDD[T]) partition(p int) []T {
 	metrics.IncMethod()
 	if r.cache != nil {
@@ -227,7 +222,6 @@ func Map[T, U any](r *RDD[T], fn func(T) U) *RDD[U] {
 	metrics.IncObject()
 	return &RDD[U]{
 		numPartitions: r.numPartitions,
-		lin:           newLineage("map", depNarrow, r.lin),
 		sizeHint:      r.sizeHint,
 		iterate: func(p int, sink func(U) bool) {
 			// One shard-pinned handle per partition pass: the per-element
@@ -247,7 +241,6 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	metrics.IncObject()
 	return &RDD[T]{
 		numPartitions: r.numPartitions,
-		lin:           newLineage("filter", depNarrow, r.lin),
 		sizeHint:      r.sizeHint, // upper bound: filtering only shrinks
 		iterate: func(p int, sink func(T) bool) {
 			loc := metrics.Acquire()
@@ -268,7 +261,6 @@ func FlatMap[T, U any](r *RDD[T], fn func(T) []U) *RDD[U] {
 	metrics.IncObject()
 	return &RDD[U]{
 		numPartitions: r.numPartitions,
-		lin:           newLineage("flatMap", depNarrow, r.lin),
 		sizeHint:      r.sizeHint, // a guess; the output may outgrow it
 		iterate: func(p int, sink func(U) bool) {
 			loc := metrics.Acquire()
@@ -281,26 +273,6 @@ func FlatMap[T, U any](r *RDD[T], fn func(T) []U) *RDD[U] {
 				}
 				return true
 			})
-		},
-	}
-}
-
-// MapPartitions transforms whole partitions at once. The parent partition
-// is materialized (fn needs the full slice), so it is a fusion barrier
-// like Cache.
-func MapPartitions[T, U any](r *RDD[T], fn func([]T) []U) *RDD[U] {
-	metrics.IncObject()
-	return &RDD[U]{
-		numPartitions: r.numPartitions,
-		lin:           newLineage("mapPartitions", depNarrow, r.lin),
-		sizeHint:      r.sizeHint,
-		iterate: func(p int, sink func(U) bool) {
-			metrics.IncIDynamic()
-			for _, u := range fn(r.partition(p)) {
-				if !sink(u) {
-					return
-				}
-			}
 		},
 	}
 }
@@ -323,17 +295,6 @@ func (r *RDD[T]) Count() int {
 		panic(err)
 	}
 	return n
-}
-
-// Reduce folds all elements with fn; partitions are folded in parallel
-// (streaming through the fused pipeline) and partial results combined in
-// partition order. A persistent partition failure re-panics at the join.
-func (r *RDD[T]) Reduce(fn func(T, T) T) (T, error) {
-	acc, err := r.ReduceE(fn)
-	if err != nil && err != ErrEmpty {
-		panic(err)
-	}
-	return acc, err
 }
 
 // Aggregate folds each partition from zero() with seqOp, then merges the
@@ -515,7 +476,6 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int, fn 
 	}
 	return &RDD[Pair[K, V]]{
 		numPartitions: numPartitions,
-		lin:           newLineage("reduceByKey", depWide, r.lin),
 		wideEpochs:    &ex.epoch,
 		sizeHint: func(p int) int {
 			return len(ensure()[p])
@@ -552,7 +512,6 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD
 	}
 	return &RDD[Pair[K, []V]]{
 		numPartitions: numPartitions,
-		lin:           newLineage("groupByKey", depWide, r.lin),
 		wideEpochs:    &ex.epoch,
 		sizeHint: func(p int) int {
 			return len(ensure()[p])
@@ -567,62 +526,6 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD
 			for k, vs := range agg {
 				if !sink(Pair[K, []V]{k, vs}) {
 					return
-				}
-			}
-		},
-	}
-}
-
-// MapValues transforms pair values, preserving keys and partitioning.
-func MapValues[K comparable, V, W any](r *RDD[Pair[K, V]], fn func(V) W) *RDD[Pair[K, W]] {
-	return Map(r, func(kv Pair[K, V]) Pair[K, W] {
-		return Pair[K, W]{kv.Key, fn(kv.Value)}
-	})
-}
-
-// Join inner-joins two pair datasets on their keys.
-func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], numPartitions int) *RDD[Pair[K, struct {
-	Left  V
-	Right W
-}]] {
-	type joined = struct {
-		Left  V
-		Right W
-	}
-	metrics.IncObject()
-	numPartitions = clampPartitions(numPartitions, a.numPartitions, shuffleLimit(a.numPartitions))
-	// One exchange covers both sides: a failure in either shuffle discards
-	// the attempt and the next consumer retries the pair under one fresh
-	// epoch, so the two sides can never publish from different attempts.
-	type sides struct {
-		left  [][]Pair[K, V]
-		right [][]Pair[K, W]
-	}
-	ex := &exchange[sides]{}
-	ensure := func() sides {
-		return ex.ensure(func() sides {
-			return sides{shuffle(a, numPartitions), shuffle(b, numPartitions)}
-		})
-	}
-	return &RDD[Pair[K, joined]]{
-		numPartitions: numPartitions,
-		lin:           newLineage("join", depWide, a.lin),
-		wideEpochs:    &ex.epoch,
-		sizeHint: func(p int) int {
-			return len(ensure().right[p])
-		},
-		iterate: func(p int, sink func(Pair[K, joined]) bool) {
-			s := ensure()
-			metrics.IncObject()
-			left := make(map[K][]V)
-			for _, kv := range s.left[p] {
-				left[kv.Key] = append(left[kv.Key], kv.Value)
-			}
-			for _, kw := range s.right[p] {
-				for _, v := range left[kw.Key] {
-					if !sink(Pair[K, joined]{kw.Key, joined{v, kw.Value}}) {
-						return
-					}
 				}
 			}
 		},

@@ -9,10 +9,10 @@
 //     that fails — an organic panic, a *forkjoin.TaskError from a nested
 //     job, or an injected chaos fault — is recomputed from the partition's
 //     lineage (the fused pipeline re-runs from the nearest materialized
-//     ancestor: a cached partition, a published shuffle exchange, or a
-//     checkpoint). When the budget is spent the final *forkjoin.TaskError
-//     surfaces from the action; unclaimed siblings are cancelled, and
-//     partitions already in flight run to completion before it returns.
+//     ancestor: a cached partition or a published shuffle exchange). When
+//     the budget is spent the final *forkjoin.TaskError surfaces from the
+//     action; unclaimed siblings are cancelled, and partitions already in
+//     flight run to completion before it returns.
 //   - Caller-runs discipline, inherited from the job: the calling
 //     goroutine claims and evaluates partitions itself while pool workers
 //     help opportunistically, so a nested runParts — a shuffle exchange

@@ -1,14 +1,12 @@
 // Adversarial tests for the lineage recovery engine: injected-fault
 // recompute, retry-budget exhaustion, recovery racing concurrent actions
-// on a shared cache, shuffle epoch retries, and checkpoint lineage
-// truncation. Names match the stress regex in the Makefile so `make
-// stress` shakes them under -race.
+// on a shared cache, and shuffle epoch retries. Names match the stress
+// regex in the Makefile so `make stress` shakes them under -race.
 package rdd
 
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -168,7 +166,8 @@ func TestRecomputeRacingConcurrentActionsOnCachedRDD(t *testing.T) {
 				errs[a] = err
 				return
 			}
-			sum, err := base.ReduceE(func(x, y int) int { return x + y })
+			sum, err := AggregateE(base, func() int { return 0 },
+				func(x, y int) int { return x + y }, func(x, y int) int { return x + y })
 			if err == nil && sum != wantSum {
 				err = errors.New("sum mismatch")
 			}
@@ -227,48 +226,10 @@ func TestShuffleEpochRetryAfterInjectedExchangeFault(t *testing.T) {
 	}
 }
 
-func TestCheckpointTruncatesLineage(t *testing.T) {
-	base := Parallelize(ints(100), 5)
-	full := Map(base, func(x int) int { return x + 1 }).
-		Filter(func(x int) bool { return x%2 == 0 })
-
-	cp := full.Checkpoint()
-	tail := Map(cp, func(x int) int { return x * 2 })
-
-	if got := full.Lineage(); got != "filter <- map <- parallelize" {
-		t.Errorf("pre-checkpoint lineage = %q", got)
-	}
-	if got := tail.Lineage(); got != "map <- checkpoint" {
-		t.Errorf("post-checkpoint lineage = %q, want truncation at the checkpoint", got)
-	}
-	if d := full.RecomputeDepth(); d != 2 {
-		t.Errorf("full.RecomputeDepth = %d, want 2", d)
-	}
-	if d := tail.RecomputeDepth(); d != 1 {
-		t.Errorf("tail.RecomputeDepth = %d, want 1 (checkpoint is the barrier)", d)
-	}
-
-	if e := cp.ShuffleEpochs(); e != 0 {
-		t.Errorf("ShuffleEpochs = %d before any action, want 0", e)
-	}
-	want := Map(full, func(x int) int { return x * 2 }).Collect()
-	if got := tail.Collect(); !reflect.DeepEqual(got, want) {
-		t.Fatal("checkpointed pipeline result differs from direct evaluation")
-	}
-	if e := cp.ShuffleEpochs(); e != 1 {
-		t.Errorf("ShuffleEpochs = %d after one clean materialization, want 1", e)
-	}
-	// Re-running the action reads the materialized checkpoint: no new epoch.
-	tail.Collect()
-	if e := cp.ShuffleEpochs(); e != 1 {
-		t.Errorf("ShuffleEpochs = %d after a second action, want still 1", e)
-	}
-}
-
 // TestChaosDifferentialBitIdentical asserts the recovery engine's core
 // guarantee: under injected faults on every rdd chaos point at rates up to
-// 0.05, every action's result — through mid-chain Cache and Checkpoint,
-// narrow and wide dependencies, and the ML kernels — is bit-identical to
+// 0.05, every action's result — through a mid-chain Cache, narrow and wide
+// dependencies, and the ML kernels — is bit-identical to
 // the fault-free run.
 func TestChaosDifferentialBitIdentical(t *testing.T) {
 	type results struct {
@@ -276,10 +237,8 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 		count     int
 		sum       int
 		cached    []int
-		ckpt      []int
 		byKey     map[int]int
 		grouped   map[int][]int
-		joined    []Pair[int, struct{ Left, Right int }]
 		nbPrior   []float64
 		chi       []float64
 		logw      []float64
@@ -294,35 +253,18 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 		r.collected = narrow.Collect()
 		r.count = narrow.Count()
 		var err error
-		r.sum, err = narrow.ReduceE(func(a, b int) int { return a + b })
+		r.sum, err = AggregateE(narrow, func() int { return 0 },
+			func(a, b int) int { return a + b }, func(a, b int) int { return a + b })
 		if err != nil {
-			t.Fatalf("ReduceE: %v", err)
+			t.Fatalf("AggregateE: %v", err)
 		}
 
 		cached := Map(base, func(x int) int { return x + 13 }).Cache()
 		r.cached = Map(cached, func(x int) int { return x * 2 }).Collect()
 
-		ckpt := Map(base, func(x int) int { return x - 5 }).Checkpoint()
-		r.ckpt = ckpt.Filter(func(x int) bool { return x%3 == 0 }).Collect()
-
 		pairs := Map(base, func(x int) Pair[int, int] { return Pair[int, int]{x % 17, x} })
 		r.byKey = CollectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
 		r.grouped = CollectAsMap(GroupByKey(pairs, 4))
-
-		left := Map(base, func(x int) Pair[int, int] { return Pair[int, int]{x % 11, x} })
-		right := Map(base, func(x int) Pair[int, int] { return Pair[int, int]{x % 11, x * 2} })
-		joined := Join(left, right, 4).Collect()
-		sort.Slice(joined, func(i, j int) bool {
-			a, b := joined[i], joined[j]
-			if a.Key != b.Key {
-				return a.Key < b.Key
-			}
-			if a.Value.Left != b.Value.Left {
-				return a.Value.Left < b.Value.Left
-			}
-			return a.Value.Right < b.Value.Right
-		})
-		r.joined = joined
 
 		points := Map(base, func(x int) LabeledPoint {
 			return LabeledPoint{

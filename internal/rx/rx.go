@@ -52,9 +52,6 @@ func FromSlice[T any](xs []T) Observable[T] {
 	})
 }
 
-// Just emits the given elements and completes.
-func Just[T any](xs ...T) Observable[T] { return FromSlice(xs) }
-
 // Range emits the ints in [lo, hi).
 func Range(lo, hi int) Observable[int] {
 	return Create(func(o Observer[int]) {
@@ -98,100 +95,6 @@ func Filter[T any](src Observable[T], pred func(T) bool) Observable[T] {
 	})
 }
 
-// FlatMap maps each element to an observable and concatenates the inner
-// sequences (concatMap semantics, which is what rx-scrabble's pipeline
-// relies on for determinism).
-func FlatMap[T, U any](src Observable[T], fn func(T) Observable[U]) Observable[U] {
-	return Create(func(o Observer[U]) {
-		cancelled := false
-		src.subscribe(Observer[T]{
-			OnNext: func(x T) bool {
-				metrics.IncIDynamic()
-				inner := fn(x)
-				innerDone := false
-				inner.subscribe(Observer[U]{
-					OnNext: func(u U) bool {
-						if !o.OnNext(u) {
-							cancelled = true
-							return false
-						}
-						return true
-					},
-					OnError: func(err error) {
-						cancelled = true
-						o.OnError(err)
-					},
-					OnComplete: func() { innerDone = true },
-				})
-				return innerDone && !cancelled
-			},
-			OnError: func(err error) {
-				if !cancelled {
-					o.OnError(err)
-				}
-			},
-			OnComplete: func() {
-				if !cancelled {
-					o.OnComplete()
-				}
-			},
-		})
-	})
-}
-
-// Take emits at most n elements.
-func Take[T any](src Observable[T], n int) Observable[T] {
-	return Create(func(o Observer[T]) {
-		if n <= 0 {
-			o.OnComplete()
-			return
-		}
-		remaining := n
-		done := false
-		src.subscribe(Observer[T]{
-			OnNext: func(x T) bool {
-				if !o.OnNext(x) {
-					done = true
-					return false
-				}
-				remaining--
-				if remaining == 0 {
-					done = true
-					o.OnComplete()
-					return false
-				}
-				return true
-			},
-			OnError: func(err error) {
-				if !done {
-					o.OnError(err)
-				}
-			},
-			OnComplete: func() {
-				if !done {
-					o.OnComplete()
-				}
-			},
-		})
-	})
-}
-
-// Scan emits the running fold of the source.
-func Scan[T, A any](src Observable[T], init A, fn func(A, T) A) Observable[A] {
-	return Create(func(o Observer[A]) {
-		acc := init
-		src.subscribe(Observer[T]{
-			OnNext: func(x T) bool {
-				metrics.IncIDynamic()
-				acc = fn(acc, x)
-				return o.OnNext(acc)
-			},
-			OnError:    o.OnError,
-			OnComplete: o.OnComplete,
-		})
-	})
-}
-
 // Reduce emits the final fold of the source as a single element.
 func Reduce[T, A any](src Observable[T], init A, fn func(A, T) A) Observable[A] {
 	return Create(func(o Observer[A]) {
@@ -207,41 +110,6 @@ func Reduce[T, A any](src Observable[T], init A, fn func(A, T) A) Observable[A] 
 				if o.OnNext(acc) {
 					o.OnComplete()
 				}
-			},
-		})
-	})
-}
-
-// Buffer groups consecutive elements into slices of size n (the last buffer
-// may be shorter).
-func Buffer[T any](src Observable[T], n int) Observable[[]T] {
-	return Create(func(o Observer[[]T]) {
-		metrics.IncArray()
-		buf := make([]T, 0, n)
-		cancelled := false
-		src.subscribe(Observer[T]{
-			OnNext: func(x T) bool {
-				buf = append(buf, x)
-				if len(buf) == n {
-					out := buf
-					metrics.IncArray()
-					buf = make([]T, 0, n)
-					if !o.OnNext(out) {
-						cancelled = true
-						return false
-					}
-				}
-				return true
-			},
-			OnError: o.OnError,
-			OnComplete: func() {
-				if cancelled {
-					return
-				}
-				if len(buf) > 0 && !o.OnNext(buf) {
-					return
-				}
-				o.OnComplete()
 			},
 		})
 	})
@@ -358,30 +226,6 @@ func ObserveOn[T any](src Observable[T], s *Scheduler) Observable[T] {
 	})
 }
 
-// Subscribe drains the observable, invoking next for each element, and
-// returns the terminal error, if any.
-func (src Observable[T]) Subscribe(next func(T)) error {
-	var err error
-	src.subscribe(Observer[T]{
-		OnNext: func(x T) bool {
-			metrics.IncIDynamic()
-			next(x)
-			return true
-		},
-		OnError:    func(e error) { err = e },
-		OnComplete: func() {},
-	})
-	return err
-}
-
-// BlockingSlice collects all elements.
-func (src Observable[T]) BlockingSlice() ([]T, error) {
-	metrics.IncArray()
-	var out []T
-	err := src.Subscribe(func(x T) { out = append(out, x) })
-	return out, err
-}
-
 // BlockingFirst returns the first element.
 func (src Observable[T]) BlockingFirst() (T, error) {
 	var out T
@@ -424,9 +268,4 @@ func (src Observable[T]) BlockingLast() (T, error) {
 		return out, ErrEmpty
 	}
 	return out, nil
-}
-
-// Error returns an observable that immediately fails.
-func Error[T any](err error) Observable[T] {
-	return Create(func(o Observer[T]) { o.OnError(err) })
 }

@@ -9,21 +9,16 @@ import (
 	"testing/quick"
 )
 
-func TestJustAndSubscribe(t *testing.T) {
-	var got []int
-	err := Just(1, 2, 3).Subscribe(func(x int) { got = append(got, x) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Errorf("got %v", got)
-	}
+// toSlice collects src the way the rbench rx probes end their pipelines:
+// a Reduce into one accumulator, read with BlockingLast.
+func toSlice[T any](src Observable[T]) ([]T, error) {
+	return Reduce(src, []T(nil), func(acc []T, x T) []T { return append(acc, x) }).BlockingLast()
 }
 
 func TestMapFilterPipeline(t *testing.T) {
 	src := Range(0, 10)
-	out, err := Map(Filter(src, func(x int) bool { return x%2 == 1 }),
-		func(x int) int { return x * x }).BlockingSlice()
+	out, err := toSlice(Map(Filter(src, func(x int) bool { return x%2 == 1 }),
+		func(x int) int { return x * x }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,97 +27,40 @@ func TestMapFilterPipeline(t *testing.T) {
 	}
 }
 
-func TestFlatMap(t *testing.T) {
-	out, err := FlatMap(Just("ab", "c"), func(s string) Observable[byte] {
-		return FromSlice([]byte(s))
-	}).BlockingSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "abc" {
-		t.Errorf("out = %q", out)
-	}
-}
-
-func TestTake(t *testing.T) {
-	out, err := Take(Range(0, 1000000), 3).BlockingSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, []int{0, 1, 2}) {
-		t.Errorf("out = %v", out)
-	}
-	empty, err := Take(Range(0, 10), 0).BlockingSlice()
-	if err != nil || len(empty) != 0 {
-		t.Errorf("Take(0) = (%v, %v)", empty, err)
-	}
-}
-
-func TestTakeShortCircuitsSource(t *testing.T) {
-	emitted := 0
-	src := Create(func(o Observer[int]) {
-		for i := 0; ; i++ {
-			emitted++
-			if !o.OnNext(i) {
-				return
-			}
-		}
-	})
-	if _, err := Take(src, 5).BlockingSlice(); err != nil {
-		t.Fatal(err)
-	}
-	if emitted > 6 {
-		t.Errorf("source emitted %d elements; Take did not cancel", emitted)
-	}
-}
-
-func TestScanReduce(t *testing.T) {
-	scan, err := Scan(Just(1, 2, 3, 4), 0, func(a, x int) int { return a + x }).BlockingSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(scan, []int{1, 3, 6, 10}) {
-		t.Errorf("Scan = %v", scan)
-	}
-	total, err := Reduce(Just(1, 2, 3, 4), 0, func(a, x int) int { return a + x }).BlockingFirst()
+func TestReduce(t *testing.T) {
+	total, err := Reduce(Range(1, 5), 0, func(a, x int) int { return a + x }).BlockingFirst()
 	if err != nil || total != 10 {
 		t.Errorf("Reduce = (%d, %v)", total, err)
 	}
 }
 
-func TestBuffer(t *testing.T) {
-	bufs, err := Buffer(Range(0, 7), 3).BlockingSlice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bufs) != 3 || len(bufs[0]) != 3 || len(bufs[2]) != 1 {
-		t.Errorf("Buffer = %v", bufs)
-	}
-}
-
 func TestErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Map(Error[int](boom), func(x int) int { return x }).BlockingSlice()
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v", err)
+	failing := Create(func(o Observer[int]) {
+		if o.OnNext(1) {
+			o.OnError(boom)
+		}
+	})
+	pipeline := Map(Filter(failing, func(int) bool { return true }), func(x int) int { return x })
+	if _, err := toSlice(pipeline); !errors.Is(err, boom) {
+		t.Errorf("Reduce err = %v", err)
 	}
-	_, err = FlatMap(Just(1), func(int) Observable[int] { return Error[int](boom) }).BlockingSlice()
-	if !errors.Is(err, boom) {
-		t.Errorf("FlatMap err = %v", err)
+	if _, err := pipeline.BlockingLast(); !errors.Is(err, boom) {
+		t.Errorf("BlockingLast err = %v", err)
 	}
 }
 
 func TestBlockingFirstLast(t *testing.T) {
-	if v, err := Just(5, 6, 7).BlockingFirst(); err != nil || v != 5 {
+	if v, err := FromSlice([]int{5, 6, 7}).BlockingFirst(); err != nil || v != 5 {
 		t.Errorf("BlockingFirst = (%d, %v)", v, err)
 	}
-	if v, err := Just(5, 6, 7).BlockingLast(); err != nil || v != 7 {
+	if v, err := FromSlice([]int{5, 6, 7}).BlockingLast(); err != nil || v != 7 {
 		t.Errorf("BlockingLast = (%d, %v)", v, err)
 	}
-	if _, err := Just[int]().BlockingFirst(); !errors.Is(err, ErrEmpty) {
+	if _, err := FromSlice[int](nil).BlockingFirst(); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty BlockingFirst err = %v", err)
 	}
-	if _, err := Just[int]().BlockingLast(); !errors.Is(err, ErrEmpty) {
+	if _, err := FromSlice[int](nil).BlockingLast(); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty BlockingLast err = %v", err)
 	}
 }
@@ -130,7 +68,7 @@ func TestBlockingFirstLast(t *testing.T) {
 func TestObserveOn(t *testing.T) {
 	s := NewScheduler()
 	defer s.Close()
-	out, err := ObserveOn(Range(0, 100), s).BlockingSlice()
+	out, err := toSlice(ObserveOn(Range(0, 100), s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +98,7 @@ func TestPropertyPipelineMatchesSlices(t *testing.T) {
 	f := func(xs []int8) bool {
 		pred := func(x int8) bool { return x%2 == 0 }
 		fn := func(x int8) int { return int(x) * 10 }
-		got, err := Map(Filter(FromSlice(xs), pred), fn).BlockingSlice()
+		got, err := toSlice(Map(Filter(FromSlice(xs), pred), fn))
 		if err != nil {
 			return false
 		}

@@ -2,7 +2,6 @@ package streams
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"renaissance/internal/forkjoin"
@@ -30,48 +29,5 @@ func TestParMapEPanicSurfacesTaskError(t *testing.T) {
 	clean, err := ParMapE(xs, 4, func(x int) int { return x + 1 })
 	if err != nil || len(clean) != len(xs) || clean[10] != 11 {
 		t.Errorf("clean ParMapE = (%d elems, %v)", len(clean), err)
-	}
-}
-
-func TestParReduceEFaultAndClean(t *testing.T) {
-	xs := make([]int, 100)
-	for i := range xs {
-		xs[i] = i
-	}
-	sum, err := ParReduceE(xs, 4,
-		func() int { return 0 },
-		func(a, x int) int { return a + x },
-		func(a, b int) int { return a + b })
-	if err != nil || sum != 4950 {
-		t.Errorf("ParReduceE = (%d, %v), want (4950, nil)", sum, err)
-	}
-
-	_, err = ParReduceE(xs, 4,
-		func() int { return 0 },
-		func(a, x int) int {
-			if x == 50 {
-				panic("fold failure")
-			}
-			return a + x
-		},
-		func(a, b int) int { return a + b })
-	if err == nil {
-		t.Error("ParReduceE returned nil error for a panicking fold")
-	}
-}
-
-func TestParForEachEPanicDoesNotWedge(t *testing.T) {
-	xs := make([]int, 500)
-	var visited atomic.Int64
-	err := ParForEachE(xs, 8, func(int) {
-		if visited.Add(1) == 100 {
-			panic("foreach failure")
-		}
-	})
-	if err == nil {
-		t.Error("ParForEachE returned nil error for a panicking body")
-	}
-	if err := ParForEachE(xs, 8, func(int) {}); err != nil {
-		t.Errorf("clean ParForEachE after a fault: %v", err)
 	}
 }

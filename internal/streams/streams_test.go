@@ -32,42 +32,17 @@ func TestOfAndFromSlice(t *testing.T) {
 	}
 }
 
-func TestGenerate(t *testing.T) {
-	got := Generate(4, func(i int) int { return i * 10 }).ToSlice()
-	if !reflect.DeepEqual(got, []int{0, 10, 20, 30}) {
-		t.Errorf("Generate = %v", got)
-	}
-}
-
-func TestLimitSkip(t *testing.T) {
-	if got := Range(0, 100).Limit(3).ToSlice(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("Limit = %v", got)
-	}
-	if got := Range(0, 5).Skip(3).ToSlice(); !reflect.DeepEqual(got, []int{3, 4}) {
-		t.Errorf("Skip = %v", got)
-	}
-	if got := Range(0, 3).Limit(0).Count(); got != 0 {
-		t.Errorf("Limit(0) = %d", got)
-	}
-	if got := Range(0, 3).Skip(10).Count(); got != 0 {
-		t.Errorf("Skip beyond end = %d", got)
-	}
-}
-
-func TestTakeWhile(t *testing.T) {
-	got := Range(0, 10).TakeWhile(func(x int) bool { return x < 4 }).ToSlice()
-	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
-		t.Errorf("TakeWhile = %v", got)
-	}
-}
-
 func TestFlatMapLaziness(t *testing.T) {
 	calls := 0
 	s := FlatMap(Range(0, 1000), func(x int) Stream[int] {
 		calls++
 		return Of(x, x)
 	})
-	got := s.Limit(4).ToSlice()
+	var got []int
+	s.forEach(func(x int) bool {
+		got = append(got, x)
+		return len(got) < 4
+	})
 	if !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
 		t.Errorf("FlatMap = %v", got)
 	}
@@ -87,67 +62,11 @@ func TestReduce(t *testing.T) {
 	}
 }
 
-func TestMatchAndFirst(t *testing.T) {
-	s := Range(0, 10)
-	if !s.AnyMatch(func(x int) bool { return x == 7 }) {
-		t.Error("AnyMatch(7) = false")
-	}
-	if s.AnyMatch(func(x int) bool { return x > 100 }) {
-		t.Error("AnyMatch(>100) = true")
-	}
-	if !s.AllMatch(func(x int) bool { return x < 10 }) {
-		t.Error("AllMatch(<10) = false")
-	}
-	if s.AllMatch(func(x int) bool { return x < 5 }) {
-		t.Error("AllMatch(<5) = true")
-	}
-	if v, ok := s.First(); !ok || v != 0 {
-		t.Errorf("First = (%d, %v)", v, ok)
-	}
-	if _, ok := Of[int]().First(); ok {
-		t.Error("First of empty stream found something")
-	}
-}
-
-func TestSorted(t *testing.T) {
-	got := Of(3, 1, 2).Sorted(func(a, b int) bool { return a < b }).ToSlice()
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Errorf("Sorted = %v", got)
-	}
-}
-
-func TestMaxBy(t *testing.T) {
-	words := Of("a", "abc", "ab")
-	w, ok := MaxBy(words, func(s string) int { return len(s) })
-	if !ok || w != "abc" {
-		t.Errorf("MaxBy = (%q, %v)", w, ok)
-	}
-	if _, ok := MaxBy(Of[string](), func(string) int { return 0 }); ok {
-		t.Error("MaxBy of empty stream found something")
-	}
-}
-
-func TestGroupByToMapDistinct(t *testing.T) {
+func TestGroupBy(t *testing.T) {
 	words := Of("apple", "avocado", "banana", "blueberry", "cherry")
 	groups := GroupBy(words, func(s string) byte { return s[0] })
 	if len(groups['a']) != 2 || len(groups['b']) != 2 || len(groups['c']) != 1 {
 		t.Errorf("GroupBy = %v", groups)
-	}
-	m := ToMap(words, func(s string) string { return s }, func(s string) int { return len(s) })
-	if m["banana"] != 6 {
-		t.Errorf("ToMap = %v", m)
-	}
-	d := Distinct(Of(1, 2, 1, 3, 2)).ToSlice()
-	if !reflect.DeepEqual(d, []int{1, 2, 3}) {
-		t.Errorf("Distinct = %v", d)
-	}
-}
-
-func TestPeek(t *testing.T) {
-	var seen []int
-	_ = Range(0, 3).Peek(func(x int) { seen = append(seen, x) }).ToSlice()
-	if !reflect.DeepEqual(seen, []int{0, 1, 2}) {
-		t.Errorf("Peek saw %v", seen)
 	}
 }
 
@@ -180,56 +99,6 @@ func TestParMap(t *testing.T) {
 	}
 	if got := ParMap([]int{}, 4, func(x int) int { return x }); len(got) != 0 {
 		t.Errorf("ParMap empty = %v", got)
-	}
-}
-
-func TestParReduce(t *testing.T) {
-	xs := make([]int, 10000)
-	for i := range xs {
-		xs[i] = 1
-	}
-	sum := ParReduce(xs, 8,
-		func() int { return 0 },
-		func(a, x int) int { return a + x },
-		func(a, b int) int { return a + b })
-	if sum != 10000 {
-		t.Errorf("ParReduce = %d", sum)
-	}
-}
-
-func TestParForEach(t *testing.T) {
-	xs := []int{1, 2, 3, 4, 5}
-	results := make([]int, len(xs))
-	idx := func(x int) int { return x - 1 }
-	ParForEach(xs, 3, func(x int) { results[idx(x)] = x * x })
-	if !reflect.DeepEqual(results, []int{1, 4, 9, 16, 25}) {
-		t.Errorf("ParForEach results = %v", results)
-	}
-}
-
-func TestSplitIndex(t *testing.T) {
-	cases := []struct {
-		n, k, chunks int
-	}{
-		{0, 4, 0}, {1, 4, 1}, {10, 3, 3}, {10, 10, 10}, {3, 10, 3},
-	}
-	for _, c := range cases {
-		chunks := splitIndex(c.n, c.k)
-		if len(chunks) != c.chunks {
-			t.Errorf("splitIndex(%d,%d) has %d chunks, want %d", c.n, c.k, len(chunks), c.chunks)
-		}
-		covered := 0
-		prev := 0
-		for _, ch := range chunks {
-			if ch[0] != prev {
-				t.Errorf("splitIndex(%d,%d) gap at %d", c.n, c.k, ch[0])
-			}
-			covered += ch[1] - ch[0]
-			prev = ch[1]
-		}
-		if covered != c.n {
-			t.Errorf("splitIndex(%d,%d) covers %d", c.n, c.k, covered)
-		}
 	}
 }
 

@@ -10,7 +10,7 @@ GO ?= go
 RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/lin ./internal/streams ./internal/actors ./internal/rx ./internal/mpsc ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen
 
 # The fault-tolerance and engine-concurrency tests: harness panic/timeout
-# isolation, netstack drain/close/breaker/shedding, client retry and close
+# isolation, netstack drain/close/admission control, client retry and close
 # races, the data-parallel engine's executor/shuffle/fused-action
 # interleavings, the actor runtime's shutdown/quiescence/fairness/steal
 # races, and the supervision fault domains (restart/escalation/dead
@@ -25,12 +25,12 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # retry-budget exhaustion, shuffle epoch retries).
 # minilang's FuzzCompile seed corpus (compile, then baseline vs quickened
 # execution) rides along too.
-STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Breaker|Shed|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile'
+STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Registry|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile'
 STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang
 
-.PHONY: check vet build test test-rbench race stress chaos smoke analyze rbench loc
+.PHONY: check vet build test test-rbench race stress stress-fragments chaos smoke analyze rbench loc
 
-check: vet build test test-rbench race
+check: vet build test test-rbench race stress-fragments
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +51,14 @@ race:
 
 stress:
 	$(GO) test -race -count=5 -run $(STRESS_RUN) $(STRESS_PKGS)
+
+# Every STRESS_RUN fragment must match at least one test of STRESS_PKGS, so
+# a renamed or deleted test cannot leave a fragment selecting nothing.
+stress-fragments:
+	@names=$$($(GO) test -list . $(STRESS_PKGS) | grep -E '^(Test|Fuzz)'); \
+	for frag in $$(echo $(STRESS_RUN) | tr '|' ' '); do \
+		echo "$$names" | grep -q "$$frag" || { echo "STRESS_RUN fragment '$$frag' matches no test in STRESS_PKGS"; exit 1; }; \
+	done
 
 # Chaos sweep: run the renaissance suite with seeded fault injection at
 # every registered injection point and assert clean degradation — every

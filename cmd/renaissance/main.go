@@ -321,7 +321,6 @@ type openLoopPoint struct {
 	Rate       float64              `json:"rate"`
 	Throughput float64              `json:"throughput"`
 	Completed  int64                `json:"completed"`
-	Shed       int64                `json:"shed,omitempty"`
 	Rejected   int64                `json:"rejected,omitempty"`
 	Errors     int64                `json:"errors,omitempty"`
 	Dropped    int64                `json:"dropped,omitempty"`
@@ -359,18 +358,18 @@ func runOpenLoop(specs []*core.Spec, cfg core.Config, rates []float64, dur time.
 			res := pt.Result
 			lat := core.SummarizeLatency(res.Hist)
 			if lat == nil {
-				return fmt.Errorf("%s: empty latency histogram at %g req/s (completed=%d shed=%d rejected=%d errors=%d)",
-					s.Name, pt.Rate, res.Completed, res.Shed, res.Rejected, res.Errors)
+				return fmt.Errorf("%s: empty latency histogram at %g req/s (completed=%d rejected=%d errors=%d)",
+					s.Name, pt.Rate, res.Completed, res.Rejected, res.Errors)
 			}
 			out.Points = append(out.Points, openLoopPoint{
 				Rate: pt.Rate, Throughput: res.Throughput(),
-				Completed: res.Completed, Shed: res.Shed, Rejected: res.Rejected,
+				Completed: res.Completed, Rejected: res.Rejected,
 				Errors: res.Errors, Dropped: res.Dropped, Latency: lat,
 			})
 			rows = append(rows, report.SweepRow{
 				Rate: pt.Rate, Throughput: res.Throughput(),
 				P50: lat.P50Millis, P90: lat.P90Millis, P99: lat.P99Millis, P999: lat.P999Millis,
-				Completed: res.Completed, Shed: res.Shed, Rejected: res.Rejected,
+				Completed: res.Completed, Rejected: res.Rejected,
 				Errors: res.Errors, Dropped: res.Dropped, Knee: i == knee,
 			})
 		}
@@ -439,7 +438,7 @@ func cmdMetrics() error {
 		metrics.Array:      "arrays (slices) allocated",
 		metrics.Method:     "dynamically dispatched calls",
 		metrics.IDynamic:   "closure dispatches (invokedynamic analogues)",
-		metrics.DeadLetter: "undeliverable messages and shed requests (fault path)",
+		metrics.DeadLetter: "undeliverable messages and rejected requests (fault path)",
 		metrics.StmAbort:     "STM transaction aborts (conflicts and contention)",
 		metrics.StmExtend:    "STM read-version timestamp extensions",
 		metrics.RddRecompute: "RDD partition recomputes (lineage recovery, fault path)",

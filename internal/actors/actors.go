@@ -17,7 +17,7 @@
 //   - The quiescence counter is striped into versioned per-worker cells and
 //     summed with a double-collect scan (see quiesce.go), so in-flight
 //     accounting never contends on one cache line.
-//   - The name registry is sharded, so Spawn/Lookup/Stop serialize only
+//   - The name registry is sharded, so Spawn and Stop serialize only
 //     within one of 16 stripes.
 //
 // Per-message metric semantics (kept deterministic so PCA runs compare
@@ -54,7 +54,7 @@ type ReceiverFunc func(ctx *Context, msg any)
 // Receive calls the function.
 func (f ReceiverFunc) Receive(ctx *Context, msg any) { f(ctx, msg) }
 
-// regShards is the stripe count of the name registry. Spawn, Lookup, and
+// regShards is the stripe count of the name registry. Spawn and
 // Stop lock only the stripe their name hashes to.
 const regShards = 16
 
@@ -92,13 +92,11 @@ type System struct {
 	nextID  atomic.Int64
 	envPool *mpsc.Pool[envelope]
 
-	// Fault-domain state (see supervision.go): the dead-letter sink and
-	// counter, and the count/handler for failures escalating past the top
-	// of a supervision tree.
-	deadSink    atomic.Pointer[Ref]
-	deadCount   atomic.Int64
-	rootFails   atomic.Int64
-	rootHandler atomic.Pointer[RootHandler]
+	// Fault-domain state (see supervision.go): the dead-letter counter
+	// and the count of failures escalating past the top of a supervision
+	// tree.
+	deadCount atomic.Int64
+	rootFails atomic.Int64
 }
 
 // NewSystem creates an actor system with the given number of scheduler
@@ -147,12 +145,6 @@ func (s *System) Spawn(name string, r Receiver) *Ref {
 	return s.spawn(nil, name, r, nil)
 }
 
-// SpawnWith is Spawn with an explicit fault-domain configuration:
-// supervisor, strategy, restart factory, and backoff (see supervision.go).
-func (s *System) SpawnWith(name string, r Receiver, opts SpawnOpts) *Ref {
-	return s.spawn(nil, name, r, supCellFor(opts))
-}
-
 func supCellFor(opts SpawnOpts) *supCell {
 	return &supCell{
 		supervisor: opts.Supervisor,
@@ -194,28 +186,6 @@ func (s *System) spawn(w *worker, name string, r Receiver, sup *supCell) *Ref {
 		// a literal registration of that exact name; loop until free.
 		name = fmt.Sprintf("%s-%d", base, s.nextID.Add(1))
 	}
-}
-
-// Lookup returns the actor registered under name, if any.
-func (s *System) Lookup(name string) (*Ref, bool) {
-	sh := s.shardFor(name)
-	metrics.IncSynch()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ref, ok := sh.m[name]
-	return ref, ok
-}
-
-// ActorCount returns the number of live registered actors.
-func (s *System) ActorCount() int {
-	n := 0
-	for i := range s.shards {
-		metrics.IncSynch()
-		s.shards[i].mu.Lock()
-		n += len(s.shards[i].m)
-		s.shards[i].mu.Unlock()
-	}
-	return n
 }
 
 // Shutdown stops the workers after in-flight messages drain. Pending
@@ -264,9 +234,6 @@ type envelope struct {
 	sender *Ref
 }
 
-// Name returns the actor's registered name.
-func (r *Ref) Name() string { return r.name }
-
 // Tell enqueues a message for the actor with no sender.
 func (r *Ref) Tell(msg any) { r.enqueue(msg, nil, nil) }
 
@@ -282,7 +249,7 @@ func (r *Ref) enqueue(msg any, sender *Ref, w *worker) {
 		w = nil // cross-system send: the hint's queues belong elsewhere
 	}
 	if r.stopped.Load() || r.sys.stopped.Load() {
-		r.sys.deadLetter(w, r, msg, sender)
+		r.sys.deadLetter(w)
 		return
 	}
 	// Deterministic per-send accounting: in-flight bump + mailbox swap +
@@ -346,7 +313,7 @@ func (r *Ref) processBatch(w *worker) {
 		if r.stopped.Load() {
 			// Stopped with queued messages: dead-letter them, keeping the
 			// in-flight accounting so quiescence still reaches zero.
-			r.sys.deadLetter(w, r, env.msg, env.sender)
+			r.sys.deadLetter(w)
 			r.sys.messageDone(w)
 			continue
 		}
@@ -425,12 +392,6 @@ type Context struct {
 
 // Self returns the reference of the actor processing the message.
 func (c *Context) Self() *Ref { return c.self }
-
-// Sender returns the sending actor's reference, or nil.
-func (c *Context) Sender() *Ref { return c.sender }
-
-// System returns the actor system.
-func (c *Context) System() *System { return c.sys }
 
 // Spawn creates a child actor with the default fault domain (no
 // supervisor, DefaultStrategy).

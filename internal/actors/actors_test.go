@@ -89,7 +89,7 @@ func TestReplyAndSender(t *testing.T) {
 	defer sys.Shutdown()
 
 	echo := sys.Spawn("echo", ReceiverFunc(func(ctx *Context, msg any) {
-		if ctx.Sender() == nil {
+		if ctx.sender == nil {
 			t.Error("nil sender in ask")
 			return
 		}
@@ -150,25 +150,24 @@ func TestStopBecomesDeadLetter(t *testing.T) {
 	if received.Load() != 1 {
 		t.Errorf("received = %d, want 1 (post-stop messages dropped)", received.Load())
 	}
-	if _, ok := sys.Lookup("stopme"); ok {
-		t.Error("stopped actor still registered")
+	if got := sys.DeadLetterCount(); got != 2 {
+		t.Errorf("DeadLetterCount = %d, want 2 (one per post-stop message)", got)
+	}
+	if b := sys.Spawn("stopme", ReceiverFunc(func(*Context, any) {})); b.name != "stopme" {
+		t.Errorf("respawn got name %q: stopped actor still registered", b.name)
 	}
 }
 
 func TestLookupAndNames(t *testing.T) {
+	// Names are unique among live actors: the first spawn keeps the name it
+	// asked for, a second spawn of the same name gets a suffix.
 	sys := NewSystem(1)
 	defer sys.Shutdown()
 
 	a := sys.Spawn("worker", ReceiverFunc(func(*Context, any) {}))
 	b := sys.Spawn("worker", ReceiverFunc(func(*Context, any) {}))
-	if a.Name() == b.Name() {
-		t.Errorf("duplicate names: %q vs %q", a.Name(), b.Name())
-	}
-	if ref, ok := sys.Lookup("worker"); !ok || ref != a {
-		t.Error("lookup of original name failed")
-	}
-	if sys.ActorCount() != 2 {
-		t.Errorf("ActorCount = %d, want 2", sys.ActorCount())
+	if a.name != "worker" || b.name == a.name {
+		t.Errorf("names %q and %q, want worker and a distinct suffixed name", a.name, b.name)
 	}
 }
 

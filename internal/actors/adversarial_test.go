@@ -211,8 +211,9 @@ func TestQuiesceUnderAdversarialLoad(t *testing.T) {
 	}
 }
 
-// Ask must not touch the registry: the reply target is an ephemeral ref, so
-// repeated Asks churn no names and take no registry locks.
+// Ask must not touch the registry: the reply target is an ephemeral ref
+// named "ask", so repeated Asks churn no names and take no registry locks —
+// the name stays free for a real spawn, with no suffix counter consumed.
 func TestAskEphemeralNotRegistered(t *testing.T) {
 	sys := NewSystem(2)
 	defer sys.Shutdown()
@@ -229,12 +230,10 @@ func TestAskEphemeralNotRegistered(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("ask %d timed out", i)
 		}
-		if _, ok := sys.Lookup("ask"); ok {
-			t.Fatal("Ask registered its reply actor")
-		}
-		if n := sys.ActorCount(); n != 1 {
-			t.Fatalf("ActorCount = %d after %d asks, want 1 (no registry churn)", n, i+1)
-		}
+	}
+	if r := sys.Spawn("ask", ReceiverFunc(func(*Context, any) {})); r.name != "ask" || sys.nextID.Load() != 0 {
+		t.Fatalf("spawn after 100 asks got name %q, %d suffixes drawn: Ask registered its reply actor",
+			r.name, sys.nextID.Load())
 	}
 }
 
@@ -274,15 +273,18 @@ func TestMailboxFloodDrainReleasesBuffers(t *testing.T) {
 	}
 }
 
-// Registry sharding: concurrent Spawn/Lookup/Stop across many names must be
-// race-clean and keep counts exact.
+// Registry sharding: concurrent Spawn/Stop of one contended base name must
+// be race-clean, hand every live actor a distinct name, and free every name
+// on Stop.
 func TestRegistryShardedConcurrentSpawnStop(t *testing.T) {
 	sys := NewSystem(4)
 	defer sys.Shutdown()
 
 	const goroutines = 8
 	const perG = 200
-	var wg sync.WaitGroup
+	var wg, spawned sync.WaitGroup
+	var names sync.Map
+	spawned.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
@@ -292,20 +294,24 @@ func TestRegistryShardedConcurrentSpawnStop(t *testing.T) {
 				refs = append(refs, sys.Spawn("worker", ReceiverFunc(func(*Context, any) {})))
 			}
 			for _, r := range refs {
-				if got, ok := sys.Lookup(r.Name()); !ok || got != r {
-					t.Errorf("lookup %q failed after spawn", r.Name())
-					return
+				if _, dup := names.LoadOrStore(r.name, r); dup {
+					t.Errorf("name %q handed to two live actors", r.name)
 				}
 			}
+			spawned.Done()
+			spawned.Wait() // a name freed by Stop may be handed out again
 			for _, r := range refs {
 				r.Stop()
 			}
 		}()
 	}
 	wg.Wait()
-	if n := sys.ActorCount(); n != 0 {
-		t.Fatalf("ActorCount = %d after all stops, want 0", n)
-	}
+	names.Range(func(name, _ any) bool {
+		if r := sys.Spawn(name.(string), ReceiverFunc(func(*Context, any) {})); r.name != name {
+			t.Fatalf("respawn of %q got %q: name still registered after Stop", name, r.name)
+		}
+		return true
+	})
 }
 
 // The scheduler must actually steal: a single actor fanning out to children

@@ -21,8 +21,8 @@
 //     parent's strategy decides the child's fate synchronously): decisions
 //     here never execute on another actor's worker, so supervisor state is
 //     only ever touched under the supervisor's slot. A failure that
-//     escalates past the top of a tree is a root failure: counted on the
-//     System and reported to the root handler.
+//     escalates past the top of a tree is a root failure, counted on the
+//     System.
 package actors
 
 import (
@@ -151,18 +151,6 @@ type PreRestarter interface{ PreRestart(err any) }
 // calling goroutine. A panic inside the hook is swallowed.
 type PostStopper interface{ PostStop() }
 
-// RootHandler observes failures that escalate past the top of a
-// supervision tree. The failing actor is already stopped when it runs.
-type RootHandler func(failed *Ref, err any)
-
-// DeadLetter wraps an undeliverable message routed to the dead-letter
-// sink: the intended target, the original message, and its sender.
-type DeadLetter struct {
-	To     *Ref
-	Msg    any
-	Sender *Ref
-}
-
 // escalated is the internal system message carrying a child failure to its
 // supervisor. The runtime intercepts it in processBatch — it is never
 // delivered to Receive — and applies the supervisor's own strategy under
@@ -283,60 +271,27 @@ func (r *Ref) escalate(w *worker, err any) {
 	sup := r.Supervisor()
 	r.Stop()
 	if sup == nil || sup.stopped.Load() {
-		r.sys.rootFailure(r, err)
+		r.sys.rootFails.Add(1)
 		return
 	}
 	sup.enqueue(escalated{child: r, err: err}, r, w)
-}
-
-func (s *System) rootFailure(failed *Ref, err any) {
-	s.rootFails.Add(1)
-	if h := s.rootHandler.Load(); h != nil {
-		runHook(func() { (*h)(failed, err) })
-	}
-}
-
-// SetRootHandler installs a callback observing failures that escalate past
-// the top of a supervision tree.
-func (s *System) SetRootHandler(h RootHandler) {
-	if h == nil {
-		s.rootHandler.Store(nil)
-		return
-	}
-	s.rootHandler.Store(&h)
 }
 
 // RootFailures returns the number of failures that escalated past the top
 // of a supervision tree.
 func (s *System) RootFailures() int64 { return s.rootFails.Load() }
 
-// SetDeadLetterSink routes every dead letter — a message sent to a stopped
-// actor, or drained from a stopped actor's mailbox — to ref, wrapped in a
-// DeadLetter. Dead letters addressed to the sink itself, and DeadLetter
-// wrappers that become dead in turn, are counted but not re-routed, so the
-// sink cannot recurse.
-func (s *System) SetDeadLetterSink(ref *Ref) { s.deadSink.Store(ref) }
-
 // DeadLetterCount returns the number of messages dead-lettered so far.
 func (s *System) DeadLetterCount() int64 { return s.deadCount.Load() }
 
-// deadLetter accounts one undeliverable message (the fault-path metric
-// DeadLetter plus the system counter) and forwards it to the sink when one
-// is installed.
-func (s *System) deadLetter(w *worker, to *Ref, msg any, sender *Ref) {
+// deadLetter accounts one undeliverable message — a message sent to a
+// stopped actor, or drained from a stopped actor's mailbox: the fault-path
+// metric DeadLetter plus the system counter.
+func (s *System) deadLetter(w *worker) {
 	s.deadCount.Add(1)
 	if w != nil {
 		w.local.IncDeadLetter()
 	} else {
 		metrics.IncDeadLetter()
 	}
-	sink := s.deadSink.Load()
-	if sink == nil || sink == to || sink.stopped.Load() || s.stopped.Load() {
-		return
-	}
-	switch msg.(type) {
-	case DeadLetter, escalated:
-		return // counted only: no re-wrapping, no recursion
-	}
-	sink.enqueue(DeadLetter{To: to, Msg: msg, Sender: sender}, sender, w)
 }

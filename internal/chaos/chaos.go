@@ -6,7 +6,7 @@
 // and writes, STM commits). It generalizes the harness-level core.FaultInjector — which
 // injects faults between benchmark iterations — down to the substrate
 // level, so the fault *domains* built into each substrate (supervision,
-// TaskError propagation, retry/breaker policies) are exercised under
+// TaskError propagation, retry policies) are exercised under
 // deterministic, reproducible schedules.
 //
 // Design constraints:
@@ -92,9 +92,6 @@ func Configure(newSeed int64, newRate float64) {
 // Disable turns every injection point back into a no-op. Per-point
 // overrides and counters are preserved until the next Configure.
 func Disable() { on.Store(false) }
-
-// Enabled reports whether any injection can fire.
-func Enabled() bool { return on.Load() }
 
 // Seed returns the configured seed.
 func Seed() int64 { return seed.Load() }

@@ -32,7 +32,7 @@ func TestDisabledIsInert(t *testing.T) {
 func TestZeroRateConfiguresButStaysDormant(t *testing.T) {
 	Configure(42, 0)
 	defer Disable()
-	if Enabled() {
+	if on.Load() {
 		t.Error("rate 0 left the engine enabled")
 	}
 	if Seed() != 42 {
@@ -93,7 +93,7 @@ func TestRateClamping(t *testing.T) {
 		}
 	}
 	Configure(1, -3) // clamped to 0: dormant
-	if Enabled() {
+	if on.Load() {
 		t.Error("negative rate left the engine enabled")
 	}
 }
@@ -102,7 +102,7 @@ func TestPerPointOverride(t *testing.T) {
 	Configure(5, 0) // dormant globally
 	defer Disable()
 	SetRate("hot.point", 1)
-	if !Enabled() {
+	if !on.Load() {
 		t.Fatal("SetRate > 0 did not arm the engine")
 	}
 	if !Maybe("hot.point") {

@@ -201,22 +201,6 @@ func (r *Registry) All() []*Spec {
 	return out
 }
 
-// Suites returns the distinct suite names present, sorted.
-func (r *Registry) Suites() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := map[string]bool{}
-	for _, s := range r.specs {
-		seen[s.Suite] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // IterationEvent describes one executed iteration, passed to plugins.
 type IterationEvent struct {
 	Benchmark string

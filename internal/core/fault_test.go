@@ -143,9 +143,17 @@ func TestRunAllContinuesPastFailures(t *testing.T) {
 	goodSpec := testSpec("g", good)
 
 	r := NewRunner()
-	results, err := r.RunAll([]*Spec{&panicky, &sleepy, &erroring, &goodSpec})
-	if err == nil {
-		t.Error("want first error reported")
+	var results []*Result
+	var firstErr error
+	for _, s := range []*Spec{&panicky, &sleepy, &erroring, &goodSpec} {
+		res, err := r.Run(s)
+		results = append(results, res)
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr == nil || !strings.Contains(firstErr.Error(), "x") {
+		t.Errorf("first error = %v, want the first spec's panic", firstErr)
 	}
 	if len(results) != 4 {
 		t.Fatalf("results = %d, want 4", len(results))
@@ -254,9 +262,9 @@ func TestFaultInjectorDelayCountsInDuration(t *testing.T) {
 }
 
 func TestFaultInjectorMatching(t *testing.T) {
-	fi := NewFaultInjector()
-	fi.Add(Fault{Suite: "other", Iteration: -1, Err: errors.New("wrong suite")})
-	fi.Add(Fault{Benchmark: "someone-else", Iteration: -1, Err: errors.New("wrong bench")})
+	fi := NewFaultInjector(
+		Fault{Suite: "other", Iteration: -1, Err: errors.New("wrong suite")},
+		Fault{Benchmark: "someone-else", Iteration: -1, Err: errors.New("wrong bench")})
 	w := &countingWorkload{}
 	spec := testSpec("untouched", w)
 	r := NewRunner()

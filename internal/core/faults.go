@@ -57,13 +57,6 @@ func NewFaultInjector(faults ...Fault) *FaultInjector {
 	return &FaultInjector{faults: faults}
 }
 
-// Add arms one more fault.
-func (fi *FaultInjector) Add(f Fault) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	fi.faults = append(fi.faults, f)
-}
-
 // Injected returns how many faults have fired so far.
 func (fi *FaultInjector) Injected() int {
 	fi.mu.Lock()

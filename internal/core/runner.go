@@ -13,9 +13,10 @@ import (
 )
 
 // Status classifies the outcome of one benchmark run. A non-ok status never
-// aborts a sweep: RunAll records it and moves on to the next spec (the
-// steady-state-methodology requirement that a single misbehaving benchmark
-// must not invalidate a whole suite run).
+// aborts a sweep: Run returns the result with its status recorded, so the
+// caller's loop moves on to the next spec (the steady-state-methodology
+// requirement that a single misbehaving benchmark must not invalidate a
+// whole suite run).
 type Status string
 
 const (
@@ -315,23 +316,6 @@ func (r *Runner) runSpec(spec *Spec) (*Result, error) {
 		p.AfterBenchmark(spec, res)
 	}
 	return res, nil
-}
-
-// RunAll runs every given spec with graceful degradation: a failed,
-// panicked, or timed-out benchmark is recorded with its status and the
-// sweep continues with the remaining specs. The first error is returned
-// after attempting all specs.
-func (r *Runner) RunAll(specs []*Spec) ([]*Result, error) {
-	var firstErr error
-	out := make([]*Result, 0, len(specs))
-	for _, s := range specs {
-		res, err := r.Run(s)
-		out = append(out, res)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
 }
 
 // Tally counts results by status, for sweep exit summaries.

@@ -376,25 +376,6 @@ func MHSMethodProfile(scale int) (with, without []jit.HotMethod, err error) {
 	return with, without, err
 }
 
-// KernelProfile returns the bytecode-level metric counters of one kernel
-// (the RVM rows of Table 7).
-func KernelProfile(suite, name string, scale int) (rvm.Counters, error) {
-	spec, ok := kernels.Lookup(suite, name)
-	if !ok {
-		return rvm.Counters{}, fmt.Errorf("no kernel %s/%s", suite, name)
-	}
-	prog, err := kernels.Build(spec, scale)
-	if err != nil {
-		return rvm.Counters{}, err
-	}
-	vm := rvm.NewInterp(prog)
-	vm.Fuel = 2_000_000_000
-	if _, err := vm.Run(); err != nil {
-		return rvm.Counters{}, err
-	}
-	return vm.Counters, nil
-}
-
 // CompileTimeDelta measures Table 16 the paper's way: the relative
 // reduction in total compilation time when one optimization is disabled,
 // aggregated over all kernels.

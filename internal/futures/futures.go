@@ -158,7 +158,9 @@ func protect[T any](fn func() (T, error)) (v T, err error) {
 }
 
 // Map returns a future holding fn applied to f's value; errors pass
-// through.
+// through. fn runs on whichever goroutine completes f, so a panicking fn
+// fails the derived future with a *PanicError instead of unwinding into
+// the completer.
 func Map[T, U any](f *Future[T], fn func(T) U) *Future[U] {
 	p := NewPromise[U]()
 	f.OnComplete(func(v T, err error) {
@@ -167,7 +169,12 @@ func Map[T, U any](f *Future[T], fn func(T) U) *Future[U] {
 			return
 		}
 		metrics.IncIDynamic()
-		_ = p.Success(fn(v))
+		u, err := protect(func() (U, error) { return fn(v), nil })
+		if err != nil {
+			_ = p.Failure(err)
+			return
+		}
+		_ = p.Success(u)
 	})
 	return p.f
 }

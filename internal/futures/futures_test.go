@@ -141,6 +141,24 @@ func TestAsyncPanicFailsFuture(t *testing.T) {
 	}
 }
 
+// A panicking mapper runs on whichever goroutine completed the upstream
+// promise — here Async's bare goroutine — so it must fail the derived
+// future, not kill the process.
+func TestMapPanicFailsFuture(t *testing.T) {
+	up := Async(func() (int, error) {
+		time.Sleep(time.Millisecond) // complete after Map has registered
+		return 1, nil
+	})
+	_, err := Map(up, func(int) int { panic("stage exploded") }).Await()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "stage exploded" || len(pe.Stack) == 0 {
+		t.Fatalf("Map err = %v, want PanicError(stage exploded) with a stack", err)
+	}
+	if v, err := up.Await(); v != 1 || err != nil {
+		t.Errorf("upstream = (%d, %v), want (1, nil): the mapper's panic is its own", v, err)
+	}
+}
+
 func TestMapChain(t *testing.T) {
 	f := Async(func() (int, error) { return 10, nil })
 	g := Map(f, func(v int) int { return v * 2 })

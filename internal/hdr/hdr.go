@@ -4,8 +4,7 @@
 // omission work: constant-time recording into logarithmically spaced
 // buckets whose width is a bounded fraction of the recorded value, so the
 // full latency *distribution* — not a mean — survives millions of samples
-// in a few kilobytes, and histograms from concurrent load generators merge
-// losslessly by bucket-wise addition.
+// in a few kilobytes.
 //
 // Layout. Values are non-negative int64s (the serving tier records
 // nanoseconds). Bucket 0 holds one slot per value in [0, 32) — exact unit
@@ -170,55 +169,6 @@ func (h *Histogram) clamp(v int64) int64 {
 	return v
 }
 
-// QuantileDuration returns Quantile(q) as a duration.
-func (h *Histogram) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q))
-}
-
-// Merge adds every observation of o into h, losslessly: the merged
-// histogram's slot counts are the element-wise sums and its min/max are
-// the combined extremes, so merging is associative and commutative and a
-// quantile of the merge equals the quantile of recording both input
-// streams into one histogram. o is read atomically but should be quiescent
-// for an exact merge.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	var moved int64
-	for i := 0; i < slotCount; i++ {
-		if c := o.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-			moved += c
-		}
-	}
-	if moved == 0 {
-		return
-	}
-	h.total.Add(moved)
-	for {
-		m := h.min.Load()
-		om := o.min.Load()
-		if om >= m || h.min.CompareAndSwap(m, om) {
-			break
-		}
-	}
-	for {
-		m := h.max.Load()
-		om := o.max.Load()
-		if om <= m || h.max.CompareAndSwap(m, om) {
-			break
-		}
-	}
-}
-
-// Clone returns an independent copy of h.
-func (h *Histogram) Clone() *Histogram {
-	c := New()
-	c.Merge(h)
-	return c
-}
-
 // Reset empties the histogram.
 func (h *Histogram) Reset() {
 	for i := 0; i < slotCount; i++ {
@@ -227,39 +177,4 @@ func (h *Histogram) Reset() {
 	h.total.Store(0)
 	h.min.Store(math.MaxInt64)
 	h.max.Store(0)
-}
-
-// Bucket is one non-empty slot of an exported histogram.
-type Bucket struct {
-	// Lower and Upper bound the slot's value range, [Lower, Upper).
-	Lower, Upper int64
-	Count        int64
-}
-
-// Buckets returns the non-empty slots in ascending value order, for
-// reports and serialization.
-func (h *Histogram) Buckets() []Bucket {
-	var out []Bucket
-	for i := 0; i < slotCount; i++ {
-		if c := h.counts[i].Load(); c > 0 {
-			lower, upper := slotBounds(i)
-			out = append(out, Bucket{Lower: lower, Upper: upper, Count: c})
-		}
-	}
-	return out
-}
-
-// Equal reports whether two histograms hold identical slot counts and
-// extremes (the merge-associativity property tests use it).
-func (h *Histogram) Equal(o *Histogram) bool {
-	if h.total.Load() != o.total.Load() ||
-		h.min.Load() != o.min.Load() || h.max.Load() != o.max.Load() {
-		return false
-	}
-	for i := 0; i < slotCount; i++ {
-		if h.counts[i].Load() != o.counts[i].Load() {
-			return false
-		}
-	}
-	return true
 }

@@ -56,9 +56,6 @@ func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set stores element (i, j).
 func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Zero clears every element in place.
-func (m *Mat) Zero() { clear(m.Data) }
-
 // PadStride returns the row width to allocate so that rows of useful
 // width w land on disjoint cache lines regardless of the backing
 // array's alignment: w rounded up to a 64-byte multiple plus one spacer

@@ -94,12 +94,6 @@ func TestMatRowLayout(t *testing.T) {
 	if cap(row) != 4 {
 		t.Errorf("Row cap = %d, want 4", cap(row))
 	}
-	m.Zero()
-	for _, v := range m.Data {
-		if v != 0 {
-			t.Fatal("Zero left residue")
-		}
-	}
 }
 
 // TestSyrLowerTriangleOnly: Syr must produce the exact lower triangle of
@@ -268,24 +262,15 @@ func TestScratchReuseAndZeroing(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = 1
 	}
-	v := s.Vec(8)
-	for i := range v {
-		v[i] = 1
-	}
-	// Same scratch, same sizes: must come back zeroed without allocating.
-	m2, v2 := s.MatN(4), s.Vec(8)
+	// Same scratch, same size: must come back zeroed without allocating.
+	m2 := s.MatN(4)
 	for _, x := range m2.Data {
 		if x != 0 {
 			t.Fatal("MatN not zeroed on reuse")
 		}
 	}
-	for _, x := range v2 {
-		if x != 0 {
-			t.Fatal("Vec not zeroed on reuse")
-		}
-	}
-	if m2.Rows != 4 || m2.Cols != 4 || len(v2) != 8 {
-		t.Fatalf("scratch shapes: %dx%d, %d", m2.Rows, m2.Cols, len(v2))
+	if m2.Rows != 4 || m2.Cols != 4 {
+		t.Fatalf("scratch shape: %dx%d", m2.Rows, m2.Cols)
 	}
 	// Shrinking reuses the grown backing.
 	before := cap(s.mat.Data)
@@ -300,12 +285,9 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 	s := GetScratch()
 	defer PutScratch(s)
 	_ = s.MatN(8)
-	_ = s.Vec(64)
 	allocs := testing.AllocsPerRun(100, func() {
 		m := s.MatN(8)
 		m.Data[0] = 1
-		v := s.Vec(64)
-		v[0] = 1
 	})
 	if allocs != 0 {
 		t.Errorf("scratch steady state allocates %.1f/op, want 0", allocs)

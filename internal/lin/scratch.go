@@ -2,18 +2,16 @@ package lin
 
 import "sync"
 
-// Scratch is a reusable bundle of per-worker working memory for the
-// solver hot loops: one square matrix and one vector, grown on demand
-// and recycled through a sync.Pool so steady-state iterations (an ALS
-// normal-equation solve per user, a PageRank accumulator row per
-// partition) allocate nothing.
+// Scratch is reusable per-worker working memory for the solver hot
+// loops: one square matrix, grown on demand and recycled through a
+// sync.Pool so steady-state iterations (an ALS normal-equation solve per
+// user) allocate nothing.
 type Scratch struct {
 	mat Mat
-	vec []float64
 }
 
 // scratchRetainCap bounds how much backing memory a recycled Scratch may
-// keep (in float64s, per buffer), so one pathological request cannot pin
+// keep (in float64s), so one pathological request cannot pin
 // a huge allocation in the pool — the same release discipline the STM
 // transaction pool uses for its read/write vectors.
 const scratchRetainCap = 1 << 16
@@ -23,13 +21,10 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // GetScratch returns a scratch bundle from the pool.
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-// PutScratch recycles s, dropping oversized backing buffers.
+// PutScratch recycles s, dropping an oversized backing buffer.
 func PutScratch(s *Scratch) {
 	if cap(s.mat.Data) > scratchRetainCap {
 		s.mat.Data = nil
-	}
-	if cap(s.vec) > scratchRetainCap {
-		s.vec = nil
 	}
 	scratchPool.Put(s)
 }
@@ -45,14 +40,4 @@ func (s *Scratch) MatN(n int) *Mat {
 	s.mat.Rows, s.mat.Cols = n, n
 	clear(s.mat.Data)
 	return &s.mat
-}
-
-// Vec returns the scratch vector resized to n, zeroed, grow-only.
-func (s *Scratch) Vec(n int) []float64 {
-	if cap(s.vec) < n {
-		s.vec = make([]float64, n)
-	}
-	s.vec = s.vec[:n]
-	clear(s.vec)
-	return s.vec
 }

@@ -116,9 +116,8 @@ type Result struct {
 	// Offered counts scheduled arrivals; Completed successful responses.
 	Offered   int64
 	Completed int64
-	// Shed and Rejected count overload turn-aways (netstack.ErrShed /
-	// netstack.ErrRejected); Errors everything else.
-	Shed     int64
+	// Rejected counts overload turn-aways (netstack.ErrRejected); Errors
+	// everything else.
 	Rejected int64
 	Errors   int64
 	// Dropped counts arrivals refused by the MaxOutstanding safety valve.
@@ -179,7 +178,7 @@ func Run(t Target, opt Options) (*Result, error) {
 	schedule := arrivalOffsets(opt.Seed, opt.Rate, opt.Duration)
 
 	res := &Result{Rate: opt.Rate, Hist: hdr.New()}
-	var completed, shed, rejected, errs atomic.Int64
+	var completed, rejected, errs atomic.Int64
 	sem := make(chan struct{}, maxOut)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -209,8 +208,6 @@ func Run(t Target, opt Options) (*Result, error) {
 			case err == nil:
 				res.Hist.RecordDuration(lat)
 				completed.Add(1)
-			case errors.Is(err, netstack.ErrShed):
-				shed.Add(1)
 			case errors.Is(err, netstack.ErrRejected):
 				rejected.Add(1)
 			default:
@@ -221,7 +218,6 @@ func Run(t Target, opt Options) (*Result, error) {
 	wg.Wait()
 	res.Elapsed = time.Since(start)
 	res.Completed = completed.Load()
-	res.Shed = shed.Load()
 	res.Rejected = rejected.Load()
 	res.Errors = errs.Load()
 	return res, nil
@@ -240,7 +236,7 @@ func RunClosed(t Target, clients, perClient int) (*Result, error) {
 		return nil, errors.New("loadgen: clients and perClient must be > 0")
 	}
 	res := &Result{Hist: hdr.New()}
-	var completed, shed, rejected, errs atomic.Int64
+	var completed, rejected, errs atomic.Int64
 	var wg sync.WaitGroup
 	start := time.Now()
 	for c := 0; c < clients; c++ {
@@ -255,8 +251,6 @@ func RunClosed(t Target, clients, perClient int) (*Result, error) {
 				case err == nil:
 					res.Hist.RecordDuration(time.Since(sent))
 					completed.Add(1)
-				case errors.Is(err, netstack.ErrShed):
-					shed.Add(1)
 				case errors.Is(err, netstack.ErrRejected):
 					rejected.Add(1)
 				default:
@@ -269,7 +263,6 @@ func RunClosed(t Target, clients, perClient int) (*Result, error) {
 	res.Elapsed = time.Since(start)
 	res.Offered = int64(clients * perClient)
 	res.Completed = completed.Load()
-	res.Shed = shed.Load()
 	res.Rejected = rejected.Load()
 	res.Errors = errs.Load()
 	return res, nil

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"renaissance/internal/core"
+	"renaissance/internal/futures"
 	"renaissance/internal/hdr"
 	"renaissance/internal/netstack"
 )
@@ -247,7 +249,7 @@ func TestErrorClassification(t *testing.T) {
 		check func(r *Result) int64
 		name  string
 	}{
-		{netstack.ErrShed, func(r *Result) int64 { return r.Shed }, "shed"},
+		{errors.New("boom"), func(r *Result) int64 { return r.Errors }, "error"},
 		{netstack.ErrRejected, func(r *Result) int64 { return r.Rejected }, "rejected"},
 	} {
 		res, err := Run(&errorTarget{err: tc.err}, Options{Rate: 1000, Duration: 100 * time.Millisecond, Seed: 1})
@@ -263,6 +265,51 @@ func TestErrorClassification(t *testing.T) {
 		if res.Hist.Count() != 0 {
 			t.Errorf("%s: failed requests must not pollute the latency histogram", tc.name)
 		}
+	}
+}
+
+// netTarget drives a real netstack client, the shape the finagle targets
+// register.
+type netTarget struct{ cli *netstack.Client }
+
+func (n netTarget) Send(uint64) error {
+	_, err := n.cli.CallSync([]byte("x"))
+	return err
+}
+func (n netTarget) Close() error { return n.cli.Close() }
+
+// A server with MaxPending but no MaxQueue has a zero-length admission
+// queue: overload is turned away with the one typed rejection, which the
+// generator counts under Rejected, not Errors.
+func TestZeroLengthQueueLandsInRejected(t *testing.T) {
+	srv, err := netstack.Serve("127.0.0.1:0", func(req []byte) *futures.Future[[]byte] {
+		return futures.Async(func() ([]byte, error) {
+			time.Sleep(20 * time.Millisecond)
+			return req, nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.MaxPending = 1
+	defer srv.Close()
+	cli, err := netstack.Dial(srv.Addr(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := netTarget{cli}
+	defer tgt.Close()
+
+	res, err := Run(tgt, Options{Rate: 500, Duration: 200 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected == 0 || res.Rejected != srv.Rejected.Load() {
+		t.Errorf("Result.Rejected = %d, Server.Rejected = %d, want equal and > 0", res.Rejected, srv.Rejected.Load())
+	}
+	if res.Errors != 0 || res.Completed+res.Rejected != res.Offered-res.Dropped {
+		t.Errorf("accounting: %d completed + %d rejected + %d errors of %d offered, %d dropped",
+			res.Completed, res.Rejected, res.Errors, res.Offered, res.Dropped)
 	}
 }
 

@@ -54,7 +54,7 @@ func Sweep(factory func() (Target, error), rates []float64, opt Options) ([]Swee
 // the whole distribution — median included — has shifted up and the
 // p99/p50 ratio alone flattens out again). factor <= 0 means
 // DefaultKneeFactor. Points that completed nothing are skipped: an
-// all-shed point says the admission path saturated, not the service
+// all-rejected point says the admission path saturated, not the service
 // latency.
 func Knee(points []SweepPoint, factor float64) int {
 	if factor <= 0 {

@@ -19,9 +19,9 @@
 // counter bump therefore never contends with a bump of a different metric
 // (no false sharing between adjacent counters) and rarely contends with the
 // same metric bumped by another goroutine (writers spread across shards via
-// a cheap per-goroutine hash). Reads — Get, Snapshot — sum across shards;
-// Reset clears every shard. Counts are exact, not sampled: every bump lands
-// in exactly one shard lane and every read sums all lanes.
+// a cheap per-goroutine hash). Reads — Get, Snapshot — sum across shards.
+// Counts are exact, not sampled: every bump lands in exactly one shard lane
+// and every read sums all lanes.
 //
 // Code on a measured hot path can go one step further and acquire a Local
 // handle (Local or LocalAt), a recorder pinned to a single shard: the hash
@@ -55,7 +55,7 @@ const (
 	IDynamic                // invokedynamic analogues (closure dispatch)
 	// DeadLetter extends Table 2 with a fault-path counter: messages that
 	// could not be delivered (sends to stopped actors, mailbox drains of a
-	// stopped actor, shed netstack requests). It quantifies the
+	// stopped actor, rejected netstack requests). It quantifies the
 	// concurrency-primitive cost of failure handling the same way the
 	// other counters quantify the happy path.
 	DeadLetter
@@ -139,9 +139,6 @@ func computeShards() int {
 	return s
 }
 
-// NumShards returns the stripe count of every Recorder in this process.
-func NumShards() int { return numShards }
-
 // lane is one counter on its own cache line.
 type lane struct {
 	v atomic.Int64
@@ -190,15 +187,6 @@ func (r *Recorder) Get(m Metric) int64 {
 	return n
 }
 
-// Reset zeroes every counter in every shard.
-func (r *Recorder) Reset() {
-	for i := 0; i < numShards; i++ {
-		for m := range r.shards[i].lanes {
-			r.shards[i].lanes[m].v.Store(0)
-		}
-	}
-}
-
 // Snapshot captures the current value of every counter (each metric summed
 // across shards).
 func (r *Recorder) Snapshot() Snapshot {
@@ -227,7 +215,7 @@ func (r *Recorder) Local() Local {
 	return Local{&r.shards[shardIndex()]}
 }
 
-// LocalAt returns a handle pinned to stripe i mod NumShards — worker pools
+// LocalAt returns a handle pinned to stripe i mod numShards — worker pools
 // use the worker index to spread workers deterministically across stripes.
 func (r *Recorder) LocalAt(i int) Local {
 	return Local{&r.shards[uint64(i)&shardMask]}
@@ -239,9 +227,6 @@ func Acquire() Local { return Default.Local() }
 
 // AcquireAt returns a Local on the Default recorder pinned to stripe i.
 func AcquireAt(i int) Local { return Default.LocalAt(i) }
-
-// Add adds delta occurrences of metric m to the pinned shard.
-func (l Local) Add(m Metric, delta int64) { l.sh.lanes[m].v.Add(delta) }
 
 // IncSynch records entry into a synchronized (mutex-protected) section.
 func (l Local) IncSynch() { l.sh.lanes[Synch].v.Add(1) }
@@ -264,9 +249,6 @@ func (l Local) IncPark() { l.sh.lanes[Park].v.Add(1) }
 // IncObject records one object allocation.
 func (l Local) IncObject() { l.sh.lanes[Object].v.Add(1) }
 
-// AddObject records n object allocations.
-func (l Local) AddObject(n int64) { l.sh.lanes[Object].v.Add(n) }
-
 // IncArray records one array (slice) allocation.
 func (l Local) IncArray() { l.sh.lanes[Array].v.Add(1) }
 
@@ -276,17 +258,11 @@ func (l Local) AddArray(n int64) { l.sh.lanes[Array].v.Add(n) }
 // IncMethod records one dynamically dispatched call.
 func (l Local) IncMethod() { l.sh.lanes[Method].v.Add(1) }
 
-// AddMethod records n dynamically dispatched calls.
-func (l Local) AddMethod(n int64) { l.sh.lanes[Method].v.Add(n) }
-
 // IncIDynamic records one invokedynamic analogue (closure dispatch).
 func (l Local) IncIDynamic() { l.sh.lanes[IDynamic].v.Add(1) }
 
 // AddIDynamic records n invokedynamic analogues.
 func (l Local) AddIDynamic(n int64) { l.sh.lanes[IDynamic].v.Add(n) }
-
-// AddCacheMiss records n simulated cache misses.
-func (l Local) AddCacheMiss(n int64) { l.sh.lanes[CacheMiss].v.Add(n) }
 
 // IncDeadLetter records one dropped or dead-lettered message.
 func (l Local) IncDeadLetter() { l.sh.lanes[DeadLetter].v.Add(1) }
@@ -296,9 +272,6 @@ func (l Local) IncStmAbort() { l.sh.lanes[StmAbort].v.Add(1) }
 
 // IncStmExtend records one successful STM timestamp extension.
 func (l Local) IncStmExtend() { l.sh.lanes[StmExtend].v.Add(1) }
-
-// IncRddRecompute records one RDD partition recompute.
-func (l Local) IncRddRecompute() { l.sh.lanes[RddRecompute].v.Add(1) }
 
 // A Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
@@ -322,9 +295,6 @@ func (s Snapshot) Get(m Metric) int64 { return s.Counts[m] }
 
 // IncSynch records entry into a synchronized (mutex-protected) section.
 func IncSynch() { Default.Add(Synch, 1) }
-
-// IncWait records a guarded-block wait (condition-variable wait).
-func IncWait() { Default.Add(Wait, 1) }
 
 // IncNotify records a notify/notifyAll (condition-variable signal).
 func IncNotify() { Default.Add(Notify, 1) }
@@ -364,21 +334,10 @@ func IncIDynamic() { Default.Add(IDynamic, 1) }
 // AddIDynamic records n invokedynamic analogues.
 func AddIDynamic(n int64) { Default.Add(IDynamic, n) }
 
-// AddCacheMiss records n simulated cache misses (used by the RVM cache
-// simulator and by the allocation-pressure proxy).
-func AddCacheMiss(n int64) { Default.Add(CacheMiss, n) }
-
 // IncDeadLetter records one dropped or dead-lettered message (a send to a
 // stopped actor, a message drained from a stopped actor's mailbox, or a
-// shed netstack request).
+// rejected netstack request).
 func IncDeadLetter() { Default.Add(DeadLetter, 1) }
-
-// IncStmAbort records one STM transactional abort (conflict, failed lock
-// acquisition, failed validation, or injected commit fault).
-func IncStmAbort() { Default.Add(StmAbort, 1) }
-
-// IncStmExtend records one successful STM timestamp extension.
-func IncStmExtend() { Default.Add(StmExtend, 1) }
 
 // IncRddRecompute records one RDD partition recompute (a failed partition
 // attempt re-evaluated from its lineage).

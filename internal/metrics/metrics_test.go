@@ -58,10 +58,6 @@ func TestRecorderAddGet(t *testing.T) {
 	if got := r.Get(Park); got != 0 {
 		t.Errorf("Get(Park) = %d, want 0", got)
 	}
-	r.Reset()
-	if got := r.Get(Atomic); got != 0 {
-		t.Errorf("after Reset, Get(Atomic) = %d, want 0", got)
-	}
 }
 
 func TestSnapshotDelta(t *testing.T) {
@@ -101,7 +97,6 @@ func TestRecorderConcurrent(t *testing.T) {
 func TestDefaultWrappers(t *testing.T) {
 	base := Default.Snapshot()
 	IncSynch()
-	IncWait()
 	IncNotify()
 	IncAtomic()
 	AddAtomic(2)
@@ -114,11 +109,10 @@ func TestDefaultWrappers(t *testing.T) {
 	AddMethod(4)
 	IncIDynamic()
 	AddIDynamic(5)
-	AddCacheMiss(7)
 	d := Default.Snapshot().Delta(base)
 	checks := map[Metric]int64{
-		Synch: 1, Wait: 1, Notify: 1, Atomic: 3, Park: 1,
-		Object: 3, Array: 4, Method: 5, IDynamic: 6, CacheMiss: 7,
+		Synch: 1, Notify: 1, Atomic: 3, Park: 1,
+		Object: 3, Array: 4, Method: 5, IDynamic: 6,
 	}
 	for m, want := range checks {
 		if got := d.Get(m); got != want {

@@ -3,13 +3,51 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
+
+	"renaissance/internal/chaos"
+	"renaissance/internal/futures"
+	"renaissance/internal/metrics"
 )
+
+// gate is a service that parks requests until released, so tests can pin
+// the server's in-flight count at will.
+type gate struct {
+	mu      sync.Mutex
+	pending []*futures.Promise[[]byte]
+}
+
+func (g *gate) service(req []byte) *futures.Future[[]byte] {
+	p := futures.NewPromise[[]byte]()
+	g.mu.Lock()
+	g.pending = append(g.pending, p)
+	g.mu.Unlock()
+	return p.Future()
+}
+
+func (g *gate) releaseAll() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, p := range g.pending {
+		_ = p.Success([]byte("done"))
+	}
+	g.pending = nil
+}
+
+func (g *gate) count() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.pending)
+}
 
 // Admission control: with MaxQueue configured, a request arriving while
 // MaxPending are in flight waits in the bounded accept queue instead of
-// being shed, and completes once a permit frees up.
+// being rejected, and completes once a permit frees up.
 func TestAdmissionQueueAdmitsBeyondMaxPending(t *testing.T) {
 	g := &gate{}
 	srv, err := Serve("127.0.0.1:0", g.service)
@@ -36,14 +74,14 @@ func TestAdmissionQueueAdmitsBeyondMaxPending(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The second request saturates MaxPending and must queue, not shed.
+	// The second request saturates MaxPending and must queue, not be rejected.
 	queuedDone := make(chan error, 1)
 	go func() {
 		_, err := cli.CallSync([]byte("queued"))
 		queuedDone <- err
 	}()
 	// Give the queued request time to park in the admission queue, then
-	// release the hog: both must complete, nothing shed or rejected.
+	// release the hog: both must complete, nothing rejected.
 	time.Sleep(50 * time.Millisecond)
 	select {
 	case err := <-queuedDone:
@@ -63,16 +101,13 @@ func TestAdmissionQueueAdmitsBeyondMaxPending(t *testing.T) {
 	if _, err := hog.Await(); err != nil {
 		t.Fatalf("hog request failed: %v", err)
 	}
-	if shed := srv.Shed.Load(); shed != 0 {
-		t.Errorf("Shed = %d with admission queue room, want 0", shed)
-	}
 	if rej := srv.Rejected.Load(); rej != 0 {
 		t.Errorf("Rejected = %d with admission queue room, want 0", rej)
 	}
 }
 
-// A full admission queue turns requests away with ErrRejected — typed
-// distinctly from ErrShed — and bumps the Rejected counter, not Shed.
+// A full admission queue turns requests away with ErrRejected and bumps
+// the Rejected counters.
 func TestAdmissionQueueRejectsWhenFull(t *testing.T) {
 	g := &gate{}
 	srv, err := Serve("127.0.0.1:0", g.service)
@@ -116,17 +151,11 @@ func TestAdmissionQueueRejectsWhenFull(t *testing.T) {
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("overflow call = %v, want ErrRejected", err)
 	}
-	if errors.Is(err, ErrShed) {
-		t.Fatal("ErrRejected must be distinct from ErrShed")
-	}
 	if !Retryable(err) {
 		t.Error("ErrRejected must be retryable")
 	}
 	if rej := srv.Rejected.Load(); rej == 0 {
 		t.Error("Server.Rejected counter not bumped")
-	}
-	if shed := srv.Shed.Load(); shed != 0 {
-		t.Errorf("Shed = %d, want 0: rejection must not count as shed", shed)
 	}
 	if cli.Rejected.Load() == 0 {
 		t.Error("Client.Rejected counter not bumped")
@@ -144,57 +173,70 @@ func TestAdmissionQueueRejectsWhenFull(t *testing.T) {
 	}
 }
 
-// Regression for the shed/breaker classification bugfix: a shed response
-// comes from a healthy-but-loaded server, so sustained shedding must leave
-// the client's breaker closed. (Before the fix each shed fed
-// Breaker.onFailure and an open-loop sweep measured breaker behavior
-// instead of the saturation knee.)
-func TestBreakerStaysClosedUnderSustainedShedding(t *testing.T) {
+// A zero-length admission queue (MaxPending without MaxQueue) turns request
+// MaxPending+1 away with the one typed rejection: ErrRejected at the
+// client, one Server.Rejected, one dead letter in the fault-path metrics.
+func TestAdmissionZeroQueueRejectsBeyondMaxPending(t *testing.T) {
 	g := &gate{}
 	srv, err := Serve("127.0.0.1:0", g.service)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.MaxPending = 1
-	srv.DrainTimeout = 100 * time.Millisecond
+	srv.MaxPending = 2
+	srv.DrainTimeout = 50 * time.Millisecond
 	defer srv.Close()
 
-	cli, err := Dial(srv.Addr(), 2)
+	cli, err := Dial(srv.Addr(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.Breaker = NewBreaker(BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
 
-	hog := cli.Call([]byte("hog"))
+	// Fill the pending window, waiting until the server holds both.
+	f1 := cli.Call([]byte("a"))
+	f2 := cli.Call([]byte("b"))
 	deadline := time.Now().Add(5 * time.Second)
-	for g.count() < 1 {
+	for g.count() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("server never parked the hog request")
+			t.Fatal("server never accepted the first two requests")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Far more consecutive sheds than the breaker threshold.
-	const sheds = 20
-	for i := 0; i < sheds; i++ {
-		if _, err := cli.CallSync([]byte("x")); !errors.Is(err, ErrShed) {
-			t.Fatalf("overload call %d = %v, want ErrShed", i, err)
-		}
+	// The third request must be rejected, typed as ErrRejected, without
+	// retries, and counted once everywhere.
+	dead := metrics.Default.Get(metrics.DeadLetter)
+	_, err = cli.CallSync([]byte("c"))
+	if !errors.Is(err, ErrRejected) {
+		t.Fatalf("overload call = %v, want ErrRejected", err)
 	}
-	if state := cli.Breaker.State(); state != "closed" {
-		t.Fatalf("breaker state = %s after %d sheds, want closed", state, sheds)
+	if got := srv.Rejected.Load(); got != 1 {
+		t.Errorf("Server.Rejected = %d, want 1", got)
 	}
-	if got := cli.Shed.Load(); got != sheds {
-		t.Errorf("Client.Shed = %d, want %d", got, sheds)
+	if got := cli.Rejected.Load(); got != 1 {
+		t.Errorf("Client.Rejected = %d, want 1", got)
+	}
+	if got := metrics.Default.Get(metrics.DeadLetter) - dead; got != 1 {
+		t.Errorf("prof.deadletter bumped %d times, want 1", got)
+	}
+	if got := srv.Requests.Load(); got != 2 {
+		t.Errorf("Server.Requests = %d, want 2: a rejected request never reaches the service", got)
 	}
 
-	// The loaded-but-healthy server serves normally once the hog frees the
-	// permit — no cooldown to wait out. Retries cover the window between
-	// the hog's release and its permit returning.
-	cli.Retry = RetryPolicy{Max: 20, Backoff: 2 * time.Millisecond, Seed: 1}
+	// Releasing the window lets both parked calls and new traffic through:
+	// the rejection never poisoned the pooled connections.
+	g.releaseAll()
+	for _, f := range []*futures.Future[[]byte]{f1, f2} {
+		resp, err := f.Await()
+		if err != nil || !bytes.Equal(resp, []byte("done")) {
+			t.Errorf("parked call = (%q, %v), want (done, nil)", resp, err)
+		}
+	}
 	stop := make(chan struct{})
+	var releaser sync.WaitGroup
+	releaser.Add(1)
 	go func() {
+		defer releaser.Done()
 		for {
 			select {
 			case <-stop:
@@ -204,13 +246,90 @@ func TestBreakerStaysClosedUnderSustainedShedding(t *testing.T) {
 			}
 		}
 	}()
-	defer close(stop)
 	resp, err := cli.CallSync([]byte("after"))
+	close(stop)
+	releaser.Wait()
 	if err != nil || !bytes.Equal(resp, []byte("done")) {
-		t.Fatalf("post-shed call = (%q, %v), want (done, nil)", resp, err)
+		t.Errorf("post-rejection call = (%q, %v), want (done, nil)", resp, err)
 	}
-	if _, err := hog.Await(); err != nil {
+}
+
+func TestAdmissionRejectionIsRetried(t *testing.T) {
+	// With a retry policy, a rejection backs off and retries; once the
+	// window clears, the retry succeeds — admission control composes with
+	// the retry loop instead of failing the call outright.
+	g := &gate{}
+	srv, err := Serve("127.0.0.1:0", g.service)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.MaxPending = 1
+	srv.DrainTimeout = 50 * time.Millisecond
+	defer srv.Close()
+
+	cli, err := Dial(srv.Addr(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	cli.Retry = RetryPolicy{Max: 5, Backoff: 5 * time.Millisecond}
+
+	blocker := cli.Call([]byte("hog"))
+	deadline := time.Now().Add(5 * time.Second)
+	for g.count() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("server never parked the hog request")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Free the window shortly after the second call starts retrying.
+	go func() {
+		time.Sleep(15 * time.Millisecond)
+		for i := 0; i < 100; i++ {
+			g.releaseAll()
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	resp, err := cli.CallSync([]byte("patient"))
+	if err != nil || !bytes.Equal(resp, []byte("done")) {
+		t.Fatalf("retried rejected call = (%q, %v), want (done, nil)", resp, err)
+	}
+	if _, err := blocker.Await(); err != nil {
 		t.Errorf("hog call failed: %v", err)
+	}
+}
+
+// Retry classification: ErrRejected, IO and network failures, and
+// injected chaos faults back off and retry;
+// ErrClosed and application-level errors fail fast.
+func TestRetryableClassification(t *testing.T) {
+	retryable := []error{
+		ErrRejected,
+		fmt.Errorf("attempt 3: %w", ErrRejected), // wrapped
+		io.EOF,
+		io.ErrUnexpectedEOF,
+		io.ErrClosedPipe,
+		net.ErrClosed,
+		&net.OpError{Op: "read", Err: errors.New("connection reset")},
+		&chaos.InjectedError{Point: "netstack.read"},
+		fmt.Errorf("wrapped: %w", &chaos.InjectedError{Point: "netstack.write"}),
+	}
+	for _, err := range retryable {
+		if !Retryable(err) {
+			t.Errorf("Retryable(%v) = false, want true", err)
+		}
+	}
+	final := []error{
+		nil,
+		ErrClosed,
+		fmt.Errorf("call: %w", ErrClosed),
+		errors.New("application rejected the request"),
+	}
+	for _, err := range final {
+		if Retryable(err) {
+			t.Errorf("Retryable(%v) = true, want false", err)
+		}
 	}
 }
 

@@ -52,16 +52,15 @@ var ErrDrainTimeout = errors.New("netstack: drain timeout exceeded")
 // Service handles one request and eventually produces a response.
 type Service func(req []byte) *futures.Future[[]byte]
 
-// shedPayload is the reserved response payload announcing that the server
-// dropped the request under load shedding; the client converts it to
-// ErrShed. It rides the server's "ERR:"-prefix error convention.
-var shedPayload = []byte("ERR:shed")
+// ErrRejected is returned by Client calls whose request the server's
+// admission control turned away: MaxPending requests were in flight and
+// the bounded accept queue in front of them (Server.MaxQueue) was full.
+// It is retryable: the request was never executed.
+var ErrRejected = errors.New("netstack: request rejected by admission control")
 
-// rejectPayload is the reserved response payload announcing that the
-// admission queue in front of MaxPending was full; the client converts it
-// to ErrRejected. Distinct from shedPayload so clients and load generators
-// can tell "the service queue overflowed" (reject) from "the service was
-// bypassed entirely" (shed, MaxQueue unset).
+// rejectPayload is the reserved response payload announcing that
+// rejection; the client converts it to ErrRejected. It rides the server's
+// "ERR:"-prefix error convention.
 var rejectPayload = []byte("ERR:reject")
 
 // readFrame reads one length-prefixed frame.
@@ -109,18 +108,15 @@ type Server struct {
 	// gracefully before force-closing them (DefaultDrainTimeout when 0).
 	DrainTimeout time.Duration
 	// MaxPending bounds concurrently in-flight requests (accepted but not
-	// yet answered) across all connections; excess requests are rejected
-	// immediately with a shed response instead of queueing behind the
-	// service. 0 disables shedding.
+	// yet answered) across all connections. 0 disables admission control.
 	MaxPending int
-	// MaxQueue, when > 0 alongside MaxPending, is admission control: a
-	// bounded accept queue in front of the MaxPending in-flight limit.
-	// Requests arriving while MaxPending are in flight wait in the queue
-	// (blocking their connection's read loop — per-connection
-	// backpressure) instead of being shed; only when the queue itself is
-	// full is the request turned away, with a typed rejection
-	// (ErrRejected) distinct from shed. Both limits are latched on the
-	// first request, so set them before serving traffic.
+	// MaxQueue is the length of the bounded accept queue in front of the
+	// MaxPending in-flight limit. Requests arriving while MaxPending are
+	// in flight wait in the queue (blocking their connection's read loop —
+	// per-connection backpressure); only when the queue itself is full
+	// (always, when it is 0) is the request turned away, with the typed
+	// rejection ErrRejected. Both limits are latched on the first request,
+	// so set them before serving traffic.
 	MaxQueue int
 
 	mu    sync.Mutex
@@ -128,12 +124,9 @@ type Server struct {
 
 	// Requests counts served requests, for benchmark validation.
 	Requests atomic.Int64
-	// Shed counts requests rejected under load shedding. Shed requests are
-	// not counted in Requests — they never reached the service.
-	Shed atomic.Int64
 	// Rejected counts requests turned away by admission control because
-	// the accept queue was full. Like shed requests, they never reached
-	// the service.
+	// the accept queue was full. They are not counted in Requests — they
+	// never reached the service.
 	Rejected atomic.Int64
 
 	queued    atomic.Int64  // admission-queue occupancy
@@ -198,7 +191,7 @@ func (s *Server) untrack(conn net.Conn) {
 }
 
 // admission returns the in-flight permit semaphore, latching MaxPending on
-// first use (nil when shedding is disabled).
+// first use (nil when admission control is disabled).
 func (s *Server) admission() chan struct{} {
 	s.admitOnce.Do(func() {
 		if s.MaxPending > 0 {
@@ -213,17 +206,15 @@ type admitVerdict int
 
 const (
 	admitServe   admitVerdict = iota // request holds an in-flight permit
-	admitShed                        // over capacity, no queue: shed
 	admitReject                      // admission queue full: typed rejection
 	admitClosing                     // server shutting down while queued
 )
 
 // admit applies admission control to one request: a free in-flight permit
-// admits it immediately; otherwise, if a bounded accept queue is
-// configured (MaxQueue) and has room, the request waits in it for a permit
-// — blocking this connection's read loop, which is the backpressure — and
-// only a full queue turns the request away. With no queue the verdict is
-// the legacy immediate shed.
+// admits it immediately; otherwise, if the bounded accept queue
+// (MaxQueue) has room, the request waits in it for a permit — blocking
+// this connection's read loop, which is the backpressure — and only a
+// full queue turns the request away.
 func (s *Server) admit() admitVerdict {
 	sem := s.admission()
 	if sem == nil {
@@ -234,21 +225,18 @@ func (s *Server) admit() admitVerdict {
 		return admitServe
 	default:
 	}
-	if s.MaxQueue > 0 {
-		if s.queued.Add(1) <= int64(s.MaxQueue) {
-			defer s.queued.Add(-1)
-			metrics.IncPark()
-			select {
-			case sem <- struct{}{}:
-				return admitServe
-			case <-s.closing:
-				return admitClosing
-			}
+	if s.queued.Add(1) <= int64(s.MaxQueue) {
+		defer s.queued.Add(-1)
+		metrics.IncPark()
+		select {
+		case sem <- struct{}{}:
+			return admitServe
+		case <-s.closing:
+			return admitClosing
 		}
-		s.queued.Add(-1)
-		return admitReject
 	}
-	return admitShed
+	s.queued.Add(-1)
+	return admitReject
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -264,21 +252,11 @@ loop:
 			break
 		}
 		switch s.admit() {
-		case admitShed:
-			// Bounded load shedding: answer immediately with the shed
-			// marker instead of queueing behind the service. A shed
-			// request is a dropped message in the fault-path accounting.
-			s.Shed.Add(1)
-			metrics.IncDeadLetter()
-			metrics.IncSynch()
-			writeMu.Lock()
-			_ = writeFrame(conn, shedPayload)
-			writeMu.Unlock()
-			continue
 		case admitReject:
-			// Admission-control rejection: the accept queue in front of
-			// the service is full. Typed distinctly from shed so clients
-			// can count queue overflow separately.
+			// The accept queue in front of the service is full: answer
+			// immediately with the rejection marker instead of queueing
+			// behind the service. A rejected request is a dropped message
+			// in the fault-path accounting.
 			s.Rejected.Add(1)
 			metrics.IncDeadLetter()
 			metrics.IncSynch()
@@ -396,6 +374,30 @@ func (p RetryPolicy) delay(n int, nonce uint64) time.Duration {
 	return chaos.Backoff(d, max, n, p.Seed, nonce)
 }
 
+// Retryable classifies a Client call error: true means transient — worth
+// a backoff and another attempt (rejected requests, IO and dial failures,
+// injected faults) — false means retrying cannot help (closed client,
+// application-level failures), so callers should fail fast. The client's
+// own retry loop consults it, stopping early on a non-retryable error
+// however many retries the policy allows.
+func Retryable(err error) bool {
+	if err == nil || errors.Is(err, ErrClosed) {
+		return false
+	}
+	if errors.Is(err, ErrRejected) {
+		return true
+	}
+	var ne net.Error
+	if errors.As(err, &ne) || errors.Is(err, net.ErrClosed) {
+		return true
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.ErrClosedPipe) {
+		return true
+	}
+	var inj *chaos.InjectedError
+	return errors.As(err, &inj)
+}
+
 // poolConn is one pool slot. Exactly poolSize tokens circulate through the
 // pool channel, so a slot whose connection died (conn == nil) is redialed
 // lazily by the next caller instead of shrinking the pool.
@@ -417,21 +419,8 @@ type Client struct {
 	// Only errors Retryable reports true for are retried; the rest fail
 	// fast whatever Max allows.
 	Retry RetryPolicy
-	// Breaker, when non-nil (see NewBreaker), fail-fasts calls while the
-	// service is unhealthy: every attempt consults it, and every
-	// *service* outcome feeds it. Shed and rejected responses are
-	// deliberately neither failures nor successes: a loaded server is a
-	// healthy server, so sustained overload must not flip the breaker
-	// open (which would make an open-loop saturation sweep measure
-	// breaker behavior instead of the queueing knee). Overload
-	// backpressure lives in the retry backoff instead.
-	Breaker *Breaker
-
-	// Shed counts responses the server answered with the load-shedding
-	// marker; Rejected counts admission-control rejections. Both are
-	// per-attempt counts, kept separately from the breaker's
-	// failure ladder.
-	Shed     atomic.Int64
+	// Rejected counts the responses the server answered with the
+	// admission-control rejection marker, per attempt.
 	Rejected atomic.Int64
 
 	closed  atomic.Bool
@@ -540,52 +529,33 @@ func (c *Client) Call(req []byte) *futures.Future[[]byte] {
 			if attempt > 0 {
 				time.Sleep(c.Retry.delay(attempt, nonce))
 			}
-			if err := c.Breaker.Allow(); err != nil {
-				// Fail fast without touching the pool; a later attempt may
-				// find the breaker half-open and probe.
-				lastErr = err
-				continue
-			}
 			pc, err := c.acquire()
 			if err == ErrClosed {
 				_ = p.Failure(ErrClosed)
 				return
 			}
 			if err != nil {
-				c.Breaker.onFailure()
 				lastErr = err // transient dial error; back off and retry
 				continue
 			}
 			resp, err := c.roundTrip(pc.conn, req)
-			if err == nil && bytes.Equal(resp, shedPayload) {
-				// The server dropped the request under load. The
-				// connection is healthy and the server answered, so keep
-				// the connection pooled, count the shed, back off, and
-				// retry — without feeding the breaker's failure ladder: a
-				// loaded server is not a dead one.
-				c.Shed.Add(1)
-				c.release(pc)
-				lastErr = ErrShed
-				continue
-			}
 			if err == nil && bytes.Equal(resp, rejectPayload) {
-				// Admission control turned the request away: the accept
-				// queue was full. Same handling as shed, counted
-				// separately.
+				// Admission control turned the request away. The
+				// connection is healthy and the server answered, so keep
+				// the connection pooled, count the rejection, back off,
+				// and retry: a loaded server is not a dead one.
 				c.Rejected.Add(1)
 				c.release(pc)
 				lastErr = ErrRejected
 				continue
 			}
 			if err == nil {
-				c.Breaker.onSuccess()
 				// Return the connection before completing so dependent
 				// calls in the continuation can acquire it.
 				c.release(pc)
 				_ = p.Success(resp)
 				return
 			}
-			c.Breaker.onFailure()
 			lastErr = err
 			c.discard(pc)
 			if c.closed.Load() || !Retryable(err) {

@@ -84,33 +84,6 @@ func (t *Table) Write(w io.Writer) error {
 	return err
 }
 
-// WriteCSV renders the table as CSV (for downstream plotting).
-func (t *Table) WriteCSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := make([]string, len(t.Headers))
-	for i, h := range t.Headers {
-		cells[i] = esc(h)
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		cells := make([]string, len(row))
-		for i, c := range row {
-			cells[i] = esc(c)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Bar is one horizontal bar-chart entry.
 type Bar struct {
 	Label string

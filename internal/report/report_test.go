@@ -31,22 +31,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tab := &Table{Headers: []string{"a", "b"}}
-	tab.AddRow("plain", `with "quote", comma`)
-	var buf bytes.Buffer
-	if err := tab.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"with ""quote"", comma"`) {
-		t.Errorf("CSV escaping wrong:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("CSV header wrong:\n%s", out)
-	}
-}
-
 func TestBarChart(t *testing.T) {
 	var buf bytes.Buffer
 	bars := []Bar{

@@ -13,7 +13,6 @@ type SweepRow struct {
 	P99        float64
 	P999       float64
 	Completed  int64
-	Shed       int64
 	Rejected   int64
 	Errors     int64
 	Dropped    int64
@@ -30,7 +29,7 @@ func SweepTable(title string, rows []SweepRow) *Table {
 	t := &Table{
 		Title: title,
 		Headers: []string{"rate/s", "tput/s", "p50 ms", "p90 ms", "p99 ms",
-			"p99.9 ms", "ok", "shed", "reject", "err", "drop", ""},
+			"p99.9 ms", "ok", "reject", "err", "drop", ""},
 	}
 	for _, r := range rows {
 		mark := ""
@@ -44,7 +43,7 @@ func SweepTable(title string, rows []SweepRow) *Table {
 			fmt.Sprintf("%.3f", r.P90),
 			fmt.Sprintf("%.3f", r.P99),
 			fmt.Sprintf("%.3f", r.P999),
-			r.Completed, r.Shed, r.Rejected, r.Errors, r.Dropped, mark)
+			r.Completed, r.Rejected, r.Errors, r.Dropped, mark)
 	}
 	return t
 }

@@ -131,15 +131,3 @@ func (s *Sim) Counts() map[string][2]int64 {
 	}
 	return out
 }
-
-// TotalMisses sums misses across all levels (the paper's cachemiss counter
-// aggregates L1 instruction+data, LLC, and TLB misses).
-func (s *Sim) TotalMisses() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := int64(0)
-	for _, l := range s.levels {
-		total += l.Misses
-	}
-	return total
-}

@@ -153,16 +153,6 @@ func (p *Program) Class(name string) (*Class, bool) {
 	return c, ok
 }
 
-// ClassNames returns the sorted class names (deterministic reporting).
-func (p *Program) ClassNames() []string {
-	out := make([]string, 0, len(p.Classes))
-	for n := range p.Classes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Methods returns every method of every class, sorted by qualified name.
 func (p *Program) Methods() []*Method {
 	var out []*Method

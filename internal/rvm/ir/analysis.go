@@ -76,9 +76,6 @@ type Loop struct {
 	Latches []*Block
 }
 
-// Contains reports whether the block is in the loop body.
-func (l *Loop) Contains(b *Block) bool { return l.Blocks[b] }
-
 // Preheader returns the loop's unique out-of-loop predecessor when it ends
 // in an unconditional jump to the header, or nil. Passes that hoist code
 // out of a loop (guard motion) or reason about the induction variable's

@@ -35,9 +35,6 @@ func TestExecErrNoEntry(t *testing.T) {
 	if _, err := NewExec(p).Run(); err == nil {
 		t.Error("missing entry accepted")
 	}
-	if _, err := NewExec(p).Call("ghost"); err == nil {
-		t.Error("missing function accepted")
-	}
 }
 
 func TestExecNullTraps(t *testing.T) {

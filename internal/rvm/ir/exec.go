@@ -134,19 +134,6 @@ func (e *Exec) Run(args ...rvm.Value) (rvm.Value, error) {
 	return e.call(f, args, 0)
 }
 
-// Call executes a named function.
-func (e *Exec) Call(name string, args ...rvm.Value) (rvm.Value, error) {
-	f, ok := e.Prog.Func(name)
-	if !ok {
-		return rvm.Null(), fmt.Errorf("ir: no function %q", name)
-	}
-	e.fuel = e.Fuel
-	if e.fuel == 0 {
-		e.fuel = 500_000_000
-	}
-	return e.call(f, args, 0)
-}
-
 const maxDepth = 512
 
 func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {

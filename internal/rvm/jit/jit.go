@@ -116,36 +116,6 @@ func (c *Compiled) HotCodeSize(stats *ir.Stats, minShare float64) (size, count i
 	return size, count
 }
 
-// MeasureImpact compiles and runs the program under the full pipeline and
-// under the pipeline with one optimization disabled, returning the
-// paper's impact measure: the relative change in execution cycles when
-// the optimization is selectively disabled (§6: positive means the
-// optimization speeds execution up).
-func MeasureImpact(p *rvm.Program, optName string, args ...rvm.Value) (impact float64, withCycles, withoutCycles int64, err error) {
-	full, err := Compile(p, opt.OptPipeline())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	_, fullStats, err := full.Run(args...)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	disabled, err := Compile(p, opt.OptPipeline().Disable(optName))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	_, disStats, err := disabled.Run(args...)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	withCycles, withoutCycles = fullStats.Cycles, disStats.Cycles
-	if withCycles == 0 {
-		return 0, withCycles, withoutCycles, nil
-	}
-	impact = float64(withoutCycles-withCycles) / float64(withCycles)
-	return impact, withCycles, withoutCycles, nil
-}
-
 // RunCalibrated executes with the timing-calibrated executor: wall-clock
 // duration is proportional to charged cycles plus real measurement noise,
 // which is what the significance tests time.

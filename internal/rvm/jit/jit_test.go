@@ -71,20 +71,6 @@ func TestHotMethodsAndCodeSize(t *testing.T) {
 	}
 }
 
-func TestMeasureImpactDirection(t *testing.T) {
-	p := buildKernel(t, kernels.SuiteRenaissance, "fj-kmeans")
-	impact, with, without, err := MeasureImpact(p, opt.NameLLC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with >= without {
-		t.Errorf("LLC on fj-kmeans: with=%d without=%d; expected fewer cycles with", with, without)
-	}
-	if impact <= 0 {
-		t.Errorf("impact = %f, want positive", impact)
-	}
-}
-
 func TestBaselineSmallerCompileTimeBudget(t *testing.T) {
 	// The baseline pipeline compiles fewer passes; this mirrors Table 16's
 	// observation that optimizations cost compilation time.
@@ -139,14 +125,19 @@ type countingTracer struct{ n int }
 
 func (c *countingTracer) Access(obj *rvm.Object, index int, write bool) { c.n++ }
 
-func TestMeasureImpactErrors(t *testing.T) {
-	// An empty program has no entry: MeasureImpact must surface the error.
+func TestEntrylessProgramErrors(t *testing.T) {
+	// An empty program has no entry: compiling and running it must
+	// surface the error.
 	p := rvm.NewProgram()
 	mainC := rvm.NewClass("Main", nil)
 	if err := p.AddClass(mainC); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := MeasureImpact(p, opt.NameGM); err == nil {
-		t.Error("impact on entry-less program succeeded")
+	c, err := Compile(p, opt.OptPipeline())
+	if err == nil {
+		_, _, err = c.Run()
+	}
+	if err == nil {
+		t.Error("entry-less program compiled and ran")
 	}
 }

@@ -34,17 +34,6 @@ func Specs() []Spec {
 	return out
 }
 
-// BySuite filters the specs of one suite.
-func BySuite(suite string) []Spec {
-	var out []Spec
-	for _, s := range Specs() {
-		if s.Suite == suite {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Lookup finds a spec by suite and name.
 func Lookup(suite, name string) (Spec, bool) {
 	for _, s := range Specs() {

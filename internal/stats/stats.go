@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery used by the paper's
-// evaluation (§6 and supplement §C/§G): descriptive statistics, geometric
-// means, winsorized outlier filtering, Welch's t-test with p-values, and
-// Student-t confidence intervals.
+// evaluation (§6 and supplement §C/§G): descriptive statistics, winsorized
+// outlier filtering, Welch's t-test with p-values, and Student-t
+// confidence intervals.
 package stats
 
 import (
@@ -43,23 +43,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values are skipped (matching the common benchmarking
-// convention of excluding zero measurements).
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
 
 // Min returns the minimum of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {

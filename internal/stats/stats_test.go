@@ -24,14 +24,6 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	approx(t, "GeoMean", GeoMean([]float64{1, 100}), 10, 1e-9)
-	approx(t, "GeoMean skip", GeoMean([]float64{0, 4, 9, -1, 6}), math.Cbrt(4*9*6), 1e-9)
-	if GeoMean([]float64{0, -2}) != 0 {
-		t.Error("GeoMean of nonpositive values should be 0")
-	}
-}
-
 func TestMinMaxMedian(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	approx(t, "Min", Min(xs), 1, 0)

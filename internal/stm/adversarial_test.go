@@ -40,7 +40,7 @@ func TestCommitRacingRetryRegistration(t *testing.T) {
 			})
 			close(done)
 		}()
-		WriteAtomic(flag, true)
+		_ = Atomically(func(tx *Tx) error { tx.Write(flag, true); return nil })
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
@@ -75,7 +75,7 @@ func TestRetryWakeupPingPong(t *testing.T) {
 		}
 	}()
 	for i := 0; i < rounds; i++ {
-		WriteAtomic(token, 2*i+1)
+		_ = Atomically(func(tx *Tx) error { tx.Write(token, 2*i+1); return nil })
 		want := 2*i + 2
 		_ = Atomically(func(tx *Tx) error {
 			if tx.Read(token).(int) != want {
@@ -96,9 +96,9 @@ func TestRetryWakeupPingPong(t *testing.T) {
 func waitForNoWaiters(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for waitingCount() != 0 {
+	for waiterCount.v.Load() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("waiter count stuck at %d", waitingCount())
+			t.Fatalf("waiter count stuck at %d", waiterCount.v.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -188,7 +188,7 @@ func TestTimestampExtensionAllowsStaleRead(t *testing.T) {
 		if tx.Aborts == 0 {
 			// Bump b's version past our read timestamp with an
 			// independent committed transaction.
-			WriteAtomic(b, 3)
+			_ = Atomically(func(tx *Tx) error { tx.Write(b, 3); return nil })
 		}
 		if got := tx.Read(b).(int); got != 3 {
 			t.Errorf("b = %d, want 3 (post-extension value)", got)
@@ -215,8 +215,8 @@ func TestTimestampExtensionRefusesChangedRead(t *testing.T) {
 		av := tx.Read(a).(int)
 		if first {
 			first = false
-			WriteAtomic(a, 10) // invalidates the read we just made
-			WriteAtomic(b, 20) // and bumps b past our timestamp
+			_ = Atomically(func(tx *Tx) error { tx.Write(a, 10); return nil }) // invalidates the read we just made
+			_ = Atomically(func(tx *Tx) error { tx.Write(b, 20); return nil }) // and bumps b past our timestamp
 		}
 		bv := tx.Read(b).(int) // must not see (a=1, b=20)
 		if av == 1 && bv == 20 {
@@ -432,7 +432,7 @@ func TestChaosDroppedWakeupStillMakesProgress(t *testing.T) {
 		}
 	}()
 	for i := 0; i < rounds; i++ {
-		WriteAtomic(token, 2*i+1)
+		_ = Atomically(func(tx *Tx) error { tx.Write(token, 2*i+1); return nil })
 		want := 2*i + 2
 		_ = Atomically(func(tx *Tx) error {
 			if tx.Read(token).(int) != want {

@@ -10,7 +10,7 @@ import (
 // workloads off the clock's cache line entirely.
 func TestReadOnlyTransactionsDoNotAdvanceClock(t *testing.T) {
 	r := NewRef(42)
-	before := Clock()
+	before := globalClock.v.Load()
 	for i := 0; i < 100; i++ {
 		if err := Atomically(func(tx *Tx) error {
 			if got := tx.Read(r).(int); got != 42 {
@@ -21,7 +21,7 @@ func TestReadOnlyTransactionsDoNotAdvanceClock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := Clock(); got != before {
+	if got := globalClock.v.Load(); got != before {
 		t.Fatalf("read-only transactions advanced the clock: %d -> %d", before, got)
 	}
 	// A read-write commit does advance it, by exactly one.
@@ -31,7 +31,7 @@ func TestReadOnlyTransactionsDoNotAdvanceClock(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := Clock(); got != before+1 {
+	if got := globalClock.v.Load(); got != before+1 {
 		t.Fatalf("write commit moved clock %d -> %d, want +1", before, got)
 	}
 }

@@ -494,14 +494,3 @@ func ReadAtomic(r *Ref) any {
 		}
 	}
 }
-
-// WriteAtomic sets the ref's value in a single-write transaction.
-func WriteAtomic(r *Ref, v any) {
-	_ = Atomically(func(tx *Tx) error {
-		tx.Write(r, v)
-		return nil
-	})
-}
-
-// Clock returns the current global version, exposed for tests and stats.
-func Clock() int64 { return globalClock.v.Load() }

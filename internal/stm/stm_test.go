@@ -51,7 +51,7 @@ func TestErrorRollsBack(t *testing.T) {
 
 func TestWriteAtomic(t *testing.T) {
 	r := NewRef("a")
-	WriteAtomic(r, "b")
+	_ = Atomically(func(tx *Tx) error { tx.Write(r, "b"); return nil })
 	if got := ReadAtomic(r); got != "b" {
 		t.Errorf("value = %v, want b", got)
 	}
@@ -170,7 +170,7 @@ func TestRetryBlocksUntilCommit(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	WriteAtomic(flag, true)
+	_ = Atomically(func(tx *Tx) error { tx.Write(flag, true); return nil })
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -179,11 +179,11 @@ func TestRetryBlocksUntilCommit(t *testing.T) {
 }
 
 func TestClockAdvances(t *testing.T) {
-	before := Clock()
+	before := globalClock.v.Load()
 	r := NewRef(0)
-	WriteAtomic(r, 1)
-	if Clock() <= before {
-		t.Errorf("clock did not advance: %d -> %d", before, Clock())
+	_ = Atomically(func(tx *Tx) error { tx.Write(r, 1); return nil })
+	if globalClock.v.Load() <= before {
+		t.Errorf("clock did not advance: %d -> %d", before, globalClock.v.Load())
 	}
 }
 

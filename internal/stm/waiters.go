@@ -229,6 +229,3 @@ func (tx *Tx) wakeWaiters() {
 		}
 	}
 }
-
-// waitingCount exposes the current waiter population for tests.
-func waitingCount() int64 { return waiterCount.v.Load() }

@@ -16,40 +16,47 @@ import (
 	"testing"
 )
 
-// The substrate packages exist to carry the workloads' traffic, so their
-// surface is held to what something actually calls: a function or method
-// of one of these packages must be reachable from a non-test file outside
-// them (a workload, a CLI, an example, an rbench probe) or be listed in
-// surfaceAllow with the reason it stays.
-var surfacePkgs = map[string]bool{
-	"renaissance/internal/rdd":      true,
-	"renaissance/internal/streams":  true,
-	"renaissance/internal/rx":       true,
-	"renaissance/internal/futures":  true,
-	"renaissance/internal/graphdb":  true,
-	"renaissance/internal/forkjoin": true,
+// The packages under internal/ exist to carry the workloads' traffic, so
+// their surface is held to what something actually runs: every function
+// and method declared under internal/ must be reachable from a non-test
+// file outside its own body (a workload's registration, a CLI, an
+// example, an rbench probe), or be a method some interface can dispatch
+// to (surfaceDispatch), or be listed in surfaceAllow with the reason it
+// stays.
+const surfacePrefix = surfaceModule + "/internal/"
+
+func inSurface(fn *types.Func) bool {
+	return fn.Pkg() != nil && strings.HasPrefix(fn.Pkg().Path(), surfacePrefix)
 }
 
+// surfaceStdIfaces are the standard-library packages whose interfaces
+// reach into the module by dynamic dispatch; error and the Unwrap shape
+// errors.Is/As look for are added beside them.
+var surfaceStdIfaces = []string{"fmt", "sort", "container/heap", "flag", "io", "encoding/json"}
+
 // surfaceAllow names the functions no non-test caller reaches that stay
-// anyway. Every entry states why; an entry that gains a caller, or whose
-// function is gone, fails the test so the list cannot rot.
+// anyway, each for one of two reasons: it is a reference implementation a
+// differential test compares against, or it is the control or observation
+// point of a fault domain that a retained adversarial or regression test
+// cannot do without. An entry that gains a caller, or whose function is
+// gone, fails the test so the list cannot rot.
 var surfaceAllow = map[string]string{
-	"forkjoin.TaskError.Error":  "interface method: error",
-	"forkjoin.TaskError.Unwrap": "interface method: errors.Is/As",
-	"futures.PanicError.Error":  "interface method: error",
-	"futures.PanicError.Unwrap": "interface method: errors.Is/As",
+	"rdd.GroupByKey":        "reference: seedml_test.go's seed kernels are built on it",
+	"rdd.FlatMap":           "reference: seedml_test.go's seed kernels are built on it",
+	"rdd.SolveLinearSystem": "reference: pivoted elimination the Cholesky kernels are compared against",
+	"rdd.ALS":               "reference: the differential tests drive both ALS implementations through this signature",
+	"rdd.parMapSlice":       "reference: the seed kernels' parallel map, kept verbatim",
+	"rdd.newMatrix":         "reference: the seed kernels' slice-of-slices matrix",
+	"rdd.randomVector":      "reference: the seed ALS's factor initialisation",
 
-	"rdd.GroupByKey":        "seedml oracle: seedml_test.go's reference kernels are built on it",
-	"rdd.FlatMap":           "seedml oracle: seedml_test.go's reference kernels are built on it",
-	"rdd.SolveLinearSystem": "seedml oracle: pivoted elimination the Cholesky kernels are compared against",
-	"rdd.ALS":               "seedml oracle: the differential tests drive both ALS implementations through this signature",
-	"rdd.parMapSlice":       "seedml oracle: the seed kernels' parallel map, kept verbatim",
-	"rdd.newMatrix":         "seedml oracle: the seed kernels' slice-of-slices matrix",
-	"rdd.randomVector":      "seedml oracle: the seed ALS's factor initialisation",
-
-	"forkjoin.Task.Err":     "fault surface: how a submitter observes a task's panic without re-raising it",
-	"rdd.RDD.ShuffleEpochs": "fault surface: the recovery tests' observation point for exchange retries",
-	"graphdb.Tx.Rollback":   "fault surface: abandons a transaction's staged writes",
+	"forkjoin.Task.Err":           "fault domain: how a submitter observes a task's panic without re-raising it",
+	"rdd.RDD.ShuffleEpochs":       "fault domain: the recovery tests' observation point for exchange retries",
+	"graphdb.Tx.Rollback":         "fault domain: abandons a transaction's staged writes",
+	"chaos.SetRate":               "fault domain: how the rdd recovery and stm adversarial suites drive one injection point at rate 1 while the rest stay quiet",
+	"chaos.Disable":               "fault domain: how those suites disarm the engine again so later tests run clean",
+	"chaos.FireCount":             "fault domain: how those suites observe that their one point fired",
+	"actors.System.RootFailures":  "fault domain: TestQuiescenceWaitsForEscalation observes the top of a supervision tree through it",
+	"core.FaultInjector.Injected": "fault domain: how the harness fault tests observe that an armed fault fired, or did not",
 }
 
 // surfaceLoader type-checks the module's packages from source, sharing
@@ -113,6 +120,62 @@ func surfaceName(fn *types.Func) string {
 	return name + fn.Name()
 }
 
+// surfaceDispatch returns the methods an interface value can reach: for
+// every named type of the module, the method (its own or one promoted
+// from an embedded field) behind each method name of every interface the
+// type's pointer implements. The interfaces are the module's own
+// plus those of surfaceStdIfaces, error and Unwrap.
+func (l *surfaceLoader) surfaceDispatch() ([]*types.Func, error) {
+	errType := types.Universe.Lookup("error").Type()
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	ifaces := []*types.Interface{
+		errType.Underlying().(*types.Interface),
+		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete(),
+	}
+	var named []*types.Named
+	collect := func(pkg *types.Package, local bool) {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			} else if n, ok := tn.Type().(*types.Named); ok && local {
+				named = append(named, n)
+			}
+		}
+	}
+	for _, path := range surfaceStdIfaces {
+		pkg, err := l.std.Import(path)
+		if err != nil {
+			return nil, err
+		}
+		collect(pkg, false)
+	}
+	for _, pkg := range l.pkgs {
+		collect(pkg, true)
+	}
+	var live []*types.Func
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		for _, it := range ifaces {
+			if it.NumMethods() == 0 || !types.Implements(ptr, it) { // *T's method set includes T's
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+				if fn, ok := obj.(*types.Func); ok && inSurface(fn) {
+					live = append(live, fn.Origin())
+				}
+			}
+		}
+	}
+	return live, nil
+}
+
 func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 	l := &surfaceLoader{
 		fset: token.NewFileSet(),
@@ -138,15 +201,20 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 	}
 
 	// calls[f] lists the surface functions f's body references; a
-	// reference from anywhere else (a workload, a probe, an init, a
-	// package-level initialiser) makes its target live outright.
+	// reference from anywhere else (a CLI, a probe, an init, a
+	// package-level initialiser) makes its target live outright, as does
+	// being an interface's dispatch target.
+	roots, err := l.surfaceDispatch()
+	if err != nil {
+		t.Fatal(err)
+	}
 	calls := map[*types.Func][]*types.Func{}
-	var declared, roots []*types.Func
+	var declared []*types.Func
 	for _, file := range l.files {
 		for _, decl := range file.Decls {
 			var owner *types.Func
 			if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Recv != nil || fd.Name.Name != "init") {
-				if fn := l.info.Defs[fd.Name].(*types.Func); surfacePkgs[fn.Pkg().Path()] {
+				if fn := l.info.Defs[fd.Name].(*types.Func); inSurface(fn) {
 					owner = fn
 					declared = append(declared, fn)
 				}
@@ -157,7 +225,7 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 					return true
 				}
 				fn, ok := l.info.Uses[id].(*types.Func)
-				if !ok || fn.Pkg() == nil || !surfacePkgs[fn.Pkg().Path()] {
+				if !ok || !inSurface(fn) {
 					return true
 				}
 				if fn = fn.Origin(); owner == nil {
@@ -192,8 +260,8 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 			continue
 		}
 		allowed[name] = true
-		if reason == "" {
-			findings = append(findings, name+": allowlisted without a reason")
+		if !strings.HasPrefix(reason, "reference: ") && !strings.HasPrefix(reason, "fault domain: ") {
+			findings = append(findings, name+": allowlisted without one of the two reasons")
 		}
 		if reached[fn] {
 			findings = append(findings, name+": allowlisted but has a non-test caller; drop the entry")

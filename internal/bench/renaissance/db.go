@@ -40,7 +40,7 @@ func (w *dbShootoutWorkload) RunIteration() error {
 	for _, engine := range memdb.Engines() {
 		// Load phase.
 		for i := 0; i < w.keys; i++ {
-			engine.Put(fmt.Sprintf("key-%06d", i), []byte{byte(i), byte(i >> 8)})
+			engine.Put(shootoutKey(i), []byte{byte(i), byte(i >> 8)})
 		}
 		// Parallel mixed phase: the same deterministic op stream split
 		// across workers (disjoint key ranges avoid cross-engine
@@ -56,7 +56,7 @@ func (w *dbShootoutWorkload) RunIteration() error {
 				for i := 0; i < w.ops/w.workers; i++ {
 					state = state*6364136223846793005 + 1442695040888963407
 					k := lo + int((state>>33)%uint64(hi-lo))
-					key := fmt.Sprintf("key-%06d", k)
+					key := shootoutKey(k)
 					switch (state >> 20) % 10 {
 					case 0, 1, 2, 3, 4, 5: // reads dominate
 						engine.Get(key)
@@ -75,6 +75,20 @@ func (w *dbShootoutWorkload) RunIteration() error {
 		w.lens = append(w.lens, engine.Len())
 	}
 	return nil
+}
+
+// shootoutKey formats k >= 0 as fmt.Sprintf("key-%06d", k) does, in one
+// allocation: the workload measures the engines, not fmt.
+func shootoutKey(k int) string {
+	var buf [len("key-") + 20]byte
+	i := len(buf)
+	for ; k > 0 || i > len(buf)-6; k /= 10 {
+		i--
+		buf[i] = byte('0' + k%10)
+	}
+	i -= len("key-")
+	copy(buf[i:], "key-")
+	return string(buf[i:])
 }
 
 func (w *dbShootoutWorkload) Validate() error {

@@ -1,6 +1,7 @@
 package renaissance
 
 import (
+	"fmt"
 	"testing"
 
 	"renaissance/internal/core"
@@ -138,5 +139,18 @@ func TestSTMBench7Variants(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestShootoutKeyMatchesSprintf: the hand formatter must produce the keys
+// the workload always used, past six digits too.
+func TestShootoutKeyMatchesSprintf(t *testing.T) {
+	for _, k := range []int{0, 1, 9, 10, 4799, 99999, 100000, 999999, 1000000, 123456789, 1<<63 - 1} {
+		if got, want := shootoutKey(k), fmt.Sprintf("key-%06d", k); got != want {
+			t.Errorf("shootoutKey(%d) = %q, want %q", k, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = shootoutKey(4799) }); n > 1 {
+		t.Errorf("shootoutKey allocates %v times, want <= 1", n)
 	}
 }

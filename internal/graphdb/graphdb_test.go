@@ -60,11 +60,10 @@ func TestCreateAndQuery(t *testing.T) {
 	if got := g.byLabel["Post"]; len(got) != len(posts) {
 		t.Errorf("Posts = %v", got)
 	}
-	n, ok := g.nodes[users[0]]
-	if !ok || n.Label != "User" || n.Props["name"] != "u0" {
-		t.Errorf("node u0 = %+v, %v", n, ok)
+	if n := g.node(users[0]); n == nil || n.Label != "User" || n.Props["name"] != "u0" {
+		t.Errorf("node u0 = %+v", n)
 	}
-	if _, ok := g.nodes[9999]; ok {
+	if g.node(9999) != nil || g.node(0) != nil {
 		t.Error("found nonexistent node")
 	}
 }
@@ -273,4 +272,99 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+func TestPropsSnapshotAtStage(t *testing.T) {
+	// The graph holds the properties as they were when the operation was
+	// staged; the caller may reuse its map before Commit.
+	g := New()
+	tx := g.WriteTx()
+	m := map[string]any{"v": 1}
+	a, _ := tx.CreateNode("X", m)
+	m["v"] = 2
+	b, _ := tx.CreateNode("X", m)
+	if err := tx.Relate(a, b, "R", m); err != nil {
+		t.Fatal(err)
+	}
+	m["v"] = 3
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.AggregateByProp("X", "v"); len(got) != 2 || got[1] != 1 || got[2] != 1 {
+		t.Errorf("AggregateByProp = %v, want map[1:1 2:1]", got)
+	}
+	if got := g.node(a).outRel[0].Props["v"]; got != 2 {
+		t.Errorf("relationship v = %v, want 2", got)
+	}
+}
+
+func TestAggregateSkipsUnhashableProp(t *testing.T) {
+	g := New()
+	tx := g.WriteTx()
+	for _, v := range []any{[]string{"a"}, map[string]int{}, [1]any{[]int{1}}, "a", "a", nil} {
+		if _, err := tx.CreateNode("X", map[string]any{"tags": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := g.AggregateByProp("X", "tags")
+	if len(got) != 2 || got["a"] != 2 || got[nil] != 1 {
+		t.Errorf("AggregateByProp = %v, want map[<nil>:1 a:2]", got)
+	}
+}
+
+// TestAllocationGates pins the read path's allocation counts: a query makes
+// its result in one allocation however many rows it returns, and staging a
+// relationship costs no more than the log's own growth.
+func TestAllocationGates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	const nodes, degree = 400, 6
+	g := New()
+	tx := g.WriteTx()
+	ids := make([]NodeID, nodes)
+	for i := range ids {
+		ids[i], _ = tx.CreateNode("N", nil)
+	}
+	for i := range ids {
+		for k := 1; k <= degree; k++ {
+			_ = tx.Relate(ids[i], ids[(i+k*k)%nodes], "R", nil)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	gates := []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"Match", 1, func() {
+			if rows := g.Match("N", "R", "N"); len(rows) != nodes*degree {
+				t.Fatalf("Match returned %d rows", len(rows))
+			}
+		}},
+		{"Match wildcard", 1, func() { g.Match("", "", "") }},
+		{"Neighbors", 1, func() { g.Neighbors(ids[0], "R", Both) }},
+		{"ShortestPath", 2, func() {
+			if d := g.ShortestPath(ids[0], ids[nodes/2], "R"); d < 1 {
+				t.Fatalf("ShortestPath = %d", d)
+			}
+		}},
+	}
+	for _, gate := range gates {
+		if got := testing.AllocsPerRun(20, gate.run); got > gate.max {
+			t.Errorf("%s: %v allocations, want <= %v", gate.name, got, gate.max)
+		}
+	}
+
+	// Relate appends a value record to a log with room: no closure, no box.
+	wtx := g.WriteTx()
+	wtx.ops = make([]txOp, 0, 64)
+	if got := testing.AllocsPerRun(20, func() { _ = wtx.Relate(ids[0], ids[1], "R", nil) }); got != 0 {
+		t.Errorf("Relate: %v allocations staging into a log with room, want 0", got)
+	}
 }

@@ -17,8 +17,10 @@
 //   - The quiescence counter is striped into versioned per-worker cells and
 //     summed with a double-collect scan (see quiesce.go), so in-flight
 //     accounting never contends on one cache line.
-//   - The name registry is sharded, so Spawn and Stop serialize only
-//     within one of 16 stripes.
+//
+// Actor names are caller-side labels: Spawn takes one so call sites read
+// like Akka's, but the runtime keeps no registry and does not store it.
+// Any number of live actors may share a name; a Ref is the only identity.
 //
 // Per-message metric semantics (kept deterministic so PCA runs compare
 // across versions): each send bumps atomic by 3 (in-flight stripe, mailbox
@@ -29,8 +31,6 @@ package actors
 
 import (
 	"errors"
-	"fmt"
-	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,7 +39,10 @@ import (
 	"renaissance/internal/mpsc"
 )
 
-// ErrSystemStopped is returned by operations on a shut-down system.
+// ErrSystemStopped is the value Spawn, Context.Spawn and Context.SpawnWith
+// panic with once Shutdown has begun. Inside Receive the panic is an
+// ordinary actor failure, routed to the spawning actor's Strategy; sends
+// to a shut-down system do not fail, they become dead letters.
 var ErrSystemStopped = errors.New("actors: system stopped")
 
 // A Receiver defines an actor's behavior: Receive is invoked for every
@@ -53,18 +56,6 @@ type ReceiverFunc func(ctx *Context, msg any)
 
 // Receive calls the function.
 func (f ReceiverFunc) Receive(ctx *Context, msg any) { f(ctx, msg) }
-
-// regShards is the stripe count of the name registry. Spawn and
-// Stop lock only the stripe their name hashes to.
-const regShards = 16
-
-type regShard struct {
-	mu sync.Mutex
-	m  map[string]*Ref
-	_  [24]byte // keep neighbouring stripes off one cache line
-}
-
-var regSeed = maphash.MakeSeed()
 
 // System is an actor system: per-worker run queues served by parked-when-idle
 // worker goroutines, plus striped in-flight accounting for quiescence
@@ -88,8 +79,6 @@ type System struct {
 	waiters   atomic.Int64
 	quiesceCh chan struct{}
 
-	shards  [regShards]regShard
-	nextID  atomic.Int64
 	envPool *mpsc.Pool[envelope]
 
 	// Fault-domain state (see supervision.go): the dead-letter counter
@@ -114,13 +103,9 @@ func NewSystem(workers int) *System {
 	s.inject.Init(mpsc.NewPool[*Ref]())
 	s.numCells = quiesceCellCount(workers)
 	s.cellMask = s.numCells - 1
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]*Ref)
-	}
 	for i := 0; i < workers; i++ {
 		w := &worker{
 			sys:   s,
-			id:    i,
 			cell:  i & s.cellMask,
 			rng:   uint64(i)*0x9E3779B97F4A7C15 + 1,
 			local: metrics.AcquireAt(i),
@@ -135,14 +120,11 @@ func NewSystem(workers int) *System {
 	return s
 }
 
-func (s *System) shardFor(name string) *regShard {
-	return &s.shards[maphash.String(regSeed, name)&(regShards-1)]
-}
-
-// Spawn creates a new actor with the given name (a unique suffix is added
-// when the name is already taken) and behavior, and returns its reference.
+// Spawn creates a new actor with the given behavior and returns its
+// reference. The name is a label for the call site only (see the package
+// comment). It panics with ErrSystemStopped after Shutdown.
 func (s *System) Spawn(name string, r Receiver) *Ref {
-	return s.spawn(nil, name, r, nil)
+	return s.spawn(nil, r, nil)
 }
 
 func supCellFor(opts SpawnOpts) *supCell {
@@ -154,7 +136,7 @@ func supCellFor(opts SpawnOpts) *supCell {
 	}
 }
 
-func (s *System) spawn(w *worker, name string, r Receiver, sup *supCell) *Ref {
+func (s *System) spawn(w *worker, r Receiver, sup *supCell) *Ref {
 	if s.stopped.Load() {
 		panic(ErrSystemStopped)
 	}
@@ -163,29 +145,10 @@ func (s *System) spawn(w *worker, name string, r Receiver, sup *supCell) *Ref {
 	} else {
 		metrics.IncObject()
 	}
-	ref := &Ref{sys: s, registered: true, sup: sup}
+	ref := &Ref{sys: s, sup: sup}
 	ref.setBehavior(r)
 	ref.mb.Init(s.envPool)
-	base := name
-	for {
-		sh := s.shardFor(name)
-		if w != nil {
-			w.local.IncSynch()
-		} else {
-			metrics.IncSynch()
-		}
-		sh.mu.Lock()
-		if _, taken := sh.m[name]; !taken {
-			ref.name = name
-			sh.m[name] = ref
-			sh.mu.Unlock()
-			return ref
-		}
-		sh.mu.Unlock()
-		// The id counter is monotone, so a fresh suffix collides only with
-		// a literal registration of that exact name; loop until free.
-		name = fmt.Sprintf("%s-%d", base, s.nextID.Add(1))
-	}
+	return ref
 }
 
 // Shutdown stops the workers after in-flight messages drain. Pending
@@ -210,17 +173,15 @@ const (
 // Ref is a reference to an actor; it is the only handle other code uses to
 // communicate with it.
 type Ref struct {
-	sys  *System
-	name string
+	sys *System
 	// recv is the current behavior. It is swapped on Restart (always under
 	// the actor's scheduling slot) and read on every delivery; the atomic
 	// pointer makes external readers (Ref.Stop's PostStop hook) safe too.
 	recv atomic.Pointer[Receiver]
 
-	mb         mpsc.Queue[envelope]
-	state      atomic.Int32
-	stopped    atomic.Bool
-	registered bool // ephemeral Ask reply refs skip the registry
+	mb      mpsc.Queue[envelope]
+	state   atomic.Int32
+	stopped atomic.Bool
 	// sup is the immutable fault-domain configuration (nil for plain
 	// spawns: DefaultStrategy, no supervisor). restarts counts consecutive
 	// restarts; it is touched only under the actor's scheduling slot and
@@ -367,16 +328,6 @@ func (r *Ref) Stop() {
 	if h, ok := r.behavior().(PostStopper); ok {
 		runHook(h.PostStop)
 	}
-	if !r.registered {
-		return
-	}
-	sh := r.sys.shardFor(r.name)
-	metrics.IncSynch()
-	sh.mu.Lock()
-	if sh.m[r.name] == r {
-		delete(sh.m, r.name)
-	}
-	sh.mu.Unlock()
 }
 
 // Context is passed to Receive and exposes the runtime to behaviors. It is
@@ -394,15 +345,18 @@ type Context struct {
 func (c *Context) Self() *Ref { return c.self }
 
 // Spawn creates a child actor with the default fault domain (no
-// supervisor, DefaultStrategy).
+// supervisor, DefaultStrategy). The name is a label only, as for
+// System.Spawn; after Shutdown it panics with ErrSystemStopped, which
+// fails the spawning actor like any other panic in Receive.
 func (c *Context) Spawn(name string, r Receiver) *Ref {
-	return c.sys.spawn(c.w, name, r, nil)
+	return c.sys.spawn(c.w, r, nil)
 }
 
 // SpawnWith creates a child actor with an explicit fault-domain
-// configuration. The common tree shape passes Supervisor: c.Self().
+// configuration. The common tree shape passes Supervisor: c.Self(). The
+// name and the ErrSystemStopped panic are as for Spawn.
 func (c *Context) SpawnWith(name string, r Receiver, opts SpawnOpts) *Ref {
-	return c.sys.spawn(c.w, name, r, supCellFor(opts))
+	return c.sys.spawn(c.w, r, supCellFor(opts))
 }
 
 // Send delivers msg to the target with this actor as the sender, scheduling
@@ -420,13 +374,12 @@ func (c *Context) Reply(msg any) {
 }
 
 // Ask sends msg to the actor and returns a channel that receives the single
-// reply, mirroring Akka's ask pattern. The reply target is an ephemeral,
-// unregistered ref: repeated Asks take no registry locks, churn no name
-// suffixes, and are allocation-flat.
+// reply, mirroring Akka's ask pattern. The reply target is an ephemeral
+// ref that stops itself after the first reply.
 func (r *Ref) Ask(msg any) <-chan any {
 	reply := make(chan any, 1)
 	metrics.IncObject()
-	tmp := &Ref{sys: r.sys, name: "ask"}
+	tmp := &Ref{sys: r.sys}
 	tmp.mb.Init(r.sys.envPool)
 	tmp.setBehavior(ReceiverFunc(func(ctx *Context, m any) {
 		select {

@@ -153,22 +153,6 @@ func TestStopBecomesDeadLetter(t *testing.T) {
 	if got := sys.DeadLetterCount(); got != 2 {
 		t.Errorf("DeadLetterCount = %d, want 2 (one per post-stop message)", got)
 	}
-	if b := sys.Spawn("stopme", ReceiverFunc(func(*Context, any) {})); b.name != "stopme" {
-		t.Errorf("respawn got name %q: stopped actor still registered", b.name)
-	}
-}
-
-func TestLookupAndNames(t *testing.T) {
-	// Names are unique among live actors: the first spawn keeps the name it
-	// asked for, a second spawn of the same name gets a suffix.
-	sys := NewSystem(1)
-	defer sys.Shutdown()
-
-	a := sys.Spawn("worker", ReceiverFunc(func(*Context, any) {}))
-	b := sys.Spawn("worker", ReceiverFunc(func(*Context, any) {}))
-	if a.name != "worker" || b.name == a.name {
-		t.Errorf("names %q and %q, want worker and a distinct suffixed name", a.name, b.name)
-	}
 }
 
 func TestPingPong(t *testing.T) {

@@ -211,10 +211,10 @@ func TestQuiesceUnderAdversarialLoad(t *testing.T) {
 	}
 }
 
-// Ask must not touch the registry: the reply target is an ephemeral ref
-// named "ask", so repeated Asks churn no names and take no registry locks —
-// the name stays free for a real spawn, with no suffix counter consumed.
-func TestAskEphemeralNotRegistered(t *testing.T) {
+// Repeated Asks each get their own reply: the ephemeral reply refs do not
+// interfere with one another, and each stops itself without leaving a dead
+// letter behind.
+func TestAskRepeated(t *testing.T) {
 	sys := NewSystem(2)
 	defer sys.Shutdown()
 
@@ -231,9 +231,9 @@ func TestAskEphemeralNotRegistered(t *testing.T) {
 			t.Fatalf("ask %d timed out", i)
 		}
 	}
-	if r := sys.Spawn("ask", ReceiverFunc(func(*Context, any) {})); r.name != "ask" || sys.nextID.Load() != 0 {
-		t.Fatalf("spawn after 100 asks got name %q, %d suffixes drawn: Ask registered its reply actor",
-			r.name, sys.nextID.Load())
+	sys.AwaitQuiescence()
+	if got := sys.DeadLetterCount(); got != 0 {
+		t.Fatalf("DeadLetterCount = %d after 100 single-reply asks, want 0", got)
 	}
 }
 
@@ -271,47 +271,6 @@ func TestMailboxFloodDrainReleasesBuffers(t *testing.T) {
 			t.Fatalf("only %d/%d payloads collected; mailbox retains drained buffers", got, n)
 		}
 	}
-}
-
-// Registry sharding: concurrent Spawn/Stop of one contended base name must
-// be race-clean, hand every live actor a distinct name, and free every name
-// on Stop.
-func TestRegistryShardedConcurrentSpawnStop(t *testing.T) {
-	sys := NewSystem(4)
-	defer sys.Shutdown()
-
-	const goroutines = 8
-	const perG = 200
-	var wg, spawned sync.WaitGroup
-	var names sync.Map
-	spawned.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			refs := make([]*Ref, 0, perG)
-			for i := 0; i < perG; i++ {
-				refs = append(refs, sys.Spawn("worker", ReceiverFunc(func(*Context, any) {})))
-			}
-			for _, r := range refs {
-				if _, dup := names.LoadOrStore(r.name, r); dup {
-					t.Errorf("name %q handed to two live actors", r.name)
-				}
-			}
-			spawned.Done()
-			spawned.Wait() // a name freed by Stop may be handed out again
-			for _, r := range refs {
-				r.Stop()
-			}
-		}()
-	}
-	wg.Wait()
-	names.Range(func(name, _ any) bool {
-		if r := sys.Spawn(name.(string), ReceiverFunc(func(*Context, any) {})); r.name != name {
-			t.Fatalf("respawn of %q got %q: name still registered after Stop", name, r.name)
-		}
-		return true
-	})
 }
 
 // The scheduler must actually steal: a single actor fanning out to children

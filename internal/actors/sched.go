@@ -15,7 +15,6 @@ import (
 
 type worker struct {
 	sys  *System
-	id   int
 	cell int // pinned in-flight stripe, see quiesce.go
 	dq   forkjoin.Deque[Ref]
 	rng  uint64

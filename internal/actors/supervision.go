@@ -42,8 +42,8 @@ const (
 	// Restart swaps in a fresh behavior (via the spawn Factory, when one
 	// was given) after an exponential backoff; the mailbox is preserved.
 	Restart
-	// Stop terminates the actor: the PostStop hook runs, the name is
-	// deregistered, and queued plus future messages become dead letters.
+	// Stop terminates the actor: the PostStop hook runs, and queued plus
+	// future messages become dead letters.
 	Stop
 	// Escalate stops the actor and raises the failure to its supervisor;
 	// with no supervisor it is a root failure.
@@ -82,7 +82,8 @@ func (f StrategyFunc) Decide(err any, restarts int) Directive { return f(err, re
 // times, then applies Overflow. Siblings are unaffected, as in Akka's
 // one-for-one supervisor.
 type OneForOne struct {
-	// MaxRestarts bounds consecutive restarts; negative means unlimited.
+	// MaxRestarts bounds consecutive restarts; negative means unlimited,
+	// zero applies Overflow to the first failure.
 	MaxRestarts int
 	// Overflow is the directive applied once the ladder is exhausted.
 	Overflow Directive
@@ -96,16 +97,10 @@ func (s OneForOne) Decide(_ any, restarts int) Directive {
 	return Restart
 }
 
-var (
-	// DefaultStrategy governs actors spawned without SpawnOpts: a bounded
-	// restart ladder degrading to Stop, so an unsupervised failing actor
-	// neither crashes the process nor restarts forever.
-	DefaultStrategy Strategy = OneForOne{MaxRestarts: 5, Overflow: Stop}
-	// AlwaysStop stops on the first failure.
-	AlwaysStop Strategy = StrategyFunc(func(any, int) Directive { return Stop })
-	// AlwaysEscalate raises every failure to the supervisor.
-	AlwaysEscalate Strategy = StrategyFunc(func(any, int) Directive { return Escalate })
-)
+// DefaultStrategy governs actors spawned without SpawnOpts: a bounded
+// restart ladder degrading to Stop, so an unsupervised failing actor
+// neither crashes the process nor restarts forever.
+var DefaultStrategy Strategy = OneForOne{MaxRestarts: 5, Overflow: Stop}
 
 const (
 	// DefaultBackoff is the base restart delay, doubled per consecutive
@@ -156,8 +151,7 @@ type PostStopper interface{ PostStop() }
 // delivered to Receive — and applies the supervisor's own strategy under
 // the supervisor's scheduling slot.
 type escalated struct {
-	child *Ref
-	err   any
+	err any
 }
 
 // runHook isolates a user lifecycle hook: a panicking hook must not
@@ -274,7 +268,7 @@ func (r *Ref) escalate(w *worker, err any) {
 		r.sys.rootFails.Add(1)
 		return
 	}
-	sup.enqueue(escalated{child: r, err: err}, r, w)
+	sup.enqueue(escalated{err: err}, r, w)
 }
 
 // RootFailures returns the number of failures that escalated past the top

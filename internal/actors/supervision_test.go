@@ -51,7 +51,7 @@ func TestPanicInReceiveDoesNotKillWorker(t *testing.T) {
 
 	bad := spawnWith(sys, "bad", ReceiverFunc(func(ctx *Context, msg any) {
 		panic("always")
-	}), SpawnOpts{Strategy: AlwaysStop})
+	}), SpawnOpts{Strategy: OneForOne{Overflow: Stop}})
 	var got atomic.Int64
 	good := sys.Spawn("good", ReceiverFunc(func(ctx *Context, msg any) {
 		got.Add(int64(msg.(int)))
@@ -195,20 +195,21 @@ func TestEscalationClimbsToRootFailure(t *testing.T) {
 	defer sys.Shutdown()
 
 	inert := ReceiverFunc(func(ctx *Context, msg any) {})
-	top := spawnWith(sys, "top", inert, SpawnOpts{Strategy: AlwaysEscalate})
-	mid := spawnWith(sys, "mid", inert, SpawnOpts{Supervisor: top, Strategy: AlwaysEscalate})
+	escalate := OneForOne{Overflow: Escalate}
+	top := spawnWith(sys, "top", inert, SpawnOpts{Strategy: escalate})
+	mid := spawnWith(sys, "mid", inert, SpawnOpts{Supervisor: top, Strategy: escalate})
 	leaf := spawnWith(sys, "leaf", ReceiverFunc(func(ctx *Context, msg any) {
 		panic("leaf failure")
-	}), SpawnOpts{Supervisor: mid, Strategy: AlwaysEscalate})
+	}), SpawnOpts{Supervisor: mid, Strategy: escalate})
 
 	leaf.Tell("go")
 	sys.AwaitQuiescence()
 	if got := sys.RootFailures(); got != 1 {
 		t.Fatalf("RootFailures = %d, want 1", got)
 	}
-	for _, r := range []*Ref{leaf, mid, top} {
+	for name, r := range map[string]*Ref{"leaf": leaf, "mid": mid, "top": top} {
 		if !r.stopped.Load() {
-			t.Errorf("%s not stopped by the escalation chain", r.name)
+			t.Errorf("%s not stopped by the escalation chain", name)
 		}
 	}
 }
@@ -228,7 +229,7 @@ func TestQuiescenceWaitsForEscalation(t *testing.T) {
 			deciding := make(chan struct{})
 			strategy := func(i int) Strategy {
 				if i != slow {
-					return AlwaysEscalate
+					return OneForOne{Overflow: Escalate}
 				}
 				return StrategyFunc(func(any, int) Directive {
 					close(deciding)
@@ -267,7 +268,7 @@ func TestEscalationRestartsSupervisor(t *testing.T) {
 	})
 	child := spawnWith(sys, "child", ReceiverFunc(func(ctx *Context, msg any) {
 		panic("child failure")
-	}), SpawnOpts{Supervisor: top, Strategy: AlwaysEscalate})
+	}), SpawnOpts{Supervisor: top, Strategy: OneForOne{Overflow: Escalate}})
 
 	child.Tell("go")
 	top.Tell(7) // must still be served after the escalation-triggered restart

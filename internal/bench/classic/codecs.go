@@ -349,13 +349,12 @@ func xmlCorpus(n int) string {
 }
 
 type xmlTransformWorkload struct {
-	src   string
-	items int
+	src string
 }
 
 func newXMLTransform(cfg core.Config) (core.Workload, error) {
 	n := cfg.Scale(800)
-	return &xmlTransformWorkload{src: xmlCorpus(n), items: n}, nil
+	return &xmlTransformWorkload{src: xmlCorpus(n)}, nil
 }
 
 func (w *xmlTransformWorkload) RunIteration() error {

@@ -205,7 +205,6 @@ func (t *term) isNum(v int) bool { return t.op == "num" && t.val == v }
 
 type kiamaWorkload struct {
 	exprs []*term
-	total int
 }
 
 func newKiama(cfg core.Config) (core.Workload, error) {
@@ -275,7 +274,6 @@ func eval(t *term) int {
 }
 
 func (w *kiamaWorkload) RunIteration() error {
-	w.total = 0
 	for _, e := range w.exprs {
 		want := eval(e)
 		cur := e
@@ -292,7 +290,6 @@ func (w *kiamaWorkload) RunIteration() error {
 		if cur.val != want {
 			return fmt.Errorf("kiama: rewrite changed value %d -> %d", want, cur.val)
 		}
-		w.total += cur.val
 	}
 	return nil
 }

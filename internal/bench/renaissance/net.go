@@ -382,7 +382,6 @@ func (t *finagleHTTPTarget) Close() error {
 }
 
 type finagleChirperTarget struct {
-	svc   *chirperService
 	srv   *netstack.Server
 	cli   *netstack.Client
 	users uint32
@@ -401,7 +400,7 @@ func newFinagleChirperTarget(cfg core.Config) (loadgen.Target, error) {
 		srv.Close()
 		return nil, err
 	}
-	return &finagleChirperTarget{svc: svc, srv: srv, cli: cli, users: 8}, nil
+	return &finagleChirperTarget{srv: srv, cli: cli, users: 8}, nil
 }
 
 // Send derives the request deterministically from seq — user seq%users,

@@ -107,11 +107,7 @@ type sbMix struct {
 	regionalPct  int
 }
 
-var (
-	sbMixDefault   = sbMix{traversalPct: 25, regionalPct: 25}
-	sbMixReadHeavy = sbMix{traversalPct: 80, regionalPct: 10}
-	sbMixWriteHeavy = sbMix{traversalPct: 5, regionalPct: 15}
-)
+var sbMixDefault = sbMix{traversalPct: 25, regionalPct: 25}
 
 // sbAssembly is one node of the STMBench7-like object graph: a tree of
 // assemblies whose leaves own the atomic parts (value refs under the sum
@@ -148,9 +144,8 @@ func newSTMBench7(cfg core.Config) (core.Workload, error) {
 }
 
 // newSTMBench7Mix builds the workload with an explicit operation mix; the
-// read-mostly and write-heavy variants (sbMixReadHeavy, sbMixWriteHeavy)
-// are exercised by tests and benchmarks without altering the registered
-// Table 1 inventory.
+// tests run a read-mostly and a write-heavy mix through it without
+// altering the registered Table 1 inventory.
 func newSTMBench7Mix(cfg core.Config, mix sbMix) (core.Workload, error) {
 	nLeaves := cfg.Scale(216)
 	if nLeaves < 8 {

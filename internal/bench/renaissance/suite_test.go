@@ -123,8 +123,8 @@ func TestSTMBench7Variants(t *testing.T) {
 		name string
 		mix  sbMix
 	}{
-		{"read-mostly", sbMixReadHeavy},
-		{"write-heavy", sbMixWriteHeavy},
+		{"read-mostly", sbMix{traversalPct: 80, regionalPct: 10}},
+		{"write-heavy", sbMix{traversalPct: 5, regionalPct: 15}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

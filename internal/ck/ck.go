@@ -19,7 +19,6 @@ import (
 // ClassMetrics holds the six CK metrics of one type.
 type ClassMetrics struct {
 	Name string
-	Pkg  string
 	WMC  int // weighted methods per class (method count)
 	DIT  int // depth of the "inheritance" (embedding) tree
 	NOC  int // number of children (types embedding this one)
@@ -192,7 +191,7 @@ func buildReport(classes map[string]*classInfo) *Report {
 
 	for _, name := range names {
 		ci := classes[name]
-		m := ClassMetrics{Name: name, Pkg: ci.pkg, WMC: len(ci.methods)}
+		m := ClassMetrics{Name: name, WMC: len(ci.methods)}
 		m.DIT = dit(name, map[string]bool{})
 		m.NOC = children[name]
 		m.CBO = coupling(ci, classes)

@@ -208,7 +208,6 @@ type IterationEvent struct {
 	Index     int  // iteration index within its phase
 	Warmup    bool // true during the warmup phase
 	Duration  time.Duration
-	Err       error
 }
 
 // Plugin latches onto benchmark execution events (paper §2.2: "the harness

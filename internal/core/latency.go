@@ -17,8 +17,7 @@ type LatencyReporter interface {
 
 // LatencySummary is the percentile block of a run's per-request latency
 // distribution, extracted from an hdr.Histogram. Percentiles are
-// nearest-rank with the histogram's bounded relative error
-// (hdr.MaxRelativeError).
+// nearest-rank with the histogram's bounded relative error (1/32).
 type LatencySummary struct {
 	Count      int64   `json:"count"`
 	MinMillis  float64 `json:"minMillis"`

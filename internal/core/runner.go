@@ -74,7 +74,6 @@ type Result struct {
 	Suite     string           `json:"suite"`
 	Warmup    int              `json:"warmupIterations"`
 	Durations []float64        `json:"steadyStateMillis"` // per measured iteration
-	Total     time.Duration    `json:"-"`
 	Profile   *metrics.Profile `json:"profile,omitempty"`
 	// Latency summarizes the workload's per-request latency distribution
 	// over the steady-state phase, for workloads implementing
@@ -255,7 +254,7 @@ func (r *Runner) runSpec(spec *Spec) (*Result, error) {
 		d := time.Since(start)
 		ev := IterationEvent{
 			Benchmark: spec.Name, Suite: spec.Suite,
-			Index: i, Warmup: isWarmup, Duration: d, Err: err,
+			Index: i, Warmup: isWarmup, Duration: d,
 		}
 		for _, p := range r.Plugins {
 			p.AfterIteration(ev)
@@ -265,7 +264,6 @@ func (r *Runner) runSpec(spec *Spec) (*Result, error) {
 		}
 		if !isWarmup {
 			res.Durations = append(res.Durations, float64(d)/float64(time.Millisecond))
-			res.Total += d
 		}
 		return nil
 	}

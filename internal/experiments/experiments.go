@@ -124,7 +124,6 @@ func (d *Diversity) ScatterPoints(cx, cy int) []report.ScatterPoint {
 			X:      d.PCA.Scores[i][cx],
 			Y:      d.PCA.Scores[i][cy],
 			Symbol: SuiteSymbols[p.Suite],
-			Label:  p.Benchmark,
 		}
 	}
 	return pts

@@ -39,11 +39,6 @@ const (
 
 	// slotCount is the total slot array length.
 	slotCount = subBucketCount + bucketCount*subBucketHalf
-
-	// MaxRelativeError bounds |reported − recorded| / recorded for any
-	// single recorded value reported back by Quantile (midpoint of a slot
-	// whose width is ≤ 1/16 of its lower bound).
-	MaxRelativeError = 1.0 / 32
 )
 
 // Histogram is a fixed-size log-bucketed histogram safe for concurrent
@@ -130,8 +125,9 @@ func (h *Histogram) Max() int64 { return h.max.Load() }
 // rule: the representative value of the slot holding the ⌈q·count⌉-th
 // smallest observation, clamped into [Min, Max] so boundary quantiles
 // (q=0, q=1) and single-value histograms are exact. Within the clamp the
-// result is within MaxRelativeError of the true ranked observation. An
-// empty histogram returns 0.
+// result is within 1/32 (the midpoint of a slot whose width is ≤ 1/16 of
+// its lower bound) of the true ranked observation. An empty histogram
+// returns 0.
 func (h *Histogram) Quantile(q float64) int64 {
 	total := h.total.Load()
 	if total == 0 {

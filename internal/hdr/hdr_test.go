@@ -82,8 +82,8 @@ func TestQuantileVsExactPercentile(t *testing.T) {
 				if hi > n-1 {
 					hi = n - 1
 				}
-				minOK := sorted[lo] * (1 - 2*MaxRelativeError)
-				maxOK := sorted[hi]*(1+2*MaxRelativeError) + 1
+				minOK := sorted[lo] * (1 - 2.0/subBucketCount)
+				maxOK := sorted[hi]*(1+2.0/subBucketCount) + 1
 				if got < minOK || got > maxOK {
 					t.Errorf("%s n=%d q=%g: Quantile=%g outside [%g, %g] (exact percentile %g)",
 						name, n, q, got, minOK, maxOK, exact)
@@ -179,24 +179,5 @@ func TestReset(t *testing.T) {
 	h.Record(7)
 	if h.Quantile(1) != 7 {
 		t.Error("histogram unusable after Reset")
-	}
-}
-
-func BenchmarkRecord(b *testing.B) {
-	h := New()
-	for i := 0; i < b.N; i++ {
-		h.Record(int64(i) & 0xFFFFF)
-	}
-}
-
-func BenchmarkQuantile(b *testing.B) {
-	h := New()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100_000; i++ {
-		h.Record(rng.Int63n(1 << 30))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = h.Quantile(0.99)
 	}
 }

@@ -111,8 +111,6 @@ type Options struct {
 
 // Result is the outcome of one measurement at one offered rate.
 type Result struct {
-	// Rate is the offered load (requests/second); 0 for closed-loop runs.
-	Rate float64
 	// Offered counts scheduled arrivals; Completed successful responses.
 	Offered   int64
 	Completed int64
@@ -177,7 +175,7 @@ func Run(t Target, opt Options) (*Result, error) {
 	}
 	schedule := arrivalOffsets(opt.Seed, opt.Rate, opt.Duration)
 
-	res := &Result{Rate: opt.Rate, Hist: hdr.New()}
+	res := &Result{Hist: hdr.New()}
 	var completed, rejected, errs atomic.Int64
 	sem := make(chan struct{}, maxOut)
 	var wg sync.WaitGroup

@@ -166,8 +166,7 @@ func shardIndex() uint64 {
 // A Recorder accumulates the event counters. The zero value is ready to use.
 // All methods are safe for concurrent use.
 type Recorder struct {
-	shards    [maxShards]shard
-	nextLocal atomic.Uint32
+	shards [maxShards]shard
 }
 
 // Default is the process-wide recorder used by the substrate packages.
@@ -227,9 +226,6 @@ func Acquire() Local { return Default.Local() }
 
 // AcquireAt returns a Local on the Default recorder pinned to stripe i.
 func AcquireAt(i int) Local { return Default.LocalAt(i) }
-
-// IncSynch records entry into a synchronized (mutex-protected) section.
-func (l Local) IncSynch() { l.sh.lanes[Synch].v.Add(1) }
 
 // IncWait records a guarded-block wait (condition-variable wait).
 func (l Local) IncWait() { l.sh.lanes[Wait].v.Add(1) }

@@ -99,12 +99,12 @@ func TestLocalAggregatesAcrossShards(t *testing.T) {
 	var r Recorder
 	a := r.LocalAt(0)
 	b := r.LocalAt(1)
-	a.IncSynch()
+	a.IncAtomic()
 	a.AddArray(3)
-	b.IncSynch()
+	b.IncAtomic()
 	b.AddIDynamic(7)
-	if got := r.Get(Synch); got != 2 {
-		t.Errorf("Get(Synch) = %d, want 2", got)
+	if got := r.Get(Atomic); got != 2 {
+		t.Errorf("Get(Atomic) = %d, want 2", got)
 	}
 	if got := r.Get(Array); got != 3 {
 		t.Errorf("Get(Array) = %d, want 3", got)
@@ -113,7 +113,7 @@ func TestLocalAggregatesAcrossShards(t *testing.T) {
 		t.Errorf("Get(IDynamic) = %d, want 7", got)
 	}
 	s := r.Snapshot()
-	if s.Get(Synch) != 2 || s.Get(Array) != 3 || s.Get(IDynamic) != 7 {
+	if s.Get(Atomic) != 2 || s.Get(Array) != 3 || s.Get(IDynamic) != 7 {
 		t.Errorf("snapshot disagrees with Get: %+v", s.Counts)
 	}
 }
@@ -121,7 +121,6 @@ func TestLocalAggregatesAcrossShards(t *testing.T) {
 func TestLocalWrapperParity(t *testing.T) {
 	var r Recorder
 	loc := r.Local()
-	loc.IncSynch()
 	loc.IncWait()
 	loc.IncNotify()
 	loc.IncAtomic()
@@ -134,7 +133,7 @@ func TestLocalWrapperParity(t *testing.T) {
 	loc.IncIDynamic()
 	loc.AddIDynamic(5)
 	want := map[Metric]int64{
-		Synch: 1, Wait: 1, Notify: 1, Atomic: 3, Park: 1,
+		Wait: 1, Notify: 1, Atomic: 3, Park: 1,
 		Object: 1, Array: 4, Method: 1, IDynamic: 6,
 	}
 	for m, w := range want {

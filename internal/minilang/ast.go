@@ -205,7 +205,6 @@ type IndexExpr struct {
 type FuncRef struct {
 	typed
 	Name string
-	Line int
 }
 
 func (*IntLit) expr()    {}

@@ -384,7 +384,7 @@ func (c *checker) funcArg(e *Call, i int) error {
 			return typeErr(ref.Line, "%q callback %q must have signature %s", e.Name, ref.Name, sigString(want))
 		}
 	}
-	fr := &FuncRef{Name: ref.Name, Line: ref.Line}
+	fr := &FuncRef{Name: ref.Name}
 	fr.T = TypeFunc
 	e.Args[i] = fr
 	return nil

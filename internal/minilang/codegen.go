@@ -35,7 +35,6 @@ func Generate(prog *ProgramAST) (*rvm.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Static = true
 		class.AddMethod(m)
 		streams = streams || g.streams
 		if fn.Name == "main" {
@@ -44,7 +43,6 @@ func Generate(prog *ProgramAST) (*rvm.Program, error) {
 	}
 	if streams {
 		for _, m := range streamLib(asm) {
-			m.Static = true
 			class.AddMethod(m)
 		}
 	}
@@ -178,7 +176,7 @@ func (g *codegen) stmt(s Stmt) error {
 		g.asm.Jump(rvm.OpJump, headL)
 		g.asm.Label(endL)
 		if idx, arr, ok := canonicalFor(s); ok {
-			g.asm.MarkLoop(headL, endL, g.slot(idx), g.slot(arr), true)
+			g.asm.MarkLoop(headL, g.slot(idx), g.slot(arr), true)
 		}
 	case *IndexAssign:
 		g.asm.Load(g.slot(s.Name))
@@ -412,7 +410,7 @@ func streamLib(a *rvm.Asm) []*rvm.Method {
 	a.Jump(rvm.OpJump, "head")
 	a.Label("exit")
 	a.Load(2).Op(rvm.OpReturn)
-	a.MarkLoop("head", "exit", 3, 0, true)
+	a.MarkLoop("head", 3, 0, true)
 	smap := a.MustBuild("$smap", 2)
 
 	// $sfilter(arr, h): two passes — count matches, then fill exact-size out.
@@ -443,8 +441,8 @@ func streamLib(a *rvm.Asm) []*rvm.Method {
 	a.Jump(rvm.OpJump, "head2")
 	a.Label("exit")
 	a.Load(4).Op(rvm.OpReturn)
-	a.MarkLoop("head1", "mid", 3, 0, true)
-	a.MarkLoop("head2", "exit", 3, 0, true)
+	a.MarkLoop("head1", 3, 0, true)
+	a.MarkLoop("head2", 3, 0, true)
 	sfilter := a.MustBuild("$sfilter", 2)
 
 	// $sreduce(arr, acc, h): acc = h(acc, arr[i])
@@ -459,7 +457,7 @@ func streamLib(a *rvm.Asm) []*rvm.Method {
 	a.Jump(rvm.OpJump, "head")
 	a.Label("exit")
 	a.Load(1).Op(rvm.OpReturn)
-	a.MarkLoop("head", "exit", 3, 0, true)
+	a.MarkLoop("head", 3, 0, true)
 	sreduce := a.MustBuild("$sreduce", 3)
 
 	return []*rvm.Method{smap, sfilter, sreduce}

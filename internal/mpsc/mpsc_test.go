@@ -140,67 +140,3 @@ func TestQueueEmptyTransitions(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkQueuePushPop(b *testing.B) {
-	q := New(NewPool[int]())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Push(i)
-		q.Pop()
-	}
-}
-
-// BenchmarkQueueContendedPush measures producer-side scalability: all Ps
-// push, one goroutine drains. Compare against BenchmarkChannelContendedSend.
-func BenchmarkQueueContendedPush(b *testing.B) {
-	q := New(NewPool[int]())
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			if _, ok := q.Pop(); !ok {
-				select {
-				case <-stop:
-					return
-				default:
-					runtime.Gosched()
-				}
-			}
-		}
-	}()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			q.Push(1)
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-}
-
-func BenchmarkChannelContendedSend(b *testing.B) {
-	ch := make(chan int, 1024)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-ch:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			ch <- 1
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-}

@@ -411,7 +411,6 @@ type poolConn struct {
 type Client struct {
 	addr string
 	pool chan *poolConn
-	size int
 	// Timeout bounds each round trip (frame write + response read) when
 	// > 0; a timed-out connection is discarded and redialed.
 	Timeout time.Duration
@@ -437,7 +436,6 @@ func Dial(addr string, poolSize int) (*Client, error) {
 	c := &Client{
 		addr:  addr,
 		pool:  make(chan *poolConn, poolSize),
-		size:  poolSize,
 		conns: make(map[net.Conn]struct{}),
 	}
 	for i := 0; i < poolSize; i++ {

@@ -26,8 +26,6 @@ type Result struct {
 	Eigenvalues []float64
 	// ExplainedVariance[k] is Eigenvalues[k] / sum(Eigenvalues).
 	ExplainedVariance []float64
-	// Means and StdDevs are the per-variable standardization parameters.
-	Means, StdDevs []float64
 }
 
 // Analyze standardizes the N×K observation matrix X (rows are observations,
@@ -168,8 +166,6 @@ func Analyze(x [][]float64) (*Result, error) {
 		Scores:            scores,
 		Eigenvalues:       sortedVals,
 		ExplainedVariance: explained,
-		Means:             means,
-		StdDevs:           stds,
 	}, nil
 }
 

@@ -93,7 +93,6 @@ func (g *RatingsGraph) NumRatings() int { return g.byUser.NumEdges() }
 // smallest external user/item id (the seed stored map[int][]float64 —
 // one pointer-chased allocation per id).
 type ALSModel struct {
-	Rank         int
 	Users, Items *lin.Mat
 	userIdx      map[int]int32
 	itemIDs      []int
@@ -131,7 +130,6 @@ func ALSTrain(g *RatingsGraph, rank, iterations int, lambda float64, seed int64)
 	rng := rand.New(rand.NewSource(seed))
 	metrics.Acquire().AddArray(2) // the two factor matrices
 	model := &ALSModel{
-		Rank:    rank,
 		Users:   lin.NewMat(g.NumUsers(), rank),
 		Items:   lin.NewMat(g.NumItems(), rank),
 		userIdx: g.userIdx,

@@ -131,7 +131,6 @@ func BarChart(w io.Writer, title string, bars []Bar, width int) error {
 type ScatterPoint struct {
 	X, Y   float64
 	Symbol rune // one symbol per suite, as in Figure 1's legend
-	Label  string
 }
 
 // Scatter renders points on a cols×rows character grid with axis ranges

@@ -136,7 +136,7 @@ type Asm struct {
 }
 
 type asmLoop struct {
-	head, end        string
+	head             string
 	idxSlot, arrSlot int
 	initNonNeg       bool
 }
@@ -207,11 +207,11 @@ func (a *Asm) Jump(op Opcode, label string) *Asm {
 }
 
 // MarkLoop records loop-shape metadata for a canonical counted array loop
-// between two labels (resolved in Build). initNonNeg asserts the code
+// whose header is at headLabel (resolved in Build). initNonNeg asserts the code
 // preceding headLabel initializes idxSlot with a non-negative constant;
 // the tier-1 quickener verifies every other region condition itself.
-func (a *Asm) MarkLoop(headLabel, endLabel string, idxSlot, arrSlot int, initNonNeg bool) *Asm {
-	a.loops = append(a.loops, asmLoop{headLabel, endLabel, idxSlot, arrSlot, initNonNeg})
+func (a *Asm) MarkLoop(headLabel string, idxSlot, arrSlot int, initNonNeg bool) *Asm {
+	a.loops = append(a.loops, asmLoop{headLabel, idxSlot, arrSlot, initNonNeg})
 	return a
 }
 
@@ -236,18 +236,9 @@ func (a *Asm) Build(name string, nargs int) (*Method, error) {
 		if !ok {
 			return nil, fmt.Errorf("rvm: undefined loop label %q in %s", l.head, name)
 		}
-		end, ok := a.labels[l.end]
-		if !ok {
-			return nil, fmt.Errorf("rvm: undefined loop label %q in %s", l.end, name)
-		}
 		m.Loops = append(m.Loops, LoopInfo{
-			Head: head, End: end,
-			IdxSlot: l.idxSlot, ArrSlot: l.arrSlot,
-			InitNonNeg: l.initNonNeg,
+			Head: head, IdxSlot: l.idxSlot, ArrSlot: l.arrSlot, InitNonNeg: l.initNonNeg,
 		})
-	}
-	if ms, _, err := verifyMethod(m); err == nil {
-		m.MaxStack = ms
 	}
 	return m, nil
 }

@@ -94,7 +94,6 @@ func TestTracedExecution(t *testing.T) {
 	a.Label("exit")
 	a.ConstInt(0).Op(rvm.OpReturn)
 	m := a.MustBuild("main", 1)
-	m.Static = true
 	p := rvm.NewProgram()
 	mainC := rvm.NewClass("Main", nil)
 	mainC.AddMethod(m)

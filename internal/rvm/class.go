@@ -90,12 +90,6 @@ type Method struct {
 	NArgs   int
 	NLocals int
 	Code    []Instr
-	// Static marks methods invoked without a receiver.
-	Static bool
-	// MaxStack is the verified operand-stack high-water mark, computed by
-	// Asm.Build (and recomputed defensively by the interpreter for
-	// hand-built methods). Zero means "not verified yet".
-	MaxStack int
 	// Loops carries compiler-emitted loop-shape metadata (minilang's for
 	// statement): the quickener uses it to prove the induction variable
 	// non-negative and elide per-access null+bounds checks in tier-1.
@@ -107,14 +101,13 @@ type Method struct {
 //	for idx := <non-negative>; idx < len(arr); idx++ { ... }
 //
 // Head is the instruction index of the loop header (Load idx; Load arr;
-// ArrayLen; CmpLT; JumpIfNot exit) and End the first instruction after
-// the backedge. IdxSlot/ArrSlot are the local slots of the induction
+// ArrayLen; CmpLT; JumpIfNot exit). IdxSlot/ArrSlot are the local slots of the induction
 // variable and the array. InitNonNeg asserts the compiler initialized idx
 // with a non-negative constant immediately before the header; the
 // quickener independently re-derives every other region condition from
 // the bytecode before trusting it.
 type LoopInfo struct {
-	Head, End        int
+	Head             int
 	IdxSlot, ArrSlot int
 	InitNonNeg       bool
 }

@@ -18,7 +18,6 @@ func trap(t *testing.T, classes []*Class, code func(a *Asm)) error {
 	a := NewAsm()
 	code(a)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	if err := p.AddClass(mainC); err != nil {
@@ -123,7 +122,6 @@ func TestTrapCallDepth(t *testing.T) {
 	a := NewAsm()
 	a.Invoke(OpInvokeStatic, "Main.main", 0).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -139,11 +137,9 @@ func TestTrapWrongArity(t *testing.T) {
 	callee := NewAsm()
 	callee.Load(0).Op(OpReturn)
 	one := callee.MustBuild("one", 1)
-	one.Static = true
 	a := NewAsm()
 	a.Invoke(OpInvokeStatic, "Main.one", 0).Op(OpReturn) // zero args to a 1-arg method
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	mainC.AddMethod(one)
@@ -164,7 +160,6 @@ func TestRunWithoutEntry(t *testing.T) {
 
 func TestUnknownOpcode(t *testing.T) {
 	m := &Method{Name: "bad", NLocals: 0, Code: []Instr{{Op: Opcode(200)}}}
-	m.Static = true
 	p := NewProgram()
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)

@@ -18,7 +18,6 @@ var (
 	ErrStack         = errors.New("rvm: operand stack underflow")
 	ErrFuelExhausted = errors.New("rvm: execution fuel exhausted")
 	ErrBadMonitor    = errors.New("rvm: unbalanced monitor exit")
-	ErrNotInterface  = errors.New("rvm: receiver does not implement interface")
 )
 
 // Counters are the dynamic event counts of one execution, matching the

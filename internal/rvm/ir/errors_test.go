@@ -214,7 +214,6 @@ func TestExecCalibratedMatchesUncalibrated(t *testing.T) {
 	a.Label("x")
 	a.Load(1).Op(rvm.OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	p := rvm.NewProgram()
 	mainC := rvm.NewClass("Main", nil)
 	mainC.AddMethod(m)

@@ -35,10 +35,8 @@ func mainProgram(t *testing.T, entry *rvm.Method, extra ...*rvm.Method) *rvm.Pro
 	t.Helper()
 	p := rvm.NewProgram()
 	main := rvm.NewClass("Main", nil)
-	entry.Static = true
 	main.AddMethod(entry)
 	for _, m := range extra {
-		m.Static = true
 		main.AddMethod(m)
 	}
 	if err := p.AddClass(main); err != nil {
@@ -87,7 +85,6 @@ func TestBuildObjectsArraysGuards(t *testing.T) {
 	a.Load(1).ConstInt(2).Op(rvm.OpALoad)
 	a.Load(1).Op(rvm.OpArrayLen).Op(rvm.OpAdd).Op(rvm.OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := rvm.NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -131,7 +128,6 @@ func TestBuildVirtualCall(t *testing.T) {
 	a.Sym(rvm.OpNew, "Base").Invoke(rvm.OpInvokeVirtual, "get", 1)
 	a.Op(rvm.OpAdd).Op(rvm.OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := rvm.NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -166,7 +162,6 @@ func TestBuildCASAndAtomics(t *testing.T) {
 	a.Load(0).Op(rvm.OpMonitorExit)
 	a.Load(1).Op(rvm.OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := rvm.NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -194,7 +189,6 @@ func TestBuildInstanceOfChain(t *testing.T) {
 	a.Label("no")
 	a.ConstInt(0).Op(rvm.OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := rvm.NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)

@@ -18,8 +18,6 @@ import (
 // Compiled is the result of compiling a bytecode program.
 type Compiled struct {
 	Prog *ir.Program
-	// Pipeline is the configuration that produced the code.
-	Pipeline *opt.Pipeline
 	// CodeSize is the total compiled IR size in instructions (the
 	// Figure 7 "code size" analogue; the paper reports bytes of machine
 	// code, we report IR instructions — both measure how much hot code
@@ -47,7 +45,6 @@ func Compile(p *rvm.Program, pipe *opt.Pipeline) (*Compiled, error) {
 	}
 	return &Compiled{
 		Prog:        prog,
-		Pipeline:    pipe,
 		CodeSize:    size,
 		MethodCount: len(prog.Funcs),
 		CompileTime: elapsed,

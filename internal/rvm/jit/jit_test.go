@@ -23,7 +23,8 @@ func buildKernel(t *testing.T, suite, name string) *rvm.Program {
 
 func TestCompileAccounting(t *testing.T) {
 	p := buildKernel(t, kernels.SuiteRenaissance, "scrabble")
-	c, err := Compile(p, opt.OptPipeline())
+	pipe := opt.OptPipeline()
+	c, err := Compile(p, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestCompileAccounting(t *testing.T) {
 	if c.CompileTime <= 0 {
 		t.Error("no compile time recorded")
 	}
-	if len(c.Pipeline.PassTime) == 0 {
+	if len(pipe.PassTime) == 0 {
 		t.Error("no per-pass times")
 	}
 }
@@ -75,17 +76,15 @@ func TestBaselineSmallerCompileTimeBudget(t *testing.T) {
 	// The baseline pipeline compiles fewer passes; this mirrors Table 16's
 	// observation that optimizations cost compilation time.
 	p := buildKernel(t, kernels.SuiteSPECjvm, "scimark.lu.small")
-	base, err := Compile(p, opt.BaselinePipeline())
-	if err != nil {
-		t.Fatal(err)
+	base, full := opt.BaselinePipeline(), opt.OptPipeline()
+	for _, pipe := range []*opt.Pipeline{base, full} {
+		if _, err := Compile(p, pipe); err != nil {
+			t.Fatal(err)
+		}
 	}
-	full, err := Compile(p, opt.OptPipeline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Pipeline.PassTime) <= len(base.Pipeline.PassTime) {
+	if len(full.PassTime) <= len(base.PassTime) {
 		t.Errorf("full pipeline should record more passes: %d vs %d",
-			len(full.Pipeline.PassTime), len(base.Pipeline.PassTime))
+			len(full.PassTime), len(base.PassTime))
 	}
 }
 

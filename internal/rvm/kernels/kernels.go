@@ -89,7 +89,6 @@ func Build(spec Spec, scale int) (*rvm.Program, error) {
 		}
 		n := weight * scale
 		m := build(n)
-		m.Static = true
 		main.AddMethod(m)
 		calls = append(calls, patternCall{m.Name, n})
 	}
@@ -110,11 +109,9 @@ func Build(spec Spec, scale int) (*rvm.Program, error) {
 	addPattern("floatk", w.Float, buildFloat)
 	if w.Framework > 0 && w.FrameworkDepth > 0 {
 		for _, m := range buildFrameworkMethods(w.FrameworkDepth) {
-			m.Static = true
 			main.AddMethod(m)
 		}
 		drv := buildFrameworkDriver(w.FrameworkDepth)
-		drv.Static = true
 		main.AddMethod(drv)
 		calls = append(calls, patternCall{drv.Name, w.Framework * scale})
 	}
@@ -134,7 +131,6 @@ func Build(spec Spec, scale int) (*rvm.Program, error) {
 	}
 	a.Load(0).Op(rvm.OpReturn)
 	entry := a.MustBuild("main", 0)
-	entry.Static = true
 	main.AddMethod(entry)
 
 	if err := p.AddClass(main); err != nil {
@@ -176,7 +172,6 @@ func addLambda(main *rvm.Class) {
 	l := rvm.NewAsm()
 	l.Load(0).ConstInt(3).Op(rvm.OpMul).ConstInt(1).Op(rvm.OpAdd).Op(rvm.OpReturn)
 	m := l.MustBuild("lambdaBody", 1)
-	m.Static = true
 	main.AddMethod(m)
 }
 

@@ -38,7 +38,6 @@ type retryLoop struct {
 	loadIdx int // index of the field load
 	casIdx  int // index of the CAS (last instruction)
 	load    *ir.Instr
-	cas     *ir.Instr
 	exitTo  *ir.Block
 	// expHolders are the registers holding the loaded value after the
 	// block's straight-line code (candidates for the fused CAS's expected
@@ -72,7 +71,6 @@ func matchRetryLoop(b *ir.Block) *retryLoop {
 				return nil
 			}
 			rl.casIdx = i
-			rl.cas = in
 			// The CAS must target the same object value and field, expect
 			// the loaded value, and its success flag must drive the branch.
 			if in.Sym != rl.field {

@@ -248,7 +248,6 @@ func genProgram(rng *rand.Rand, mixed bool) *rvm.Program {
 	a.Op(rvm.OpReturn)
 
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := rvm.NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)

@@ -77,7 +77,6 @@ func (r *loopResolver) inductionStep(reg ir.Reg) (int64, bool) {
 type loopBound struct {
 	indVar   ir.Reg
 	indOff   int64
-	indStep  int64
 	limit    affine // invariant base + offset, or pure constant
 	strict   bool   // true for <, false for <=
 	resolved bool
@@ -141,15 +140,14 @@ func (r *loopResolver) headerBound(l *ir.Loop) loopBound {
 	if ind.base == ir.NoReg {
 		return loopBound{}
 	}
-	step, isInd := r.inductionStep(ind.base)
-	if !isInd {
+	if _, isInd := r.inductionStep(ind.base); !isInd {
 		return loopBound{}
 	}
 	if lim.base != ir.NoReg && !r.invariant(lim.base) {
 		return loopBound{}
 	}
 	return loopBound{
-		indVar: ind.base, indOff: ind.off, indStep: step,
+		indVar: ind.base, indOff: ind.off,
 		limit: lim, strict: strict, resolved: true,
 	}
 }

@@ -18,10 +18,8 @@ func mainProgram(t *testing.T, classes []*rvm.Class, entry *rvm.Method, extra ..
 		}
 	}
 	main := rvm.NewClass("Main", nil)
-	entry.Static = true
 	main.AddMethod(entry)
 	for _, m := range extra {
-		m.Static = true
 		main.AddMethod(m)
 	}
 	if err := p.AddClass(main); err != nil {

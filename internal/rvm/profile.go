@@ -68,7 +68,6 @@ type mstate struct {
 type recvProf struct {
 	classes [icWidth]*Class
 	counts  [icWidth]int64
-	other   int64
 }
 
 func (rp *recvProf) note(c *Class) {
@@ -83,7 +82,6 @@ func (rp *recvProf) note(c *Class) {
 			return
 		}
 	}
-	rp.other++
 }
 
 // state returns (creating on first use) the tiering state for a method,

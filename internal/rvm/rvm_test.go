@@ -11,9 +11,7 @@ func buildProgram(t *testing.T, entry *Method, extra ...*Method) *Program {
 	p := NewProgram()
 	main := NewClass("Main", nil)
 	main.AddMethod(entry)
-	entry.Static = true
 	for _, m := range extra {
-		m.Static = true
 		main.AddMethod(m)
 	}
 	if err := p.AddClass(main); err != nil {
@@ -94,7 +92,6 @@ func TestObjectsAndFields(t *testing.T) {
 	a.Load(0).ConstInt(35).Sym(OpPutField, "y")
 	a.Load(0).Sym(OpGetField, "x").Load(0).Sym(OpGetField, "y").Op(OpAdd).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	main := NewClass("Main", nil)
 	main.AddMethod(m)
 	if err := p.AddClass(main); err != nil {
@@ -184,7 +181,6 @@ func TestVirtualDispatch(t *testing.T) {
 	a.Sym(OpNew, "Cat").Invoke(OpInvokeVirtual, "speak", 1)
 	a.Op(OpAdd).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	if err := p.AddClass(mainC); err != nil {
@@ -240,7 +236,6 @@ func TestMonitorsAndCounters(t *testing.T) {
 	a.Op(OpPark)
 	a.ConstInt(0).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	if err := p.AddClass(mainC); err != nil {
@@ -269,7 +264,6 @@ func TestUnbalancedMonitorExit(t *testing.T) {
 	a := NewAsm()
 	a.Sym(OpNew, "Lock").Op(OpMonitorExit).ConstInt(0).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -295,7 +289,6 @@ func TestCASSemantics(t *testing.T) {
 	a.Load(0).Sym(OpGetField, "v").Store(3)
 	a.Load(1).ConstInt(100).Op(OpMul).Load(2).ConstInt(10).Op(OpMul).Op(OpAdd).Load(3).Op(OpAdd).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -323,7 +316,6 @@ func TestAtomicAdd(t *testing.T) {
 	a.Load(0).ConstInt(5).Sym(OpAtomicAdd, "v").Store(1) // old = 10
 	a.Load(0).Sym(OpGetField, "v").Load(1).Op(OpAdd).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -350,7 +342,6 @@ func TestInstanceOfAndCast(t *testing.T) {
 	a.Load(0).Sym(OpCheckCast, "Base").Op(OpPop)
 	a.Load(1).ConstInt(100).Op(OpMul).Load(2).ConstInt(10).Op(OpMul).Op(OpAdd).Load(3).Op(OpAdd).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -369,7 +360,6 @@ func TestBadCastTrap(t *testing.T) {
 	a := NewAsm()
 	a.Sym(OpNew, "X").Sym(OpCheckCast, "Y").Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
@@ -429,7 +419,6 @@ func TestInterfaceDispatchCheck(t *testing.T) {
 	a := NewAsm()
 	a.Sym(OpNew, "Impl").Invoke(OpInvokeInterface, "run", 1).Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)

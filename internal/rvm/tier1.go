@@ -4,7 +4,7 @@ import "fmt"
 
 // Tier-1 execution: token-threaded dispatch over a function table indexed
 // by quickened opcode. Frames are pooled and flat — locals and operand
-// stack share one slice sized from the verified MaxStack — so steady-state
+// stack share one slice sized from the verified maximum stack depth — so steady-state
 // invocation allocates nothing. Fuel is charged per basic block (the
 // charge rides on each block's leader instruction); Executed and every
 // other counter are bumped by the handlers to match tier-0 exactly.

@@ -300,7 +300,6 @@ func TestTierDifferentialObjects(t *testing.T) {
 	a.Load(0).Sym(OpGetField, "v").Op(OpAdd)
 	a.Op(OpReturn)
 	m := a.MustBuild("main", 0)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	if err := p.AddClass(mainC); err != nil {
@@ -556,7 +555,6 @@ func mkDispatchProgram(t *testing.T, nrecv int) (*Program, *Method) {
 	a.Label("exit")
 	a.Load(2).Op(OpReturn)
 	m := a.MustBuild("main", 1)
-	m.Static = true
 	mainC := NewClass("Main", nil)
 	mainC.AddMethod(m)
 	if err := p.AddClass(mainC); err != nil {

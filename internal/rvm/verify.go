@@ -6,8 +6,8 @@ import "fmt"
 // path or be quickened to tier-1, the interpreter proves that its operand
 // stack is statically well-formed: every reachable instruction has one
 // consistent entry depth, no path underflows, all local slots are in
-// range, and all opcodes are known. The proof yields MaxStack — the exact
-// operand-stack high-water mark — which sizes the pooled flat frame
+// range, and all opcodes are known. The proof yields the exact
+// operand-stack high-water mark, which sizes the pooled flat frame
 // (locals and stack in one slice, no per-value bounds management).
 //
 // Methods that fail verification are not broken: they run on the original

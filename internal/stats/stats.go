@@ -142,21 +142,15 @@ func percentileSorted(s []float64, q float64) float64 {
 
 // Summary bundles descriptive statistics of one sample.
 type Summary struct {
-	N        int
 	Mean     float64
-	StdDev   float64
 	Min, Max float64
-	Median   float64
 }
 
 // Summarize computes a Summary of xs.
 func Summarize(xs []float64) Summary {
 	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		Median: Median(xs),
+		Mean: Mean(xs),
+		Min:  Min(xs),
+		Max:  Max(xs),
 	}
 }

@@ -24,11 +24,14 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # recovery suite (recompute vs concurrent actions on a shared cache,
 # retry-budget exhaustion, shuffle epoch retries).
 # minilang's FuzzCompile seed corpus (compile, then baseline vs quickened
-# execution) rides along too, and so do graphdb's concurrent writer/reader
-# tests and its differential suite against the map-and-sort reference
-# (CreateNode takes no store lock; queries sort nothing under it).
-STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile'
-STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb
+# execution) rides along too, as does the rvm/ir FuzzVerify seed corpus
+# (bytecode the verifier accepts runs identically on tier-0, tier-1 and
+# the IR executor; bytecode it refuses is refused by all three), and so
+# do graphdb's concurrent writer/reader tests and its differential suite
+# against the map-and-sort reference (CreateNode takes no store lock;
+# queries sort nothing under it).
+STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify'
+STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir
 
 .PHONY: check vet build test test-rbench race stress stress-fragments chaos smoke analyze rbench loc
 

@@ -60,18 +60,22 @@ type Diversity struct {
 }
 
 // Analyze runs the PCA. Rows are benchmarks, columns the 11 Table 2
-// metrics normalized by reference cycles (§3.2), standardized inside the
-// PCA (§4.2).
+// metrics (metrics.PaperMetrics) normalized by reference cycles (§3.2),
+// standardized inside the PCA (§4.2).
 func Analyze(profiles []*metrics.Profile) (*Diversity, error) {
+	ms := metrics.PaperMetrics()
 	x := make([][]float64, len(profiles))
 	for i, p := range profiles {
-		x[i] = p.Vector()
+		x[i] = make([]float64, len(ms))
+		for j, m := range ms {
+			x[i][j] = p.Rate(m)
+		}
 	}
 	res, err := pca.Analyze(x)
 	if err != nil {
 		return nil, err
 	}
-	return &Diversity{Metrics: metrics.AllMetrics(), Profiles: profiles, PCA: res}, nil
+	return &Diversity{Metrics: ms, Profiles: profiles, PCA: res}, nil
 }
 
 // LoadingsTable renders Table 3: metric loadings on the first k PCs,
@@ -169,16 +173,18 @@ func RateBars(profiles []*metrics.Profile, m metrics.Metric) []report.Bar {
 	return bars
 }
 
-// Table7 renders the unnormalized metric counts for every benchmark.
+// Table7 renders the unnormalized Table 2 metric counts for every
+// benchmark.
 func Table7(profiles []*metrics.Profile) *report.Table {
 	t := &report.Table{Title: "Table 7: unnormalized metrics (single steady-state execution)"}
 	t.Headers = []string{"suite", "benchmark"}
-	for _, m := range metrics.AllMetrics() {
+	ms := metrics.PaperMetrics()
+	for _, m := range ms {
 		t.Headers = append(t.Headers, m.String())
 	}
 	for _, p := range profiles {
 		row := []any{p.Suite, p.Benchmark}
-		for _, m := range metrics.AllMetrics() {
+		for _, m := range ms {
 			if m == metrics.CPU {
 				row = append(row, fmt.Sprintf("%.1f", p.CPUUtil))
 				continue

@@ -48,6 +48,17 @@ func TestDiversityPCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The inputs are the paper's 11 Table 2 metrics; the diagnostic
+	// counters stay out of the PCA.
+	if len(d.Metrics) != 11 || len(d.PCA.Loadings) != 11 {
+		t.Errorf("PCA over %d metrics (%d loading rows), want 11", len(d.Metrics), len(d.PCA.Loadings))
+	}
+	for _, m := range d.Metrics {
+		switch m {
+		case metrics.DeadLetter, metrics.StmAbort, metrics.StmExtend, metrics.RddRecompute:
+			t.Errorf("diagnostic counter %v is a PCA input", m)
+		}
+	}
 	// First four components must capture a meaningful variance share (the
 	// paper reports ~60%).
 	ev := d.ExplainedVariance(4)

@@ -101,6 +101,13 @@ func AllMetrics() []Metric {
 	return ms
 }
 
+// PaperMetrics returns the 11 metrics of the paper's Table 2, in Table 2
+// order: the columns of the §4 PCA and of Table 7. The diagnostic counters
+// that follow them (DeadLetter, StmAbort, StmExtend, RddRecompute) stay in
+// every Snapshot and Result, but they count failure handling rather than
+// characterize a workload, so the diversity analysis leaves them out.
+func PaperMetrics() []Metric { return AllMetrics()[:IDynamic+1] }
+
 // Counted reports whether the metric is a dynamic event counter (as opposed
 // to the sampled CPU utilization, which is a ratio).
 func (m Metric) Counted() bool { return m != CPU }

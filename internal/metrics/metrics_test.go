@@ -144,18 +144,17 @@ func TestProfileRate(t *testing.T) {
 	}
 }
 
-func TestProfileVector(t *testing.T) {
-	p := &Profile{RefCycles: 100, CPUUtil: 10}
-	p.Counts.Counts[Synch] = 50
-	v := p.Vector()
-	if len(v) != int(NumMetrics) {
-		t.Fatalf("Vector() has %d entries, want %d", len(v), NumMetrics)
+func TestPaperMetrics(t *testing.T) {
+	ms := PaperMetrics()
+	want := []string{"synch", "wait", "notify", "atomic", "park", "cpu",
+		"cachemiss", "object", "array", "method", "idynamic"}
+	if len(ms) != len(want) {
+		t.Fatalf("PaperMetrics() has %d entries, want %d", len(ms), len(want))
 	}
-	if v[Synch] != 0.5 {
-		t.Errorf("Vector()[Synch] = %g, want 0.5", v[Synch])
-	}
-	if v[CPU] != 10 {
-		t.Errorf("Vector()[CPU] = %g, want 10", v[CPU])
+	for i, m := range ms {
+		if m.String() != want[i] {
+			t.Errorf("PaperMetrics()[%d] = %v, want %s", i, m, want[i])
+		}
 	}
 }
 

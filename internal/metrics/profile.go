@@ -53,16 +53,6 @@ func (p *Profile) Rate(m Metric) float64 {
 	return float64(p.Counts.Get(m)) / p.RefCycles
 }
 
-// Vector returns all metric rates in Table 2 order, the row format consumed
-// by the PCA analysis.
-func (p *Profile) Vector() []float64 {
-	v := make([]float64, NumMetrics)
-	for m := Metric(0); m < NumMetrics; m++ {
-		v[m] = p.Rate(m)
-	}
-	return v
-}
-
 func (p *Profile) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%s:", p.Suite, p.Benchmark)

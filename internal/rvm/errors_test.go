@@ -104,15 +104,15 @@ func TestTrapNegativeArraySize(t *testing.T) {
 
 func TestTrapStackUnderflow(t *testing.T) {
 	err := trap(t, nil, func(a *Asm) { a.Op(OpAdd).Op(OpReturn) })
-	if !errors.Is(err, ErrStack) {
+	if !errors.Is(err, ErrVerify) {
 		t.Errorf("err = %v", err)
 	}
 	err = trap(t, nil, func(a *Asm) { a.Op(OpPop).ConstInt(0).Op(OpReturn) })
-	if !errors.Is(err, ErrStack) {
+	if !errors.Is(err, ErrVerify) {
 		t.Errorf("pop err = %v", err)
 	}
 	err = trap(t, nil, func(a *Asm) { a.Op(OpDup).Op(OpReturn) })
-	if !errors.Is(err, ErrStack) {
+	if !errors.Is(err, ErrVerify) {
 		t.Errorf("dup err = %v", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestUnknownOpcode(t *testing.T) {
 	mainC.AddMethod(m)
 	_ = p.AddClass(mainC)
 	p.Entry = m
-	if _, err := NewInterp(p).Run(); err == nil || !strings.Contains(err.Error(), "unknown opcode") {
+	if _, err := NewInterp(p).Run(); !errors.Is(err, ErrVerify) || !strings.Contains(err.Error(), "unknown opcode") {
 		t.Errorf("err = %v", err)
 	}
 	if got := Opcode(200).String(); !strings.Contains(got, "op(200)") {

@@ -15,9 +15,11 @@ var (
 	ErrNoSuchField   = errors.New("rvm: field not found")
 	ErrNoSuchClass   = errors.New("rvm: class not found")
 	ErrBadCast       = errors.New("rvm: bad cast")
-	ErrStack         = errors.New("rvm: operand stack underflow")
 	ErrFuelExhausted = errors.New("rvm: execution fuel exhausted")
 	ErrBadMonitor    = errors.New("rvm: unbalanced monitor exit")
+	// ErrVerify is wrapped by every bytecode verification failure (see
+	// Verify); invoking an unverifiable method traps with it.
+	ErrVerify = errors.New("rvm: bytecode verification failed")
 )
 
 // Counters are the dynamic event counts of one execution, matching the
@@ -53,9 +55,9 @@ type Counters struct {
 // flat frames with block-granularity fuel (tier-0); under TierAuto hot
 // methods are quickened to superinstruction dispatch with inline caches
 // (tier-1), entered either at the next invocation or mid-loop by on-stack
-// replacement. Methods that fail verification (unknown opcodes,
-// deliberate underflows, inconsistent join depths) run on the original
-// dynamic-stack path with unchanged seed semantics. All tiering state is
+// replacement. Every method is verified (Verify) once per interpreter, at
+// its first invocation; one that fails never runs, and each invocation
+// traps with the verifier's ErrVerify error. All tiering state is
 // per-interpreter, so concurrent interpreters may share one Program.
 type Interp struct {
 	Program *Program
@@ -120,22 +122,22 @@ func (vm *Interp) invoke(m *Method, args []Value, depth, maxDepth int) (Value, e
 		return Null(), fmt.Errorf("rvm: %s expects %d args, got %d", m.QualifiedName(), m.NArgs, len(args))
 	}
 	st := vm.state(m)
+	if st.verr != nil {
+		return Null(), st.verr
+	}
 	if vm.Tier != TierBaseline {
 		st.invocations++
 	}
 	if st.q != nil {
 		return vm.runQuick(st, args, depth, maxDepth)
 	}
-	if !st.noQuick && st.flat &&
+	if !st.noQuick &&
 		(vm.Tier == TierQuick ||
 			(vm.Tier == TierAuto && (st.invocations >= TierUpInvocations || st.backedges >= TierUpBackedges))) {
 		vm.quicken(st)
 		if st.q != nil {
 			return vm.runQuick(st, args, depth, maxDepth)
 		}
-	}
-	if !st.flat {
-		return vm.runDynamic(m, args, depth, maxDepth)
 	}
 	return vm.runFlat(st, m, args, depth, maxDepth)
 }
@@ -449,9 +451,6 @@ func (vm *Interp) flatLoop(st *mstate, m *Method, fr *frame, depth, maxDepth int
 			if !o.IsNull() && !vm.isInstance(o, in.S) {
 				return Null(), fmt.Errorf("%w: to %s", ErrBadCast, in.S)
 			}
-
-		default:
-			return Null(), fmt.Errorf("rvm: unknown opcode %d at %s:%d", in.Op, m.QualifiedName(), pc)
 		}
 		// Backedge profiling and OSR tier-up (TierAuto only): after a
 		// taken backward branch, continue in quickened code on this very
@@ -471,375 +470,6 @@ func (vm *Interp) flatLoop(st *mstate, m *Method, fr *frame, depth, maxDepth int
 					}
 				}
 			}
-		}
-		pc = next
-	}
-	return Null(), nil // fell off the end: implicit void return
-}
-
-// runDynamic is the pre-verification interpreter: a growable operand
-// stack with per-pop underflow checks and per-instruction fuel. Methods
-// that fail verification (hand-built tests, adversarial bytecode) keep
-// these exact seed semantics.
-func (vm *Interp) runDynamic(m *Method, args []Value, depth, maxDepth int) (Value, error) {
-	locals := make([]Value, m.NLocals)
-	copy(locals, args)
-	var stack []Value
-
-	push := func(v Value) { stack = append(stack, v) }
-	pop := func() (Value, error) {
-		if len(stack) == 0 {
-			return Null(), fmt.Errorf("%w in %s", ErrStack, m.QualifiedName())
-		}
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v, nil
-	}
-	pop2 := func() (a, b Value, err error) {
-		b, err = pop()
-		if err != nil {
-			return
-		}
-		a, err = pop()
-		return
-	}
-
-	pc := 0
-	for pc >= 0 && pc < len(m.Code) {
-		vm.fuel--
-		if vm.fuel < 0 {
-			return Null(), ErrFuelExhausted
-		}
-		vm.Counters.Executed++
-		in := m.Code[pc]
-		next := pc + 1
-		switch in.Op {
-		case OpNop:
-
-		case OpConstInt:
-			push(Int(in.I))
-		case OpConstFloat:
-			push(Float(in.F))
-		case OpConstNull:
-			push(Null())
-		case OpLoad:
-			push(locals[in.A])
-		case OpStore:
-			v, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			locals[in.A] = v
-		case OpPop:
-			if _, err := pop(); err != nil {
-				return Null(), err
-			}
-		case OpDup:
-			if len(stack) == 0 {
-				return Null(), ErrStack
-			}
-			push(stack[len(stack)-1])
-
-		case OpAdd, OpSub, OpMul, OpDiv, OpRem:
-			a, b, err := pop2()
-			if err != nil {
-				return Null(), err
-			}
-			v, err := arith(in.Op, a, b)
-			if err != nil {
-				return Null(), err
-			}
-			push(v)
-		case OpNeg:
-			a, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			if a.Kind() == KindFloat {
-				push(Float(-a.AsFloat()))
-			} else {
-				push(Int(-a.AsInt()))
-			}
-
-		case OpCmpLT, OpCmpLE, OpCmpGT, OpCmpGE, OpCmpEQ, OpCmpNE:
-			a, b, err := pop2()
-			if err != nil {
-				return Null(), err
-			}
-			push(boolVal(compare(in.Op, a, b)))
-
-		case OpJump:
-			next = in.A
-		case OpJumpIf:
-			v, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			if v.Truthy() {
-				next = in.A
-			}
-		case OpJumpIfNot:
-			v, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			if !v.Truthy() {
-				next = in.A
-			}
-		case OpReturn:
-			return pop()
-		case OpReturnVoid:
-			return Null(), nil
-
-		case OpNew:
-			c, ok := vm.Program.Class(in.S)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s", ErrNoSuchClass, in.S)
-			}
-			vm.Counters.Object++
-			push(Ref(NewObject(c)))
-		case OpGetField:
-			o, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			obj := o.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: getfield %s in %s", ErrNullPointer, in.S, m.QualifiedName())
-			}
-			idx, ok := obj.Class.FieldIndex(in.S)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.S)
-			}
-			push(obj.Fields[idx])
-		case OpPutField:
-			o, v, err := pop2()
-			if err != nil {
-				return Null(), err
-			}
-			obj := o.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: putfield %s", ErrNullPointer, in.S)
-			}
-			idx, ok := obj.Class.FieldIndex(in.S)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.S)
-			}
-			obj.Fields[idx] = v
-		case OpNewArray:
-			n, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			ln := n.AsInt()
-			if ln < 0 {
-				return Null(), fmt.Errorf("rvm: negative array size %d", ln)
-			}
-			vm.Counters.Array++
-			push(Ref(NewArray(int(ln))))
-		case OpALoad:
-			arr, idx, err := pop2()
-			if err != nil {
-				return Null(), err
-			}
-			obj := arr.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: aload", ErrNullPointer)
-			}
-			i := idx.AsInt()
-			if i < 0 || i >= int64(obj.Len()) {
-				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
-			}
-			push(obj.At(int(i)))
-		case OpAStore:
-			v, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			arr, idx, err := pop2()
-			if err != nil {
-				return Null(), err
-			}
-			obj := arr.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: astore", ErrNullPointer)
-			}
-			i := idx.AsInt()
-			if i < 0 || i >= int64(obj.Len()) {
-				return Null(), fmt.Errorf("%w: %d of %d", ErrBounds, i, obj.Len())
-			}
-			obj.Set(int(i), v)
-		case OpArrayLen:
-			arr, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			obj := arr.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: arraylen", ErrNullPointer)
-			}
-			push(Int(int64(obj.Len())))
-
-		case OpInvokeStatic:
-			callee, err := vm.resolveStatic(in.S)
-			if err != nil {
-				return Null(), err
-			}
-			args, err := popN(&stack, in.A)
-			if err != nil {
-				return Null(), err
-			}
-			ret, err := vm.invoke(callee, args, depth+1, maxDepth)
-			if err != nil {
-				return Null(), err
-			}
-			push(ret)
-		case OpInvokeVirtual, OpInvokeInterface:
-			args, err := popN(&stack, in.A)
-			if err != nil {
-				return Null(), err
-			}
-			if len(args) == 0 || args[0].AsRef() == nil {
-				return Null(), fmt.Errorf("%w: invoke %s", ErrNullPointer, in.S)
-			}
-			recv := args[0].AsRef()
-			callee, ok := recv.Class.ResolveMethod(in.S)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, recv.Class.Name, in.S)
-			}
-			vm.Counters.Method++
-			ret, err := vm.invoke(callee, args, depth+1, maxDepth)
-			if err != nil {
-				return Null(), err
-			}
-			push(ret)
-		case OpInvokeDynamic:
-			// Bootstrap: resolve the target once and push a method handle
-			// (the lambda-creation shape of JSR 292).
-			callee, err := vm.resolveStatic(in.S)
-			if err != nil {
-				return Null(), err
-			}
-			vm.Counters.IDynamic++
-			push(Handle(callee))
-		case OpInvokeHandle:
-			args, err := popN(&stack, in.A)
-			if err != nil {
-				return Null(), err
-			}
-			h, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			target := h.AsHandle()
-			if target == nil {
-				return Null(), fmt.Errorf("%w: invokehandle on %s", ErrNullPointer, h)
-			}
-			vm.Counters.Method++
-			ret, err := vm.invoke(target, args, depth+1, maxDepth)
-			if err != nil {
-				return Null(), err
-			}
-			push(ret)
-
-		case OpMonitorEnter:
-			o, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			obj := o.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: monitorenter", ErrNullPointer)
-			}
-			obj.monitorDepth++
-			vm.Counters.Synch++
-			vm.Counters.Atomic++ // lock-word CAS
-		case OpMonitorExit:
-			o, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			obj := o.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: monitorexit", ErrNullPointer)
-			}
-			if obj.monitorDepth <= 0 {
-				return Null(), ErrBadMonitor
-			}
-			obj.monitorDepth--
-			vm.Counters.Atomic++
-		case OpCAS:
-			nv, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			o, exp, err := pop2()
-			if err != nil {
-				return Null(), err
-			}
-			obj := o.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: cas %s", ErrNullPointer, in.S)
-			}
-			idx, ok := obj.Class.FieldIndex(in.S)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.S)
-			}
-			vm.Counters.Atomic++
-			if obj.Fields[idx].Equal(exp) {
-				obj.Fields[idx] = nv
-				push(Int(1))
-			} else {
-				push(Int(0))
-			}
-		case OpAtomicAdd:
-			o, delta, err := pop2()
-			if err != nil {
-				return Null(), err
-			}
-			obj := o.AsRef()
-			if obj == nil {
-				return Null(), fmt.Errorf("%w: atomicadd %s", ErrNullPointer, in.S)
-			}
-			idx, ok := obj.Class.FieldIndex(in.S)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.S)
-			}
-			vm.Counters.Atomic++
-			old := obj.Fields[idx]
-			obj.Fields[idx] = Int(old.AsInt() + delta.AsInt())
-			push(old)
-		case OpPark:
-			vm.Counters.Park++
-		case OpWait:
-			if _, err := pop(); err != nil {
-				return Null(), err
-			}
-			vm.Counters.Wait++
-		case OpNotify:
-			if _, err := pop(); err != nil {
-				return Null(), err
-			}
-			vm.Counters.Notify++
-
-		case OpInstanceOf:
-			o, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			push(boolVal(vm.isInstance(o, in.S)))
-		case OpCheckCast:
-			o, err := pop()
-			if err != nil {
-				return Null(), err
-			}
-			if !o.IsNull() && !vm.isInstance(o, in.S) {
-				return Null(), fmt.Errorf("%w: to %s", ErrBadCast, in.S)
-			}
-			push(o)
-
-		default:
-			return Null(), fmt.Errorf("rvm: unknown opcode %d at %s:%d", in.Op, m.QualifiedName(), pc)
 		}
 		pc = next
 	}
@@ -876,17 +506,6 @@ func (vm *Interp) resolveStatic(qualified string) (*Method, error) {
 	return mth, nil
 }
 
-func popN(stack *[]Value, n int) ([]Value, error) {
-	s := *stack
-	if len(s) < n {
-		return nil, ErrStack
-	}
-	args := make([]Value, n)
-	copy(args, s[len(s)-n:])
-	*stack = s[:len(s)-n]
-	return args, nil
-}
-
 func arith(op Opcode, a, b Value) (Value, error) {
 	if a.Kind() == KindFloat || b.Kind() == KindFloat {
 		x, y := a.AsFloat(), b.AsFloat()
@@ -902,8 +521,8 @@ func arith(op Opcode, a, b Value) (Value, error) {
 				return Null(), ErrDivByZero
 			}
 			return Float(x / y), nil
-		case OpRem:
-			if y == 0 {
+		case OpRem: // integer remainder of the truncated operands
+			if int64(y) == 0 {
 				return Null(), ErrDivByZero
 			}
 			return Float(float64(int64(x) % int64(y))), nil

@@ -25,104 +25,61 @@ func BuildProgram(p *rvm.Program) (*Program, error) {
 	return out, nil
 }
 
-// BuildFunc translates one bytecode method to IR by abstract stack
-// interpretation: local slot i becomes register i, and operand-stack depth
-// d becomes register NLocals+d. Explicit GuardNull/GuardBounds
-// instructions are inserted before unchecked memory accesses, the way a
-// JIT compiler expands the JVM's implicit checks into guard nodes (§5.5).
+// BuildFunc translates one bytecode method to IR: local slot i becomes
+// register i, and operand-stack depth d becomes register NLocals+d.
+// Explicit GuardNull/GuardBounds instructions are inserted before
+// unchecked memory accesses, the way a JIT compiler expands the JVM's
+// implicit checks into guard nodes (§5.5). The stack shape is not derived
+// here but taken from rvm.Verify, so BuildFunc refuses exactly the
+// methods the interpreters refuse (the error wraps rvm.ErrVerify) and
+// translates the reachable blocks the verifier found. Control flow that
+// leaves [0, len(Code)) is an implicit void return, as in the
+// interpreters.
 func BuildFunc(m *rvm.Method) (*Func, error) {
-	f := &Func{Name: m.QualifiedName(), NArgs: m.NArgs, NRegs: m.NLocals}
-
-	// Find leaders.
-	leaders := map[int]bool{0: true}
-	for pc, in := range m.Code {
-		switch in.Op {
-		case rvm.OpJump:
-			leaders[in.A] = true
-			leaders[pc+1] = true
-		case rvm.OpJumpIf, rvm.OpJumpIfNot:
-			leaders[in.A] = true
-			leaders[pc+1] = true
-		case rvm.OpReturn, rvm.OpReturnVoid:
-			leaders[pc+1] = true
-		}
+	maxStack, depths, blocks, err := rvm.Verify(m)
+	if err != nil {
+		return nil, err
 	}
-	blockAt := map[int]*Block{}
+	f := &Func{Name: m.QualifiedName(), NArgs: m.NArgs, NRegs: m.NLocals + maxStack}
+	n := len(m.Code)
+	blockAt := make([]*Block, n)
 	for pc := range m.Code {
-		if leaders[pc] {
+		if blocks[pc] != 0 && depths[pc] >= 0 {
 			blockAt[pc] = f.NewBlock()
 		}
 	}
-	if len(m.Code) == 0 {
-		b := f.NewBlock()
-		b.Term = Terminator{Kind: TermReturnVoid, Ret: NoReg, Cond: NoReg}
-		f.Entry = b
-		return f, nil
-	}
-	f.Entry = blockAt[0]
-
-	// Worklist of (block start pc, entry stack depth).
-	depthAt := map[int]int{0: 0}
-	work := []int{0}
-	done := map[int]bool{}
-
-	stackReg := func(depth int) Reg { return Reg(m.NLocals + depth) }
-	ensureRegs := func(depth int) {
-		if need := m.NLocals + depth; need > f.NRegs {
-			f.NRegs = need
+	var exit *Block // shared implicit void return, made on first use
+	target := func(pc int) *Block {
+		if pc >= 0 && pc < n {
+			return blockAt[pc]
 		}
+		if exit == nil {
+			exit = f.NewBlock()
+			exit.Term = Terminator{Kind: TermReturnVoid, Ret: NoReg, Cond: NoReg}
+		}
+		return exit
 	}
+	f.Entry = target(0) // an empty method is just the void return
+	stackReg := func(depth int) Reg { return Reg(m.NLocals + depth) }
 
-	for len(work) > 0 {
-		start := work[len(work)-1]
-		work = work[:len(work)-1]
-		if done[start] {
+	for start, b := range blockAt {
+		if b == nil {
 			continue
 		}
-		done[start] = true
-		b := blockAt[start]
-		depth := depthAt[start]
+		depth := depths[start]
+		emit := func(in Instr) { b.Code = append(b.Code, &in) }
+		push := func() Reg { r := stackReg(depth); depth++; return r }
+		pop := func() Reg { depth--; return stackReg(depth) }
 
-		emit := func(in Instr) *Instr {
-			p := in
-			b.Code = append(b.Code, &p)
-			return b.Code[len(b.Code)-1]
+		end := start + int(blocks[start])
+		// A block that does not end in a branch or return falls through
+		// to the next block, or off the end of the code.
+		if end < n {
+			b.Term = Terminator{Kind: TermJump, To: blockAt[end], Cond: NoReg, Ret: NoReg}
+		} else {
+			b.Term = Terminator{Kind: TermReturnVoid, Ret: NoReg, Cond: NoReg}
 		}
-		push := func() Reg { r := stackReg(depth); depth++; ensureRegs(depth); return r }
-		pop := func() (Reg, error) {
-			if depth == 0 {
-				return NoReg, fmt.Errorf("stack underflow at pc %d", start)
-			}
-			depth--
-			return stackReg(depth), nil
-		}
-
-		flowTo := func(targetPC, d int) error {
-			if prev, seen := depthAt[targetPC]; seen {
-				if prev != d {
-					return fmt.Errorf("inconsistent stack depth at pc %d: %d vs %d", targetPC, prev, d)
-				}
-			} else {
-				depthAt[targetPC] = d
-			}
-			if !done[targetPC] {
-				work = append(work, targetPC)
-			}
-			return nil
-		}
-
-		pc := start
-		terminated := false
-		for pc < len(m.Code) {
-			if pc != start && leaders[pc] {
-				// Fall through into the next block.
-				b.Term = Terminator{Kind: TermJump, To: blockAt[pc], Cond: NoReg, Ret: NoReg}
-				if err := flowTo(pc, depth); err != nil {
-					return nil, err
-				}
-				terminated = true
-				break
-			}
+		for pc := start; pc < end; pc++ {
 			in := m.Code[pc]
 			switch in.Op {
 			case rvm.OpNop:
@@ -136,155 +93,76 @@ func BuildFunc(m *rvm.Method) (*Func, error) {
 			case rvm.OpLoad:
 				emit(Instr{Op: OpMove, Dst: push(), A: Reg(in.A), B: NoReg, C: NoReg})
 			case rvm.OpStore:
-				src, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				src := pop()
 				emit(Instr{Op: OpMove, Dst: Reg(in.A), A: src, B: NoReg, C: NoReg})
 			case rvm.OpPop:
-				if _, err := pop(); err != nil {
-					return nil, err
-				}
+				pop()
 			case rvm.OpDup:
 				top := stackReg(depth - 1)
 				emit(Instr{Op: OpMove, Dst: push(), A: top, B: NoReg, C: NoReg})
 
 			case rvm.OpAdd, rvm.OpSub, rvm.OpMul, rvm.OpDiv, rvm.OpRem:
-				rb, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				ra, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				rb := pop()
+				ra := pop()
 				emit(Instr{Op: arithOp(in.Op), Dst: push(), A: ra, B: rb, C: NoReg})
 			case rvm.OpNeg:
-				ra, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				ra := pop()
 				emit(Instr{Op: OpNeg, Dst: push(), A: ra, B: NoReg, C: NoReg})
 			case rvm.OpCmpLT, rvm.OpCmpLE, rvm.OpCmpGT, rvm.OpCmpGE, rvm.OpCmpEQ, rvm.OpCmpNE:
-				rb, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				ra, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				rb := pop()
+				ra := pop()
 				emit(Instr{Op: cmpOp(in.Op), Dst: push(), A: ra, B: rb, C: NoReg})
 
 			case rvm.OpJump:
-				b.Term = Terminator{Kind: TermJump, To: blockAt[in.A], Cond: NoReg, Ret: NoReg}
-				if err := flowTo(in.A, depth); err != nil {
-					return nil, err
-				}
-				terminated = true
+				b.Term = Terminator{Kind: TermJump, To: target(in.A), Cond: NoReg, Ret: NoReg}
 			case rvm.OpJumpIf, rvm.OpJumpIfNot:
-				cond, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				taken := blockAt[in.A]
-				fall := blockAt[pc+1]
-				if fall == nil {
-					return nil, fmt.Errorf("branch at %d has no fallthrough block", pc)
-				}
-				t := Terminator{Kind: TermBranch, Cond: cond, To: taken, Else: fall, Ret: NoReg}
+				taken, fall := target(in.A), target(pc+1)
+				t := Terminator{Kind: TermBranch, Cond: pop(), To: taken, Else: fall, Ret: NoReg}
 				if in.Op == rvm.OpJumpIfNot {
 					t.To, t.Else = fall, taken
 				}
 				b.Term = t
-				if err := flowTo(in.A, depth); err != nil {
-					return nil, err
-				}
-				if err := flowTo(pc+1, depth); err != nil {
-					return nil, err
-				}
-				terminated = true
 			case rvm.OpReturn:
-				r, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				b.Term = Terminator{Kind: TermReturn, Ret: r, Cond: NoReg}
-				terminated = true
+				b.Term = Terminator{Kind: TermReturn, Ret: pop(), Cond: NoReg}
 			case rvm.OpReturnVoid:
 				b.Term = Terminator{Kind: TermReturnVoid, Ret: NoReg, Cond: NoReg}
-				terminated = true
 
 			case rvm.OpNew:
 				emit(Instr{Op: OpNew, Dst: push(), Sym: in.S, A: NoReg, B: NoReg, C: NoReg})
 			case rvm.OpGetField:
-				obj, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				obj := pop()
 				emit(Instr{Op: OpGuardNull, A: obj, Dst: NoReg, B: NoReg, C: NoReg})
 				emit(Instr{Op: OpGetField, Dst: push(), A: obj, Sym: in.S, B: NoReg, C: NoReg})
 			case rvm.OpPutField:
-				val, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				obj, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				val := pop()
+				obj := pop()
 				emit(Instr{Op: OpGuardNull, A: obj, Dst: NoReg, B: NoReg, C: NoReg})
 				emit(Instr{Op: OpPutField, A: obj, B: val, Sym: in.S, Dst: NoReg, C: NoReg})
 			case rvm.OpNewArray:
-				n, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				n := pop()
 				emit(Instr{Op: OpNewArray, Dst: push(), A: n, B: NoReg, C: NoReg})
 			case rvm.OpALoad:
-				idx, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				arr, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				idx := pop()
+				arr := pop()
 				emit(Instr{Op: OpGuardNull, A: arr, Dst: NoReg, B: NoReg, C: NoReg})
 				emit(Instr{Op: OpGuardBounds, A: arr, B: idx, Dst: NoReg, C: NoReg})
 				emit(Instr{Op: OpALoad, Dst: push(), A: arr, B: idx, C: NoReg})
 			case rvm.OpAStore:
-				val, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				idx, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				arr, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				val := pop()
+				idx := pop()
+				arr := pop()
 				emit(Instr{Op: OpGuardNull, A: arr, Dst: NoReg, B: NoReg, C: NoReg})
 				emit(Instr{Op: OpGuardBounds, A: arr, B: idx, Dst: NoReg, C: NoReg})
 				emit(Instr{Op: OpAStore, A: arr, B: idx, C: val, Dst: NoReg})
 			case rvm.OpArrayLen:
-				arr, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				arr := pop()
 				emit(Instr{Op: OpGuardNull, A: arr, Dst: NoReg, B: NoReg, C: NoReg})
 				emit(Instr{Op: OpArrayLen, Dst: push(), A: arr, B: NoReg, C: NoReg})
 
 			case rvm.OpInvokeStatic, rvm.OpInvokeVirtual, rvm.OpInvokeInterface:
 				args := make([]Reg, in.A)
 				for i := in.A - 1; i >= 0; i-- {
-					r, err := pop()
-					if err != nil {
-						return nil, err
-					}
-					args[i] = r
+					args[i] = pop()
 				}
 				op := OpCallStatic
 				if in.Op != rvm.OpInvokeStatic {
@@ -299,23 +177,13 @@ func BuildFunc(m *rvm.Method) (*Func, error) {
 			case rvm.OpInvokeHandle:
 				args := make([]Reg, in.A)
 				for i := in.A - 1; i >= 0; i-- {
-					r, err := pop()
-					if err != nil {
-						return nil, err
-					}
-					args[i] = r
+					args[i] = pop()
 				}
-				h, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				h := pop()
 				emit(Instr{Op: OpCallHandle, Dst: push(), A: h, Args: args, B: NoReg, C: NoReg})
 
 			case rvm.OpMonitorEnter, rvm.OpMonitorExit:
-				obj, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				obj := pop()
 				emit(Instr{Op: OpGuardNull, A: obj, Dst: NoReg, B: NoReg, C: NoReg})
 				op := OpMonitorEnter
 				if in.Op == rvm.OpMonitorExit {
@@ -323,38 +191,20 @@ func BuildFunc(m *rvm.Method) (*Func, error) {
 				}
 				emit(Instr{Op: op, A: obj, Dst: NoReg, B: NoReg, C: NoReg})
 			case rvm.OpCAS:
-				nv, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				exp, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				obj, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				nv := pop()
+				exp := pop()
+				obj := pop()
 				emit(Instr{Op: OpGuardNull, A: obj, Dst: NoReg, B: NoReg, C: NoReg})
 				emit(Instr{Op: OpCAS, Dst: push(), A: obj, B: exp, C: nv, Sym: in.S})
 			case rvm.OpAtomicAdd:
-				delta, err := pop()
-				if err != nil {
-					return nil, err
-				}
-				obj, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				delta := pop()
+				obj := pop()
 				emit(Instr{Op: OpGuardNull, A: obj, Dst: NoReg, B: NoReg, C: NoReg})
 				emit(Instr{Op: OpAtomicAdd, Dst: push(), A: obj, B: delta, Sym: in.S, C: NoReg})
 			case rvm.OpPark:
 				emit(Instr{Op: OpPark, Dst: NoReg, A: NoReg, B: NoReg, C: NoReg})
 			case rvm.OpWait, rvm.OpNotify:
-				obj, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				obj := pop()
 				op := OpWait
 				if in.Op == rvm.OpNotify {
 					op = OpNotify
@@ -362,36 +212,12 @@ func BuildFunc(m *rvm.Method) (*Func, error) {
 				emit(Instr{Op: op, A: obj, Dst: NoReg, B: NoReg, C: NoReg})
 
 			case rvm.OpInstanceOf:
-				obj, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				obj := pop()
 				emit(Instr{Op: OpInstanceOf, Dst: push(), A: obj, Sym: in.S, B: NoReg, C: NoReg})
 			case rvm.OpCheckCast:
-				obj, err := pop()
-				if err != nil {
-					return nil, err
-				}
+				obj := pop()
 				emit(Instr{Op: OpCheckCast, Dst: push(), A: obj, Sym: in.S, B: NoReg, C: NoReg})
-
-			default:
-				return nil, fmt.Errorf("unsupported opcode %s at pc %d", in.Op, pc)
 			}
-			if terminated {
-				break
-			}
-			pc++
-		}
-		if !terminated {
-			// Fell off the end of the code.
-			b.Term = Terminator{Kind: TermReturnVoid, Ret: NoReg, Cond: NoReg}
-		}
-	}
-
-	// Unvisited blocks (dead bytecode) become empty returns.
-	for pc, b := range blockAt {
-		if !done[pc] && len(b.Code) == 0 && b.Term.To == nil && b.Term.Kind == TermJump {
-			b.Term = Terminator{Kind: TermReturnVoid, Ret: NoReg, Cond: NoReg}
 		}
 	}
 

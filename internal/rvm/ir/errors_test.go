@@ -109,7 +109,7 @@ func TestExecMissingSymbols(t *testing.T) {
 		t.Errorf("new err = %v", err)
 	}
 
-	_, err = execOne(t, nil, func(f *Func) {
+	_, err = execOne(t, []*rvm.Class{rvm.NewClass("Main", nil)}, func(f *Func) {
 		call := ins(OpCallStatic, 1, NoReg, NoReg, NoReg)
 		call.Sym = "Main.ghost"
 		f.Entry.Code = append(f.Entry.Code, call)

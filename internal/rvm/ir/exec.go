@@ -279,7 +279,11 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 			case OpCallStatic:
 				callee, ok := e.Prog.Func(in.Sym)
 				if !ok {
-					return rvm.Null(), fmt.Errorf("%w: %s", rvm.ErrNoSuchMethod, in.Sym)
+					// Report what the interpreters' resolution reports.
+					if _, err := e.resolveHandle(in.Sym); err != nil {
+						return rvm.Null(), err
+					}
+					return rvm.Null(), fmt.Errorf("%w: no IR for %s", rvm.ErrNoSuchMethod, in.Sym)
 				}
 				charge(CostCallStatic)
 				ret, err := e.call(callee, e.gatherArgs(regs, in.Args), depth+1)
@@ -288,10 +292,10 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 				}
 				regs[in.Dst] = ret
 			case OpCallVirt:
-				if len(in.Args) == 0 {
-					return rvm.Null(), fmt.Errorf("ir: virtual call with no receiver")
+				var recv *rvm.Object
+				if len(in.Args) > 0 {
+					recv = regs[in.Args[0]].AsRef()
 				}
-				recv := regs[in.Args[0]].AsRef()
 				if recv == nil {
 					return rvm.Null(), fmt.Errorf("%w: callvirt %s", rvm.ErrNullPointer, in.Sym)
 				}
@@ -539,8 +543,8 @@ func evalArith(op Op, a, b rvm.Value) (rvm.Value, error) {
 				return rvm.Null(), rvm.ErrDivByZero
 			}
 			return rvm.Float(x / y), nil
-		case OpRem:
-			if y == 0 {
+		case OpRem: // integer remainder of the truncated operands
+			if int64(y) == 0 {
 				return rvm.Null(), rvm.ErrDivByZero
 			}
 			return rvm.Float(float64(int64(x) % int64(y))), nil

@@ -316,7 +316,7 @@ func TestStackDepthMismatchDetected(t *testing.T) {
 		{Op: rvm.OpReturn},
 	}
 	m := &rvm.Method{Name: "bad", NArgs: 1, NLocals: 1, Code: code}
-	if _, err := BuildFunc(m); err == nil {
-		t.Error("inconsistent stack depth not detected")
+	if _, err := BuildFunc(m); !errors.Is(err, rvm.ErrVerify) {
+		t.Errorf("inconsistent stack depth: err = %v, want rvm.ErrVerify", err)
 	}
 }

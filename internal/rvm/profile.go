@@ -22,7 +22,7 @@ const (
 	// TierBaseline pins execution to tier-0 with profiling disabled —
 	// the honest baseline for tier-up measurements (-rvm.tier=0).
 	TierBaseline
-	// TierQuick quickens every verifiable method on first invocation
+	// TierQuick quickens every method on first invocation
 	// (-rvm.tier=1); used by the differential tier tests.
 	TierQuick
 )
@@ -44,15 +44,12 @@ var (
 // Interp.states — never on the shared *Method — so concurrent
 // interpreters over one Program stay race-free.
 type mstate struct {
-	m *Method
-	// flat reports the method verified: it can run on the flat-frame
-	// tier-0 path and is a quickening candidate.
-	flat     bool
-	noQuick  bool // quickening failed or is not applicable
+	m        *Method
+	verr     error // the verifier's error; the method never runs
+	noQuick  bool  // quickening failed
 	maxStack int
-	depths   []int // per-pc entry depth from verification
-	leaders  map[int]bool
-	charges  []int32 // per-leader block fuel charges
+	depths   []int   // per-pc entry depth from verification
+	charges  []int32 // per-leader block sizes, charged as fuel on entry
 
 	invocations int64
 	backedges   int64
@@ -92,14 +89,7 @@ func (vm *Interp) state(m *Method) *mstate {
 		return st
 	}
 	st = &mstate{m: m}
-	if ms, depths, err := verifyMethod(m); err == nil {
-		st.flat = true
-		st.maxStack = ms
-		st.depths = depths
-		st.leaders, st.charges = blockLayout(m)
-	} else {
-		st.noQuick = true
-	}
+	st.maxStack, st.depths, st.charges, st.verr = Verify(m)
 	if vm.states == nil {
 		vm.states = make(map[*Method]*mstate)
 	}

@@ -163,10 +163,7 @@ type qcode struct {
 // quicken tries to tier the method up, marking it noQuick on failure so
 // the attempt is made only once.
 func (vm *Interp) quicken(st *mstate) {
-	if st.q != nil || st.noQuick || !st.flat {
-		if st.q == nil {
-			st.noQuick = true
-		}
+	if st.q != nil || st.noQuick {
 		return
 	}
 	if q, ok := buildQuick(st); ok {
@@ -297,7 +294,7 @@ func buildQuick(st *mstate) (*qcode, bool) {
 		nlocals:   m.NLocals,
 		frameSize: m.NLocals + st.maxStack,
 	}
-	leaders, charges, depths := st.leaders, st.charges, st.depths
+	charges, depths := st.charges, st.depths
 	nb := findBCE(m)
 
 	// Symbolic operand stack: for each slot, the local it is a verbatim
@@ -349,7 +346,7 @@ func buildQuick(st *mstate) (*qcode, bool) {
 			pc++ // statically unreachable: never entered, never targeted
 			continue
 		}
-		if leaders[pc] {
+		if charges[pc] != 0 {
 			resetSym(depths[pc])
 			q.entry[pc] = len(q.code)
 		}
@@ -360,7 +357,7 @@ func buildQuick(st *mstate) (*qcode, bool) {
 				return false
 			}
 			for k := 1; k < l; k++ {
-				if leaders[pc+k] {
+				if charges[pc+k] != 0 {
 					return false
 				}
 			}
@@ -518,7 +515,7 @@ func buildQuick(st *mstate) (*qcode, bool) {
 				return nil, false
 			}
 		}
-		if leaders[pc] {
+		if charges[pc] != 0 {
 			q.code[emitAt].charge = charges[pc]
 		}
 		// Replay the consumed instructions over the symbolic stack.

@@ -16,47 +16,24 @@ func runTier(p *Program, tier TierPolicy, fuel int64, args ...Value) (Value, err
 	return v, err, vm.Counters
 }
 
-// runLegacy executes a program with every method pinned to the
-// dynamic-stack path, as if none had passed verification — the seed
-// interpreter's behavior.
-func runLegacy(p *Program, args ...Value) (Value, error, Counters) {
-	vm := NewInterp(p)
-	vm.Tier = TierBaseline
-	for _, m := range p.Methods() {
-		st := vm.state(m)
-		st.flat = false
-		st.noQuick = true
-	}
-	v, err := vm.Run(args...)
-	return v, err, vm.Counters
-}
-
-// diffTiers asserts the legacy dynamic-stack interpreter, tier-0
-// (baseline) and tier-1 (forced quickening) agree on result, trap, and
-// every counter.
+// diffTiers asserts tier-0 (baseline) and tier-1 (forced quickening)
+// agree on result, trap, and every counter. Tier-0 is the reference; the
+// IR executor is the independent third engine (rvm/ir FuzzVerify).
 func diffTiers(t *testing.T, name string, p *Program, args ...Value) {
 	t.Helper()
 	v0, e0, c0 := runTier(p, TierBaseline, 0, args...)
-	for _, other := range []struct {
-		engine string
-		run    func() (Value, error, Counters)
-	}{
-		{"legacy", func() (Value, error, Counters) { return runLegacy(p, args...) }},
-		{"tier1", func() (Value, error, Counters) { return runTier(p, TierQuick, 0, args...) }},
-	} {
-		v1, e1, c1 := other.run()
-		if (e0 == nil) != (e1 == nil) {
-			t.Fatalf("%s: tier0 err=%v %s err=%v", name, e0, other.engine, e1)
-		}
-		if e0 != nil && e0.Error() != e1.Error() {
-			t.Errorf("%s: trap diverged:\n tier0: %v\n %s: %v", name, e0, other.engine, e1)
-		}
-		if e0 == nil && !v0.Equal(v1) {
-			t.Errorf("%s: result diverged: tier0=%v %s=%v", name, v0, other.engine, v1)
-		}
-		if c0 != c1 {
-			t.Errorf("%s: counters diverged:\n tier0: %+v\n %s: %+v", name, c0, other.engine, c1)
-		}
+	v1, e1, c1 := runTier(p, TierQuick, 0, args...)
+	if (e0 == nil) != (e1 == nil) {
+		t.Fatalf("%s: tier0 err=%v tier1 err=%v", name, e0, e1)
+	}
+	if e0 != nil && e0.Error() != e1.Error() {
+		t.Errorf("%s: trap diverged:\n tier0: %v\n tier1: %v", name, e0, e1)
+	}
+	if e0 == nil && !v0.Equal(v1) {
+		t.Errorf("%s: result diverged: tier0=%v tier1=%v", name, v0, v1)
+	}
+	if c0 != c1 {
+		t.Errorf("%s: counters diverged:\n tier0: %+v\n tier1: %+v", name, c0, c1)
 	}
 }
 
@@ -334,17 +311,45 @@ func TestTierDifferentialCalls(t *testing.T) {
 	diffTiers(t, "null-handle", buildProg(t, h.MustBuild("main", 0)))
 }
 
-// TestTierDifferentialUnverifiable exercises methods that fail
-// verification; both tiers must fall back to the dynamic seed path.
-func TestTierDifferentialUnverifiable(t *testing.T) {
-	u := NewAsm()
-	u.Op(OpPop).ConstInt(1).Op(OpReturn) // static underflow
-	diffTiers(t, "underflow", buildProg(t, u.MustBuild("main", 0)))
+// TestUnverifiableMethodTrapsAtInvoke: a method the verifier refuses
+// never runs. Invoking it traps with ErrVerify at the call site, after
+// the caller's earlier side effects, identically under every tier policy.
+func TestUnverifiableMethodTrapsAtInvoke(t *testing.T) {
+	for _, bad := range []struct {
+		name string
+		code func(a *Asm)
+	}{
+		{"underflow", func(a *Asm) { a.Op(OpPop).ConstInt(1).Op(OpReturn) }},
+		{"unknown-opcode", func(a *Asm) { a.Emit(Instr{Op: Opcode(200)}); a.ConstInt(0).Op(OpReturn) }},
+		{"inconsistent-join", func(a *Asm) {
+			a.ConstInt(1).Jump(OpJumpIf, "join").ConstInt(2)
+			a.Label("join")
+			a.ConstInt(3).Op(OpReturn)
+		}},
+	} {
+		b := NewAsm()
+		bad.code(b)
+		m := NewAsm()
+		m.ConstInt(7).Store(0)
+		m.Sym(OpNew, "Main").Op(OpPop) // a side effect before the call
+		m.Invoke(OpInvokeStatic, "Main.bad", 0).Op(OpReturn)
+		p := buildProg(t, m.MustBuild("main", 0), b.MustBuild("bad", 0))
 
-	k := NewAsm()
-	k.Emit(Instr{Op: Opcode(200)})
-	k.ConstInt(0).Op(OpReturn)
-	diffTiers(t, "unknown-opcode", buildProg(t, k.MustBuild("main", 0)))
+		var want Counters
+		for i, tier := range []TierPolicy{TierBaseline, TierQuick, TierAuto} {
+			v, err, c := runTier(p, tier, 0)
+			if !errors.Is(err, ErrVerify) || !strings.Contains(err.Error(), "Main.bad") {
+				t.Fatalf("%s tier %d: v=%v err=%v, want ErrVerify in Main.bad", bad.name, tier, v, err)
+			}
+			if c.Object != 1 || c.Executed != 5 {
+				t.Errorf("%s tier %d: counters %+v, want the caller's 5 instructions and 1 object", bad.name, tier, c)
+			}
+			if i > 0 && c != want {
+				t.Errorf("%s tier %d: counters %+v differ from tier-0 %+v", bad.name, tier, c, want)
+			}
+			want = c
+		}
+	}
 }
 
 // TestFuelBlockGranularity: fuel is charged per basic block, so

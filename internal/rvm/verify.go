@@ -2,19 +2,22 @@ package rvm
 
 import "fmt"
 
-// Bytecode verification. Before a method may run on the flat-frame tier-0
-// path or be quickened to tier-1, the interpreter proves that its operand
+// Bytecode verification: the RVM's one definition of well-formed
+// bytecode. Before a method runs on tier-0, is quickened to tier-1, or is
+// translated to IR (rvm/ir.BuildFunc), Verify proves that its operand
 // stack is statically well-formed: every reachable instruction has one
 // consistent entry depth, no path underflows, all local slots are in
-// range, and all opcodes are known. The proof yields the exact
-// operand-stack high-water mark, which sizes the pooled flat frame
-// (locals and stack in one slice, no per-value bounds management).
+// range, every argument count is non-negative, and all opcodes are known.
+// The proof yields the exact operand-stack high-water mark, which sizes
+// the pooled flat frame (locals and stack in one slice, no per-value
+// bounds management), and the basic-block layout that drives
+// block-granularity fuel, quickening and IR construction.
 //
-// Methods that fail verification are not broken: they run on the original
-// dynamic-stack interpreter (runDynamic), which checks every pop at
-// runtime and reports the same errors the seed interpreter did. This
-// keeps hand-built test methods (unknown opcodes, deliberate underflows,
-// inconsistent join depths) byte-for-byte compatible.
+// A method that fails verification never runs: the interpreter verifies
+// it once, at its first invocation, and every invocation then traps with
+// the verifier's error, the way a JVM throws VerifyError at link time.
+// Control flow that leaves [0, len(Code)) — a jump target or
+// fall-through outside the method — is an implicit void return.
 
 // stackEffect returns how many operand-stack slots the instruction pops
 // and pushes. Control-flow successors are the caller's concern. ok is
@@ -50,18 +53,21 @@ func stackEffect(in Instr) (pops, pushes int, ok bool) {
 	return 0, 0, false
 }
 
-// verifyMethod abstractly interprets the method's stack shape. On success
-// it returns the operand-stack high-water mark and the entry depth of
-// every instruction (-1 for unreachable code). Jump targets outside
-// [0, len(Code)) are the seed's implicit void return and terminate a path.
-func verifyMethod(m *Method) (maxStack int, depths []int, err error) {
+// Verify abstractly interprets the method's stack shape — the only
+// place the RVM derives it. On success it returns the operand-stack
+// high-water mark, the entry depth of every instruction (-1 for
+// unreachable code), and the basic-block layout: blocks[pc] is non-zero
+// exactly at block leaders (entry, in-range branch targets, and
+// fall-throughs after branches and returns) and holds the number of
+// instructions in the block starting there. Every error wraps ErrVerify.
+func Verify(m *Method) (maxStack int, depths []int, blocks []int32, err error) {
 	n := len(m.Code)
 	depths = make([]int, n)
 	for i := range depths {
 		depths[i] = -1
 	}
-	if n == 0 {
-		return 0, depths, nil
+	fail := func(pc int, format string, args ...any) error {
+		return fmt.Errorf("%w: %s at %s:%d", ErrVerify, fmt.Sprintf(format, args...), m.QualifiedName(), pc)
 	}
 	type item struct{ pc, depth int }
 	work := []item{{0, 0}}
@@ -73,8 +79,7 @@ func verifyMethod(m *Method) (maxStack int, depths []int, err error) {
 		for pc >= 0 && pc < n {
 			if depths[pc] >= 0 {
 				if depths[pc] != d {
-					return 0, nil, fmt.Errorf("rvm: inconsistent stack depth at %s:%d (%d vs %d)",
-						m.QualifiedName(), pc, depths[pc], d)
+					return 0, nil, nil, fail(pc, "inconsistent stack depth (%d vs %d)", depths[pc], d)
 				}
 				break
 			}
@@ -82,20 +87,20 @@ func verifyMethod(m *Method) (maxStack int, depths []int, err error) {
 			in := m.Code[pc]
 			pops, pushes, ok := stackEffect(in)
 			if !ok {
-				return 0, nil, fmt.Errorf("rvm: unverifiable opcode %d at %s:%d", in.Op, m.QualifiedName(), pc)
+				return 0, nil, nil, fail(pc, "unknown opcode %d", in.Op)
 			}
 			switch in.Op {
 			case OpLoad, OpStore:
 				if in.A < 0 || in.A >= m.NLocals {
-					return 0, nil, fmt.Errorf("rvm: local slot %d out of range at %s:%d", in.A, m.QualifiedName(), pc)
+					return 0, nil, nil, fail(pc, "local slot %d out of range", in.A)
 				}
 			case OpInvokeStatic, OpInvokeVirtual, OpInvokeInterface, OpInvokeHandle:
 				if in.A < 0 {
-					return 0, nil, fmt.Errorf("rvm: negative argument count at %s:%d", m.QualifiedName(), pc)
+					return 0, nil, nil, fail(pc, "negative argument count %d", in.A)
 				}
 			}
 			if d < pops {
-				return 0, nil, fmt.Errorf("rvm: static stack underflow at %s:%d", m.QualifiedName(), pc)
+				return 0, nil, nil, fail(pc, "stack underflow")
 			}
 			d = d - pops + pushes
 			if d > maxStack {
@@ -116,44 +121,36 @@ func verifyMethod(m *Method) (maxStack int, depths []int, err error) {
 			}
 		}
 	}
-	return maxStack, depths, nil
+	return maxStack, depths, blockLayout(m.Code), nil
 }
 
-// blockLayout partitions the method into basic blocks: leaders[pc] marks
-// block starts (entry, branch targets, and fall-throughs after branches
-// and returns), and charges[pc] holds, at each leader, the number of
-// instructions in its block — the fuel charged once on block entry
-// instead of per instruction (satellite: block-granularity fuel).
-func blockLayout(m *Method) (leaders map[int]bool, charges []int32) {
-	n := len(m.Code)
-	leaders = map[int]bool{}
-	charges = make([]int32, n)
-	if n == 0 {
-		return leaders, charges
+// blockLayout returns the per-pc block sizes Verify reports: non-zero
+// exactly at leaders, holding the block's instruction count — which is
+// also the fuel charged once on block entry instead of per instruction.
+func blockLayout(code []Instr) []int32 {
+	n := len(code)
+	blocks := make([]int32, n)
+	lead := func(pc int) {
+		if pc >= 0 && pc < n {
+			blocks[pc] = 1
+		}
 	}
-	leaders[0] = true
-	for pc, in := range m.Code {
+	lead(0)
+	for pc, in := range code {
 		switch in.Op {
 		case OpJump, OpJumpIf, OpJumpIfNot:
-			if in.A >= 0 && in.A < n {
-				leaders[in.A] = true
-			}
-			if pc+1 < n {
-				leaders[pc+1] = true
-			}
+			lead(in.A)
+			lead(pc + 1)
 		case OpReturn, OpReturnVoid:
-			if pc+1 < n {
-				leaders[pc+1] = true
-			}
+			lead(pc + 1)
 		}
 	}
 	start := 0
-	for pc := 1; pc < n; pc++ {
-		if leaders[pc] {
-			charges[start] = int32(pc - start)
+	for pc := 1; pc <= n; pc++ {
+		if pc == n || blocks[pc] != 0 {
+			blocks[start] = int32(pc - start)
 			start = pc
 		}
 	}
-	charges[start] = int32(n - start)
-	return leaders, charges
+	return blocks
 }

@@ -96,11 +96,14 @@ rbench:
 
 # Exit-code smoke for CI, not a measurement: the open-loop load generator
 # against finagle-chirper (nothing else drives -openloop.* from the CLI),
-# and one 1-second rbench workload, which exits non-zero when a sample
-# fails ("correct":false).
+# and two 1-second rbench workloads, each of which exits non-zero when a
+# sample fails ("correct":false): compiler, and taskparallel, whose run
+# ends in the Validate of fj-kmeans, future-genetic, scrabble and
+# streams-mnemonics.
 smoke:
 	$(GO) run ./cmd/renaissance run -bench finagle-chirper -openloop.rate 200 -openloop.duration 500ms
 	bash benchmarks/run.sh --workload compiler --seed 1 --seconds 1
+	bash benchmarks/run.sh --workload taskparallel --seed 1 --seconds 1
 
 analyze:
 	$(GO) run ./cmd/analyze all

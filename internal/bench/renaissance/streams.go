@@ -96,13 +96,14 @@ func newScrabble(cfg core.Config) (core.Workload, error) {
 
 func (w *scrabbleWorkload) RunIteration() error {
 	rack := rackHistogram()
-	// The stream pipeline of the original: build per-word histograms via
-	// grouping, filter playable words, map to scores, take the maximum.
+	// The stream pipeline of the original: build per-word histograms with
+	// a counting collector (groupingBy(identity(), counting())), filter
+	// playable words, map to scores, take the maximum.
 	scored := streams.Map(
 		streams.FromSlice(w.words).Filter(func(word string) bool {
-			hist := streams.GroupBy(streams.FromSlice([]rune(word)), func(r rune) rune { return r })
-			for r, g := range hist {
-				if len(g) > rack[r] {
+			hist := streams.CountBy(streams.FromSlice([]rune(word)), func(r rune) rune { return r })
+			for r, n := range hist {
+				if n > rack[r] {
 					return false
 				}
 			}

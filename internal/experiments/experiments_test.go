@@ -6,6 +6,7 @@ import (
 
 	"renaissance/internal/core"
 	"renaissance/internal/metrics"
+	"renaissance/internal/rvm/jit"
 	"renaissance/internal/rvm/kernels"
 	"renaissance/internal/rvm/opt"
 )
@@ -180,6 +181,43 @@ func TestImpactPipelineSmall(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("empty impact table")
+	}
+}
+
+// The impact tables rest on simulated cycles being a function of the
+// kernel and the pipeline alone. These three kernels used to change
+// between runs of one binary: the atomic-CAS fusion picked its registers
+// in map order.
+func TestImpactCyclesDeterministic(t *testing.T) {
+	for _, k := range []struct{ suite, name string }{
+		{kernels.SuiteRenaissance, "chi-square"},
+		{kernels.SuiteRenaissance, "future-genetic"},
+		{kernels.SuiteScalaBench, "apparat"},
+	} {
+		spec, ok := kernels.Lookup(k.suite, k.name)
+		if !ok {
+			t.Fatalf("no kernel %s/%s", k.suite, k.name)
+		}
+		prog, err := kernels.Build(spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first int64
+		for rep := 0; rep < 3; rep++ {
+			c, err := jit.Compile(prog, opt.OptPipeline())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycles, _, err := runOnce(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep == 0 {
+				first = cycles
+			} else if cycles != first {
+				t.Errorf("%s: full pipeline run %d gave %d cycles, run 0 gave %d", k.name, rep, cycles, first)
+			}
+		}
 	}
 }
 

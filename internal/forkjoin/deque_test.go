@@ -52,7 +52,7 @@ func TestDequeConcurrentOwnership(t *testing.T) {
 	}
 
 	for i := 0; i < n; i++ {
-		task := newTask(nil)
+		task := new(Task)
 		task.result = i
 		d.Push(task)
 		if i%3 == 0 {
@@ -86,7 +86,7 @@ func TestDequeGrowthPreservesOrder(t *testing.T) {
 	const n = initialDequeCap * 8 // force several growths
 	tasks := make([]*Task, n)
 	for i := range tasks {
-		tasks[i] = newTask(nil)
+		tasks[i] = new(Task)
 		d.Push(tasks[i])
 	}
 	// Owner pops LIFO.
@@ -105,7 +105,7 @@ func TestDequeStealFIFOAfterGrowth(t *testing.T) {
 	const n = initialDequeCap * 4
 	tasks := make([]*Task, n)
 	for i := range tasks {
-		tasks[i] = newTask(nil)
+		tasks[i] = new(Task)
 		d.Push(tasks[i])
 	}
 	for i := 0; i < n; i++ {
@@ -127,7 +127,7 @@ func TestDequePopDoesNotPinTasks(t *testing.T) {
 	const n = 100
 	collected := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
-		task := newTask(nil)
+		task := new(Task)
 		task.result = &struct{ pad [1024]byte }{}
 		runtime.SetFinalizer(task, func(*Task) { collected <- struct{}{} })
 		d.Push(task)
@@ -165,7 +165,7 @@ func TestDequeEmptyBoundary(t *testing.T) {
 		if d.Pop() != nil || d.Steal() != nil {
 			t.Fatal("empty deque returned a task")
 		}
-		task := newTask(nil)
+		task := new(Task)
 		d.Push(task)
 		if got := d.Pop(); got != task {
 			t.Fatalf("iteration %d: pop returned %v", i, got)

@@ -160,8 +160,7 @@ func (p *Pool) ForRetryE(n, grain, maxPar, retries int, body func(lo, hi, attemp
 // measurement window. Only an enqueued helper counts as an allocated
 // object, so the count does not depend on queue-full timing.
 func (p *Pool) trySubmit(fn Fn) bool {
-	t := newTask(fn)
-	t.quiet = true
+	t := &Task{fn: fn, quiet: true}
 	select {
 	case p.submit <- t:
 		metrics.IncObject()

@@ -110,6 +110,9 @@ func TestSubmitPanicSurfacesViaErr(t *testing.T) {
 	defer p.Close()
 
 	task := p.Submit(func(w *Worker) any { panic("submitted") })
+	if task.doneCh == nil {
+		t.Fatal("Submit made no completion channel to wait on")
+	}
 	select {
 	case <-task.doneCh:
 	case <-time.After(5 * time.Second):

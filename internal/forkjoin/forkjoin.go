@@ -32,16 +32,15 @@ type Task struct {
 	// err holds the *TaskError of a panicking body, written before done is
 	// published. Join re-panics it (fork/join exception propagation); Err
 	// exposes it to callers that prefer inspecting.
-	err    *TaskError
+	err *TaskError
+	// doneCh is closed on completion for Invoke, which parks on it. Only
+	// Submit makes it: forked tasks are joined by polling done while
+	// helping, and For helpers are never joined.
 	doneCh chan struct{}
 	// quiet suppresses completion metric bumps: For helper tasks are
 	// never joined and may outlive the For that submitted them, so their
 	// completion must not land counts in a later measurement window.
 	quiet bool
-}
-
-func newTask(fn Fn) *Task {
-	return &Task{fn: fn, doneCh: make(chan struct{})}
 }
 
 func (t *Task) complete(v any, loc metrics.Local) {
@@ -50,7 +49,9 @@ func (t *Task) complete(v any, loc metrics.Local) {
 		loc.IncAtomic()
 	}
 	t.done.Store(true)
-	close(t.doneCh)
+	if t.doneCh != nil {
+		close(t.doneCh)
+	}
 	if !t.quiet {
 		loc.IncNotify()
 	}
@@ -130,7 +131,7 @@ func (p *Pool) wakeOne() {
 // Submit schedules a top-level task from outside the pool.
 func (p *Pool) Submit(fn Fn) *Task {
 	metrics.IncObject()
-	t := newTask(fn)
+	t := &Task{fn: fn, doneCh: make(chan struct{})}
 	select {
 	case p.submit <- t:
 	case <-p.done:
@@ -235,7 +236,7 @@ func (w *Worker) findTask() *Task {
 // Fork schedules fn as a subtask on the worker's own deque.
 func (w *Worker) Fork(fn Fn) *Task {
 	w.local.IncObject()
-	t := newTask(fn)
+	t := &Task{fn: fn}
 	w.local.IncAtomic()
 	w.dq.Push(t)
 	w.pool.wakeOne()

@@ -37,6 +37,28 @@ func TestRecursiveForkJoin(t *testing.T) {
 	}
 }
 
+// A forked task is the one allocation of Fork: it is joined by polling
+// while helping, so it carries no completion channel.
+func TestForkAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	p := NewPool(2)
+	defer p.Close()
+	leaf := Fn(func(*Worker) any { return nil })
+	n := p.Invoke(func(w *Worker) any {
+		task := w.Fork(leaf)
+		w.Join(task)
+		if task.doneCh != nil {
+			t.Error("Fork made a completion channel")
+		}
+		return testing.AllocsPerRun(200, func() { w.Join(w.Fork(leaf)) })
+	}).(float64)
+	if n > 1 {
+		t.Errorf("Fork+Join allocates %v, want <= 1", n)
+	}
+}
+
 func TestParallelSum(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -148,7 +170,7 @@ func TestDequeOperations(t *testing.T) {
 	if d.Pop() != nil || d.Steal() != nil {
 		t.Error("empty deque should return nil")
 	}
-	t1, t2, t3 := newTask(nil), newTask(nil), newTask(nil)
+	t1, t2, t3 := new(Task), new(Task), new(Task)
 	d.Push(t1)
 	d.Push(t2)
 	d.Push(t3)

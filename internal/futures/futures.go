@@ -1,8 +1,8 @@
 // Package futures implements composable futures and promises in the style
 // of Twitter Util / Scala futures (SIP-14), used by the future-genetic and
 // finagle-chirper benchmarks (Table 1: "task-parallel, contention" and
-// "network stack, futures, atomics"). Completion uses an atomic state
-// transition; continuations registered with Map/OnComplete are closure
+// "network stack, futures, atomics"). The first completer wins under the
+// future's mutex; continuations registered with Map/OnComplete are closure
 // dispatches, which is what the paper's idynamic metric estimates.
 package futures
 
@@ -40,29 +40,36 @@ func (e *PanicError) Unwrap() error {
 }
 
 // Future is a read handle on an eventually available value of type T.
+// Everything below mu is guarded by it until completed is set; after that
+// value and err never change.
 type Future[T any] struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// done is made by the first Await that finds the future pending and
+	// closed on completion; a future nobody blocks on never has one.
 	done      chan struct{}
 	value     T
 	err       error
 	completed bool
-	callbacks []func(T, error)
+	// first is the first pending continuation, held inline because most
+	// futures get exactly one; later ones go to rest, in order.
+	first func(T, error)
+	rest  []func(T, error)
 }
 
-// Promise is the write handle that completes its future exactly once.
+// Promise is the write handle that completes its future exactly once. The
+// future lives inside it, so a promise/future pair is one allocation.
 type Promise[T any] struct {
-	f    *Future[T]
-	once sync.Once
+	f Future[T]
 }
 
 // NewPromise creates an incomplete promise/future pair.
 func NewPromise[T any]() *Promise[T] {
 	metrics.IncObject()
-	return &Promise[T]{f: &Future[T]{done: make(chan struct{})}}
+	return &Promise[T]{}
 }
 
 // Future returns the promise's future.
-func (p *Promise[T]) Future() *Future[T] { return p.f }
+func (p *Promise[T]) Future() *Future[T] { return &p.f }
 
 // Success completes the future with a value. It returns
 // ErrAlreadyCompleted if the promise was completed before.
@@ -74,38 +81,47 @@ func (p *Promise[T]) Failure(err error) error {
 	return p.complete(zero, err)
 }
 
+// complete settles the future; the first completer to take the mutex wins.
 func (p *Promise[T]) complete(v T, err error) error {
-	won := false
-	p.once.Do(func() {
-		won = true
-		f := p.f
-		metrics.IncSynch()
-		f.mu.Lock()
-		f.value, f.err, f.completed = v, err, true
-		cbs := f.callbacks
-		f.callbacks = nil
+	f := &p.f
+	f.mu.Lock()
+	if f.completed {
 		f.mu.Unlock()
-		metrics.IncAtomic() // publication of the completed state
-		close(f.done)
-		metrics.IncNotify()
-		for _, cb := range cbs {
-			metrics.IncIDynamic()
-			cb(v, err)
-		}
-	})
-	if !won {
 		return ErrAlreadyCompleted
+	}
+	f.value, f.err, f.completed = v, err, true
+	done, first, rest := f.done, f.first, f.rest
+	f.first, f.rest = nil, nil
+	f.mu.Unlock()
+	metrics.IncSynch()
+	metrics.IncAtomic() // publication of the completed state
+	if done != nil {
+		close(done)
+	}
+	metrics.IncNotify()
+	if first != nil {
+		metrics.IncIDynamic()
+		first(v, err)
+	}
+	for _, cb := range rest {
+		metrics.IncIDynamic()
+		cb(v, err)
 	}
 	return nil
 }
 
 // OnComplete registers a continuation invoked with the result; if the
 // future is already complete the continuation runs synchronously.
+// Continuations registered before completion run in registration order.
 func (f *Future[T]) OnComplete(cb func(T, error)) {
 	metrics.IncSynch()
 	f.mu.Lock()
 	if !f.completed {
-		f.callbacks = append(f.callbacks, cb)
+		if f.first == nil {
+			f.first = cb
+		} else {
+			f.rest = append(f.rest, cb)
+		}
 		f.mu.Unlock()
 		return
 	}
@@ -118,7 +134,17 @@ func (f *Future[T]) OnComplete(cb func(T, error)) {
 // Await blocks until the future completes and returns its result.
 func (f *Future[T]) Await() (T, error) {
 	metrics.IncPark()
-	<-f.done
+	f.mu.Lock()
+	if f.completed {
+		f.mu.Unlock()
+		return f.value, f.err
+	}
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	done := f.done
+	f.mu.Unlock()
+	<-done
 	return f.value, f.err
 }
 
@@ -126,7 +152,7 @@ func (f *Future[T]) Await() (T, error) {
 func Completed[T any](v T) *Future[T] {
 	p := NewPromise[T]()
 	_ = p.Success(v)
-	return p.f
+	return &p.f
 }
 
 // Async runs fn on a new goroutine and returns its future. A panicking fn
@@ -144,7 +170,7 @@ func Async[T any](fn func() (T, error)) *Future[T] {
 		}
 		_ = p.Success(v)
 	}()
-	return p.f
+	return &p.f
 }
 
 // protect calls fn, converting a panic into a *PanicError.
@@ -176,7 +202,7 @@ func Map[T, U any](f *Future[T], fn func(T) U) *Future[U] {
 		}
 		_ = p.Success(u)
 	})
-	return p.f
+	return &p.f
 }
 
 // Sequence converts a slice of futures into a future of the slice of
@@ -186,29 +212,39 @@ func Sequence[T any](fs []*Future[T]) *Future[[]T] {
 	n := len(fs)
 	if n == 0 {
 		_ = p.Success(nil)
-		return p.f
+		return &p.f
 	}
 	metrics.IncArray()
-	results := make([]T, n)
-	var mu sync.Mutex
-	remaining := n
+	s := &seqState[T]{p: p, results: make([]T, n), remaining: n}
 	for i, f := range fs {
-		i, f := i, f
-		f.OnComplete(func(v T, err error) {
-			if err != nil {
-				_ = p.Failure(err)
-				return
-			}
-			metrics.IncSynch()
-			mu.Lock()
-			results[i] = v
-			remaining--
-			last := remaining == 0
-			mu.Unlock()
-			if last {
-				_ = p.Success(results)
-			}
-		})
+		f.OnComplete(func(v T, err error) { s.set(i, v, err) })
 	}
-	return p.f
+	return &p.f
+}
+
+// seqState is what Sequence's per-input continuations share, so each of
+// them captures one pointer and its index.
+type seqState[T any] struct {
+	p         *Promise[[]T]
+	mu        sync.Mutex
+	results   []T
+	remaining int
+}
+
+// set records input i's outcome: the first error fails the sequence, and
+// the last value completes it.
+func (s *seqState[T]) set(i int, v T, err error) {
+	if err != nil {
+		_ = s.p.Failure(err)
+		return
+	}
+	metrics.IncSynch()
+	s.mu.Lock()
+	s.results[i] = v
+	s.remaining--
+	last := s.remaining == 0
+	s.mu.Unlock()
+	if last {
+		_ = s.p.Success(s.results)
+	}
 }

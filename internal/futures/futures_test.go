@@ -11,10 +11,10 @@ import (
 func TestPromiseSuccess(t *testing.T) {
 	p := NewPromise[int]()
 	f := p.Future()
-	select {
-	case <-f.done:
+	ran := false
+	f.OnComplete(func(int, error) { ran = true })
+	if ran {
 		t.Error("future complete before promise fulfilled")
-	default:
 	}
 	if err := p.Success(7); err != nil {
 		t.Fatal(err)
@@ -50,6 +50,102 @@ func TestDoubleCompletion(t *testing.T) {
 	}
 	if v, _ := p.Future().Await(); v != 1 {
 		t.Errorf("value = %d, want first completion 1", v)
+	}
+
+	// A failure that wins keeps its error against a later success, for a
+	// waiter that parked before either.
+	q := NewPromise[int]()
+	got := make(chan error, 1)
+	go func() {
+		_, err := q.Future().Await()
+		got <- err
+	}()
+	boom := errors.New("boom")
+	if err := q.Failure(boom); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Success(2); !errors.Is(err, ErrAlreadyCompleted) {
+		t.Errorf("Success after Failure err = %v", err)
+	}
+	if err := <-got; !errors.Is(err, boom) {
+		t.Errorf("waiter err = %v, want the first completion boom", err)
+	}
+	if v, err := q.Future().Await(); v != 0 || !errors.Is(err, boom) {
+		t.Errorf("Await = (%d, %v), want (0, boom)", v, err)
+	}
+}
+
+// Awaiters racing the completion: an Await that finds the future pending
+// makes the channel the completer closes, so every waiter, early or late,
+// must wake with the winning outcome.
+func TestAwaitRacingCompletion(t *testing.T) {
+	boom := errors.New("boom")
+	for round := 0; round < 200; round++ {
+		p := NewPromise[int]()
+		start := make(chan struct{})
+		const waiters = 8
+		type outcome struct {
+			v   int
+			err error
+		}
+		seen := make(chan outcome, waiters)
+		var won atomic.Pointer[outcome]
+		var wg sync.WaitGroup
+		for i := 0; i < waiters; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				v, err := p.Future().Await()
+				seen <- outcome{v, err}
+			}()
+		}
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if i == 0 {
+					if p.Success(round) == nil {
+						won.Store(&outcome{v: round})
+					}
+				} else if p.Failure(boom) == nil {
+					won.Store(&outcome{err: boom})
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(seen)
+		w := won.Load()
+		if w == nil {
+			t.Fatalf("round %d: no completer won", round)
+		}
+		for o := range seen {
+			if o != *w {
+				t.Fatalf("round %d: waiter saw %+v, winner was %+v", round, o, *w)
+			}
+		}
+	}
+}
+
+// Continuations registered while the future is pending run in
+// registration order, across the inline first slot and the rest.
+func TestCallbacksRunInRegistrationOrder(t *testing.T) {
+	p := NewPromise[int]()
+	var order []int
+	for i := 0; i < 5; i++ {
+		p.Future().OnComplete(func(int, error) { order = append(order, i) })
+	}
+	_ = p.Success(1)
+	p.Future().OnComplete(func(int, error) { order = append(order, 5) })
+	if len(order) != 6 {
+		t.Fatalf("order = %v, want 6 callbacks", order)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("order = %v, want 0..5", order)
+		}
 	}
 }
 
@@ -205,6 +301,71 @@ func TestSequence(t *testing.T) {
 	bad := []*Future[int]{Completed(1), Async(func() (int, error) { return 0, boom })}
 	if _, err := Sequence(bad).Await(); !errors.Is(err, boom) {
 		t.Errorf("Sequence err = %v", err)
+	}
+}
+
+// Sequence fails on the first error without waiting for the inputs still
+// pending.
+func TestSequenceFailsFast(t *testing.T) {
+	pending := NewPromise[int]() // never completed
+	failed := NewPromise[int]()
+	boom := errors.New("boom")
+	seq := Sequence([]*Future[int]{Completed(1), pending.Future(), failed.Future()})
+	_ = failed.Failure(boom)
+	got := make(chan error, 1)
+	go func() {
+		_, err := seq.Await()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if !errors.Is(err, boom) {
+			t.Errorf("Sequence err = %v, want boom", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Sequence waited for a pending input after another failed")
+	}
+}
+
+func TestAllocationGates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p := NewPromise[int]()
+		_ = p.Success(1)
+		if v, err := p.Future().Await(); v != 1 || err != nil {
+			t.Fatalf("Await = (%d, %v)", v, err)
+		}
+	}); n > 1 {
+		t.Errorf("NewPromise+Success+Await allocates %v, want <= 1", n)
+	}
+
+	// Sequence over pending inputs: one continuation per input plus a
+	// constant (its promise, shared state and result slice).
+	const width, runs = 64, 20
+	ps := make([][]*Promise[int], runs+1)
+	fs := make([][]*Future[int], runs+1)
+	for r := range ps {
+		for i := 0; i < width; i++ {
+			p := NewPromise[int]()
+			ps[r] = append(ps[r], p)
+			fs[r] = append(fs[r], p.Future())
+		}
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		seq := Sequence(fs[next])
+		for i, p := range ps[next] {
+			_ = p.Success(i)
+		}
+		next++
+		if vs, err := seq.Await(); err != nil || len(vs) != width {
+			t.Fatalf("Sequence = (%d values, %v)", len(vs), err)
+		}
+	})
+	if n > width+4 {
+		t.Errorf("Sequence of %d allocates %v, want <= %d", width, n, width+4)
 	}
 }
 

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"renaissance/internal/rvm"
 	"renaissance/internal/rvm/ir"
 )
@@ -51,7 +53,10 @@ func (v *blockVN) define(in *ir.Instr) int {
 	return v.next
 }
 
-// regsHolding returns the registers that currently hold the value number.
+// regsHolding returns the registers that currently hold the value number,
+// in ascending order. The atomic-CAS fusion takes the first holder that
+// survives, so map order would pick different registers from run to run
+// and change the compiled code and its simulated cycles.
 func (v *blockVN) regsHolding(n int) []ir.Reg {
 	var out []ir.Reg
 	for r, vn := range v.vn {
@@ -59,6 +64,7 @@ func (v *blockVN) regsHolding(n int) []ir.Reg {
 			out = append(out, r)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

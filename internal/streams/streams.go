@@ -16,40 +16,55 @@ import (
 
 // Stream is a lazy sequence of T. Operations build a pipeline that runs
 // when a terminal operation consumes it. A Stream may be consumed multiple
-// times if its source supports it (slice sources do).
+// times if its source supports it (slice sources do). The zero Stream is
+// empty.
+//
+// A stream is either backed by a slice (src, no closure: FromSlice and Of
+// allocate nothing) or by push, which feeds yield until the sequence ends
+// or yield returns false and reports whether it reached the end. Passing
+// that report up is how a consumer's early stop crosses any number of
+// FlatMap levels without a per-element closure or flag.
 type Stream[T any] struct {
-	forEach func(yield func(T) bool)
+	src  []T
+	push func(yield func(T) bool) bool
+}
+
+// forEach feeds the elements to yield in order and reports whether the
+// stream ran to the end (false: yield asked to stop).
+func (s Stream[T]) forEach(yield func(T) bool) bool {
+	if s.push != nil {
+		return s.push(yield)
+	}
+	for _, x := range s.src {
+		if !yield(x) {
+			return false
+		}
+	}
+	return true
 }
 
 // FromSlice returns a stream over the slice's elements.
-func FromSlice[T any](xs []T) Stream[T] {
-	return Stream[T]{forEach: func(yield func(T) bool) {
-		for _, x := range xs {
-			if !yield(x) {
-				return
-			}
-		}
-	}}
-}
+func FromSlice[T any](xs []T) Stream[T] { return Stream[T]{src: xs} }
 
 // Of returns a stream of the given elements.
 func Of[T any](xs ...T) Stream[T] { return FromSlice(xs) }
 
 // Range returns a stream of the ints in [lo, hi).
 func Range(lo, hi int) Stream[int] {
-	return Stream[int]{forEach: func(yield func(int) bool) {
+	return Stream[int]{push: func(yield func(int) bool) bool {
 		for i := lo; i < hi; i++ {
 			if !yield(i) {
-				return
+				return false
 			}
 		}
+		return true
 	}}
 }
 
 // Filter keeps the elements satisfying pred.
 func (s Stream[T]) Filter(pred func(T) bool) Stream[T] {
-	return Stream[T]{forEach: func(yield func(T) bool) {
-		s.forEach(func(x T) bool {
+	return Stream[T]{push: func(yield func(T) bool) bool {
+		return s.forEach(func(x T) bool {
 			metrics.IncIDynamic()
 			if pred(x) {
 				return yield(x)
@@ -82,28 +97,21 @@ func (s Stream[T]) Count() int {
 
 // Map transforms each element with fn.
 func Map[T, U any](s Stream[T], fn func(T) U) Stream[U] {
-	return Stream[U]{forEach: func(yield func(U) bool) {
-		s.forEach(func(x T) bool {
+	return Stream[U]{push: func(yield func(U) bool) bool {
+		return s.forEach(func(x T) bool {
 			metrics.IncIDynamic()
 			return yield(fn(x))
 		})
 	}}
 }
 
-// FlatMap maps each element to a stream and concatenates the results.
+// FlatMap maps each element to a stream and concatenates the results. The
+// consumer's yield is handed to each inner stream as is.
 func FlatMap[T, U any](s Stream[T], fn func(T) Stream[U]) Stream[U] {
-	return Stream[U]{forEach: func(yield func(U) bool) {
-		s.forEach(func(x T) bool {
+	return Stream[U]{push: func(yield func(U) bool) bool {
+		return s.forEach(func(x T) bool {
 			metrics.IncIDynamic()
-			stop := false
-			fn(x).forEach(func(u U) bool {
-				if !yield(u) {
-					stop = true
-					return false
-				}
-				return true
-			})
-			return !stop
+			return fn(x).forEach(yield)
 		})
 	}}
 }
@@ -127,6 +135,19 @@ func GroupBy[T any, K comparable](s Stream[T], key func(T) K) map[K][]T {
 		metrics.IncIDynamic()
 		k := key(x)
 		out[k] = append(out[k], x)
+		return true
+	})
+	return out
+}
+
+// CountBy counts the elements by key(x): Java's groupingBy(classifier,
+// counting()), which keeps no bucket of elements.
+func CountBy[T any, K comparable](s Stream[T], key func(T) K) map[K]int {
+	metrics.IncObject()
+	out := make(map[K]int)
+	s.forEach(func(x T) bool {
+		metrics.IncIDynamic()
+		out[key(x)]++
 		return true
 	})
 	return out

@@ -39,10 +39,12 @@ func TestFlatMapLaziness(t *testing.T) {
 		return Of(x, x)
 	})
 	var got []int
-	s.forEach(func(x int) bool {
+	if s.forEach(func(x int) bool {
 		got = append(got, x)
 		return len(got) < 4
-	})
+	}) {
+		t.Error("FlatMap reported running to the end after the consumer stopped")
+	}
 	if !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
 		t.Errorf("FlatMap = %v", got)
 	}
@@ -73,13 +75,13 @@ func TestGroupBy(t *testing.T) {
 func TestWordHistogram(t *testing.T) {
 	// The scrabble benchmark's core shape: histogram of characters.
 	word := "benchmark"
-	hist := GroupBy(FromSlice([]rune(word)), func(r rune) rune { return r })
-	if len(hist['b']) != 1 || len(hist['e']) != 1 {
+	hist := CountBy(FromSlice([]rune(word)), func(r rune) rune { return r })
+	if hist['b'] != 1 || hist['e'] != 1 || hist['m'] != 1 {
 		t.Errorf("hist = %v", hist)
 	}
 	total := 0
-	for _, g := range hist {
-		total += len(g)
+	for _, n := range hist {
+		total += n
 	}
 	if total != len(word) {
 		t.Errorf("histogram total = %d, want %d", total, len(word))

@@ -35,29 +35,29 @@ func init() {
 // syntheticPoints generates a two-class Gaussian dataset with the classes
 // shifted symmetrically about the origin, so a bias-free linear model (the
 // logistic regression kernel has no intercept) can separate them.
-func syntheticPoints(cfg core.Config, n, dim int, stream string) []rdd.LabeledPoint {
+func syntheticPoints(cfg core.Config, n, dim int, stream string) *rdd.Points {
 	rng := cfg.Rand(stream)
-	pts := make([]rdd.LabeledPoint, n)
-	for i := range pts {
+	pts := rdd.NewPoints(n, dim)
+	for i := 0; i < n; i++ {
 		label := i % 2
 		shift := float64(label*2-1) * 1.25
-		f := make([]float64, dim)
+		f := pts.X.Row(i)
 		for j := range f {
 			f[j] = rng.NormFloat64() + shift
 		}
-		pts[i] = rdd.LabeledPoint{Features: f, Label: label}
+		pts.Labels[i] = int32(label)
 	}
 	return pts
 }
 
-func accuracy(pts []rdd.LabeledPoint, predict func([]float64) int) float64 {
+func accuracy(pts *rdd.Points, predict func([]float64) int) float64 {
 	correct := 0
-	for _, p := range pts {
-		if predict(p.Features) == p.Label {
+	for i, label := range pts.Labels {
+		if predict(pts.X.Row(i)) == int(label) {
 			correct++
 		}
 	}
-	return float64(correct) / float64(len(pts))
+	return float64(correct) / float64(len(pts.Labels))
 }
 
 // --- als ---
@@ -125,7 +125,7 @@ func (w *alsWorkload) Validate() error {
 // --- chi-square ---
 
 type chiSquareWorkload struct {
-	points []rdd.LabeledPoint
+	points *rdd.Points
 	stats  []float64
 }
 
@@ -133,10 +133,10 @@ func newChiSquare(cfg core.Config) (core.Workload, error) {
 	rng := cfg.Rand("chi-square")
 	n := cfg.Scale(4000)
 	const dim = 12
-	pts := make([]rdd.LabeledPoint, n)
-	for i := range pts {
+	pts := rdd.NewPoints(n, dim)
+	for i := 0; i < n; i++ {
 		label := i % 2
-		f := make([]float64, dim)
+		f := pts.X.Row(i)
 		// Feature 0 is strongly label-dependent; the rest are noise.
 		f[0] = float64(label)
 		if rng.Float64() < 0.1 {
@@ -145,13 +145,13 @@ func newChiSquare(cfg core.Config) (core.Workload, error) {
 		for j := 1; j < dim; j++ {
 			f[j] = float64(rng.Intn(4))
 		}
-		pts[i] = rdd.LabeledPoint{Features: f, Label: label}
+		pts.Labels[i] = int32(label)
 	}
 	return &chiSquareWorkload{points: pts}, nil
 }
 
 func (w *chiSquareWorkload) RunIteration() error {
-	w.stats = rdd.ChiSquare(rdd.Parallelize(w.points, 8), 2, len(w.points[0].Features), 4)
+	w.stats = rdd.ChiSquare(w.points, 2, 4)
 	return nil
 }
 
@@ -171,7 +171,7 @@ func (w *chiSquareWorkload) Validate() error {
 // --- dec-tree ---
 
 type decTreeWorkload struct {
-	points []rdd.LabeledPoint
+	points *rdd.Points
 	acc    float64
 }
 
@@ -180,7 +180,7 @@ func newDecTree(cfg core.Config) (core.Workload, error) {
 }
 
 func (w *decTreeWorkload) RunIteration() error {
-	tree, err := rdd.DecisionTree(rdd.Parallelize(w.points, 8), 2, 6, 4)
+	tree, err := rdd.DecisionTree(w.points, 2, 6, 4)
 	if err != nil {
 		return err
 	}
@@ -198,7 +198,7 @@ func (w *decTreeWorkload) Validate() error {
 // --- log-regression ---
 
 type logRegWorkload struct {
-	points []rdd.LabeledPoint
+	points *rdd.Points
 	acc    float64
 }
 
@@ -207,7 +207,7 @@ func newLogRegression(cfg core.Config) (core.Workload, error) {
 }
 
 func (w *logRegWorkload) RunIteration() error {
-	weights, err := rdd.LogisticRegression(rdd.Parallelize(w.points, 8), 40, 1.0)
+	weights, err := rdd.LogisticRegression(w.points, 40, 1.0)
 	if err != nil {
 		return err
 	}
@@ -229,11 +229,14 @@ func (w *logRegWorkload) Validate() error {
 
 // --- movie-lens ---
 
+// movieLensQueried is how many users movie-lens asks for recommendations
+// each iteration: users 0 .. movieLensQueried-1.
+const movieLensQueried = 10
+
 type movieLensWorkload struct {
-	ratings []rdd.Rating
-	graph   *rdd.RatingsGraph
-	rated   map[int]map[int]bool
-	recs    int
+	graph *rdd.RatingsGraph
+	rated [movieLensQueried]map[int]bool // the queried users' rated movies
+	recs  int
 }
 
 func newMovieLens(cfg core.Config) (core.Workload, error) {
@@ -245,9 +248,12 @@ func newMovieLens(cfg core.Config) (core.Workload, error) {
 	if movies < 9 {
 		movies = 9
 	}
-	w := &movieLensWorkload{rated: make(map[int]map[int]bool)}
-	for u := 0; u < users; u++ {
+	w := &movieLensWorkload{}
+	for u := range w.rated {
 		w.rated[u] = make(map[int]bool)
+	}
+	var ratings []rdd.Rating
+	for u := 0; u < users; u++ {
 		for m := 0; m < movies; m++ {
 			if rng.Float64() < 0.3 || m == u%movies {
 				// Preference structure: users like movies congruent mod 3.
@@ -255,12 +261,14 @@ func newMovieLens(cfg core.Config) (core.Workload, error) {
 				if u%3 == m%3 {
 					base = 4.5
 				}
-				w.ratings = append(w.ratings, rdd.Rating{User: u, Item: m, Value: base + rng.Float64()})
-				w.rated[u][m] = true
+				ratings = append(ratings, rdd.Rating{User: u, Item: m, Value: base + rng.Float64()})
+				if u < movieLensQueried {
+					w.rated[u][m] = true
+				}
 			}
 		}
 	}
-	w.graph = rdd.NewRatingsGraph(w.ratings)
+	w.graph = rdd.NewRatingsGraph(ratings)
 	return w, nil
 }
 
@@ -270,7 +278,7 @@ func (w *movieLensWorkload) RunIteration() error {
 		return err
 	}
 	w.recs = 0
-	for u := 0; u < 10; u++ {
+	for u := 0; u < movieLensQueried; u++ {
 		w.recs += len(model.Recommend(u, w.rated[u], 5))
 	}
 	return nil
@@ -286,7 +294,7 @@ func (w *movieLensWorkload) Validate() error {
 // --- naive-bayes ---
 
 type naiveBayesWorkload struct {
-	points []rdd.LabeledPoint
+	points *rdd.Points
 	acc    float64
 }
 
@@ -294,10 +302,10 @@ func newNaiveBayes(cfg core.Config) (core.Workload, error) {
 	rng := cfg.Rand("naive-bayes")
 	n := cfg.Scale(5000)
 	const dim = 16
-	pts := make([]rdd.LabeledPoint, n)
-	for i := range pts {
+	pts := rdd.NewPoints(n, dim)
+	for i := 0; i < n; i++ {
 		label := i % 3
-		f := make([]float64, dim)
+		f := pts.X.Row(i)
 		for j := range f {
 			base := 1.0
 			if j%3 == label {
@@ -305,13 +313,13 @@ func newNaiveBayes(cfg core.Config) (core.Workload, error) {
 			}
 			f[j] = base + float64(rng.Intn(3))
 		}
-		pts[i] = rdd.LabeledPoint{Features: f, Label: label}
+		pts.Labels[i] = int32(label)
 	}
 	return &naiveBayesWorkload{points: pts}, nil
 }
 
 func (w *naiveBayesWorkload) RunIteration() error {
-	model, err := rdd.NaiveBayes(rdd.Parallelize(w.points, 8), 3, len(w.points[0].Features))
+	model, err := rdd.NaiveBayes(w.points, 3)
 	if err != nil {
 		return err
 	}
@@ -331,13 +339,13 @@ func (w *naiveBayesWorkload) Validate() error {
 type pageRankWorkload struct {
 	graph *rdd.Graph
 	n     int
-	ranks map[int]float64
+	ranks []float64 // by vertex id: every id in [0, n) has an edge
 }
 
 func newPageRank(cfg core.Config) (core.Workload, error) {
 	rng := cfg.Rand("page-rank")
 	n := cfg.Scale(600)
-	var edges []rdd.Pair[int, int]
+	edges := make([]rdd.Pair[int, int], 0, 4*n)
 	for v := 0; v < n; v++ {
 		// Every vertex links to its successor (strong connectivity) plus a
 		// few preferential links toward low-numbered "hub" vertices.

@@ -28,11 +28,6 @@ func (c *CSR) RowVals(i int) []float64 {
 	return c.Val[c.RowPtr[i]:c.RowPtr[i+1]]
 }
 
-// Degree returns row i's entry count.
-func (c *CSR) Degree(i int) int {
-	return int(c.RowPtr[i+1] - c.RowPtr[i])
-}
-
 // NewCSR builds a CSR with the classic two-pass counting sort: count
 // per-row degrees, prefix-sum into RowPtr, then scatter entries. The
 // build is stable — entries within a row keep their input order — so

@@ -24,8 +24,8 @@ func TestNewCSRBasic(t *testing.T) {
 	if got := c.RowCols(2); len(got) != 0 {
 		t.Errorf("row 2 should be empty, got %v", got)
 	}
-	if c.Degree(3) != 3 || c.Degree(2) != 0 {
-		t.Errorf("degrees: %d %d", c.Degree(3), c.Degree(2))
+	if len(c.RowCols(3)) != 3 {
+		t.Errorf("row 3 has %d entries, want 3", len(c.RowCols(3)))
 	}
 }
 

@@ -122,8 +122,8 @@ func TestFusedCacheComputesOnceMidChain(t *testing.T) {
 // (filter-all, empty source) through every action.
 func TestFusedEmptyPartitions(t *testing.T) {
 	empty := Parallelize([]int{}, 4)
-	if empty.NumPartitions() != 1 {
-		t.Errorf("empty dataset partitions = %d, want 1", empty.NumPartitions())
+	if empty.numPartitions != 1 {
+		t.Errorf("empty dataset partitions = %d, want 1", empty.numPartitions)
 	}
 	chain := FlatMap(Map(empty, func(x int) int { return x }).Filter(func(int) bool { return true }),
 		func(x int) []int { return []int{x} })
@@ -151,17 +151,17 @@ func TestFusedEmptyPartitions(t *testing.T) {
 // (clampPartitions): Parallelize caps at len(data), wide transformations
 // cap at shuffleLimit, results stay correct after clamping.
 func TestPartitionClampRule(t *testing.T) {
-	if got := Parallelize(ints(3), 100).NumPartitions(); got != 3 {
+	if got := Parallelize(ints(3), 100).numPartitions; got != 3 {
 		t.Errorf("Parallelize clamp = %d, want 3", got)
 	}
-	if got := Parallelize(ints(100), 0).NumPartitions(); got != defaultPartitions {
+	if got := Parallelize(ints(100), 0).numPartitions; got != defaultPartitions {
 		t.Errorf("Parallelize default = %d", got)
 	}
 
 	pairs := Map(Parallelize(ints(60), 4), func(x int) Pair[int, int] { return KV(x % 9, 1) })
 	huge := ReduceByKey(pairs, 1<<20, func(a, b int) int { return a + b })
-	if limit := shuffleLimit(4); huge.NumPartitions() > limit {
-		t.Errorf("ReduceByKey partitions = %d, above limit %d", huge.NumPartitions(), limit)
+	if limit := shuffleLimit(4); huge.numPartitions > limit {
+		t.Errorf("ReduceByKey partitions = %d, above limit %d", huge.numPartitions, limit)
 	}
 	counts := CollectAsMap(huge)
 	for k := 0; k < 9; k++ {
@@ -173,7 +173,7 @@ func TestPartitionClampRule(t *testing.T) {
 			t.Errorf("clamped ReduceByKey[%d] = %d, want %d", k, counts[k], want)
 		}
 	}
-	if got := GroupByKey(pairs, -7).NumPartitions(); got != 4 {
+	if got := GroupByKey(pairs, -7).numPartitions; got != 4 {
 		t.Errorf("GroupByKey(-7) partitions = %d, want parent 4", got)
 	}
 }

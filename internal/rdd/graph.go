@@ -13,27 +13,31 @@ import (
 // (Table 1: "data-parallel, atomics"). The seed kernel kept the graph as
 // an RDD of pairs and re-derived everything per iteration: a FlatMap
 // allocating one contribution pair per edge, a ReduceByKey shuffle, and
-// a CollectAsMap rebuilding a hash map of ranks. Here the adjacency is
-// three flat arrays scanned sequentially, vertex ids are compacted in
-// sorted order (ranks live in dense []float64, not map[int]float64), and
-// the per-iteration state is two dense vectors.
+// a CollectAsMap rebuilding a hash map of ranks. Here vertex ids are
+// compacted in sorted order (ranks live in dense []float64, not
+// map[int]float64), the adjacency is stored by destination — row v of
+// the CSR lists v's in-neighbours — so every vertex pulls its new rank
+// from a sequential scan, and the per-iteration state is three dense
+// vectors.
 type Graph struct {
-	ids      []int
-	idx      map[int]int32
-	out      *lin.CSR
+	ids      []int    // external id of each vertex, ascending
+	in       *lin.CSR // row v: the sources of v's in-edges, in input order
+	outDeg   []int32
 	dangling []int32 // vertices with no outgoing edge
 }
 
-// NewGraph compacts the edge list into CSR adjacency. Entries keep input
-// order (stable counting sort), so rank accumulation is deterministic.
+// NewGraph compacts the edge list into in-edge CSR adjacency. Entries keep
+// input order (stable counting sort), so rank accumulation is
+// deterministic.
 func NewGraph(edges []Pair[int, int]) *Graph {
 	loc := metrics.Acquire()
 	loc.IncObject()
-	loc.AddArray(3) // the CSR's flat arrays
-	g := &Graph{idx: make(map[int]int32)}
+	loc.AddArray(4) // the CSR's flat arrays and the out-degrees
+	idx := make(map[int]int32)
+	g := &Graph{}
 	add := func(v int) {
-		if _, ok := g.idx[v]; !ok {
-			g.idx[v] = 0
+		if _, ok := idx[v]; !ok {
+			idx[v] = 0
 			g.ids = append(g.ids, v)
 		}
 	}
@@ -43,17 +47,20 @@ func NewGraph(edges []Pair[int, int]) *Graph {
 	}
 	sort.Ints(g.ids)
 	for i, id := range g.ids {
-		g.idx[id] = int32(i)
+		idx[id] = int32(i)
 	}
+	n := len(g.ids)
 	src := make([]int32, len(edges))
 	dst := make([]int32, len(edges))
+	g.outDeg = make([]int32, n)
 	for k, e := range edges {
-		src[k] = g.idx[e.Key]
-		dst[k] = g.idx[e.Value]
+		src[k] = idx[e.Key]
+		dst[k] = idx[e.Value]
+		g.outDeg[src[k]]++
 	}
-	g.out = lin.NewCSR(len(g.ids), src, dst, nil)
-	for v := 0; v < g.out.NumRows(); v++ {
-		if g.out.Degree(v) == 0 {
+	g.in = lin.NewCSR(n, dst, src, nil)
+	for v, d := range g.outDeg {
+		if d == 0 {
 			g.dangling = append(g.dangling, int32(v))
 		}
 	}
@@ -68,21 +75,20 @@ func GraphFrom(edges *RDD[Pair[int, int]]) *Graph {
 // NumVertices returns the number of distinct vertices.
 func (g *Graph) NumVertices() int { return len(g.ids) }
 
-// prParts is the fixed partition count of the PageRank scatter phase.
-// It is fixed (not GOMAXPROCS-derived) so the accumulator merge order —
-// and therefore every floating-point result — is identical at any -cpu
-// setting; it matches the engine's defaultPartitions.
+// prParts is the fixed partition count of the PageRank pull phase, the
+// engine's defaultPartitions. Each vertex's rank is a sequential sum in
+// its own range, so the count decides only the retry granularity, not a
+// floating-point result.
 const prParts = defaultPartitions
 
-// prState is the per-run PageRank working set: the rank vectors and the
-// [partition][vertex] dense accumulator matrix, allocated once per
-// PageRank call and reused across iterations (the seed allocated one
-// pair per edge plus shuffle buckets plus a rank map per iteration).
+// prState is the per-run PageRank working set — the rank vectors and the
+// per-vertex outgoing share — allocated once per PageRank call and reused
+// across iterations (the seed allocated one pair per edge plus shuffle
+// buckets plus a rank map per iteration).
 type prState struct {
-	g          *Graph
-	damping    float64
-	ranks, out []float64
-	acc        *lin.Mat // prParts × n contribution accumulators
+	g                 *Graph
+	damping           float64
+	ranks, out, share []float64
 }
 
 func (g *Graph) newPRState(damping float64) *prState {
@@ -93,10 +99,7 @@ func (g *Graph) newPRState(damping float64) *prState {
 		damping: damping,
 		ranks:   make([]float64, n),
 		out:     make([]float64, n),
-		// Rows padded onto disjoint cache lines: partitions scatter into
-		// their own row concurrently, and an unpadded row boundary would
-		// false-share between neighbors.
-		acc: lin.NewMat(prParts, lin.PadStride(n)),
+		share:   make([]float64, n),
 	}
 	for i := range st.ranks {
 		st.ranks[i] = 1.0
@@ -106,93 +109,86 @@ func (g *Graph) newPRState(damping float64) *prState {
 
 // step advances the ranks by one PageRank iteration:
 //
-// Scatter — the sources are split into prParts fixed ranges; each range
-// streams its CSR rows, scattering rank/degree contributions into its own
-// dense accumulator row (no atomics, no sharing; the seed shuffled
-// one allocated pair per edge here). Dangling (sink) vertices have no
-// rows to scatter, so their mass is summed separately.
+// Share — a parallel-for sets share[u] = rank[u]/outdeg[u], the
+// contribution u sends along each of its out-edges. Dangling (sink)
+// vertices send nothing along edges; their mass is summed separately and
+// redistributed uniformly (standard PageRank), so total rank is conserved
+// exactly: the seed simply dropped it, which is why the benchmark's mass
+// check needed a 1% tolerance.
 //
-// Merge — each vertex folds its accumulator column in fixed partition
-// order and applies the damping update. Dangling mass is redistributed
-// uniformly (standard PageRank), so total rank is conserved exactly: the
-// seed simply dropped it, which is why the benchmark's mass check needed
-// a 1% tolerance.
+// Pull — the vertices are split into prParts fixed ranges; each vertex
+// sums the shares of its in-neighbours in input edge order and applies
+// the damping update. No vertex is written by two ranges, so there are no
+// atomics, no per-range accumulators and no merge; and since every rank
+// is one sequential sum, results are identical at any GOMAXPROCS.
 //
-// The scatter runs under the recompute budget (forPartsRetry): each
-// attempt clears its private accumulator row first, so a faulted range
-// replays alone instead of failing the whole iteration. The merge is the
-// same job with no retries (forkjoin.For), chunked by the automatic
-// grain rather than by partition.
+// The pull runs under the recompute budget (forPartsRetry): a range only
+// overwrites its own vertices, so a faulted range replays alone, with
+// nothing to clear, instead of failing the whole iteration.
 func (s *prState) step() {
-	n := s.g.NumVertices()
-	if err := forPartsRetry(prParts, func(p int) {
-		loc := metrics.Acquire()
-		row := s.acc.Row(p)[:n]
-		clear(row)
-		vlo, vhi := p*n/prParts, (p+1)*n/prParts
-		edges := 0
-		for v := vlo; v < vhi; v++ {
-			cols := s.g.out.RowCols(v)
-			if len(cols) == 0 {
-				continue
+	g := s.g
+	n := g.NumVertices()
+	forkjoin.For(n, 0, func(lo, hi int) {
+		metrics.Acquire().AddIDynamic(int64(hi - lo))
+		for u := lo; u < hi; u++ {
+			if d := g.outDeg[u]; d > 0 {
+				s.share[u] = s.ranks[u] / float64(d)
 			}
-			share := s.ranks[v] / float64(len(cols))
-			for _, dst := range cols {
-				row[dst] += share
-			}
-			edges += len(cols)
 		}
-		loc.AddIDynamic(int64(edges))
-	}); err != nil {
-		panic(err)
-	}
+	})
 	danglingMass := 0.0
-	for _, v := range s.g.dangling {
+	for _, v := range g.dangling {
 		danglingMass += s.ranks[v]
 	}
 	base := (1 - s.damping) + s.damping*danglingMass/float64(n)
-	stride := s.acc.Cols
-	forkjoin.For(n, 0, func(lo, hi int) {
-		metrics.Acquire().AddIDynamic(int64(hi - lo))
-		for v := lo; v < hi; v++ {
+	if err := forPartsRetry(prParts, func(p int) {
+		vlo, vhi := p*n/prParts, (p+1)*n/prParts
+		edges := 0
+		for v := vlo; v < vhi; v++ {
 			sum := 0.0
-			for p := 0; p < prParts; p++ {
-				sum += s.acc.Data[p*stride+v]
+			srcs := g.in.RowCols(v)
+			for _, u := range srcs {
+				sum += s.share[u]
 			}
 			s.out[v] = base + s.damping*sum
+			edges += len(srcs)
 		}
-	})
+		metrics.Acquire().AddIDynamic(int64(edges))
+	}); err != nil {
+		panic(err)
+	}
 	s.ranks, s.out = s.out, s.ranks
 }
 
 // PageRank runs the iterative computation over the pre-built graph and
-// returns the rank of every vertex by external id. Rank mass is conserved
+// returns the rank of every vertex, indexed by compacted vertex: entry i
+// is the rank of the i-th smallest external id. Rank mass is conserved
 // exactly (dangling mass is redistributed uniformly), so Σ ranks equals
 // the vertex count up to floating-point rounding.
-func (g *Graph) PageRank(iterations int, damping float64) map[int]float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return map[int]float64{}
+func (g *Graph) PageRank(iterations int, damping float64) []float64 {
+	if g.NumVertices() == 0 {
+		return nil
 	}
 	st := g.newPRState(damping)
 	for it := 0; it < iterations; it++ {
 		st.step()
 	}
-	metrics.IncObject()
-	out := make(map[int]float64, n)
-	for i, id := range g.ids {
-		out[id] = st.ranks[i]
-	}
-	return out
+	return st.ranks
 }
 
 // PageRank runs the iterative PageRank computation over the edge list
-// with the given damping and iteration count — the page-rank benchmark
-// kernel. It returns the rank of every vertex that has at least one
-// outgoing or incoming edge. Callers that iterate over a fixed graph
-// (the benchmark harness) should build it once with NewGraph/GraphFrom
-// and call Graph.PageRank, keeping the grouping out of the measured
-// iteration.
+// with the given damping and iteration count, and returns the rank of
+// every vertex that has at least one outgoing or incoming edge, by
+// external id. Callers that iterate over a fixed graph (the benchmark
+// harness) should build it once with NewGraph/GraphFrom and call
+// Graph.PageRank, keeping the grouping out of the measured iteration.
 func PageRank(edges *RDD[Pair[int, int]], iterations int, damping float64) map[int]float64 {
-	return GraphFrom(edges).PageRank(iterations, damping)
+	g := GraphFrom(edges)
+	ranks := g.PageRank(iterations, damping)
+	metrics.IncObject()
+	out := make(map[int]float64, len(ranks))
+	for i, r := range ranks {
+		out[g.ids[i]] = r
+	}
+	return out
 }

@@ -1,8 +1,6 @@
 package rdd
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"renaissance/internal/forkjoin"
@@ -13,81 +11,51 @@ import (
 // This file implements the machine-learning kernels that Spark MLlib
 // provides to the paper's benchmarks: logistic regression, multinomial
 // naive Bayes, chi-square testing, decision trees (alternating least
-// squares and PageRank live in als.go and graph.go). Each kernel packs
-// its input into the flat row-major layout of internal/lin once per call
-// and then runs chunked parallel-for passes on the shared work-stealing
-// executor, accumulating into flat per-chunk tables that merge in fixed
-// chunk order — so results are deterministic at any GOMAXPROCS. Chunk
-// boundaries mirror the input RDD's partition boundaries, preserving the
-// seed kernels' partition-ordered aggregation semantics.
+// squares and PageRank live in als.go and graph.go). Each kernel reads a
+// flat training set (Points), built once at workload setup, in place and
+// runs chunked parallel-for passes on the shared work-stealing executor,
+// accumulating into flat per-chunk tables that merge in fixed chunk order
+// — so results are deterministic at any GOMAXPROCS. Chunk c covers rows
+// [c·n/parts, (c+1)·n/parts): the partition split of Parallelize(·, 8),
+// preserving the seed kernels' partition-ordered aggregation semantics.
 
-// LabeledPoint is a feature vector with a class label.
-type LabeledPoint struct {
-	Features []float64
-	Label    int
+// Points is a labeled training set in flat storage: row i of X holds
+// point i's features and Labels[i] its class. It is the layout of the
+// stacked InstanceBlock that Spark ML (3.1 and later) trains its linear
+// models on: one contiguous feature matrix plus a label vector, with no
+// per-point object for the collector to trace.
+type Points struct {
+	X      *lin.Mat
+	Labels []int32
 }
 
-// ErrBadInput is returned when a kernel receives inconsistent data.
-var ErrBadInput = errors.New("rdd: inconsistent training data")
+// NewPoints allocates a zeroed training set of n points with dim features
+// each; the caller fills X.Row(i) and Labels[i].
+func NewPoints(n, dim int) *Points {
+	metrics.Acquire().AddArray(2)
+	return &Points{X: lin.NewMat(n, dim), Labels: make([]int32, n)}
+}
+
+// mlParts is the kernels' chunk count over n rows: the partition count
+// Parallelize gives n elements by default, so the per-chunk accumulators
+// merge in the grouping and order the seed's per-partition Aggregate used.
+func mlParts(n int) int { return clampPartitions(0, defaultPartitions, n) }
 
 // sigmoid is the logistic link function.
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
-// packPoints collects the dataset into one flat row-major feature matrix
-// plus a label vector — the layout every kernel pass streams over. A
-// dimension-mismatched point is an error: the seed kernels silently
-// dropped such points inside the aggregator, skewing whatever statistic
-// was being accumulated.
-func packPoints(points *RDD[LabeledPoint]) (*lin.Mat, []int32, error) {
-	data := points.Collect()
-	if len(data) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	dim := len(data[0].Features)
-	loc := metrics.Acquire()
-	loc.AddArray(2)
-	x := lin.NewMat(len(data), dim)
-	labels := make([]int32, len(data))
-	for i, p := range data {
-		if len(p.Features) != dim {
-			return nil, nil, fmt.Errorf("%w: point %d has %d features, want %d",
-				ErrBadInput, i, len(p.Features), dim)
-		}
-		copy(x.Row(i), p.Features)
-		labels[i] = int32(p.Label)
-	}
-	return x, labels, nil
-}
-
-// mlChunks mirrors the input's partition count so per-chunk accumulators
-// merge in the same grouping and order the seed's per-partition
-// Aggregate used.
-func mlChunks(points *RDD[LabeledPoint], n int) int {
-	parts := points.NumPartitions()
-	if parts > n {
-		parts = n
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	return parts
-}
-
 // LogisticRegression fits binary logistic regression (labels 0/1) with
-// batch gradient descent — the log-regression benchmark kernel. The
-// points are packed once into a flat feature matrix; each gradient pass
-// is a chunked parallel-for where chunk c folds rows
-// [c·n/parts, (c+1)·n/parts) into its own flat gradient row (one
-// unrolled Dot and one Axpy per point), and the per-chunk gradients
-// merge in chunk order. It returns ErrBadInput for dimension-mismatched
-// points, which the seed silently dropped from the gradient.
-func LogisticRegression(points *RDD[LabeledPoint], iterations int, learningRate float64) ([]float64, error) {
-	x, labels, err := packPoints(points)
-	if err != nil {
-		return nil, err
-	}
+// batch gradient descent — the log-regression benchmark kernel. Each
+// gradient pass is a chunked parallel-for where chunk c folds its rows
+// into its own flat gradient row (one unrolled Dot and one Axpy per
+// point), and the per-chunk gradients merge in chunk order.
+func LogisticRegression(points *Points, iterations int, learningRate float64) ([]float64, error) {
+	x, labels := points.X, points.Labels
 	n, dim := x.Rows, x.Cols
-	parts := mlChunks(points, n)
+	if n == 0 {
+		return nil, ErrEmpty
+	}
+	parts := mlParts(n)
 	metrics.Acquire().AddArray(2)
 	// One gradient accumulator per chunk, rows padded onto disjoint
 	// cache lines (a bare dim-wide row is ~one line, so neighboring
@@ -136,34 +104,35 @@ type NaiveBayesModel struct {
 
 // NaiveBayes fits a multinomial model with Laplace smoothing over
 // non-negative feature counts — the naive-bayes benchmark kernel. Each
-// partition streams through the fused pipeline (no materialized copy)
-// into one flat table of numClasses×(numFeatures+1) floats (class count
-// in column 0, feature totals after), replacing the seed's per-partition
-// struct of nested slices; tables merge in partition order. Points with
-// an out-of-range label or feature count are skipped, as in the seed.
-func NaiveBayes(points *RDD[LabeledPoint], numClasses, numFeatures int) (*NaiveBayesModel, error) {
-	parts := points.NumPartitions()
+// chunk folds its rows into one flat table of numClasses×(numFeatures+1)
+// floats (class count in column 0, feature totals after), replacing the
+// seed's per-partition struct of nested slices; tables merge in chunk
+// order. Points with an out-of-range label are skipped, as in the seed.
+func NaiveBayes(points *Points, numClasses int) (*NaiveBayesModel, error) {
+	x, labels := points.X, points.Labels
+	n, numFeatures := x.Rows, x.Cols
+	parts := mlParts(n)
 	stride := numFeatures + 1
 	width := numClasses * stride
 	metrics.Acquire().IncArray()
-	// Per-partition count tables, rows padded onto disjoint cache lines.
+	// Per-chunk count tables, rows padded onto disjoint cache lines.
 	tab := lin.NewMat(parts, lin.PadStride(width))
 	// Each attempt clears its private table row first, so a recompute
-	// after a mid-stream fault never double-counts.
+	// after a mid-chunk fault never double-counts.
 	if err := forPartsRetry(parts, func(c int) {
-		loc := metrics.Acquire()
 		acc := tab.Row(c)[:width]
 		clear(acc)
-		points.run(c, func(p LabeledPoint) bool {
-			loc.IncIDynamic()
-			if p.Label < 0 || p.Label >= numClasses || len(p.Features) != numFeatures {
-				return true
+		rlo, rhi := c*n/parts, (c+1)*n/parts
+		metrics.Acquire().AddIDynamic(int64(rhi - rlo))
+		for i := rlo; i < rhi; i++ {
+			l := int(labels[i])
+			if l < 0 || l >= numClasses {
+				continue
 			}
-			row := acc[p.Label*stride : (p.Label+1)*stride]
+			row := acc[l*stride : (l+1)*stride]
 			row[0]++
-			lin.Axpy(1, p.Features, row[1:])
-			return true
-		})
+			lin.Axpy(1, x.Row(i), row[1:])
+		}
 	}); err != nil {
 		return nil, err
 	}
@@ -213,40 +182,41 @@ func (m *NaiveBayesModel) Predict(features []float64) int {
 // ChiSquare computes the chi-square independence statistic of every
 // feature against the label over discretized features (values are bucketed
 // by floor) — the chi-square benchmark kernel. It returns one statistic
-// per feature. Each partition streams through the fused pipeline into
-// one flat [feature][bucket][class] contingency array (the seed
-// allocated a three-level nested slice per partition), merged in
-// partition order.
-func ChiSquare(points *RDD[LabeledPoint], numClasses, numFeatures, numBuckets int) []float64 {
-	parts := points.NumPartitions()
+// per feature. Each chunk folds its rows into one flat
+// [feature][bucket][class] contingency array (the seed allocated a
+// three-level nested slice per partition), merged in chunk order.
+func ChiSquare(points *Points, numClasses, numBuckets int) []float64 {
+	x, labels := points.X, points.Labels
+	n, numFeatures := x.Rows, x.Cols
+	parts := mlParts(n)
 	stride := numBuckets * numClasses // one feature's table
 	width := numFeatures * stride
 	metrics.Acquire().IncArray()
-	// Per-partition tables, rows padded onto disjoint cache lines.
+	// Per-chunk tables, rows padded onto disjoint cache lines.
 	tab := lin.NewMat(parts, lin.PadStride(width))
 	// Attempts clear their private table row first — recompute-safe, like
 	// NaiveBayes. A persistent failure re-panics (legacy action contract).
 	if err := forPartsRetry(parts, func(c int) {
-		loc := metrics.Acquire()
 		acc := tab.Row(c)[:width]
 		clear(acc)
-		points.run(c, func(p LabeledPoint) bool {
-			loc.IncIDynamic()
-			if p.Label < 0 || p.Label >= numClasses {
-				return true
+		rlo, rhi := c*n/parts, (c+1)*n/parts
+		metrics.Acquire().AddIDynamic(int64(rhi - rlo))
+		for i := rlo; i < rhi; i++ {
+			l := int(labels[i])
+			if l < 0 || l >= numClasses {
+				continue
 			}
-			for f := 0; f < numFeatures && f < len(p.Features); f++ {
-				b := int(p.Features[f])
+			for f, v := range x.Row(i) {
+				b := int(v)
 				if b < 0 {
 					b = 0
 				}
 				if b >= numBuckets {
 					b = numBuckets - 1
 				}
-				acc[f*stride+b*numClasses+p.Label]++
+				acc[f*stride+b*numClasses+l]++
 			}
-			return true
-		})
+		}
 	}); err != nil {
 		panic(err)
 	}
@@ -315,24 +285,28 @@ func (n *TreeNode) Predict(features []float64) int {
 // DecisionTree fits a CART-style classification tree: at every node the
 // Gini-best (feature, threshold) split is selected from per-feature
 // histograms computed in parallel over the features — the dec-tree
-// benchmark kernel. The points are packed once into a flat row-major
-// feature matrix; tree nodes then work on index subsets, so a split
-// partitions two int32 index slices instead of copying LabeledPoint
-// structs, and every histogram fill walks one flat column-strided array.
-func DecisionTree(points *RDD[LabeledPoint], numClasses, maxDepth, minLeaf int) (*TreeNode, error) {
-	x, labels, err := packPoints(points)
-	if err != nil {
-		return nil, err
+// benchmark kernel. Tree nodes work on index subsets of the flat training
+// set: one int32 index array for the whole tree, which every split
+// partitions in place (node by node, each node's subset is a contiguous
+// range of it), so every histogram fill walks one flat column-strided
+// array and no node copies points or allocates index slices.
+func DecisionTree(points *Points, numClasses, maxDepth, minLeaf int) (*TreeNode, error) {
+	n := points.X.Rows
+	if n == 0 {
+		return nil, ErrEmpty
 	}
 	if minLeaf < 1 {
 		minLeaf = 1
 	}
-	metrics.IncArray()
-	idx := make([]int32, x.Rows)
+	metrics.Acquire().AddArray(2)
+	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	t := &treeBuilder{x: x, labels: labels, numClasses: numClasses, minLeaf: minLeaf}
+	t := &treeBuilder{
+		x: points.X, labels: points.Labels, numClasses: numClasses, minLeaf: minLeaf,
+		spill: make([]int32, n),
+	}
 	return t.grow(idx, maxDepth), nil
 }
 
@@ -344,6 +318,9 @@ type treeBuilder struct {
 	labels     []int32
 	numClasses int
 	minLeaf    int
+	// spill holds the right side of the split in progress; the recursion
+	// is sequential, so one buffer serves every node.
+	spill []int32
 }
 
 // split is one feature's best histogram split.
@@ -401,17 +378,21 @@ func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
 		return &TreeNode{Prediction: majority}
 	}
 
-	metrics.IncArray()
-	left := make([]int32, 0, len(idx))
-	right := make([]int32, 0, len(idx))
+	// Stable in-place partition: the left side compacts to the front of
+	// idx, the right side goes through the spill buffer to the back, both
+	// in their original order.
+	nl, nr := 0, 0
 	for _, i := range idx {
 		if t.x.At(int(i), bestFeature) <= bestThreshold {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
-			right = append(right, i)
+			t.spill[nr] = i
+			nr++
 		}
 	}
-	if len(left) < t.minLeaf || len(right) < t.minLeaf {
+	copy(idx[nl:], t.spill[:nr])
+	if nl < t.minLeaf || nr < t.minLeaf {
 		metrics.IncObject()
 		return &TreeNode{Prediction: majority}
 	}
@@ -419,8 +400,8 @@ func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
 	return &TreeNode{
 		Feature:   bestFeature,
 		Threshold: bestThreshold,
-		Left:      t.grow(left, depth-1),
-		Right:     t.grow(right, depth-1),
+		Left:      t.grow(idx[:nl], depth-1),
+		Right:     t.grow(idx[nl:], depth-1),
 	}
 }
 

@@ -2,15 +2,16 @@ package rdd
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // Steady-state allocation guards for the hot ML iterations. The flat
-// kernels' working set (factor matrices, rank accumulators, scratch) is
+// kernels' working set (factor matrices, rank vectors, scratch) is
 // allocated once per training run and pooled, so a steady-state
 // iteration's only allocations are the fixed fork–join overhead of its
-// parallel-for calls (measured: 12 per iteration — parJob, done channel,
-// helper tasks). The bound below leaves headroom for executors with more
+// parallel-for calls (the parJob, its barrier channel, helper tasks and
+// the body closures). The bound below leaves headroom for executors with more
 // workers while still catching any per-row or per-edge allocation
 // sneaking back in (the seed kernels allocated per rating map entry and
 // per edge contribution pair — thousands per iteration at these sizes).
@@ -43,19 +44,107 @@ func TestPageRankIterationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	rng := rand.New(rand.NewSource(19))
-	const n = 600
-	var edges []Pair[int, int]
+	st := NewGraph(webEdges(rand.New(rand.NewSource(19)), 600)).newPRState(0.85)
+	st.step() // warm
+	allocs := testing.AllocsPerRun(20, func() { st.step() })
+	if allocs > mlIterAllocBound {
+		t.Fatalf("PageRank step allocated %.1f objects, want <= %d", allocs, mlIterAllocBound)
+	}
+}
+
+// webEdges is the page-rank workload's graph shape: every vertex links to
+// its successor plus three preferential links toward low-numbered hubs.
+func webEdges(rng *rand.Rand, n int) []Pair[int, int] {
+	edges := make([]Pair[int, int], 0, 4*n)
 	for v := 0; v < n; v++ {
 		edges = append(edges, KV(v, (v+1)%n))
 		for k := 0; k < 3; k++ {
 			edges = append(edges, KV(v, rng.Intn(v/4+1)))
 		}
 	}
-	st := NewGraph(edges).newPRState(0.85)
-	st.step() // warm
-	allocs := testing.AllocsPerRun(20, func() { st.step() })
-	if allocs > mlIterAllocBound {
-		t.Fatalf("PageRank step allocated %.1f objects, want <= %d", allocs, mlIterAllocBound)
+	return edges
+}
+
+// TestPageRankAllocsIndependentOfVertices: a PageRank run allocates its
+// three rank vectors and the fixed fork–join overhead of its passes,
+// whatever the graph size (the scatter kernel's result was a map with one
+// entry per vertex).
+func TestPageRankAllocsIndependentOfVertices(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	small := NewGraph(webEdges(rand.New(rand.NewSource(3)), 1000))
+	large := NewGraph(webEdges(rand.New(rand.NewSource(3)), 16000))
+	a := testing.AllocsPerRun(5, func() { small.PageRank(3, 0.85) })
+	b := testing.AllocsPerRun(5, func() { large.PageRank(3, 0.85) })
+	if a != b {
+		t.Fatalf("PageRank allocated %.0f objects at 1k vertices, %.0f at 16k", a, b)
+	}
+}
+
+// TestTrainingAllocsIndependentOfRows: the kernels read the flat training
+// set in place, so a call's allocations — per-chunk tables, the model,
+// the fork–join overhead of its passes — do not grow with the row count.
+func TestTrainingAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	small := pointsOf(syntheticLabeled(rand.New(rand.NewSource(7)), 1<<10, 6))
+	large := pointsOf(syntheticLabeled(rand.New(rand.NewSource(7)), 1<<14, 6))
+	for _, k := range []struct {
+		name string
+		run  func(*Points)
+	}{
+		{"LogisticRegression", func(p *Points) { LogisticRegression(p, 3, 0.5) }},
+		{"NaiveBayes", func(p *Points) { NaiveBayes(p, 2) }},
+		{"ChiSquare", func(p *Points) { ChiSquare(p, 2, 4) }},
+	} {
+		a := testing.AllocsPerRun(5, func() { k.run(small) })
+		b := testing.AllocsPerRun(5, func() { k.run(large) })
+		if a != b {
+			t.Errorf("%s allocated %.0f objects at 1k rows, %.0f at 16k", k.name, a, b)
+		}
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// allocated by one call of f, after a warm-up call.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+func treeNodes(n *TreeNode) int {
+	if n.IsLeaf() {
+		return 1
+	}
+	return 1 + treeNodes(n.Left) + treeNodes(n.Right)
+}
+
+// TestDecisionTreeAllocBytes: beyond the per-node work (the node, its
+// class counts, split results and parallel-for), a fit allocates the
+// index array and the spill buffer, 4 bytes a point each. Splits
+// partition the index in place.
+func TestDecisionTreeAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n, perNode = 1 << 14, 1024
+	pts := pointsOf(syntheticLabeled(rand.New(rand.NewSource(13)), n, 6))
+	tree, err := DecisionTree(pts, 2, 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := treeNodes(tree)
+	got := allocBytesPerRun(5, func() { DecisionTree(pts, 2, 6, 4) })
+	if limit := uint64(8*n + perNode*nodes); got > limit {
+		t.Fatalf("DecisionTree allocated %d B over %d points and %d nodes, want <= %d", got, n, nodes, limit)
 	}
 }

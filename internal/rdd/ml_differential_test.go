@@ -1,9 +1,10 @@
 package rdd
 
 import (
-	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,6 +239,101 @@ func TestPageRankDifferentialDangling(t *testing.T) {
 	}
 }
 
+// TestPageRankDifferentialSparseIDs: rdd.PageRank keys its result by
+// external id through the ascending-id order of Graph.PageRank's slice.
+// Ids here are sparse and first appear out of order, so a wrong mapping
+// would hand vertices each other's ranks.
+func TestPageRankDifferentialSparseIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 200
+	id := func(v int) int { return (v*37%n)*5 + 3 }
+	var edges []Pair[int, int]
+	for v := 0; v < n; v++ {
+		edges = append(edges, KV(id(v), id((v+1)%n)))
+		for k := 0; k < 2; k++ {
+			edges = append(edges, KV(id(v), id(rng.Intn(v/3+1))))
+		}
+	}
+	rdd := Parallelize(edges, 8)
+
+	got := PageRank(rdd, 12, 0.85)
+	want := seedPageRank(rdd, 12, 0.85)
+	if len(got) != len(want) {
+		t.Fatalf("rank count %d, want %d", len(got), len(want))
+	}
+	for v, w := range want {
+		r, ok := got[v]
+		if !ok {
+			t.Fatalf("vertex %d missing from the ranks", v)
+		}
+		if d := math.Abs(r - w); d > 1e-9 {
+			t.Fatalf("vertex %d: rank %.12f vs seed %.12f (diff %g)", v, r, w, d)
+		}
+	}
+}
+
+// refPageRank is the pull formulation written out sequentially: every
+// vertex sums rank/outdeg over its in-edges in input edge order.
+func refPageRank(edges []Pair[int, int], n, iterations int, damping float64) []float64 {
+	outDeg := make([]int, n)
+	in := make([][]int, n)
+	for _, e := range edges {
+		outDeg[e.Key]++
+		in[e.Value] = append(in[e.Value], e.Key)
+	}
+	ranks, next := make([]float64, n), make([]float64, n)
+	for i := range ranks {
+		ranks[i] = 1
+	}
+	for it := 0; it < iterations; it++ {
+		dangling := 0.0
+		for v, d := range outDeg {
+			if d == 0 {
+				dangling += ranks[v]
+			}
+		}
+		base := (1 - damping) + damping*dangling/float64(n)
+		for v := range next {
+			sum := 0.0
+			for _, u := range in[v] {
+				sum += ranks[u] / float64(outDeg[u])
+			}
+			next[v] = base + damping*sum
+		}
+		ranks, next = next, ranks
+	}
+	return ranks
+}
+
+// TestPageRankBitIdenticalAcrossGOMAXPROCS: every rank is one sequential
+// sum over the vertex's in-edges, so the parallel kernel reproduces the
+// sequential reference to the bit whatever the scheduling.
+func TestPageRankBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	const n = 3000
+	edges := webEdges(rand.New(rand.NewSource(29)), n)
+	// A few sinks, so the dangling redistribution is part of the check.
+	for k := range edges {
+		if v := edges[k].Key; v%97 == 0 {
+			edges[k].Key = (v + 1) % n
+		}
+	}
+	want := refPageRank(edges, n, 10, 0.85)
+	g := NewGraph(edges)
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := g.PageRank(10, 0.85)
+		runtime.GOMAXPROCS(prev)
+		if len(got) != n {
+			t.Fatalf("GOMAXPROCS=%d: %d ranks, want %d", procs, len(got), n)
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("GOMAXPROCS=%d: vertex %d rank %v, reference %v", procs, v, got[v], want[v])
+			}
+		}
+	}
+}
+
 // --- Logistic regression ---
 
 func syntheticLabeled(rng *rand.Rand, n, dim int) []LabeledPoint {
@@ -256,13 +352,13 @@ func syntheticLabeled(rng *rand.Rand, n, dim int) []LabeledPoint {
 
 func TestLogRegressionDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	pts := Parallelize(syntheticLabeled(rng, 800, 8), 8)
+	pts := syntheticLabeled(rng, 800, 8)
 
-	got, err := LogisticRegression(pts, 25, 0.5)
+	got, err := LogisticRegression(pointsOf(pts), 25, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seedLogisticRegression(pts, 25, 0.5)
+	want, err := seedLogisticRegression(Parallelize(pts, 8), 25, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,25 +367,24 @@ func TestLogRegressionDifferential(t *testing.T) {
 	}
 }
 
-// TestLogisticRegressionDimMismatch: the live kernel surfaces
-// dimension-mismatched points as ErrBadInput; the seed silently dropped
-// them from the gradient.
-func TestLogisticRegressionDimMismatch(t *testing.T) {
-	pts := []LabeledPoint{
-		{Features: []float64{1, 2}, Label: 0},
-		{Features: []float64{3}, Label: 1}, // short row
-		{Features: []float64{4, 5}, Label: 1},
-	}
-	_, err := LogisticRegression(Parallelize(pts, 2), 3, 0.1)
-	if !errors.Is(err, ErrBadInput) {
-		t.Fatalf("err = %v, want ErrBadInput", err)
-	}
-	if _, err := seedLogisticRegression(Parallelize(pts, 2), 3, 0.1); err != nil {
-		t.Fatalf("seed kernel unexpectedly rejected the input: %v", err)
-	}
-	// DecisionTree packs through the same path and must agree.
-	if _, err := DecisionTree(Parallelize(pts, 2), 2, 3, 1); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("DecisionTree err = %v, want ErrBadInput", err)
+// TestMLChunksMatchPartitions pins the kernels' split: for every n the
+// chunk ranges are exactly Parallelize(·, 8)'s partitions, so the
+// per-chunk tables merge in the grouping and order of the seed's
+// per-partition Aggregate.
+func TestMLChunksMatchPartitions(t *testing.T) {
+	for n := 0; n <= 64; n++ {
+		r := Parallelize(ints(n), 8)
+		parts := mlParts(n)
+		if parts != r.numPartitions {
+			t.Fatalf("n=%d: %d chunks, Parallelize made %d partitions", n, parts, r.numPartitions)
+		}
+		for c := 0; c < parts; c++ {
+			var part []int
+			r.iterate(c, func(x int) bool { part = append(part, x); return true })
+			if chunk := ints(n)[c*n/parts : (c+1)*n/parts]; !slices.Equal(part, chunk) {
+				t.Fatalf("n=%d chunk %d: rows %v, partition holds %v", n, c, chunk, part)
+			}
+		}
 	}
 }
 
@@ -311,13 +406,11 @@ func TestNaiveBayesDifferential(t *testing.T) {
 		}
 		pts[i] = LabeledPoint{Features: f, Label: label}
 	}
-	rdd := Parallelize(pts, 8)
-
-	got, err := NaiveBayes(rdd, classes, dim)
+	got, err := NaiveBayes(pointsOf(pts), classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seedNaiveBayes(rdd, classes, dim)
+	want, err := seedNaiveBayes(Parallelize(pts, 8), classes, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,10 +442,8 @@ func TestChiSquareDifferential(t *testing.T) {
 		}
 		pts[i] = LabeledPoint{Features: f, Label: label}
 	}
-	rdd := Parallelize(pts, 8)
-
-	got := ChiSquare(rdd, 2, dim, 4)
-	want := seedChiSquare(rdd, 2, dim, 4)
+	got := ChiSquare(pointsOf(pts), 2, 4)
+	want := seedChiSquare(Parallelize(pts, 8), 2, dim, 4)
 	// Pure integer counting feeding identical statistic arithmetic: the
 	// results must agree to the last bit (tolerance only guards exotic
 	// FMA contraction).
@@ -375,17 +466,18 @@ func sameTree(a, b *TreeNode) bool {
 }
 
 // TestDecTreeDifferential: index-subset recursion over the flat matrix
-// performs the identical histogram arithmetic in the identical order, so
-// the fitted trees must match node for node.
+// performs the identical histogram arithmetic in the identical order (the
+// in-place partition is stable, so every node sees its points in the
+// seed's order), so the fitted trees must match node for node.
 func TestDecTreeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	pts := Parallelize(syntheticLabeled(rng, 900, 6), 8)
+	pts := syntheticLabeled(rng, 900, 6)
 
-	got, err := DecisionTree(pts, 2, 6, 4)
+	got, err := DecisionTree(pointsOf(pts), 2, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := seedDecisionTree(pts, 2, 6, 4)
+	want, err := seedDecisionTree(Parallelize(pts, 8), 2, 6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

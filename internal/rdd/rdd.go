@@ -145,9 +145,6 @@ func Parallelize[T any](data []T, partitions int) *RDD[T] {
 	}
 }
 
-// NumPartitions returns the partition count.
-func (r *RDD[T]) NumPartitions() int { return r.numPartitions }
-
 // Cache memoizes partition contents: each partition is computed at most
 // once across all downstream actions. A cached dataset is a fusion
 // barrier — downstream stages read the memoized slice instead of

@@ -19,8 +19,8 @@ func ints(n int) []int {
 
 func TestParallelizeCollect(t *testing.T) {
 	r := Parallelize(ints(100), 8)
-	if r.NumPartitions() != 8 {
-		t.Errorf("partitions = %d", r.NumPartitions())
+	if r.numPartitions != 8 {
+		t.Errorf("partitions = %d", r.numPartitions)
 	}
 	got := r.Collect()
 	if !reflect.DeepEqual(got, ints(100)) {
@@ -37,15 +37,15 @@ func TestParallelizeEdgeCases(t *testing.T) {
 		t.Errorf("empty count = %d", empty.Count())
 	}
 	small := Parallelize([]int{1, 2}, 16)
-	if small.NumPartitions() > 2 {
-		t.Errorf("small dataset got %d partitions", small.NumPartitions())
+	if small.numPartitions > 2 {
+		t.Errorf("small dataset got %d partitions", small.numPartitions)
 	}
 	if got := small.Collect(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("small Collect = %v", got)
 	}
 	defaulted := Parallelize(ints(100), 0)
-	if defaulted.NumPartitions() != 8 {
-		t.Errorf("default partitions = %d", defaulted.NumPartitions())
+	if defaulted.numPartitions != 8 {
+		t.Errorf("default partitions = %d", defaulted.numPartitions)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestLogisticRegressionSeparable(t *testing.T) {
 		}
 		points = append(points, LabeledPoint{Features: []float64{x, 1}, Label: label})
 	}
-	w, err := LogisticRegression(Parallelize(points, 4), 200, 1.5)
+	w, err := LogisticRegression(pointsOf(points), 200, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestNaiveBayes(t *testing.T) {
 		f[1-label] = float64(rng.Intn(2))
 		points = append(points, LabeledPoint{Features: f, Label: label})
 	}
-	m, err := NaiveBayes(Parallelize(points, 4), 2, 2)
+	m, err := NaiveBayes(pointsOf(points), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestNaiveBayes(t *testing.T) {
 	if acc := float64(correct) / float64(len(points)); acc < 0.95 {
 		t.Errorf("accuracy = %.2f", acc)
 	}
-	if _, err := NaiveBayes(Parallelize([]LabeledPoint{}, 1), 2, 2); err == nil {
+	if _, err := NaiveBayes(NewPoints(0, 2), 2); err == nil {
 		t.Error("empty NaiveBayes should error")
 	}
 }
@@ -217,7 +217,7 @@ func TestChiSquare(t *testing.T) {
 			Label:    label,
 		})
 	}
-	stats := ChiSquare(Parallelize(points, 4), 2, 2, 2)
+	stats := ChiSquare(pointsOf(points), 2, 2)
 	if len(stats) != 2 {
 		t.Fatalf("stats = %v", stats)
 	}
@@ -241,7 +241,7 @@ func TestDecisionTree(t *testing.T) {
 		}
 		points = append(points, LabeledPoint{Features: []float64{x, y}, Label: label})
 	}
-	tree, err := DecisionTree(Parallelize(points, 4), 2, 4, 1)
+	tree, err := DecisionTree(pointsOf(points), 2, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestDecisionTreePureLeaf(t *testing.T) {
 		{Features: []float64{1}, Label: 1},
 		{Features: []float64{2}, Label: 1},
 	}
-	tree, err := DecisionTree(Parallelize(points, 1), 2, 5, 1)
+	tree, err := DecisionTree(pointsOf(points), 2, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,11 +56,12 @@ func TaskRetries() int { return int(taskRetries.Load()) }
 
 // forPartsRetry evaluates body(p) for every partition p in [0, n) under
 // the recompute budget, returning the final *forkjoin.TaskError of a
-// partition whose budget was spent. Kernels that accumulate into shared
+// partition whose budget was spent. Kernels that write shared
 // per-partition state in place (naive Bayes, chi-square, logistic
-// regression, the PageRank scatter) call it directly: their bodies are
-// idempotent — every attempt starts by clearing its accumulator row — and
-// the job never runs two attempts of one partition concurrently.
+// regression, the PageRank pull) call it directly: their bodies are
+// idempotent — every attempt starts by clearing its accumulator row, or
+// overwrites only its own range — and the job never runs two attempts of
+// one partition concurrently.
 func forPartsRetry(n int, body func(p int)) error {
 	return forkjoin.Shared().ForRetryE(n, 1, 0, TaskRetries(), func(p, _, attempt int) {
 		point := "rdd.task"

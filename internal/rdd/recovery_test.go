@@ -242,7 +242,7 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 		nbPrior   []float64
 		chi       []float64
 		logw      []float64
-		ranks     map[int]float64
+		ranks     []float64
 	}
 
 	run := func() results {
@@ -266,18 +266,17 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 		r.byKey = CollectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
 		r.grouped = CollectAsMap(GroupByKey(pairs, 4))
 
-		points := Map(base, func(x int) LabeledPoint {
-			return LabeledPoint{
-				Label:    x % 2,
-				Features: []float64{float64(x%7) + 1, float64(x%5) + 1, float64(x % 3)},
-			}
-		})
-		nb, err := NaiveBayes(points, 2, 3)
+		points := NewPoints(300, 3)
+		for x := range points.Labels {
+			points.Labels[x] = int32(x % 2)
+			copy(points.X.Row(x), []float64{float64(x%7) + 1, float64(x%5) + 1, float64(x % 3)})
+		}
+		nb, err := NaiveBayes(points, 2)
 		if err != nil {
 			t.Fatalf("NaiveBayes: %v", err)
 		}
 		r.nbPrior = nb.ClassLogPrior
-		r.chi = ChiSquare(points, 2, 3, 4)
+		r.chi = ChiSquare(points, 2, 4)
 		r.logw, err = LogisticRegression(points, 5, 0.1)
 		if err != nil {
 			t.Fatalf("LogisticRegression: %v", err)

@@ -17,6 +17,31 @@ import (
 	"renaissance/internal/metrics"
 )
 
+// LabeledPoint is a feature vector with a class label: the element type
+// of the seed kernels, which trained on an RDD of them.
+type LabeledPoint struct {
+	Features []float64
+	Label    int
+}
+
+// pointsOf packs seed-layout points into the flat training set the live
+// kernels read. Every point must have as many features as the first.
+func pointsOf(pts []LabeledPoint) *Points {
+	dim := 0
+	if len(pts) > 0 {
+		dim = len(pts[0].Features)
+	}
+	out := NewPoints(len(pts), dim)
+	for i, p := range pts {
+		if len(p.Features) != dim {
+			panic("pointsOf: ragged feature vectors")
+		}
+		copy(out.X.Row(i), p.Features)
+		out.Labels[i] = int32(p.Label)
+	}
+	return out
+}
+
 // seedALSModel holds the fitted latent factors (seed layout).
 type seedALSModel struct {
 	Rank        int
@@ -175,9 +200,9 @@ func seedPageRank(edges *RDD[Pair[int, int]], iterations int, damping float64) m
 }
 
 // seedLogisticRegression is the seed kernel: a per-iteration parallel
-// tree-aggregate allocating a fresh gradient slice per partition, and —
-// the bug the live kernel surfaces as ErrBadInput — dimension-mismatched
-// points silently dropped from the gradient.
+// tree-aggregate allocating a fresh gradient slice per partition, and
+// dimension-mismatched points silently dropped from the gradient (a state
+// the live kernel's flat training set cannot represent).
 func seedLogisticRegression(points *RDD[LabeledPoint], iterations int, learningRate float64) ([]float64, error) {
 	first := points.Collect()
 	if len(first) == 0 {

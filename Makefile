@@ -96,16 +96,18 @@ rbench:
 
 # Exit-code smoke for CI, not a measurement: the open-loop load generator
 # against finagle-chirper (nothing else drives -openloop.* from the CLI),
-# and three 1-second rbench workloads, each of which exits non-zero when a
+# and four 1-second rbench workloads, each of which exits non-zero when a
 # sample fails ("correct":false): compiler; taskparallel, whose run ends in
 # the Validate of fj-kmeans, future-genetic, scrabble and
-# streams-mnemonics; and dataparallel, whose run ends in the Validate of
-# the seven Spark workloads.
+# streams-mnemonics; dataparallel, whose run ends in the Validate of the
+# seven Spark workloads; and messaging, whose run ends in the Validate of
+# akka-uct, reactors, rx-scrabble, finagle-http and finagle-chirper.
 smoke:
 	$(GO) run ./cmd/renaissance run -bench finagle-chirper -openloop.rate 200 -openloop.duration 500ms
 	bash benchmarks/run.sh --workload compiler --seed 1 --seconds 1
 	bash benchmarks/run.sh --workload taskparallel --seed 1 --seconds 1
 	bash benchmarks/run.sh --workload dataparallel --seed 1 --seconds 1
+	bash benchmarks/run.sh --workload messaging --seed 1 --seconds 1
 
 analyze:
 	$(GO) run ./cmd/analyze all

@@ -73,13 +73,10 @@ type System struct {
 	// reads it to prove work does not stay pinned to one worker.
 	Steals atomic.Int64
 
-	cells     [maxCells]quiesceCell
+	cells     []quiesceCell // quiesceCellCount(workers) of them
 	cellMask  int
-	numCells  int
 	waiters   atomic.Int64
 	quiesceCh chan struct{}
-
-	envPool *mpsc.Pool[envelope]
 
 	// Fault-domain state (see supervision.go): the dead-letter counter
 	// and the count of failures escalating past the top of a supervision
@@ -87,6 +84,14 @@ type System struct {
 	deadCount atomic.Int64
 	rootFails atomic.Int64
 }
+
+// The node pools are shared by every System in the process, so the nodes
+// of one System's drained mailboxes serve the next: a workload that builds
+// a System per iteration does not refill a fresh pool each time.
+var (
+	envPool    = mpsc.NewPool[envelope]()
+	injectPool = mpsc.NewPool[*Ref]()
+)
 
 // NewSystem creates an actor system with the given number of scheduler
 // workers (0 means GOMAXPROCS).
@@ -98,11 +103,10 @@ func NewSystem(workers int) *System {
 		wake:      make(chan struct{}, workers),
 		done:      make(chan struct{}),
 		quiesceCh: make(chan struct{}, 1),
-		envPool:   mpsc.NewPool[envelope](),
 	}
-	s.inject.Init(mpsc.NewPool[*Ref]())
-	s.numCells = quiesceCellCount(workers)
-	s.cellMask = s.numCells - 1
+	s.inject.Init(injectPool)
+	s.cells = make([]quiesceCell, quiesceCellCount(workers))
+	s.cellMask = len(s.cells) - 1
 	for i := 0; i < workers; i++ {
 		w := &worker{
 			sys:   s,
@@ -147,7 +151,7 @@ func (s *System) spawn(w *worker, r Receiver, sup *supCell) *Ref {
 	}
 	ref := &Ref{sys: s, sup: sup}
 	ref.setBehavior(r)
-	ref.mb.Init(s.envPool)
+	ref.mb.Init(envPool)
 	return ref
 }
 
@@ -380,7 +384,7 @@ func (r *Ref) Ask(msg any) <-chan any {
 	reply := make(chan any, 1)
 	metrics.IncObject()
 	tmp := &Ref{sys: r.sys}
-	tmp.mb.Init(r.sys.envPool)
+	tmp.mb.Init(envPool)
 	tmp.setBehavior(ReceiverFunc(func(ctx *Context, m any) {
 		select {
 		case reply <- m:

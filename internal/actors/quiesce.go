@@ -38,7 +38,7 @@ import (
 	"renaissance/internal/metrics"
 )
 
-// maxCells bounds the stripe count (the full array is embedded in System).
+// maxCells bounds the stripe count.
 const maxCells = 64
 
 type quiesceCell struct {
@@ -46,16 +46,12 @@ type quiesceCell struct {
 	_ [56]byte
 }
 
-// quiesceCellCount picks a power-of-two stripe count of at least 8 and at
-// least the worker count, capped at maxCells.
+// quiesceCellCount picks a power-of-two stripe count of at least the
+// worker count, capped at maxCells: one cell per worker is all the
+// striping needs, and a System that allocated the full maxCells would
+// carry 4 KB of cells for its usual four workers.
 func quiesceCellCount(workers int) int {
-	n := workers
-	if n < 8 {
-		n = 8
-	}
-	if n > maxCells {
-		n = maxCells
-	}
+	n := min(workers, maxCells)
 	c := 1
 	for c < n {
 		c <<= 1
@@ -100,7 +96,7 @@ func (s *System) quiescent() bool {
 	var vers [maxCells]uint64
 	for attempt := 0; attempt < 4; attempt++ {
 		var sum int64
-		for i := 0; i < s.numCells; i++ {
+		for i := range s.cells {
 			v := s.cells[i].v.Load()
 			vers[i] = v
 			sum += cellValue(v)
@@ -109,7 +105,7 @@ func (s *System) quiescent() bool {
 			return false
 		}
 		stable := true
-		for i := 0; i < s.numCells; i++ {
+		for i := range s.cells {
 			if s.cells[i].v.Load() != vers[i] {
 				stable = false
 				break

@@ -82,6 +82,9 @@ func (w *uctWorkload) RunIteration() error {
 	sys := actors.NewSystem(4)
 	defer sys.Shutdown()
 
+	// One boxed strategy for the whole tree: converting the literal per
+	// child allocated 16 bytes a spawn.
+	var strategy actors.Strategy = actors.OneForOne{MaxRestarts: 3, Overflow: actors.Escalate}
 	var behavior actors.ReceiverFunc
 	behavior = func(ctx *actors.Context, msg any) {
 		v := msg.(uctVisit)
@@ -97,7 +100,7 @@ func (w *uctWorkload) RunIteration() error {
 			// is stateless, so restart needs no factory.
 			child := ctx.SpawnWith("uct", behavior, actors.SpawnOpts{
 				Supervisor: ctx.Self(),
-				Strategy:   actors.OneForOne{MaxRestarts: 3, Overflow: actors.Escalate},
+				Strategy:   strategy,
 			})
 			// ctx.Send pushes onto this worker's own run queue (no inject
 			// contention); idle workers steal the surplus.

@@ -13,7 +13,7 @@
 // off to other work until the producer's second store lands.
 //
 // Nodes are pooled. A Pool is shared across the queues of one subsystem
-// (e.g. every mailbox of an actor System draws from one Pool), so a
+// (e.g. every mailbox of every actor System draws from one Pool), so a
 // flooded-then-drained mailbox releases its buffers back for reuse instead
 // of retaining them — the failure mode of the previous mutex mailbox, whose
 // `queue = queue[1:]` drain pinned the slice head under flooding.
@@ -25,7 +25,10 @@ import (
 )
 
 // node is one pooled queue link. The value is cleared on dequeue so a
-// drained queue retains no references through its stub node.
+// drained queue retains no references through its stub node. A node's
+// next is nil whenever it is in the pool (Pop clears it before the Put, and
+// a Put synchronizes before the Get that returns the node), so Push and
+// Init publish a node without storing nil into it first.
 type node[T any] struct {
 	next atomic.Pointer[node[T]]
 	val  T
@@ -50,10 +53,14 @@ func (pl *Pool[T]) put(n *node[T]) { pl.p.Put(n) }
 // A Queue is an intrusive MPSC queue. Push and Empty may be called from any
 // goroutine; Pop only by the single consumer. The zero Queue is not usable:
 // call Init (or New) first.
+//
+// A Queue is three words with no padding: head (producers) and tail (the
+// consumer) share a cache line. Actors embed their mailbox, and
+// spawn-heavy workloads allocate one per actor, so a pad between the two
+// ends would double the actor's size.
 type Queue[T any] struct {
 	// head is the producer end: producers swap themselves in.
 	head atomic.Pointer[node[T]]
-	_    [56]byte
 	// tail is the consumer end: it always points at the current stub node,
 	// whose successors hold the queued values. Written only by the
 	// consumer; read atomically by Empty probes from other goroutines.
@@ -72,7 +79,6 @@ func New[T any](pool *Pool[T]) *Queue[T] {
 // Push or Pop.
 func (q *Queue[T]) Init(pool *Pool[T]) {
 	stub := pool.get()
-	stub.next.Store(nil)
 	q.head.Store(stub)
 	q.tail.Store(stub)
 	q.pool = pool
@@ -81,9 +87,8 @@ func (q *Queue[T]) Init(pool *Pool[T]) {
 // Push enqueues v. Safe from any goroutine; lock-free (one swap, one
 // store, no retry loop).
 func (q *Queue[T]) Push(v T) {
-	n := q.pool.get()
+	n := q.pool.get() // next is nil: see node
 	n.val = v
-	n.next.Store(nil)
 	prev := q.head.Swap(n)
 	// Between the swap and this store the queue is "in flight": the node
 	// is owned by the queue but not yet reachable from tail. Pop reports

@@ -29,10 +29,11 @@ func TestServerCloseNeverDisconnectingClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, []byte("hi")); err != nil {
+	fc := newFrameConn(conn)
+	if err := fc.writeFrame([]byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := readFrame(conn); err != nil || string(resp) != "hi" {
+	if resp, err := fc.readFrame(); err != nil || string(resp) != "hi" {
 		t.Fatalf("roundtrip = (%q, %v)", resp, err)
 	}
 
@@ -63,7 +64,7 @@ func TestServerCloseWedgedService(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, []byte("doomed")); err != nil {
+	if err := newFrameConn(conn).writeFrame([]byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let the server pick the request up
@@ -226,12 +227,13 @@ func flakyEcho(t *testing.T, n int) (addr string, stop func()) {
 			go func(conn net.Conn) {
 				defer wg.Done()
 				defer conn.Close()
+				fc := newFrameConn(conn)
 				for {
-					req, err := readFrame(conn)
+					req, err := fc.readFrame()
 					if err != nil {
 						return
 					}
-					if err := writeFrame(conn, req); err != nil {
+					if err := fc.writeFrame(req); err != nil {
 						return
 					}
 				}

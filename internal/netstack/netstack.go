@@ -7,9 +7,10 @@
 // (paper §2.2).
 //
 // The wire protocol is a 4-byte big-endian length prefix followed by the
-// payload. Servers answer each request with a service function returning a
-// future; clients multiplex calls over a connection pool and return
-// futures.
+// payload; a frame goes out in one buffered write and comes in through
+// one buffered read (see frameConn). Servers answer each request with a
+// service function returning a future; clients multiplex calls over a
+// connection pool and return futures.
 //
 // Both endpoints have fault-tolerant teardown and deadline semantics: the
 // server tracks live connections and force-closes them when a graceful
@@ -19,6 +20,7 @@
 package netstack
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -63,39 +65,61 @@ var ErrRejected = errors.New("netstack: request rejected by admission control")
 // "ERR:"-prefix error convention.
 var rejectPayload = []byte("ERR:reject")
 
+// frameBuf sizes a connection's read and write buffers. Every request and
+// response the workloads exchange fits, so a frame costs one read syscall
+// and one write syscall; a larger frame reads its remainder straight into
+// its payload and writes it in a second syscall.
+const frameBuf = 512
+
+// A frameConn frames one connection through a buffered reader and a
+// buffered writer, so a frame's header and payload arrive in one read and
+// leave in one write: handled apart, they cost two syscalls each way and,
+// with Nagle off, two segments. The write is a plain write, not a writev:
+// the race detector models a happens-before edge from a socket write to
+// the read that returns its bytes only for write(2), and the server's
+// admission limits, set after Serve, reach the connection handlers over
+// that edge. Reads and writes may run on different goroutines; concurrent
+// writers must serialise themselves.
+type frameConn struct {
+	rd *bufio.Reader
+	wr *bufio.Writer
+}
+
+func newFrameConn(rw io.ReadWriter) *frameConn {
+	return &frameConn{rd: bufio.NewReaderSize(rw, frameBuf), wr: bufio.NewWriterSize(rw, frameBuf)}
+}
+
 // readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
+func (c *frameConn) readFrame() ([]byte, error) {
 	if chaos.Maybe("netstack.read") {
 		return nil, chaos.Fail("netstack.read")
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := c.rd.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("netstack: frame of %d bytes exceeds limit", n)
 	}
+	_, _ = c.rd.Discard(4) // cannot fail: Peek buffered the 4 bytes
 	metrics.IncArray()
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(c.rd, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
 // writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
+func (c *frameConn) writeFrame(payload []byte) error {
 	if chaos.Maybe("netstack.write") {
 		return chaos.Fail("netstack.write")
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	// A bufio.Writer's error is sticky: Flush reports any Write failure.
+	_, _ = c.wr.Write(binary.BigEndian.AppendUint32(c.wr.AvailableBuffer(), uint32(len(payload))))
+	_, _ = c.wr.Write(payload)
+	return c.wr.Flush()
 }
 
 // Server accepts loopback connections and serves requests with a Service.
@@ -243,11 +267,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
 	defer conn.Close()
-	var writeMu sync.Mutex
+	fc := newFrameConn(conn)
+	var writeMu sync.Mutex // serialises fc's writers
 	var pending sync.WaitGroup
 loop:
 	for {
-		req, err := readFrame(conn)
+		req, err := fc.readFrame()
 		if err != nil {
 			break
 		}
@@ -261,7 +286,7 @@ loop:
 			metrics.IncDeadLetter()
 			metrics.IncSynch()
 			writeMu.Lock()
-			_ = writeFrame(conn, rejectPayload)
+			_ = fc.writeFrame(rejectPayload)
 			writeMu.Unlock()
 			continue
 		case admitClosing:
@@ -283,7 +308,7 @@ loop:
 			metrics.IncSynch()
 			writeMu.Lock()
 			defer writeMu.Unlock()
-			_ = writeFrame(conn, resp)
+			_ = fc.writeFrame(resp)
 		})
 	}
 	pending.Wait()
@@ -403,6 +428,13 @@ func Retryable(err error) bool {
 // lazily by the next caller instead of shrinking the pool.
 type poolConn struct {
 	conn net.Conn
+	fc   *frameConn // frames conn; replaced with it on redial
+}
+
+// attach makes conn the slot's connection.
+func (pc *poolConn) attach(conn net.Conn) {
+	pc.conn = conn
+	pc.fc = newFrameConn(conn)
 }
 
 // Client issues requests to a server over a pool of connections. Each
@@ -445,7 +477,9 @@ func Dial(addr string, poolSize int) (*Client, error) {
 			return nil, err
 		}
 		c.track(conn)
-		c.pool <- &poolConn{conn: conn}
+		pc := &poolConn{}
+		pc.attach(conn)
+		c.pool <- pc
 	}
 	return c, nil
 }
@@ -471,7 +505,7 @@ func (c *Client) acquire() (*poolConn, error) {
 			return nil, err
 		}
 		c.track(conn)
-		pc.conn = conn
+		pc.attach(conn)
 	}
 	return pc, nil
 }
@@ -536,7 +570,7 @@ func (c *Client) Call(req []byte) *futures.Future[[]byte] {
 				lastErr = err // transient dial error; back off and retry
 				continue
 			}
-			resp, err := c.roundTrip(pc.conn, req)
+			resp, err := c.roundTrip(pc, req)
 			if err == nil && bytes.Equal(resp, rejectPayload) {
 				// Admission control turned the request away. The
 				// connection is healthy and the server answered, so keep
@@ -567,17 +601,17 @@ func (c *Client) Call(req []byte) *futures.Future[[]byte] {
 
 // roundTrip performs one request/response exchange, applying the client's
 // per-call deadline when set.
-func (c *Client) roundTrip(conn net.Conn, req []byte) ([]byte, error) {
+func (c *Client) roundTrip(pc *poolConn, req []byte) ([]byte, error) {
 	if c.Timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
+		if err := pc.conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
 			return nil, err
 		}
-		defer conn.SetDeadline(time.Time{})
+		defer pc.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(conn, req); err != nil {
+	if err := pc.fc.writeFrame(req); err != nil {
 		return nil, err
 	}
-	return readFrame(conn)
+	return pc.fc.readFrame()
 }
 
 // CallSync is a convenience blocking round trip.

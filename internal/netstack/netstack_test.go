@@ -189,11 +189,12 @@ func TestDialBadAddress(t *testing.T) {
 
 func TestFrameCodec(t *testing.T) {
 	var buf bytes.Buffer
+	fc := newFrameConn(&buf)
 	payload := []byte("framed")
-	if err := writeFrame(&buf, payload); err != nil {
+	if err := fc.writeFrame(payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf)
+	got, err := fc.readFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +204,13 @@ func TestFrameCodec(t *testing.T) {
 	// Truncated frame errors.
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 10, 'x'})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := newFrameConn(&buf).readFrame(); err == nil {
 		t.Error("truncated frame accepted")
 	}
 	// Oversized frame rejected.
 	buf.Reset()
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := newFrameConn(&buf).readFrame(); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }

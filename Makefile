@@ -7,7 +7,7 @@
 
 GO ?= go
 
-RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/lin ./internal/streams ./internal/actors ./internal/rx ./internal/mpsc ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/graphdb ./internal/memdb
+RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/lin ./internal/streams ./internal/actors ./internal/rx ./internal/mpsc ./internal/rvm ./internal/rvm/opt ./internal/minilang ./internal/hdr ./internal/loadgen ./internal/graphdb ./internal/memdb
 
 # The fault-tolerance and engine-concurrency tests: harness panic/timeout
 # isolation, netstack drain/close/admission control, client retry and close

@@ -81,12 +81,14 @@ type If struct {
 	Cond Expr
 	Then *Block
 	Else *Block // may be nil
+	Line int    // of the if keyword
 }
 
 // While is a pre-tested loop.
 type While struct {
 	Cond Expr
 	Body *Block
+	Line int // of the while keyword
 }
 
 // For is a three-part counted loop: `for init; cond; post { body }`.
@@ -94,7 +96,7 @@ type While struct {
 // shape so the tier-1 quickener can hoist null and bounds checks for
 // loops that iterate an array by `len`.
 type For struct {
-	Init Stmt    // *VarDecl or *Assign
+	Init Stmt // *VarDecl or *Assign
 	Cond Expr
 	Post *Assign
 	Body *Block

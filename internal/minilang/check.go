@@ -109,7 +109,7 @@ func (c *checker) stmt(s Stmt) error {
 			return err
 		}
 		if t != TypeBool {
-			return typeErr(0, "if condition must be bool, got %s", t)
+			return typeErr(s.Line, "if condition must be bool, got %s", t)
 		}
 		if err := c.block(s.Then); err != nil {
 			return err
@@ -124,7 +124,7 @@ func (c *checker) stmt(s Stmt) error {
 			return err
 		}
 		if t != TypeBool {
-			return typeErr(0, "while condition must be bool, got %s", t)
+			return typeErr(s.Line, "while condition must be bool, got %s", t)
 		}
 		return c.block(s.Body)
 	case *For:

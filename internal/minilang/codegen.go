@@ -27,7 +27,9 @@ func Generate(prog *ProgramAST) (*rvm.Program, error) {
 	p := rvm.NewProgram()
 	class := rvm.NewClass(ClassName, nil)
 	streams := false
-	asm := rvm.NewAsm() // one instruction buffer for the whole unit
+	// One instruction buffer, sized exactly, holds the whole unit's code.
+	asm := rvm.NewAsm()
+	asm.Grow(codeLen(prog))
 	for _, fn := range prog.Funcs {
 		asm.Reset()
 		g := &codegen{asm: asm, slots: map[string]int{}}
@@ -390,6 +392,109 @@ func canonicalFor(s *For) (idx, arr string, ok bool) {
 	}
 	return name, av.Name, true
 }
+
+// codeLen returns the number of instructions Generate emits for prog,
+// stream library included. It mirrors genFunc, stmt and expr one case
+// for one case.
+func codeLen(prog *ProgramAST) int {
+	var c codeCounter
+	for _, fn := range prog.Funcs {
+		c.block(fn.Body)
+		c.n++ // the implicit return
+		if fn.Ret != TypeVoid {
+			c.n++ // its zero value
+		}
+	}
+	if c.streams {
+		c.n += streamLibLen
+	}
+	return c.n
+}
+
+type codeCounter struct {
+	n       int
+	streams bool
+}
+
+func (c *codeCounter) block(b *Block) {
+	for _, s := range b.Stmts {
+		c.stmt(s)
+	}
+}
+
+func (c *codeCounter) stmt(s Stmt) {
+	switch s := s.(type) {
+	case *VarDecl:
+		c.expr(s.Init)
+		c.n++
+	case *Assign:
+		c.expr(s.Value)
+		c.n++
+	case *If:
+		c.expr(s.Cond)
+		c.block(s.Then)
+		if s.Else != nil {
+			c.block(s.Else)
+		}
+		c.n += 2
+	case *While:
+		c.expr(s.Cond)
+		c.block(s.Body)
+		c.n += 2
+	case *For:
+		c.stmt(s.Init)
+		c.expr(s.Cond)
+		c.block(s.Body)
+		c.stmt(s.Post)
+		c.n += 2
+	case *IndexAssign:
+		c.expr(s.Index)
+		c.expr(s.Value)
+		c.n += 2
+	case *Return:
+		if s.Value != nil {
+			c.expr(s.Value)
+		}
+		c.n++
+	case *ExprStmt:
+		c.expr(s.E)
+		c.n++
+	case *Block:
+		c.block(s)
+	}
+}
+
+func (c *codeCounter) expr(e Expr) {
+	c.n++ // every expression ends in one instruction of its own
+	switch e := e.(type) {
+	case *Unary:
+		c.expr(e.Sub)
+		if e.Op == "!" {
+			c.n++
+		}
+	case *Binary:
+		c.expr(e.Left)
+		c.expr(e.Right)
+		if e.Op == "&&" || e.Op == "||" {
+			c.n += 2
+		}
+	case *Call:
+		switch e.Name {
+		case "smap", "sfilter", "sreduce":
+			c.streams = true
+		}
+		for _, a := range e.Args {
+			c.expr(a)
+		}
+	case *IndexExpr:
+		c.expr(e.Arr)
+		c.expr(e.Index)
+	}
+}
+
+// streamLibLen is the number of instructions streamLib emits: $smap,
+// $sfilter and $sreduce.
+const streamLibLen = 26 + 59 + 21
 
 // streamLib synthesizes the stream-pipeline library: each method is the
 // canonical counted array loop (with LoopInfo metadata) applying a method

@@ -77,63 +77,85 @@ var byteClass = func() (t [256]uint8) {
 	return t
 }()
 
-// Lex tokenizes the source.
+// Lex tokenizes the whole source; the last token is TokEOF. The parser
+// does not use it: it pulls one token at a time from a lexer.
 func Lex(src string) ([]Token, error) {
 	// The corpus averages one token per 2.6 source bytes; sizing for one
 	// per 2.5 makes regrowth the exception.
 	toks := make([]Token, 0, len(src)*2/5+1)
-	line, lineStart := int32(1), 0 // lineStart: index of the current line's first byte
-	i := 0
-	n := len(src)
+	lx := newLexer(src)
+	for {
+		t := lx.next()
+		if lx.err != nil {
+			return nil, lx.err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
 
-	for i < n {
+// lexer produces the tokens of one source on demand. It is a small value:
+// the parser peeks and backtracks by copying it, which allocates nothing.
+type lexer struct {
+	src       string
+	i         int // index of the next unread byte
+	line      int32
+	lineStart int   // index of the current line's first byte
+	err       error // the first lexing error; next returns TokEOF from there on
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1} }
+
+// next returns the next token. At the end of the source, and from the
+// first lexing error on (recorded in err), it returns TokEOF.
+func (lx *lexer) next() Token {
+	src, n, i := lx.src, len(lx.src), lx.i
+	for lx.err == nil && i < n {
 		c := src[i]
-		col := int32(i-lineStart) + 1
+		col := int32(i-lx.lineStart) + 1
+		start := i
 		switch {
 		case byteClass[c]&clsSpace != 0:
 			i++
 			if c == '\n' {
-				line++
-				lineStart = i
+				lx.line++
+				lx.lineStart = i
 			}
 		case c == '/' && i+1 < n && src[i+1] == '/':
 			for i < n && src[i] != '\n' {
 				i++
 			}
 		case byteClass[c]&clsLetter != 0:
-			start := i
 			for i < n && byteClass[src[i]]&(clsLetter|clsDigit) != 0 {
 				i++
 			}
+			lx.i = i
 			text := src[start:i]
-			kind := TokIdent
 			if keywords[text] {
-				kind = TokKeyword
+				return Token{TokKeyword, text, lx.line, col}
 			}
-			toks = append(toks, Token{kind, text, line, col})
+			return Token{TokIdent, text, lx.line, col}
 		case byteClass[c]&clsDigit != 0:
-			start := i
-			isFloat := false
+			kind := TokInt
 			for i < n && (byteClass[src[i]]&clsDigit != 0 || src[i] == '.') {
 				if src[i] == '.' {
-					if isFloat {
-						return nil, errAt(line, int32(i-lineStart)+1, "malformed number")
+					if kind == TokFloat {
+						return lx.fail(i, errAt(lx.line, int32(i-lx.lineStart)+1, "malformed number"))
 					}
-					isFloat = true
+					kind = TokFloat
 				}
 				i++
 			}
-			kind := TokInt
-			if isFloat {
-				kind = TokFloat
-			}
-			toks = append(toks, Token{kind, src[start:i], line, col})
+			lx.i = i
+			return Token{kind, src[start:i], lx.line, col}
 		case c >= utf8.RuneSelf:
 			r, size := utf8.DecodeRuneInString(src[i:])
 			if r == utf8.RuneError && size == 1 {
-				return nil, errAt(line, col, "invalid UTF-8 byte 0x%02x", c)
+				return lx.fail(i, errAt(lx.line, col, "invalid UTF-8 byte 0x%02x", c))
 			}
-			return nil, errAt(line, col, "unexpected character %q", r)
+			return lx.fail(i, errAt(lx.line, col, "unexpected character %q", r))
 		default:
 			width := 1
 			if i+1 < n {
@@ -146,13 +168,19 @@ func Lex(src string) ([]Token, error) {
 				switch c {
 				case '+', '-', '*', '/', '%', '<', '>', '=', '!', '(', ')', '{', '}', '[', ']', ',', ';':
 				default:
-					return nil, errAt(line, col, "unexpected character %q", c)
+					return lx.fail(i, errAt(lx.line, col, "unexpected character %q", c))
 				}
 			}
-			toks = append(toks, Token{TokOp, src[i : i+width], line, col})
-			i += width
+			lx.i = i + width
+			return Token{TokOp, src[i:lx.i], lx.line, col}
 		}
 	}
-	toks = append(toks, Token{TokEOF, "", line, int32(n-lineStart) + 1})
-	return toks, nil
+	lx.i = i
+	return Token{TokEOF, "", lx.line, int32(i-lx.lineStart) + 1}
+}
+
+// fail records err, found at byte i, and returns TokEOF.
+func (lx *lexer) fail(i int, err error) Token {
+	lx.i, lx.err = i, err
+	return Token{TokEOF, "", lx.line, int32(i-lx.lineStart) + 1}
 }

@@ -2,13 +2,53 @@ package minilang
 
 import "strconv"
 
-// Parse lexes and parses a compilation unit.
+// Parse parses a compilation unit. The parser pulls tokens from a lexer one
+// at a time; a lexing error anywhere in the source wins over a parse error
+// before it, as if the whole source had been lexed first.
 func Parse(src string) (*ProgramAST, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: newLexer(src)}
+	p.advance()
+	prog, err := p.program()
+	if err != nil && p.lx.err == nil {
+		for p.lx.next().Kind != TokEOF {
+		}
 	}
-	p := &parser{toks: toks}
+	if p.lx.err != nil {
+		return nil, p.lx.err
+	}
+	return prog, err
+}
+
+// parser is a recursive-descent parser over a lexer. It is a plain value:
+// copying it saves the position to peek at or backtrack to.
+type parser struct {
+	lx  lexer
+	tok Token // the current token
+}
+
+func (p *parser) advance()    { p.tok = p.lx.next() }
+func (p *parser) cur() Token  { return p.tok }
+func (p *parser) next() Token { t := p.tok; p.advance(); return t }
+
+// peek returns the token after the current one.
+func (p *parser) peek() Token {
+	lx := p.lx
+	return lx.next()
+}
+
+func (p *parser) at(kind TokKind, text string) bool {
+	return p.tok.Kind == kind && (text == "" || p.tok.Text == text)
+}
+
+func (p *parser) accept(kind TokKind, text string) bool {
+	if p.at(kind, text) {
+		p.advance()
+		return true
+	}
+	return false
+}
+
+func (p *parser) program() (*ProgramAST, error) {
 	prog := &ProgramAST{}
 	for !p.at(TokEOF, "") {
 		fn, err := p.funcDecl()
@@ -20,27 +60,6 @@ func Parse(src string) (*ProgramAST, error) {
 	return prog, nil
 }
 
-type parser struct {
-	toks []Token
-	pos  int
-}
-
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
-
-func (p *parser) at(kind TokKind, text string) bool {
-	t := p.cur()
-	return t.Kind == kind && (text == "" || t.Text == text)
-}
-
-func (p *parser) accept(kind TokKind, text string) bool {
-	if p.at(kind, text) {
-		p.pos++
-		return true
-	}
-	return false
-}
-
 func (p *parser) expect(kind TokKind, text string) (Token, error) {
 	t := p.cur()
 	if !p.at(kind, text) {
@@ -50,7 +69,7 @@ func (p *parser) expect(kind TokKind, text string) (Token, error) {
 		}
 		return t, errAt(t.Line, t.Col, "expected %q, found %q", want, t.Text)
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
@@ -128,12 +147,16 @@ func (p *parser) block() (*Block, error) {
 		}
 		b.Stmts = append(b.Stmts, s)
 	}
-	p.pos++ // consume }
+	p.advance() // consume }
 	return b, nil
 }
 
 func (p *parser) stmt() (Stmt, error) {
 	t := p.cur()
+	var after Token // the token after an identifier decides between the assignment forms
+	if t.Kind == TokIdent {
+		after = p.peek()
+	}
 	switch {
 	case p.accept(TokKeyword, "var"):
 		name, err := p.expect(TokIdent, "")
@@ -168,7 +191,7 @@ func (p *parser) stmt() (Stmt, error) {
 				return nil, err
 			}
 		}
-		return &If{Cond: cond, Then: then, Else: els}, nil
+		return &If{Cond: cond, Then: then, Else: els, Line: int(t.Line)}, nil
 
 	case p.accept(TokKeyword, "while"):
 		cond, err := p.expr()
@@ -179,7 +202,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &While{Cond: cond, Body: body}, nil
+		return &While{Cond: cond, Body: body, Line: int(t.Line)}, nil
 
 	case p.accept(TokKeyword, "for"):
 		init, err := p.simpleStmt()
@@ -224,9 +247,9 @@ func (p *parser) stmt() (Stmt, error) {
 		}
 		return r, nil
 
-	case t.Kind == TokIdent && p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "=":
+	case after.Kind == TokOp && after.Text == "=":
 		name := p.next()
-		p.pos++ // =
+		p.advance() // =
 		v, err := p.expr()
 		if err != nil {
 			return nil, err
@@ -236,12 +259,12 @@ func (p *parser) stmt() (Stmt, error) {
 		}
 		return &Assign{Name: name.Text, Value: v, Line: int(name.Line)}, nil
 
-	case t.Kind == TokIdent && p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "[":
+	case after.Kind == TokOp && after.Text == "[":
 		// Could be `a[i] = v;` or an expression statement starting with an
 		// index read; try the assignment shape first.
-		save := p.pos
+		save := *p
 		name := p.next()
-		p.pos++ // [
+		p.advance() // [
 		idx, err := p.expr()
 		if err != nil {
 			return nil, err
@@ -250,7 +273,7 @@ func (p *parser) stmt() (Stmt, error) {
 			return nil, err
 		}
 		if !p.accept(TokOp, "=") {
-			p.pos = save // expression statement: reparse from the start
+			*p = save // expression statement: reparse from the start
 			e, err := p.expr()
 			if err != nil {
 				return nil, err
@@ -337,7 +360,7 @@ func (p *parser) binExpr(minPrec int) (Expr, error) {
 		if !isOp || prec < minPrec {
 			return left, nil
 		}
-		p.pos++
+		p.advance()
 		right, err := p.binExpr(prec + 1)
 		if err != nil {
 			return nil, err
@@ -349,7 +372,7 @@ func (p *parser) binExpr(minPrec int) (Expr, error) {
 func (p *parser) unary() (Expr, error) {
 	t := p.cur()
 	if t.Kind == TokOp && (t.Text == "-" || t.Text == "!") {
-		p.pos++
+		p.advance()
 		sub, err := p.unary()
 		if err != nil {
 			return nil, err
@@ -363,14 +386,14 @@ func (p *parser) primary() (Expr, error) {
 	t := p.cur()
 	switch {
 	case t.Kind == TokInt:
-		p.pos++
+		p.advance()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return nil, errAt(t.Line, t.Col, "bad integer %q", t.Text)
 		}
 		return &IntLit{Value: v}, nil
 	case t.Kind == TokFloat:
-		p.pos++
+		p.advance()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
 			return nil, errAt(t.Line, t.Col, "bad float %q", t.Text)
@@ -390,7 +413,7 @@ func (p *parser) primary() (Expr, error) {
 		}
 		return e, nil
 	case t.Kind == TokIdent:
-		p.pos++
+		p.advance()
 		var e Expr
 		if p.accept(TokOp, "(") {
 			call := &Call{Name: t.Text, Line: int(t.Line)}
@@ -406,7 +429,7 @@ func (p *parser) primary() (Expr, error) {
 				}
 				call.Args = append(call.Args, a)
 			}
-			p.pos++ // )
+			p.advance() // )
 			e = call
 		} else {
 			e = &VarRef{Name: t.Text, Line: int(t.Line)}

@@ -125,10 +125,14 @@ func (in Instr) String() string {
 	}
 }
 
-// Asm builds a method's instruction list with symbolic labels, for tests,
-// the kernel builders, and the minilang code generator.
+// Asm builds methods' instruction lists with symbolic labels, for tests,
+// the kernel builders, and the minilang code generator. Methods assembled
+// one after another through one Asm share its buffer: Build hands out the
+// current method's instructions as an exact-size slice of it, and Reset
+// starts the next method after them without truncating, so a built method
+// is never overwritten and Grow can size a whole unit's code at once.
 type Asm struct {
-	code    []Instr
+	code    []Instr // the current method's instructions, at the buffer's tail
 	labels  map[string]int
 	fixups  map[int]string // instruction index -> label
 	nlocals int
@@ -146,19 +150,33 @@ func NewAsm() *Asm {
 	return &Asm{labels: make(map[string]int), fixups: make(map[int]string)}
 }
 
-// Reset empties the assembler for the next method, keeping its buffers:
-// Build copies everything it returns, so a compiler can assemble all the
-// methods of a unit through one Asm and grow the instruction buffer once.
+// Reset empties the assembler for the next method, which continues in the
+// same buffer after the code already built.
 func (a *Asm) Reset() {
-	a.code = a.code[:0]
+	a.code = a.code[len(a.code):]
 	clear(a.labels)
 	clear(a.fixups)
 	a.nlocals = 0
 	a.loops = a.loops[:0]
 }
 
+// Grow makes room for n more instructions, so that the next n emits do
+// not allocate. A new buffer takes only the method in progress: methods
+// already built keep the buffer they were built in.
+func (a *Asm) Grow(n int) {
+	if cap(a.code)-len(a.code) >= n {
+		return
+	}
+	code := make([]Instr, len(a.code), len(a.code)+n)
+	copy(code, a.code)
+	a.code = code
+}
+
 // Emit appends an instruction and returns its index.
 func (a *Asm) Emit(in Instr) int {
+	if len(a.code) == cap(a.code) {
+		a.Grow(len(a.code) + 8)
+	}
 	a.code = append(a.code, in)
 	return len(a.code) - 1
 }
@@ -216,9 +234,10 @@ func (a *Asm) MarkLoop(headLabel string, idxSlot, arrSlot int, initNonNeg bool) 
 }
 
 // Build resolves labels and returns a method with the given name and
-// argument count.
+// argument count. The method's Code is the assembler's buffer, capped at
+// its length: emitting after Build, or after Reset, never writes into it.
 func (a *Asm) Build(name string, nargs int) (*Method, error) {
-	code := append([]Instr(nil), a.code...)
+	code := a.code[:len(a.code):len(a.code)]
 	for idx, label := range a.fixups {
 		target, ok := a.labels[label]
 		if !ok {

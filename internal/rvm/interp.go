@@ -462,11 +462,11 @@ func (vm *Interp) flatLoop(st *mstate, m *Method, fr *frame, depth, maxDepth int
 				if st.q == nil && !st.noQuick && st.backedges >= TierUpBackedges {
 					vm.quicken(st)
 				}
-				if st.q != nil {
-					if qpc, ok := st.q.entry[next]; ok {
+				if st.q != nil && next >= 0 {
+					if qpc := st.q.entry[next]; qpc >= 0 {
 						fr.q = st.q
 						fr.sp = sp
-						return vm.dispatch(fr, qpc)
+						return vm.dispatch(fr, int(qpc))
 					}
 				}
 			}

@@ -66,7 +66,7 @@ func BuildFunc(m *rvm.Method) (*Func, error) {
 		if b == nil {
 			continue
 		}
-		depth := depths[start]
+		depth := int(depths[start])
 		emit := func(in Instr) { b.Code = append(b.Code, &in) }
 		push := func() Reg { r := stackReg(depth); depth++; return r }
 		pop := func() Reg { depth--; return stackReg(depth) }

@@ -48,7 +48,7 @@ type mstate struct {
 	verr     error // the verifier's error; the method never runs
 	noQuick  bool  // quickening failed
 	maxStack int
-	depths   []int   // per-pc entry depth from verification
+	depths   []int32 // per-pc entry depth from verification
 	charges  []int32 // per-leader block sizes, charged as fuel on entry
 
 	invocations int64

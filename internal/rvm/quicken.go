@@ -1,5 +1,7 @@
 package rvm
 
+import "math"
+
 // Quickening: translating a verified method's bytecode into tier-1 form —
 // a token-threaded []qinstr dispatched over a function table, with
 //
@@ -131,9 +133,11 @@ type siteIC struct {
 	flushedHits, flushedMisses int64
 }
 
-// qinstr is one quickened instruction. a/b/c are local slots or, for
-// branches, c is the quickened jump target. charge is the block fuel
-// charge carried by block-leader instructions.
+// qinstr is one quickened instruction, 40 bytes. a/b/c are local slots
+// or, for branches, c is the quickened jump target. charge is the block
+// fuel charge carried by block-leader instructions. i is an integer
+// constant or a float constant's bits. Only instructions with a symbolic
+// operand (calls, field and class references) have a sym.
 type qinstr struct {
 	op     qop
 	xop    Opcode // original arith/cmp opcode for generic variants
@@ -142,9 +146,14 @@ type qinstr struct {
 	c      int32
 	charge int32
 	i      int64
-	f      float64
+	sym    *qsym
+}
+
+// qsym is the symbolic operand of one quickened instruction and what it
+// resolves to, cached at its first execution.
+type qsym struct {
 	s      string
-	ic     *siteIC
+	ic     *siteIC // invoke, field and handle sites
 	tgt    *Method // lazily cached static/dynamic resolution
 	tstate *mstate // the static target's tiering state, cached with tgt
 	cls    *Class  // lazily cached class resolution (OpNew)
@@ -154,7 +163,7 @@ type qinstr struct {
 type qcode struct {
 	m         *Method
 	code      []qinstr
-	entry     map[int]int // original leader pc -> quickened index (OSR)
+	entry     []int32 // bytecode pc -> quickened index at block leaders (OSR), else -1
 	sites     []*siteIC
 	nlocals   int
 	frameSize int
@@ -192,48 +201,49 @@ type nbPair struct{ arr, idx int }
 // metadata is only consulted for the idx-non-negative entry fact when the
 // init sequence is not immediately before the header.
 func findBCE(m *Method) map[int]nbPair {
-	code := m.Code
-	out := map[int]nbPair{}
-	for pc, in := range code {
+	var out map[int]nbPair // nil until a region has candidates
+	for pc, in := range m.Code {
 		if in.Op == OpJump && in.A >= 0 && in.A < pc {
-			bceRegion(m, in.A, pc, out)
+			out = bceRegion(m, in.A, pc, out)
 		}
 	}
 	return out
 }
 
-func bceRegion(m *Method, h, latchEnd int, out map[int]nbPair) {
+// bceRegion adds the candidates of the region headed at h and closed by
+// the backward jump at latchEnd to out, and returns out.
+func bceRegion(m *Method, h, latchEnd int, out map[int]nbPair) map[int]nbPair {
 	code := m.Code
 	// Header shape.
 	if h+4 >= latchEnd {
-		return
+		return out
 	}
 	if code[h].Op != OpLoad || code[h+1].Op != OpLoad || code[h+2].Op != OpArrayLen ||
 		code[h+3].Op != OpCmpLT || code[h+4].Op != OpJumpIfNot {
-		return
+		return out
 	}
 	idx, arr := code[h].A, code[h+1].A
 	if idx == arr {
-		return
+		return out
 	}
 	exit := code[h+4].A
 	if exit >= h && exit <= latchEnd {
-		return // loop must exit the region
+		return out // loop must exit the region
 	}
 	// Canonical latch: Load idx; ConstInt k>0; Add; Store idx; (Jump h).
 	if latchEnd-4 <= h+4 {
-		return
+		return out
 	}
 	if code[latchEnd-4].Op != OpLoad || code[latchEnd-4].A != idx ||
 		code[latchEnd-3].Op != OpConstInt || code[latchEnd-3].I <= 0 ||
 		code[latchEnd-2].Op != OpAdd ||
 		code[latchEnd-1].Op != OpStore || code[latchEnd-1].A != idx {
-		return
+		return out
 	}
 	// Store discipline: idx written only by the latch, arr never.
 	for j := h; j <= latchEnd; j++ {
 		if code[j].Op == OpStore && (code[j].A == arr || (code[j].A == idx && j != latchEnd-1)) {
-			return
+			return out
 		}
 	}
 	// Entry discipline: the interior is reachable only from within the
@@ -248,11 +258,11 @@ func bceRegion(m *Method, h, latchEnd int, out map[int]nbPair) {
 		t := in.A
 		inside := j >= h && j <= latchEnd
 		if !inside && t >= h && t <= latchEnd {
-			return
+			return out
 		}
 		if !inside && t == h-1 {
 			// Would bypass the init sequence checked below.
-			return
+			return out
 		}
 	}
 	// idx >= 0 on entry: the immediately preceding init is a
@@ -269,16 +279,20 @@ func bceRegion(m *Method, h, latchEnd int, out map[int]nbPair) {
 		}
 	}
 	if !nonNeg {
-		return
+		return out
 	}
 	// Body accesses between header and latch are candidates; the
 	// quickener's symbolic stack still has to confirm the operands are
 	// live copies of (arr, idx) before emitting an NB form.
 	for j := h + 5; j < latchEnd-4; j++ {
 		if code[j].Op == OpALoad || code[j].Op == OpAStore {
+			if out == nil {
+				out = make(map[int]nbPair)
+			}
 			out[j] = nbPair{arr: arr, idx: idx}
 		}
 	}
+	return out
 }
 
 // buildQuick translates a verified method. It fails (false) only on
@@ -287,257 +301,221 @@ func buildQuick(st *mstate) (*qcode, bool) {
 	m := st.m
 	code := m.Code
 	n := len(code)
+	charges, depths := st.charges, st.depths
+
+	// Count the quickened instructions and symbolic operands first, so
+	// that each table is allocated once at its final size.
+	nq, nsym := 1, 0 // 1 for qEnd
+	for pc := 0; pc < n; {
+		if depths[pc] < 0 {
+			pc++
+			continue
+		}
+		_, consumed := fusion(code, charges, pc)
+		if consumed == 1 && symbolic(code[pc].Op) {
+			nsym++
+		}
+		nq++
+		pc += consumed
+	}
 	q := &qcode{
 		m:         m,
-		code:      make([]qinstr, 0, n+1), // fusion only shrinks; +1 for qEnd
-		entry:     make(map[int]int),
+		code:      make([]qinstr, 0, nq),
+		entry:     make([]int32, n),
 		nlocals:   m.NLocals,
 		frameSize: m.NLocals + st.maxStack,
 	}
-	charges, depths := st.charges, st.depths
-	nb := findBCE(m)
-
-	// Symbolic operand stack: for each slot, the local it is a verbatim
-	// copy of (-1 = unknown). Reset at leaders, invalidated on stores.
-	sym := make([]int, 0, st.maxStack+1)
-	resetSym := func(d int) {
-		sym = sym[:0]
-		for i := 0; i < d; i++ {
-			sym = append(sym, -1)
-		}
-	}
-	symAt := func(k int) int { // k=1 is top-of-stack
-		if len(sym) < k {
-			return -1
-		}
-		return sym[len(sym)-k]
-	}
-
-	type fixup struct{ qi, target int }
-	var fixes []fixup
-	emit := func(in qinstr) int {
-		q.code = append(q.code, in)
-		return len(q.code) - 1
-	}
-	branch := func(in qinstr, target int) {
-		fixes = append(fixes, fixup{emit(in), target})
+	syms := make([]qsym, nsym)
+	site := func(s string) *qsym {
+		x := &syms[0]
+		syms = syms[1:]
+		x.s = s
+		return x
 	}
 	newIC := func(pc int, kind Opcode, sym string) *siteIC {
 		ic := &siteIC{pc: pc, kind: kind, sym: sym}
 		q.sites = append(q.sites, ic)
 		return ic
 	}
-	isCmp := func(op Opcode) bool { return op >= OpCmpLT && op <= OpCmpNE }
-	isArith := func(op Opcode) bool { return op >= OpAdd && op <= OpRem }
-	isMulFree := func(op Opcode) bool { return op == OpAdd || op == OpSub || op == OpMul } // trap-free arithmetic
-	branchSense := func(op Opcode) (isBr, neg bool) {
-		switch op {
-		case OpJumpIf:
-			return true, false
-		case OpJumpIfNot:
-			return true, true
+	// target is a branch's bytecode target until the fixup pass below
+	// maps it to a quickened index; -1 marks the implicit void return.
+	target := func(t int) int32 {
+		if t < 0 || t >= n {
+			return -1
 		}
-		return false, false
+		return int32(t)
+	}
+	nb := findBCE(m)
+
+	// Symbolic operand stack: for each slot, the local it is a verbatim
+	// copy of (-1 = unknown). Reset at leaders, invalidated on stores.
+	stk := make([]int, 0, st.maxStack+1)
+	stkAt := func(k int) int { // k=1 is top-of-stack
+		if len(stk) < k {
+			return -1
+		}
+		return stk[len(stk)-k]
 	}
 
-	pc := 0
-	for pc < n {
+	for i := range q.entry {
+		q.entry[i] = -1
+	}
+	for pc := 0; pc < n; {
 		if depths[pc] < 0 {
 			pc++ // statically unreachable: never entered, never targeted
 			continue
 		}
 		if charges[pc] != 0 {
-			resetSym(depths[pc])
-			q.entry[pc] = len(q.code)
-		}
-		// fits reports whether a fusion of length l stays inside this
-		// basic block (no interior leaders) and inside the method.
-		fits := func(l int) bool {
-			if pc+l > n {
-				return false
+			stk = stk[:0]
+			for i := int32(0); i < depths[pc]; i++ {
+				stk = append(stk, -1)
 			}
-			for k := 1; k < l; k++ {
-				if charges[pc+k] != 0 {
-					return false
-				}
-			}
-			return true
+			q.entry[pc] = int32(len(q.code))
 		}
 		in := code[pc]
-		emitAt := len(q.code)
-		consumed := 1
-		fused := false
-
-		if fits(5) && in.Op == OpLoad && code[pc+1].Op == OpLoad && code[pc+2].Op == OpArrayLen &&
-			code[pc+3].Op == OpCmpLT && code[pc+4].Op == OpJumpIfNot {
-			branch(qinstr{op: qLenCmpBr, a: int32(in.A), b: int32(code[pc+1].A)}, code[pc+4].A)
-			consumed, fused = 5, true
-		}
-		if !fused && fits(4) {
-			i1, i2, i3 := code[pc+1], code[pc+2], code[pc+3]
-			if isBr, neg := branchSense(i3.Op); isBr && in.Op == OpLoad && isCmp(i2.Op) {
-				switch i1.Op {
-				case OpLoad:
-					branch(qinstr{op: qLLCmpBr, a: int32(in.A), b: int32(i1.A), xop: i2.Op, neg: neg}, i3.A)
-					consumed, fused = 4, true
-				case OpConstInt:
-					branch(qinstr{op: qLCCmpBr, a: int32(in.A), i: i1.I, xop: i2.Op, neg: neg}, i3.A)
-					consumed, fused = 4, true
+		var qi qinstr
+		op, consumed := fusion(code, charges, pc)
+		if consumed > 1 {
+			qi = qinstr{op: op, a: int32(in.A)}
+			switch op {
+			case qLenCmpBr:
+				qi.b, qi.c = int32(code[pc+1].A), target(code[pc+4].A)
+			case qLLCmpBr, qLCCmpBr:
+				i1, i2, i3 := code[pc+1], code[pc+2], code[pc+3]
+				qi.b, qi.i, qi.xop, qi.neg, qi.c = int32(i1.A), i1.I, i2.Op, i3.Op == OpJumpIfNot, target(i3.A)
+			case qLCArithStore:
+				qi.b, qi.i, qi.xop = int32(code[pc+3].A), code[pc+1].I, code[pc+2].Op
+			case qLLArithStore:
+				qi.b, qi.c, qi.xop = int32(code[pc+1].A), int32(code[pc+3].A), code[pc+2].Op
+			case qLLLAStore:
+				qi.b, qi.c = int32(code[pc+1].A), int32(code[pc+2].A)
+				if p, ok := nb[pc+3]; ok && p.arr == in.A && p.idx == code[pc+1].A {
+					qi.op = qLLLAStoreNB
 				}
-			}
-			if !fused && in.Op == OpLoad && i1.Op == OpConstInt && isArith(i2.Op) && i3.Op == OpStore &&
-				(isMulFree(i2.Op) || i1.I != 0) {
-				emit(qinstr{op: qLCArithStore, a: int32(in.A), b: int32(i3.A), i: i1.I, xop: i2.Op})
-				consumed, fused = 4, true
-			}
-			if !fused && in.Op == OpLoad && i1.Op == OpLoad && isMulFree(i2.Op) && i3.Op == OpStore {
-				emit(qinstr{op: qLLArithStore, a: int32(in.A), b: int32(i1.A), c: int32(i3.A), xop: i2.Op})
-				consumed, fused = 4, true
-			}
-			if !fused && in.Op == OpLoad && i1.Op == OpLoad && i2.Op == OpLoad && i3.Op == OpAStore {
-				op := qLLLAStore
-				if p, ok := nb[pc+3]; ok && p.arr == in.A && p.idx == i1.A {
-					op = qLLLAStoreNB
+			case qLLALoad:
+				qi.b = int32(code[pc+1].A)
+				if p, ok := nb[pc+2]; ok && p.arr == in.A && p.idx == code[pc+1].A {
+					qi.op = qLLALoadNB
 				}
-				emit(qinstr{op: op, a: int32(in.A), b: int32(i1.A), c: int32(i2.A)})
-				consumed, fused = 4, true
+			case qCArith:
+				qi = qinstr{op: qCArith, i: in.I, xop: code[pc+1].Op}
+			case qArithStore:
+				qi = qinstr{op: qArithStore, a: int32(code[pc+1].A), xop: in.Op}
+			case qCmpBr:
+				i1 := code[pc+1]
+				qi = qinstr{op: qCmpBr, xop: in.Op, neg: i1.Op == OpJumpIfNot, c: target(i1.A)}
 			}
-		}
-		if !fused && fits(3) && in.Op == OpLoad && code[pc+1].Op == OpLoad && code[pc+2].Op == OpALoad {
-			op := qLLALoad
-			if p, ok := nb[pc+2]; ok && p.arr == in.A && p.idx == code[pc+1].A {
-				op = qLLALoadNB
-			}
-			emit(qinstr{op: op, a: int32(in.A), b: int32(code[pc+1].A)})
-			consumed, fused = 3, true
-		}
-		if !fused && fits(2) {
-			i1 := code[pc+1]
-			switch {
-			case in.Op == OpConstInt && isArith(i1.Op) && (isMulFree(i1.Op) || in.I != 0):
-				emit(qinstr{op: qCArith, i: in.I, xop: i1.Op})
-				consumed, fused = 2, true
-			case isArith(in.Op) && i1.Op == OpStore:
-				emit(qinstr{op: qArithStore, a: int32(i1.A), xop: in.Op})
-				consumed, fused = 2, true
-			case isCmp(in.Op):
-				if isBr, neg := branchSense(i1.Op); isBr {
-					branch(qinstr{op: qCmpBr, xop: in.Op, neg: neg}, i1.A)
-					consumed, fused = 2, true
-				}
-			}
-		}
-		if !fused {
+		} else {
 			switch in.Op {
 			case OpNop:
-				emit(qinstr{op: qNop})
+				qi.op = qNop
 			case OpConstInt:
-				emit(qinstr{op: qConstInt, i: in.I})
+				qi = qinstr{op: qConstInt, i: in.I}
 			case OpConstFloat:
-				emit(qinstr{op: qConstFloat, f: in.F})
+				qi = qinstr{op: qConstFloat, i: int64(math.Float64bits(in.F))}
 			case OpConstNull:
-				emit(qinstr{op: qConstNull})
+				qi.op = qConstNull
 			case OpLoad:
-				emit(qinstr{op: qLoad, a: int32(in.A)})
+				qi = qinstr{op: qLoad, a: int32(in.A)}
 			case OpStore:
-				emit(qinstr{op: qStore, a: int32(in.A)})
+				qi = qinstr{op: qStore, a: int32(in.A)}
 			case OpPop:
-				emit(qinstr{op: qPop})
+				qi.op = qPop
 			case OpDup:
-				emit(qinstr{op: qDup})
+				qi.op = qDup
 			case OpAdd, OpSub, OpMul, OpDiv, OpRem:
-				emit(qinstr{op: qArith, xop: in.Op})
+				qi = qinstr{op: qArith, xop: in.Op}
 			case OpNeg:
-				emit(qinstr{op: qNeg})
+				qi.op = qNeg
 			case OpCmpLT, OpCmpLE, OpCmpGT, OpCmpGE, OpCmpEQ, OpCmpNE:
-				emit(qinstr{op: qCmp, xop: in.Op})
+				qi = qinstr{op: qCmp, xop: in.Op}
 			case OpJump:
-				branch(qinstr{op: qJump}, in.A)
+				qi = qinstr{op: qJump, c: target(in.A)}
 			case OpJumpIf:
-				branch(qinstr{op: qJumpIf}, in.A)
+				qi = qinstr{op: qJumpIf, c: target(in.A)}
 			case OpJumpIfNot:
-				branch(qinstr{op: qJumpIfNot}, in.A)
+				qi = qinstr{op: qJumpIfNot, c: target(in.A)}
 			case OpReturn:
-				emit(qinstr{op: qReturn})
+				qi.op = qReturn
 			case OpReturnVoid:
-				emit(qinstr{op: qReturnVoid})
+				qi.op = qReturnVoid
 			case OpNew:
-				emit(qinstr{op: qNew, s: in.S})
+				qi = qinstr{op: qNew, sym: site(in.S)}
 			case OpGetField:
-				emit(qinstr{op: qGetField, s: in.S, ic: newIC(pc, in.Op, in.S)})
+				qi = qinstr{op: qGetField, sym: site(in.S)}
+				qi.sym.ic = newIC(pc, in.Op, in.S)
 			case OpPutField:
-				emit(qinstr{op: qPutField, s: in.S, ic: newIC(pc, in.Op, in.S)})
+				qi = qinstr{op: qPutField, sym: site(in.S)}
+				qi.sym.ic = newIC(pc, in.Op, in.S)
 			case OpNewArray:
-				emit(qinstr{op: qNewArray})
+				qi.op = qNewArray
 			case OpALoad:
-				op := qALoad
-				if p, ok := nb[pc]; ok && symAt(2) == p.arr && symAt(1) == p.idx {
-					op = qALoadNB
+				qi.op = qALoad
+				if p, ok := nb[pc]; ok && stkAt(2) == p.arr && stkAt(1) == p.idx {
+					qi.op = qALoadNB
 				}
-				emit(qinstr{op: op})
 			case OpAStore:
-				op := qAStore
-				if p, ok := nb[pc]; ok && symAt(3) == p.arr && symAt(2) == p.idx {
-					op = qAStoreNB
+				qi.op = qAStore
+				if p, ok := nb[pc]; ok && stkAt(3) == p.arr && stkAt(2) == p.idx {
+					qi.op = qAStoreNB
 				}
-				emit(qinstr{op: op})
 			case OpArrayLen:
-				emit(qinstr{op: qArrayLen})
+				qi.op = qArrayLen
 			case OpInvokeStatic:
-				emit(qinstr{op: qInvokeStatic, s: in.S, a: int32(in.A)})
+				qi = qinstr{op: qInvokeStatic, a: int32(in.A), sym: site(in.S)}
 			case OpInvokeVirtual, OpInvokeInterface:
-				ic := newIC(pc, in.Op, in.S)
-				seedIC(ic, st.sites[pc], in.S)
-				emit(qinstr{op: qInvokeVirtual, s: in.S, a: int32(in.A), ic: ic})
+				qi = qinstr{op: qInvokeVirtual, a: int32(in.A), sym: site(in.S)}
+				qi.sym.ic = newIC(pc, in.Op, in.S)
+				seedIC(qi.sym.ic, st.sites[pc], in.S)
 			case OpInvokeDynamic:
-				emit(qinstr{op: qInvokeDynamic, s: in.S})
+				qi = qinstr{op: qInvokeDynamic, sym: site(in.S)}
 			case OpInvokeHandle:
-				emit(qinstr{op: qInvokeHandle, a: int32(in.A), ic: newIC(pc, in.Op, in.S)})
+				qi = qinstr{op: qInvokeHandle, a: int32(in.A), sym: site(in.S)}
+				qi.sym.ic = newIC(pc, in.Op, in.S)
 			case OpMonitorEnter:
-				emit(qinstr{op: qMonitorEnter})
+				qi.op = qMonitorEnter
 			case OpMonitorExit:
-				emit(qinstr{op: qMonitorExit})
+				qi.op = qMonitorExit
 			case OpCAS:
-				emit(qinstr{op: qCAS, s: in.S})
+				qi = qinstr{op: qCAS, sym: site(in.S)}
 			case OpAtomicAdd:
-				emit(qinstr{op: qAtomicAdd, s: in.S})
+				qi = qinstr{op: qAtomicAdd, sym: site(in.S)}
 			case OpPark:
-				emit(qinstr{op: qPark})
+				qi.op = qPark
 			case OpWait:
-				emit(qinstr{op: qWait})
+				qi.op = qWait
 			case OpNotify:
-				emit(qinstr{op: qNotify})
+				qi.op = qNotify
 			case OpInstanceOf:
-				emit(qinstr{op: qInstanceOf, s: in.S})
+				qi = qinstr{op: qInstanceOf, sym: site(in.S)}
 			case OpCheckCast:
-				emit(qinstr{op: qCheckCast, s: in.S})
+				qi = qinstr{op: qCheckCast, sym: site(in.S)}
 			default:
 				return nil, false
 			}
 		}
-		if charges[pc] != 0 {
-			q.code[emitAt].charge = charges[pc]
-		}
+		qi.charge = charges[pc]
+		q.code = append(q.code, qi)
 		// Replay the consumed instructions over the symbolic stack.
 		for k := 0; k < consumed; k++ {
 			rin := code[pc+k]
 			switch rin.Op {
 			case OpLoad:
-				sym = append(sym, rin.A)
+				stk = append(stk, rin.A)
 			case OpDup:
-				sym = append(sym, symAt(1))
+				stk = append(stk, stkAt(1))
 			case OpStore:
-				sym = sym[:len(sym)-1]
-				for i := range sym {
-					if sym[i] == rin.A {
-						sym[i] = -1
+				stk = stk[:len(stk)-1]
+				for i := range stk {
+					if stk[i] == rin.A {
+						stk[i] = -1
 					}
 				}
 			default:
 				pops, pushes, _ := stackEffect(rin)
-				sym = sym[:len(sym)-pops]
+				stk = stk[:len(stk)-pops]
 				for i := 0; i < pushes; i++ {
-					sym = append(sym, -1)
+					stk = append(stk, -1)
 				}
 			}
 		}
@@ -546,20 +524,100 @@ func buildQuick(st *mstate) (*qcode, bool) {
 
 	// Synthetic terminator: fall-off-the-end and every out-of-range jump
 	// target resolve here (the seed's implicit void return).
-	endIdx := len(q.code)
+	end := int32(len(q.code))
 	q.code = append(q.code, qinstr{op: qEnd})
-	for _, fx := range fixes {
-		target := endIdx
-		if fx.target >= 0 && fx.target < n {
-			e, ok := q.entry[fx.target]
-			if !ok {
-				return nil, false // fusion crossed a leader: translator bug
-			}
-			target = e
+	for i := range q.code {
+		qi := &q.code[i]
+		switch qi.op {
+		case qJump, qJumpIf, qJumpIfNot, qLenCmpBr, qLLCmpBr, qLCCmpBr, qCmpBr:
+		default:
+			continue
 		}
-		q.code[fx.qi].c = int32(target)
+		if qi.c < 0 {
+			qi.c = end
+		} else if qi.c = q.entry[qi.c]; qi.c < 0 {
+			return nil, false // fusion crossed a leader: translator bug
+		}
 	}
 	return q, true
+}
+
+// fusion reports the superinstruction that starts at pc and how many
+// bytecode instructions it replaces; consumed is 1 when none applies. A
+// fusion never spans a block leader, so every branch target and every
+// tier-0 OSR entry point stays addressable. The NB variants are chosen by
+// the caller.
+func fusion(code []Instr, charges []int32, pc int) (op qop, consumed int) {
+	// fits reports whether a fusion of length l stays inside this basic
+	// block (no interior leaders) and inside the method.
+	fits := func(l int) bool {
+		if pc+l > len(code) {
+			return false
+		}
+		for k := 1; k < l; k++ {
+			if charges[pc+k] != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	in := code[pc]
+	if fits(5) && in.Op == OpLoad && code[pc+1].Op == OpLoad && code[pc+2].Op == OpArrayLen &&
+		code[pc+3].Op == OpCmpLT && code[pc+4].Op == OpJumpIfNot {
+		return qLenCmpBr, 5
+	}
+	if fits(4) {
+		i1, i2, i3 := code[pc+1], code[pc+2], code[pc+3]
+		if isBranch(i3.Op) && in.Op == OpLoad && isCmp(i2.Op) {
+			switch i1.Op {
+			case OpLoad:
+				return qLLCmpBr, 4
+			case OpConstInt:
+				return qLCCmpBr, 4
+			}
+		}
+		if in.Op == OpLoad && i1.Op == OpConstInt && isArith(i2.Op) && i3.Op == OpStore &&
+			(isMulFree(i2.Op) || i1.I != 0) {
+			return qLCArithStore, 4
+		}
+		if in.Op == OpLoad && i1.Op == OpLoad && isMulFree(i2.Op) && i3.Op == OpStore {
+			return qLLArithStore, 4
+		}
+		if in.Op == OpLoad && i1.Op == OpLoad && i2.Op == OpLoad && i3.Op == OpAStore {
+			return qLLLAStore, 4
+		}
+	}
+	if fits(3) && in.Op == OpLoad && code[pc+1].Op == OpLoad && code[pc+2].Op == OpALoad {
+		return qLLALoad, 3
+	}
+	if fits(2) {
+		i1 := code[pc+1]
+		switch {
+		case in.Op == OpConstInt && isArith(i1.Op) && (isMulFree(i1.Op) || in.I != 0):
+			return qCArith, 2
+		case isArith(in.Op) && i1.Op == OpStore:
+			return qArithStore, 2
+		case isCmp(in.Op) && isBranch(i1.Op):
+			return qCmpBr, 2
+		}
+	}
+	return qNop, 1
+}
+
+func isCmp(op Opcode) bool     { return op >= OpCmpLT && op <= OpCmpNE }
+func isArith(op Opcode) bool   { return op >= OpAdd && op <= OpRem }
+func isMulFree(op Opcode) bool { return op == OpAdd || op == OpSub || op == OpMul } // trap-free arithmetic
+func isBranch(op Opcode) bool  { return op == OpJumpIf || op == OpJumpIfNot }
+
+// symbolic reports whether the opcode has a symbolic operand, or an
+// inline cache, and so a qsym when quickened.
+func symbolic(op Opcode) bool {
+	switch op {
+	case OpNew, OpGetField, OpPutField, OpInvokeStatic, OpInvokeVirtual, OpInvokeInterface,
+		OpInvokeDynamic, OpInvokeHandle, OpCAS, OpAtomicAdd, OpInstanceOf, OpCheckCast:
+		return true
+	}
+	return false
 }
 
 // seedIC pre-populates a virtual-call inline cache from the tier-0

@@ -1,6 +1,9 @@
 package rvm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tier-1 execution: token-threaded dispatch over a function table indexed
 // by quickened opcode. Frames are pooled and flat — locals and operand
@@ -203,7 +206,7 @@ func qhConstInt(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 
 func qhConstFloat(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed++
-	fr.regs[fr.sp] = Float(in.f)
+	fr.regs[fr.sp] = Float(math.Float64frombits(uint64(in.i)))
 	fr.sp++
 	return pc + 1, nil
 }
@@ -324,13 +327,14 @@ func qhEnd(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 
 func qhNew(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed++
-	c := in.cls
+	x := in.sym
+	c := x.cls
 	if c == nil {
-		cc, ok := vm.Program.Class(in.s)
+		cc, ok := vm.Program.Class(x.s)
 		if !ok {
-			return 0, fmt.Errorf("%w: %s", ErrNoSuchClass, in.s)
+			return 0, fmt.Errorf("%w: %s", ErrNoSuchClass, x.s)
 		}
-		in.cls = cc
+		x.cls = cc
 		c = cc
 	}
 	vm.Counters.Object++
@@ -343,14 +347,14 @@ func qhGetField(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed++
 	obj := fr.regs[fr.sp-1].AsRef()
 	if obj == nil {
-		return 0, fmt.Errorf("%w: getfield %s in %s", ErrNullPointer, in.s, fr.q.m.QualifiedName())
+		return 0, fmt.Errorf("%w: getfield %s in %s", ErrNullPointer, in.sym.s, fr.q.m.QualifiedName())
 	}
-	ic := in.ic
+	ic := in.sym.ic
 	idx := ic.fidx
 	if ic.fcls != obj.Class {
-		j, ok := obj.Class.FieldIndex(in.s)
+		j, ok := obj.Class.FieldIndex(in.sym.s)
 		if !ok {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.s)
+			return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.sym.s)
 		}
 		ic.fcls, ic.fidx = obj.Class, j
 		ic.misses++
@@ -368,14 +372,14 @@ func qhPutField(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	obj := fr.regs[fr.sp-2].AsRef()
 	fr.sp -= 2
 	if obj == nil {
-		return 0, fmt.Errorf("%w: putfield %s", ErrNullPointer, in.s)
+		return 0, fmt.Errorf("%w: putfield %s", ErrNullPointer, in.sym.s)
 	}
-	ic := in.ic
+	ic := in.sym.ic
 	idx := ic.fidx
 	if ic.fcls != obj.Class {
-		j, ok := obj.Class.FieldIndex(in.s)
+		j, ok := obj.Class.FieldIndex(in.sym.s)
 		if !ok {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.s)
+			return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.sym.s)
 		}
 		ic.fcls, ic.fidx = obj.Class, j
 		ic.misses++
@@ -478,22 +482,23 @@ func qhArrayLen(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 
 func qhInvokeStatic(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed++
-	t := in.tgt
+	x := in.sym
+	t := x.tgt
 	if t == nil {
 		// Lazy resolution: a bad call site traps on first execution,
 		// exactly like tier-0; a good one resolves once.
-		tt, err := vm.resolveStatic(in.s)
+		tt, err := vm.resolveStatic(x.s)
 		if err != nil {
 			return 0, err
 		}
-		in.tgt = tt
-		in.tstate = vm.state(tt)
+		x.tgt = tt
+		x.tstate = vm.state(tt)
 		t = tt
 	}
 	n := int(in.a)
 	args := fr.regs[fr.sp-n : fr.sp]
 	fr.sp -= n
-	ret, err := vm.callCached(in.tstate, t, args, fr)
+	ret, err := vm.callCached(x.tstate, t, args, fr)
 	if err != nil {
 		return 0, err
 	}
@@ -512,9 +517,9 @@ func qhInvokeVirtual(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		recv = args[0].AsRef()
 	}
 	if recv == nil {
-		return 0, fmt.Errorf("%w: invoke %s", ErrNullPointer, in.s)
+		return 0, fmt.Errorf("%w: invoke %s", ErrNullPointer, in.sym.s)
 	}
-	ic := in.ic
+	ic := in.sym.ic
 	var target *Method
 	var tst *mstate
 	for k := 0; k < ic.n; k++ {
@@ -530,9 +535,9 @@ func qhInvokeVirtual(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	}
 	if target == nil {
 		ic.misses++
-		t, ok := recv.Class.ResolveMethod(in.s)
+		t, ok := recv.Class.ResolveMethod(in.sym.s)
 		if !ok {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, recv.Class.Name, in.s)
+			return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, recv.Class.Name, in.sym.s)
 		}
 		if ic.n < icWidth {
 			ic.classes[ic.n] = recv.Class
@@ -570,13 +575,14 @@ func (vm *Interp) callCached(tst *mstate, target *Method, args []Value, fr *fram
 
 func qhInvokeDynamic(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed++
-	t := in.tgt
+	x := in.sym
+	t := x.tgt
 	if t == nil {
-		tt, err := vm.resolveStatic(in.s)
+		tt, err := vm.resolveStatic(x.s)
 		if err != nil {
 			return 0, err
 		}
-		in.tgt = tt
+		x.tgt = tt
 		t = tt
 	}
 	vm.Counters.IDynamic++
@@ -595,7 +601,7 @@ func qhInvokeHandle(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	if target == nil {
 		return 0, fmt.Errorf("%w: invokehandle on %s", ErrNullPointer, h)
 	}
-	ic := in.ic
+	ic := in.sym.ic
 	if ic.targets[0] == target {
 		ic.hits++
 	} else {
@@ -651,11 +657,11 @@ func qhCAS(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	obj := fr.regs[fr.sp-3].AsRef()
 	fr.sp -= 3
 	if obj == nil {
-		return 0, fmt.Errorf("%w: cas %s", ErrNullPointer, in.s)
+		return 0, fmt.Errorf("%w: cas %s", ErrNullPointer, in.sym.s)
 	}
-	idx, ok := obj.Class.FieldIndex(in.s)
+	idx, ok := obj.Class.FieldIndex(in.sym.s)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.s)
+		return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.sym.s)
 	}
 	vm.Counters.Atomic++
 	if obj.Fields[idx].Equal(exp) {
@@ -674,11 +680,11 @@ func qhAtomicAdd(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	obj := fr.regs[fr.sp-2].AsRef()
 	fr.sp -= 2
 	if obj == nil {
-		return 0, fmt.Errorf("%w: atomicadd %s", ErrNullPointer, in.s)
+		return 0, fmt.Errorf("%w: atomicadd %s", ErrNullPointer, in.sym.s)
 	}
-	idx, ok := obj.Class.FieldIndex(in.s)
+	idx, ok := obj.Class.FieldIndex(in.sym.s)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.s)
+		return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchField, obj.Class.Name, in.sym.s)
 	}
 	vm.Counters.Atomic++
 	old := obj.Fields[idx]
@@ -710,15 +716,15 @@ func qhNotify(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 
 func qhInstanceOf(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed++
-	fr.regs[fr.sp-1] = boolVal(vm.isInstance(fr.regs[fr.sp-1], in.s))
+	fr.regs[fr.sp-1] = boolVal(vm.isInstance(fr.regs[fr.sp-1], in.sym.s))
 	return pc + 1, nil
 }
 
 func qhCheckCast(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	vm.Counters.Executed++
 	o := fr.regs[fr.sp-1]
-	if !o.IsNull() && !vm.isInstance(o, in.s) {
-		return 0, fmt.Errorf("%w: to %s", ErrBadCast, in.s)
+	if !o.IsNull() && !vm.isInstance(o, in.sym.s) {
+		return 0, fmt.Errorf("%w: to %s", ErrBadCast, in.sym.s)
 	}
 	return pc + 1, nil
 }

@@ -60,9 +60,9 @@ func stackEffect(in Instr) (pops, pushes int, ok bool) {
 // exactly at block leaders (entry, in-range branch targets, and
 // fall-throughs after branches and returns) and holds the number of
 // instructions in the block starting there. Every error wraps ErrVerify.
-func Verify(m *Method) (maxStack int, depths []int, blocks []int32, err error) {
+func Verify(m *Method) (maxStack int, depths []int32, blocks []int32, err error) {
 	n := len(m.Code)
-	depths = make([]int, n)
+	depths = make([]int32, n)
 	for i := range depths {
 		depths[i] = -1
 	}
@@ -78,12 +78,12 @@ func Verify(m *Method) (maxStack int, depths []int, blocks []int32, err error) {
 	path:
 		for pc >= 0 && pc < n {
 			if depths[pc] >= 0 {
-				if depths[pc] != d {
+				if int(depths[pc]) != d {
 					return 0, nil, nil, fail(pc, "inconsistent stack depth (%d vs %d)", depths[pc], d)
 				}
 				break
 			}
-			depths[pc] = d
+			depths[pc] = int32(d)
 			in := m.Code[pc]
 			pops, pushes, ok := stackEffect(in)
 			if !ok {

@@ -29,9 +29,11 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # the IR executor; bytecode it refuses is refused by all three), and so
 # do graphdb's concurrent writer/reader tests and its differential suite
 # against the map-and-sort reference (CreateNode takes no store lock;
-# queries sort nothing under it).
+# queries sort nothing under it). The metrics recorder's concurrent tests
+# ride along too, among them owner-only batches flushed from many
+# goroutines summing exactly.
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify'
-STRESS_PKGS = ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir
+STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir
 
 .PHONY: check vet build test test-rbench race stress stress-fragments chaos smoke analyze rbench loc
 

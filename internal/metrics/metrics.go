@@ -25,9 +25,16 @@
 //
 // Code on a measured hot path can go one step further and acquire a Local
 // handle (Local or LocalAt), a recorder pinned to a single shard: the hash
-// is paid once at acquisition and each bump is a single uncontended atomic
-// add. The fork–join workers, the RDD partition tasks, and the STM commit
-// path use this.
+// is paid once at acquisition and each bump is a single atomic add. The
+// fork–join workers, the RDD partition tasks and the actor scheduler's
+// workers use this.
+//
+// An owner with a natural point to hand its counts over counts into a
+// Batch instead, plain int64s it alone writes, and flushes them there. An
+// STM transaction does, flushing when Atomically returns: a read makes
+// three counted events, and as atomic adds on a shard other transactions
+// share they were most of stm-bench7's time (EXPERIMENTS.md,
+// "transactional: where the time went").
 package metrics
 
 import (
@@ -234,9 +241,6 @@ func Acquire() Local { return Default.Local() }
 // AcquireAt returns a Local on the Default recorder pinned to stripe i.
 func AcquireAt(i int) Local { return Default.LocalAt(i) }
 
-// IncWait records a guarded-block wait (condition-variable wait).
-func (l Local) IncWait() { l.sh.lanes[Wait].v.Add(1) }
-
 // IncNotify records a notify/notifyAll (condition-variable signal).
 func (l Local) IncNotify() { l.sh.lanes[Notify].v.Add(1) }
 
@@ -270,11 +274,50 @@ func (l Local) AddIDynamic(n int64) { l.sh.lanes[IDynamic].v.Add(n) }
 // IncDeadLetter records one dropped or dead-lettered message.
 func (l Local) IncDeadLetter() { l.sh.lanes[DeadLetter].v.Add(1) }
 
+// A Batch counts events for one owner in plain memory and hands them to
+// Default in one Flush: a bump is an ordinary increment with no atomic and
+// no shared cache line. It suits an owner with a natural flush point, such
+// as a transaction that ends when Atomically returns; the owner must flush
+// before it blocks if its counts should be visible while it waits. Counts
+// stay exact: Flush adds every lane it holds. The zero value is ready to
+// use; a Batch must not be shared between goroutines.
+type Batch struct {
+	n [NumMetrics]int64
+}
+
+// IncWait records a guarded-block wait.
+func (b *Batch) IncWait() { b.n[Wait]++ }
+
+// IncNotify records a notify/notifyAll.
+func (b *Batch) IncNotify() { b.n[Notify]++ }
+
+// IncAtomic records one atomic memory operation.
+func (b *Batch) IncAtomic() { b.n[Atomic]++ }
+
+// IncPark records a goroutine park.
+func (b *Batch) IncPark() { b.n[Park]++ }
+
 // IncStmAbort records one STM transactional abort.
-func (l Local) IncStmAbort() { l.sh.lanes[StmAbort].v.Add(1) }
+func (b *Batch) IncStmAbort() { b.n[StmAbort]++ }
 
 // IncStmExtend records one successful STM timestamp extension.
-func (l Local) IncStmExtend() { l.sh.lanes[StmExtend].v.Add(1) }
+func (b *Batch) IncStmExtend() { b.n[StmExtend]++ }
+
+// Flush adds every non-zero lane to Default through one Local and zeroes
+// the batch. Flushing an empty batch touches no shared memory.
+func (b *Batch) Flush() {
+	var loc Local
+	for m, v := range b.n {
+		if v == 0 {
+			continue
+		}
+		if loc.sh == nil {
+			loc = Acquire()
+		}
+		loc.sh.lanes[m].v.Add(v)
+		b.n[m] = 0
+	}
+}
 
 // A Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {

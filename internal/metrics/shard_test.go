@@ -121,7 +121,6 @@ func TestLocalAggregatesAcrossShards(t *testing.T) {
 func TestLocalWrapperParity(t *testing.T) {
 	var r Recorder
 	loc := r.Local()
-	loc.IncWait()
 	loc.IncNotify()
 	loc.IncAtomic()
 	loc.AddAtomic(2)
@@ -133,7 +132,7 @@ func TestLocalWrapperParity(t *testing.T) {
 	loc.IncIDynamic()
 	loc.AddIDynamic(5)
 	want := map[Metric]int64{
-		Wait: 1, Notify: 1, Atomic: 3, Park: 1,
+		Notify: 1, Atomic: 3, Park: 1,
 		Object: 1, Array: 4, Method: 1, IDynamic: 6,
 	}
 	for m, w := range want {

@@ -42,10 +42,17 @@
 // Contention notes: the global version clock lives on its own cache line so
 // that commit-time fetch-adds do not false-share with neighbouring package
 // state, and it is only advanced by read-write commits — read-only
-// transactions observe it but never write it. Each transaction acquires a
-// shard-pinned metrics.Local once, so per-operation instrumentation is a
-// single uncontended atomic add, and no metric bump happens while any lock
-// is held.
+// transactions observe it but never write it.
+//
+// # Instrumentation
+//
+// A transaction counts its metric events (three atomics per read, one per
+// begin, and so on) into its own metrics.Batch, plain int64s, and flushes
+// them to the recorder once: when Atomically returns, and before each
+// blocking call (the Retry park, the backoff sleep), so a blocked
+// transaction's wait and park are visible while it blocks. The counts are
+// the same as one atomic add per event would give; the adds were most of
+// stm-bench7's time (EXPERIMENTS.md, "transactional: where the time went").
 package stm
 
 import (
@@ -126,8 +133,8 @@ func NewRef(initial any) *Ref {
 	return r
 }
 
-func (r *Ref) loadState(loc metrics.Local) int64 {
-	loc.IncAtomic()
+func (r *Ref) loadState(c *metrics.Batch) int64 {
+	c.IncAtomic()
 	return r.state.Load()
 }
 
@@ -138,11 +145,11 @@ func stateLocked(s int64) bool   { return s&1 == 1 }
 // times when the ref is already locked (the holder is mid-publish and will
 // release quickly); past the bound it gives up so the caller can abort and
 // back off instead of convoying.
-func (r *Ref) spinLock(loc metrics.Local) (prev int64, ok bool) {
+func (r *Ref) spinLock(c *metrics.Batch) (prev int64, ok bool) {
 	for spin := 0; spin < commitSpinLimit; spin++ {
-		s := r.loadState(loc)
+		s := r.loadState(c)
 		if !stateLocked(s) {
-			loc.IncAtomic()
+			c.IncAtomic()
 			if r.state.CompareAndSwap(s, s|1) {
 				return s, true
 			}
@@ -155,15 +162,15 @@ func (r *Ref) spinLock(loc metrics.Local) (prev int64, ok bool) {
 	return 0, false
 }
 
-func (r *Ref) unlock(loc metrics.Local, version int64) {
-	loc.IncAtomic()
+func (r *Ref) unlock(c *metrics.Batch, version int64) {
+	c.IncAtomic()
 	r.state.Store(version << 1)
 }
 
 // rawLoad reads the current value without transactional protection; used
 // internally after validation and by ReadAtomic.
-func (r *Ref) rawLoad(loc metrics.Local) any {
-	loc.IncAtomic()
+func (r *Ref) rawLoad(c *metrics.Batch) any {
+	c.IncAtomic()
 	return unboxNil(r.value.Load())
 }
 
@@ -182,7 +189,9 @@ type Tx struct {
 	// writes is kept sorted by ref id on insertion: commit locks it in
 	// index order (canonical, deadlock-free) with no per-commit sort.
 	writes []writeEntry
-	loc    metrics.Local
+	// counts holds the transaction's metric events until release (or a
+	// blocking call) flushes them to the recorder.
+	counts metrics.Batch
 	rng    uint64
 	// Aborts counts how many times this transaction body was restarted.
 	Aborts int
@@ -239,10 +248,10 @@ func (tx *Tx) Read(r *Ref) any {
 		return tx.writes[i].v
 	}
 	for spins := 0; ; spins++ {
-		s1 := r.loadState(tx.loc)
+		s1 := r.loadState(&tx.counts)
 		if !stateLocked(s1) {
-			v := r.rawLoad(tx.loc)
-			if r.loadState(tx.loc) == s1 {
+			v := r.rawLoad(&tx.counts)
+			if r.loadState(&tx.counts) == s1 {
 				if stateVersion(s1) > tx.readVersion {
 					// The ref moved past our read timestamp. Instead of
 					// aborting, try to extend: if every ref read so far is
@@ -274,18 +283,18 @@ func (tx *Tx) Read(r *Ref) any {
 // read-only traversal survives concurrent short writers that bump the
 // clock on refs the traversal never touches.
 func (tx *Tx) extend() bool {
-	tx.loc.IncAtomic()
+	tx.counts.IncAtomic()
 	newRV := globalClock.v.Load()
 	for i := range tx.reads {
 		re := &tx.reads[i]
-		s := re.ref.loadState(tx.loc)
+		s := re.ref.loadState(&tx.counts)
 		if stateLocked(s) || stateVersion(s) != re.version {
 			return false
 		}
 	}
 	tx.readVersion = newRV
 	tx.Extensions++
-	tx.loc.IncStmExtend()
+	tx.counts.IncStmExtend()
 	return true
 }
 
@@ -329,7 +338,7 @@ func Atomically(fn func(tx *Tx) error) error {
 		case attemptConflict:
 			tx.onConflict()
 		case attemptRetry:
-			tx.loc.IncWait()
+			tx.counts.IncWait()
 			tx.waitForChange()
 			tx.Aborts++
 		}
@@ -339,7 +348,7 @@ func Atomically(fn func(tx *Tx) error) error {
 // begin resets the per-attempt state and takes the read timestamp.
 func (tx *Tx) begin() {
 	tx.clearSets()
-	tx.loc.IncAtomic()
+	tx.counts.IncAtomic()
 	tx.readVersion = globalClock.v.Load()
 }
 
@@ -349,7 +358,7 @@ func (tx *Tx) begin() {
 // desynchronize instead of re-colliding in lockstep.
 func (tx *Tx) onConflict() {
 	tx.Aborts++
-	tx.loc.IncStmAbort()
+	tx.counts.IncStmAbort()
 	if tx.Aborts <= backoffSpinAborts {
 		runtime.Gosched()
 		return
@@ -361,7 +370,8 @@ func (tx *Tx) onConflict() {
 	window := uint64(1) << uint(shift) // µs
 	tx.rng = tx.rng*6364136223846793005 + 1442695040888963407
 	jitter := (tx.rng >> 33) % (window/2 + 1)
-	tx.loc.IncPark()
+	tx.counts.IncPark()
+	tx.counts.Flush()
 	time.Sleep(time.Duration(window/2+jitter) * time.Microsecond)
 }
 
@@ -417,10 +427,10 @@ func (tx *Tx) commit() bool {
 	locked := 0
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		prev, ok := w.ref.spinLock(tx.loc)
+		prev, ok := w.ref.spinLock(&tx.counts)
 		if !ok || stateVersion(prev) > tx.readVersion {
 			if ok {
-				w.ref.unlock(tx.loc, stateVersion(prev))
+				w.ref.unlock(&tx.counts, stateVersion(prev))
 			}
 			tx.unlockPrefix(locked)
 			return false
@@ -429,14 +439,14 @@ func (tx *Tx) commit() bool {
 		locked++
 	}
 
-	tx.loc.IncAtomic()
+	tx.counts.IncAtomic()
 	wv := globalClock.v.Add(1)
 	if wv != tx.readVersion+1 {
 		// Some other transaction committed since we began; the read set
 		// must still be what we saw.
 		for i := range tx.reads {
 			re := &tx.reads[i]
-			s := re.ref.loadState(tx.loc)
+			s := re.ref.loadState(&tx.counts)
 			if stateVersion(s) != re.version {
 				tx.unlockPrefix(locked)
 				return false
@@ -453,9 +463,9 @@ func (tx *Tx) commit() bool {
 	// Publish.
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		tx.loc.IncAtomic()
+		tx.counts.IncAtomic()
 		w.ref.value.Store(boxNil(w.v))
-		w.ref.unlock(tx.loc, wv)
+		w.ref.unlock(&tx.counts, wv)
 	}
 
 	// Waiter-free fast path: one atomic load, no channel or mutex ops.
@@ -470,7 +480,7 @@ func (tx *Tx) commit() bool {
 func (tx *Tx) unlockPrefix(n int) {
 	for i := 0; i < n; i++ {
 		w := &tx.writes[i]
-		w.ref.unlock(tx.loc, stateVersion(w.prev))
+		w.ref.unlock(&tx.counts, stateVersion(w.prev))
 	}
 }
 
@@ -478,18 +488,23 @@ func (tx *Tx) unlockPrefix(n int) {
 // transaction (equivalent to a single-read transaction). The seqlock retry
 // is bounded: past the spin limit it yields the processor between attempts
 // instead of busy-spinning against a parked or preempted lock holder.
+//
+// Its reads count into a stack Batch flushed on return; the park of each
+// yield goes to the recorder at once, so a reader locked out for long is
+// visible while it spins.
 func ReadAtomic(r *Ref) any {
-	loc := metrics.Acquire()
+	var c metrics.Batch
 	for spins := 0; ; spins++ {
-		s1 := r.loadState(loc)
+		s1 := r.loadState(&c)
 		if !stateLocked(s1) {
-			v := r.rawLoad(loc)
-			if r.loadState(loc) == s1 {
+			v := r.rawLoad(&c)
+			if r.loadState(&c) == s1 {
+				c.Flush()
 				return v
 			}
 		}
 		if spins >= readAtomicSpinLimit {
-			loc.IncPark()
+			metrics.IncPark()
 			runtime.Gosched()
 		}
 	}

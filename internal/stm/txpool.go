@@ -12,8 +12,6 @@ package stm
 import (
 	"sync"
 	"sync/atomic"
-
-	"renaissance/internal/metrics"
 )
 
 // maxPooledSet caps the vector capacity a pooled Tx may retain.
@@ -30,15 +28,17 @@ var txPool = sync.Pool{New: func() any {
 // acquireTx readies a pooled transaction for a new Atomically call.
 func acquireTx() *Tx {
 	tx := txPool.Get().(*Tx)
-	tx.loc = metrics.Acquire()
 	tx.Aborts = 0
 	tx.Extensions = 0
 	return tx
 }
 
-// release clears the transaction (dropping references so pooled vectors do
-// not pin user values or refs) and returns it to the pool.
+// release flushes the transaction's metric counts, clears it (dropping
+// references so pooled vectors do not pin user values or refs) and returns
+// it to the pool. Atomically defers it, so the counts land when Atomically
+// returns, by a panic too.
 func (tx *Tx) release() {
+	tx.counts.Flush()
 	tx.clearSets()
 	if cap(tx.reads) > maxPooledSet {
 		tx.reads = nil
@@ -46,7 +46,6 @@ func (tx *Tx) release() {
 	if cap(tx.writes) > maxPooledSet {
 		tx.writes = nil
 	}
-	tx.loc = metrics.Local{}
 	txPool.Put(tx)
 }
 

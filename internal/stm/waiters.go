@@ -114,7 +114,7 @@ func (st *waiterStripe) push(n *waiterNode) {
 func (tx *Tx) readSetChanged() bool {
 	for i := range tx.reads {
 		re := &tx.reads[i]
-		s := re.ref.loadState(tx.loc)
+		s := re.ref.loadState(&tx.counts)
 		if stateLocked(s) || stateVersion(s) != re.version {
 			return true
 		}
@@ -131,7 +131,8 @@ func (tx *Tx) waitForChange() {
 	if len(tx.reads) == 0 {
 		// Degenerate guarded block that read nothing: there is no ref to
 		// wait on, so yield briefly and re-execute.
-		tx.loc.IncPark()
+		tx.counts.IncPark()
+		tx.counts.Flush()
 		time.Sleep(revalInitial)
 		return
 	}
@@ -166,7 +167,8 @@ func (tx *Tx) waitForChange() {
 	timer := time.NewTimer(period)
 	defer timer.Stop()
 	for {
-		tx.loc.IncPark()
+		tx.counts.IncPark()
+		tx.counts.Flush() // the Atomically's wait and this park show while it blocks
 		select {
 		case <-w.ch:
 			waiterCount.v.Add(-1)
@@ -205,7 +207,7 @@ func (tx *Tx) wakeWaiters() {
 			if n.w.state.Load() == waiterWaiting {
 				if n.refID == id {
 					if n.w.state.CompareAndSwap(waiterWaiting, waiterFired) {
-						tx.loc.IncNotify()
+						tx.counts.IncNotify()
 						if !chaos.Maybe("stm.wake") {
 							select {
 							case n.w.ch <- struct{}{}:

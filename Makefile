@@ -10,7 +10,7 @@ GO ?= go
 RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/lin ./internal/streams ./internal/actors ./internal/rx ./internal/mpsc ./internal/rvm ./internal/rvm/opt ./internal/minilang ./internal/hdr ./internal/loadgen ./internal/graphdb ./internal/memdb
 
 # The fault-tolerance and engine-concurrency tests: harness panic/timeout
-# isolation, netstack drain/close/admission control, client retry and close
+# isolation, netstack drain/close/admission control and client close
 # races, the data-parallel engine's executor/shuffle/fused-action
 # interleavings, the actor runtime's shutdown/quiescence/fairness/steal
 # races, and the supervision fault domains (restart/escalation/dead
@@ -71,21 +71,26 @@ stress-fragments:
 # every registered injection point and assert clean degradation — every
 # benchmark must end in a terminal status (ok/error/timeout/panic) and the
 # harness must exit 0 (all clean) or 1 (some benchmarks degraded), never
-# crash. Seeds are pinned so failures reproduce; set CHAOS_RACE=-race to
-# run under the race detector (CI does).
+# crash. The harness's own point, core.iteration, must show trials in the
+# -chaos.stats dump, so the sweep reaches the runner's retries and panic
+# isolation. Seeds are pinned so failures reproduce; set CHAOS_RACE=-race
+# to run under the race detector (CI does).
 CHAOS_SEEDS ?= 1 7
 CHAOS_RATE  ?= 0.02
 CHAOS_RACE  ?=
 chaos:
-	@for seed in $(CHAOS_SEEDS); do \
+	@stats=$$(mktemp); trap 'rm -f $$stats' EXIT; \
+	for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos sweep: seed=$$seed rate=$(CHAOS_RATE) =="; \
 		$(GO) run $(CHAOS_RACE) ./cmd/renaissance run -suite renaissance \
 			-size 0.1 -warmup 1 -measured 1 -timeout 30s -retries 1 \
-			-chaos.seed $$seed -chaos.rate $(CHAOS_RATE) -chaos.stats; \
-		code=$$?; \
+			-chaos.seed $$seed -chaos.rate $(CHAOS_RATE) -chaos.stats 2>$$stats; \
+		code=$$?; cat $$stats >&2; \
 		if [ $$code -gt 1 ]; then \
 			echo "chaos sweep crashed (exit $$code) at seed $$seed"; exit $$code; \
 		fi; \
+		awk '$$1 == "core.iteration" && $$2 > 0 { hit = 1 } END { exit !hit }' $$stats || { \
+			echo "chaos sweep never reached core.iteration at seed $$seed"; exit 1; }; \
 	done; echo "chaos sweeps completed with terminal statuses"
 
 # The repository's benchmark (BENCHMARK.json, benchmarks/README.md): one

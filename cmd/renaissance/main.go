@@ -6,7 +6,7 @@
 //
 //	renaissance list [-suite name]
 //	renaissance run [-suite name] [-bench name] [-size f] [-warmup n] [-measured n]
-//	                [-timeout d] [-retries n] [-fault spec]
+//	                [-timeout d] [-retries n]
 //	                [-chaos.seed n] [-chaos.rate f] [-chaos.stats] [-json]
 //	                [-rdd.retries n]
 //	                [-rvm.tier auto|0|1] [-rvm.profile]
@@ -20,10 +20,13 @@
 // measured from intended send times into HDR histograms, and a sweep
 // reports the saturation knee where p99 diverges from p50.
 //
-// The RDD engine recovers from partition faults by lineage recompute:
-// -rdd.retries bounds the per-partition recompute budget, and
-// -chaos.stats dumps each chaos point's trial/fire counts after the run
-// so a chaos sweep's coverage is auditable.
+// -chaos.rate and -chaos.seed arm every chaos injection point, the
+// harness's own (core.iteration, a panic before a benchmark iteration,
+// which -retries re-runs) as well as the substrates'. The RDD engine
+// recovers from partition faults by lineage recompute: -rdd.retries bounds
+// the per-partition recompute budget, and -chaos.stats dumps each chaos
+// point's trial/fire counts after the run so a chaos sweep's coverage is
+// auditable.
 //
 // Runs degrade gracefully: a benchmark that fails, panics, or exceeds its
 // deadline is recorded with its status and the sweep continues; the exit
@@ -84,63 +87,12 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   renaissance list [-suite name]
   renaissance run [-suite name] [-bench name] [-size f] [-warmup n] [-measured n]
-                  [-timeout d] [-retries n] [-fault spec]
+                  [-timeout d] [-retries n]
                   [-chaos.seed n] [-chaos.rate f] [-chaos.stats] [-json]
                   [-rdd.retries n]
                   [-rvm.tier auto|0|1] [-rvm.profile]
                   [-openloop.rate r] [-openloop.sweep r1,r2,...] [-openloop.duration d]
   renaissance metrics`)
-}
-
-// faultFlags collects repeatable -fault specs of the form
-// kind[:benchmark[:iteration]], where kind is delay=DUR, error[=msg], or
-// panic[=msg]; benchmark defaults to every benchmark and iteration to
-// every steady-state iteration.
-type faultFlags struct {
-	faults []core.Fault
-}
-
-func (f *faultFlags) String() string { return fmt.Sprintf("%d fault(s)", len(f.faults)) }
-
-func (f *faultFlags) Set(spec string) error {
-	parts := strings.SplitN(spec, ":", 3)
-	fault := core.Fault{Iteration: -1}
-	kind, arg := parts[0], ""
-	if i := strings.IndexByte(kind, '='); i >= 0 {
-		kind, arg = kind[:i], kind[i+1:]
-	}
-	switch kind {
-	case "delay":
-		d, err := time.ParseDuration(arg)
-		if err != nil {
-			return fmt.Errorf("bad -fault delay %q: %w", arg, err)
-		}
-		fault.Delay = d
-	case "error":
-		if arg == "" {
-			arg = "injected error"
-		}
-		fault.Err = errors.New(arg)
-	case "panic":
-		if arg == "" {
-			arg = "injected panic"
-		}
-		fault.Panic = arg
-	default:
-		return fmt.Errorf("bad -fault kind %q (want delay=DUR, error, or panic)", kind)
-	}
-	if len(parts) > 1 {
-		fault.Benchmark = parts[1]
-	}
-	if len(parts) > 2 {
-		n, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return fmt.Errorf("bad -fault iteration %q: %w", parts[2], err)
-		}
-		fault.Iteration = n
-	}
-	f.faults = append(f.faults, fault)
-	return nil
 }
 
 func cmdList(args []string) error {
@@ -179,8 +131,6 @@ func cmdRun(args []string) error {
 	chaosRate := fs.Float64("chaos.rate", 0, "chaos injection rate in [0,1); 0 disables injection")
 	chaosStats := fs.Bool("chaos.stats", false, "dump per-point chaos trial/fire counts to stderr after the run")
 	rddRetries := fs.Int("rdd.retries", -1, "RDD per-partition recompute budget (extra attempts after the first; -1 = engine default)")
-	var faults faultFlags
-	fs.Var(&faults, "fault", "inject a fault: kind[:benchmark[:iteration]], kind = delay=DUR | error[=msg] | panic[=msg] (repeatable)")
 	asJSON := fs.Bool("json", false, "emit JSON results")
 	openRate := fs.Float64("openloop.rate", 0, "offered load (req/s) for a single open-loop measurement; 0 disables open-loop mode")
 	openSweep := fs.String("openloop.sweep", "", "comma-separated offered rates (req/s) for an open-loop saturation sweep")
@@ -215,10 +165,7 @@ func cmdRun(args []string) error {
 	r.WarmupOverride = *warmup
 	r.MeasuredOverride = *measured
 	r.TimeoutOverride = *timeout
-	r.RetriesOverride = *retries
-	if len(faults.faults) > 0 {
-		r.Use(core.NewFaultInjector(faults.faults...))
-	}
+	r.Retries = *retries
 	if *chaosRate > 0 {
 		chaos.Configure(*chaosSeed, *chaosRate)
 		fmt.Fprintf(os.Stderr, "renaissance: chaos enabled: seed=%d rate=%g\n",

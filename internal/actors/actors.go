@@ -111,7 +111,7 @@ func NewSystem(workers int) *System {
 		w := &worker{
 			sys:   s,
 			cell:  i & s.cellMask,
-			rng:   uint64(i)*0x9E3779B97F4A7C15 + 1,
+			seq:   uint64(i) << 32,
 			local: metrics.AcquireAt(i),
 		}
 		w.ctx = Context{sys: s, w: w}
@@ -135,8 +135,6 @@ func supCellFor(opts SpawnOpts) *supCell {
 	return &supCell{
 		supervisor: opts.Supervisor,
 		strategy:   opts.Strategy,
-		factory:    opts.Factory,
-		backoff:    opts.Backoff,
 	}
 }
 

@@ -29,7 +29,8 @@ func TestRefIsOneCacheLine(t *testing.T) {
 }
 
 // A spawn allocates the 64-byte Ref, its 16-byte behavior box and the
-// mailbox's 32-byte stub node; a fault domain adds the 48-byte supCell.
+// mailbox's 32-byte stub node; a fault domain adds the 24-byte supCell,
+// its supervisor and strategy.
 func TestSpawnBytesGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts only hold without the race detector")
@@ -49,8 +50,8 @@ func TestSpawnBytesGate(t *testing.T) {
 	if got[0] > 64+16+32 {
 		t.Errorf("Context.Spawn: %.1f bytes, want <= 112", got[0])
 	}
-	if got[1] > 64+16+32+48 {
-		t.Errorf("Context.SpawnWith: %.1f bytes, want <= 160", got[1])
+	if got[1] > 64+16+32+24 {
+		t.Errorf("Context.SpawnWith: %.1f bytes, want <= 136", got[1])
 	}
 }
 

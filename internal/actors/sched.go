@@ -9,6 +9,7 @@
 package actors
 
 import (
+	"renaissance/internal/chaos"
 	"renaissance/internal/forkjoin"
 	"renaissance/internal/metrics"
 )
@@ -17,7 +18,7 @@ type worker struct {
 	sys  *System
 	cell int // pinned in-flight stripe, see quiesce.go
 	dq   forkjoin.Deque[Ref]
-	rng  uint64
+	seq  uint64 // steal-start counter, distinct per worker
 	// local is the worker's pinned metrics shard: per-message accounting
 	// through it is one uncontended atomic, not a Default-recorder hash.
 	local metrics.Local
@@ -123,8 +124,8 @@ func (w *worker) steal() *Ref {
 	if n < 2 {
 		return nil
 	}
-	w.rng = w.rng*6364136223846793005 + 1442695040888963407
-	start := int((w.rng >> 33) % uint64(n))
+	w.seq++
+	start := int(chaos.Mix64(w.seq) % uint64(n))
 	for i := 0; i < n; i++ {
 		victim := workers[(start+i)%n]
 		if victim == w {

@@ -2,8 +2,8 @@
 // supervision trees. A panic escaping Receive is recovered by the
 // delivering worker (a misbehaving actor can never take down a scheduler
 // worker) and routed to the failing actor's Strategy, which picks one of
-// four directives: Resume (keep state, next message), Restart (swap in a
-// fresh behavior after an exponential backoff, mailbox preserved), Stop
+// four directives: Resume (keep state, next message), Restart (resume the
+// same behavior after an exponential backoff, mailbox preserved), Stop
 // (terminate; queued and future messages become dead letters), or Escalate
 // (raise the failure to the supervisor).
 //
@@ -39,8 +39,8 @@ const (
 	// Resume keeps the actor's state and mailbox and continues with the
 	// next message.
 	Resume Directive = iota
-	// Restart swaps in a fresh behavior (via the spawn Factory, when one
-	// was given) after an exponential backoff; the mailbox is preserved.
+	// Restart runs the PreRestart hook and resumes the same behavior
+	// after an exponential backoff; the mailbox is preserved.
 	Restart
 	// Stop terminates the actor: the PostStop hook runs, and queued plus
 	// future messages become dead letters.
@@ -118,11 +118,6 @@ type SpawnOpts struct {
 	Supervisor *Ref
 	// Strategy decides failure directives; nil means DefaultStrategy.
 	Strategy Strategy
-	// Factory recreates the behavior on Restart. Nil reuses the existing
-	// Receiver value, which is only sound for stateless behaviors.
-	Factory func() Receiver
-	// Backoff overrides the base restart delay; 0 means DefaultBackoff.
-	Backoff time.Duration
 }
 
 // supCell is the per-actor fault-domain configuration. It is immutable
@@ -131,13 +126,11 @@ type SpawnOpts struct {
 type supCell struct {
 	supervisor *Ref
 	strategy   Strategy
-	factory    func() Receiver
-	backoff    time.Duration
 }
 
-// PreRestarter is implemented by behaviors that want a hook before being
-// replaced on Restart (flush partial state, log the failure). It runs
-// under the actor's slot; a panic inside the hook is swallowed.
+// PreRestarter is implemented by behaviors that want a hook before they
+// resume on Restart (reset partial state, log the failure). It runs under
+// the actor's slot; a panic inside the hook is swallowed.
 type PreRestarter interface{ PreRestart(err any) }
 
 // PostStopper is implemented by behaviors that want a cleanup hook when
@@ -170,13 +163,6 @@ func (r *Ref) strategyFor() Strategy {
 		return r.sup.strategy
 	}
 	return DefaultStrategy
-}
-
-func (r *Ref) baseBackoff() time.Duration {
-	if r.sup != nil && r.sup.backoff > 0 {
-		return r.sup.backoff
-	}
-	return DefaultBackoff
 }
 
 // Supervisor returns the actor's supervisor, or nil for a tree root.
@@ -215,7 +201,7 @@ func (r *Ref) fail(w *worker, err any) bool {
 	case Resume:
 		return false
 	case Restart:
-		r.restart(w, err)
+		r.restart(err)
 		return true
 	case Stop:
 		r.Stop()
@@ -226,21 +212,17 @@ func (r *Ref) fail(w *worker, err any) bool {
 	}
 }
 
-// restart swaps in a fresh behavior and suspends the actor for an
+// restart runs the PreRestart hook and suspends the actor for an
 // exponential backoff. The scheduling slot stays held (state remains
 // scheduled) for the whole suspension — producers keep enqueueing into the
 // preserved mailbox without double-scheduling — and the timer re-injects
 // the actor when the backoff elapses.
-func (r *Ref) restart(w *worker, err any) {
+func (r *Ref) restart(err any) {
 	r.restarts++
 	if h, ok := r.behavior().(PreRestarter); ok {
 		runHook(func() { h.PreRestart(err) })
 	}
-	if r.sup != nil && r.sup.factory != nil {
-		w.local.IncObject() // the replacement behavior
-		r.setBehavior(r.sup.factory())
-	}
-	d := r.baseBackoff()
+	d := DefaultBackoff
 	for i := int32(1); i < r.restarts && d < maxBackoff; i++ {
 		d <<= 1
 	}

@@ -76,7 +76,6 @@ func TestRestartPreservesMailbox(t *testing.T) {
 	b := &boomBehavior{}
 	a := spawnWith(sys, "b", b, SpawnOpts{
 		Strategy: OneForOne{MaxRestarts: -1},
-		Backoff:  100 * time.Microsecond,
 	})
 	a.Tell("die")
 	const n = 50
@@ -95,41 +94,9 @@ func TestRestartPreservesMailbox(t *testing.T) {
 	}
 }
 
-func TestRestartFactorySwapsBehavior(t *testing.T) {
-	// With a Factory, Restart installs a fresh Receiver; without one the
-	// old value is reused. The factory-built generation is observable.
-	sys := NewSystem(2)
-	defer sys.Shutdown()
-
-	var gen atomic.Int64
-	var lastGen atomic.Int64
-	mk := func() Receiver {
-		g := gen.Add(1)
-		return ReceiverFunc(func(ctx *Context, msg any) {
-			if msg == "die" {
-				panic("die")
-			}
-			lastGen.Store(g)
-		})
-	}
-	a := spawnWith(sys, "g", mk(), SpawnOpts{
-		Strategy: OneForOne{MaxRestarts: -1},
-		Factory:  mk,
-		Backoff:  100 * time.Microsecond,
-	})
-	a.Tell("die")
-	a.Tell("probe")
-	sys.AwaitQuiescence()
-	// The factory ran once for the initial behavior (generation 1) and once
-	// on restart, so generation 2 must handle the probe.
-	if lastGen.Load() != 2 {
-		t.Errorf("probe handled by generation %d, want 2", lastGen.Load())
-	}
-}
-
 func TestResumeKeepsStateAcrossFault(t *testing.T) {
 	// Resume drops the failing message but keeps behavior state: the
-	// counter is NOT reset, unlike Restart-with-factory.
+	// counter is NOT reset.
 	sys := NewSystem(2)
 	defer sys.Shutdown()
 
@@ -163,7 +130,6 @@ func TestRestartLadderOverflowStopsAndDeadLetters(t *testing.T) {
 	b := &boomBehavior{}
 	a := spawnWith(sys, "doomed", b, SpawnOpts{
 		Strategy: OneForOne{MaxRestarts: 2, Overflow: Stop},
-		Backoff:  100 * time.Microsecond,
 	})
 	// Three failures: restarts at 0 and 1, overflow at 2.
 	a.Tell("a")
@@ -256,15 +222,14 @@ func TestQuiescenceWaitsForEscalation(t *testing.T) {
 
 func TestEscalationRestartsSupervisor(t *testing.T) {
 	// A supervisor whose own strategy says Restart treats an escalated
-	// child failure like its own: it restarts (fresh behavior via factory)
-	// and keeps serving its mailbox.
+	// child failure like its own: it restarts and keeps serving its
+	// mailbox.
 	sys := NewSystem(2)
 	defer sys.Shutdown()
 
 	sup := &boomBehavior{}
 	top := spawnWith(sys, "sup", sup, SpawnOpts{
 		Strategy: OneForOne{MaxRestarts: -1},
-		Backoff:  100 * time.Microsecond,
 	})
 	child := spawnWith(sys, "child", ReceiverFunc(func(ctx *Context, msg any) {
 		panic("child failure")
@@ -305,7 +270,6 @@ func TestBackoffRestartQuiesceRace(t *testing.T) {
 			delivered.Add(1)
 		}), SpawnOpts{
 			Strategy: OneForOne{MaxRestarts: -1},
-			Backoff:  50 * time.Microsecond,
 		})
 	}
 	var wg sync.WaitGroup

@@ -97,7 +97,7 @@ func (w *uctWorkload) RunIteration() error {
 			// Children join their parent's fault domain: a panicking node
 			// (e.g. chaos-injected) restarts with its mailbox intact
 			// instead of stopping the whole tree computation; the behavior
-			// is stateless, so restart needs no factory.
+			// is stateless, so restart resumes it as it is.
 			child := ctx.SpawnWith("uct", behavior, actors.SpawnOpts{
 				Supervisor: ctx.Self(),
 				Strategy:   strategy,

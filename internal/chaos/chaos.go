@@ -1,13 +1,13 @@
 // Package chaos is the process-wide fault-injection engine: a seeded,
 // rate-configurable registry of named injection points compiled into the
-// concurrency substrates (actor mailbox delivery, fork-join chunk claiming
+// harness and the concurrency substrates — core.iteration (a panic before
+// a benchmark iteration), actor mailbox delivery, fork-join chunk claiming
 // and deque stealing, the RDD engine's partition tasks, recomputes, and
-// shuffle exchange — rdd.task, rdd.recompute, rdd.shuffle — netstack reads
-// and writes, STM commits). It generalizes the harness-level core.FaultInjector — which
-// injects faults between benchmark iterations — down to the substrate
-// level, so the fault *domains* built into each substrate (supervision,
-// TaskError propagation, retry policies) are exercised under
-// deterministic, reproducible schedules.
+// shuffle exchange (rdd.task, rdd.recompute, rdd.shuffle), netstack reads
+// and writes, STM commits — so the fault *domains* built into each layer
+// (the harness's panic isolation and run retries, supervision, TaskError
+// propagation, lineage recompute) are exercised under deterministic,
+// reproducible schedules.
 //
 // Design constraints:
 //
@@ -135,7 +135,8 @@ func nameHash(name string) uint64 {
 // Mix64 is the splitmix64 finalizer, the decision mixer: full-avalanche,
 // so consecutive trial indices produce uncorrelated decisions. It is
 // exported as the one stateless mixer behind every seeded stream in the
-// repository (chaos decisions, retry jitter).
+// substrates (chaos decisions, backoff jitter, the work-stealing
+// schedulers' victim choice).
 func Mix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -170,8 +171,8 @@ func Maybe(name string) bool {
 // half-jittered — uniform in [d/2, d] as a pure function of (seed, nonce,
 // n) — so synchronized retriers spread out instead of retrying in
 // lockstep, and a pinned seed reproduces the exact schedule. It is the
-// one backoff shared by the netstack client's RetryPolicy and the
-// fork-join job's chunk retries.
+// one jittered backoff shared by the fork-join job's chunk retries and the
+// STM's conflict aborts.
 func Backoff(base, max time.Duration, n int, seed int64, nonce uint64) time.Duration {
 	d := base
 	for i := 1; i < n && d < max; i++ {
@@ -206,7 +207,7 @@ func Fail(name string) error {
 }
 
 // InjectedError is the typed error produced by firing injection points, so
-// failure-handling layers (retry classification, TaskError causes) can
+// failure-handling layers (TaskError causes, the harness's panic value) can
 // distinguish injected faults from organic ones.
 type InjectedError struct {
 	Point string

@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 // collect records the decision stream of one point over n trials starting
@@ -159,5 +160,40 @@ func TestConfigureResetsCounters(t *testing.T) {
 	defer Disable()
 	if FireCount("reset.point") != 0 {
 		t.Errorf("FireCount = %d after reconfigure, want 0", FireCount("reset.point"))
+	}
+}
+
+// Backoff is bounded and deterministic: doubling stops at the cap, every
+// delay lies in the upper half [d/2, d] of its window, a pinned (seed,
+// nonce) reproduces the exact schedule, and another seed or nonce
+// decorrelates it.
+func TestBackoffBoundedSchedule(t *testing.T) {
+	const base, max = 10 * time.Millisecond, 80 * time.Millisecond
+	window := func(n int) time.Duration {
+		d := base
+		for i := 1; i < n && d < max; i++ {
+			d *= 2
+		}
+		return min(d, max)
+	}
+	for n := 1; n <= 10; n++ {
+		d := Backoff(base, max, n, 1, 42)
+		if w := window(n); d < w/2 || d > w {
+			t.Errorf("Backoff(n=%d) = %v outside [%v, %v]", n, d, w/2, w)
+		}
+		if again := Backoff(base, max, n, 1, 42); again != d {
+			t.Errorf("Backoff(n=%d) not deterministic: %v vs %v", n, d, again)
+		}
+	}
+	differs := false
+	for n := 1; n <= 10; n++ {
+		d := Backoff(base, max, n, 1, 42)
+		if d != Backoff(base, max, n, 2, 42) || d != Backoff(base, max, n, 1, 43) {
+			differs = true
+			break
+		}
+	}
+	if !differs {
+		t.Error("jitter identical across seeds and nonces")
 	}
 }

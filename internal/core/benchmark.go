@@ -106,10 +106,6 @@ type Spec struct {
 	// runner's TimeoutOverride takes precedence when set. A run exceeding
 	// its deadline is abandoned and reported with StatusTimeout.
 	Timeout time.Duration
-	// Retries is how many times a run ending in error, timeout, or panic
-	// is re-run from scratch before its last result stands. 0 means no
-	// retries; the runner's RetriesOverride takes precedence when > 0.
-	Retries int
 	// Setup builds the workload for the given configuration.
 	Setup func(cfg Config) (Workload, error)
 }
@@ -204,7 +200,6 @@ func (r *Registry) All() []*Spec {
 // IterationEvent describes one executed iteration, passed to plugins.
 type IterationEvent struct {
 	Benchmark string
-	Suite     string
 	Index     int  // iteration index within its phase
 	Warmup    bool // true during the warmup phase
 	Duration  time.Duration
@@ -218,16 +213,6 @@ type Plugin interface {
 	BeforeBenchmark(spec *Spec)
 	AfterIteration(ev IterationEvent)
 	AfterBenchmark(spec *Spec, res *Result)
-}
-
-// Interceptor is optionally implemented by plugins that act before an
-// iteration runs. The event carries the iteration's identity (Duration and
-// Err are zero). A returned error is treated as the iteration's error; a
-// panic is recovered by the runner like a workload panic. This is the hook
-// the FaultInjector uses to make failure handling deterministically
-// testable.
-type Interceptor interface {
-	BeforeIteration(ev IterationEvent) error
 }
 
 // Base is a no-op Plugin for embedding.

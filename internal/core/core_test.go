@@ -168,25 +168,36 @@ func TestRunnerErrorPaths(t *testing.T) {
 		t.Errorf("setup error not propagated: err=%v res.Err=%q", err, res.Err)
 	}
 
-	// Warmup failure.
+	// Warmup failure: nothing after it runs, and no profile is taken.
 	w1 := &countingWorkload{failAt: 1}
 	s1 := testSpec("failwarm", w1)
-	if _, err := r.Run(&s1); err == nil {
-		t.Error("want warmup error")
+	res1, err := r.Run(&s1)
+	if err == nil || res1.Status != StatusError {
+		t.Errorf("warmup failure: status=%q err=%v", res1.Status, err)
+	}
+	if w1.runs != 1 {
+		t.Errorf("workload ran %d times past a warmup failure, want 1", w1.runs)
+	}
+	if res1.Profile != nil {
+		t.Error("no profile expected for a warmup failure")
 	}
 	if !w1.closed {
 		t.Error("failed workload not closed")
 	}
 
-	// Steady-state failure.
+	// Steady-state failure: the profile and the iterations measured
+	// before it are kept.
 	w2 := &countingWorkload{failAt: 4} // 2 warmup + 2nd measured
 	s2 := testSpec("failsteady", w2)
 	res2, err := r.Run(&s2)
-	if err == nil {
-		t.Error("want steady-state error")
+	if err == nil || res2.Status != StatusError || !strings.Contains(res2.Err, "boom") {
+		t.Errorf("steady-state failure: status=%q err=%v", res2.Status, err)
 	}
 	if res2.Profile == nil {
 		t.Error("profile should be captured even on failure")
+	}
+	if len(res2.Durations) != 1 {
+		t.Errorf("durations before the failure = %d, want 1", len(res2.Durations))
 	}
 }
 

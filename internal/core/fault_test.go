@@ -3,8 +3,11 @@ package core
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"renaissance/internal/chaos"
 )
 
 // --- panic isolation ---
@@ -179,102 +182,51 @@ func TestRunAllContinuesPastFailures(t *testing.T) {
 	}
 }
 
-// --- FaultInjector-driven error paths ---
+// --- the harness's chaos point ---
 
-func TestFaultInjectorErrorMidSteadyState(t *testing.T) {
-	w := &countingWorkload{}
-	spec := testSpec("inj-err", w)
-	fi := NewFaultInjector(Fault{Benchmark: "inj-err", Iteration: 1, Err: errors.New("disk on fire")})
-	r := NewRunner()
-	r.Use(fi)
-	res, err := r.Run(&spec)
-	if err == nil || res.Status != StatusError {
-		t.Fatalf("status=%q err=%v", res.Status, err)
-	}
-	if !strings.Contains(res.Err, "disk on fire") {
-		t.Errorf("res.Err = %q", res.Err)
-	}
-	if res.Profile == nil {
-		t.Error("profile should be attached on mid-steady-state failure")
-	}
-	if len(res.Durations) != 1 {
-		t.Errorf("durations before failure = %d, want 1", len(res.Durations))
-	}
-	if fi.Injected() != 1 {
-		t.Errorf("injected = %d, want 1", fi.Injected())
-	}
-}
+// disarmIteration turns core.iteration off after the first iteration, so
+// the point fires exactly once.
+type disarmIteration struct{ Base }
 
-func TestFaultInjectorWarmupError(t *testing.T) {
-	w := &countingWorkload{}
-	spec := testSpec("inj-warm", w)
-	r := NewRunner()
-	r.Use(NewFaultInjector(Fault{Iteration: 0, Warmup: true, Err: errors.New("cold start")}))
-	res, err := r.Run(&spec)
-	if err == nil || res.Status != StatusError {
-		t.Fatalf("status=%q err=%v", res.Status, err)
-	}
-	if res.Profile != nil {
-		t.Error("no profile expected for a warmup failure")
-	}
-	if w.runs != 0 {
-		t.Errorf("workload ran %d times past an injected warmup fault", w.runs)
-	}
-}
+func (disarmIteration) AfterIteration(IterationEvent) { chaos.SetRate("core.iteration", 0) }
 
-func TestFaultInjectorPanic(t *testing.T) {
-	spec := testSpec("inj-panic", &countingWorkload{})
-	r := NewRunner()
-	r.Use(NewFaultInjector(Fault{Iteration: -1, Panic: "injected chaos"}))
-	res, err := r.Run(&spec)
-	if err == nil || res.Status != StatusPanic {
-		t.Fatalf("status=%q err=%v", res.Status, err)
+// core.iteration fires inside the guarded, timed region of an iteration,
+// before the workload runs: the run ends as a workload panic would, with
+// the *chaos.InjectedError as the panic value, and Retries re-runs it.
+func TestChaosIterationPoint(t *testing.T) {
+	t.Cleanup(func() { chaos.Configure(0, 0) })
+	chaos.Configure(1, 0)
+	chaos.SetRate("core.iteration", 1)
+	spec := testSpec("chaos-panic", &countingWorkload{})
+	res, err := NewRunner().Run(&spec)
+	var pe *PanicError
+	if res.Status != StatusPanic || !errors.As(err, &pe) {
+		t.Fatalf("status=%q err=%v, want a recovered panic", res.Status, err)
 	}
-	if !strings.Contains(res.Err, "injected chaos") {
-		t.Errorf("res.Err = %q", res.Err)
+	if inj, ok := pe.Value.(*chaos.InjectedError); !ok || inj.Point != "core.iteration" {
+		t.Errorf("panic value = %v, want the core.iteration InjectedError", pe.Value)
 	}
-}
 
-func TestFaultInjectorDelayTriggersDeadline(t *testing.T) {
-	spec := testSpec("inj-slow", &countingWorkload{})
-	fi := NewFaultInjector(Fault{Delay: 10 * time.Second, Iteration: -1})
+	var runs atomic.Int32
+	spec = testSpec("chaos-retry", WorkloadFunc(func() error {
+		runs.Add(1)
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	}))
 	r := NewRunner()
-	r.Use(fi)
-	r.TimeoutOverride = 50 * time.Millisecond
-	res, err := r.Run(&spec)
-	if err == nil || res.Status != StatusTimeout {
-		t.Fatalf("status=%q err=%v", res.Status, err)
+	r.Retries = 1
+	r.Use(disarmIteration{})
+	res, err = r.Run(&spec)
+	if err != nil || res.Status != StatusOK || res.Attempts != 2 {
+		t.Fatalf("status=%q attempts=%d err=%v, want ok after one retry", res.Status, res.Attempts, err)
 	}
-}
-
-func TestFaultInjectorDelayCountsInDuration(t *testing.T) {
-	spec := testSpec("inj-delay", &countingWorkload{})
-	fi := NewFaultInjector(Fault{Delay: 20 * time.Millisecond, Iteration: 0})
-	r := NewRunner()
-	r.Use(fi)
-	res, err := r.Run(&spec)
-	if err != nil {
-		t.Fatal(err)
+	if runs.Load() != 5 {
+		t.Errorf("workload ran %d iterations, want 5: the fault fires before the body", runs.Load())
 	}
-	if res.Durations[0] < 15 {
-		t.Errorf("delayed iteration took %.2fms, want >= 20ms", res.Durations[0])
-	}
-}
-
-func TestFaultInjectorMatching(t *testing.T) {
-	fi := NewFaultInjector(
-		Fault{Suite: "other", Iteration: -1, Err: errors.New("wrong suite")},
-		Fault{Benchmark: "someone-else", Iteration: -1, Err: errors.New("wrong bench")})
-	w := &countingWorkload{}
-	spec := testSpec("untouched", w)
-	r := NewRunner()
-	r.Use(fi)
-	res, err := r.Run(&spec)
-	if err != nil || res.Status != StatusOK {
-		t.Fatalf("non-matching faults fired: status=%q err=%v", res.Status, err)
-	}
-	if fi.Injected() != 0 {
-		t.Errorf("injected = %d, want 0", fi.Injected())
+	for _, d := range res.Durations {
+		if d < 2 {
+			t.Errorf("iteration timed at %.2fms, want >= 2ms: the timed region covers the body", d)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // flaky fails its first n whole runs (every iteration of them), then runs
-// clean: the shape Spec.Retries exists for.
+// clean: the shape Runner.Retries exists for.
 type flaky struct {
 	failRuns  atomic.Int32
 	runStarts atomic.Int32
@@ -29,19 +29,26 @@ func (f *flaky) workload() WorkloadFunc {
 	}
 }
 
-func retrySpec(name string, w Workload, retries int) Spec {
+func retrySpec(name string, w Workload) Spec {
 	return Spec{
 		Name: name, Suite: "test", Description: "d",
-		Warmup: 1, Measured: 2, Retries: retries,
+		Warmup: 1, Measured: 2,
 		Setup: func(Config) (Workload, error) { return w, nil },
 	}
 }
 
-func TestSpecRetriesRecoverTransientFailure(t *testing.T) {
+// retryRunner returns a runner that re-runs a failed run up to n times.
+func retryRunner(n int) *Runner {
+	r := NewRunner()
+	r.Retries = n
+	return r
+}
+
+func TestRetriesRecoverTransientFailure(t *testing.T) {
 	f := &flaky{}
 	f.failRuns.Store(2)
-	spec := retrySpec("flaky", f.workload(), 3)
-	res, err := NewRunner().Run(&spec)
+	spec := retrySpec("flaky", f.workload())
+	res, err := retryRunner(3).Run(&spec)
 	if err != nil {
 		t.Fatalf("run with retries failed: %v", err)
 	}
@@ -53,11 +60,11 @@ func TestSpecRetriesRecoverTransientFailure(t *testing.T) {
 	}
 }
 
-func TestSpecRetriesExhaustedKeepsLastFailure(t *testing.T) {
+func TestRetriesExhaustedKeepsLastFailure(t *testing.T) {
 	spec := retrySpec("doomed", WorkloadFunc(func() error {
 		return errors.New("permanent failure")
-	}), 2)
-	res, err := NewRunner().Run(&spec)
+	}))
+	res, err := retryRunner(2).Run(&spec)
 	if err == nil {
 		t.Fatal("run returned nil error after exhausting retries")
 	}
@@ -69,28 +76,12 @@ func TestSpecRetriesExhaustedKeepsLastFailure(t *testing.T) {
 	}
 }
 
-func TestRetriesOverrideReplacesSpec(t *testing.T) {
-	// The spec says no retries; the runner override grants them.
-	f := &flaky{}
-	f.failRuns.Store(1)
-	spec := retrySpec("overridden", f.workload(), 0)
-	r := NewRunner()
-	r.RetriesOverride = 2
-	res, err := r.Run(&spec)
-	if err != nil || res.Status != StatusOK {
-		t.Fatalf("overridden run = (%q, %v), want ok", res.Status, err)
-	}
-	if res.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2", res.Attempts)
-	}
-}
-
 func TestNoRetriesByDefault(t *testing.T) {
 	var runs atomic.Int32
 	spec := retrySpec("once", WorkloadFunc(func() error {
 		runs.Add(1)
 		return errors.New("fails")
-	}), 0)
+	}))
 	res, _ := NewRunner().Run(&spec)
 	if res.Attempts != 1 {
 		t.Errorf("Attempts = %d, want 1 without retries", res.Attempts)
@@ -108,8 +99,8 @@ func TestRetriesCoverPanics(t *testing.T) {
 			panic("first attempt dies")
 		}
 		return nil
-	}), 1)
-	res, err := NewRunner().Run(&spec)
+	}))
+	res, err := retryRunner(1).Run(&spec)
 	if err != nil || res.Status != StatusOK {
 		t.Fatalf("retried panic run = (%q, %v), want ok", res.Status, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"renaissance/internal/chaos"
 	"renaissance/internal/metrics"
 	"renaissance/internal/stats"
 )
@@ -116,12 +117,10 @@ type Runner struct {
 	// exceeds its deadline is abandoned on its goroutine and reported with
 	// StatusTimeout instead of hanging the sweep.
 	TimeoutOverride time.Duration
-	// RetriesOverride replaces every spec's Retries when > 0 (matching the
-	// other overrides). A failed run — error, timeout, or panic — is
-	// re-run from scratch up to that many extra times; the first clean
-	// result wins, otherwise the last failure stands. Every result records
-	// its attempt count.
-	RetriesOverride int
+	// Retries is how many times a failed run — error, timeout, or panic —
+	// is re-run from scratch; the first clean result wins, otherwise the
+	// last failure stands. Every result records its attempt count.
+	Retries int
 }
 
 // NewRunner returns a Runner with the default configuration.
@@ -139,19 +138,15 @@ func (r *Runner) Use(ps ...Plugin) { r.Plugins = append(r.Plugins, ps...) }
 // result and the returned error; in every case the returned Result is
 // non-nil with its Status populated.
 //
-// A failing run is re-executed from scratch up to the spec's Retries (or
-// the runner's RetriesOverride): the first clean attempt's result is
-// returned, otherwise the last failure's. Result.Attempts records how many
-// attempts the returned result took.
+// A failing run is re-executed from scratch up to the runner's Retries:
+// the first clean attempt's result is returned, otherwise the last
+// failure's. Result.Attempts records how many attempts the returned result
+// took.
 func (r *Runner) Run(spec *Spec) (*Result, error) {
-	retries := spec.Retries
-	if r.RetriesOverride > 0 {
-		retries = r.RetriesOverride
-	}
 	for attempt := 1; ; attempt++ {
 		res, err := r.runOnce(spec)
 		res.Attempts = attempt
-		if res.Status == StatusOK || attempt > retries {
+		if res.Status == StatusOK || attempt > r.Retries {
 			return res, err
 		}
 	}
@@ -238,24 +233,15 @@ func (r *Runner) runSpec(spec *Spec) (*Result, error) {
 	runOne := func(i int, isWarmup bool) error {
 		start := time.Now()
 		err := guard(func() error {
-			for _, p := range r.Plugins {
-				if ic, ok := p.(Interceptor); ok {
-					ev := IterationEvent{
-						Benchmark: spec.Name, Suite: spec.Suite,
-						Index: i, Warmup: isWarmup,
-					}
-					if err := ic.BeforeIteration(ev); err != nil {
-						return err
-					}
-				}
+			// The harness-level injection point: a fault here takes the
+			// path a panicking workload takes, inside the timed region.
+			if chaos.Maybe("core.iteration") {
+				panic(&chaos.InjectedError{Point: "core.iteration"})
 			}
 			return w.RunIteration()
 		})
 		d := time.Since(start)
-		ev := IterationEvent{
-			Benchmark: spec.Name, Suite: spec.Suite,
-			Index: i, Warmup: isWarmup, Duration: d,
-		}
+		ev := IterationEvent{Benchmark: spec.Name, Index: i, Warmup: isWarmup, Duration: d}
 		for _, p := range r.Plugins {
 			p.AfterIteration(ev)
 		}

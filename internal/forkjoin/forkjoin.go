@@ -11,12 +11,12 @@
 package forkjoin
 
 import (
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
+	"renaissance/internal/chaos"
 	"renaissance/internal/metrics"
 )
 
@@ -82,7 +82,7 @@ type Pool struct {
 type Worker struct {
 	pool  *Pool
 	dq    Deque[Task]
-	rng   *rand.Rand
+	seq   uint64 // steal-start counter, distinct per worker
 	local metrics.Local
 }
 
@@ -99,7 +99,7 @@ func NewPool(n int) *Pool {
 	for i := 0; i < n; i++ {
 		w := &Worker{
 			pool:  p,
-			rng:   rand.New(rand.NewSource(int64(i)*7919 + 1)),
+			seq:   uint64(i) << 32,
 			local: metrics.AcquireAt(i),
 		}
 		p.workers = append(p.workers, w)
@@ -217,7 +217,8 @@ func (w *Worker) findTask() *Task {
 	default:
 	}
 	n := len(w.pool.workers)
-	start := w.rng.Intn(n)
+	w.seq++
+	start := int(chaos.Mix64(w.seq) % uint64(n))
 	for i := 0; i < n; i++ {
 		victim := w.pool.workers[(start+i)%n]
 		if victim == w {

@@ -15,8 +15,8 @@
 // Both endpoints have fault-tolerant teardown and deadline semantics: the
 // server tracks live connections and force-closes them when a graceful
 // drain exceeds its DrainTimeout, and the client supports per-call
-// deadlines plus retry-with-backoff over redialed connections for
-// transient dial/IO errors.
+// deadlines and discards a connection that failed a call, redialing it for
+// the next one. A failed call fails its future; the client does not retry.
 package netstack
 
 import (
@@ -57,7 +57,7 @@ type Service func(req []byte) *futures.Future[[]byte]
 // ErrRejected is returned by Client calls whose request the server's
 // admission control turned away: MaxPending requests were in flight and
 // the bounded accept queue in front of them (Server.MaxQueue) was full.
-// It is retryable: the request was never executed.
+// The request was never executed.
 var ErrRejected = errors.New("netstack: request rejected by admission control")
 
 // rejectPayload is the reserved response payload announcing that
@@ -359,70 +359,6 @@ func (s *Server) Close() error {
 	}
 }
 
-// DefaultMaxBackoff caps the exponential retry backoff when
-// RetryPolicy.MaxBackoff is unset. Without a cap the doubling schedule
-// reaches multi-second sleeps after a handful of transient failures.
-const DefaultMaxBackoff = 250 * time.Millisecond
-
-// RetryPolicy configures the client's handling of transient dial and IO
-// errors: a failed round trip closes the bad connection and is retried on
-// a freshly dialed one, sleeping an exponentially growing, capped,
-// jittered backoff between attempts.
-type RetryPolicy struct {
-	// Max is the number of retries after the first attempt; 0 disables
-	// retrying.
-	Max int
-	// Backoff is the base sleep before the first retry (doubled each
-	// further retry). Defaults to 10ms when retries are enabled and
-	// Backoff is 0.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling; 0 means DefaultMaxBackoff.
-	MaxBackoff time.Duration
-	// Seed feeds the deterministic jitter stream. Clients sharing a seed
-	// still decorrelate per call, but a pinned seed makes the whole
-	// schedule reproducible in tests. 0 is a valid seed.
-	Seed int64
-}
-
-// delay returns the sleep before retry n (n ≥ 1) of the call identified by
-// nonce: chaos.Backoff over the policy's base and cap (defaulted when
-// unset), jittered from the policy's Seed.
-func (p RetryPolicy) delay(n int, nonce uint64) time.Duration {
-	d := p.Backoff
-	if d <= 0 {
-		d = 10 * time.Millisecond
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = DefaultMaxBackoff
-	}
-	return chaos.Backoff(d, max, n, p.Seed, nonce)
-}
-
-// Retryable classifies a Client call error: true means transient — worth
-// a backoff and another attempt (rejected requests, IO and dial failures,
-// injected faults) — false means retrying cannot help (closed client,
-// application-level failures), so callers should fail fast. The client's
-// own retry loop consults it, stopping early on a non-retryable error
-// however many retries the policy allows.
-func Retryable(err error) bool {
-	if err == nil || errors.Is(err, ErrClosed) {
-		return false
-	}
-	if errors.Is(err, ErrRejected) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) || errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.ErrClosedPipe) {
-		return true
-	}
-	var inj *chaos.InjectedError
-	return errors.As(err, &inj)
-}
-
 // poolConn is one pool slot. Exactly poolSize tokens circulate through the
 // pool channel, so a slot whose connection died (conn == nil) is redialed
 // lazily by the next caller instead of shrinking the pool.
@@ -446,18 +382,13 @@ type Client struct {
 	// Timeout bounds each round trip (frame write + response read) when
 	// > 0; a timed-out connection is discarded and redialed.
 	Timeout time.Duration
-	// Retry configures retry-with-backoff for transient dial/IO errors.
-	// Only errors Retryable reports true for are retried; the rest fail
-	// fast whatever Max allows.
-	Retry RetryPolicy
 	// Rejected counts the responses the server answered with the
-	// admission-control rejection marker, per attempt.
+	// admission-control rejection marker.
 	Rejected atomic.Int64
 
-	closed  atomic.Bool
-	callSeq atomic.Uint64 // per-call nonce feeding the jitter stream
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
+	closed atomic.Bool
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
 }
 
 // Dial creates a client with the given connection-pool size.
@@ -544,9 +475,10 @@ func (c *Client) discard(pc *poolConn) {
 
 // Call sends the request and returns a future of the response. The request
 // runs on its own goroutine; ordering across concurrent calls is not
-// defined, matching asynchronous RPC clients. Transient dial/IO errors are
-// retried per the client's RetryPolicy; each attempt is bounded by the
-// client's Timeout.
+// defined, matching asynchronous RPC clients. The round trip is bounded by
+// the client's Timeout; a dial or IO error fails the future and discards
+// the connection, and a request admission control turned away fails it
+// with ErrRejected.
 func (c *Client) Call(req []byte) *futures.Future[[]byte] {
 	p := futures.NewPromise[[]byte]()
 	if c.closed.Load() {
@@ -554,47 +486,28 @@ func (c *Client) Call(req []byte) *futures.Future[[]byte] {
 		return p.Future()
 	}
 	go func() {
-		attempts := 1 + c.Retry.Max
-		nonce := c.callSeq.Add(1)
-		var lastErr error
-		for attempt := 0; attempt < attempts; attempt++ {
-			if attempt > 0 {
-				time.Sleep(c.Retry.delay(attempt, nonce))
-			}
-			pc, err := c.acquire()
-			if err == ErrClosed {
-				_ = p.Failure(ErrClosed)
-				return
-			}
-			if err != nil {
-				lastErr = err // transient dial error; back off and retry
-				continue
-			}
-			resp, err := c.roundTrip(pc, req)
-			if err == nil && bytes.Equal(resp, rejectPayload) {
-				// Admission control turned the request away. The
-				// connection is healthy and the server answered, so keep
-				// the connection pooled, count the rejection, back off,
-				// and retry: a loaded server is not a dead one.
-				c.Rejected.Add(1)
-				c.release(pc)
-				lastErr = ErrRejected
-				continue
-			}
-			if err == nil {
-				// Return the connection before completing so dependent
-				// calls in the continuation can acquire it.
-				c.release(pc)
-				_ = p.Success(resp)
-				return
-			}
-			lastErr = err
-			c.discard(pc)
-			if c.closed.Load() || !Retryable(err) {
-				break
-			}
+		pc, err := c.acquire()
+		if err != nil {
+			_ = p.Failure(err)
+			return
 		}
-		_ = p.Failure(lastErr)
+		resp, err := c.roundTrip(pc, req)
+		switch {
+		case err != nil:
+			c.discard(pc)
+			_ = p.Failure(err)
+		case bytes.Equal(resp, rejectPayload):
+			// The server answered, so the connection is healthy and
+			// stays pooled.
+			c.Rejected.Add(1)
+			c.release(pc)
+			_ = p.Failure(ErrRejected)
+		default:
+			// Return the connection before completing so dependent
+			// calls in the continuation can acquire it.
+			c.release(pc)
+			_ = p.Success(resp)
+		}
 	}()
 	return p.Future()
 }

@@ -93,8 +93,11 @@ const (
 	// backoffSpinAborts conflict aborts are absorbed with a bare yield
 	// before the exponential sleep backoff engages.
 	backoffSpinAborts = 2
-	// backoffMaxShift caps the backoff window at 2^backoffMaxShift µs.
-	backoffMaxShift = 7
+	// backoffBase is the first backoff window, doubled per further abort
+	// up to backoffMax; the sleep is drawn uniformly from the window's
+	// upper half.
+	backoffBase = 2 * time.Microsecond
+	backoffMax  = 128 * time.Microsecond
 )
 
 // A Ref is a transactional memory cell. The zero value is not usable;
@@ -192,7 +195,7 @@ type Tx struct {
 	// counts holds the transaction's metric events until release (or a
 	// blocking call) flushes them to the recorder.
 	counts metrics.Batch
-	rng    uint64
+	id     uint64 // the backoff jitter's nonce
 	// Aborts counts how many times this transaction body was restarted.
 	Aborts int
 	// Extensions counts successful TL2 timestamp extensions: reads that
@@ -363,16 +366,9 @@ func (tx *Tx) onConflict() {
 		runtime.Gosched()
 		return
 	}
-	shift := tx.Aborts - backoffSpinAborts
-	if shift > backoffMaxShift {
-		shift = backoffMaxShift
-	}
-	window := uint64(1) << uint(shift) // µs
-	tx.rng = tx.rng*6364136223846793005 + 1442695040888963407
-	jitter := (tx.rng >> 33) % (window/2 + 1)
 	tx.counts.IncPark()
 	tx.counts.Flush()
-	time.Sleep(time.Duration(window/2+jitter) * time.Microsecond)
+	time.Sleep(chaos.Backoff(backoffBase, backoffMax, tx.Aborts-backoffSpinAborts, chaos.Seed(), tx.id))
 }
 
 type attemptOutcome int

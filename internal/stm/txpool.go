@@ -17,12 +17,12 @@ import (
 // maxPooledSet caps the vector capacity a pooled Tx may retain.
 const maxPooledSet = 1 << 12
 
-// txSeq seeds each pooled transaction's jitter PRNG; distinct transactions
-// draw distinct, deterministic backoff streams.
+// txSeq numbers the pooled transactions; distinct transactions draw
+// distinct, deterministic backoff jitter.
 var txSeq atomic.Uint64
 
 var txPool = sync.Pool{New: func() any {
-	return &Tx{rng: txSeq.Add(1)*0x9E3779B97F4A7C15 | 1}
+	return &Tx{id: txSeq.Add(1)}
 }}
 
 // acquireTx readies a pooled transaction for a new Atomically call.

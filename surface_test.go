@@ -24,8 +24,12 @@ import (
 // example, an rbench probe), or be a method some interface can dispatch
 // to (surfaceDispatch); every struct field, package-level variable and
 // constant declared there must be read by a non-test file (surfaceData:
-// state that is only ever written carries no traffic); or the declaration
-// is listed in surfaceAllow with the reason it stays.
+// state that is only ever written carries no traffic); every field that
+// can hold a setting (a basic or func value, or a module struct made only
+// of those) and that a non-test file reads must also be written by one
+// (a setting only tests turn has one value in use, and wants to be a
+// constant); or the declaration is listed in surfaceAllow with the reason
+// it stays.
 //
 // What the data half cannot see is state whose only readers are its own
 // upkeep: a map that is looked up only to decide how to insert into it
@@ -47,8 +51,9 @@ var surfaceStdIfaces = []string{"fmt", "sort", "container/heap", "flag", "io", "
 // against; it is the control or observation point of a fault domain that
 // a retained adversarial or regression test cannot do without; or it is a
 // field that leaves the program only through encoding/json, encoding/xml
-// or a %v verb, which read it by reflection. An entry that gains a caller
-// or reader, or whose declaration is gone, fails the test so the list
+// or a %v verb, which read (or, decoding, write) it by reflection. An
+// entry that gains a caller, a reader or, for a setting, both a reader and
+// a writer, or whose declaration is gone, fails the test so the list
 // cannot rot.
 var surfaceReasons = []string{"reference: ", "fault domain: ", "serialised: "}
 
@@ -61,14 +66,13 @@ var surfaceAllow = map[string]string{
 	"rdd.newMatrix":         "reference: the seed kernels' slice-of-slices matrix",
 	"rdd.randomVector":      "reference: the seed ALS's factor initialisation",
 
-	"forkjoin.Task.Err":           "fault domain: how a submitter observes a task's panic without re-raising it",
-	"rdd.RDD.ShuffleEpochs":       "fault domain: the recovery tests' observation point for exchange retries",
-	"graphdb.Tx.Rollback":         "fault domain: abandons a transaction's staged writes",
-	"chaos.SetRate":               "fault domain: how the rdd recovery and stm adversarial suites drive one injection point at rate 1 while the rest stay quiet",
-	"chaos.Disable":               "fault domain: how those suites disarm the engine again so later tests run clean",
-	"chaos.FireCount":             "fault domain: how those suites observe that their one point fired",
-	"actors.System.RootFailures":  "fault domain: TestQuiescenceWaitsForEscalation observes the top of a supervision tree through it",
-	"core.FaultInjector.Injected": "fault domain: how the harness fault tests observe that an armed fault fired, or did not",
+	"forkjoin.Task.Err":          "fault domain: how a submitter observes a task's panic without re-raising it",
+	"rdd.RDD.ShuffleEpochs":      "fault domain: the recovery tests' observation point for exchange retries",
+	"graphdb.Tx.Rollback":        "fault domain: abandons a transaction's staged writes",
+	"chaos.SetRate":              "fault domain: how the rdd recovery and stm adversarial suites and core's harness-point test drive one injection point at rate 1 while the rest stay quiet",
+	"chaos.Disable":              "fault domain: how those suites disarm the engine again so later tests run clean",
+	"chaos.FireCount":            "fault domain: how those suites observe that their one point fired",
+	"actors.System.RootFailures": "fault domain: TestQuiescenceWaitsForEscalation observes the top of a supervision tree through it",
 
 	"graphdb.MatchRow.RelType": "reference: the differential suite compares Match's rows, relationship type included, against the map-and-sort oracle",
 	"pca.Result.Eigenvalues":   "reference: the decomposition is checked against closed-form eigenvalues (1±r, trace = K) through it",
@@ -78,12 +82,19 @@ var surfaceAllow = map[string]string{
 
 	"actors.System.Steals":     "fault domain: TestStealAcrossWorkers observes that work does not stay pinned to one worker",
 	"netstack.Server.Rejected": "fault domain: the admission tests observe the server's overload verdicts through it",
-	"netstack.Client.Rejected": "fault domain: the admission and retry tests observe rejected attempts, retried or not",
+	"netstack.Client.Rejected": "fault domain: the admission tests observe the calls admission control turned away through it",
 	"forkjoin.TaskError.Stack": "fault domain: the stack captured where a task panicked, kept for whoever handles the error",
 	"futures.PanicError.Stack": "fault domain: the stack captured where a stage panicked, kept for whoever handles the error",
 	"graphdb.Graph.Commits":    "fault domain: how the rollback and concurrent-writer tests observe which transactions committed",
 	"graphdb.edge.Props":       "fault domain: TestPropsSnapshotAtStage observes that a staged relationship is isolated from later caller writes",
 	"stm.Tx.Extensions":        "fault domain: the timestamp-extension tests observe that a read revalidated instead of aborting",
+
+	"netstack.Server.DrainTimeout":   "fault domain: TestServerCloseWedgedService shrinks the drain deadline so a wedged handler trips it in milliseconds",
+	"netstack.Client.Timeout":        "fault domain: TestClientPerCallDeadline sets the per-call deadline a silent service must trip",
+	"loadgen.Options.MaxOutstanding": "fault domain: TestMaxOutstandingDropsAreCounted shrinks the outstanding-request valve until a wedged target makes it drop",
+	"rvm.Interp.Fuel":                "fault domain: TestFuelExhaustion and the tier differential fuzzers give a runaway loop a budget small enough to exhaust",
+	"rvm.Interp.MaxDepth":            "fault domain: FuzzCompile lowers the call-depth limit so its runaway-recursion seeds trap quickly on both tiers",
+	"ir.Exec.Fuel":                   "fault domain: TestExecFuel and FuzzVerify give the IR executor a fuel budget small enough to exhaust",
 
 	"core.Result.Benchmark":         "serialised: WriteJSON",
 	"core.Result.Suite":             "serialised: WriteJSON",
@@ -99,6 +110,7 @@ var surfaceAllow = map[string]string{
 	"classic.record.Children":       "serialised: the serial workload's JSON round trip",
 	"classic.xmlDoc.XMLName":        "serialised: names the xml workloads' root element",
 	"classic.xmlItem.Name":          "serialised: the xml workloads' round trip (xml.transform checks it survived)",
+	"classic.xmlItem.ID":            "serialised: encoding/xml writes it by reflection when the xml workloads decode",
 	"fn.boundRecord.Name":           "serialised: scalaxb's binding-failure message prints the record with %+v",
 }
 
@@ -222,19 +234,50 @@ func (l *surfaceLoader) surfaceDispatch() ([]*types.Func, error) {
 // surfaceDatum is one struct field, package-level variable or constant
 // declared under internal/.
 type surfaceDatum struct {
-	name string // the allowlist key: pkg.Var, pkg.Const or pkg.Type.field
-	pos  token.Pos
-	read bool
+	name    string // the allowlist key: pkg.Var, pkg.Const or pkg.Type.field
+	pos     token.Pos
+	read    bool
+	setting bool // a field of a type settingType accepts
+	written bool
+}
+
+// settingType reports whether a field of type t holds a setting: a basic
+// or func value, or a module struct whose fields are all of those. Arrays,
+// maps, slices, pointers, interfaces and the sync types change through
+// their elements or methods, so whether they are written is not visible
+// in the syntax the guard reads.
+func settingType(t types.Type, nested bool) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic, *types.Signature:
+		return true
+	case *types.Struct:
+		if n, ok := t.(*types.Named); ok && !strings.HasPrefix(n.Obj().Pkg().Path(), surfaceModule+"/") {
+			return false // time.Time, sync.Mutex, atomic.Int64: changed through methods
+		}
+		if nested || u.NumFields() == 0 {
+			return false
+		}
+		for i := range u.NumFields() {
+			if !settingType(u.Field(i).Type(), true) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // surfaceData lists the data declared under internal/ and marks what some
-// non-test file reads. A use of the name is a write when it is the target
-// of an assignment (plain, op= or ++/--), a composite-literal key, or the
-// receiver of an atomic Add or Store whose result is discarded; every
-// other use is a read, and so is a comparison: the fields of a struct that
-// is a map's key type or an operand of == or != are read by it. Embedded
-// fields are not listed: what they promote is behaviour, which the
-// function half of the guard sees.
+// non-test file reads, and which fields some non-test file writes. A use
+// of the name is a write when it is the target of an assignment (plain,
+// op= or ++/--), a composite-literal key, or the receiver of an atomic Add
+// or Store whose result is discarded; every other use is a read, and so is
+// a comparison: the fields of a struct that is a map's key type or an
+// operand of == or != are read by it. A field is written by an assignment
+// to it or through it (x.F.G = v writes F and G), by a composite literal,
+// keyed or positional, or by an atomic Add or Store. Embedded fields are
+// not listed: what they promote is behaviour, which the function half of
+// the guard sees.
 func (l *surfaceLoader) surfaceData() []*surfaceDatum {
 	var data []*surfaceDatum
 	byObj := map[types.Object]*surfaceDatum{}
@@ -244,6 +287,9 @@ func (l *surfaceLoader) surfaceData() []*surfaceDatum {
 			return
 		}
 		d := &surfaceDatum{name: obj.Pkg().Name() + "." + prefix + id.Name, pos: id.Pos()}
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			d.setting = settingType(v.Type(), false)
+		}
 		byObj[obj] = d
 		data = append(data, d)
 	}
@@ -281,12 +327,32 @@ func (l *surfaceLoader) surfaceData() []*surfaceDatum {
 		}
 	}
 	writes := map[*ast.Ident]bool{}
+	written := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok {
+			obj = v.Origin()
+		}
+		if d := byObj[obj]; d != nil {
+			d.written = true
+		}
+	}
 	target := func(e ast.Expr) {
 		switch e := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			writes[e] = true
 		case *ast.SelectorExpr:
 			writes[e.Sel] = true
+		}
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				written(l.info.Uses[x.Sel])
+				e = x.X
+				continue
+			case *ast.StarExpr:
+				e = x.X
+				continue
+			}
+			break
 		}
 	}
 	for _, file := range l.files {
@@ -316,10 +382,21 @@ func (l *surfaceLoader) surfaceData() []*surfaceDatum {
 				if n.Op == token.EQL || n.Op == token.NEQ {
 					compared(l.info.TypeOf(n.X))
 				}
+			case *ast.CompositeLit:
+				st, ok := l.info.TypeOf(n).Underlying().(*types.Struct)
+				if !ok || len(n.Elts) == 0 {
+					break
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+					for i := range st.NumFields() {
+						written(st.Field(i))
+					}
+				}
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {
 					if v, ok := l.info.Uses[id].(*types.Var); ok && v.IsField() {
 						writes[id] = true
+						written(v)
 					}
 				}
 			case *ast.ExprStmt:
@@ -457,9 +534,21 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 		}
 	}
 	for _, d := range l.surfaceData() {
-		if !allow(d.name, d.read, "reader") && !d.read {
-			findings = append(findings, fmt.Sprintf("%s (%s): no non-test reader",
-				d.name, l.fset.Position(d.pos)))
+		switch {
+		case !d.read:
+			if !allow(d.name, false, "") {
+				findings = append(findings, fmt.Sprintf("%s (%s): no non-test reader",
+					d.name, l.fset.Position(d.pos)))
+			}
+		case d.setting && !d.written:
+			if !allow(d.name, false, "") {
+				findings = append(findings, fmt.Sprintf("%s (%s): no non-test writer: a setting only tests turn",
+					d.name, l.fset.Position(d.pos)))
+			}
+		case d.setting:
+			allow(d.name, true, "reader and writer")
+		default:
+			allow(d.name, true, "reader")
 		}
 	}
 	for name := range surfaceAllow {

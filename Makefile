@@ -1,7 +1,8 @@
 # Build/verify entry points. `make check` is the gate every change must
-# pass: vet, build, the full test suite, and the race detector over the
+# pass: gofmt, vet, build, the full test suite, the race detector over the
 # packages with lock-free and sharded concurrent code (metrics, forkjoin,
-# stm), which ordinary `go test` does not exercise under -race.
+# stm), which ordinary `go test` does not exercise under -race, and the
+# freshness of the CK tables committed in analysis_output.txt.
 # `make rbench` (benchmarks/run.sh) is the only target that produces a
 # performance number; there is no `go test -bench` target.
 
@@ -35,9 +36,15 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify'
 STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir
 
-.PHONY: check vet build test test-rbench race stress stress-fragments chaos smoke analyze rbench loc
+.PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh chaos smoke analyze rbench loc
 
-check: vet build test test-rbench race stress-fragments
+check: fmt vet build test test-rbench race stress-fragments ck-fresh
+
+# gofmt must list no file of the root module or of benchmarks/ (it only
+# reads them). The build directory .bench_build/ is left out.
+fmt:
+	@out=$$(find . -name '*.go' ! -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -118,6 +125,15 @@ smoke:
 
 analyze:
 	$(GO) run ./cmd/analyze all
+
+# The deterministic tail of analysis_output.txt — Tables 4, 5 and 8-11,
+# what `analyze ck` and `analyze classes` print — must match what the two
+# steps print now (both take under a second).
+ck-fresh:
+	@want=$$(mktemp); trap 'rm -f $$want' EXIT; \
+	{ $(GO) run ./cmd/analyze ck && $(GO) run ./cmd/analyze classes; } > $$want || exit 1; \
+	tail -n $$(wc -l < $$want) analysis_output.txt | diff -u - $$want || { \
+		echo "analysis_output.txt: its last lines differ from analyze ck + analyze classes; regenerate them"; exit 1; }
 
 # Go lines at the root module, non-test then test: the two numbers
 # ROADMAP item 3's deletion targets are read from, the same way on every PR.

@@ -8,8 +8,7 @@
 //	renaissance run [-suite name] [-bench name] [-size f] [-warmup n] [-measured n]
 //	                [-timeout d] [-retries n]
 //	                [-chaos.seed n] [-chaos.rate f] [-chaos.stats] [-json]
-//	                [-rdd.retries n]
-//	                [-rvm.tier auto|0|1] [-rvm.profile]
+//	                [-rvm.profile]
 //	                [-openloop.rate r] [-openloop.sweep r1,r2,...] [-openloop.duration d]
 //	renaissance metrics
 //
@@ -22,11 +21,10 @@
 //
 // -chaos.rate and -chaos.seed arm every chaos injection point, the
 // harness's own (core.iteration, a panic before a benchmark iteration,
-// which -retries re-runs) as well as the substrates'. The RDD engine
-// recovers from partition faults by lineage recompute: -rdd.retries bounds
-// the per-partition recompute budget, and -chaos.stats dumps each chaos
-// point's trial/fire counts after the run so a chaos sweep's coverage is
-// auditable.
+// which -retries re-runs) as well as the substrates'. The Spark kernels
+// recover from partition faults by recompute, up to three extra attempts
+// per partition, and -chaos.stats dumps each chaos point's trial/fire
+// counts after the run so a chaos sweep's coverage is auditable.
 //
 // Runs degrade gracefully: a benchmark that fails, panics, or exceeds its
 // deadline is recorded with its status and the sweep continues; the exit
@@ -49,7 +47,6 @@ import (
 	"renaissance/internal/core"
 	"renaissance/internal/loadgen"
 	"renaissance/internal/metrics"
-	"renaissance/internal/rdd"
 	"renaissance/internal/report"
 	"renaissance/internal/rvm"
 	"renaissance/internal/stats"
@@ -89,8 +86,7 @@ func usage() {
   renaissance run [-suite name] [-bench name] [-size f] [-warmup n] [-measured n]
                   [-timeout d] [-retries n]
                   [-chaos.seed n] [-chaos.rate f] [-chaos.stats] [-json]
-                  [-rdd.retries n]
-                  [-rvm.tier auto|0|1] [-rvm.profile]
+                  [-rvm.profile]
                   [-openloop.rate r] [-openloop.sweep r1,r2,...] [-openloop.duration d]
   renaissance metrics`)
 }
@@ -130,27 +126,15 @@ func cmdRun(args []string) error {
 	chaosSeed := fs.Int64("chaos.seed", 1, "chaos injection seed (deterministic per seed)")
 	chaosRate := fs.Float64("chaos.rate", 0, "chaos injection rate in [0,1); 0 disables injection")
 	chaosStats := fs.Bool("chaos.stats", false, "dump per-point chaos trial/fire counts to stderr after the run")
-	rddRetries := fs.Int("rdd.retries", -1, "RDD per-partition recompute budget (extra attempts after the first; -1 = engine default)")
 	asJSON := fs.Bool("json", false, "emit JSON results")
 	openRate := fs.Float64("openloop.rate", 0, "offered load (req/s) for a single open-loop measurement; 0 disables open-loop mode")
 	openSweep := fs.String("openloop.sweep", "", "comma-separated offered rates (req/s) for an open-loop saturation sweep")
 	openDur := fs.Duration("openloop.duration", time.Second, "offered-load duration per open-loop rate")
-	rvmTier := fs.String("rvm.tier", "auto", "RVM execution tier: auto (profile and tier up), 0 (baseline interpreter), 1 (quicken everything)")
 	rvmProfile := fs.Bool("rvm.profile", false, "collect the RVM tier-up profile and dump per-opcode/per-call-site stats to stderr after the run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	switch *rvmTier {
-	case "auto":
-		rvm.DefaultTier = rvm.TierAuto
-	case "0":
-		rvm.DefaultTier = rvm.TierBaseline
-	case "1":
-		rvm.DefaultTier = rvm.TierQuick
-	default:
-		return fmt.Errorf("bad -rvm.tier %q (want auto, 0, or 1)", *rvmTier)
-	}
 	if *rvmProfile {
 		rvm.ResetProfile()
 		rvm.EnableProfiling()
@@ -170,9 +154,6 @@ func cmdRun(args []string) error {
 		chaos.Configure(*chaosSeed, *chaosRate)
 		fmt.Fprintf(os.Stderr, "renaissance: chaos enabled: seed=%d rate=%g\n",
 			chaos.Seed(), chaos.Rate())
-	}
-	if *rddRetries >= 0 {
-		rdd.SetTaskRetries(*rddRetries)
 	}
 
 	var specs []*core.Spec
@@ -374,18 +355,18 @@ func firstLine(s string) string {
 
 func cmdMetrics() error {
 	desc := map[metrics.Metric]string{
-		metrics.Synch:      "synchronized (mutex-guarded) sections executed",
-		metrics.Wait:       "guarded-block waits (Object.wait analogues)",
-		metrics.Notify:     "condition signals (Object.notify analogues)",
-		metrics.Atomic:     "atomic memory operations executed",
-		metrics.Park:       "goroutine park operations",
-		metrics.CPU:        "average CPU utilization (sampled, %)",
-		metrics.CacheMiss:  "cache misses (simulated / allocation proxy)",
-		metrics.Object:     "objects allocated",
-		metrics.Array:      "arrays (slices) allocated",
-		metrics.Method:     "dynamically dispatched calls",
-		metrics.IDynamic:   "closure dispatches (invokedynamic analogues)",
-		metrics.DeadLetter: "undeliverable messages and rejected requests (fault path)",
+		metrics.Synch:        "synchronized (mutex-guarded) sections executed",
+		metrics.Wait:         "guarded-block waits (Object.wait analogues)",
+		metrics.Notify:       "condition signals (Object.notify analogues)",
+		metrics.Atomic:       "atomic memory operations executed",
+		metrics.Park:         "goroutine park operations",
+		metrics.CPU:          "average CPU utilization (sampled, %)",
+		metrics.CacheMiss:    "cache misses (simulated / allocation proxy)",
+		metrics.Object:       "objects allocated",
+		metrics.Array:        "arrays (slices) allocated",
+		metrics.Method:       "dynamically dispatched calls",
+		metrics.IDynamic:     "closure dispatches (invokedynamic analogues)",
+		metrics.DeadLetter:   "undeliverable messages and rejected requests (fault path)",
 		metrics.StmAbort:     "STM transaction aborts (conflicts and contention)",
 		metrics.StmExtend:    "STM read-version timestamp extensions",
 		metrics.RddRecompute: "RDD partition recomputes (lineage recovery, fault path)",

@@ -1,6 +1,9 @@
-// Wordcount: the data-parallel RDD engine on the canonical word-count and
-// page-rank pipelines — the workloads the paper's Spark-based benchmarks
-// (als, page-rank, ...) are built from.
+// Wordcount: the data-parallel substrate on the canonical word-count and
+// page-rank computations — the shapes the paper's Spark-based benchmarks
+// (als, page-rank, ...) are built from. The count is a parallel-for on the
+// shared fork–join pool with one private table per partition, merged
+// after the join; the ranks come from the CSR graph the page-rank
+// workload trains on.
 package main
 
 import (
@@ -8,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"renaissance/internal/forkjoin"
 	"renaissance/internal/rdd"
 )
 
@@ -16,12 +20,28 @@ func main() {
 		"the renaissance suite measures parallel applications "+
 			"the suite measures concurrency the applications use ", 2000)
 
-	// Word count: flatMap -> map -> reduceByKey, evaluated across 8
-	// partitions with a hash shuffle.
-	lines := rdd.Parallelize(strings.Split(text, " "), 8)
-	pairs := rdd.Map(lines.Filter(func(w string) bool { return w != "" }),
-		func(w string) rdd.Pair[string, int] { return rdd.KV(w, 1) })
-	counts := rdd.CollectAsMap(rdd.ReduceByKey(pairs, 8, func(a, b int) int { return a + b }))
+	// Word count: each of 8 partitions counts its own range of words into
+	// a private table, so no table is shared while the pool runs.
+	words := strings.Split(text, " ")
+	const parts = 8
+	partial := make([]map[string]int, parts)
+	forkjoin.For(parts, 1, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			counts := map[string]int{}
+			for _, w := range words[p*len(words)/parts : (p+1)*len(words)/parts] {
+				if w != "" {
+					counts[w]++
+				}
+			}
+			partial[p] = counts
+		}
+	})
+	counts := map[string]int{}
+	for _, part := range partial {
+		for w, n := range part {
+			counts[w] += n
+		}
+	}
 
 	type wc struct {
 		word string
@@ -45,19 +65,26 @@ func main() {
 		fmt.Printf("  %-12s %d\n", t.word, t.n)
 	}
 
-	// PageRank over a small link graph of the same engine.
+	// PageRank over a small link graph. Graph.PageRank's ranks are indexed
+	// by vertex id in ascending order.
 	edges := []rdd.Pair[int, int]{
 		rdd.KV(1, 2), rdd.KV(1, 3), rdd.KV(2, 3), rdd.KV(3, 1),
 		rdd.KV(4, 3), rdd.KV(4, 1), rdd.KV(5, 3),
 	}
-	ranks := rdd.PageRank(rdd.Parallelize(edges, 4), 20, 0.85)
-	fmt.Println("\npage ranks (vertex 3 should dominate):")
+	ranks := rdd.NewGraph(edges).PageRank(20, 0.85)
+	seen := map[int]bool{}
 	var vs []int
-	for v := range ranks {
-		vs = append(vs, v)
+	for _, e := range edges {
+		for _, v := range []int{e.Key, e.Value} {
+			if !seen[v] {
+				seen[v] = true
+				vs = append(vs, v)
+			}
+		}
 	}
 	sort.Ints(vs)
-	for _, v := range vs {
-		fmt.Printf("  vertex %d: %.3f\n", v, ranks[v])
+	fmt.Println("\npage ranks (vertex 3 should dominate):")
+	for i, v := range vs {
+		fmt.Printf("  vertex %d: %.3f\n", v, ranks[i])
 	}
 }

@@ -64,28 +64,18 @@ const chunksPerExecutor = 4
 // of n/(par·chunksPerExecutor), at least 1.
 //
 // A panic in body cancels the job's remaining chunks and is re-panicked
-// here, at the join point, as a *TaskError — the legacy fork/join
-// exception-propagation contract. Use Pool.ForMaxE to receive it as an
-// error.
+// here, at the join point, as a *TaskError — the fork/join
+// exception-propagation contract every parallel entry point shares.
 func For(n, grain int, body func(lo, hi int)) {
-	if err := Shared().ForMaxE(n, grain, 0, body); err != nil {
+	if err := Shared().ForRetryE(n, grain, 0, 0, func(lo, hi, _ int) { body(lo, hi) }); err != nil {
 		panic(err)
 	}
 }
 
-// ForMaxE runs body over chunked subranges of [0, n) on this pool with the
-// caller participating, like For, and returns the job's first failure as
-// a *TaskError instead of panicking. At most maxPar executors (counting
-// the caller) run chunks concurrently; maxPar <= 0 means the pool's full
-// width plus the caller. It is the zero-retry case of ForRetryE: a
-// failing chunk fails the job at once.
-func (p *Pool) ForMaxE(n, grain, maxPar int, body func(lo, hi int)) error {
-	return p.ForRetryE(n, grain, maxPar, 0, func(lo, hi, _ int) { body(lo, hi) })
-}
-
 // ForRetryE is the parallel-for job every data-parallel layer runs on:
 // body(lo, hi, attempt) over chunked subranges of [0, n), the caller
-// participating, at most maxPar executors (see ForMaxE). A chunk whose
+// participating, at most maxPar executors counting the caller (maxPar <= 0
+// means the pool's full width plus the caller). A chunk whose
 // body panics is re-run — same range, attempt counting up from 0, a
 // seeded-jitter backoff in between — up to retries extra times, so body
 // must be idempotent per chunk when retries > 0. When a chunk's budget is
@@ -93,7 +83,9 @@ func (p *Pool) ForMaxE(n, grain, maxPar int, body func(lo, hi int)) error {
 // cancelled via the job's cancellation token (checked at every chunk
 // claim and before every retry); chunks already executing finish before
 // ForRetryE returns, so no helper goroutine outlives the call and the
-// barrier can never be left stuck.
+// barrier can never be left stuck. It is the one error-returning
+// primitive: the RDD engine recycles a failed shuffle's staging before
+// the failure re-panics.
 func (p *Pool) ForRetryE(n, grain, maxPar, retries int, body func(lo, hi, attempt int)) error {
 	if n <= 0 {
 		return nil

@@ -41,7 +41,7 @@ func TestForZeroAndNegative(t *testing.T) {
 // at once (no helpers are enqueued, the caller runs everything).
 func TestForMaxBoundsConcurrency(t *testing.T) {
 	var running, peak atomic.Int32
-	err := Shared().ForMaxE(64, 1, 1, func(lo, hi int) {
+	err := Shared().ForRetryE(64, 1, 1, 0, func(lo, hi, _ int) {
 		if r := running.Add(1); r > peak.Load() {
 			peak.Store(r)
 		}
@@ -148,7 +148,7 @@ func TestExecutorConcurrentForRace(t *testing.T) {
 func TestForOnPrivatePool(t *testing.T) {
 	p := NewPool(2)
 	var n atomic.Int64
-	if err := p.ForMaxE(100, 3, 0, func(lo, hi int) { n.Add(int64(hi - lo)) }); err != nil {
+	if err := p.ForRetryE(100, 3, 0, 0, func(lo, hi, _ int) { n.Add(int64(hi - lo)) }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 100 {
@@ -156,7 +156,7 @@ func TestForOnPrivatePool(t *testing.T) {
 	}
 	p.Close()
 	n.Store(0)
-	if err := p.ForMaxE(100, 3, 0, func(lo, hi int) { n.Add(int64(hi - lo)) }); err != nil {
+	if err := p.ForRetryE(100, 3, 0, 0, func(lo, hi, _ int) { n.Add(int64(hi - lo)) }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 100 {

@@ -14,14 +14,14 @@ func TestForEPanicReturnsTaskError(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 
-	err := p.ForMaxE(1000, 1, 0, func(lo, hi int) {
+	err := p.ForRetryE(1000, 1, 0, 0, func(lo, hi, _ int) {
 		if lo == 500 {
 			panic("chunk failure")
 		}
 	})
 	var te *TaskError
 	if !errors.As(err, &te) {
-		t.Fatalf("ForMaxE error = %v, want *TaskError", err)
+		t.Fatalf("ForRetryE error = %v, want *TaskError", err)
 	}
 	if te.Index != 500 || te.Value != "chunk failure" {
 		t.Errorf("TaskError = {Index:%d Value:%v}, want {500 chunk failure}", te.Index, te.Value)
@@ -37,15 +37,15 @@ func TestForEPanicSingleChunkFastPath(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 
-	err := p.ForMaxE(3, 10, 0, func(lo, hi int) { panic("tiny") })
+	err := p.ForRetryE(3, 10, 0, 0, func(lo, hi, _ int) { panic("tiny") })
 	var te *TaskError
 	if !errors.As(err, &te) || te.Value != "tiny" {
-		t.Fatalf("single-chunk ForMaxE error = %v, want TaskError(tiny)", err)
+		t.Fatalf("single-chunk ForRetryE error = %v, want TaskError(tiny)", err)
 	}
 }
 
 func TestForPanicRepanicsAtJoin(t *testing.T) {
-	// The legacy For keeps the fork/join exception-propagation contract:
+	// For keeps the fork/join exception-propagation contract:
 	// the TaskError is re-panicked at the join point.
 	defer func() {
 		p := recover()
@@ -72,7 +72,7 @@ func TestForEFirstFailureWinsAndCancels(t *testing.T) {
 	defer p.Close()
 
 	var executed atomic.Int64
-	err := p.ForMaxE(10000, 1, 0, func(lo, hi int) {
+	err := p.ForRetryE(10000, 1, 0, 0, func(lo, hi, _ int) {
 		executed.Add(1)
 		panic(lo) // every chunk fails; first one in wins
 	})
@@ -118,9 +118,8 @@ func TestSubmitPanicSurfacesViaErr(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("panicked task never completed")
 	}
-	var te *TaskError
-	if !errors.As(task.Err(), &te) || te.Value != "submitted" {
-		t.Fatalf("task.Err() = %v, want TaskError(submitted)", task.Err())
+	if te := task.err; te == nil || te.Value != "submitted" || te.Index != -1 {
+		t.Fatalf("task.err = %v, want TaskError{Index:-1 Value:submitted}", te)
 	}
 }
 
@@ -158,11 +157,11 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	// pattern.
 	for round := 0; round < 20; round++ {
 		var nestedDone atomic.Int64
-		err := Shared().ForMaxE(8, 1, 0, func(lo, hi int) {
+		err := Shared().ForRetryE(8, 1, 0, 0, func(lo, hi, _ int) {
 			if lo == 3 {
 				panic("partition down")
 			}
-			Shared().ForMaxE(256, 0, 0, func(lo, hi int) { // nested parallel-for, caller-runs
+			Shared().ForRetryE(256, 0, 0, 0, func(lo, hi, _ int) { // nested parallel-for, caller-runs
 				for i := lo; i < hi; i++ {
 					nestedDone.Add(1)
 				}
@@ -175,12 +174,12 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	}
 	// The shared pool must still run clean jobs at full coverage.
 	var sum atomic.Int64
-	if err := Shared().ForMaxE(1000, 0, 0, func(lo, hi int) {
+	if err := Shared().ForRetryE(1000, 0, 0, 0, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			sum.Add(int64(i))
 		}
 	}); err != nil {
-		t.Fatalf("clean ForMaxE after fault rounds: %v", err)
+		t.Fatalf("clean ForRetryE after fault rounds: %v", err)
 	}
 	if sum.Load() != 499500 {
 		t.Errorf("post-fault coverage sum = %d, want 499500", sum.Load())
@@ -200,7 +199,7 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	var nestedOK atomic.Int64
-	err := p.ForMaxE(4, 1, 0, func(lo, hi int) {
+	err := p.ForRetryE(4, 1, 0, 0, func(lo, hi, _ int) {
 		if err := p.ForRetryE(64, 1, 0, 2, func(lo, hi, attempt int) {
 			if lo%3 == 0 && attempt == 0 {
 				panic("first attempt down")
@@ -364,7 +363,7 @@ func TestForEPanicNoGoroutineLeak(t *testing.T) {
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		_ = Shared().ForMaxE(1024, 1, 0, func(lo, hi int) {
+		_ = Shared().ForRetryE(1024, 1, 0, 0, func(lo, hi, _ int) {
 			if lo%7 == 0 {
 				panic("leak probe")
 			}

@@ -30,8 +30,8 @@ type Task struct {
 	done   atomic.Bool
 	result any
 	// err holds the *TaskError of a panicking body, written before done is
-	// published. Join re-panics it (fork/join exception propagation); Err
-	// exposes it to callers that prefer inspecting.
+	// published. Join and Invoke re-panic it (fork/join exception
+	// propagation).
 	err *TaskError
 	// doneCh is closed on completion for Invoke, which parks on it. Only
 	// Submit makes it: forked tasks are joined by polling done while
@@ -55,16 +55,6 @@ func (t *Task) complete(v any, loc metrics.Local) {
 	if !t.quiet {
 		loc.IncNotify()
 	}
-}
-
-// Err returns the task's failure (a *TaskError wrapping a recovered body
-// panic), or nil. It must only be called after the task is known to be
-// done (its Join or Invoke returned, or re-panicked).
-func (t *Task) Err() error {
-	if t.err == nil {
-		return nil
-	}
-	return t.err
 }
 
 // Pool is a fork-join pool with a fixed number of workers.
@@ -247,8 +237,7 @@ func (w *Worker) Fork(fn Fn) *Task {
 // Join waits for the task to finish, helping execute pending tasks while
 // it waits (the fork-join "helping" discipline that avoids blocking worker
 // threads). A task whose body panicked re-panics its *TaskError here, at
-// the join point — the fork/join exception-propagation contract; Task.Err
-// still holds it afterwards.
+// the join point — the fork/join exception-propagation contract.
 func (w *Worker) Join(t *Task) any {
 	for {
 		w.local.IncAtomic()

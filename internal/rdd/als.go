@@ -98,24 +98,12 @@ type ALSModel struct {
 	itemIDs      []int
 }
 
-// ALS fits latent factors by alternating least squares with L2
-// regularization: holding the item factors fixed, every user's factor
-// vector is the solution of a rank×rank normal-equation system, solved in
-// parallel across users, and vice versa — the als benchmark kernel
-// (Table 1: "data-parallel, compute-bound"). The ratings are grouped into
-// a RatingsGraph internally; callers that train repeatedly over the same
-// dataset (the benchmark harness) should build the graph once with
-// NewRatingsGraph and call ALSTrain.
-func ALS(ratings *RDD[Rating], rank, iterations int, lambda float64, seed int64) (*ALSModel, error) {
-	all := ratings.Collect()
-	if len(all) == 0 {
-		return nil, ErrEmpty
-	}
-	return ALSTrain(NewRatingsGraph(all), rank, iterations, lambda, seed)
-}
-
-// ALSTrain runs the alternating least-squares iterations over a
-// pre-grouped rating graph. Factor rows are initialized in sorted-id
+// ALSTrain fits latent factors by alternating least squares with L2
+// regularization over a pre-grouped rating graph: holding the item
+// factors fixed, every user's factor vector is the solution of a
+// rank×rank normal-equation system, solved in parallel across users, and
+// vice versa — the als benchmark kernel (Table 1: "data-parallel,
+// compute-bound"). Factor rows are initialized in sorted-id
 // order from the seeded rng (deterministic; the seed kernel initialized
 // in map-iteration order, which was not), and every iteration rewrites
 // both factor matrices in place: the per-id normal equations
@@ -276,68 +264,4 @@ func (m *ALSModel) Recommend(user int, rated map[int]bool, n int) []int {
 		out[i] = cands[i].item
 	}
 	return out
-}
-
-func randomVector(rng *rand.Rand, n int) []float64 {
-	metrics.IncArray()
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.Float64()
-	}
-	return v
-}
-
-func newMatrix(n int) [][]float64 {
-	metrics.IncArray()
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-	}
-	return m
-}
-
-// SolveLinearSystem solves a·x = b by Gaussian elimination with partial
-// pivoting. It reports false for (numerically) singular systems. The
-// matrix a is modified in place. The ALS solver now uses lin.CholeskySolve
-// (the normal equations are SPD, and Cholesky halves the flops); this
-// general solver remains the package's dense-solve API for non-symmetric
-// systems and the differential baseline the Cholesky path is
-// property-tested against.
-func SolveLinearSystem(a [][]float64, b []float64) ([]float64, bool) {
-	n := len(a)
-	x := append([]float64(nil), b...)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-12 {
-			return nil, false
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		x[col], x[pivot] = x[pivot], x[col]
-		// Eliminate.
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back-substitute.
-	for col := n - 1; col >= 0; col-- {
-		sum := x[col]
-		for c := col + 1; c < n; c++ {
-			sum -= a[col][c] * x[c]
-		}
-		x[col] = sum / a[col][col]
-	}
-	return x, true
 }

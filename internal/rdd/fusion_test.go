@@ -61,14 +61,14 @@ func TestPropertyFusedMatchesSequential(t *testing.T) {
 			s1.Cache()
 		}
 		s2 := s1.Filter(odd)
-		s3 := FlatMap(s2, mirror)
+		s3 := flatMap(s2, mirror)
 		if cachePos%3 == 1 {
 			s3.Cache()
 		}
 		s4 := Map(s3, dec)
 
 		want := refMap(refFlatMap(refFilter(refMap(data, double), odd), mirror), dec)
-		got := s4.Collect()
+		got := collect(s4)
 		if len(got) != len(want) {
 			return false
 		}
@@ -77,12 +77,12 @@ func TestPropertyFusedMatchesSequential(t *testing.T) {
 				return false
 			}
 		}
-		// Count must agree with Collect, and a second Collect (replaying
+		// Count must agree with collect, and a second collect (replaying
 		// the pipeline, or reading the cache) must be identical.
 		if s4.Count() != len(want) {
 			return false
 		}
-		return reflect.DeepEqual(s4.Collect(), got) || len(got) == 0
+		return reflect.DeepEqual(collect(s4), got) || len(got) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -102,11 +102,11 @@ func TestFusedCacheComputesOnceMidChain(t *testing.T) {
 	}).Cache()
 	tail := Map(counted.Filter(func(x int) bool { return x%4 == 0 }), func(x int) int { return x + 1 })
 
-	first := tail.Collect()
+	first := collect(tail)
 	if got := upstream.Load(); got != 100 {
 		t.Fatalf("first action computed %d upstream elements, want 100", got)
 	}
-	_ = tail.Collect()
+	_ = collect(tail)
 	_ = tail.Count()
 	if got := upstream.Load(); got != 100 {
 		t.Errorf("cached upstream recomputed: %d evaluations after three actions", got)
@@ -125,10 +125,10 @@ func TestFusedEmptyPartitions(t *testing.T) {
 	if empty.numPartitions != 1 {
 		t.Errorf("empty dataset partitions = %d, want 1", empty.numPartitions)
 	}
-	chain := FlatMap(Map(empty, func(x int) int { return x }).Filter(func(int) bool { return true }),
+	chain := flatMap(Map(empty, func(x int) int { return x }).Filter(func(int) bool { return true }),
 		func(x int) []int { return []int{x} })
-	if got := chain.Collect(); len(got) != 0 {
-		t.Errorf("empty chain Collect = %v", got)
+	if got := collect(chain); len(got) != 0 {
+		t.Errorf("empty chain collect = %v", got)
 	}
 	if got := chain.Count(); got != 0 {
 		t.Errorf("empty chain Count = %d", got)
@@ -158,12 +158,12 @@ func TestPartitionClampRule(t *testing.T) {
 		t.Errorf("Parallelize default = %d", got)
 	}
 
-	pairs := Map(Parallelize(ints(60), 4), func(x int) Pair[int, int] { return KV(x % 9, 1) })
+	pairs := Map(Parallelize(ints(60), 4), func(x int) Pair[int, int] { return KV(x%9, 1) })
 	huge := ReduceByKey(pairs, 1<<20, func(a, b int) int { return a + b })
 	if limit := shuffleLimit(4); huge.numPartitions > limit {
 		t.Errorf("ReduceByKey partitions = %d, above limit %d", huge.numPartitions, limit)
 	}
-	counts := CollectAsMap(huge)
+	counts := collectAsMap(huge)
 	for k := 0; k < 9; k++ {
 		want := 60 / 9
 		if k < 60%9 {
@@ -173,8 +173,8 @@ func TestPartitionClampRule(t *testing.T) {
 			t.Errorf("clamped ReduceByKey[%d] = %d, want %d", k, counts[k], want)
 		}
 	}
-	if got := GroupByKey(pairs, -7).numPartitions; got != 4 {
-		t.Errorf("GroupByKey(-7) partitions = %d, want parent 4", got)
+	if got := groupByKey(pairs, -7).numPartitions; got != 4 {
+		t.Errorf("groupByKey(-7) partitions = %d, want parent 4", got)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestStructKeyedShuffleSpreadsBuckets(t *testing.T) {
 	if nonEmpty < 6 {
 		t.Errorf("struct-keyed shuffle used %d of 8 buckets; keys collapsed", nonEmpty)
 	}
-	counts := CollectAsMap(ReduceByKey(r, 8, func(a, b int) int { return a + b }))
+	counts := collectAsMap(ReduceByKey(r, 8, func(a, b int) int { return a + b }))
 	if len(counts) != keys {
 		t.Fatalf("distinct keys = %d, want %d", len(counts), keys)
 	}
@@ -262,7 +262,7 @@ func TestShuffleExchangeRace(t *testing.T) {
 				pairs := Map(Parallelize(ints(n), 5), func(x int) Pair[string, int] {
 					return KV(words[x%len(words)], 1)
 				})
-				counts := CollectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
+				counts := collectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
 				total := 0
 				for _, c := range counts {
 					total += c
@@ -277,7 +277,7 @@ func TestShuffleExchangeRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFusedActionsRace overlaps fused-pipeline actions (Collect, Count,
+// TestFusedActionsRace overlaps fused-pipeline actions (collect, Count,
 // Aggregate) including cached datasets across goroutines; run under
 // -race by make stress.
 func TestFusedActionsRace(t *testing.T) {
@@ -307,16 +307,16 @@ func TestFusedActionsRace(t *testing.T) {
 // TestShuffledRDDSortedCollect double-checks shuffled iterate semantics:
 // collecting a ReduceByKey result twice yields the same multiset.
 func TestShuffledRDDSortedCollect(t *testing.T) {
-	pairs := Map(Parallelize(ints(97), 6), func(x int) Pair[int, int] { return KV(x % 13, x) })
+	pairs := Map(Parallelize(ints(97), 6), func(x int) Pair[int, int] { return KV(x%13, x) })
 	r := ReduceByKey(pairs, 0, func(a, b int) int { return a + b })
 	norm := func(kvs []Pair[int, int]) []Pair[int, int] {
 		out := append([]Pair[int, int](nil), kvs...)
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 		return out
 	}
-	a, b := norm(r.Collect()), norm(r.Collect())
+	a, b := norm(collect(r)), norm(collect(r))
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("repeated Collect of shuffled RDD differs: %v vs %v", a, b)
+		t.Errorf("repeated collect of shuffled RDD differs: %v vs %v", a, b)
 	}
 	if len(a) != 13 {
 		t.Errorf("distinct keys = %d, want 13", len(a))

@@ -67,11 +67,6 @@ func NewGraph(edges []Pair[int, int]) *Graph {
 	return g
 }
 
-// GraphFrom collects an edge RDD into a Graph.
-func GraphFrom(edges *RDD[Pair[int, int]]) *Graph {
-	return NewGraph(edges.Collect())
-}
-
 // NumVertices returns the number of distinct vertices.
 func (g *Graph) NumVertices() int { return len(g.ids) }
 
@@ -174,21 +169,4 @@ func (g *Graph) PageRank(iterations int, damping float64) []float64 {
 		st.step()
 	}
 	return st.ranks
-}
-
-// PageRank runs the iterative PageRank computation over the edge list
-// with the given damping and iteration count, and returns the rank of
-// every vertex that has at least one outgoing or incoming edge, by
-// external id. Callers that iterate over a fixed graph (the benchmark
-// harness) should build it once with NewGraph/GraphFrom and call
-// Graph.PageRank, keeping the grouping out of the measured iteration.
-func PageRank(edges *RDD[Pair[int, int]], iterations int, damping float64) map[int]float64 {
-	g := GraphFrom(edges)
-	ranks := g.PageRank(iterations, damping)
-	metrics.IncObject()
-	out := make(map[int]float64, len(ranks))
-	for i, r := range ranks {
-		out[g.ids[i]] = r
-	}
-	return out
 }

@@ -474,20 +474,3 @@ func (t *treeBuilder) bestSplit(idx []int32, f int, counts []int) split {
 	}
 	return bestLocal
 }
-
-// parMapSlice evaluates fn over xs on the shared work-stealing executor,
-// one chunk per element (element counts here are small and elements
-// coarse: features, users). The live kernels now use forkjoin.For
-// directly over flat storage; this helper remains for the seed-kernel
-// baselines kept verbatim in the differential tests.
-func parMapSlice[T any, U any](xs []T, fn func(T) U) []U {
-	out := make([]U, len(xs))
-	forkjoin.For(len(xs), 1, func(lo, hi int) {
-		loc := metrics.Acquire()
-		for i := lo; i < hi; i++ {
-			loc.IncIDynamic()
-			out[i] = fn(xs[i])
-		}
-	})
-	return out
-}

@@ -30,7 +30,7 @@ func maxAbsDiff(a, b []float64) float64 {
 // --- Cholesky vs Gaussian elimination ---
 
 // TestCholeskySolveDifferentialSPD property-tests lin.CholeskySolve
-// against the seed SolveLinearSystem on random SPD systems: same
+// against the seed solveLinearSystem on random SPD systems: same
 // solution up to conditioning.
 func TestCholeskySolveDifferentialSPD(t *testing.T) {
 	check := func(seed int64, sizeRaw uint8) bool {
@@ -62,7 +62,7 @@ func TestCholeskySolveDifferentialSPD(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 
-		want, okSeed := SolveLinearSystem(ga, b)
+		want, okSeed := solveLinearSystem(ga, b)
 		x := make([]float64, n)
 		okLin := lin.CholeskySolve(a, b, x)
 		if okSeed != okLin {
@@ -163,7 +163,7 @@ func TestALSDifferentialRMSE(t *testing.T) {
 	ratings := syntheticRatings(rng, 40, 30, 4)
 	rdd := Parallelize(ratings, 8)
 
-	linModel, err := ALS(rdd, 4, 10, 0.01, 7)
+	linModel, err := ALSTrain(NewRatingsGraph(ratings), 4, 10, 0.01, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPageRankDifferentialNoDangling(t *testing.T) {
 	}
 	rdd := Parallelize(edges, 8)
 
-	got := PageRank(rdd, 12, 0.85)
+	got := pageRankByID(edges, 12, 0.85)
 	want := seedPageRank(rdd, 12, 0.85)
 	if len(got) != len(want) {
 		t.Fatalf("rank count %d, want %d", len(got), len(want))
@@ -229,7 +229,7 @@ func TestPageRankDifferentialDangling(t *testing.T) {
 		}
 		return s
 	}
-	got := PageRank(rdd, 10, 0.85)
+	got := pageRankByID(edges, 10, 0.85)
 	if d := math.Abs(sum(got) - n); d > 1e-9*n {
 		t.Fatalf("live kernel lost rank mass: Σ=%.9f want %.0f", sum(got), n)
 	}
@@ -239,8 +239,8 @@ func TestPageRankDifferentialDangling(t *testing.T) {
 	}
 }
 
-// TestPageRankDifferentialSparseIDs: rdd.PageRank keys its result by
-// external id through the ascending-id order of Graph.PageRank's slice.
+// TestPageRankDifferentialSparseIDs: Graph.PageRank's slice is in
+// ascending external-id order, and pageRankByID keys it back by id.
 // Ids here are sparse and first appear out of order, so a wrong mapping
 // would hand vertices each other's ranks.
 func TestPageRankDifferentialSparseIDs(t *testing.T) {
@@ -256,7 +256,7 @@ func TestPageRankDifferentialSparseIDs(t *testing.T) {
 	}
 	rdd := Parallelize(edges, 8)
 
-	got := PageRank(rdd, 12, 0.85)
+	got := pageRankByID(edges, 12, 0.85)
 	want := seedPageRank(rdd, 12, 0.85)
 	if len(got) != len(want) {
 		t.Fatalf("rank count %d, want %d", len(got), len(want))
@@ -270,6 +270,18 @@ func TestPageRankDifferentialSparseIDs(t *testing.T) {
 			t.Fatalf("vertex %d: rank %.12f vs seed %.12f (diff %g)", v, r, w, d)
 		}
 	}
+}
+
+// pageRankByID runs Graph.PageRank over the edge list and keys every
+// vertex's rank by its external id: entry i of the slice belongs to the
+// i-th smallest id.
+func pageRankByID(edges []Pair[int, int], iterations int, damping float64) map[int]float64 {
+	g := NewGraph(edges)
+	out := make(map[int]float64, g.NumVertices())
+	for i, r := range g.PageRank(iterations, damping) {
+		out[g.ids[i]] = r
+	}
+	return out
 }
 
 // refPageRank is the pull formulation written out sequentially: every

@@ -1,32 +1,24 @@
-// Package rdd implements an in-process data-parallel engine in the style
-// of Apache Spark (Zaharia et al., HotCloud 2010): resilient datasets are
-// split into partitions, narrow transformations (map, filter) compose
-// lazily per partition, wide transformations (reduceByKey, groupByKey)
-// insert a hash shuffle, and actions evaluate partitions in parallel. It
-// is the substrate of the paper's Spark-based benchmarks — als,
-// chi-square, dec-tree, log-regression, movie-lens, naive-bayes, and
-// page-rank (Table 1: "data-parallel, machine learning / compute-bound /
-// atomics").
+// Package rdd holds the data-parallel substrate of the paper's Spark-based
+// benchmarks — als, chi-square, dec-tree, log-regression, movie-lens,
+// naive-bayes and page-rank (Table 1: "data-parallel, machine learning /
+// compute-bound / atomics"). It has two parts (DESIGN.md §7, §14):
 //
-// Internally the engine is built around four mechanisms (DESIGN.md §7,
-// §14):
+//   - The MLlib-shaped kernels the seven workloads run (ml.go, als.go,
+//     graph.go): flat training sets (Points), CSR rating and link graphs
+//     (RatingsGraph, Graph), built once at workload setup and trained in
+//     place by chunked passes on the shared fork–join pool. Passes that
+//     write per-partition state run under lineage-style recovery
+//     (forPartsRetry, recovery.go): a failed partition is recomputed under
+//     a fixed retry budget.
+//   - A Spark-style dataset engine in this file and exchange.go: lazily
+//     fused narrow stages (Map, Filter) over Parallelize, a Cache fusion
+//     barrier, a lock-free hash shuffle behind ReduceByKey with retryable
+//     epochs, and the Count and Aggregate actions, whose partitions run on
+//     the same recovery path. No workload runs it; the rbench rdd.* probes
+//     do, and it goes when they do.
 //
-//   - Fused pipelines: a narrow transformation does not materialize an
-//     intermediate slice. Each stage is a push-based sink over its
-//     parent's pipeline, so a Map→Filter→FlatMap chain evaluates a
-//     partition in one pass with a single output allocation at the next
-//     materialization boundary (an action, a Cache, or a shuffle write).
-//   - Shared execution: partition tasks, shuffle producers/consumers, and
-//     aggregates all run as partition-granular work on the process-wide
-//     fork–join pool (forkjoin.Shared), never as one goroutine per
-//     partition.
-//   - Lock-free shuffle: wide dependencies exchange pairs through a
-//     private [producer][bucket] staging matrix followed by per-bucket
-//     concatenation — no mutex is acquired on the shuffle hot path.
-//   - Lineage-based recovery (recovery.go, exchange.go): a failed
-//     partition attempt is recomputed from the nearest materialized
-//     ancestor under a bounded retry budget; failed shuffle exchanges
-//     retry under fresh epochs.
+// Every parallel entry point has one failure contract: a persistent
+// partition failure re-panics at the join as a *forkjoin.TaskError.
 package rdd
 
 import (
@@ -55,8 +47,7 @@ type RDD[T any] struct {
 
 	// sizeHint estimates partition p's element count so materialization
 	// can allocate its output once. It is a hint, not a contract: Filter
-	// keeps its parent's (an upper bound), FlatMap's output may grow past
-	// it.
+	// keeps its parent's (an upper bound).
 	sizeHint func(p int) int
 
 	// cache, when non-nil, holds one publication slot per partition (see
@@ -204,16 +195,6 @@ func (r *RDD[T]) cachedPartition(p int) []T {
 	return *s.val.Load()
 }
 
-// partition evaluates one partition to a slice (the materialization
-// boundary used by the collecting actions).
-func (r *RDD[T]) partition(p int) []T {
-	metrics.IncMethod()
-	if r.cache != nil {
-		return r.cachedPartition(p)
-	}
-	return r.materialize(p)
-}
-
 // Map applies fn to every element (narrow dependency, fused).
 func Map[T, U any](r *RDD[T], fn func(T) U) *RDD[U] {
 	metrics.IncObject()
@@ -252,59 +233,54 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	}
 }
 
-// FlatMap maps each element to zero or more outputs (narrow dependency,
-// fused).
-func FlatMap[T, U any](r *RDD[T], fn func(T) []U) *RDD[U] {
-	metrics.IncObject()
-	return &RDD[U]{
-		numPartitions: r.numPartitions,
-		sizeHint:      r.sizeHint, // a guess; the output may outgrow it
-		iterate: func(p int, sink func(U) bool) {
-			loc := metrics.Acquire()
-			r.run(p, func(x T) bool {
-				loc.IncIDynamic()
-				for _, u := range fn(x) {
-					if !sink(u) {
-						return false
-					}
-				}
-				return true
-			})
-		},
-	}
-}
-
-// Collect evaluates the dataset and returns all elements. A persistent
-// partition failure re-panics at the join.
-func (r *RDD[T]) Collect() []T {
-	out, err := r.CollectE()
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // Count returns the number of elements. The fused pipeline streams
-// through a counter — nothing is materialized.
+// through a counter — nothing is materialized. A persistent partition
+// failure re-panics at the join as a *forkjoin.TaskError.
 func (r *RDD[T]) Count() int {
-	n, err := r.CountE()
+	counts, err := runParts(r.numPartitions, func(p int) int {
+		metrics.IncMethod()
+		n := 0
+		r.run(p, func(T) bool { n++; return true })
+		return n
+	}, nil)
 	if err != nil {
 		panic(err)
 	}
-	return n
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	return total
 }
 
 // Aggregate folds each partition from zero() with seqOp, then merges the
 // per-partition accumulators with combOp (Spark's treeAggregate shape,
 // flattened). Each partition streams through its fused pipeline directly
 // into the accumulator. A persistent partition failure re-panics at the
-// join.
+// join as a *forkjoin.TaskError.
 func Aggregate[T, A any](r *RDD[T], zero func() A, seqOp func(A, T) A, combOp func(A, A) A) A {
-	acc, err := AggregateE(r, zero, seqOp, combOp)
+	partials, err := runParts(r.numPartitions, func(p int) A {
+		metrics.IncMethod()
+		loc := metrics.Acquire()
+		loc.IncIDynamic()
+		acc := zero()
+		r.run(p, func(x T) bool {
+			loc.IncIDynamic()
+			acc = seqOp(acc, x)
+			return true
+		})
+		return acc
+	}, nil)
 	if err != nil {
 		panic(err)
 	}
-	return acc
+	metrics.IncIDynamic()
+	out := zero()
+	for _, p := range partials {
+		metrics.IncIDynamic()
+		out = combOp(out, p)
+	}
+	return out
 }
 
 // Pair is a key-value record for pair-RDD operations.
@@ -497,44 +473,4 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int, fn 
 			}
 		},
 	}
-}
-
-// GroupByKey gathers all values of each key.
-func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD[Pair[K, []V]] {
-	metrics.IncObject()
-	numPartitions = clampPartitions(numPartitions, r.numPartitions, shuffleLimit(r.numPartitions))
-	ex := &exchange[[][]Pair[K, V]]{}
-	ensure := func() [][]Pair[K, V] {
-		return ex.ensure(func() [][]Pair[K, V] { return shuffle(r, numPartitions) })
-	}
-	return &RDD[Pair[K, []V]]{
-		numPartitions: numPartitions,
-		wideEpochs:    &ex.epoch,
-		sizeHint: func(p int) int {
-			return len(ensure()[p])
-		},
-		iterate: func(p int, sink func(Pair[K, []V]) bool) {
-			buckets := ensure()
-			metrics.IncObject()
-			agg := make(map[K][]V)
-			for _, kv := range buckets[p] {
-				agg[kv.Key] = append(agg[kv.Key], kv.Value)
-			}
-			for k, vs := range agg {
-				if !sink(Pair[K, []V]{k, vs}) {
-					return
-				}
-			}
-		},
-	}
-}
-
-// CollectAsMap evaluates a pair dataset into a map (later keys overwrite).
-func CollectAsMap[K comparable, V any](r *RDD[Pair[K, V]]) map[K]V {
-	metrics.IncObject()
-	out := make(map[K]V)
-	for _, kv := range r.Collect() {
-		out[kv.Key] = kv.Value
-	}
-	return out
 }

@@ -17,14 +17,57 @@ func ints(n int) []int {
 	return xs
 }
 
+// collectE is the tests' collecting action: every partition evaluated
+// through runParts, the recovery path Count and Aggregate run on, and
+// concatenated in partition order; a persistent failure is returned.
+func collectE[T any](r *RDD[T]) ([]T, error) {
+	parts, err := runParts(r.numPartitions, func(p int) []T {
+		if r.cache != nil {
+			return r.cachedPartition(p)
+		}
+		return r.materialize(p)
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([]T, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out, nil
+}
+
+// collect is collectE under the package's failure contract: a persistent
+// failure re-panics as a *forkjoin.TaskError.
+func collect[T any](r *RDD[T]) []T {
+	out, err := collectE(r)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// collectAsMap collects a pair dataset into a map (later keys overwrite).
+func collectAsMap[K comparable, V any](r *RDD[Pair[K, V]]) map[K]V {
+	out := make(map[K]V)
+	for _, kv := range collect(r) {
+		out[kv.Key] = kv.Value
+	}
+	return out
+}
+
 func TestParallelizeCollect(t *testing.T) {
 	r := Parallelize(ints(100), 8)
 	if r.numPartitions != 8 {
 		t.Errorf("partitions = %d", r.numPartitions)
 	}
-	got := r.Collect()
+	got := collect(r)
 	if !reflect.DeepEqual(got, ints(100)) {
-		t.Errorf("Collect mismatch")
+		t.Errorf("collect mismatch")
 	}
 	if r.Count() != 100 {
 		t.Errorf("Count = %d", r.Count())
@@ -40,8 +83,8 @@ func TestParallelizeEdgeCases(t *testing.T) {
 	if small.numPartitions > 2 {
 		t.Errorf("small dataset got %d partitions", small.numPartitions)
 	}
-	if got := small.Collect(); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Errorf("small Collect = %v", got)
+	if got := collect(small); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Errorf("small collect = %v", got)
 	}
 	defaulted := Parallelize(ints(100), 0)
 	if defaulted.numPartitions != 8 {
@@ -51,7 +94,7 @@ func TestParallelizeEdgeCases(t *testing.T) {
 
 func TestMapFilterFlatMap(t *testing.T) {
 	r := Parallelize(ints(10), 3)
-	doubled := Map(r, func(x int) int { return x * 2 }).Collect()
+	doubled := collect(Map(r, func(x int) int { return x * 2 }))
 	for i, v := range doubled {
 		if v != i*2 {
 			t.Fatalf("Map[%d] = %d", i, v)
@@ -61,9 +104,9 @@ func TestMapFilterFlatMap(t *testing.T) {
 	if evens != 5 {
 		t.Errorf("evens = %d", evens)
 	}
-	fm := FlatMap(r, func(x int) []int { return []int{x, x} }).Count()
+	fm := flatMap(r, func(x int) []int { return []int{x, x} }).Count()
 	if fm != 20 {
-		t.Errorf("FlatMap count = %d", fm)
+		t.Errorf("flatMap count = %d", fm)
 	}
 }
 
@@ -85,9 +128,9 @@ func TestCacheComputesOnce(t *testing.T) {
 		computations.Add(1)
 		return x
 	}).Cache()
-	_ = counted.Collect()
+	_ = collect(counted)
 	first := computations.Load()
-	_ = counted.Collect()
+	_ = collect(counted)
 	_ = counted.Count()
 	if computations.Load() != first {
 		t.Errorf("cached RDD recomputed: %d -> %d", first, computations.Load())
@@ -100,7 +143,7 @@ func TestCacheComputesOnce(t *testing.T) {
 func TestReduceByKey(t *testing.T) {
 	words := []string{"a", "b", "a", "c", "b", "a"}
 	pairs := Map(Parallelize(words, 3), func(w string) Pair[string, int] { return KV(w, 1) })
-	counts := CollectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
+	counts := collectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
 	want := map[string]int{"a": 3, "b": 2, "c": 1}
 	if !reflect.DeepEqual(counts, want) {
 		t.Errorf("counts = %v", counts)
@@ -111,7 +154,7 @@ func TestGroupByKey(t *testing.T) {
 	pairs := Parallelize([]Pair[int, string]{
 		KV(1, "x"), KV(2, "y"), KV(1, "z"),
 	}, 2)
-	groups := CollectAsMap(GroupByKey(pairs, 3))
+	groups := collectAsMap(groupByKey(pairs, 3))
 	if len(groups[1]) != 2 || len(groups[2]) != 1 {
 		t.Errorf("groups = %v", groups)
 	}
@@ -126,7 +169,7 @@ func TestPropertyWordCount(t *testing.T) {
 		}
 		p := int(parts%6) + 1
 		pairs := Map(Parallelize(words, p), func(w string) Pair[string, int] { return KV(w, 1) })
-		got := CollectAsMap(ReduceByKey(pairs, p, func(a, b int) int { return a + b }))
+		got := collectAsMap(ReduceByKey(pairs, p, func(a, b int) int { return a + b }))
 		want := map[string]int{}
 		for _, w := range words {
 			want[w]++
@@ -276,7 +319,7 @@ func TestDecisionTreePureLeaf(t *testing.T) {
 func TestSolveLinearSystem(t *testing.T) {
 	a := [][]float64{{2, 1}, {1, 3}}
 	b := []float64{5, 10}
-	x, ok := SolveLinearSystem(a, b)
+	x, ok := solveLinearSystem(a, b)
 	if !ok {
 		t.Fatal("singular?")
 	}
@@ -285,7 +328,7 @@ func TestSolveLinearSystem(t *testing.T) {
 		t.Errorf("solution = %v", x)
 	}
 	// Singular system.
-	if _, ok := SolveLinearSystem([][]float64{{1, 1}, {2, 2}}, []float64{1, 2}); ok {
+	if _, ok := solveLinearSystem([][]float64{{1, 1}, {2, 2}}, []float64{1, 2}); ok {
 		t.Error("singular system solved")
 	}
 }
@@ -322,14 +365,14 @@ func TestALSReconstructsRatings(t *testing.T) {
 			}
 		}
 	}
-	model, err := ALS(Parallelize(ratings, 4), rank, 12, 0.01, 7)
+	model, err := ALSTrain(NewRatingsGraph(ratings), rank, 12, 0.01, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rmse := model.RMSE(ratings); rmse > 0.1 {
 		t.Errorf("RMSE = %.4f, want <= 0.1", rmse)
 	}
-	if _, err := ALS(Parallelize([]Rating{}, 1), 2, 1, 0.1, 1); err == nil {
+	if _, err := ALSTrain(NewRatingsGraph(nil), 2, 1, 0.1, 1); err == nil {
 		t.Error("empty ALS should error")
 	}
 }
@@ -338,7 +381,7 @@ func TestALSRecommend(t *testing.T) {
 	ratings := []Rating{
 		{0, 0, 5}, {0, 1, 5}, {1, 0, 5}, {1, 1, 5}, {1, 2, 5}, {2, 2, 1},
 	}
-	model, err := ALS(Parallelize(ratings, 2), 2, 10, 0.05, 3)
+	model, err := ALSTrain(NewRatingsGraph(ratings), 2, 10, 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +396,7 @@ func TestPageRank(t *testing.T) {
 	edges := []Pair[int, int]{
 		KV(1, 0), KV(2, 0), KV(3, 0), KV(4, 0), KV(0, 1),
 	}
-	ranks := PageRank(Parallelize(edges, 2), 20, 0.85)
+	ranks := pageRankByID(edges, 20, 0.85)
 	if len(ranks) != 5 {
 		t.Fatalf("ranks = %v", ranks)
 	}
@@ -372,7 +415,7 @@ func TestPageRankSumConservation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		edges = append(edges, KV(i, (i+1)%n), KV(i, (i+3)%n))
 	}
-	ranks := PageRank(Parallelize(edges, 3), 30, 0.85)
+	ranks := pageRankByID(edges, 30, 0.85)
 	total := 0.0
 	for _, r := range ranks {
 		total += r

@@ -5,7 +5,7 @@
 // adds only what is RDD-specific:
 //
 //   - Bounded recompute: the job's per-chunk retry budget is the
-//     partition recompute budget (SetTaskRetries). A partition attempt
+//     partition recompute budget (taskRetries). A partition attempt
 //     that fails — an organic panic, a *forkjoin.TaskError from a nested
 //     job, or an injected chaos fault — is recomputed from the partition's
 //     lineage (the fused pipeline re-runs from the nearest materialized
@@ -26,33 +26,14 @@
 package rdd
 
 import (
-	"sync/atomic"
-
 	"renaissance/internal/chaos"
 	"renaissance/internal/forkjoin"
 	"renaissance/internal/metrics"
 )
 
-// defaultTaskRetries is the default per-partition recompute budget: extra
-// attempts after the first, per partition, per action.
-const defaultTaskRetries = 3
-
-var taskRetries atomic.Int32
-
-func init() { taskRetries.Store(defaultTaskRetries) }
-
-// SetTaskRetries sets the per-partition recompute budget (extra attempts
-// after the first) and returns the previous value. n < 0 restores the
-// default. The CLI exposes this as -rdd.retries.
-func SetTaskRetries(n int) int {
-	if n < 0 {
-		n = defaultTaskRetries
-	}
-	return int(taskRetries.Swap(int32(n)))
-}
-
-// TaskRetries returns the current per-partition recompute budget.
-func TaskRetries() int { return int(taskRetries.Load()) }
+// taskRetries is the per-partition recompute budget: extra attempts after
+// the first, per partition, per action.
+const taskRetries = 3
 
 // forPartsRetry evaluates body(p) for every partition p in [0, n) under
 // the recompute budget, returning the final *forkjoin.TaskError of a
@@ -63,7 +44,7 @@ func TaskRetries() int { return int(taskRetries.Load()) }
 // overwrites only its own range — and the job never runs two attempts of
 // one partition concurrently.
 func forPartsRetry(n int, body func(p int)) error {
-	return forkjoin.Shared().ForRetryE(n, 1, 0, TaskRetries(), func(p, _, attempt int) {
+	return forkjoin.Shared().ForRetryE(n, 1, 0, taskRetries, func(p, _, attempt int) {
 		point := "rdd.task"
 		if attempt > 0 {
 			point = "rdd.recompute"

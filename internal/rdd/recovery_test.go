@@ -15,8 +15,7 @@ import (
 )
 
 // chaosQuiet configures the chaos engine with only the named points armed
-// (global rate 0) and restores a dormant engine and the default retry
-// budget when the test ends.
+// (global rate 0) and restores a dormant engine when the test ends.
 func chaosQuiet(t *testing.T, seed int64, rates map[string]float64) {
 	t.Helper()
 	chaos.Configure(seed, 0)
@@ -26,8 +25,23 @@ func chaosQuiet(t *testing.T, seed int64, rates map[string]float64) {
 	t.Cleanup(func() {
 		chaos.Configure(seed, 0)
 		chaos.Disable()
-		SetTaskRetries(-1)
 	})
+}
+
+// recovered runs f and returns the *forkjoin.TaskError it re-panics at
+// the join, or nil when it returns normally.
+func recovered(f func()) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			te, ok := p.(*forkjoin.TaskError)
+			if !ok {
+				panic(p)
+			}
+			err = te
+		}
+	}()
+	f()
+	return nil
 }
 
 func TestRecomputeRecoversInjectedTaskFaults(t *testing.T) {
@@ -35,12 +49,11 @@ func TestRecomputeRecoversInjectedTaskFaults(t *testing.T) {
 	// succeeds (rdd.recompute dormant). The action must still deliver the
 	// exact fault-free result, with one recompute per partition.
 	chaosQuiet(t, 11, map[string]float64{"rdd.task": 1})
-	SetTaskRetries(3)
 
 	r := Map(Parallelize(ints(200), 8), func(x int) int { return x * 3 })
-	got, err := r.CollectE()
+	got, err := collectE(r)
 	if err != nil {
-		t.Fatalf("CollectE under full first-attempt injection: %v", err)
+		t.Fatalf("collectE under full first-attempt injection: %v", err)
 	}
 	want := make([]int, 200)
 	for i := range want {
@@ -65,18 +78,17 @@ func TestRecomputeRecoversInjectedClaimFaults(t *testing.T) {
 	// partition path at all, so nothing fired.)
 	run := func() ([]int, map[int]int) {
 		base := Parallelize(ints(300), 8)
-		narrow, err := Map(base, func(x int) int { return x*x - x }).CollectE()
+		narrow, err := collectE(Map(base, func(x int) int { return x*x - x }))
 		if err != nil {
-			t.Fatalf("CollectE: %v", err)
+			t.Fatalf("collectE: %v", err)
 		}
 		pairs := Map(base, func(x int) Pair[int, int] { return Pair[int, int]{x % 17, x} })
-		return narrow, CollectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
+		return narrow, collectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
 	}
 	chaos.Disable()
 	wantNarrow, wantByKey := run()
 
 	chaosQuiet(t, 7, map[string]float64{"forkjoin.claim": 0.2})
-	SetTaskRetries(10)
 	gotNarrow, gotByKey := run()
 	if !reflect.DeepEqual(gotNarrow, wantNarrow) || !reflect.DeepEqual(gotByKey, wantByKey) {
 		t.Fatal("run under injected claim faults diverged from fault-free run")
@@ -98,12 +110,11 @@ func TestRecomputeRecoversInjectedClaimFaults(t *testing.T) {
 	// one TaskError wrapping the injected fault.
 	chaos.Configure(7, 0)
 	chaos.SetRate("forkjoin.claim", 1)
-	SetTaskRetries(2)
-	_, err := Parallelize(ints(64), 4).CollectE()
+	_, err := collectE(Parallelize(ints(64), 4))
 	var te *forkjoin.TaskError
 	var inj *chaos.InjectedError
 	if !errors.As(err, &te) || !errors.As(err, &inj) || inj.Point != "forkjoin.claim" {
-		t.Fatalf("CollectE error = %v, want *forkjoin.TaskError wrapping the forkjoin.claim fault", err)
+		t.Fatalf("collectE error = %v, want *forkjoin.TaskError wrapping the forkjoin.claim fault", err)
 	}
 }
 
@@ -112,13 +123,12 @@ func TestRetryBudgetExhaustionSurfacesTaskError(t *testing.T) {
 	// and the final injected fault surfaces as a *forkjoin.TaskError, the
 	// pre-recovery action contract.
 	chaosQuiet(t, 11, map[string]float64{"rdd.task": 1, "rdd.recompute": 1})
-	SetTaskRetries(2)
 
 	r := Map(Parallelize(ints(64), 4), func(x int) int { return x + 1 })
-	_, err := r.CollectE()
+	_, err := collectE(r)
 	var te *forkjoin.TaskError
 	if !errors.As(err, &te) {
-		t.Fatalf("CollectE error = %v, want *forkjoin.TaskError", err)
+		t.Fatalf("collectE error = %v, want *forkjoin.TaskError", err)
 	}
 	var inj *chaos.InjectedError
 	if !errors.As(err, &inj) {
@@ -131,7 +141,7 @@ func TestRetryBudgetExhaustionSurfacesTaskError(t *testing.T) {
 	// The failure must not poison anything: disarm and the same pipeline
 	// evaluates cleanly.
 	chaos.Configure(11, 0)
-	if got, err := r.CollectE(); err != nil || len(got) != 64 {
+	if got, err := collectE(r); err != nil || len(got) != 64 {
 		t.Fatalf("re-evaluation after exhaustion = (%d elems, %v), want (64, nil)", len(got), err)
 	}
 }
@@ -143,7 +153,6 @@ func TestRecomputeRacingConcurrentActionsOnCachedRDD(t *testing.T) {
 	// the cache must still compute each partition's *published* value
 	// exactly once per fill (no torn or partial slices observable).
 	chaosQuiet(t, 7, map[string]float64{"rdd.task": 0.5})
-	SetTaskRetries(10)
 
 	base := Map(Parallelize(ints(400), 8), func(x int) int { return x * 7 }).Cache()
 	wantSum := 0
@@ -159,15 +168,19 @@ func TestRecomputeRacingConcurrentActionsOnCachedRDD(t *testing.T) {
 		go func(a int) {
 			defer wg.Done()
 			if a%2 == 0 {
-				n, err := base.CountE()
+				var n int
+				err := recovered(func() { n = base.Count() })
 				if err == nil && n != 400 {
 					err = errors.New("count mismatch")
 				}
 				errs[a] = err
 				return
 			}
-			sum, err := AggregateE(base, func() int { return 0 },
-				func(x, y int) int { return x + y }, func(x, y int) int { return x + y })
+			var sum int
+			err := recovered(func() {
+				sum = Aggregate(base, func() int { return 0 },
+					func(x, y int) int { return x + y }, func(x, y int) int { return x + y })
+			})
 			if err == nil && sum != wantSum {
 				err = errors.New("sum mismatch")
 			}
@@ -189,14 +202,13 @@ func TestShuffleEpochRetryAfterInjectedExchangeFault(t *testing.T) {
 	// retries the whole two-phase shuffle under a fresh epoch and
 	// succeeds.
 	chaosQuiet(t, 3, map[string]float64{"rdd.shuffle": 1})
-	SetTaskRetries(1)
 
 	pairs := Map(Parallelize(ints(120), 6), func(x int) Pair[int, int] {
 		return Pair[int, int]{x % 10, x}
 	})
 	sums := ReduceByKey(pairs, 4, func(a, b int) int { return a + b })
 
-	if _, err := sums.CollectE(); err == nil {
+	if _, err := collectE(sums); err == nil {
 		t.Fatal("action succeeded while every exchange attempt was failing")
 	}
 	failedEpochs := sums.ShuffleEpochs()
@@ -205,7 +217,7 @@ func TestShuffleEpochRetryAfterInjectedExchangeFault(t *testing.T) {
 	}
 
 	chaos.Configure(3, 0) // disarm; next consumer retries under a fresh epoch
-	got, err := sums.CollectE()
+	got, err := collectE(sums)
 	if err != nil {
 		t.Fatalf("post-fault exchange retry failed: %v", err)
 	}
@@ -250,21 +262,17 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 		base := Parallelize(ints(300), 8)
 
 		narrow := Map(base, func(x int) int { return x*x - x })
-		r.collected = narrow.Collect()
+		r.collected = collect(narrow)
 		r.count = narrow.Count()
-		var err error
-		r.sum, err = AggregateE(narrow, func() int { return 0 },
+		r.sum = Aggregate(narrow, func() int { return 0 },
 			func(a, b int) int { return a + b }, func(a, b int) int { return a + b })
-		if err != nil {
-			t.Fatalf("AggregateE: %v", err)
-		}
 
 		cached := Map(base, func(x int) int { return x + 13 }).Cache()
-		r.cached = Map(cached, func(x int) int { return x * 2 }).Collect()
+		r.cached = collect(Map(cached, func(x int) int { return x * 2 }))
 
 		pairs := Map(base, func(x int) Pair[int, int] { return Pair[int, int]{x % 17, x} })
-		r.byKey = CollectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
-		r.grouped = CollectAsMap(GroupByKey(pairs, 4))
+		r.byKey = collectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
+		r.grouped = collectAsMap(groupByKey(pairs, 4))
 
 		points := NewPoints(300, 3)
 		for x := range points.Labels {
@@ -293,11 +301,7 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 	}
 
 	chaos.Disable()
-	SetTaskRetries(10)
-	t.Cleanup(func() {
-		chaos.Disable()
-		SetTaskRetries(-1)
-	})
+	t.Cleanup(chaos.Disable)
 	want := run()
 
 	for _, seed := range []int64{1, 7, 13} {

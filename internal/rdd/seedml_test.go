@@ -5,15 +5,17 @@ package rdd
 // binary so the comparison outlives future edits to the live path. These
 // are the map-keyed, pointer-chasing implementations that internal/lin's
 // flat layout replaced: map[int][]float64 ALS factors re-grouped per
-// call, per-iteration FlatMap/ReduceByKey/CollectAsMap PageRank,
+// call, per-iteration flatMap/ReduceByKey/collectAsMap PageRank,
 // nested-slice aggregation tables. Only the names carry a seed prefix;
-// the bodies are unchanged except where they call each other.
+// the bodies are unchanged except where they call each other or the
+// test-side collect, collectAsMap, groupByKey and flatMap.
 
 import (
 	"math"
 	"math/rand"
 	"sort"
 
+	"renaissance/internal/forkjoin"
 	"renaissance/internal/metrics"
 )
 
@@ -50,24 +52,24 @@ type seedALSModel struct {
 }
 
 // seedALS is the seed ALS kernel: the ratings are re-grouped with
-// GroupByKey+CollectAsMap on every call, factors are map-keyed slices
+// groupByKey+collectAsMap on every call, factors are map-keyed slices
 // initialized in map-iteration order, and each normal-equation system is
 // solved with pivoted Gaussian elimination.
 func seedALS(ratings *RDD[Rating], rank, iterations int, lambda float64, seed int64) (*seedALSModel, error) {
-	all := ratings.Collect()
+	all := collect(ratings)
 	if len(all) == 0 {
 		return nil, ErrEmpty
 	}
 	ratings.Cache()
 
-	byUser := GroupByKey(Map(ratings, func(r Rating) Pair[int, Rating] {
+	byUser := groupByKey(Map(ratings, func(r Rating) Pair[int, Rating] {
 		return KV(r.User, r)
 	}), 0)
-	byItem := GroupByKey(Map(ratings, func(r Rating) Pair[int, Rating] {
+	byItem := groupByKey(Map(ratings, func(r Rating) Pair[int, Rating] {
 		return KV(r.Item, r)
 	}), 0)
-	userRatings := CollectAsMap(byUser)
-	itemRatings := CollectAsMap(byItem)
+	userRatings := collectAsMap(byUser)
+	itemRatings := collectAsMap(byItem)
 
 	rng := rand.New(rand.NewSource(seed))
 	model := &seedALSModel{
@@ -119,7 +121,7 @@ func seedSolveSide(ratingsOf map[int][]Rating, target, other map[int][]float64,
 		for i := 0; i < rank; i++ {
 			a[i][i] += reg
 		}
-		x, ok := SolveLinearSystem(a, b)
+		x, ok := solveLinearSystem(a, b)
 		if !ok {
 			return make([]float64, rank)
 		}
@@ -157,19 +159,19 @@ func (m *seedALSModel) RMSE(ratings []Rating) float64 {
 	return math.Sqrt(sum / float64(len(ratings)))
 }
 
-// seedPageRank is the seed kernel: link groups re-derived by GroupByKey,
-// and every iteration runs a FlatMap (one allocated pair per edge), a
-// ReduceByKey shuffle, and a CollectAsMap into a fresh rank map. Rank
+// seedPageRank is the seed kernel: link groups re-derived by groupByKey,
+// and every iteration runs a flatMap (one allocated pair per edge), a
+// ReduceByKey shuffle, and a collectAsMap into a fresh rank map. Rank
 // mass at dangling (sink) vertices is silently dropped — the bug the
 // live kernel fixes by redistribution.
 func seedPageRank(edges *RDD[Pair[int, int]], iterations int, damping float64) map[int]float64 {
 	edges.Cache()
-	links := GroupByKey(edges, 0).Cache()
+	links := groupByKey(edges, 0).Cache()
 
 	// All vertices (sources and sinks).
 	metrics.IncObject()
 	vertices := make(map[int]bool)
-	for _, e := range edges.Collect() {
+	for _, e := range collect(edges) {
 		vertices[e.Key] = true
 		vertices[e.Value] = true
 	}
@@ -181,7 +183,7 @@ func seedPageRank(edges *RDD[Pair[int, int]], iterations int, damping float64) m
 
 	for it := 0; it < iterations; it++ {
 		// Contributions via flatMap over the link partitions.
-		contribs := FlatMap(links, func(kv Pair[int, []int]) []Pair[int, float64] {
+		contribs := flatMap(links, func(kv Pair[int, []int]) []Pair[int, float64] {
 			r := ranks[kv.Key]
 			share := r / float64(len(kv.Value))
 			metrics.IncArray()
@@ -191,7 +193,7 @@ func seedPageRank(edges *RDD[Pair[int, int]], iterations int, damping float64) m
 			}
 			return out
 		})
-		summed := CollectAsMap(ReduceByKey(contribs, 0, func(a, b float64) float64 { return a + b }))
+		summed := collectAsMap(ReduceByKey(contribs, 0, func(a, b float64) float64 { return a + b }))
 		for v := range vertices {
 			ranks[v] = (1 - damping) + damping*summed[v]
 		}
@@ -204,7 +206,7 @@ func seedPageRank(edges *RDD[Pair[int, int]], iterations int, damping float64) m
 // dimension-mismatched points silently dropped from the gradient (a state
 // the live kernel's flat training set cannot represent).
 func seedLogisticRegression(points *RDD[LabeledPoint], iterations int, learningRate float64) ([]float64, error) {
-	first := points.Collect()
+	first := collect(points)
 	if len(first) == 0 {
 		return nil, ErrEmpty
 	}
@@ -386,7 +388,7 @@ func seedChiSquare(points *RDD[LabeledPoint], numClasses, numFeatures, numBucket
 // seedDecisionTree is the seed kernel: tree growth over []LabeledPoint
 // with per-node left/right point-struct copies.
 func seedDecisionTree(points *RDD[LabeledPoint], numClasses, maxDepth, minLeaf int) (*TreeNode, error) {
-	data := points.Collect()
+	data := collect(points)
 	if len(data) == 0 {
 		return nil, ErrEmpty
 	}
@@ -518,4 +520,136 @@ func seedGrowTree(data []LabeledPoint, numClasses, depth, minLeaf int) *TreeNode
 		Left:      seedGrowTree(left, numClasses, depth-1, minLeaf),
 		Right:     seedGrowTree(right, numClasses, depth-1, minLeaf),
 	}
+}
+
+// The engine operations and helpers the seed kernels are built on. They
+// left the package once nothing outside this oracle used them; the bodies
+// are the package's last versions.
+
+// groupByKey gathers all values of each key through the shuffle exchange.
+func groupByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD[Pair[K, []V]] {
+	metrics.IncObject()
+	numPartitions = clampPartitions(numPartitions, r.numPartitions, shuffleLimit(r.numPartitions))
+	ex := &exchange[[][]Pair[K, V]]{}
+	ensure := func() [][]Pair[K, V] {
+		return ex.ensure(func() [][]Pair[K, V] { return shuffle(r, numPartitions) })
+	}
+	return &RDD[Pair[K, []V]]{
+		numPartitions: numPartitions,
+		wideEpochs:    &ex.epoch,
+		sizeHint: func(p int) int {
+			return len(ensure()[p])
+		},
+		iterate: func(p int, sink func(Pair[K, []V]) bool) {
+			buckets := ensure()
+			metrics.IncObject()
+			agg := make(map[K][]V)
+			for _, kv := range buckets[p] {
+				agg[kv.Key] = append(agg[kv.Key], kv.Value)
+			}
+			for k, vs := range agg {
+				if !sink(Pair[K, []V]{k, vs}) {
+					return
+				}
+			}
+		},
+	}
+}
+
+// flatMap maps each element to zero or more outputs (narrow dependency,
+// fused; sizeHint is a guess the output may outgrow).
+func flatMap[T, U any](r *RDD[T], fn func(T) []U) *RDD[U] {
+	metrics.IncObject()
+	return &RDD[U]{
+		numPartitions: r.numPartitions,
+		sizeHint:      r.sizeHint,
+		iterate: func(p int, sink func(U) bool) {
+			loc := metrics.Acquire()
+			r.run(p, func(x T) bool {
+				loc.IncIDynamic()
+				for _, u := range fn(x) {
+					if !sink(u) {
+						return false
+					}
+				}
+				return true
+			})
+		},
+	}
+}
+
+// parMapSlice evaluates fn over xs on the shared work-stealing executor,
+// one chunk per element (element counts here are small and elements
+// coarse: features, users).
+func parMapSlice[T any, U any](xs []T, fn func(T) U) []U {
+	out := make([]U, len(xs))
+	forkjoin.For(len(xs), 1, func(lo, hi int) {
+		loc := metrics.Acquire()
+		for i := lo; i < hi; i++ {
+			loc.IncIDynamic()
+			out[i] = fn(xs[i])
+		}
+	})
+	return out
+}
+
+func randomVector(rng *rand.Rand, n int) []float64 {
+	metrics.IncArray()
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.Float64()
+	}
+	return v
+}
+
+func newMatrix(n int) [][]float64 {
+	metrics.IncArray()
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+	}
+	return m
+}
+
+// solveLinearSystem solves a·x = b by Gaussian elimination with partial
+// pivoting. It reports false for (numerically) singular systems. The
+// matrix a is modified in place. It is the seed ALS's solver, and the
+// general baseline lin.CholeskySolve is property-tested against.
+func solveLinearSystem(a [][]float64, b []float64) ([]float64, bool) {
+	n := len(a)
+	x := append([]float64(nil), b...)
+	for col := 0; col < n; col++ {
+		// Pivot.
+		pivot := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
+				pivot = r
+			}
+		}
+		if math.Abs(a[pivot][col]) < 1e-12 {
+			return nil, false
+		}
+		a[col], a[pivot] = a[pivot], a[col]
+		x[col], x[pivot] = x[pivot], x[col]
+		// Eliminate.
+		for r := col + 1; r < n; r++ {
+			f := a[r][col] / a[col][col]
+			if f == 0 {
+				continue
+			}
+			for c := col; c < n; c++ {
+				a[r][c] -= f * a[col][c]
+			}
+			x[r] -= f * x[col]
+		}
+	}
+	// Back-substitute.
+	for col := n - 1; col >= 0; col-- {
+		sum := x[col]
+		for c := col + 1; c < n; c++ {
+			sum -= a[col][c] * x[c]
+		}
+		x[col] = sum / a[col][col]
+	}
+	return x, true
 }

@@ -65,8 +65,8 @@ type Interp struct {
 	Fuel int64
 	// MaxDepth bounds the call stack (0 = 512).
 	MaxDepth int
-	// Tier selects the execution policy (default DefaultTier at
-	// NewInterp; the zero value is TierAuto).
+	// Tier selects the execution policy; the zero value, which NewInterp
+	// leaves in place, is TierAuto.
 	Tier TierPolicy
 
 	Counters Counters
@@ -81,7 +81,7 @@ type Interp struct {
 }
 
 // NewInterp creates an interpreter for the program.
-func NewInterp(p *Program) *Interp { return &Interp{Program: p, Tier: DefaultTier} }
+func NewInterp(p *Program) *Interp { return &Interp{Program: p} }
 
 // Run executes the program's entry method with the given arguments.
 func (vm *Interp) Run(args ...Value) (Value, error) {

@@ -13,7 +13,6 @@
 package opt
 
 import (
-	"fmt"
 	"time"
 
 	"renaissance/internal/rvm/ir"
@@ -192,5 +191,3 @@ func (p *Pipeline) String() string {
 func instr(op ir.Op) ir.Instr {
 	return ir.Instr{Op: op, Dst: ir.NoReg, A: ir.NoReg, B: ir.NoReg, C: ir.NoReg}
 }
-
-var _ = fmt.Sprintf // reserved for debug printing in passes

@@ -20,24 +20,20 @@ const (
 	// TierAuto profiles in tier-0 and quickens hot methods (default).
 	TierAuto TierPolicy = iota
 	// TierBaseline pins execution to tier-0 with profiling disabled —
-	// the honest baseline for tier-up measurements (-rvm.tier=0).
+	// the honest baseline for tier-up measurements.
 	TierBaseline
-	// TierQuick quickens every method on first invocation
-	// (-rvm.tier=1); used by the differential tier tests.
+	// TierQuick quickens every method on first invocation; used by the
+	// differential tier tests.
 	TierQuick
 )
 
-// DefaultTier is the policy NewInterp installs; the -rvm.tier CLI flag
-// overrides it process-wide before workloads construct interpreters.
-var DefaultTier = TierAuto
-
-// Tier-up thresholds (package variables so tests can lower them). A
-// method quickens when it accumulates TierUpInvocations calls or
-// TierUpBackedges taken backward branches, whichever comes first; the
-// backedge trigger performs on-stack replacement at the next loop header.
-var (
-	TierUpInvocations int64 = 12
-	TierUpBackedges   int64 = 48
+// Tier-up thresholds. A method quickens when it accumulates
+// TierUpInvocations calls or TierUpBackedges taken backward branches,
+// whichever comes first; the backedge trigger performs on-stack
+// replacement at the next loop header.
+const (
+	TierUpInvocations = 12
+	TierUpBackedges   = 48
 )
 
 // mstate is the per-interpreter tiering state of one method. It lives in

@@ -381,13 +381,10 @@ func TestFuelBlockGranularity(t *testing.T) {
 	}
 }
 
-// TestTierUpOSR: with a low backedge threshold, a single long-running
-// invocation tiers up mid-loop via on-stack replacement.
+// TestTierUpOSR: a single long-running invocation, far past
+// TierUpBackedges taken backedges, tiers up mid-loop via on-stack
+// replacement.
 func TestTierUpOSR(t *testing.T) {
-	oldB := TierUpBackedges
-	TierUpBackedges = 10
-	defer func() { TierUpBackedges = oldB }()
-
 	a := NewAsm()
 	a.ConstInt(0).Store(1)
 	a.ConstInt(0).Store(2)
@@ -415,13 +412,10 @@ func TestTierUpOSR(t *testing.T) {
 	}
 }
 
-// TestTierUpInvocationThreshold: repeated calls cross the invocation
-// threshold and later calls run quickened.
+// TestTierUpInvocationThreshold: calls below TierUpInvocations stay in
+// tier-0; repeated calls cross the threshold and later calls run
+// quickened.
 func TestTierUpInvocationThreshold(t *testing.T) {
-	oldI := TierUpInvocations
-	TierUpInvocations = 5
-	defer func() { TierUpInvocations = oldI }()
-
 	sq := NewAsm()
 	sq.Load(0).Load(0).Op(OpMul).Op(OpReturn)
 	square := sq.MustBuild("square", 1)
@@ -431,7 +425,10 @@ func TestTierUpInvocationThreshold(t *testing.T) {
 
 	vm := NewInterp(p)
 	vm.Tier = TierAuto
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*TierUpInvocations; i++ {
+		if st := vm.states[square]; i < TierUpInvocations && st != nil && st.q != nil {
+			t.Fatalf("tiered up after %d calls, below the threshold of %d", i, TierUpInvocations)
+		}
 		v, err := vm.Run(Int(int64(i)))
 		if err != nil {
 			t.Fatal(err)
@@ -632,10 +629,6 @@ func TestInlineCacheMegamorphic(t *testing.T) {
 // TestProfileSeedsIC: under TierAuto the tier-0 receiver histogram seeds
 // the tier-1 cache, so the first quickened execution already hits.
 func TestProfileSeedsIC(t *testing.T) {
-	oldI := TierUpInvocations
-	TierUpInvocations = 4
-	defer func() { TierUpInvocations = oldI }()
-
 	p, m := mkDispatchProgram(t, 2)
 	vm := NewInterp(p)
 	vm.Tier = TierAuto
@@ -660,10 +653,6 @@ func TestProfileCollector(t *testing.T) {
 		DisableProfiling()
 		ResetProfile()
 	}()
-
-	oldI := TierUpInvocations
-	TierUpInvocations = 2
-	defer func() { TierUpInvocations = oldI }()
 
 	p, _ := mkDispatchProgram(t, 2)
 	vm := NewInterp(p)

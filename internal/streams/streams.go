@@ -164,26 +164,14 @@ func parallelWorkers(workers int) int {
 // ParMap applies fn to every element of xs with at most the given number
 // of concurrent executors (0 = GOMAXPROCS) and returns the results in
 // order — the parallel stream map. Chunks run on the shared work-stealing
-// pool (forkjoin.Shared) rather than on per-chunk goroutines, so the
-// parallel stream map and RDD partition tasks share one bounded
-// executor. A panicking fn is re-panicked at the join as a
-// *forkjoin.TaskError; use ParMapE to receive it as an error.
+// pool (forkjoin.Shared) rather than on per-chunk goroutines. A panicking
+// fn cancels the remaining chunks and is re-panicked at the join as a
+// *forkjoin.TaskError.
 func ParMap[T, U any](xs []T, workers int, fn func(T) U) []U {
-	out, err := ParMapE(xs, workers, fn)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// ParMapE is ParMap surfacing a panicking fn as an error (the first
-// failure; remaining chunks are cancelled) instead of re-panicking at the
-// join. The partially filled result is discarded.
-func ParMapE[T, U any](xs []T, workers int, fn func(T) U) ([]U, error) {
 	workers = parallelWorkers(workers)
 	metrics.IncArray()
 	out := make([]U, len(xs))
-	err := forkjoin.Shared().ForMaxE(len(xs), 0, workers, func(lo, hi int) {
+	err := forkjoin.Shared().ForRetryE(len(xs), 0, workers, 0, func(lo, hi, _ int) {
 		loc := metrics.Acquire()
 		for i := lo; i < hi; i++ {
 			loc.IncIDynamic()
@@ -191,7 +179,7 @@ func ParMapE[T, U any](xs []T, workers int, fn func(T) U) ([]U, error) {
 		}
 	})
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	return out, nil
+	return out
 }

@@ -1,6 +1,7 @@
 package renaissance_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -10,6 +11,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -30,6 +32,11 @@ import (
 // (a setting only tests turn has one value in use, and wants to be a
 // constant); or the declaration is listed in surfaceAllow with the reason
 // it stays.
+//
+// A second walk over the same call graph leaves out the references made
+// under benchmarks/: a function only the first walk reaches is code that
+// only an rbench probe runs, and it must be listed in surfaceProbeOnly
+// with the metric that times it.
 //
 // What the data half cannot see is state whose only readers are its own
 // upkeep: a map that is looked up only to decide how to insert into it
@@ -58,15 +65,6 @@ var surfaceStdIfaces = []string{"fmt", "sort", "container/heap", "flag", "io", "
 var surfaceReasons = []string{"reference: ", "fault domain: ", "serialised: "}
 
 var surfaceAllow = map[string]string{
-	"rdd.GroupByKey":        "reference: seedml_test.go's seed kernels are built on it",
-	"rdd.FlatMap":           "reference: seedml_test.go's seed kernels are built on it",
-	"rdd.SolveLinearSystem": "reference: pivoted elimination the Cholesky kernels are compared against",
-	"rdd.ALS":               "reference: the differential tests drive both ALS implementations through this signature",
-	"rdd.parMapSlice":       "reference: the seed kernels' parallel map, kept verbatim",
-	"rdd.newMatrix":         "reference: the seed kernels' slice-of-slices matrix",
-	"rdd.randomVector":      "reference: the seed ALS's factor initialisation",
-
-	"forkjoin.Task.Err":          "fault domain: how a submitter observes a task's panic without re-raising it",
 	"rdd.RDD.ShuffleEpochs":      "fault domain: the recovery tests' observation point for exchange retries",
 	"graphdb.Tx.Rollback":        "fault domain: abandons a transaction's staged writes",
 	"chaos.SetRate":              "fault domain: how the rdd recovery and stm adversarial suites and core's harness-point test drive one injection point at rate 1 while the rest stay quiet",
@@ -112,6 +110,90 @@ var surfaceAllow = map[string]string{
 	"classic.xmlItem.Name":          "serialised: the xml workloads' round trip (xml.transform checks it survived)",
 	"classic.xmlItem.ID":            "serialised: encoding/xml writes it by reflection when the xml workloads decode",
 	"fn.boundRecord.Name":           "serialised: scalaxb's binding-failure message prints the record with %+v",
+}
+
+// surfaceProbeDir holds the benchmark's probes. Code that only they reach
+// times something no workload runs, so it is listed in surfaceProbeOnly
+// until the probes and the code go together.
+const surfaceProbeDir = "benchmarks/"
+
+// surfaceBenchmarkFile declares the benchmark's metrics; every
+// surfaceProbeOnly entry names one of its per-layer metrics.
+const surfaceBenchmarkFile = "BENCHMARK.json"
+
+// surfaceProbeOnly is the ledger of the functions that only rbench under
+// benchmarks/ reaches, each with the per-layer metric whose measurement
+// runs it (the metric name, then optionally ": " and a note). It is the
+// deletion list of the change that drops those probes. An entry that gains
+// a non-probe caller, or whose declaration is gone, fails the test so the
+// ledger cannot rot.
+var surfaceProbeOnly = map[string]string{
+	"rdd.Parallelize":         "rdd.narrow_ns_per_elem",
+	"rdd.Map":                 "rdd.narrow_ns_per_elem",
+	"rdd.RDD.Filter":          "rdd.narrow_ns_per_elem",
+	"rdd.RDD.Count":           "rdd.narrow_ns_per_elem",
+	"rdd.RDD.run":             "rdd.narrow_ns_per_elem",
+	"rdd.runParts":            "rdd.job_us",
+	"rdd.RDD.Cache":           "rdd.cached_ns_per_elem",
+	"rdd.RDD.cachedPartition": "rdd.cached_ns_per_elem",
+	"rdd.RDD.materialize":     "rdd.cached_ns_per_elem",
+	"rdd.Aggregate":           "rdd.cached_ns_per_elem",
+	"rdd.ReduceByKey":         "rdd.shuffle_ns_per_elem",
+	"rdd.shuffle":             "rdd.shuffle_ns_per_elem",
+	"rdd.shuffleLimit":        "rdd.shuffle_ns_per_elem",
+	"rdd.hashKey":             "rdd.shuffle_ns_per_elem",
+	"rdd.stagingPoolFor":      "rdd.shuffle_ns_per_elem",
+	"rdd.getStagingRow":       "rdd.shuffle_ns_per_elem",
+	"rdd.putStagingRow":       "rdd.shuffle_ns_per_elem",
+	"rdd.exchange.ensure":     "rdd.shuffle_ns_per_elem",
+
+	"streams.ParMap":          "streams.parmap_ns_per_elem",
+	"streams.parallelWorkers": "streams.parmap_ns_per_elem",
+
+	"rx.NewScheduler":            "rx.observeon_ns_per_elem",
+	"rx.Scheduler.Schedule":      "rx.observeon_ns_per_elem",
+	"rx.Scheduler.loop":          "rx.observeon_ns_per_elem",
+	"rx.Scheduler.Close":         "rx.observeon_ns_per_elem",
+	"rx.ObserveOn":               "rx.observeon_ns_per_elem",
+	"rx.Range":                   "rx.pipeline_ns_per_elem",
+	"rx.Observable.BlockingLast": "rx.pipeline_ns_per_elem",
+
+	"lin.Gemv":    "lin.gemv_ns_per_elem",
+	"lin.Syrk":    "lin.cholesky_us",
+	"lin.Mat.Set": "lin.cholesky_us",
+
+	"graphdb.Graph.Neighbors": "graphdb.traverse_ns_per_edge",
+	"graphdb.countType":       "graphdb.traverse_ns_per_edge",
+	"graphdb.appendPeers":     "graphdb.traverse_ns_per_edge",
+	"graphdb.Graph.NodeCount": "graphdb.tx_commit_us",
+
+	"actors.Context.Spawn":          "actors.spawn_ns",
+	"actors.System.DeadLetterCount": "actors.spawn_ns",
+	"mpsc.New":                      "mpsc.enq_deq_ns",
+	"loadgen.RunClosed":             "netstack.closed_rps",
+	"metrics.Recorder.Get":          "stm.abort_ratio",
+
+	"stats.Percentile":       "round_p75_ms: the driver's own summary, not a probe",
+	"metrics.Metric.Counted": "trace.overhead_pct: the traced run keeps only counted metrics on its op spans",
+}
+
+// surfaceProbeMetrics reads the per-layer metric names of BENCHMARK.json.
+func surfaceProbeMetrics() (map[string]bool, error) {
+	raw, err := os.ReadFile(surfaceBenchmarkFile)
+	if err != nil {
+		return nil, err
+	}
+	var decl struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		return nil, err
+	}
+	names := map[string]bool{}
+	for _, m := range decl.PerLayer {
+		names[m.Name] = true
+	}
+	return names, nil
 }
 
 // surfaceLoader type-checks the module's packages from source, sharing
@@ -457,14 +539,17 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 	// calls[f] lists the surface functions f's body references; a
 	// reference from anywhere else (a CLI, a probe, an init, a
 	// package-level initialiser) makes its target live outright, as does
-	// being an interface's dispatch target.
+	// being an interface's dispatch target. The references made under
+	// benchmarks/ are kept apart as probeRoots for the probe-only pass.
 	roots, err := l.surfaceDispatch()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var probeRoots []*types.Func
 	calls := map[*types.Func][]*types.Func{}
 	var declared []*types.Func
 	for _, file := range l.files {
+		probe := strings.HasPrefix(filepath.ToSlash(l.fset.Position(file.Pos()).Filename), surfaceProbeDir)
 		for _, decl := range file.Decls {
 			var owner *types.Func
 			if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Recv != nil || fd.Name.Name != "init") {
@@ -482,7 +567,9 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 				if !ok || !inSurface(fn) {
 					return true
 				}
-				if fn = fn.Origin(); owner == nil {
+				if fn = fn.Origin(); owner == nil && probe {
+					probeRoots = append(probeRoots, fn)
+				} else if owner == nil {
 					roots = append(roots, fn)
 				} else if fn != owner {
 					calls[owner] = append(calls[owner], fn)
@@ -491,8 +578,8 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 			})
 		}
 	}
-	reached := map[*types.Func]bool{}
-	reach := func(work []*types.Func) { // consumes work
+	reach := func(reached map[*types.Func]bool, from []*types.Func) {
+		work := slices.Clone(from)
 		for len(work) > 0 {
 			fn := work[len(work)-1]
 			work = work[:len(work)-1]
@@ -502,7 +589,9 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 			}
 		}
 	}
-	reach(roots)
+	reached := map[*types.Func]bool{}
+	reach(reached, roots)
+	reach(reached, probeRoots)
 
 	var findings []string
 	var kept []*types.Func
@@ -526,11 +615,46 @@ func TestSubstrateSurfaceHasTraffic(t *testing.T) {
 			kept = append(kept, fn)
 		}
 	}
-	reach(kept)
+	reach(reached, kept)
 	for _, fn := range declared {
 		if !reached[fn] {
 			findings = append(findings, fmt.Sprintf("%s (%s): no non-test caller",
 				surfaceName(fn), l.fset.Position(fn.Pos())))
+		}
+	}
+
+	// The probe-only pass: the same walk without the probes' references.
+	// What only the first walk reaches is code no workload, CLI or example
+	// runs, and surfaceProbeOnly must name it with the probe metric that
+	// times it.
+	outside := map[*types.Func]bool{}
+	reach(outside, roots)
+	reach(outside, kept)
+	probeMetrics, err := surfaceProbeMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledgered := map[string]bool{}
+	for _, fn := range declared {
+		name := surfaceName(fn)
+		metric, listed := surfaceProbeOnly[name]
+		if listed {
+			ledgered[name] = true
+			if m, _, _ := strings.Cut(metric, ": "); !probeMetrics[m] {
+				findings = append(findings, fmt.Sprintf("%s: surfaceProbeOnly names %q, not a per-layer metric of %s", name, metric, surfaceBenchmarkFile))
+			}
+		}
+		switch {
+		case reached[fn] && !outside[fn] && !listed:
+			findings = append(findings, fmt.Sprintf("%s (%s): only a probe under %s reaches it; list it in surfaceProbeOnly with the probe metric that runs it",
+				name, l.fset.Position(fn.Pos()), surfaceProbeDir))
+		case listed && outside[fn]:
+			findings = append(findings, name+": in surfaceProbeOnly but has a non-probe caller; drop the entry")
+		}
+	}
+	for name := range surfaceProbeOnly {
+		if !ledgered[name] {
+			findings = append(findings, name+": in surfaceProbeOnly but not declared")
 		}
 	}
 	for _, d := range l.surfaceData() {

@@ -1,8 +1,9 @@
 # Build/verify entry points. `make check` is the gate every change must
 # pass: gofmt, vet, build, the full test suite, the race detector over the
 # packages with lock-free and sharded concurrent code (metrics, forkjoin,
-# stm), which ordinary `go test` does not exercise under -race, and the
-# freshness of the CK tables committed in analysis_output.txt.
+# stm), which ordinary `go test` does not exercise under -race, the
+# freshness of the CK tables committed in analysis_output.txt, and the
+# freshness of its Table 7 work counts.
 # `make rbench` (benchmarks/run.sh) is the only target that produces a
 # performance number; there is no `go test -bench` target.
 
@@ -36,9 +37,9 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify'
 STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir
 
-.PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh chaos smoke analyze rbench loc
+.PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh work-fresh chaos smoke analyze rbench loc
 
-check: fmt vet build test test-rbench race stress-fragments ck-fresh
+check: fmt vet build test test-rbench race stress-fragments ck-fresh work-fresh
 
 # gofmt must list no file of the root module or of benchmarks/ (it only
 # reads them). The build directory .bench_build/ is left out.
@@ -123,8 +124,10 @@ smoke:
 	bash benchmarks/run.sh --workload dataparallel --seed 1 --seconds 1
 	bash benchmarks/run.sh --workload messaging --seed 1 --seconds 1
 
+# GOMAXPROCS is pinned: the Spark workloads' object counts follow the
+# executor count (work-fresh compares them).
 analyze:
-	$(GO) run ./cmd/analyze all
+	GOMAXPROCS=2 $(GO) run ./cmd/analyze all
 
 # The deterministic tail of analysis_output.txt — Tables 4, 5 and 8-11,
 # what `analyze ck` and `analyze classes` print — must match what the two
@@ -134,6 +137,22 @@ ck-fresh:
 	{ $(GO) run ./cmd/analyze ck && $(GO) run ./cmd/analyze classes; } > $$want || exit 1; \
 	tail -n $$(wc -l < $$want) analysis_output.txt | diff -u - $$want || { \
 		echo "analysis_output.txt: its last lines differ from analyze ck + analyze classes; regenerate them"; exit 1; }
+
+# Table 7's work counts — the synch, object, array, method and idynamic
+# columns, picked by header name for every row — must match what `analyze
+# table7` prints now at the same GOMAXPROCS as `make analyze` (under a
+# second). They count events, not time, so a change that moves one has
+# changed what a workload does; the other columns depend on timing.
+WORK_COLS = synch object array method idynamic
+work-fresh:
+	@want=$$(mktemp); got=$$(mktemp); trap 'rm -f $$want $$got' EXIT; \
+	pick='NR == 2 { n = split(cols, c, " "); for (i = 1; i <= NF; i++) idx[$$i] = i; \
+		for (j = 1; j <= n; j++) if (!(c[j] in idx)) { print "Table 7 has no column " c[j] > "/dev/stderr"; exit 1 }; next } \
+		NR > 3 && NF { line = $$1 " " $$2; for (j = 1; j <= n; j++) line = line " " $$(idx[c[j]]); print line }'; \
+	awk '/^Table 7:/ { f = 1 } f && /^$$/ { exit } f' analysis_output.txt | awk -v cols="$(WORK_COLS)" "$$pick" > $$want || exit 1; \
+	GOMAXPROCS=2 $(GO) run ./cmd/analyze table7 > $$got || exit 1; \
+	awk -v cols="$(WORK_COLS)" "$$pick" $$got | diff -u $$want - || { \
+		echo "analysis_output.txt: Table 7's work counts differ from analyze table7; regenerate it with make analyze"; exit 1; }
 
 # Go lines at the root module, non-test then test: the two numbers
 # ROADMAP item 3's deletion targets are read from, the same way on every PR.

@@ -360,7 +360,7 @@ func cmdMetrics() error {
 		metrics.Notify:       "condition signals (Object.notify analogues)",
 		metrics.Atomic:       "atomic memory operations executed",
 		metrics.Park:         "goroutine park operations",
-		metrics.CPU:          "average CPU utilization (sampled, %)",
+		metrics.CPU:          "average CPU utilization (process user+system time, % of GOMAXPROCS)",
 		metrics.CacheMiss:    "cache misses (simulated / allocation proxy)",
 		metrics.Object:       "objects allocated",
 		metrics.Array:        "arrays (slices) allocated",

@@ -108,12 +108,7 @@ func NewSystem(workers int) *System {
 	s.cells = make([]quiesceCell, quiesceCellCount(workers))
 	s.cellMask = len(s.cells) - 1
 	for i := 0; i < workers; i++ {
-		w := &worker{
-			sys:   s,
-			cell:  i & s.cellMask,
-			seq:   uint64(i) << 32,
-			local: metrics.AcquireAt(i),
-		}
+		w := &worker{sys: s, cell: i & s.cellMask, seq: uint64(i) << 32}
 		w.ctx = Context{sys: s, w: w}
 		s.workers = append(s.workers, w)
 	}
@@ -128,7 +123,7 @@ func NewSystem(workers int) *System {
 // reference. The name is a label for the call site only (see the package
 // comment). It panics with ErrSystemStopped after Shutdown.
 func (s *System) Spawn(name string, r Receiver) *Ref {
-	return s.spawn(nil, r, nil)
+	return s.spawn(r, nil)
 }
 
 func supCellFor(opts SpawnOpts) *supCell {
@@ -138,15 +133,11 @@ func supCellFor(opts SpawnOpts) *supCell {
 	}
 }
 
-func (s *System) spawn(w *worker, r Receiver, sup *supCell) *Ref {
+func (s *System) spawn(r Receiver, sup *supCell) *Ref {
 	if s.stopped.Load() {
 		panic(ErrSystemStopped)
 	}
-	if w != nil {
-		w.local.IncObject() // the actor itself
-	} else {
-		metrics.IncObject()
-	}
+	metrics.IncObject() // the actor itself
 	ref := &Ref{sys: s, sup: sup}
 	ref.setBehavior(r)
 	ref.mb.Init(envPool)
@@ -205,23 +196,21 @@ func (r *Ref) TellFrom(msg any, sender *Ref) { r.enqueue(msg, sender, nil) }
 
 // enqueue is the send hot path. w, when non-nil, is the scheduler worker on
 // whose goroutine the send executes (sends made through a Context during
-// Receive): its run queue and pinned metric shard and in-flight cell are
-// used, so the whole send is three uncontended-or-lock-free atomics.
+// Receive): its run queue and pinned in-flight cell are used.
 func (r *Ref) enqueue(msg any, sender *Ref, w *worker) {
 	if w != nil && w.sys != r.sys {
 		w = nil // cross-system send: the hint's queues belong elsewhere
 	}
 	if r.stopped.Load() || r.sys.stopped.Load() {
-		r.sys.deadLetter(w)
+		r.sys.deadLetter()
 		return
 	}
 	// Deterministic per-send accounting: in-flight bump + mailbox swap +
 	// schedule CAS, counted identically however the send is scheduled.
+	metrics.AddAtomic(3)
 	if w != nil {
-		w.local.AddAtomic(3)
 		r.sys.incInFlightAt(w.cell)
 	} else {
-		metrics.AddAtomic(3)
 		r.sys.incInFlightAt(hashedCell(r.sys.cellMask))
 	}
 	r.mb.Push(envelope{msg, sender})
@@ -276,7 +265,7 @@ func (r *Ref) processBatch(w *worker) {
 		if r.stopped.Load() {
 			// Stopped with queued messages: dead-letter them, keeping the
 			// in-flight accounting so quiescence still reaches zero.
-			r.sys.deadLetter(w)
+			r.sys.deadLetter()
 			r.sys.messageDone(w)
 			continue
 		}
@@ -351,14 +340,14 @@ func (c *Context) Self() *Ref { return c.self }
 // System.Spawn; after Shutdown it panics with ErrSystemStopped, which
 // fails the spawning actor like any other panic in Receive.
 func (c *Context) Spawn(name string, r Receiver) *Ref {
-	return c.sys.spawn(c.w, r, nil)
+	return c.sys.spawn(r, nil)
 }
 
 // SpawnWith creates a child actor with an explicit fault-domain
 // configuration. The common tree shape passes Supervisor: c.Self(). The
 // name and the ErrSystemStopped panic are as for Spawn.
 func (c *Context) SpawnWith(name string, r Receiver, opts SpawnOpts) *Ref {
-	return c.sys.spawn(c.w, r, supCellFor(opts))
+	return c.sys.spawn(r, supCellFor(opts))
 }
 
 // Send delivers msg to the target with this actor as the sender, scheduling

@@ -85,7 +85,7 @@ func (s *System) incInFlightAt(cell int) {
 // messageDone accounts one delivered (or dead-lettered-after-queueing)
 // message on the worker's pinned cell.
 func (s *System) messageDone(w *worker) {
-	w.local.IncAtomic()
+	metrics.IncAtomic()
 	s.cells[w.cell].v.Add(packDelta(-1))
 }
 

@@ -18,11 +18,8 @@ type worker struct {
 	sys  *System
 	cell int // pinned in-flight stripe, see quiesce.go
 	dq   forkjoin.Deque[Ref]
-	seq  uint64 // steal-start counter, distinct per worker
-	// local is the worker's pinned metrics shard: per-message accounting
-	// through it is one uncontended atomic, not a Default-recorder hash.
-	local metrics.Local
-	ctx   Context // reused across deliveries; valid only inside Receive
+	seq  uint64  // steal-start counter, distinct per worker
+	ctx  Context // reused across deliveries; valid only inside Receive
 }
 
 // injectBatch bounds how many runnable actors one worker transfers from the
@@ -44,7 +41,7 @@ func (w *worker) run() {
 		if s.waiters.Load() > 0 {
 			select {
 			case s.quiesceCh <- struct{}{}:
-				w.local.IncNotify()
+				metrics.IncNotify()
 			default:
 			}
 		}
@@ -61,7 +58,7 @@ func (w *worker) run() {
 			s.idle.Add(-1)
 			continue
 		}
-		w.local.IncPark()
+		metrics.IncPark()
 		select {
 		case <-s.wake:
 		case <-s.done:
@@ -133,7 +130,7 @@ func (w *worker) steal() *Ref {
 		}
 		if r := victim.dq.Steal(); r != nil {
 			w.sys.Steals.Add(1)
-			w.local.IncAtomic() // steal → atomic (a real scheduling event)
+			metrics.IncAtomic() // steal → atomic (a real scheduling event)
 			return r
 		}
 	}

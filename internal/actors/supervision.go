@@ -184,7 +184,7 @@ func (r *Ref) deliver(w *worker, env envelope) (failure any, failed bool) {
 	}()
 	w.ctx.self = r
 	w.ctx.sender = env.sender
-	w.local.IncMethod() // dynamic dispatch into the behavior
+	metrics.IncMethod() // dynamic dispatch into the behavior
 	if chaos.Maybe("actors.deliver") {
 		panic(&chaos.InjectedError{Point: "actors.deliver"})
 	}
@@ -263,11 +263,7 @@ func (s *System) DeadLetterCount() int64 { return s.deadCount.Load() }
 // deadLetter accounts one undeliverable message — a message sent to a
 // stopped actor, or drained from a stopped actor's mailbox: the fault-path
 // metric DeadLetter plus the system counter.
-func (s *System) deadLetter(w *worker) {
+func (s *System) deadLetter() {
 	s.deadCount.Add(1)
-	if w != nil {
-		w.local.IncDeadLetter()
-	} else {
-		metrics.IncDeadLetter()
-	}
+	metrics.IncDeadLetter()
 }

@@ -295,8 +295,8 @@ type serialWorkload struct {
 func newSerial(cfg core.Config) (core.Workload, error) {
 	n := cfg.Scale(300)
 	w := &serialWorkload{}
+	metrics.AddObject(int64(n))
 	for i := 0; i < n; i++ {
-		metrics.IncObject()
 		w.records = append(w.records, record{
 			ID:    i,
 			Name:  fmt.Sprintf("record-%d", i),

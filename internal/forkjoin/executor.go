@@ -122,22 +122,21 @@ func (p *Pool) ForRetryE(n, grain, maxPar, retries int, body func(lo, hi, attemp
 	}
 	for i := 0; i < helpers; i++ {
 		if !p.trySubmit(func(w *Worker) any {
-			j.drain(w.local)
+			j.drain()
 			return nil
 		}) {
 			break // queue full; the caller still finishes
 		}
 	}
 
-	loc := metrics.Acquire()
-	j.drain(loc)
+	j.drain()
 	// The counter is drained; wait for chunks still in flight on workers.
-	loc.IncPark()
+	metrics.IncPark()
 	<-j.done
 	// The barrier release is counted by the caller, not by whichever
 	// drain closed the channel: a helper bumping after close would race
 	// the caller's return and could land in a later measurement window.
-	loc.IncNotify()
+	metrics.IncNotify()
 	if te := j.failure.Load(); te != nil {
 		return te
 	}

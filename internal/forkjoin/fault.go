@@ -95,7 +95,7 @@ const cacheLine = 64
 // drain claims and executes chunks until the range is exhausted or the job
 // is cancelled. The cancellation token is checked before every claim, so a
 // failing job stops scheduling new work within one chunk per executor.
-func (j *parJob) drain(loc metrics.Local) {
+func (j *parJob) drain() {
 	for {
 		if j.cancelled.Load() {
 			return
@@ -106,7 +106,7 @@ func (j *parJob) drain(loc metrics.Local) {
 		}
 		// Counted per successful claim (= per chunk), not per fetch-add
 		// attempt, so metric totals do not depend on scheduling timing.
-		loc.IncAtomic()
+		metrics.IncAtomic()
 		hi := lo + j.grain
 		if hi > j.n {
 			hi = j.n

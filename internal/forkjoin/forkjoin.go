@@ -4,10 +4,9 @@
 // concurrent data structures"). Workers push forked tasks onto their own
 // lock-free Chase–Lev deque (LIFO for locality) and steal from the top of
 // other workers' deques (FIFO) with a single CAS, and joining workers help
-// execute pending tasks instead of blocking. Each worker holds a
-// shard-pinned metrics.Local handle, so the scheduler's own accounting
-// never contends across workers and never executes inside a critical
-// section.
+// execute pending tasks instead of blocking. The scheduler's own
+// accounting is a metrics.IncX call on the goroutine's hashed shard at
+// each counted event, never inside a critical section.
 package forkjoin
 
 import (
@@ -43,17 +42,17 @@ type Task struct {
 	quiet bool
 }
 
-func (t *Task) complete(v any, loc metrics.Local) {
+func (t *Task) complete(v any) {
 	t.result = v
 	if !t.quiet {
-		loc.IncAtomic()
+		metrics.IncAtomic()
 	}
 	t.done.Store(true)
 	if t.doneCh != nil {
 		close(t.doneCh)
 	}
 	if !t.quiet {
-		loc.IncNotify()
+		metrics.IncNotify()
 	}
 }
 
@@ -70,10 +69,9 @@ type Pool struct {
 // Worker is one pool worker; tasks receive their executing worker to fork
 // and join subtasks.
 type Worker struct {
-	pool  *Pool
-	dq    Deque[Task]
-	seq   uint64 // steal-start counter, distinct per worker
-	local metrics.Local
+	pool *Pool
+	dq   Deque[Task]
+	seq  uint64 // steal-start counter, distinct per worker
 }
 
 // NewPool creates a pool with n workers (0 means GOMAXPROCS).
@@ -87,12 +85,7 @@ func NewPool(n int) *Pool {
 		done:   make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
-		w := &Worker{
-			pool:  p,
-			seq:   uint64(i) << 32,
-			local: metrics.AcquireAt(i),
-		}
-		p.workers = append(p.workers, w)
+		p.workers = append(p.workers, &Worker{pool: p, seq: uint64(i) << 32})
 	}
 	for _, w := range p.workers {
 		p.wg.Add(1)
@@ -179,11 +172,11 @@ func (w *Worker) exec(t *Task) {
 			} else {
 				t.err = &TaskError{Index: -1, Value: p, Stack: debug.Stack()}
 			}
-			t.complete(nil, w.local)
+			t.complete(nil)
 		}
 	}()
 	v := t.fn(w)
-	t.complete(v, w.local)
+	t.complete(v)
 }
 
 // findTask looks for work: own deque first, then the submission queue, then
@@ -194,14 +187,14 @@ func (w *Worker) exec(t *Task) {
 func (w *Worker) findTask() *Task {
 	if t := w.dq.Pop(); t != nil {
 		if !t.quiet {
-			w.local.IncAtomic()
+			metrics.IncAtomic()
 		}
 		return t
 	}
 	select {
 	case t := <-w.pool.submit:
 		if !t.quiet {
-			w.local.IncAtomic()
+			metrics.IncAtomic()
 		}
 		return t
 	default:
@@ -216,7 +209,7 @@ func (w *Worker) findTask() *Task {
 		}
 		if t := victim.dq.Steal(); t != nil {
 			if !t.quiet {
-				w.local.IncAtomic()
+				metrics.IncAtomic()
 			}
 			return t
 		}
@@ -226,9 +219,9 @@ func (w *Worker) findTask() *Task {
 
 // Fork schedules fn as a subtask on the worker's own deque.
 func (w *Worker) Fork(fn Fn) *Task {
-	w.local.IncObject()
+	metrics.IncObject()
 	t := &Task{fn: fn}
-	w.local.IncAtomic()
+	metrics.IncAtomic()
 	w.dq.Push(t)
 	w.pool.wakeOne()
 	return t
@@ -240,7 +233,7 @@ func (w *Worker) Fork(fn Fn) *Task {
 // the join point — the fork/join exception-propagation contract.
 func (w *Worker) Join(t *Task) any {
 	for {
-		w.local.IncAtomic()
+		metrics.IncAtomic()
 		if t.done.Load() {
 			if t.err != nil {
 				panic(t.err)

@@ -103,8 +103,10 @@ func (p *Promise[T]) complete(v T, err error) error {
 		metrics.IncIDynamic()
 		first(v, err)
 	}
+	if len(rest) > 0 {
+		metrics.AddIDynamic(int64(len(rest)))
+	}
 	for _, cb := range rest {
-		metrics.IncIDynamic()
 		cb(v, err)
 	}
 	return nil

@@ -185,9 +185,9 @@ func (t *Tx) Commit() error {
 			g.nodes = append(g.nodes, make([]Node, grow)...)
 		}
 	}
+	metrics.AddObject(int64(len(t.ops)))
 	for i := range t.ops {
 		op := &t.ops[i]
-		metrics.IncObject()
 		switch op.kind {
 		case opCreate:
 			g.nodes[op.id] = Node{ID: op.id, Label: op.name, Props: op.props}

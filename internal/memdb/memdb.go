@@ -110,10 +110,10 @@ func (s *ShardedHash) Delete(key string) bool {
 
 // Len implements Store.
 func (s *ShardedHash) Len() int {
+	metrics.AddSynch(int64(len(s.shards)))
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		metrics.IncSynch()
 		sh.mu.RLock()
 		n += len(sh.m)
 		sh.mu.RUnlock()
@@ -130,9 +130,9 @@ func (s *ShardedHash) Range(from, to string, fn func(string, []byte) bool) {
 		v []byte
 	}
 	var matches []kv
+	metrics.AddSynch(int64(len(s.shards)))
 	for i := range s.shards {
 		sh := &s.shards[i]
-		metrics.IncSynch()
 		sh.mu.RLock()
 		for k, v := range sh.m {
 			if k >= from && k < to {

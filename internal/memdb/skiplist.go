@@ -46,16 +46,19 @@ func levelFor(key string) int {
 	return lvl
 }
 
-// findPreds fills preds/succs with the nodes around key at every level.
-func (s *SkipList) findPreds(key string, preds, succs []*skipNode) *skipNode {
+// findPreds fills preds/succs with the nodes around key at every level. It
+// returns the node holding key, if any, and the number of pointer loads it
+// made, which the caller adds to the atomic count with its own.
+func (s *SkipList) findPreds(key string, preds, succs []*skipNode) (*skipNode, int64) {
 	var found *skipNode
+	var loads int64
 	prev := s.head
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		metrics.IncAtomic()
+		loads++
 		cur := prev.next[lvl].Load()
 		for cur != nil && cur.key < key {
 			prev = cur
-			metrics.IncAtomic()
+			loads++
 			cur = prev.next[lvl].Load()
 		}
 		if cur != nil && cur.key == key {
@@ -64,17 +67,21 @@ func (s *SkipList) findPreds(key string, preds, succs []*skipNode) *skipNode {
 		preds[lvl] = prev
 		succs[lvl] = cur
 	}
-	return found
+	return found, loads
 }
 
-// Put implements Store.
+// Put implements Store. Its atomic operations are summed in ops and added
+// once, on return.
 func (s *SkipList) Put(key string, value []byte) {
 	v := &value
 	var preds, succs [skipMaxLevel]*skipNode
+	var ops int64
 	for {
-		if node := s.findPreds(key, preds[:], succs[:]); node != nil {
+		node, loads := s.findPreds(key, preds[:], succs[:])
+		ops += loads
+		if node != nil {
 			// Key exists (possibly logically deleted): swap the value in.
-			metrics.IncAtomic()
+			metrics.AddAtomic(ops + 1)
 			old := node.value.Swap(v)
 			if old == nil {
 				s.size.Add(1)
@@ -83,13 +90,13 @@ func (s *SkipList) Put(key string, value []byte) {
 		}
 		lvl := levelFor(key)
 		metrics.IncObject()
-		node := &skipNode{key: key, next: make([]atomic.Pointer[skipNode], lvl)}
+		node = &skipNode{key: key, next: make([]atomic.Pointer[skipNode], lvl)}
 		node.value.Store(v)
 		for i := 0; i < lvl; i++ {
 			node.next[i].Store(succs[i])
 		}
 		// Linearization point: CAS into the bottom level.
-		metrics.IncAtomic()
+		ops++
 		if !preds[0].next[0].CompareAndSwap(succs[0], node) {
 			continue // lost the race; retry from scratch
 		}
@@ -98,51 +105,56 @@ func (s *SkipList) Put(key string, value []byte) {
 		// neighborhood changed, so re-find and retry that level.
 		for i := 1; i < lvl; i++ {
 			for {
-				metrics.IncAtomic()
+				ops++
 				if preds[i].next[i].CompareAndSwap(succs[i], node) {
 					break
 				}
-				s.findPreds(key, preds[:], succs[:])
+				_, loads := s.findPreds(key, preds[:], succs[:])
+				ops += loads
 				if succs[i] == node {
 					break // someone already sees us here
 				}
 				node.next[i].Store(succs[i])
 			}
 		}
+		metrics.AddAtomic(ops)
 		return
 	}
 }
 
 // Get implements Store.
 func (s *SkipList) Get(key string) ([]byte, bool) {
+	var loads int64
 	prev := s.head
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		metrics.IncAtomic()
+		loads++
 		cur := prev.next[lvl].Load()
 		for cur != nil && cur.key < key {
 			prev = cur
-			metrics.IncAtomic()
+			loads++
 			cur = prev.next[lvl].Load()
 		}
 		if cur != nil && cur.key == key {
-			metrics.IncAtomic()
+			metrics.AddAtomic(loads + 1)
 			if v := cur.value.Load(); v != nil {
 				return *v, true
 			}
 			return nil, false
 		}
 	}
+	metrics.AddAtomic(loads)
 	return nil, false
 }
 
 // Delete implements Store (logical deletion).
 func (s *SkipList) Delete(key string) bool {
 	var preds, succs [skipMaxLevel]*skipNode
-	node := s.findPreds(key, preds[:], succs[:])
+	node, loads := s.findPreds(key, preds[:], succs[:])
 	if node == nil {
+		metrics.AddAtomic(loads)
 		return false
 	}
-	metrics.IncAtomic()
+	metrics.AddAtomic(loads + 1)
 	if node.value.Swap(nil) != nil {
 		s.size.Add(-1)
 		return true
@@ -159,26 +171,29 @@ func (s *SkipList) Len() int {
 // Range implements Store, scanning the bottom level and skipping logically
 // deleted nodes.
 func (s *SkipList) Range(from, to string, fn func(string, []byte) bool) {
+	var loads int64
 	prev := s.head
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		metrics.IncAtomic()
+		loads++
 		cur := prev.next[lvl].Load()
 		for cur != nil && cur.key < from {
 			prev = cur
-			metrics.IncAtomic()
+			loads++
 			cur = prev.next[lvl].Load()
 		}
 	}
-	metrics.IncAtomic()
+	loads++
 	cur := prev.next[0].Load()
 	for cur != nil && cur.key < to {
-		metrics.IncAtomic()
+		loads++
 		if v := cur.value.Load(); v != nil && cur.key >= from {
 			if !fn(cur.key, *v) {
+				metrics.AddAtomic(loads)
 				return
 			}
 		}
-		metrics.IncAtomic()
+		loads++
 		cur = cur.next[0].Load()
 	}
+	metrics.AddAtomic(loads)
 }

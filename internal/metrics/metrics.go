@@ -8,11 +8,14 @@
 //
 // On the JVM the paper collects these with DiSL bytecode instrumentation and
 // hardware counters. Here every substrate package (actors, stm, forkjoin,
-// rdd, ...) calls the Inc* functions at the corresponding primitive
-// operation, which keeps the instrumentation at the same abstraction
-// boundary with negligible perturbation.
+// rdd, ...) calls the Inc* and Add* functions at the corresponding
+// primitive operation, which keeps the instrumentation at the same
+// abstraction boundary. The counting is not free: every counted event is
+// an atomic add, and where events are dense the adds are a measurable share
+// of a workload's time (EXPERIMENTS.md, "transactional: where the time
+// went").
 //
-// # Contention-free counters
+// # One way into the counters
 //
 // A Recorder is striped: it holds a power-of-two number of shards, and each
 // shard keeps every metric in its own 64-byte cache-line-padded lane. A
@@ -23,18 +26,13 @@
 // Counts are exact, not sampled: every bump lands in exactly one shard lane
 // and every read sums all lanes.
 //
-// Code on a measured hot path can go one step further and acquire a Local
-// handle (Local or LocalAt), a recorder pinned to a single shard: the hash
-// is paid once at acquisition and each bump is a single atomic add. The
-// fork–join workers, the RDD partition tasks and the actor scheduler's
-// workers use this.
-//
-// An owner with a natural point to hand its counts over counts into a
-// Batch instead, plain int64s it alone writes, and flushes them there. An
-// STM transaction does, flushing when Atomically returns: a read makes
-// three counted events, and as atomic adds on a shard other transactions
-// share they were most of stm-bench7's time (EXPERIMENTS.md,
-// "transactional: where the time went").
+// Every count reaches a Recorder through Add on the calling goroutine's
+// hashed shard. A function that counts inside its own loop sums the events
+// in a local variable and adds once before it returns. An owner with a
+// natural point to hand its counts over counts into a Batch instead, plain
+// int64s it alone writes, and flushes them there. An STM transaction does,
+// flushing when Atomically returns: a read makes three counted events, and
+// as atomic adds they were most of stm-bench7's time.
 package metrics
 
 import (
@@ -54,7 +52,7 @@ const (
 	Notify                  // Object.notify()/notifyAll() analogues
 	Atomic                  // atomic memory operations (CAS, fetch-add, ...)
 	Park                    // thread/goroutine park operations
-	CPU                     // average CPU utilization (fraction of GOMAXPROCS)
+	CPU                     // process CPU time as a share of GOMAXPROCS capacity
 	CacheMiss               // cache misses (simulated or allocation proxy)
 	Object                  // objects allocated
 	Array                   // arrays (slices) allocated
@@ -116,7 +114,7 @@ func AllMetrics() []Metric {
 func PaperMetrics() []Metric { return AllMetrics()[:IDynamic+1] }
 
 // Counted reports whether the metric is a dynamic event counter (as opposed
-// to the sampled CPU utilization, which is a ratio).
+// to the measured CPU utilization, which is a ratio).
 func (m Metric) Counted() bool { return m != CPU }
 
 // cacheLine is the assumed cache-line size; lanes are padded to it so that
@@ -212,68 +210,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	return s
 }
 
-// A Local is a Recorder handle pinned to one shard: bumps through it skip
-// the per-call shard hash and are a single atomic add on a cache line the
-// holder effectively owns. Acquire one per worker / task / transaction on
-// hot paths; do not share one Local across goroutines that bump heavily
-// (they would contend on the pinned shard — that is the only cost, counts
-// stay exact). The zero Local is not usable; acquire via Local, LocalAt,
-// Acquire, or AcquireAt.
-type Local struct {
-	sh *shard
-}
-
-// Local returns a handle pinned to the calling goroutine's hashed shard.
-func (r *Recorder) Local() Local {
-	return Local{&r.shards[shardIndex()]}
-}
-
-// LocalAt returns a handle pinned to stripe i mod numShards — worker pools
-// use the worker index to spread workers deterministically across stripes.
-func (r *Recorder) LocalAt(i int) Local {
-	return Local{&r.shards[uint64(i)&shardMask]}
-}
-
-// Acquire returns a Local on the Default recorder for the calling
-// goroutine's hashed shard.
-func Acquire() Local { return Default.Local() }
-
-// AcquireAt returns a Local on the Default recorder pinned to stripe i.
-func AcquireAt(i int) Local { return Default.LocalAt(i) }
-
-// IncNotify records a notify/notifyAll (condition-variable signal).
-func (l Local) IncNotify() { l.sh.lanes[Notify].v.Add(1) }
-
-// IncAtomic records one atomic memory operation (CAS, fetch-add, ...).
-func (l Local) IncAtomic() { l.sh.lanes[Atomic].v.Add(1) }
-
-// AddAtomic records n atomic memory operations.
-func (l Local) AddAtomic(n int64) { l.sh.lanes[Atomic].v.Add(n) }
-
-// IncPark records a goroutine park.
-func (l Local) IncPark() { l.sh.lanes[Park].v.Add(1) }
-
-// IncObject records one object allocation.
-func (l Local) IncObject() { l.sh.lanes[Object].v.Add(1) }
-
-// IncArray records one array (slice) allocation.
-func (l Local) IncArray() { l.sh.lanes[Array].v.Add(1) }
-
-// AddArray records n array (slice) allocations.
-func (l Local) AddArray(n int64) { l.sh.lanes[Array].v.Add(n) }
-
-// IncMethod records one dynamically dispatched call.
-func (l Local) IncMethod() { l.sh.lanes[Method].v.Add(1) }
-
-// IncIDynamic records one invokedynamic analogue (closure dispatch).
-func (l Local) IncIDynamic() { l.sh.lanes[IDynamic].v.Add(1) }
-
-// AddIDynamic records n invokedynamic analogues.
-func (l Local) AddIDynamic(n int64) { l.sh.lanes[IDynamic].v.Add(n) }
-
-// IncDeadLetter records one dropped or dead-lettered message.
-func (l Local) IncDeadLetter() { l.sh.lanes[DeadLetter].v.Add(1) }
-
 // A Batch counts events for one owner in plain memory and hands them to
 // Default in one Flush: a bump is an ordinary increment with no atomic and
 // no shared cache line. It suits an owner with a natural flush point, such
@@ -303,19 +239,14 @@ func (b *Batch) IncStmAbort() { b.n[StmAbort]++ }
 // IncStmExtend records one successful STM timestamp extension.
 func (b *Batch) IncStmExtend() { b.n[StmExtend]++ }
 
-// Flush adds every non-zero lane to Default through one Local and zeroes
-// the batch. Flushing an empty batch touches no shared memory.
+// Flush adds every non-zero lane to Default and zeroes the batch. Flushing
+// an empty batch touches no shared memory.
 func (b *Batch) Flush() {
-	var loc Local
 	for m, v := range b.n {
-		if v == 0 {
-			continue
+		if v != 0 {
+			Default.Add(Metric(m), v)
+			b.n[m] = 0
 		}
-		if loc.sh == nil {
-			loc = Acquire()
-		}
-		loc.sh.lanes[m].v.Add(v)
-		b.n[m] = 0
 	}
 }
 
@@ -341,6 +272,9 @@ func (s Snapshot) Get(m Metric) int64 { return s.Counts[m] }
 
 // IncSynch records entry into a synchronized (mutex-protected) section.
 func IncSynch() { Default.Add(Synch, 1) }
+
+// AddSynch records n synchronized-section entries.
+func AddSynch(n int64) { Default.Add(Synch, n) }
 
 // IncNotify records a notify/notifyAll (condition-variable signal).
 func IncNotify() { Default.Add(Notify, 1) }

@@ -97,6 +97,7 @@ func TestRecorderConcurrent(t *testing.T) {
 func TestDefaultWrappers(t *testing.T) {
 	base := Default.Snapshot()
 	IncSynch()
+	AddSynch(2)
 	IncNotify()
 	IncAtomic()
 	AddAtomic(2)
@@ -111,7 +112,7 @@ func TestDefaultWrappers(t *testing.T) {
 	AddIDynamic(5)
 	d := Default.Snapshot().Delta(base)
 	checks := map[Metric]int64{
-		Synch: 1, Notify: 1, Atomic: 3, Park: 1,
+		Synch: 3, Notify: 1, Atomic: 3, Park: 1,
 		Object: 3, Array: 4, Method: 5, IDynamic: 6,
 	}
 	for m, want := range checks {

@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	runtimemetrics "runtime/metrics"
 	"sort"
 	"strings"
 	"time"
@@ -33,8 +31,8 @@ type Profile struct {
 	// (wall time at nominal frequency, or the RVM's deterministic cycle
 	// count for kernel workloads).
 	RefCycles float64
-	// CPUUtil is the average CPU utilization in percent (0..100*GOMAXPROCS
-	// normalized to 0..100 of available capacity).
+	// CPUUtil is the process's user plus system CPU time over the region,
+	// in percent of the capacity elapsed × GOMAXPROCS (clamped to 0..100).
 	CPUUtil float64
 	// Elapsed is the profiled wall-clock duration.
 	Elapsed time.Duration
@@ -67,7 +65,7 @@ func (p *Profile) String() string {
 }
 
 // A Profiler brackets a measured region: it snapshots the Default recorder,
-// the wall clock, the Go runtime's CPU usage, and allocation statistics, and
+// the wall clock, the process's CPU time, and allocation statistics, and
 // produces a Profile on Stop.
 type Profiler struct {
 	benchmark string
@@ -107,17 +105,12 @@ func (p *Profiler) Stop() *Profile {
 		snap.Counts[CacheMiss] += allocBytes / 64
 	}
 
-	cpuSec := totalCPUSeconds() - p.cpuBase
+	// The process clock never runs backwards, but threads outside
+	// GOMAXPROCS (sysmon, blocking syscalls) can push the share past 100.
 	util := 0.0
 	if elapsed > 0 {
-		capacity := elapsed.Seconds() * float64(runtime.GOMAXPROCS(0))
-		util = 100 * cpuSec / capacity
-		if util < 0 {
-			util = 0
-		}
-		if util > 100 {
-			util = 100
-		}
+		cpuSec := totalCPUSeconds() - p.cpuBase
+		util = min(100, 100*cpuSec/(elapsed.Seconds()*float64(runtime.GOMAXPROCS(0))))
 	}
 
 	return &Profile{
@@ -128,27 +121,6 @@ func (p *Profiler) Stop() *Profile {
 		CPUUtil:   util,
 		Elapsed:   elapsed,
 	}
-}
-
-// totalCPUSeconds reads the cumulative user+system CPU seconds consumed by
-// the process from runtime/metrics. It returns NaN-free 0 when the metric is
-// unavailable.
-func totalCPUSeconds() float64 {
-	samples := []runtimemetrics.Sample{
-		{Name: "/cpu/classes/user:cpu-seconds"},
-		{Name: "/cpu/classes/gc/total:cpu-seconds"},
-	}
-	runtimemetrics.Read(samples)
-	total := 0.0
-	for _, s := range samples {
-		if s.Value.Kind() == runtimemetrics.KindFloat64 {
-			v := s.Value.Float64()
-			if !math.IsNaN(v) {
-				total += v
-			}
-		}
-	}
-	return total
 }
 
 // SortProfiles orders profiles by suite then benchmark name, the order used

@@ -19,9 +19,9 @@ func TestNumShardsSane(t *testing.T) {
 	}
 }
 
-// No lost updates: heavy concurrent bumps from many goroutines, pinned
-// handles on one metric and hashed adds over every metric, must sum exactly.
-// Run with -race to also check the shard plumbing is data-race free.
+// No lost updates: heavy concurrent adds from many goroutines, half on one
+// metric and half spread over every metric, must sum exactly. Run with
+// -race to also check the shard plumbing is data-race free.
 func TestRecorderShardedStressExact(t *testing.T) {
 	var r Recorder
 	const workers = 16
@@ -31,12 +31,11 @@ func TestRecorderShardedStressExact(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			loc := r.LocalAt(i) // half pinned ...
 			for j := 0; j < perWorker; j++ {
 				if i%2 == 0 {
-					loc.IncAtomic()
+					r.Add(Atomic, 1) // half on one metric ...
 				} else {
-					r.Add(Metric(j%int(NumMetrics)), 1) // ... half hashed
+					r.Add(Metric(j%int(NumMetrics)), 1) // ... half on all
 				}
 			}
 		}(i)
@@ -62,13 +61,12 @@ func TestSnapshotMonotonicUnderWriters(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			loc := r.LocalAt(i)
 			for j := 0; j < perWorker; j++ {
-				loc.IncAtomic()
+				r.Add(Atomic, 1)
 			}
-		}(i)
+		}()
 	}
 	prev := int64(0)
 	for k := 0; k < 100; k++ {
@@ -93,16 +91,22 @@ func TestSnapshotMonotonicUnderWriters(t *testing.T) {
 	}
 }
 
-// Local handles pinned to different stripes must aggregate into the same
-// totals as the hashed path.
-func TestLocalAggregatesAcrossShards(t *testing.T) {
+// Adds made on separate goroutines land on whichever shards their stacks
+// hash to; Get and Snapshot must both sum them into the same totals.
+func TestAddAggregatesAcrossGoroutines(t *testing.T) {
 	var r Recorder
-	a := r.LocalAt(0)
-	b := r.LocalAt(1)
-	a.IncAtomic()
-	a.AddArray(3)
-	b.IncAtomic()
-	b.AddIDynamic(7)
+	var wg sync.WaitGroup
+	for _, add := range []func(){
+		func() { r.Add(Atomic, 1); r.Add(Array, 3) },
+		func() { r.Add(Atomic, 1); r.Add(IDynamic, 7) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			add()
+		}()
+	}
+	wg.Wait()
 	if got := r.Get(Atomic); got != 2 {
 		t.Errorf("Get(Atomic) = %d, want 2", got)
 	}
@@ -115,30 +119,6 @@ func TestLocalAggregatesAcrossShards(t *testing.T) {
 	s := r.Snapshot()
 	if s.Get(Atomic) != 2 || s.Get(Array) != 3 || s.Get(IDynamic) != 7 {
 		t.Errorf("snapshot disagrees with Get: %+v", s.Counts)
-	}
-}
-
-func TestLocalWrapperParity(t *testing.T) {
-	var r Recorder
-	loc := r.Local()
-	loc.IncNotify()
-	loc.IncAtomic()
-	loc.AddAtomic(2)
-	loc.IncPark()
-	loc.IncObject()
-	loc.IncArray()
-	loc.AddArray(3)
-	loc.IncMethod()
-	loc.IncIDynamic()
-	loc.AddIDynamic(5)
-	want := map[Metric]int64{
-		Notify: 1, Atomic: 3, Park: 1,
-		Object: 1, Array: 4, Method: 1, IDynamic: 6,
-	}
-	for m, w := range want {
-		if got := r.Get(m); got != w {
-			t.Errorf("Get(%v) = %d, want %d", m, got, w)
-		}
 	}
 }
 

@@ -30,9 +30,8 @@ type Graph struct {
 // input order (stable counting sort), so rank accumulation is
 // deterministic.
 func NewGraph(edges []Pair[int, int]) *Graph {
-	loc := metrics.Acquire()
-	loc.IncObject()
-	loc.AddArray(4) // the CSR's flat arrays and the out-degrees
+	metrics.IncObject()
+	metrics.AddArray(4) // the CSR's flat arrays and the out-degrees
 	idx := make(map[int]int32)
 	g := &Graph{}
 	add := func(v int) {
@@ -88,7 +87,7 @@ type prState struct {
 
 func (g *Graph) newPRState(damping float64) *prState {
 	n := g.NumVertices()
-	metrics.Acquire().AddArray(3)
+	metrics.AddArray(3)
 	st := &prState{
 		g:       g,
 		damping: damping,
@@ -124,7 +123,7 @@ func (s *prState) step() {
 	g := s.g
 	n := g.NumVertices()
 	forkjoin.For(n, 0, func(lo, hi int) {
-		metrics.Acquire().AddIDynamic(int64(hi - lo))
+		metrics.AddIDynamic(int64(hi - lo))
 		for u := lo; u < hi; u++ {
 			if d := g.outDeg[u]; d > 0 {
 				s.share[u] = s.ranks[u] / float64(d)
@@ -148,7 +147,7 @@ func (s *prState) step() {
 			s.out[v] = base + s.damping*sum
 			edges += len(srcs)
 		}
-		metrics.Acquire().AddIDynamic(int64(edges))
+		metrics.AddIDynamic(int64(edges))
 	}); err != nil {
 		panic(err)
 	}

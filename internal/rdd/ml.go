@@ -32,7 +32,7 @@ type Points struct {
 // NewPoints allocates a zeroed training set of n points with dim features
 // each; the caller fills X.Row(i) and Labels[i].
 func NewPoints(n, dim int) *Points {
-	metrics.Acquire().AddArray(2)
+	metrics.AddArray(2)
 	return &Points{X: lin.NewMat(n, dim), Labels: make([]int32, n)}
 }
 
@@ -56,7 +56,7 @@ func LogisticRegression(points *Points, iterations int, learningRate float64) ([
 		return nil, ErrEmpty
 	}
 	parts := mlParts(n)
-	metrics.Acquire().AddArray(2)
+	metrics.AddArray(2)
 	// One gradient accumulator per chunk, rows padded onto disjoint
 	// cache lines (a bare dim-wide row is ~one line, so neighboring
 	// chunks would false-share on every point).
@@ -68,11 +68,10 @@ func LogisticRegression(points *Points, iterations int, learningRate float64) ([
 		// gradient row and recomputes, so a transient fault costs one
 		// chunk replay instead of the whole pass.
 		if err := forPartsRetry(parts, func(c int) {
-			loc := metrics.Acquire()
 			g := grads.Row(c)[:dim]
 			clear(g)
 			rlo, rhi := c*n/parts, (c+1)*n/parts
-			loc.AddIDynamic(int64(rhi - rlo))
+			metrics.AddIDynamic(int64(rhi - rlo))
 			for i := rlo; i < rhi; i++ {
 				row := x.Row(i)
 				e := sigmoid(lin.Dot(w, row)) - float64(labels[i])
@@ -114,7 +113,7 @@ func NaiveBayes(points *Points, numClasses int) (*NaiveBayesModel, error) {
 	parts := mlParts(n)
 	stride := numFeatures + 1
 	width := numClasses * stride
-	metrics.Acquire().IncArray()
+	metrics.IncArray()
 	// Per-chunk count tables, rows padded onto disjoint cache lines.
 	tab := lin.NewMat(parts, lin.PadStride(width))
 	// Each attempt clears its private table row first, so a recompute
@@ -123,7 +122,7 @@ func NaiveBayes(points *Points, numClasses int) (*NaiveBayesModel, error) {
 		acc := tab.Row(c)[:width]
 		clear(acc)
 		rlo, rhi := c*n/parts, (c+1)*n/parts
-		metrics.Acquire().AddIDynamic(int64(rhi - rlo))
+		metrics.AddIDynamic(int64(rhi - rlo))
 		for i := rlo; i < rhi; i++ {
 			l := int(labels[i])
 			if l < 0 || l >= numClasses {
@@ -191,7 +190,7 @@ func ChiSquare(points *Points, numClasses, numBuckets int) []float64 {
 	parts := mlParts(n)
 	stride := numBuckets * numClasses // one feature's table
 	width := numFeatures * stride
-	metrics.Acquire().IncArray()
+	metrics.IncArray()
 	// Per-chunk tables, rows padded onto disjoint cache lines.
 	tab := lin.NewMat(parts, lin.PadStride(width))
 	// Attempts clear their private table row first — recompute-safe, like
@@ -200,7 +199,7 @@ func ChiSquare(points *Points, numClasses, numBuckets int) []float64 {
 		acc := tab.Row(c)[:width]
 		clear(acc)
 		rlo, rhi := c*n/parts, (c+1)*n/parts
-		metrics.Acquire().AddIDynamic(int64(rhi - rlo))
+		metrics.AddIDynamic(int64(rhi - rlo))
 		for i := rlo; i < rhi; i++ {
 			l := int(labels[i])
 			if l < 0 || l >= numClasses {
@@ -298,7 +297,7 @@ func DecisionTree(points *Points, numClasses, maxDepth, minLeaf int) (*TreeNode,
 	if minLeaf < 1 {
 		minLeaf = 1
 	}
-	metrics.Acquire().AddArray(2)
+	metrics.AddArray(2)
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
@@ -360,9 +359,8 @@ func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
 	metrics.IncArray()
 	results := make([]split, numFeatures)
 	forkjoin.For(numFeatures, 1, func(flo, fhi int) {
-		loc := metrics.Acquire()
+		metrics.AddIDynamic(int64(fhi - flo))
 		for f := flo; f < fhi; f++ {
-			loc.IncIDynamic()
 			results[f] = t.bestSplit(idx, f, counts)
 		}
 	})

@@ -166,8 +166,7 @@ func (r *RDD[T]) run(p int, sink func(T) bool) {
 // materialize evaluates partition p into a slice: the whole fused
 // pipeline runs in one pass into a single size-hinted allocation.
 func (r *RDD[T]) materialize(p int) []T {
-	loc := metrics.Acquire()
-	loc.IncArray()
+	metrics.IncArray()
 	out := make([]T, 0, r.sizeHint(p))
 	r.iterate(p, func(x T) bool {
 		out = append(out, x)
@@ -202,12 +201,8 @@ func Map[T, U any](r *RDD[T], fn func(T) U) *RDD[U] {
 		numPartitions: r.numPartitions,
 		sizeHint:      r.sizeHint,
 		iterate: func(p int, sink func(U) bool) {
-			// One shard-pinned handle per partition pass: the per-element
-			// closure-dispatch bumps below are the engine's hottest
-			// instrumentation path.
-			loc := metrics.Acquire()
 			r.run(p, func(x T) bool {
-				loc.IncIDynamic()
+				metrics.IncIDynamic()
 				return sink(fn(x))
 			})
 		},
@@ -221,9 +216,8 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 		numPartitions: r.numPartitions,
 		sizeHint:      r.sizeHint, // upper bound: filtering only shrinks
 		iterate: func(p int, sink func(T) bool) {
-			loc := metrics.Acquire()
 			r.run(p, func(x T) bool {
-				loc.IncIDynamic()
+				metrics.IncIDynamic()
 				if pred(x) {
 					return sink(x)
 				}
@@ -261,11 +255,10 @@ func (r *RDD[T]) Count() int {
 func Aggregate[T, A any](r *RDD[T], zero func() A, seqOp func(A, T) A, combOp func(A, A) A) A {
 	partials, err := runParts(r.numPartitions, func(p int) A {
 		metrics.IncMethod()
-		loc := metrics.Acquire()
-		loc.IncIDynamic()
+		metrics.IncIDynamic()
 		acc := zero()
 		r.run(p, func(x T) bool {
-			loc.IncIDynamic()
+			metrics.IncIDynamic()
 			acc = seqOp(acc, x)
 			return true
 		})
@@ -274,10 +267,9 @@ func Aggregate[T, A any](r *RDD[T], zero func() A, seqOp func(A, T) A, combOp fu
 	if err != nil {
 		panic(err)
 	}
-	metrics.IncIDynamic()
+	metrics.AddIDynamic(int64(1 + len(partials))) // zero, then each combOp
 	out := zero()
 	for _, p := range partials {
-		metrics.IncIDynamic()
 		out = combOp(out, p)
 	}
 	return out
@@ -337,7 +329,7 @@ func getStagingRow[K comparable, V any](pool *sync.Pool, numBuckets, hint int) *
 	// One logical buffer acquisition per producer row, counted whether or
 	// not the pool had a warm row: sync.Pool hits depend on GC and
 	// scheduling timing, and metric counts must be run-to-run stable.
-	metrics.Acquire().IncArray()
+	metrics.IncArray()
 	if cap(row.buckets) < numBuckets {
 		row.buckets = make([][]Pair[K, V], numBuckets)
 	}
@@ -416,12 +408,11 @@ func shuffle[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) [][]Pai
 
 	metrics.IncArray()
 	buckets, err := runParts(numPartitions, func(b int) []Pair[K, V] {
-		loc := metrics.Acquire()
 		total := 0
 		for _, row := range staging {
 			total += len(row.buckets[b])
 		}
-		loc.IncArray()
+		metrics.IncArray()
 		out := make([]Pair[K, V], 0, total)
 		for _, row := range staging {
 			out = append(out, row.buckets[b]...)
@@ -455,17 +446,18 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int, fn 
 		},
 		iterate: func(p int, sink func(Pair[K, V]) bool) {
 			buckets := ensure()
-			loc := metrics.Acquire()
-			loc.IncObject()
+			metrics.IncObject()
 			agg := make(map[K]V, len(buckets[p]))
+			merges := 0
 			for _, kv := range buckets[p] {
 				if old, ok := agg[kv.Key]; ok {
-					loc.IncIDynamic()
+					merges++
 					agg[kv.Key] = fn(old, kv.Value)
 				} else {
 					agg[kv.Key] = kv.Value
 				}
 			}
+			metrics.AddIDynamic(int64(merges))
 			for k, v := range agg {
 				if !sink(Pair[K, V]{k, v}) {
 					return

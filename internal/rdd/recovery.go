@@ -68,7 +68,7 @@ func runParts[R any](n int, compute func(p int) R, discard func(R)) ([]R, error)
 	if n <= 0 {
 		return nil, nil
 	}
-	metrics.Acquire().IncArray()
+	metrics.IncArray()
 	out := make([]R, n)
 	if err := forPartsRetry(n, func(p int) { out[p] = compute(p) }); err != nil {
 		if discard != nil {

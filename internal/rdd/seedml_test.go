@@ -564,9 +564,8 @@ func flatMap[T, U any](r *RDD[T], fn func(T) []U) *RDD[U] {
 		numPartitions: r.numPartitions,
 		sizeHint:      r.sizeHint,
 		iterate: func(p int, sink func(U) bool) {
-			loc := metrics.Acquire()
 			r.run(p, func(x T) bool {
-				loc.IncIDynamic()
+				metrics.IncIDynamic()
 				for _, u := range fn(x) {
 					if !sink(u) {
 						return false
@@ -584,9 +583,8 @@ func flatMap[T, U any](r *RDD[T], fn func(T) []U) *RDD[U] {
 func parMapSlice[T any, U any](xs []T, fn func(T) U) []U {
 	out := make([]U, len(xs))
 	forkjoin.For(len(xs), 1, func(lo, hi int) {
-		loc := metrics.Acquire()
+		metrics.AddIDynamic(int64(hi - lo))
 		for i := lo; i < hi; i++ {
-			loc.IncIDynamic()
 			out[i] = fn(xs[i])
 		}
 	})

@@ -172,9 +172,8 @@ func ParMap[T, U any](xs []T, workers int, fn func(T) U) []U {
 	metrics.IncArray()
 	out := make([]U, len(xs))
 	err := forkjoin.Shared().ForRetryE(len(xs), 0, workers, 0, func(lo, hi, _ int) {
-		loc := metrics.Acquire()
+		metrics.AddIDynamic(int64(hi - lo))
 		for i := lo; i < hi; i++ {
-			loc.IncIDynamic()
 			out[i] = fn(xs[i])
 		}
 	})

@@ -63,10 +63,9 @@ func accuracy(pts *rdd.Points, predict func([]float64) int) float64 {
 // --- als ---
 
 type alsWorkload struct {
-	ratings []rdd.Rating
-	graph   *rdd.RatingsGraph
-	rank    int
-	rmse    float64
+	graph *rdd.RatingsGraph
+	rank  int
+	rmse  float64
 }
 
 func newALS(cfg core.Config) (core.Workload, error) {
@@ -95,7 +94,7 @@ func newALS(cfg core.Config) (core.Workload, error) {
 	// The rating graph is grouped into CSR once at setup; the measured
 	// iteration is pure alternating solves (the seed re-grouped the
 	// ratings inside every ALS call).
-	return &alsWorkload{ratings: ratings, graph: rdd.NewRatingsGraph(ratings), rank: rank}, nil
+	return &alsWorkload{graph: rdd.NewRatingsGraph(ratings), rank: rank}, nil
 }
 
 func randomVec(rng interface{ Float64() float64 }, n int) []float64 {
@@ -111,7 +110,7 @@ func (w *alsWorkload) RunIteration() error {
 	if err != nil {
 		return err
 	}
-	w.rmse = model.RMSE(w.ratings)
+	w.rmse = w.graph.RMSE(model)
 	return nil
 }
 

@@ -13,9 +13,9 @@
 //     allocation.
 //   - Dot/Axpy/Gemv: 4-way-unrolled level-1/level-2 kernels with the
 //     bounds check hoisted out of the unrolled body.
-//   - Syr/Syrk: symmetric rank-1/rank-k updates that touch only the
-//     lower triangle — the ALS normal-equation accumulation does half
-//     the flops of a full outer-product update.
+//   - NormalEq: the ALS normal-equation accumulation, one fused pass per
+//     CSR row over the lower triangle (half the flops of a full outer
+//     product); Syr/Syrk are the same update one vector at a time.
 //   - CholeskySolve: an in-place LL^T factor-and-solve for symmetric
 //     positive-definite systems. The ALS normal equations
 //     (Y^T·Y + λ·n·I with λ·n > 0) are SPD by construction, so Cholesky
@@ -122,6 +122,51 @@ func Syr(a *Mat, alpha float64, x []float64) {
 	}
 }
 
+// NormalEq accumulates one CSR row's normal equations: for each entry
+// (cols[k], vals[k]), with y = other.Row(cols[k]), it adds y·yᵀ into a's
+// lower triangle and vals[k]·y into x. Each element gets the expression
+// and entry order of Syr(a, 1, y) then Axpy(vals[k], y, x), so the result
+// is bit-identical to that pair, in one call per row instead of rank+2
+// short ones per entry. Entries go four to a pass over the triangle, so
+// an element is loaded and stored once per four updates. It never
+// allocates.
+func NormalEq(a *Mat, x []float64, other *Mat, cols []int32, vals []float64) {
+	n := a.Rows
+	d := a.Data[:n*n]
+	x = x[:n]
+	vals = vals[:len(cols)]
+	k := 0
+	for ; k+4 <= len(cols); k += 4 {
+		y0, y1 := other.Row(int(cols[k]))[:n], other.Row(int(cols[k+1]))[:n]
+		y2, y3 := other.Row(int(cols[k+2]))[:n], other.Row(int(cols[k+3]))[:n]
+		for i := range y0 {
+			y0i, y1i, y2i, y3i := y0[i], y1[i], y2[i], y3[i]
+			row := d[i*n : i*n+i+1]
+			z0, z1, z2, z3 := y0[:len(row)], y1[:len(row)], y2[:len(row)], y3[:len(row)]
+			for j := range row {
+				s := row[j] + y0i*z0[j]
+				s += y1i * z1[j]
+				s += y2i * z2[j]
+				row[j] = s + y3i*z3[j]
+			}
+			s := x[i] + vals[k]*y0i
+			s += vals[k+1] * y1i
+			s += vals[k+2] * y2i
+			x[i] = s + vals[k+3]*y3i
+		}
+	}
+	for ; k < len(cols); k++ {
+		y, b := other.Row(int(cols[k]))[:n], vals[k]
+		for i, yi := range y {
+			row := d[i*n : i*n+i+1]
+			for j, yj := range y[:len(row)] {
+				row[j] += yi * yj
+			}
+			x[i] += b * yi
+		}
+	}
+}
+
 // Syrk accumulates the symmetric rank-k update C += AᵀA over A's rows,
 // writing only C's lower triangle.
 func Syrk(c *Mat, a *Mat) {
@@ -139,8 +184,9 @@ const spdTolerance = 1e-12
 // positive-definite a, reading and overwriting only a's lower triangle
 // (the factor L replaces it). x and b may alias; x must have length
 // a.Rows. It reports false — leaving a and x partially overwritten —
-// when a is not (numerically) positive definite, mirroring
-// SolveLinearSystem's singularity contract. It never allocates.
+// when a is not (numerically) positive definite, the singularity
+// contract of the seed's pivoted Gaussian elimination (kept as the test
+// oracle solveLinearSystem in internal/rdd). It never allocates.
 func CholeskySolve(a *Mat, b, x []float64) bool {
 	n := a.Rows
 	d := a.Data

@@ -293,3 +293,56 @@ func TestScratchSteadyStateAllocs(t *testing.T) {
 		t.Errorf("scratch steady state allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// FuzzNormalEq checks the fused row kernel against the per-entry pair it
+// replaces, Syr(a, 1, y) then Axpy(b, y, x), bit for bit, from a non-zero
+// starting a and x. The seed corpus covers ranks 1, 4, 8 and 13 (below,
+// at and above the 4-way unroll) and rows of degree 0, 1 and 37.
+func FuzzNormalEq(f *testing.F) {
+	for _, rank := range []uint8{1, 4, 8, 13} {
+		for _, degree := range []uint8{0, 1, 37} {
+			f.Add(rank, degree, int64(rank)*100+int64(degree))
+		}
+	}
+	f.Fuzz(func(t *testing.T, rankRaw, degreeRaw uint8, seed int64) {
+		rank, degree := int(rankRaw)%16+1, int(degreeRaw)%64
+		rng := rand.New(rand.NewSource(seed))
+		// Values spread over ±2^20 so cancellation and rounding both occur.
+		val := func() float64 { return rng.NormFloat64() * math.Ldexp(1, rng.Intn(41)-20) }
+		other := NewMat(rank+rng.Intn(8), rank)
+		for i := range other.Data {
+			other.Data[i] = val()
+		}
+		cols, vals := make([]int32, degree), make([]float64, degree)
+		for k := range cols {
+			cols[k], vals[k] = int32(rng.Intn(other.Rows)), val()
+		}
+		got, want := NewMat(rank, rank), NewMat(rank, rank)
+		for i := range got.Data {
+			got.Data[i] = val()
+		}
+		copy(want.Data, got.Data)
+		gotX, wantX := make([]float64, rank), make([]float64, rank)
+		for i := range gotX {
+			gotX[i] = val()
+		}
+		copy(wantX, gotX)
+
+		NormalEq(got, gotX, other, cols, vals)
+		for k, c := range cols {
+			y := other.Row(int(c))
+			Syr(want, 1, y)
+			Axpy(vals[k], y, wantX)
+		}
+		for i := range got.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("rank %d degree %d: a[%d] = %v, Syr reference %v", rank, degree, i, got.Data[i], want.Data[i])
+			}
+		}
+		for i := range gotX {
+			if math.Float64bits(gotX[i]) != math.Float64bits(wantX[i]) {
+				t.Fatalf("rank %d degree %d: x[%d] = %v, Axpy reference %v", rank, degree, i, gotX[i], wantX[i])
+			}
+		}
+	})
+}

@@ -29,7 +29,7 @@ type Rating struct {
 // computation over the graph is deterministic.
 type RatingsGraph struct {
 	userIDs, itemIDs []int
-	userIdx, itemIdx map[int]int32
+	userIdx          map[int]int32
 	byUser, byItem   *lin.CSR
 }
 
@@ -41,17 +41,15 @@ func NewRatingsGraph(ratings []Rating) *RatingsGraph {
 	// happen — once, at setup.
 	metrics.IncObject()
 	metrics.AddArray(2 * 3) // two CSRs, three flat arrays each
-	g := &RatingsGraph{
-		userIdx: make(map[int]int32),
-		itemIdx: make(map[int]int32),
-	}
+	g := &RatingsGraph{userIdx: make(map[int]int32)}
+	itemIdx := make(map[int]int32) // only the build reads it
 	for _, r := range ratings {
 		if _, ok := g.userIdx[r.User]; !ok {
 			g.userIdx[r.User] = 0
 			g.userIDs = append(g.userIDs, r.User)
 		}
-		if _, ok := g.itemIdx[r.Item]; !ok {
-			g.itemIdx[r.Item] = 0
+		if _, ok := itemIdx[r.Item]; !ok {
+			itemIdx[r.Item] = 0
 			g.itemIDs = append(g.itemIDs, r.Item)
 		}
 	}
@@ -61,14 +59,14 @@ func NewRatingsGraph(ratings []Rating) *RatingsGraph {
 		g.userIdx[id] = int32(i)
 	}
 	for i, id := range g.itemIDs {
-		g.itemIdx[id] = int32(i)
+		itemIdx[id] = int32(i)
 	}
 	uSrc := make([]int32, len(ratings))
 	uDst := make([]int32, len(ratings))
 	vals := make([]float64, len(ratings))
 	for k, r := range ratings {
 		uSrc[k] = g.userIdx[r.User]
-		uDst[k] = g.itemIdx[r.Item]
+		uDst[k] = itemIdx[r.Item]
 		vals[k] = r.Value
 	}
 	g.byUser = lin.NewCSR(len(g.userIDs), uSrc, uDst, vals)
@@ -87,6 +85,26 @@ func (g *RatingsGraph) NumItems() int { return len(g.itemIDs) }
 // NumRatings returns the number of observations.
 func (g *RatingsGraph) NumRatings() int { return g.byUser.NumEdges() }
 
+// RMSE computes the root-mean-square error of the model on the graph's
+// own ratings: one Dot per byUser entry on compacted rows, summed in user
+// order, then each row's input order (input order, for user-major input).
+func (g *RatingsGraph) RMSE(m *ALSModel) float64 {
+	n := g.NumRatings()
+	if n == 0 {
+		return 0
+	}
+	sum := 0.0
+	for u := 0; u < g.byUser.NumRows(); u++ {
+		x := m.Users.Row(u)
+		vals := g.byUser.RowVals(u)
+		for k, c := range g.byUser.RowCols(u) {
+			d := lin.Dot(x, m.Items.Row(int(c))) - vals[k]
+			sum += d * d
+		}
+	}
+	return math.Sqrt(sum / float64(n))
+}
+
 // ALSModel holds the fitted latent factors as dense id-indexed flat
 // matrices: row r of Users/Items is the factor vector of the r-th
 // smallest external user/item id (the seed stored map[int][]float64 —
@@ -98,18 +116,14 @@ type ALSModel struct {
 }
 
 // ALSTrain fits latent factors by alternating least squares with L2
-// regularization over a pre-grouped rating graph: holding the item
-// factors fixed, every user's factor vector is the solution of a
-// rank×rank normal-equation system, solved in parallel across users, and
-// vice versa — the als benchmark kernel (Table 1: "data-parallel,
-// compute-bound"). Factor rows are initialized in sorted-id
-// order from the seeded rng (deterministic; the seed kernel initialized
-// in map-iteration order, which was not), and every iteration rewrites
-// both factor matrices in place: the per-id normal equations
-// (Yᵀ·Y + λ·nᵢ·I)·x = Yᵀ·b are accumulated with lower-triangle rank-1
-// updates into pooled scratch and solved by in-place Cholesky — the
-// system is SPD by construction since λ·nᵢ > 0. Steady-state iterations
-// allocate nothing beyond the executor's fixed fork–join overhead.
+// regularization over a pre-grouped rating graph — the als benchmark
+// kernel (Table 1: "data-parallel, compute-bound"). Factor rows start in
+// sorted-id order from the seeded rng (the seed kernel used map order),
+// and every iteration rewrites both factor matrices in place: holding one
+// side fixed, each row of the other solves its normal equations
+// (Yᵀ·Y + λ·nᵢ·I)·x = Yᵀ·b, SPD since λ·nᵢ > 0, in parallel across rows
+// (solveFactors). Steady-state iterations allocate nothing beyond the
+// executor's fixed fork–join overhead.
 func ALSTrain(g *RatingsGraph, rank, iterations int, lambda float64, seed int64) (*ALSModel, error) {
 	if g == nil || g.NumRatings() == 0 {
 		return nil, ErrEmpty
@@ -136,29 +150,25 @@ func ALSTrain(g *RatingsGraph, rank, iterations int, lambda float64, seed int64)
 }
 
 // solveFactors recomputes every row of target from its normal equations,
-// holding other fixed: row u gathers its CSR adjacency (counterpart rows
-// y and ratings b), accumulates A = Σ y·yᵀ (lower triangle only) and
-// x = Σ b·y, adds the λ·n ridge, and Cholesky-solves in place — x
-// accumulates directly in target's row, so the only working memory is
-// the rank×rank scratch matrix, pooled per executor chunk. Rows are
-// independent (target and other are distinct matrices), so the
-// parallel-for needs no synchronization beyond the join barrier.
+// holding other fixed: row u accumulates A = Σ y·yᵀ (lower triangle) and
+// x = Σ b·y over its CSR adjacency in one lin.NormalEq call, adds the λ·n
+// ridge, and Cholesky-solves in place — x accumulates directly in
+// target's row, so the only working memory is the rank×rank scratch
+// matrix, pooled per executor chunk. Rows are independent (target and
+// other are distinct matrices), so the parallel-for needs no
+// synchronization beyond the join barrier.
 func solveFactors(adj *lin.CSR, target, other *lin.Mat, lambda float64) {
 	rank := target.Cols
 	forkjoin.For(adj.NumRows(), 0, func(lo, hi int) {
 		s := lin.GetScratch()
 		edges := 0
 		for u := lo; u < hi; u++ {
-			cols, vals := adj.RowCols(u), adj.RowVals(u)
+			cols := adj.RowCols(u)
 			edges += len(cols)
 			a := s.MatN(rank)
 			x := target.Row(u)
 			clear(x)
-			for k, c := range cols {
-				y := other.Row(int(c))
-				lin.Syr(a, 1, y)
-				lin.Axpy(vals[k], y, x)
-			}
+			lin.NormalEq(a, x, other, cols, adj.RowVals(u))
 			reg := lambda * float64(len(cols))
 			for i := 0; i < rank; i++ {
 				a.Data[i*rank+i] += reg
@@ -175,61 +185,6 @@ func solveFactors(adj *lin.CSR, target, other *lin.Mat, lambda float64) {
 	})
 }
 
-// UserFactor returns the factor row of the external user id.
-func (m *ALSModel) UserFactor(user int) ([]float64, bool) {
-	r, ok := m.userIdx[user]
-	if !ok {
-		return nil, false
-	}
-	return m.Users.Row(int(r)), true
-}
-
-// ItemFactor returns the factor row of the external item id.
-func (m *ALSModel) ItemFactor(item int) ([]float64, bool) {
-	var idx int32 = -1
-	// itemIDs is sorted; binary-search the compacted row.
-	lo, hi := 0, len(m.itemIDs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if m.itemIDs[mid] < item {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(m.itemIDs) && m.itemIDs[lo] == item {
-		idx = int32(lo)
-	}
-	if idx < 0 {
-		return nil, false
-	}
-	return m.Items.Row(int(idx)), true
-}
-
-// Predict returns the model's rating estimate for (user, item); unknown
-// ids predict 0.
-func (m *ALSModel) Predict(user, item int) float64 {
-	u, okU := m.UserFactor(user)
-	v, okI := m.ItemFactor(item)
-	if !okU || !okI {
-		return 0
-	}
-	return lin.Dot(u, v)
-}
-
-// RMSE computes the root-mean-square error of the model on the ratings.
-func (m *ALSModel) RMSE(ratings []Rating) float64 {
-	if len(ratings) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range ratings {
-		d := m.Predict(r.User, r.Item) - r.Value
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(ratings)))
-}
-
 // Recommend returns the top-n unrated items for the user, by predicted
 // rating (the movie-lens recommender step). Ties break toward the lower
 // item id, as in the seed kernel.
@@ -238,7 +193,7 @@ func (m *ALSModel) Recommend(user int, rated map[int]bool, n int) []int {
 		item  int
 		score float64
 	}
-	u, okU := m.UserFactor(user)
+	u, okU := m.userIdx[user]
 	var cands []scored
 	for r, item := range m.itemIDs {
 		if rated[item] {
@@ -246,7 +201,7 @@ func (m *ALSModel) Recommend(user int, rated map[int]bool, n int) []int {
 		}
 		score := 0.0
 		if okU {
-			score = lin.Dot(u, m.Items.Row(r))
+			score = lin.Dot(m.Users.Row(int(u)), m.Items.Row(r))
 		}
 		cands = append(cands, scored{item, score})
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -163,7 +164,8 @@ func TestALSDifferentialRMSE(t *testing.T) {
 	ratings := syntheticRatings(rng, 40, 30, 4)
 	rdd := Parallelize(ratings, 8)
 
-	linModel, err := ALSTrain(NewRatingsGraph(ratings), 4, 10, 0.01, 7)
+	g := NewRatingsGraph(ratings)
+	linModel, err := ALSTrain(g, 4, 10, 0.01, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +173,117 @@ func TestALSDifferentialRMSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linRMSE, seedRMSE := linModel.RMSE(ratings), seedModel.RMSE(ratings)
+	linRMSE, seedRMSE := g.RMSE(linModel), seedModel.RMSE(ratings)
 	if linRMSE > 0.05 || seedRMSE > 0.05 {
 		t.Fatalf("poor fit: lin RMSE %.4f, seed RMSE %.4f", linRMSE, seedRMSE)
 	}
 	if math.Abs(linRMSE-seedRMSE) > 0.02 {
 		t.Fatalf("fit quality diverged: lin RMSE %.4f vs seed RMSE %.4f", linRMSE, seedRMSE)
+	}
+}
+
+// refALSTrain is ALSTrain with the per-rating accumulation the fused
+// lin.NormalEq replaced: lin.Syr(a, 1, y) then lin.Axpy(b, y, x) for
+// every rating of a row, serially. Initialization, ridge and solve are
+// ALSTrain's own.
+func refALSTrain(g *RatingsGraph, rank, iterations int, lambda float64, seed int64) (users, items *lin.Mat) {
+	rng := rand.New(rand.NewSource(seed))
+	users, items = lin.NewMat(g.NumUsers(), rank), lin.NewMat(g.NumItems(), rank)
+	for i := range users.Data {
+		users.Data[i] = rng.Float64()
+	}
+	for i := range items.Data {
+		items.Data[i] = rng.Float64()
+	}
+	solve := func(adj *lin.CSR, target, other *lin.Mat) {
+		for u := 0; u < adj.NumRows(); u++ {
+			cols, vals := adj.RowCols(u), adj.RowVals(u)
+			a := lin.NewMat(rank, rank)
+			x := target.Row(u)
+			clear(x)
+			for k, c := range cols {
+				y := other.Row(int(c))
+				lin.Syr(a, 1, y)
+				lin.Axpy(vals[k], y, x)
+			}
+			for i := 0; i < rank; i++ {
+				a.Data[i*rank+i] += lambda * float64(len(cols))
+			}
+			if !lin.CholeskySolve(a, x, x) {
+				clear(x)
+			}
+		}
+	}
+	for it := 0; it < iterations; it++ {
+		solve(g.byUser, users, items)
+		solve(g.byItem, items, users)
+	}
+	return users, items
+}
+
+// firstBitDiff returns the first index where a and b differ in any bit,
+// or -1.
+func firstBitDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestALSTrainDifferentialSyrAxpyBitIdentical pins ALSTrain's factor
+// matrices bit for bit against the per-rating Syr+Axpy reference, at ranks
+// below, at and above Axpy's four-way unroll, and across executor widths.
+func TestALSTrainDifferentialSyrAxpyBitIdentical(t *testing.T) {
+	for _, rank := range []int{1, 3, 4, 8, 10} {
+		g := NewRatingsGraph(syntheticRatings(rand.New(rand.NewSource(int64(60+rank))), 50, 35, rank))
+		wantU, wantI := refALSTrain(g, rank, 4, 0.03, 7)
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			m, err := ALSTrain(g, rank, 4, 0.03, 7)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := firstBitDiff(m.Users.Data, wantU.Data); i >= 0 {
+				t.Fatalf("rank %d GOMAXPROCS=%d: Users[%d] = %v, reference %v", rank, procs, i, m.Users.Data[i], wantU.Data[i])
+			}
+			if i := firstBitDiff(m.Items.Data, wantI.Data); i >= 0 {
+				t.Fatalf("rank %d GOMAXPROCS=%d: Items[%d] = %v, reference %v", rank, procs, i, m.Items.Data[i], wantI.Data[i])
+			}
+		}
+	}
+}
+
+// ratingsRMSE is the RMSE as a pass over the input ratings: each
+// prediction looks its user and item rows up by external id.
+func ratingsRMSE(g *RatingsGraph, m *ALSModel, ratings []Rating) float64 {
+	sum := 0.0
+	for _, r := range ratings {
+		u, i := g.userIdx[r.User], sort.SearchInts(g.itemIDs, r.Item)
+		d := lin.Dot(m.Users.Row(int(u)), m.Items.Row(i)) - r.Value
+		sum += d * d
+	}
+	return math.Sqrt(sum / float64(len(ratings)))
+}
+
+// TestALSGraphRMSEDifferentialRatingsOrder: on the als workload's shape,
+// ratings generated user-major, the CSR walk sums in input order, so the
+// graph RMSE equals the ratings-order pass exactly.
+func TestALSGraphRMSEDifferentialRatingsOrder(t *testing.T) {
+	ratings := syntheticRatings(rand.New(rand.NewSource(23)), 60, 40, 4)
+	g := NewRatingsGraph(ratings)
+	m, err := ALSTrain(g, 4, 8, 0.01, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := g.RMSE(m), ratingsRMSE(g, m, ratings)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("graph RMSE %v, ratings-order RMSE %v", got, want)
+	}
+	if got > 0.15 {
+		t.Fatalf("RMSE %.4f: the fit itself is off", got)
 	}
 }
 

@@ -365,11 +365,12 @@ func TestALSReconstructsRatings(t *testing.T) {
 			}
 		}
 	}
-	model, err := ALSTrain(NewRatingsGraph(ratings), rank, 12, 0.01, 7)
+	g := NewRatingsGraph(ratings)
+	model, err := ALSTrain(g, rank, 12, 0.01, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rmse := model.RMSE(ratings); rmse > 0.1 {
+	if rmse := g.RMSE(model); rmse > 0.1 {
 		t.Errorf("RMSE = %.4f, want <= 0.1", rmse)
 	}
 	if _, err := ALSTrain(NewRatingsGraph(nil), 2, 1, 0.1, 1); err == nil {

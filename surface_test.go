@@ -159,6 +159,7 @@ var surfaceProbeOnly = map[string]string{
 	"rx.Observable.BlockingLast": "rx.pipeline_ns_per_elem",
 
 	"lin.Gemv":    "lin.gemv_ns_per_elem",
+	"lin.Syr":     "lin.syr_ns_per_elem",
 	"lin.Syrk":    "lin.cholesky_us",
 	"lin.Mat.Set": "lin.cholesky_us",
 

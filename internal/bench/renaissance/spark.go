@@ -50,16 +50,6 @@ func syntheticPoints(cfg core.Config, n, dim int, stream string) *rdd.Points {
 	return pts
 }
 
-func accuracy(pts *rdd.Points, predict func([]float64) int) float64 {
-	correct := 0
-	for i, label := range pts.Labels {
-		if predict(pts.X.Row(i)) == int(label) {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pts.Labels))
-}
-
 // --- als ---
 
 type alsWorkload struct {
@@ -124,7 +114,7 @@ func (w *alsWorkload) Validate() error {
 // --- chi-square ---
 
 type chiSquareWorkload struct {
-	points *rdd.Points
+	points *rdd.Counts
 	stats  []float64
 }
 
@@ -132,17 +122,17 @@ func newChiSquare(cfg core.Config) (core.Workload, error) {
 	rng := cfg.Rand("chi-square")
 	n := cfg.Scale(4000)
 	const dim = 12
-	pts := rdd.NewPoints(n, dim)
+	pts := rdd.NewCounts(n, dim)
 	for i := 0; i < n; i++ {
 		label := i % 2
-		f := pts.X.Row(i)
+		f := pts.Row(i)
 		// Feature 0 is strongly label-dependent; the rest are noise.
-		f[0] = float64(label)
+		f[0] = uint8(label)
 		if rng.Float64() < 0.1 {
-			f[0] = float64(1 - label)
+			f[0] = uint8(1 - label)
 		}
 		for j := 1; j < dim; j++ {
-			f[j] = float64(rng.Intn(4))
+			f[j] = uint8(rng.Intn(4))
 		}
 		pts.Labels[i] = int32(label)
 	}
@@ -150,7 +140,11 @@ func newChiSquare(cfg core.Config) (core.Workload, error) {
 }
 
 func (w *chiSquareWorkload) RunIteration() error {
-	w.stats = rdd.ChiSquare(w.points, 2, 4)
+	stats, err := rdd.ChiSquare(w.points, 2, 4)
+	if err != nil {
+		return err
+	}
+	w.stats = stats
 	return nil
 }
 
@@ -183,8 +177,10 @@ func (w *decTreeWorkload) RunIteration() error {
 	if err != nil {
 		return err
 	}
-	w.acc = accuracy(w.points, tree.Predict)
-	return nil
+	w.acc, err = rdd.Accuracy(w.points.Labels, func(i int) int {
+		return tree.Predict(w.points.X.Row(i))
+	})
+	return err
 }
 
 func (w *decTreeWorkload) Validate() error {
@@ -210,13 +206,13 @@ func (w *logRegWorkload) RunIteration() error {
 	if err != nil {
 		return err
 	}
-	w.acc = accuracy(w.points, func(f []float64) int {
-		if rdd.PredictLogistic(weights, f) > 0.5 {
+	w.acc, err = rdd.Accuracy(w.points.Labels, func(i int) int {
+		if rdd.PredictLogistic(weights, w.points.X.Row(i)) > 0.5 {
 			return 1
 		}
 		return 0
 	})
-	return nil
+	return err
 }
 
 func (w *logRegWorkload) Validate() error {
@@ -293,7 +289,7 @@ func (w *movieLensWorkload) Validate() error {
 // --- naive-bayes ---
 
 type naiveBayesWorkload struct {
-	points *rdd.Points
+	points *rdd.Counts
 	acc    float64
 }
 
@@ -301,16 +297,16 @@ func newNaiveBayes(cfg core.Config) (core.Workload, error) {
 	rng := cfg.Rand("naive-bayes")
 	n := cfg.Scale(5000)
 	const dim = 16
-	pts := rdd.NewPoints(n, dim)
+	pts := rdd.NewCounts(n, dim)
 	for i := 0; i < n; i++ {
 		label := i % 3
-		f := pts.X.Row(i)
+		f := pts.Row(i)
 		for j := range f {
-			base := 1.0
+			base := 1
 			if j%3 == label {
-				base = 6.0
+				base = 6
 			}
-			f[j] = base + float64(rng.Intn(3))
+			f[j] = uint8(base + rng.Intn(3))
 		}
 		pts.Labels[i] = int32(label)
 	}
@@ -322,8 +318,10 @@ func (w *naiveBayesWorkload) RunIteration() error {
 	if err != nil {
 		return err
 	}
-	w.acc = accuracy(w.points, model.Predict)
-	return nil
+	w.acc, err = rdd.Accuracy(w.points.Labels, func(i int) int {
+		return model.Predict(w.points.Row(i))
+	})
+	return err
 }
 
 func (w *naiveBayesWorkload) Validate() error {

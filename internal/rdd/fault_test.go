@@ -75,3 +75,23 @@ func TestCollectEAfterFaultPipelineReusable(t *testing.T) {
 		t.Fatalf("re-evaluation = (%d elems, %v), want (40, nil)", len(got), err)
 	}
 }
+
+func TestChiSquarePersistentFaultReturnsTaskError(t *testing.T) {
+	// Every attempt of every chunk fails: ChiSquare spends the recompute
+	// budget and returns the final failure as an error, like NaiveBayes
+	// and LogisticRegression, instead of re-panicking it.
+	chaosQuiet(t, 5, map[string]float64{"rdd.task": 1, "rdd.recompute": 1})
+	counts := NewCounts(64, 2)
+	for i := range counts.Labels {
+		counts.Labels[i] = int32(i % 2)
+		copy(counts.Row(i), []uint8{uint8(i % 2), uint8(i % 3)})
+	}
+	stats, err := ChiSquare(counts, 2, 4)
+	var te *forkjoin.TaskError
+	if !errors.As(err, &te) {
+		t.Fatalf("ChiSquare error = %v, want *forkjoin.TaskError", err)
+	}
+	if stats != nil {
+		t.Errorf("ChiSquare returned statistics %v alongside an error", stats)
+	}
+}

@@ -12,12 +12,18 @@ import (
 // provides to the paper's benchmarks: logistic regression, multinomial
 // naive Bayes, chi-square testing, decision trees (alternating least
 // squares and PageRank live in als.go and graph.go). Each kernel reads a
-// flat training set (Points), built once at workload setup, in place and
-// runs chunked parallel-for passes on the shared work-stealing executor,
-// accumulating into flat per-chunk tables that merge in fixed chunk order
-// — so results are deterministic at any GOMAXPROCS. Chunk c covers rows
-// [c·n/parts, (c+1)·n/parts): the partition split of Parallelize(·, 8),
-// preserving the seed kernels' partition-ordered aggregation semantics.
+// flat training set, built once at workload setup, in place: Points, one
+// float64 matrix, for the Gaussian features of logistic regression and
+// the decision tree; Counts, one byte a feature, for the category codes
+// and occurrence counts of chi-square and naive Bayes. The kernels run
+// chunked parallel-for passes on the shared work-stealing executor,
+// accumulating into flat per-chunk float64 tables that merge in fixed
+// chunk order — so results are deterministic at any GOMAXPROCS, and
+// counting from bytes gives the bits counting from float64s gave
+// (integer sums are exact). Chunk c covers rows [c·n/parts,
+// (c+1)·n/parts): the partition split of Parallelize(·, 8), preserving
+// the seed kernels' partition-ordered aggregation semantics. Accuracy
+// scores a fitted model over the same chunks.
 
 // Points is a labeled training set in flat storage: row i of X holds
 // point i's features and Labels[i] its class. It is the layout of the
@@ -36,10 +42,62 @@ func NewPoints(n, dim int) *Points {
 	return &Points{X: lin.NewMat(n, dim), Labels: make([]int32, n)}
 }
 
+// Counts is a labeled training set of small non-negative integers —
+// category codes or occurrence counts, 0–255 — one byte a feature: X is
+// row-major n×Dim, row i holds point i's features and Labels[i] its
+// class. It is Points' layout at an eighth of the feature bytes.
+type Counts struct {
+	X      []uint8
+	Dim    int
+	Labels []int32
+}
+
+// NewCounts allocates a zeroed training set of n points with dim features
+// each; the caller fills Row(i) and Labels[i].
+func NewCounts(n, dim int) *Counts {
+	metrics.AddArray(2)
+	return &Counts{X: make([]uint8, n*dim), Dim: dim, Labels: make([]int32, n)}
+}
+
+// Row returns point i's features, capacity-clipped like lin.Mat.Row.
+func (s *Counts) Row(i int) []uint8 {
+	return s.X[i*s.Dim : (i+1)*s.Dim : (i+1)*s.Dim]
+}
+
 // mlParts is the kernels' chunk count over n rows: the partition count
 // Parallelize gives n elements by default, so the per-chunk accumulators
 // merge in the grouping and order the seed's per-partition Aggregate used.
 func mlParts(n int) int { return clampPartitions(0, defaultPartitions, n) }
+
+// Accuracy returns the fraction of the n = len(labels) points for which
+// predict(i) == labels[i]. Each mlParts chunk counts its hits under the
+// recompute budget (an attempt overwrites its own slot, so a retry never
+// double-counts) and the counts sum in chunk order; predict must be safe
+// to call concurrently. An empty label set returns ErrEmpty.
+func Accuracy(labels []int32, predict func(i int) int) (float64, error) {
+	n := len(labels)
+	if n == 0 {
+		return 0, ErrEmpty
+	}
+	parts := mlParts(n)
+	var hits [defaultPartitions]int
+	if err := forPartsRetry(parts, func(c int) {
+		h := 0
+		for i := c * n / parts; i < (c+1)*n/parts; i++ {
+			if predict(i) == int(labels[i]) {
+				h++
+			}
+		}
+		hits[c] = h
+	}); err != nil {
+		return 0, err
+	}
+	correct := 0
+	for _, h := range hits[:parts] {
+		correct += h
+	}
+	return float64(correct) / float64(n), nil
+}
 
 // sigmoid is the logistic link function.
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
@@ -107,9 +165,9 @@ type NaiveBayesModel struct {
 // floats (class count in column 0, feature totals after), replacing the
 // seed's per-partition struct of nested slices; tables merge in chunk
 // order. Points with an out-of-range label are skipped, as in the seed.
-func NaiveBayes(points *Points, numClasses int) (*NaiveBayesModel, error) {
-	x, labels := points.X, points.Labels
-	n, numFeatures := x.Rows, x.Cols
+func NaiveBayes(points *Counts, numClasses int) (*NaiveBayesModel, error) {
+	labels := points.Labels
+	n, numFeatures := len(labels), points.Dim
 	parts := mlParts(n)
 	stride := numFeatures + 1
 	width := numClasses * stride
@@ -130,7 +188,10 @@ func NaiveBayes(points *Points, numClasses int) (*NaiveBayesModel, error) {
 			}
 			row := acc[l*stride : (l+1)*stride]
 			row[0]++
-			lin.Axpy(1, x.Row(i), row[1:])
+			feats := row[1:]
+			for j, v := range points.Row(i) {
+				feats[j] += float64(v)
+			}
 		}
 	}); err != nil {
 		return nil, err
@@ -166,11 +227,11 @@ func NaiveBayes(points *Points, numClasses int) (*NaiveBayesModel, error) {
 	return m, nil
 }
 
-// Predict returns the most likely class for the feature counts.
-func (m *NaiveBayesModel) Predict(features []float64) int {
+// Predict returns the most likely class for a row of feature counts.
+func (m *NaiveBayesModel) Predict(row []uint8) int {
 	best, bestScore := 0, math.Inf(-1)
 	for c := range m.ClassLogPrior {
-		score := m.ClassLogPrior[c] + lin.Dot(features, m.FeatureLogPr[c])
+		score := m.ClassLogPrior[c] + dotCounts(row, m.FeatureLogPr[c])
 		if score > bestScore {
 			best, bestScore = c, score
 		}
@@ -178,15 +239,37 @@ func (m *NaiveBayesModel) Predict(features []float64) int {
 	return best
 }
 
+// dotCounts returns Σ float64(x[i])·y[i] with lin.Dot's four partial sums
+// and combine order, so it has the bits of lin.Dot over the converted row
+// without building it.
+func dotCounts(x []uint8, y []float64) float64 {
+	n := len(x)
+	y = y[:n]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0 += float64(x[i]) * y[i]
+		s1 += float64(x[i+1]) * y[i+1]
+		s2 += float64(x[i+2]) * y[i+2]
+		s3 += float64(x[i+3]) * y[i+3]
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; i < n; i++ {
+		s += float64(x[i]) * y[i]
+	}
+	return s
+}
+
 // ChiSquare computes the chi-square independence statistic of every
-// feature against the label over discretized features (values are bucketed
-// by floor) — the chi-square benchmark kernel. It returns one statistic
-// per feature. Each chunk folds its rows into one flat
-// [feature][bucket][class] contingency array (the seed allocated a
+// feature against the label over category codes; codes ≥ numBuckets fold
+// into the last bucket — the chi-square benchmark kernel. It returns one
+// statistic per feature, or the final *forkjoin.TaskError of a chunk
+// whose recompute budget was spent. Each chunk folds its rows into one
+// flat [feature][bucket][class] contingency array (the seed allocated a
 // three-level nested slice per partition), merged in chunk order.
-func ChiSquare(points *Points, numClasses, numBuckets int) []float64 {
-	x, labels := points.X, points.Labels
-	n, numFeatures := x.Rows, x.Cols
+func ChiSquare(points *Counts, numClasses, numBuckets int) ([]float64, error) {
+	labels := points.Labels
+	n, numFeatures := len(labels), points.Dim
 	parts := mlParts(n)
 	stride := numBuckets * numClasses // one feature's table
 	width := numFeatures * stride
@@ -194,7 +277,7 @@ func ChiSquare(points *Points, numClasses, numBuckets int) []float64 {
 	// Per-chunk tables, rows padded onto disjoint cache lines.
 	tab := lin.NewMat(parts, lin.PadStride(width))
 	// Attempts clear their private table row first — recompute-safe, like
-	// NaiveBayes. A persistent failure re-panics (legacy action contract).
+	// NaiveBayes.
 	if err := forPartsRetry(parts, func(c int) {
 		acc := tab.Row(c)[:width]
 		clear(acc)
@@ -205,19 +288,13 @@ func ChiSquare(points *Points, numClasses, numBuckets int) []float64 {
 			if l < 0 || l >= numClasses {
 				continue
 			}
-			for f, v := range x.Row(i) {
-				b := int(v)
-				if b < 0 {
-					b = 0
-				}
-				if b >= numBuckets {
-					b = numBuckets - 1
-				}
+			for f, v := range points.Row(i) {
+				b := min(int(v), numBuckets-1)
 				acc[f*stride+b*numClasses+l]++
 			}
 		}
 	}); err != nil {
-		panic(err)
+		return nil, err
 	}
 	res := tab.Row(0)[:width]
 	for c := 1; c < parts; c++ {
@@ -255,7 +332,7 @@ func ChiSquare(points *Points, numClasses, numBuckets int) []float64 {
 		}
 		stats[f] = chi
 	}
-	return stats
+	return stats, nil
 }
 
 // TreeNode is a node of a fitted classification decision tree.

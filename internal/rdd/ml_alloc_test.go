@@ -84,20 +84,34 @@ func TestPageRankAllocsIndependentOfVertices(t *testing.T) {
 
 // TestTrainingAllocsIndependentOfRows: the kernels read the flat training
 // set in place, so a call's allocations — per-chunk tables, the model,
-// the fork–join overhead of its passes — do not grow with the row count.
+// the fork–join overhead of its passes — do not grow with the row count;
+// nor do Accuracy's, which scores the set in place.
 func TestTrainingAllocsIndependentOfRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	small := pointsOf(syntheticLabeled(rand.New(rand.NewSource(7)), 1<<10, 6))
-	large := pointsOf(syntheticLabeled(rand.New(rand.NewSource(7)), 1<<14, 6))
+	type sets struct {
+		points *Points
+		counts *Counts
+	}
+	small := sets{
+		pointsOf(syntheticLabeled(rand.New(rand.NewSource(7)), 1<<10, 6)),
+		countsOf(syntheticCounts(rand.New(rand.NewSource(7)), 1<<10, 6)),
+	}
+	large := sets{
+		pointsOf(syntheticLabeled(rand.New(rand.NewSource(7)), 1<<14, 6)),
+		countsOf(syntheticCounts(rand.New(rand.NewSource(7)), 1<<14, 6)),
+	}
 	for _, k := range []struct {
 		name string
-		run  func(*Points)
+		run  func(sets)
 	}{
-		{"LogisticRegression", func(p *Points) { LogisticRegression(p, 3, 0.5) }},
-		{"NaiveBayes", func(p *Points) { NaiveBayes(p, 2) }},
-		{"ChiSquare", func(p *Points) { ChiSquare(p, 2, 4) }},
+		{"LogisticRegression", func(s sets) { LogisticRegression(s.points, 3, 0.5) }},
+		{"NaiveBayes", func(s sets) { NaiveBayes(s.counts, 2) }},
+		{"ChiSquare", func(s sets) { ChiSquare(s.counts, 2, 4) }},
+		{"Accuracy", func(s sets) {
+			Accuracy(s.counts.Labels, func(i int) int { return int(s.counts.Row(i)[0]) / 4 })
+		}},
 	} {
 		a := testing.AllocsPerRun(5, func() { k.run(small) })
 		b := testing.AllocsPerRun(5, func() { k.run(large) })

@@ -14,7 +14,7 @@ import (
 
 // Differential tests: the flat-memory kernels (internal/lin layouts)
 // against the seed kernels kept verbatim in seedml_test.go, on shared
-// seeded inputs. Counting kernels must agree essentially exactly;
+// seeded inputs. Counting kernels must agree bit for bit;
 // floating-point kernels get tolerances sized to the summation-order
 // difference the 4-way-unrolled Dot/Axpy introduces.
 
@@ -469,6 +469,21 @@ func syntheticLabeled(rng *rand.Rand, n, dim int) []LabeledPoint {
 	return pts
 }
 
+// syntheticCounts is syntheticLabeled for the byte-coded kernels: two
+// classes whose integer features 0–7 lean toward the label's half.
+func syntheticCounts(rng *rand.Rand, n, dim int) []LabeledPoint {
+	pts := make([]LabeledPoint, n)
+	for i := range pts {
+		label := i % 2
+		f := make([]float64, dim)
+		for j := range f {
+			f[j] = float64(label*4 + rng.Intn(4))
+		}
+		pts[i] = LabeledPoint{Features: f, Label: label}
+	}
+	return pts
+}
+
 func TestLogRegressionDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pts := syntheticLabeled(rng, 800, 8)
@@ -509,6 +524,10 @@ func TestMLChunksMatchPartitions(t *testing.T) {
 
 // --- Naive Bayes ---
 
+// TestNaiveBayesDifferential: counting from the byte-coded set into the
+// same per-chunk float64 tables sums the seed's integer values exactly,
+// and the log-probabilities are the seed's arithmetic, so the model must
+// match the seed's to the last bit.
 func TestNaiveBayesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n, dim, classes = 1200, 12, 3
@@ -525,7 +544,7 @@ func TestNaiveBayesDifferential(t *testing.T) {
 		}
 		pts[i] = LabeledPoint{Features: f, Label: label}
 	}
-	got, err := NaiveBayes(pointsOf(pts), classes)
+	got, err := NaiveBayes(countsOf(pts), classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,18 +552,22 @@ func TestNaiveBayesDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := maxAbsDiff(got.ClassLogPrior, want.ClassLogPrior); d > 1e-12 {
-		t.Fatalf("class log-priors diverged: max diff %g", d)
+	if i := firstBitDiff(got.ClassLogPrior, want.ClassLogPrior); i >= 0 || len(got.ClassLogPrior) != classes {
+		t.Fatalf("class log-prior %d = %v, seed %v", i, got.ClassLogPrior, want.ClassLogPrior)
 	}
 	for c := 0; c < classes; c++ {
-		if d := maxAbsDiff(got.FeatureLogPr[c], want.FeatureLogPr[c]); d > 1e-12 {
-			t.Fatalf("class %d feature log-probs diverged: max diff %g", c, d)
+		if i := firstBitDiff(got.FeatureLogPr[c], want.FeatureLogPr[c]); i >= 0 || len(got.FeatureLogPr[c]) != dim {
+			t.Fatalf("class %d feature log-prob %d = %v, seed %v", c, i, got.FeatureLogPr[c], want.FeatureLogPr[c])
 		}
 	}
 }
 
 // --- Chi-square ---
 
+// TestChiSquareDifferential: pure integer counting feeding the seed's
+// statistic arithmetic, so the statistics must agree to the last bit.
+// The last feature draws codes 0–6 against 4 buckets: codes ≥ 4 must fold
+// into the last bucket, as the seed's clamp does.
 func TestChiSquareDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const n, dim = 1000, 10
@@ -556,19 +579,79 @@ func TestChiSquareDifferential(t *testing.T) {
 		if rng.Float64() < 0.1 {
 			f[0] = float64(1 - label)
 		}
-		for j := 1; j < dim; j++ {
+		for j := 1; j < dim-1; j++ {
 			f[j] = float64(rng.Intn(4))
 		}
+		f[dim-1] = float64(rng.Intn(7))
 		pts[i] = LabeledPoint{Features: f, Label: label}
 	}
-	got := ChiSquare(pointsOf(pts), 2, 4)
-	want := seedChiSquare(Parallelize(pts, 8), 2, dim, 4)
-	// Pure integer counting feeding identical statistic arithmetic: the
-	// results must agree to the last bit (tolerance only guards exotic
-	// FMA contraction).
-	if d := maxAbsDiff(got, want); d > 1e-12 {
-		t.Fatalf("chi-square stats diverged: max diff %g", d)
+	got, err := ChiSquare(countsOf(pts), 2, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := seedChiSquare(Parallelize(pts, 8), 2, dim, 4)
+	if i := firstBitDiff(got, want); i >= 0 || len(got) != dim {
+		t.Fatalf("chi-square stat %d = %v, seed %v", i, got, want)
+	}
+}
+
+// --- Accuracy ---
+
+// TestAccuracyDifferential: the chunked hit count equals a serial count
+// for sizes below, at and above the 8-chunk split, at GOMAXPROCS 1 and 2.
+func TestAccuracyDifferential(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{1, 7, 8, 9, 1000} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			labels := make([]int32, n)
+			preds := make([]int, n)
+			correct := 0
+			for i := range labels {
+				labels[i], preds[i] = int32(rng.Intn(3)), rng.Intn(3)
+				if preds[i] == int(labels[i]) {
+					correct++
+				}
+			}
+			got, err := Accuracy(labels, func(i int) int { return preds[i] })
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d n=%d: %v", procs, n, err)
+			}
+			if want := float64(correct) / float64(n); got != want {
+				t.Fatalf("GOMAXPROCS=%d n=%d: accuracy %v, serial count %v", procs, n, got, want)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+	if _, err := Accuracy(nil, func(int) int { return 0 }); err != ErrEmpty {
+		t.Fatalf("Accuracy over no labels: err %v, want ErrEmpty", err)
+	}
+}
+
+// FuzzDotCounts checks the byte-row dot NaiveBayesModel.Predict scores
+// with against lin.Dot over the row converted to float64, bit for bit.
+// The seed corpus covers rows of 0, 1, 3, 4, 16 and 17 bytes: empty,
+// below, at and above the 4-way unroll.
+func FuzzDotCounts(f *testing.F) {
+	for _, n := range []int{0, 1, 3, 4, 16, 17} {
+		row := make([]byte, n)
+		for i := range row {
+			row[i] = byte(i*37 + n)
+		}
+		f.Add(row, int64(n))
+	}
+	f.Fuzz(func(t *testing.T, row []byte, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		w, conv := make([]float64, len(row)), make([]float64, len(row))
+		for i, b := range row {
+			// Weights spread over ±2^20 so cancellation and rounding occur.
+			w[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(41)-20)
+			conv[i] = float64(b)
+		}
+		if got, want := dotCounts(row, w), lin.Dot(conv, w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d bytes: dotCounts %v, lin.Dot %v", len(row), got, want)
+		}
+	})
 }
 
 // --- Decision tree ---

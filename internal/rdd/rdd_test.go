@@ -231,20 +231,16 @@ func TestNaiveBayes(t *testing.T) {
 		f[1-label] = float64(rng.Intn(2))
 		points = append(points, LabeledPoint{Features: f, Label: label})
 	}
-	m, err := NaiveBayes(pointsOf(points), 2)
+	counts := countsOf(points)
+	m, err := NaiveBayes(counts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	correct := 0
-	for _, p := range points {
-		if m.Predict(p.Features) == p.Label {
-			correct++
-		}
+	acc, err := Accuracy(counts.Labels, func(i int) int { return m.Predict(counts.Row(i)) })
+	if err != nil || acc < 0.95 {
+		t.Errorf("accuracy = %.2f, %v", acc, err)
 	}
-	if acc := float64(correct) / float64(len(points)); acc < 0.95 {
-		t.Errorf("accuracy = %.2f", acc)
-	}
-	if _, err := NaiveBayes(NewPoints(0, 2), 2); err == nil {
+	if _, err := NaiveBayes(NewCounts(0, 2), 2); err == nil {
 		t.Error("empty NaiveBayes should error")
 	}
 }
@@ -260,9 +256,9 @@ func TestChiSquare(t *testing.T) {
 			Label:    label,
 		})
 	}
-	stats := ChiSquare(pointsOf(points), 2, 2)
-	if len(stats) != 2 {
-		t.Fatalf("stats = %v", stats)
+	stats, err := ChiSquare(countsOf(points), 2, 2)
+	if err != nil || len(stats) != 2 {
+		t.Fatalf("stats = %v, %v", stats, err)
 	}
 	if stats[0] <= stats[1] {
 		t.Errorf("predictive feature chi2 %.1f <= noise chi2 %.1f", stats[0], stats[1])

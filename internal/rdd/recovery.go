@@ -39,10 +39,10 @@ const taskRetries = 3
 // the recompute budget, returning the final *forkjoin.TaskError of a
 // partition whose budget was spent. Kernels that write shared
 // per-partition state in place (naive Bayes, chi-square, logistic
-// regression, the PageRank pull) call it directly: their bodies are
-// idempotent — every attempt starts by clearing its accumulator row, or
-// overwrites only its own range — and the job never runs two attempts of
-// one partition concurrently.
+// regression, the PageRank pull, Accuracy's hit count) call it directly:
+// their bodies are idempotent — every attempt starts by clearing its
+// accumulator row, or overwrites only its own range or slot — and the
+// job never runs two attempts of one partition concurrently.
 func forPartsRetry(n int, body func(p int)) error {
 	return forkjoin.Shared().ForRetryE(n, 1, 0, taskRetries, func(p, _, attempt int) {
 		point := "rdd.task"

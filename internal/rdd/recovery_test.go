@@ -252,8 +252,10 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 		byKey     map[int]int
 		grouped   map[int][]int
 		nbPrior   []float64
+		nbAcc     float64
 		chi       []float64
 		logw      []float64
+		logAcc    float64
 		ranks     []float64
 	}
 
@@ -274,20 +276,38 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 		r.byKey = collectAsMap(ReduceByKey(pairs, 4, func(a, b int) int { return a + b }))
 		r.grouped = collectAsMap(groupByKey(pairs, 4))
 
-		points := NewPoints(300, 3)
+		// The same features as a byte-coded set for the counting kernels
+		// and a float64 one for logistic regression.
+		counts, points := NewCounts(300, 3), NewPoints(300, 3)
 		for x := range points.Labels {
-			points.Labels[x] = int32(x % 2)
+			counts.Labels[x], points.Labels[x] = int32(x%2), int32(x%2)
+			copy(counts.Row(x), []uint8{uint8(x%7) + 1, uint8(x%5) + 1, uint8(x % 3)})
 			copy(points.X.Row(x), []float64{float64(x%7) + 1, float64(x%5) + 1, float64(x % 3)})
 		}
-		nb, err := NaiveBayes(points, 2)
+		nb, err := NaiveBayes(counts, 2)
 		if err != nil {
 			t.Fatalf("NaiveBayes: %v", err)
 		}
 		r.nbPrior = nb.ClassLogPrior
-		r.chi = ChiSquare(points, 2, 4)
+		r.nbAcc, err = Accuracy(counts.Labels, func(i int) int { return nb.Predict(counts.Row(i)) })
+		if err != nil {
+			t.Fatalf("Accuracy: %v", err)
+		}
+		if r.chi, err = ChiSquare(counts, 2, 4); err != nil {
+			t.Fatalf("ChiSquare: %v", err)
+		}
 		r.logw, err = LogisticRegression(points, 5, 0.1)
 		if err != nil {
 			t.Fatalf("LogisticRegression: %v", err)
+		}
+		r.logAcc, err = Accuracy(points.Labels, func(i int) int {
+			if PredictLogistic(r.logw, points.X.Row(i)) > 0.5 {
+				return 1
+			}
+			return 0
+		})
+		if err != nil {
+			t.Fatalf("Accuracy: %v", err)
 		}
 
 		var edges []Pair[int, int]

@@ -11,6 +11,7 @@ package rdd
 // test-side collect, collectAsMap, groupByKey and flatMap.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -39,6 +40,32 @@ func pointsOf(pts []LabeledPoint) *Points {
 			panic("pointsOf: ragged feature vectors")
 		}
 		copy(out.X.Row(i), p.Features)
+		out.Labels[i] = int32(p.Label)
+	}
+	return out
+}
+
+// countsOf packs seed-layout points into the byte-coded training set of
+// ChiSquare and NaiveBayes. Every feature must be an integer in 0–255 (the
+// conversion is exact, so the live kernels see the seed's values), and
+// every point must have as many features as the first.
+func countsOf(pts []LabeledPoint) *Counts {
+	dim := 0
+	if len(pts) > 0 {
+		dim = len(pts[0].Features)
+	}
+	out := NewCounts(len(pts), dim)
+	for i, p := range pts {
+		if len(p.Features) != dim {
+			panic("countsOf: ragged feature vectors")
+		}
+		row := out.Row(i)
+		for j, v := range p.Features {
+			if v != math.Trunc(v) || v < 0 || v > 255 {
+				panic(fmt.Sprintf("countsOf: feature %v is not an integer in 0–255", v))
+			}
+			row[j] = uint8(v)
+		}
 		out.Labels[i] = int32(p.Label)
 	}
 	return out

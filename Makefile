@@ -2,8 +2,8 @@
 # pass: gofmt, vet, build, the full test suite, the race detector over the
 # packages with lock-free and sharded concurrent code (metrics, forkjoin,
 # stm), which ordinary `go test` does not exercise under -race, the
-# freshness of the CK tables committed in analysis_output.txt, and the
-# freshness of its Table 7 work counts.
+# freshness of the CK tables committed in analysis_output.txt, of its
+# Table 7 work counts, and of its simulated-cycle outputs.
 # `make rbench` (benchmarks/run.sh) is the only target that produces a
 # performance number; there is no `go test -bench` target.
 
@@ -43,9 +43,9 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts'
 STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir ./internal/lin
 
-.PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh work-fresh chaos smoke analyze rbench loc
+.PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh work-fresh sim-fresh chaos smoke analyze rbench loc
 
-check: fmt vet build test test-rbench race stress-fragments ck-fresh work-fresh
+check: fmt vet build test test-rbench race stress-fragments ck-fresh work-fresh sim-fresh
 
 # gofmt must list no file of the root module or of benchmarks/ (it only
 # reads them). The build directory .bench_build/ is left out.
@@ -159,6 +159,24 @@ work-fresh:
 	GOMAXPROCS=2 $(GO) run ./cmd/analyze table7 > $$got || exit 1; \
 	awk -v cols="$(WORK_COLS)" "$$pick" $$got | diff -u $$want - || { \
 		echo "analysis_output.txt: Table 7's work counts differ from analyze table7; regenerate it with make analyze"; exit 1; }
+
+# The simulated-cycle blocks of analysis_output.txt — Tables 12-15 and
+# Figures 5-7, the guard and hottest-method drill-downs and the cache
+# table, what the SIM_STEPS of `analyze` print — must match what those
+# steps print now (about 17 s on 2 vCPUs). Each block is picked by the
+# first line its step prints. Cycles are a function of the kernel and the
+# pipeline alone, so any difference is a changed compiler or kernel.
+# Table 16 times the compiler and is left out.
+SIM_STEPS = impact compilers codesize guards mhs-hot cache
+sim-fresh:
+	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	$(GO) build -o $$dir/analyze ./cmd/analyze || exit 1; \
+	for step in $(SIM_STEPS); do \
+		$$dir/analyze $$step > $$dir/got || exit 1; \
+		awk -v t="$$(head -n 1 $$dir/got)" -v n=$$(wc -l < $$dir/got) '$$0 == t { f = 1 } f && n-- > 0' analysis_output.txt | \
+			diff -u - $$dir/got || { \
+			echo "analysis_output.txt: the block analyze $$step prints differs; regenerate it"; exit 1; }; \
+	done
 
 # Go lines at the root module, non-test then test: the two numbers
 # ROADMAP item 3's deletion targets are read from, the same way on every PR.

@@ -106,7 +106,7 @@ func BenchmarkFigure4IDynamicRates(b *testing.B) { benchRate(b, metrics.IDynamic
 
 func BenchmarkFigure5Impact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.MeasureImpacts(1, 2)
+		cells, err := experiments.MeasureImpacts(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkFigure5Impact(b *testing.B) {
 
 func BenchmarkFigure6Compilers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CompareCompilers(1, 2)
+		rows, err := experiments.CompareCompilers(1)
 		if err != nil {
 			b.Fatal(err)
 		}

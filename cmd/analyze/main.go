@@ -155,7 +155,7 @@ func rates() error {
 }
 
 func impact() error {
-	cells, err := experiments.MeasureImpacts(3, 12)
+	cells, err := experiments.MeasureImpacts(3)
 	if err != nil {
 		return err
 	}
@@ -165,9 +165,9 @@ func impact() error {
 			return err
 		}
 	}
-	t := &report.Table{Title: "Figure 5 summary: optimizations with >=5% impact (alpha=0.01 on wall time)",
-		Headers: []string{"suite", "opts with impact (of 7)", "median significant impact"}}
-	for _, s := range experiments.Summarize(cells, 0.05, 0.01) {
+	t := &report.Table{Title: "Figure 5 summary: optimizations with >=5% impact (cycles)",
+		Headers: []string{"suite", "opts with impact (of 7)", "median positive impact"}}
+	for _, s := range experiments.Summarize(cells, 0.05) {
 		t.AddRow(experiments.KernelSuiteLabels[s.Suite], s.OptsWithImpact,
 			fmt.Sprintf("%.1f%%", 100*s.MedianImpact))
 	}
@@ -175,17 +175,13 @@ func impact() error {
 }
 
 func compilers() error {
-	rows, err := experiments.CompareCompilers(3, 8)
+	rows, err := experiments.CompareCompilers(3)
 	if err != nil {
 		return err
 	}
 	var bars []report.Bar
 	wins, losses := 0, 0
 	for _, r := range rows {
-		mark := ""
-		if r.CILo > 1 || r.CIHi < 1 {
-			mark = "*"
-		}
 		if r.Speedup > 1 {
 			wins++
 		} else if r.Speedup < 1 {
@@ -194,12 +190,11 @@ func compilers() error {
 		bars = append(bars, report.Bar{
 			Label: r.Suite + "/" + r.Benchmark,
 			Value: r.Speedup,
-			Mark:  mark,
 		})
 	}
 	sort.Slice(bars, func(i, j int) bool { return bars[i].Label < bars[j].Label })
 	if err := report.BarChart(os.Stdout,
-		"Figure 6: opt-pipeline speedup over baseline pipeline (cycles; * = 99% CI excludes 1.0)",
+		"Figure 6: opt-pipeline speedup over baseline pipeline (cycles)",
 		bars, 40); err != nil {
 		return err
 	}

@@ -15,12 +15,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"renaissance/internal/minilang"
 	"renaissance/internal/report"
 	"renaissance/internal/rvm"
-	"renaissance/internal/rvm/ir"
 	"renaissance/internal/rvm/jit"
 	"renaissance/internal/rvm/kernels"
 	"renaissance/internal/rvm/opt"
@@ -72,7 +70,6 @@ func cmdRun(args []string) error {
 	pipeline := fs.String("pipeline", "opt", "opt or baseline")
 	disable := fs.String("disable", "", "comma-separated optimizations to disable")
 	dumpIR := fs.Bool("dump-ir", false, "print the optimized IR of the entry function")
-	timed := fs.Bool("timed", false, "run in calibrated mode and report wall time")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -102,15 +99,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	var v rvm.Value
-	var st *ir.Stats
-	start := time.Now()
-	if *timed {
-		v, st, err = c.RunCalibrated()
-	} else {
-		v, st, err = c.Run()
-	}
-	elapsed := time.Since(start)
+	v, st, err := c.Run()
 	if err != nil {
 		return err
 	}
@@ -121,9 +110,6 @@ func cmdRun(args []string) error {
 	fmt.Printf("instructions %d\n", st.Executed)
 	fmt.Printf("code size   %d IR instructions over %d methods\n", c.CodeSize, c.MethodCount)
 	fmt.Printf("compile     %v\n", c.CompileTime)
-	if *timed {
-		fmt.Printf("wall time   %v (calibrated: proportional to cycles)\n", elapsed)
-	}
 	if len(st.GuardsExecuted) > 0 {
 		fmt.Println("guards:")
 		for k, n := range st.GuardsExecuted {

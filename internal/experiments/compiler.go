@@ -8,7 +8,6 @@ import (
 	"renaissance/internal/report"
 	"renaissance/internal/rvm"
 	"renaissance/internal/rvm/cachesim"
-	"renaissance/internal/rvm/ir"
 	"renaissance/internal/rvm/jit"
 	"renaissance/internal/rvm/kernels"
 	"renaissance/internal/rvm/opt"
@@ -34,18 +33,12 @@ type ImpactCell struct {
 	// the optimization is disabled (positive = optimization helps), the
 	// paper's §6 measure.
 	Impact float64
-	// P is the Welch's t-test p-value over repeated wall-clock timings of
-	// the two configurations.
-	P float64
 }
 
 // MeasureImpacts evaluates all seven §5 optimizations on every kernel of
-// every suite. reps wall-clock repetitions per configuration feed the
-// significance test.
-func MeasureImpacts(scale, reps int) ([]ImpactCell, error) {
-	if reps < 2 {
-		reps = 2
-	}
+// every suite. Simulated cycles are a function of the kernel and the
+// pipeline alone, so each configuration runs once.
+func MeasureImpacts(scale int) ([]ImpactCell, error) {
 	var out []ImpactCell
 	for _, spec := range kernels.Specs() {
 		prog, err := kernels.Build(spec, scale)
@@ -56,14 +49,16 @@ func MeasureImpacts(scale, reps int) ([]ImpactCell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("impact: %s/%s: %w", spec.Suite, spec.Name, err)
 		}
+		fullCycles, err := runOnce(full)
+		if err != nil {
+			return nil, fmt.Errorf("impact: %s/%s: %w", spec.Suite, spec.Name, err)
+		}
 		for _, optName := range opt.PaperOptimizations() {
 			disabled, err := jit.Compile(prog, opt.OptPipeline().Disable(optName))
 			if err != nil {
 				return nil, err
 			}
-			// Interleave the two configurations so slow environmental
-			// drift hits both sample sets equally.
-			fullCycles, disCycles, fullTimes, disTimes, err := runPairedReps(full, disabled, reps)
+			disCycles, err := runOnce(disabled)
 			if err != nil {
 				return nil, fmt.Errorf("impact: %s/%s -%s: %w", spec.Suite, spec.Name, optName, err)
 			}
@@ -71,88 +66,57 @@ func MeasureImpacts(scale, reps int) ([]ImpactCell, error) {
 			if fullCycles > 0 {
 				impact = float64(disCycles-fullCycles) / float64(fullCycles)
 			}
-			// Winsorized filtering removes timing outliers before the
-			// significance test, as in the paper's supplement §C.
 			out = append(out, ImpactCell{
 				Suite:     spec.Suite,
 				Benchmark: spec.Name,
 				Opt:       optName,
 				Impact:    impact,
-				P:         welchP(stats.Winsorize(fullTimes, 0.1), stats.Winsorize(disTimes, 0.1)),
 			})
 		}
 	}
 	return out, nil
 }
 
-// runOnce executes the kernel once in calibrated mode, returning the
-// deterministic cycle count and the wall time in milliseconds.
-func runOnce(c *jit.Compiled) (int64, float64, error) {
-	var stats *ir.Stats
-	ms, err := timedRun(func() error {
-		_, s, err := c.RunCalibrated()
-		stats = s
-		return err
-	})
+// runOnce executes the kernel once and returns its simulated cycle count.
+func runOnce(c *jit.Compiled) (int64, error) {
+	_, st, err := c.Run()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return stats.Cycles, ms, nil
-}
-
-// runPairedReps interleaves calibrated executions of two configurations,
-// returning both deterministic cycle counts and paired wall-time samples.
-func runPairedReps(a, b *jit.Compiled, reps int) (aCycles, bCycles int64, aTimes, bTimes []float64, err error) {
-	for i := 0; i < reps; i++ {
-		var ms float64
-		aCycles, ms, err = runOnce(a)
-		if err != nil {
-			return 0, 0, nil, nil, err
-		}
-		aTimes = append(aTimes, ms)
-		bCycles, ms, err = runOnce(b)
-		if err != nil {
-			return 0, 0, nil, nil, err
-		}
-		bTimes = append(bTimes, ms)
-	}
-	return aCycles, bCycles, aTimes, bTimes, nil
+	return st.Cycles, nil
 }
 
 // ImpactSummary aggregates cells the way §6 reports Figure 5: per suite,
 // how many of the 7 optimizations have >= threshold impact on some
-// benchmark at significance alpha, and the median significant impact.
+// benchmark, and the median positive impact.
 type ImpactSummary struct {
 	Suite          string
 	OptsWithImpact int
 	MedianImpact   float64
 }
 
-// Summarize computes the §6 headline numbers.
-func Summarize(cells []ImpactCell, threshold, alpha float64) []ImpactSummary {
+// Summarize computes the §6 headline numbers. An impact is an exact cycle
+// difference, so no significance test filters the cells; the median is
+// over the positive impacts.
+func Summarize(cells []ImpactCell, threshold float64) []ImpactSummary {
 	type key struct{ suite, opt string }
 	hit := map[key]bool{}
-	sigImpacts := map[string][]float64{}
-	suites := map[string]bool{}
+	impacts := map[string][]float64{}
 	for _, c := range cells {
-		suites[c.Suite] = true
-		if c.P <= alpha {
-			sigImpacts[c.Suite] = append(sigImpacts[c.Suite], c.Impact)
-			if c.Impact >= threshold {
-				hit[key{c.Suite, c.Opt}] = true
-			}
+		impacts[c.Suite] = append(impacts[c.Suite], c.Impact)
+		if c.Impact >= threshold {
+			hit[key{c.Suite, c.Opt}] = true
 		}
 	}
 	var out []ImpactSummary
-	for suite := range suites {
+	for suite, xs := range impacts {
 		n := 0
 		for _, o := range opt.PaperOptimizations() {
 			if hit[key{suite, o}] {
 				n++
 			}
 		}
-		med := stats.Median(positive(sigImpacts[suite]))
-		out = append(out, ImpactSummary{Suite: suite, OptsWithImpact: n, MedianImpact: med})
+		out = append(out, ImpactSummary{Suite: suite, OptsWithImpact: n, MedianImpact: stats.Median(positive(xs))})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Suite < out[j].Suite })
 	return out
@@ -169,15 +133,12 @@ func positive(xs []float64) []float64 {
 }
 
 // ImpactTable renders one suite's Tables 12–15 block: rows are benchmarks,
-// columns the seven optimizations (impact% and p-value), in the paper's
-// column order AC, DS, EAWA, GM, LV, LLC, MHS.
+// columns the seven optimizations' impacts, in the paper's column order
+// AC, DS, EAWA, GM, LV, LLC, MHS.
 func ImpactTable(cells []ImpactCell, suite string) *report.Table {
 	order := opt.PaperOptimizations()
 	t := &report.Table{Title: fmt.Sprintf("Optimization impact — %s kernels", KernelSuiteLabels[suite])}
-	t.Headers = []string{"benchmark"}
-	for _, o := range order {
-		t.Headers = append(t.Headers, o, "p")
-	}
+	t.Headers = append([]string{"benchmark"}, order...)
 	byBench := map[string]map[string]ImpactCell{}
 	var names []string
 	for _, c := range cells {
@@ -194,8 +155,7 @@ func ImpactTable(cells []ImpactCell, suite string) *report.Table {
 	for _, name := range names {
 		row := []any{name}
 		for _, o := range order {
-			c := byBench[name][o]
-			row = append(row, fmt.Sprintf("%+.1f%%", 100*c.Impact), fmt.Sprintf("%.0f%%", 100*c.P))
+			row = append(row, fmt.Sprintf("%+.1f%%", 100*byBench[name][o].Impact))
 		}
 		t.AddRow(row...)
 	}
@@ -203,22 +163,17 @@ func ImpactTable(cells []ImpactCell, suite string) *report.Table {
 }
 
 // CompilerRow is one Figure 6 entry: the opt pipeline's speedup over the
-// baseline pipeline with a confidence interval from wall-time repetitions.
+// baseline pipeline.
 type CompilerRow struct {
 	Suite     string
 	Benchmark string
 	// Speedup is baselineCycles / optCycles (deterministic; > 1 means the
 	// optimizing pipeline wins).
 	Speedup float64
-	// CILo/CIHi bound the wall-time ratio at 99% confidence.
-	CILo, CIHi float64
 }
 
-// CompareCompilers runs every kernel under both pipelines (Figure 6).
-func CompareCompilers(scale, reps int) ([]CompilerRow, error) {
-	if reps < 2 {
-		reps = 2
-	}
+// CompareCompilers runs every kernel once under each pipeline (Figure 6).
+func CompareCompilers(scale int) ([]CompilerRow, error) {
 	var out []CompilerRow
 	for _, spec := range kernels.Specs() {
 		prog, err := kernels.Build(spec, scale)
@@ -233,22 +188,17 @@ func CompareCompilers(scale, reps int) ([]CompilerRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseCycles, optCycles, baseTimes, optTimes, err := runPairedReps(base, full, reps)
+		baseCycles, err := runOnce(base)
+		if err != nil {
+			return nil, err
+		}
+		optCycles, err := runOnce(full)
 		if err != nil {
 			return nil, err
 		}
 		row := CompilerRow{Suite: spec.Suite, Benchmark: spec.Name}
 		if optCycles > 0 {
 			row.Speedup = float64(baseCycles) / float64(optCycles)
-		}
-		ratios := make([]float64, 0, reps)
-		for i := 0; i < reps && i < len(baseTimes) && i < len(optTimes); i++ {
-			if optTimes[i] > 0 {
-				ratios = append(ratios, baseTimes[i]/optTimes[i])
-			}
-		}
-		if mean, hw, err := stats.MeanCI(stats.Winsorize(ratios, 0.1), 0.99); err == nil {
-			row.CILo, row.CIHi = mean-hw, mean+hw
 		}
 		out = append(out, row)
 	}

@@ -9,13 +9,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"renaissance/internal/core"
 	"renaissance/internal/metrics"
 	"renaissance/internal/pca"
 	"renaissance/internal/report"
-	"renaissance/internal/stats"
 
 	// Register all four suites.
 	_ "renaissance/internal/bench/classic"
@@ -218,23 +216,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// timedRun measures fn's wall time in milliseconds.
-func timedRun(fn func() error) (float64, error) {
-	start := time.Now()
-	err := fn()
-	return float64(time.Since(start)) / float64(time.Millisecond), err
-}
-
-// welchP computes the two-sided Welch p-value, degrading gracefully to 1.0
-// when there is not enough data.
-func welchP(a, b []float64) float64 {
-	res, err := stats.WelchTTest(a, b)
-	if err != nil {
-		return 1
-	}
-	return res.P
 }
 
 // SuiteSourceDirs maps each suite to the repository directories holding

@@ -88,8 +88,6 @@ func (t *Table) Write(w io.Writer) error {
 type Bar struct {
 	Label string
 	Value float64
-	// Mark annotates the bar (e.g. "*" for statistically significant).
-	Mark string
 }
 
 // BarChart renders horizontal bars scaled to width characters, with
@@ -118,8 +116,8 @@ func BarChart(w io.Writer, title string, bars []Bar, width int) error {
 		if b.Value < 0 {
 			sign = "-"
 		}
-		if _, err := fmt.Fprintf(w, "  %-*s %s%-*s %8.2f %s\n",
-			maxLabel, b.Label, sign, width, bar, b.Value, b.Mark); err != nil {
+		if _, err := fmt.Fprintf(w, "  %-*s %s%-*s %8.2f\n",
+			maxLabel, b.Label, sign, width, bar, b.Value); err != nil {
 			return err
 		}
 	}

@@ -34,7 +34,7 @@ func TestTableAlignment(t *testing.T) {
 func TestBarChart(t *testing.T) {
 	var buf bytes.Buffer
 	bars := []Bar{
-		{Label: "big", Value: 10, Mark: "*"},
+		{Label: "big", Value: 10},
 		{Label: "small", Value: 2.5},
 		{Label: "negative", Value: -5},
 	}
@@ -48,8 +48,8 @@ func TestBarChart(t *testing.T) {
 	if !strings.Contains(out, "-") {
 		t.Errorf("negative sign missing:\n%s", out)
 	}
-	if !strings.Contains(out, "*") {
-		t.Errorf("mark missing:\n%s", out)
+	if !strings.Contains(out, "   10.00\n") {
+		t.Errorf("value not printed last on its line:\n%s", out)
 	}
 	// Zero-only bars must not divide by zero.
 	if err := BarChart(&buf, "zero", []Bar{{Label: "z", Value: 0}}, 10); err != nil {

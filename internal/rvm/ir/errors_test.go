@@ -201,46 +201,6 @@ func TestExecCheckCastTrap(t *testing.T) {
 	}
 }
 
-func TestExecCalibratedMatchesUncalibrated(t *testing.T) {
-	// Calibration changes timing, never results or cycle counts.
-	a := rvm.NewAsm()
-	a.ConstInt(0).Store(1)
-	a.ConstInt(0).Store(2)
-	a.Label("h")
-	a.Load(2).ConstInt(200).Op(rvm.OpCmpLT).Jump(rvm.OpJumpIfNot, "x")
-	a.Load(1).Load(2).Op(rvm.OpAdd).Store(1)
-	a.Load(2).ConstInt(1).Op(rvm.OpAdd).Store(2)
-	a.Jump(rvm.OpJump, "h")
-	a.Label("x")
-	a.Load(1).Op(rvm.OpReturn)
-	m := a.MustBuild("main", 0)
-	p := rvm.NewProgram()
-	mainC := rvm.NewClass("Main", nil)
-	mainC.AddMethod(m)
-	_ = p.AddClass(mainC)
-	p.Entry = m
-
-	prog, err := BuildProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := NewExec(prog)
-	v1, err := plain.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal := NewExec(prog)
-	cal.Calibrated = true
-	v2, err := cal.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v1.Equal(v2) || plain.Stats.Cycles != cal.Stats.Cycles {
-		t.Errorf("calibration changed semantics: %v/%d vs %v/%d",
-			v1, plain.Stats.Cycles, v2, cal.Stats.Cycles)
-	}
-}
-
 func TestInstrStringAndOpName(t *testing.T) {
 	in := ins(OpAdd, 1, 2, 3, NoReg)
 	if s := in.String(); !strings.Contains(s, "add") || !strings.Contains(s, "r1") {

@@ -87,33 +87,11 @@ type Exec struct {
 	// Fuel bounds executed instructions (0 = 500M).
 	Fuel int64
 	// Tracer, when set, receives memory accesses (used for cache-miss
-	// profiling; nil during timing runs to keep the interpreter fast).
+	// profiling; nil otherwise, to keep the interpreter fast).
 	Tracer MemTracer
-	// Calibrated makes execution time proportional to charged cycles: the
-	// executor spins for every cycle it charges, so wall-clock timings of
-	// calibrated runs measure the cost model with genuine OS-level noise.
-	// The paper's Welch significance tests run against such timings.
-	Calibrated bool
 
-	Stats    *Stats
-	fuel     int64
-	spinSink uint64
-}
-
-// spinPerCycle is the number of spin-loop iterations per charged cycle,
-// chosen so that the spin dominates the interpreter's per-instruction
-// dispatch overhead — wall time of a calibrated run is then proportional
-// to modeled cycles, not to instruction count.
-const spinPerCycle = 24
-
-// spin burns time proportional to c charged cycles. The sink defeats
-// dead-code elimination of the loop.
-func (e *Exec) spin(c int64) {
-	s := e.spinSink
-	for i := int64(0); i < c*spinPerCycle; i++ {
-		s = s*2862933555777941757 + 3037000493
-	}
-	e.spinSink = s
+	Stats *Stats
+	fuel  int64
 }
 
 // NewExec creates an executor.
@@ -150,9 +128,6 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 	charge := func(c int64) {
 		e.Stats.Cycles += c
 		e.Stats.FuncCycles[f.Name] += c
-		if e.Calibrated {
-			e.spin(c)
-		}
 	}
 
 	b := f.Entry

@@ -112,13 +112,3 @@ func (c *Compiled) HotCodeSize(stats *ir.Stats, minShare float64) (size, count i
 	}
 	return size, count
 }
-
-// RunCalibrated executes with the timing-calibrated executor: wall-clock
-// duration is proportional to charged cycles plus real measurement noise,
-// which is what the significance tests time.
-func (c *Compiled) RunCalibrated(args ...rvm.Value) (rvm.Value, *ir.Stats, error) {
-	e := ir.NewExec(c.Prog)
-	e.Calibrated = true
-	v, err := e.Run(args...)
-	return v, e.Stats, err
-}

@@ -88,7 +88,7 @@ func TestBaselineSmallerCompileTimeBudget(t *testing.T) {
 	}
 }
 
-func TestRunTracedAndCalibrated(t *testing.T) {
+func TestRunTraced(t *testing.T) {
 	p := buildKernel(t, kernels.SuiteRenaissance, "als")
 	c, err := Compile(p, opt.OptPipeline())
 	if err != nil {
@@ -109,14 +109,6 @@ func TestRunTracedAndCalibrated(t *testing.T) {
 	}
 	if tr.n == 0 {
 		t.Error("tracer saw no accesses")
-	}
-	// Calibrated run agrees and takes longer.
-	got2, st2, err := c.RunCalibrated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got2.Equal(want) || st2.Cycles == 0 {
-		t.Errorf("calibrated result %v (cycles %d)", got2, st2.Cycles)
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package stats provides the statistical machinery used by the paper's
-// evaluation (§6 and supplement §C/§G): descriptive statistics, winsorized
-// outlier filtering, Welch's t-test with p-values, and Student-t
-// confidence intervals.
+// Package stats provides the statistics the harness and the benchmark
+// report: descriptive statistics, percentiles and Student-t confidence
+// intervals.
 package stats
 
 import (
@@ -86,32 +85,6 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// Winsorize returns a copy of xs with values below the p-th percentile
-// raised to it and values above the (1-p)-th percentile lowered to it.
-// The paper applies winsorized filtering to remove outliers from the
-// optimization-impact measurements (supplement §C). p must be in [0, 0.5).
-func Winsorize(xs []float64, p float64) []float64 {
-	out := append([]float64(nil), xs...)
-	if len(out) == 0 || p <= 0 {
-		return out
-	}
-	if p >= 0.5 {
-		p = 0.499
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	lo := percentileSorted(s, p)
-	hi := percentileSorted(s, 1-p)
-	for i, x := range out {
-		if x < lo {
-			out[i] = lo
-		} else if x > hi {
-			out[i] = hi
-		}
-	}
-	return out
-}
-
 // Percentile returns the q-th percentile (q in [0,1]) of xs using linear
 // interpolation between closest ranks.
 func Percentile(xs []float64, q float64) float64 {
@@ -120,10 +93,6 @@ func Percentile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return percentileSorted(s, q)
-}
-
-func percentileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}

@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func approx(t *testing.T, name string, got, want, tol float64) {
@@ -42,58 +40,6 @@ func TestPercentile(t *testing.T) {
 	approx(t, "p100", Percentile(xs, 1), 50, 0)
 	approx(t, "p25", Percentile(xs, 0.25), 20, 1e-12)
 	approx(t, "p10", Percentile(xs, 0.1), 14, 1e-12)
-}
-
-func TestWinsorize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 100}
-	w := Winsorize(xs, 0.1)
-	if Max(w) >= 100 {
-		t.Errorf("winsorized max = %g, want < 100", Max(w))
-	}
-	if len(w) != len(xs) {
-		t.Fatalf("length changed: %d", len(w))
-	}
-	// p = 0 is the identity.
-	id := Winsorize(xs, 0)
-	for i := range xs {
-		if id[i] != xs[i] {
-			t.Errorf("Winsorize(xs, 0)[%d] = %g, want %g", i, id[i], xs[i])
-		}
-	}
-	// Does not mutate input.
-	if xs[4] != 100 {
-		t.Error("Winsorize mutated its input")
-	}
-}
-
-func TestWinsorizePropertyBounds(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		w := Winsorize(xs, 0.2)
-		if len(w) != len(xs) {
-			return false
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		// Winsorized values stay within the original range, and the mean
-		// moves toward the median (weakly: stays within min..max).
-		lo, hi := Min(xs), Max(xs)
-		for _, x := range w {
-			if x < lo || x > hi {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestRegIncBeta(t *testing.T) {
@@ -142,75 +88,6 @@ func TestStudentTQuantile(t *testing.T) {
 	}
 	if !math.IsInf(StudentTQuantile(1, 5), 1) {
 		t.Error("conf=1 quantile should be +Inf")
-	}
-}
-
-func TestWelchTTest(t *testing.T) {
-	// Clearly different samples: tiny p.
-	a := []float64{10, 10.1, 9.9, 10.05, 9.95, 10.02, 9.98, 10.01}
-	b := []float64{12, 12.1, 11.9, 12.05, 11.95, 12.02, 11.98, 12.01}
-	res, err := WelchTTest(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P > 1e-6 {
-		t.Errorf("p = %g, want << 1", res.P)
-	}
-	if res.T >= 0 {
-		t.Errorf("t = %g, want negative (a < b)", res.T)
-	}
-
-	// Same distribution: p should typically be large.
-	rng := rand.New(rand.NewSource(42))
-	c := make([]float64, 30)
-	d := make([]float64, 30)
-	for i := range c {
-		c[i] = rng.NormFloat64()
-		d[i] = rng.NormFloat64()
-	}
-	res2, err := WelchTTest(c, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.P < 0.001 {
-		t.Errorf("same-distribution p = %g, suspiciously small", res2.P)
-	}
-
-	// Constant identical samples.
-	res3, err := WelchTTest([]float64{5, 5, 5}, []float64{5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.P != 1 {
-		t.Errorf("identical constant p = %g, want 1", res3.P)
-	}
-	// Constant different samples.
-	res4, err := WelchTTest([]float64{5, 5, 5}, []float64{6, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res4.P != 0 {
-		t.Errorf("distinct constant p = %g, want 0", res4.P)
-	}
-
-	if _, err := WelchTTest([]float64{1}, []float64{2, 3}); err == nil {
-		t.Error("want error for insufficient data")
-	}
-}
-
-func TestWelchTTestHandComputed(t *testing.T) {
-	// a = {1,2,3,4}, b = {2,3,4,5}: equal variances 5/3, so
-	// t = -1/sqrt(2*(5/3)/4) = -1.09544..., df = 6 exactly.
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 3, 4, 5}
-	res, err := WelchTTest(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "t", res.T, -1.0954451150103321, 1e-10)
-	approx(t, "df", res.DF, 6, 1e-9)
-	if res.P < 0.25 || res.P > 0.40 {
-		t.Errorf("p = %g, want within (0.25, 0.40)", res.P)
 	}
 }
 

@@ -2,47 +2,6 @@ package stats
 
 import "math"
 
-// TTestResult holds the outcome of Welch's two-sample t-test, as used for
-// the significance column of Tables 12–15 in the paper.
-type TTestResult struct {
-	T  float64 // t statistic
-	DF float64 // Welch–Satterthwaite degrees of freedom
-	P  float64 // two-sided p-value
-}
-
-// WelchTTest performs Welch's unequal-variances t-test on the two samples
-// and returns the two-sided p-value. The paper uses this test at
-// significance level α = 0.01 to decide whether an optimization's impact on
-// a benchmark is statistically significant.
-func WelchTTest(a, b []float64) (TTestResult, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return TTestResult{}, ErrInsufficientData
-	}
-	ma, mb := Mean(a), Mean(b)
-	va, vb := Variance(a), Variance(b)
-	na, nb := float64(len(a)), float64(len(b))
-	sa, sb := va/na, vb/nb
-	se := math.Sqrt(sa + sb)
-	if se == 0 {
-		// Identical constant samples: no evidence of difference.
-		if ma == mb {
-			return TTestResult{T: 0, DF: na + nb - 2, P: 1}, nil
-		}
-		return TTestResult{T: math.Inf(sign(ma - mb)), DF: na + nb - 2, P: 0}, nil
-	}
-	t := (ma - mb) / se
-	df := (sa + sb) * (sa + sb) / (sa*sa/(na-1) + sb*sb/(nb-1))
-	p := 2 * StudentTCDF(-math.Abs(t), df)
-	return TTestResult{T: t, DF: df, P: p}, nil
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
 // StudentTCDF returns P(T <= t) for a Student-t distribution with df
 // degrees of freedom.
 func StudentTCDF(t, df float64) float64 {
@@ -63,8 +22,8 @@ func StudentTCDF(t, df float64) float64 {
 }
 
 // StudentTQuantile returns the t value such that P(|T| <= t) = conf for a
-// Student-t distribution with df degrees of freedom (two-sided). It is used
-// to build the 99% confidence intervals of Figure 6.
+// Student-t distribution with df degrees of freedom (two-sided). MeanCI
+// builds the 99% confidence interval of a run's steady-state mean with it.
 func StudentTQuantile(conf, df float64) float64 {
 	if conf <= 0 {
 		return 0

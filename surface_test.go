@@ -74,8 +74,6 @@ var surfaceAllow = map[string]string{
 
 	"graphdb.MatchRow.RelType": "reference: the differential suite compares Match's rows, relationship type included, against the map-and-sort oracle",
 	"pca.Result.Eigenvalues":   "reference: the decomposition is checked against closed-form eigenvalues (1±r, trace = K) through it",
-	"stats.TTestResult.T":      "reference: the hand-computed Welch case pins the statistic, not only the p-value derived from it",
-	"stats.TTestResult.DF":     "reference: the hand-computed Welch case pins the Welch–Satterthwaite degrees of freedom",
 	"ck.ClassMetrics.Name":     "reference: ck_test looks a fixture type's row up by it to compare with the hand-computed CK values",
 
 	"actors.System.Steals":     "fault domain: TestStealAcrossWorkers observes that work does not stay pinned to one worker",

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"sort"
 	"strings"
 
@@ -71,7 +72,10 @@ func main() {
 		rdd.KV(1, 2), rdd.KV(1, 3), rdd.KV(2, 3), rdd.KV(3, 1),
 		rdd.KV(4, 3), rdd.KV(4, 1), rdd.KV(5, 3),
 	}
-	ranks := rdd.NewGraph(edges).PageRank(20, 0.85)
+	ranks, err := rdd.NewGraph(edges).PageRank(20, 0.85)
+	if err != nil {
+		log.Fatal(err)
+	}
 	seen := map[int]bool{}
 	var vs []int
 	for _, e := range edges {

@@ -10,13 +10,13 @@ import (
 
 func init() {
 	register("als",
-		"Alternating Least Squares matrix factorization on the RDD engine.",
+		"Alternating Least Squares matrix factorization over a CSR rating graph.",
 		[]string{"data-parallel", "compute-bound"}, newALS)
 	register("chi-square",
-		"Parallel chi-square feature test on the RDD engine.",
+		"Parallel chi-square feature test over byte-coded categories.",
 		[]string{"data-parallel", "machine learning"}, newChiSquare)
 	register("dec-tree",
-		"Classification decision tree on the RDD engine.",
+		"Classification decision tree with a parallel histogram split search.",
 		[]string{"data-parallel", "machine learning"}, newDecTree)
 	register("log-regression",
 		"Logistic regression by parallel gradient descent.",
@@ -25,10 +25,10 @@ func init() {
 		"ALS-based recommender over a synthetic ratings matrix.",
 		[]string{"data-parallel", "compute-bound"}, newMovieLens)
 	register("naive-bayes",
-		"Multinomial naive Bayes on the RDD engine.",
+		"Multinomial naive Bayes over byte-coded feature counts.",
 		[]string{"data-parallel", "machine learning"}, newNaiveBayes)
 	register("page-rank",
-		"PageRank over a synthetic web graph on the RDD engine.",
+		"PageRank over a synthetic web graph in CSR form.",
 		[]string{"data-parallel", "atomics"}, newPageRank)
 }
 
@@ -357,9 +357,9 @@ func newPageRank(cfg core.Config) (core.Workload, error) {
 	return &pageRankWorkload{graph: rdd.NewGraph(edges), n: n}, nil
 }
 
-func (w *pageRankWorkload) RunIteration() error {
-	w.ranks = w.graph.PageRank(10, 0.85)
-	return nil
+func (w *pageRankWorkload) RunIteration() (err error) {
+	w.ranks, err = w.graph.PageRank(10, 0.85)
+	return err
 }
 
 func (w *pageRankWorkload) Validate() error {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"renaissance/internal/chaos"
 	"renaissance/internal/core"
 )
 
@@ -58,6 +59,36 @@ func TestEveryBenchmarkRunsAndValidates(t *testing.T) {
 				t.Error("no profile collected")
 			}
 		})
+	}
+}
+
+// TestSparkWorkloadsNeverPanicUnderChaos runs the seven Spark workloads
+// through core.Runner with the points their kernels meet — rdd.task,
+// rdd.recompute and forkjoin.claim — armed at 0.05. A failed chunk is
+// recomputed, and one that spends its budget ends the run in
+// StatusError: no kernel path may end it in StatusPanic.
+func TestSparkWorkloadsNeverPanicUnderChaos(t *testing.T) {
+	t.Cleanup(chaos.Disable)
+	for _, seed := range []int64{1, 7} {
+		chaos.Configure(seed, 0)
+		for _, pt := range []string{"rdd.task", "rdd.recompute", "forkjoin.claim"} {
+			chaos.SetRate(pt, 0.05)
+		}
+		for _, name := range []string{"als", "chi-square", "dec-tree", "log-regression", "movie-lens", "naive-bayes", "page-rank"} {
+			spec, ok := core.Global.Lookup(core.SuiteRenaissance, name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			r := core.NewRunner()
+			r.Config.SizeFactor = 0.1
+			r.WarmupOverride = 1
+			r.MeasuredOverride = 1
+			res, _ := r.Run(spec)
+			t.Logf("seed %d %s: %s, %d recomputed", seed, name, res.Status, res.Recomputes)
+			if res.Status == core.StatusPanic {
+				t.Errorf("seed %d: %s ended in panic: %s", seed, name, res.Err)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"renaissance/internal/forkjoin"
 	"renaissance/internal/lin"
 	"renaissance/internal/metrics"
 )
@@ -143,8 +142,12 @@ func ALSTrain(g *RatingsGraph, rank, iterations int, lambda float64, seed int64)
 		model.Items.Data[i] = rng.Float64()
 	}
 	for it := 0; it < iterations; it++ {
-		solveFactors(g.byUser, model.Users, model.Items, lambda)
-		solveFactors(g.byItem, model.Items, model.Users, lambda)
+		if err := solveFactors(g.byUser, model.Users, model.Items, lambda); err != nil {
+			return nil, err
+		}
+		if err := solveFactors(g.byItem, model.Items, model.Users, lambda); err != nil {
+			return nil, err
+		}
 	}
 	return model, nil
 }
@@ -156,10 +159,11 @@ func ALSTrain(g *RatingsGraph, rank, iterations int, lambda float64, seed int64)
 // target's row, so the only working memory is the rank×rank scratch
 // matrix, pooled per executor chunk. Rows are independent (target and
 // other are distinct matrices), so the parallel-for needs no
-// synchronization beyond the join barrier.
-func solveFactors(adj *lin.CSR, target, other *lin.Mat, lambda float64) {
+// synchronization beyond the join barrier, and a chunk's retry rewrites
+// exactly the rows its failed attempt touched.
+func solveFactors(adj *lin.CSR, target, other *lin.Mat, lambda float64) error {
 	rank := target.Cols
-	forkjoin.For(adj.NumRows(), 0, func(lo, hi int) {
+	return forRetry(adj.NumRows(), 0, func(lo, hi int) {
 		s := lin.GetScratch()
 		edges := 0
 		for u := lo; u < hi; u++ {

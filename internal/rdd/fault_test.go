@@ -76,22 +76,47 @@ func TestCollectEAfterFaultPipelineReusable(t *testing.T) {
 	}
 }
 
-func TestChiSquarePersistentFaultReturnsTaskError(t *testing.T) {
-	// Every attempt of every chunk fails: ChiSquare spends the recompute
-	// budget and returns the final failure as an error, like NaiveBayes
-	// and LogisticRegression, instead of re-panicking it.
+func TestKernelPersistentFaultReturnsTaskError(t *testing.T) {
+	// Every attempt of every chunk fails: each of the seven kernel entry
+	// points spends the recompute budget and returns the final failure as
+	// an error and no result, instead of re-panicking it.
 	chaosQuiet(t, 5, map[string]float64{"rdd.task": 1, "rdd.recompute": 1})
-	counts := NewCounts(64, 2)
+	counts, points := NewCounts(64, 2), NewPoints(64, 2)
+	var ratings []Rating
+	var edges []Pair[int, int]
 	for i := range counts.Labels {
-		counts.Labels[i] = int32(i % 2)
+		counts.Labels[i], points.Labels[i] = int32(i%2), int32(i%2)
 		copy(counts.Row(i), []uint8{uint8(i % 2), uint8(i % 3)})
+		copy(points.X.Row(i), []float64{float64(i % 2), float64(i % 3)})
+		ratings = append(ratings, Rating{User: i % 8, Item: i / 8, Value: float64(i % 5)})
+		edges = append(edges, KV(i, (i*7+1)%64))
 	}
-	stats, err := ChiSquare(counts, 2, 4)
-	var te *forkjoin.TaskError
-	if !errors.As(err, &te) {
-		t.Fatalf("ChiSquare error = %v, want *forkjoin.TaskError", err)
+	kernels := []struct {
+		name string
+		run  func() (empty bool, err error)
+	}{
+		{"NaiveBayes", func() (bool, error) { m, err := NaiveBayes(counts, 2); return m == nil, err }},
+		{"ChiSquare", func() (bool, error) { s, err := ChiSquare(counts, 2, 4); return s == nil, err }},
+		{"LogisticRegression", func() (bool, error) { w, err := LogisticRegression(points, 3, 0.1); return w == nil, err }},
+		{"DecisionTree", func() (bool, error) { tr, err := DecisionTree(points, 2, 4, 1); return tr == nil, err }},
+		{"ALSTrain", func() (bool, error) {
+			m, err := ALSTrain(NewRatingsGraph(ratings), 2, 2, 0.05, 7)
+			return m == nil, err
+		}},
+		{"PageRank", func() (bool, error) { r, err := NewGraph(edges).PageRank(3, 0.85); return r == nil, err }},
+		{"Accuracy", func() (bool, error) {
+			acc, err := Accuracy(counts.Labels, func(i int) int { return int(counts.Labels[i]) })
+			return acc == 0, err
+		}},
 	}
-	if stats != nil {
-		t.Errorf("ChiSquare returned statistics %v alongside an error", stats)
+	for _, k := range kernels {
+		empty, err := k.run()
+		var te *forkjoin.TaskError
+		if !errors.As(err, &te) {
+			t.Errorf("%s error = %v, want *forkjoin.TaskError", k.name, err)
+		}
+		if !empty {
+			t.Errorf("%s returned a result alongside an error", k.name)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package rdd
 import (
 	"sort"
 
-	"renaissance/internal/forkjoin"
 	"renaissance/internal/lin"
 	"renaissance/internal/metrics"
 )
@@ -69,16 +68,9 @@ func NewGraph(edges []Pair[int, int]) *Graph {
 // NumVertices returns the number of distinct vertices.
 func (g *Graph) NumVertices() int { return len(g.ids) }
 
-// prParts is the fixed partition count of the PageRank pull phase, the
-// engine's defaultPartitions. Each vertex's rank is a sequential sum in
-// its own range, so the count decides only the retry granularity, not a
-// floating-point result.
-const prParts = defaultPartitions
-
 // prState is the per-run PageRank working set — the rank vectors and the
 // per-vertex outgoing share — allocated once per PageRank call and reused
-// across iterations (the seed allocated one pair per edge plus shuffle
-// buckets plus a rank map per iteration).
+// across iterations.
 type prState struct {
 	g                 *Graph
 	damping           float64
@@ -107,38 +99,38 @@ func (g *Graph) newPRState(damping float64) *prState {
 // contribution u sends along each of its out-edges. Dangling (sink)
 // vertices send nothing along edges; their mass is summed separately and
 // redistributed uniformly (standard PageRank), so total rank is conserved
-// exactly: the seed simply dropped it, which is why the benchmark's mass
-// check needed a 1% tolerance.
+// exactly.
 //
-// Pull — the vertices are split into prParts fixed ranges; each vertex
-// sums the shares of its in-neighbours in input edge order and applies
-// the damping update. No vertex is written by two ranges, so there are no
-// atomics, no per-range accumulators and no merge; and since every rank
-// is one sequential sum, results are identical at any GOMAXPROCS.
+// Pull — a parallel-for over the vertices: each vertex sums the shares of
+// its in-neighbours in input edge order and applies the damping update.
+// No vertex is written by two chunks, so there are no atomics and no
+// merge, and since every rank is one sequential sum, the chunking changes
+// no bit at any GOMAXPROCS.
 //
-// The pull runs under the recompute budget (forPartsRetry): a range only
-// overwrites its own vertices, so a faulted range replays alone, with
-// nothing to clear, instead of failing the whole iteration.
-func (s *prState) step() {
+// Both passes run under the recompute budget (forRetry): a chunk only
+// overwrites its own vertices, so a faulted chunk replays alone. A chunk
+// that spends the budget fails the step with its *forkjoin.TaskError.
+func (s *prState) step() error {
 	g := s.g
 	n := g.NumVertices()
-	forkjoin.For(n, 0, func(lo, hi int) {
+	if err := forRetry(n, 0, func(lo, hi int) {
 		metrics.AddIDynamic(int64(hi - lo))
 		for u := lo; u < hi; u++ {
 			if d := g.outDeg[u]; d > 0 {
 				s.share[u] = s.ranks[u] / float64(d)
 			}
 		}
-	})
+	}); err != nil {
+		return err
+	}
 	danglingMass := 0.0
 	for _, v := range g.dangling {
 		danglingMass += s.ranks[v]
 	}
 	base := (1 - s.damping) + s.damping*danglingMass/float64(n)
-	if err := forPartsRetry(prParts, func(p int) {
-		vlo, vhi := p*n/prParts, (p+1)*n/prParts
+	if err := forRetry(n, 0, func(lo, hi int) {
 		edges := 0
-		for v := vlo; v < vhi; v++ {
+		for v := lo; v < hi; v++ {
 			sum := 0.0
 			srcs := g.in.RowCols(v)
 			for _, u := range srcs {
@@ -149,23 +141,27 @@ func (s *prState) step() {
 		}
 		metrics.AddIDynamic(int64(edges))
 	}); err != nil {
-		panic(err)
+		return err
 	}
 	s.ranks, s.out = s.out, s.ranks
+	return nil
 }
 
 // PageRank runs the iterative computation over the pre-built graph and
 // returns the rank of every vertex, indexed by compacted vertex: entry i
 // is the rank of the i-th smallest external id. Rank mass is conserved
 // exactly (dangling mass is redistributed uniformly), so Σ ranks equals
-// the vertex count up to floating-point rounding.
-func (g *Graph) PageRank(iterations int, damping float64) []float64 {
+// the vertex count up to floating-point rounding. A failed step ends the
+// run with its error and no ranks.
+func (g *Graph) PageRank(iterations int, damping float64) ([]float64, error) {
 	if g.NumVertices() == 0 {
-		return nil
+		return nil, nil
 	}
 	st := g.newPRState(damping)
 	for it := 0; it < iterations; it++ {
-		st.step()
+		if err := st.step(); err != nil {
+			return nil, err
+		}
 	}
-	return st.ranks
+	return st.ranks, nil
 }

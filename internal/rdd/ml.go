@@ -1,9 +1,9 @@
 package rdd
 
 import (
+	"fmt"
 	"math"
 
-	"renaissance/internal/forkjoin"
 	"renaissance/internal/lin"
 	"renaissance/internal/metrics"
 )
@@ -16,14 +16,14 @@ import (
 // float64 matrix, for the Gaussian features of logistic regression and
 // the decision tree; Counts, one byte a feature, for the category codes
 // and occurrence counts of chi-square and naive Bayes. The kernels run
-// chunked parallel-for passes on the shared work-stealing executor,
-// accumulating into flat per-chunk float64 tables that merge in fixed
-// chunk order — so results are deterministic at any GOMAXPROCS, and
-// counting from bytes gives the bits counting from float64s gave
-// (integer sums are exact). Chunk c covers rows [c·n/parts,
-// (c+1)·n/parts): the partition split of Parallelize(·, 8), preserving
-// the seed kernels' partition-ordered aggregation semantics. Accuracy
-// scores a fitted model over the same chunks.
+// chunked parallel-for passes (forRetry) on the shared work-stealing
+// executor, the counting and gradient passes into flat per-chunk float64
+// tables merged in fixed chunk order (foldChunks) — so results are
+// deterministic at any GOMAXPROCS, and counting from bytes gives the bits
+// counting from float64s gave (integer sums are exact). Chunk c covers
+// rows [c·n/parts, (c+1)·n/parts): the partition split of
+// Parallelize(·, 8), the seed kernels' aggregation order. Accuracy scores
+// a fitted model over the same chunks.
 
 // Points is a labeled training set in flat storage: row i of X holds
 // point i's features and Labels[i] its class. It is the layout of the
@@ -69,6 +69,30 @@ func (s *Counts) Row(i int) []uint8 {
 // merge in the grouping and order the seed's per-partition Aggregate used.
 func mlParts(n int) int { return clampPartitions(0, defaultPartitions, n) }
 
+// foldChunks is the counting and gradient kernels' pass over n rows: chunk
+// c of parts = tab.Rows clears its row's first width floats (an attempt
+// clears first, so a recompute never double-counts), folds rows
+// [c·n/parts, (c+1)·n/parts) into them, and the rows merge into row 0 in
+// chunk order, which it returns. tab's rows are padded onto disjoint
+// cache lines (lin.PadStride), or neighbouring chunks false-share.
+func foldChunks(tab *lin.Mat, n, width int, fold func(acc []float64, lo, hi int)) ([]float64, error) {
+	parts := tab.Rows
+	if err := forRetry(parts, 1, func(c, _ int) {
+		acc := tab.Row(c)[:width]
+		clear(acc)
+		lo, hi := c*n/parts, (c+1)*n/parts
+		metrics.AddIDynamic(int64(hi - lo))
+		fold(acc, lo, hi)
+	}); err != nil {
+		return nil, err
+	}
+	res := tab.Row(0)[:width]
+	for c := 1; c < parts; c++ {
+		lin.Axpy(1, tab.Row(c)[:width], res)
+	}
+	return res, nil
+}
+
 // Accuracy returns the fraction of the n = len(labels) points for which
 // predict(i) == labels[i]. Each mlParts chunk counts its hits under the
 // recompute budget (an attempt overwrites its own slot, so a retry never
@@ -81,7 +105,7 @@ func Accuracy(labels []int32, predict func(i int) int) (float64, error) {
 	}
 	parts := mlParts(n)
 	var hits [defaultPartitions]int
-	if err := forPartsRetry(parts, func(c int) {
+	if err := forRetry(parts, 1, func(c, _ int) {
 		h := 0
 		for i := c * n / parts; i < (c+1)*n/parts; i++ {
 			if predict(i) == int(labels[i]) {
@@ -113,35 +137,19 @@ func LogisticRegression(points *Points, iterations int, learningRate float64) ([
 	if n == 0 {
 		return nil, ErrEmpty
 	}
-	parts := mlParts(n)
 	metrics.AddArray(2)
-	// One gradient accumulator per chunk, rows padded onto disjoint
-	// cache lines (a bare dim-wide row is ~one line, so neighboring
-	// chunks would false-share on every point).
-	grads := lin.NewMat(parts, lin.PadStride(dim))
+	grads := lin.NewMat(mlParts(n), lin.PadStride(dim))
 	weights := make([]float64, dim)
 	for it := 0; it < iterations; it++ {
-		w := weights
-		// forPartsRetry, not For: a failed chunk re-clears its private
-		// gradient row and recomputes, so a transient fault costs one
-		// chunk replay instead of the whole pass.
-		if err := forPartsRetry(parts, func(c int) {
-			g := grads.Row(c)[:dim]
-			clear(g)
-			rlo, rhi := c*n/parts, (c+1)*n/parts
-			metrics.AddIDynamic(int64(rhi - rlo))
-			for i := rlo; i < rhi; i++ {
+		g, err := foldChunks(grads, n, dim, func(g []float64, lo, hi int) {
+			for i := lo; i < hi; i++ {
 				row := x.Row(i)
-				e := sigmoid(lin.Dot(w, row)) - float64(labels[i])
+				e := sigmoid(lin.Dot(weights, row)) - float64(labels[i])
 				lin.Axpy(e, row, g)
 			}
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, err
-		}
-		// Merge in fixed chunk order, then descend.
-		g := grads.Row(0)[:dim]
-		for c := 1; c < parts; c++ {
-			lin.Axpy(1, grads.Row(c)[:dim], g)
 		}
 		lin.Axpy(-learningRate/float64(n), g, weights)
 	}
@@ -168,20 +176,11 @@ type NaiveBayesModel struct {
 func NaiveBayes(points *Counts, numClasses int) (*NaiveBayesModel, error) {
 	labels := points.Labels
 	n, numFeatures := len(labels), points.Dim
-	parts := mlParts(n)
 	stride := numFeatures + 1
 	width := numClasses * stride
 	metrics.IncArray()
-	// Per-chunk count tables, rows padded onto disjoint cache lines.
-	tab := lin.NewMat(parts, lin.PadStride(width))
-	// Each attempt clears its private table row first, so a recompute
-	// after a mid-chunk fault never double-counts.
-	if err := forPartsRetry(parts, func(c int) {
-		acc := tab.Row(c)[:width]
-		clear(acc)
-		rlo, rhi := c*n/parts, (c+1)*n/parts
-		metrics.AddIDynamic(int64(rhi - rlo))
-		for i := rlo; i < rhi; i++ {
+	res, err := foldChunks(lin.NewMat(mlParts(n), lin.PadStride(width)), n, width, func(acc []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			l := int(labels[i])
 			if l < 0 || l >= numClasses {
 				continue
@@ -193,12 +192,9 @@ func NaiveBayes(points *Counts, numClasses int) (*NaiveBayesModel, error) {
 				feats[j] += float64(v)
 			}
 		}
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
-	}
-	res := tab.Row(0)[:width]
-	for c := 1; c < parts; c++ {
-		lin.Axpy(1, tab.Row(c)[:width], res)
 	}
 
 	total := 0.0
@@ -270,20 +266,11 @@ func dotCounts(x []uint8, y []float64) float64 {
 func ChiSquare(points *Counts, numClasses, numBuckets int) ([]float64, error) {
 	labels := points.Labels
 	n, numFeatures := len(labels), points.Dim
-	parts := mlParts(n)
 	stride := numBuckets * numClasses // one feature's table
 	width := numFeatures * stride
 	metrics.IncArray()
-	// Per-chunk tables, rows padded onto disjoint cache lines.
-	tab := lin.NewMat(parts, lin.PadStride(width))
-	// Attempts clear their private table row first — recompute-safe, like
-	// NaiveBayes.
-	if err := forPartsRetry(parts, func(c int) {
-		acc := tab.Row(c)[:width]
-		clear(acc)
-		rlo, rhi := c*n/parts, (c+1)*n/parts
-		metrics.AddIDynamic(int64(rhi - rlo))
-		for i := rlo; i < rhi; i++ {
+	res, err := foldChunks(lin.NewMat(mlParts(n), lin.PadStride(width)), n, width, func(acc []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			l := int(labels[i])
 			if l < 0 || l >= numClasses {
 				continue
@@ -293,12 +280,9 @@ func ChiSquare(points *Counts, numClasses, numBuckets int) ([]float64, error) {
 				acc[f*stride+b*numClasses+l]++
 			}
 		}
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
-	}
-	res := tab.Row(0)[:width]
-	for c := 1; c < parts; c++ {
-		lin.Axpy(1, tab.Row(c)[:width], res)
 	}
 
 	stats := make([]float64, numFeatures)
@@ -365,11 +349,17 @@ func (n *TreeNode) Predict(features []float64) int {
 // set: one int32 index array for the whole tree, which every split
 // partitions in place (node by node, each node's subset is a contiguous
 // range of it), so every histogram fill walks one flat column-strided
-// array and no node copies points or allocates index slices.
+// array and no node copies points or allocates index slices. Every label
+// must lie in [0, numClasses): the histograms index by it.
 func DecisionTree(points *Points, numClasses, maxDepth, minLeaf int) (*TreeNode, error) {
 	n := points.X.Rows
 	if n == 0 {
 		return nil, ErrEmpty
+	}
+	for i, l := range points.Labels {
+		if l < 0 || int(l) >= numClasses {
+			return nil, fmt.Errorf("rdd: decision tree: point %d has label %d outside [0, %d)", i, l, numClasses)
+		}
 	}
 	if minLeaf < 1 {
 		minLeaf = 1
@@ -383,7 +373,11 @@ func DecisionTree(points *Points, numClasses, maxDepth, minLeaf int) (*TreeNode,
 		x: points.X, labels: points.Labels, numClasses: numClasses, minLeaf: minLeaf,
 		spill: make([]int32, n),
 	}
-	return t.grow(idx, maxDepth), nil
+	root := t.grow(idx, maxDepth)
+	if t.err != nil {
+		return nil, t.err
+	}
+	return root, nil
 }
 
 const treeHistogramBins = 16
@@ -397,6 +391,7 @@ type treeBuilder struct {
 	// spill holds the right side of the split in progress; the recursion
 	// is sequential, so one buffer serves every node.
 	spill []int32
+	err   error // the first failed split search: no node splits after it
 }
 
 // split is one feature's best histogram split.
@@ -409,9 +404,7 @@ type split struct {
 func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
 	counts := make([]int, t.numClasses)
 	for _, i := range idx {
-		if l := int(t.labels[i]); l >= 0 && l < t.numClasses {
-			counts[l]++
-		}
+		counts[t.labels[i]]++
 	}
 	majority, best := 0, -1
 	pure := true
@@ -423,7 +416,7 @@ func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
 			pure = false
 		}
 	}
-	if depth <= 1 || pure || len(idx) < 2*t.minLeaf {
+	if depth <= 1 || pure || len(idx) < 2*t.minLeaf || t.err != nil {
 		metrics.IncObject()
 		return &TreeNode{Prediction: majority}
 	}
@@ -432,15 +425,19 @@ func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
 	// Histogram split search, parallel per feature on the shared
 	// work-stealing executor (the data-parallel inner loop of MLlib's
 	// tree trainer). Results land in a fixed per-feature slot, so the
-	// arg-min below is deterministic.
+	// arg-min below is deterministic and a retried feature overwrites
+	// only its own slot.
 	metrics.IncArray()
 	results := make([]split, numFeatures)
-	forkjoin.For(numFeatures, 1, func(flo, fhi int) {
+	if err := forRetry(numFeatures, 1, func(flo, fhi int) {
 		metrics.AddIDynamic(int64(fhi - flo))
 		for f := flo; f < fhi; f++ {
 			results[f] = t.bestSplit(idx, f, counts)
 		}
-	})
+	}); err != nil {
+		t.err = err
+		return nil
+	}
 	bestGini := math.Inf(1)
 	bestFeature, bestThreshold := -1, 0.0
 	for _, s := range results {

@@ -45,7 +45,9 @@ func TestPageRankIterationAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	st := NewGraph(webEdges(rand.New(rand.NewSource(19)), 600)).newPRState(0.85)
-	st.step() // warm
+	if err := st.step(); err != nil { // warm
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(20, func() { st.step() })
 	if allocs > mlIterAllocBound {
 		t.Fatalf("PageRank step allocated %.1f objects, want <= %d", allocs, mlIterAllocBound)

@@ -304,7 +304,7 @@ func TestPageRankDifferentialNoDangling(t *testing.T) {
 	}
 	rdd := Parallelize(edges, 8)
 
-	got := pageRankByID(edges, 12, 0.85)
+	got := pageRankByID(t, edges, 12, 0.85)
 	want := seedPageRank(rdd, 12, 0.85)
 	if len(got) != len(want) {
 		t.Fatalf("rank count %d, want %d", len(got), len(want))
@@ -336,7 +336,7 @@ func TestPageRankDifferentialDangling(t *testing.T) {
 		}
 		return s
 	}
-	got := pageRankByID(edges, 10, 0.85)
+	got := pageRankByID(t, edges, 10, 0.85)
 	if d := math.Abs(sum(got) - n); d > 1e-9*n {
 		t.Fatalf("live kernel lost rank mass: Σ=%.9f want %.0f", sum(got), n)
 	}
@@ -363,7 +363,7 @@ func TestPageRankDifferentialSparseIDs(t *testing.T) {
 	}
 	rdd := Parallelize(edges, 8)
 
-	got := pageRankByID(edges, 12, 0.85)
+	got := pageRankByID(t, edges, 12, 0.85)
 	want := seedPageRank(rdd, 12, 0.85)
 	if len(got) != len(want) {
 		t.Fatalf("rank count %d, want %d", len(got), len(want))
@@ -382,10 +382,15 @@ func TestPageRankDifferentialSparseIDs(t *testing.T) {
 // pageRankByID runs Graph.PageRank over the edge list and keys every
 // vertex's rank by its external id: entry i of the slice belongs to the
 // i-th smallest id.
-func pageRankByID(edges []Pair[int, int], iterations int, damping float64) map[int]float64 {
+func pageRankByID(t *testing.T, edges []Pair[int, int], iterations int, damping float64) map[int]float64 {
+	t.Helper()
 	g := NewGraph(edges)
+	ranks, err := g.PageRank(iterations, damping)
+	if err != nil {
+		t.Fatalf("PageRank: %v", err)
+	}
 	out := make(map[int]float64, g.NumVertices())
-	for i, r := range g.PageRank(iterations, damping) {
+	for i, r := range ranks {
 		out[g.ids[i]] = r
 	}
 	return out
@@ -440,8 +445,11 @@ func TestPageRankBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	g := NewGraph(edges)
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		got := g.PageRank(10, 0.85)
+		got, err := g.PageRank(10, 0.85)
 		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: PageRank: %v", procs, err)
+		}
 		if len(got) != n {
 			t.Fatalf("GOMAXPROCS=%d: %d ranks, want %d", procs, len(got), n)
 		}

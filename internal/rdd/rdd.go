@@ -4,21 +4,22 @@
 // compute-bound / atomics"). It has two parts (DESIGN.md §7, §14):
 //
 //   - The MLlib-shaped kernels the seven workloads run (ml.go, als.go,
-//     graph.go): flat training sets (Points), CSR rating and link graphs
-//     (RatingsGraph, Graph), built once at workload setup and trained in
-//     place by chunked passes on the shared fork–join pool. Passes that
-//     write per-partition state run under lineage-style recovery
-//     (forPartsRetry, recovery.go): a failed partition is recomputed under
-//     a fixed retry budget.
+//     graph.go): flat training sets (Points, Counts), CSR rating and link
+//     graphs (RatingsGraph, Graph), built once at workload setup and
+//     trained in place by chunked passes on the shared fork–join pool.
 //   - A Spark-style dataset engine in this file and exchange.go: lazily
 //     fused narrow stages (Map, Filter) over Parallelize, a Cache fusion
 //     barrier, a lock-free hash shuffle behind ReduceByKey with retryable
-//     epochs, and the Count and Aggregate actions, whose partitions run on
-//     the same recovery path. No workload runs it; the rbench rdd.* probes
-//     do, and it goes when they do.
+//     epochs, and the Count and Aggregate actions. No workload runs it;
+//     the rbench rdd.* probes do, and it goes when they do.
 //
-// Every parallel entry point has one failure contract: a persistent
-// partition failure re-panics at the join as a *forkjoin.TaskError.
+// Every parallel loop of both runs through forRetry (recovery.go): a
+// failed chunk is recomputed under a fixed budget. A chunk that spends it
+// makes the seven kernel entry points (ALSTrain, ChiSquare, DecisionTree,
+// Accuracy, LogisticRegression, NaiveBayes, Graph.PageRank) return its
+// *forkjoin.TaskError and no result. Only the probe-only engine re-panics
+// it: Count and Aggregate at the join, a shuffle phase into the consumer
+// partition that evaluates the exchange.
 package rdd
 
 import (

@@ -296,6 +296,17 @@ func TestDecisionTree(t *testing.T) {
 	if acc := float64(correct) / float64(len(points)); acc < 0.9 {
 		t.Errorf("accuracy = %.2f", acc)
 	}
+
+	// The histograms index by label, so a label outside [0, numClasses)
+	// is rejected up front instead of landing in a neighbouring bin's
+	// cell (numClasses) or out of range (-1).
+	for _, bad := range []int32{-1, 2} {
+		pts := pointsOf(points)
+		pts.Labels[7] = bad
+		if tree, err := DecisionTree(pts, 2, 4, 1); err == nil || tree != nil {
+			t.Errorf("label %d: DecisionTree = (%v, %v), want an error and no tree", bad, tree, err)
+		}
+	}
 }
 
 func TestDecisionTreePureLeaf(t *testing.T) {
@@ -393,7 +404,7 @@ func TestPageRank(t *testing.T) {
 	edges := []Pair[int, int]{
 		KV(1, 0), KV(2, 0), KV(3, 0), KV(4, 0), KV(0, 1),
 	}
-	ranks := pageRankByID(edges, 20, 0.85)
+	ranks := pageRankByID(t, edges, 20, 0.85)
 	if len(ranks) != 5 {
 		t.Fatalf("ranks = %v", ranks)
 	}
@@ -412,7 +423,7 @@ func TestPageRankSumConservation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		edges = append(edges, KV(i, (i+1)%n), KV(i, (i+3)%n))
 	}
-	ranks := pageRankByID(edges, 30, 0.85)
+	ranks := pageRankByID(t, edges, 30, 0.85)
 	total := 0.0
 	for _, r := range ranks {
 		total += r

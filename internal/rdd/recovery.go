@@ -1,25 +1,25 @@
-// Lineage-based partition recovery (DESIGN.md §14). Every action and
-// shuffle phase evaluates its partitions through runParts, a thin wrapper
-// that runs them as grain-1 chunks of forkjoin's retrying parallel-for —
-// the one claim/cancel/join implementation in the repository. The engine
-// adds only what is RDD-specific:
+// Lineage-based partition recovery (DESIGN.md §14). Every parallel loop
+// in the package — the kernels' passes, the actions and the shuffle
+// phases — runs through forRetry, a thin wrapper over forkjoin's retrying
+// parallel-for, the one claim/cancel/join implementation in the
+// repository. The wrapper adds only what is RDD-specific:
 //
 //   - Bounded recompute: the job's per-chunk retry budget is the
-//     partition recompute budget (taskRetries). A partition attempt
-//     that fails — an organic panic, a *forkjoin.TaskError from a nested
-//     job, or an injected chaos fault — is recomputed from the partition's
-//     lineage (the fused pipeline re-runs from the nearest materialized
-//     ancestor: a cached partition or a published shuffle exchange). When
-//     the budget is spent the final *forkjoin.TaskError surfaces from the
-//     action; unclaimed siblings are cancelled, and partitions already in
-//     flight run to completion before it returns.
+//     partition recompute budget (taskRetries). A chunk attempt that
+//     fails — an organic panic, a *forkjoin.TaskError from a nested job,
+//     or an injected chaos fault — is recomputed from the chunk's lineage
+//     (a kernel chunk rewrites its own rows; a fused pipeline re-runs from
+//     the nearest cached partition or published shuffle exchange). When
+//     the budget is spent the final *forkjoin.TaskError is returned;
+//     unclaimed siblings are cancelled, and chunks already in flight run
+//     to completion first.
 //   - Caller-runs discipline, inherited from the job: the calling
-//     goroutine claims and evaluates partitions itself while pool workers
+//     goroutine claims and evaluates chunks itself while pool workers
 //     help opportunistically, so a nested runParts — a shuffle exchange
 //     evaluated inside a consumer partition — always makes progress even
 //     when every worker is busy.
 //
-// Chaos points: "rdd.task" fires before every first partition attempt,
+// Chaos points: "rdd.task" fires before every first chunk attempt,
 // "rdd.recompute" before every retry, and the job's own "forkjoin.claim"
 // before both, so a chaos sweep exercises the failure and the recovery
 // paths. The rddrecompute metric counts the retries.
@@ -31,20 +31,18 @@ import (
 	"renaissance/internal/metrics"
 )
 
-// taskRetries is the per-partition recompute budget: extra attempts after
-// the first, per partition, per action.
+// taskRetries is the per-chunk recompute budget: four attempts a chunk
+// per pass in all, Spark's default spark.task.maxFailures.
 const taskRetries = 3
 
-// forPartsRetry evaluates body(p) for every partition p in [0, n) under
-// the recompute budget, returning the final *forkjoin.TaskError of a
-// partition whose budget was spent. Kernels that write shared
-// per-partition state in place (naive Bayes, chi-square, logistic
-// regression, the PageRank pull, Accuracy's hit count) call it directly:
-// their bodies are idempotent — every attempt starts by clearing its
-// accumulator row, or overwrites only its own range or slot — and the
-// job never runs two attempts of one partition concurrently.
-func forPartsRetry(n int, body func(p int)) error {
-	return forkjoin.Shared().ForRetryE(n, 1, 0, taskRetries, func(p, _, attempt int) {
+// forRetry runs body(lo, hi) over chunks of [0, n) of forkjoin's grain (1:
+// a chunk per index, 0: automatic) on the shared pool under the recompute
+// budget, returning the final *forkjoin.TaskError of a chunk that spent
+// it. body must be idempotent per chunk — an attempt clears its own
+// accumulator first, or overwrites only its own range or slot; the job
+// never runs two attempts of one chunk concurrently.
+func forRetry(n, grain int, body func(lo, hi int)) error {
+	return forkjoin.Shared().ForRetryE(n, grain, 0, taskRetries, func(lo, hi, attempt int) {
 		point := "rdd.task"
 		if attempt > 0 {
 			point = "rdd.recompute"
@@ -53,7 +51,7 @@ func forPartsRetry(n int, body func(p int)) error {
 		if chaos.Maybe(point) {
 			panic(&chaos.InjectedError{Point: point})
 		}
-		body(p)
+		body(lo, hi)
 	})
 }
 
@@ -70,7 +68,7 @@ func runParts[R any](n int, compute func(p int) R, discard func(R)) ([]R, error)
 	}
 	metrics.IncArray()
 	out := make([]R, n)
-	if err := forPartsRetry(n, func(p int) { out[p] = compute(p) }); err != nil {
+	if err := forRetry(n, 1, func(p, _ int) { out[p] = compute(p) }); err != nil {
 		if discard != nil {
 			for _, v := range out {
 				discard(v)

@@ -6,6 +6,8 @@ package rdd
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -240,10 +242,26 @@ func TestShuffleEpochRetryAfterInjectedExchangeFault(t *testing.T) {
 
 // TestChaosDifferentialBitIdentical asserts the recovery engine's core
 // guarantee: under injected faults on every rdd chaos point at rates up to
-// 0.05, every action's result — through a mid-chain Cache, narrow and wide
-// dependencies, and the ML kernels — is bit-identical to
-// the fault-free run.
+// 0.05, and on the job's own forkjoin.claim point, every action's result —
+// through a mid-chain Cache, narrow and wide dependencies, and the seven
+// ML kernels — is bit-identical to the fault-free run.
+//
+// No leg may spend a recompute budget (the kernel would return its
+// TaskError and the test fail), and a chunk spends its budget only when all
+// four of its attempts fail. The seed pins every decision by trial index;
+// the interleaving decides only which chunk meets which trial.
+//   - rdd.* legs: a run makes ≈ 540 chunk passes at GOMAXPROCS 2, and
+//     among the retries a leg reaches rdd.recompute and rdd.shuffle fire
+//     at most once each (three fires in all at GOMAXPROCS 4), so at
+//     GOMAXPROCS ≤ 2 no chunk can fail three retries, whatever the
+//     interleaving.
+//   - claim leg: forkjoin.claim alone at q = claimRate fails all four
+//     attempts of a chunk with probability q⁴ ≈ 2.6e-10. The three claim
+//     legs make ≈ 3 × 540 chunk passes (3 × 760 at GOMAXPROCS 4), so the
+//     chance that they spend any budget is ≈ 4e-7 (6e-7), below 1e-6,
+//     and the point still fires a few times.
 func TestChaosDifferentialBitIdentical(t *testing.T) {
+	const claimRate = 0.004
 	type results struct {
 		collected []int
 		count     int
@@ -257,6 +275,9 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 		logw      []float64
 		logAcc    float64
 		ranks     []float64
+		alsUsers  []uint64 // factor bits
+		alsItems  []uint64
+		tree      *TreeNode
 	}
 
 	run := func() results {
@@ -316,7 +337,23 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 				Pair[int, int]{i, (i*i + 1) % 60},
 				Pair[int, int]{i, (i + 7) % 60})
 		}
-		r.ranks = NewGraph(edges).PageRank(10, 0.85)
+		if r.ranks, err = NewGraph(edges).PageRank(10, 0.85); err != nil {
+			t.Fatalf("PageRank: %v", err)
+		}
+
+		als, err := ALSTrain(NewRatingsGraph(syntheticRatings(rand.New(rand.NewSource(3)), 30, 20, 3)), 3, 4, 0.05, 7)
+		if err != nil {
+			t.Fatalf("ALSTrain: %v", err)
+		}
+		for _, v := range als.Users.Data {
+			r.alsUsers = append(r.alsUsers, math.Float64bits(v))
+		}
+		for _, v := range als.Items.Data {
+			r.alsItems = append(r.alsItems, math.Float64bits(v))
+		}
+		if r.tree, err = DecisionTree(points, 2, 4, 1); err != nil {
+			t.Fatalf("DecisionTree: %v", err)
+		}
 		return r
 	}
 
@@ -324,6 +361,7 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 	t.Cleanup(chaos.Disable)
 	want := run()
 
+	var claimFires int64
 	for _, seed := range []int64{1, 7, 13} {
 		for _, rate := range []float64{0.01, 0.05} {
 			chaos.Configure(seed, 0)
@@ -344,5 +382,17 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 				t.Fatalf("seed=%d rate=%g: no rdd faults fired — differential proved nothing", seed, rate)
 			}
 		}
+
+		chaos.Configure(seed, 0)
+		chaos.SetRate("forkjoin.claim", claimRate)
+		got := run()
+		claimFires += chaos.FireCount("forkjoin.claim")
+		chaos.Configure(seed, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed=%d forkjoin.claim=%g: chaos run diverged from fault-free run", seed, claimRate)
+		}
+	}
+	if claimFires == 0 {
+		t.Fatal("forkjoin.claim never fired — the claim leg proved nothing")
 	}
 }

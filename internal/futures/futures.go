@@ -4,11 +4,26 @@
 // "network stack, futures, atomics"). The first completer wins under the
 // future's mutex; continuations registered with Map/OnComplete are closure
 // dispatches, which is what the paper's idynamic metric estimates.
+//
+// Async bodies run on a package-private executor, as Scala futures and
+// Jenetics run theirs on an ExecutionContext: GOMAXPROCS long-lived
+// goroutines drain one bounded FIFO, and an Async that finds it full starts
+// a goroutine for its body instead of waiting. An Await on a pending future
+// runs queued bodies itself until its own future completes, so a body may
+// wait on another future through Await without starving the executor. A
+// body that blocks on something only a later Async body provides, other
+// than through Await, may wait for a worker to come free.
+//
+// The executor is not forkjoin.Shared(): a pool task allocates a *Task and
+// an Fn closure on top of the promise, where the executor queues the
+// promise record itself, and running a pool task needs a *Worker, so an
+// Await on a caller's goroutine could not help with it.
 package futures
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 
@@ -44,16 +59,19 @@ func (e *PanicError) Unwrap() error {
 // value and err never change.
 type Future[T any] struct {
 	mu sync.Mutex
-	// done is made by the first Await that finds the future pending and
-	// closed on completion; a future nobody blocks on never has one.
-	done      chan struct{}
+	// parked is what Awaits that find the future pending block on, which
+	// allocates nothing: the first of them adds one and sets waiting, and
+	// completion marks it done.
+	parked    sync.WaitGroup
 	value     T
 	err       error
 	completed bool
+	waiting   bool
 	// first is the first pending continuation, held inline because most
-	// futures get exactly one; later ones go to rest, in order.
+	// futures get exactly one; later ones go to *rest, in order, which only
+	// a future with several is given.
 	first func(T, error)
-	rest  []func(T, error)
+	rest  *[]func(T, error)
 }
 
 // Promise is the write handle that completes its future exactly once. The
@@ -90,24 +108,24 @@ func (p *Promise[T]) complete(v T, err error) error {
 		return ErrAlreadyCompleted
 	}
 	f.value, f.err, f.completed = v, err, true
-	done, first, rest := f.done, f.first, f.rest
+	waiting, first, rest := f.waiting, f.first, f.rest
 	f.first, f.rest = nil, nil
 	f.mu.Unlock()
 	metrics.IncSynch()
 	metrics.IncAtomic() // publication of the completed state
-	if done != nil {
-		close(done)
+	if waiting {
+		f.parked.Done()
 	}
 	metrics.IncNotify()
 	if first != nil {
 		metrics.IncIDynamic()
 		first(v, err)
 	}
-	if len(rest) > 0 {
-		metrics.AddIDynamic(int64(len(rest)))
-	}
-	for _, cb := range rest {
-		cb(v, err)
+	if rest != nil {
+		metrics.AddIDynamic(int64(len(*rest)))
+		for _, cb := range *rest {
+			cb(v, err)
+		}
 	}
 	return nil
 }
@@ -122,7 +140,10 @@ func (f *Future[T]) OnComplete(cb func(T, error)) {
 		if f.first == nil {
 			f.first = cb
 		} else {
-			f.rest = append(f.rest, cb)
+			if f.rest == nil {
+				f.rest = new([]func(T, error))
+			}
+			*f.rest = append(*f.rest, cb)
 		}
 		f.mu.Unlock()
 		return
@@ -133,21 +154,32 @@ func (f *Future[T]) OnComplete(cb func(T, error)) {
 	cb(v, err)
 }
 
-// Await blocks until the future completes and returns its result.
+// Await blocks until the future completes and returns its result. While
+// the future is pending it runs queued Async bodies on the calling
+// goroutine, the way a fork/join Join helps; once the queue is empty it
+// parks.
 func (f *Future[T]) Await() (T, error) {
 	metrics.IncPark()
+	for !f.isCompleted() && help() {
+	}
 	f.mu.Lock()
 	if f.completed {
 		f.mu.Unlock()
 		return f.value, f.err
 	}
-	if f.done == nil {
-		f.done = make(chan struct{})
+	if !f.waiting {
+		f.waiting = true
+		f.parked.Add(1)
 	}
-	done := f.done
 	f.mu.Unlock()
-	<-done
+	f.parked.Wait()
 	return f.value, f.err
+}
+
+func (f *Future[T]) isCompleted() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.completed
 }
 
 // Completed returns a future that is already successfully completed.
@@ -157,22 +189,83 @@ func Completed[T any](v T) *Future[T] {
 	return &p.f
 }
 
-// Async runs fn on a new goroutine and returns its future. A panicking fn
-// fails the future with a *PanicError instead of killing the process: the
-// goroutine is not the harness's iteration goroutine, so nothing above it
-// would recover.
+// Async queues fn on the package's executor and returns its future; fn
+// runs on an executor goroutine, on a goroutine of its own when the queue
+// is full, or on a goroutine that Awaits a pending future. A body that
+// waits on another future must do so through Await (see the package doc).
+// A panicking fn fails the future with a *PanicError instead of killing
+// the process: none of those goroutines is the harness's iteration
+// goroutine, so nothing above the body would recover.
 func Async[T any](fn func() (T, error)) *Future[T] {
-	p := NewPromise[T]()
-	go func() {
-		metrics.IncIDynamic()
-		v, err := protect(fn)
-		if err != nil {
-			_ = p.Failure(err)
-			return
+	metrics.IncObject()
+	t := &asyncTask[T]{fn: fn}
+	select {
+	case executor() <- t:
+	default:
+		go t.run()
+	}
+	return &t.f
+}
+
+// asyncTask is an Async future's promise record and its body: the queue
+// entry, so queueing a body allocates nothing beyond the promise.
+type asyncTask[T any] struct {
+	Promise[T]
+	fn func() (T, error)
+}
+
+func (t *asyncTask[T]) run() {
+	metrics.IncIDynamic()
+	v, err := protect(t.fn)
+	if err != nil {
+		_ = t.Failure(err)
+		return
+	}
+	_ = t.Success(v)
+}
+
+// queueCap bounds the executor's FIFO. A future-genetic generation queues
+// a few hundred bodies at once; 1024 holds that with room to spare at
+// 16 KB of buffer, and a burst beyond it only costs goroutines.
+const queueCap = 1024
+
+var (
+	queue chan interface{ run() }
+	// workers is the executor's width, GOMAXPROCS as the process starts:
+	// a caller that narrows GOMAXPROCS for a while (testing.AllocsPerRun
+	// does) around the first Async does not narrow the executor for good.
+	workers      = runtime.GOMAXPROCS(0)
+	executorOnce sync.Once
+)
+
+// executor returns the executor's queue. The first Async, or the first
+// Await to find a future pending, makes it and starts the workers, which
+// live as long as the process, like forkjoin.Shared()'s; a process that
+// does neither pays for none of it.
+func executor() chan interface{ run() } {
+	executorOnce.Do(func() {
+		queue = make(chan interface{ run() }, queueCap)
+		for range workers {
+			go func() {
+				for t := range queue {
+					t.run()
+				}
+			}()
 		}
-		_ = p.Success(v)
-	}()
-	return &p.f
+	})
+	return queue
+}
+
+// help runs one queued Async body on the calling goroutine and reports
+// whether there was one.
+func help() bool {
+	select {
+	case t := <-executor():
+		t.run()
+		return true
+	default:
+		return false
+	}
 }
 
 // protect calls fn, converting a panic into a *PanicError.

@@ -214,8 +214,9 @@ func TestAsync(t *testing.T) {
 	}
 }
 
-// A panicking body runs on a bare goroutine that nothing above recovers:
-// it must fail the future, not kill the process.
+// A panicking body runs on an executor worker, or on whichever goroutine
+// Awaits a pending future, and nothing above the body recovers there: it
+// must fail the future, not kill the process.
 func TestAsyncPanicFailsFuture(t *testing.T) {
 	_, err := Async(func() (int, error) { panic("fitness exploded") }).Await()
 	var pe *PanicError
@@ -238,8 +239,8 @@ func TestAsyncPanicFailsFuture(t *testing.T) {
 }
 
 // A panicking mapper runs on whichever goroutine completed the upstream
-// promise — here Async's bare goroutine — so it must fail the derived
-// future, not kill the process.
+// promise — here the one that ran the Async body — so it must fail the
+// derived future, not kill the process.
 func TestMapPanicFailsFuture(t *testing.T) {
 	up := Async(func() (int, error) {
 		time.Sleep(time.Millisecond) // complete after Map has registered
@@ -341,6 +342,17 @@ func TestAllocationGates(t *testing.T) {
 		t.Errorf("NewPromise+Success+Await allocates %v, want <= 1", n)
 	}
 
+	// Async queues its promise record itself, and Await parks on the
+	// future's WaitGroup: the promise is the only object, whoever runs the
+	// body and however the Await finds the future.
+	if n := testing.AllocsPerRun(1000, func() {
+		if v, err := Async(func() (int, error) { return 1, nil }).Await(); v != 1 || err != nil {
+			t.Fatalf("Async.Await = (%d, %v)", v, err)
+		}
+	}); n > 1 {
+		t.Errorf("Async+Await allocates %v, want <= 1", n)
+	}
+
 	// Sequence over pending inputs: one continuation per input plus a
 	// constant (its promise, shared state and result slice).
 	const width, runs = 64, 20
@@ -392,4 +404,116 @@ func TestConcurrentCallbacksAllRun(t *testing.T) {
 	if count.Load() != 50 {
 		t.Errorf("callbacks run = %d, want 50", count.Load())
 	}
+}
+
+// within runs fn on a goroutine of its own and fails the test if it has not
+// returned after five seconds.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not complete within 5 s", what)
+	}
+}
+
+// A chain of Async bodies each Awaiting the next is deeper than the
+// executor is wide: every worker ends up inside an Await, and the chain
+// completes only because those Awaits run the queued bodies themselves.
+func TestExecutorNestedAwaitChain(t *testing.T) {
+	const depth = 64
+	var link func(d int) (int, error)
+	link = func(d int) (int, error) {
+		if d == 0 {
+			return 0, nil
+		}
+		v, err := Async(func() (int, error) { return link(d - 1) }).Await()
+		return v + 1, err
+	}
+	within(t, "a 64-deep Await chain", func() {
+		if v, err := Async(func() (int, error) { return link(depth) }).Await(); v != depth || err != nil {
+			t.Errorf("chain = (%d, %v), want (%d, nil)", v, err, depth)
+		}
+	})
+}
+
+// With every worker blocked in a body, outside any Await, a new Async
+// still completes: its Await runs the body on the caller's goroutine. And
+// Async never blocks: past a full queue its bodies get goroutines.
+func TestExecutorAwaitHelpsWhenWorkersBlocked(t *testing.T) {
+	started := make(chan struct{}, workers)
+	release := make(chan struct{})
+	blocked := make([]*Future[int], workers)
+	for i := range blocked {
+		blocked[i] = Async(func() (int, error) {
+			started <- struct{}{}
+			<-release
+			return i, nil
+		})
+	}
+	defer func() {
+		close(release)
+		within(t, "the released bodies", func() {
+			for i, f := range blocked {
+				if v, err := f.Await(); v != i || err != nil {
+					t.Errorf("blocked body %d = (%d, %v)", i, v, err)
+				}
+			}
+		})
+	}()
+	within(t, "every worker taking a blocking body", func() {
+		for range workers {
+			<-started
+		}
+	})
+	within(t, "an Await with every worker blocked", func() {
+		if v, err := Async(func() (int, error) { return 7, nil }).Await(); v != 7 || err != nil {
+			t.Errorf("Async = (%d, %v), want (7, nil)", v, err)
+		}
+	})
+	within(t, "Asyncs past a full queue", func() {
+		fs := make([]*Future[int], queueCap+8)
+		for i := range fs {
+			fs[i] = Async(func() (int, error) { return i, nil })
+		}
+		for i, f := range fs {
+			if v, err := f.Await(); v != i || err != nil {
+				t.Errorf("future %d = (%d, %v)", i, v, err)
+			}
+		}
+	})
+}
+
+// Panicking bodies fail their futures and leave the workers running:
+// bodies queued afterwards still complete without any Await to run them.
+func TestExecutorRunsOnAfterPanic(t *testing.T) {
+	failed := make(chan error, 2*workers)
+	for range 2 * workers {
+		Async(func() (int, error) { panic("body exploded") }).OnComplete(func(_ int, err error) { failed <- err })
+	}
+	within(t, "the panicking bodies", func() {
+		for range 2 * workers {
+			var pe *PanicError
+			if err := <-failed; !errors.As(err, &pe) {
+				t.Errorf("panicking body err = %v, want a PanicError", err)
+			}
+		}
+	})
+	ran := make(chan int, 2*workers)
+	for i := range 2 * workers {
+		Async(func() (int, error) {
+			ran <- i
+			return i, nil
+		})
+	}
+	within(t, "bodies queued after the panics", func() {
+		for range 2 * workers {
+			<-ran
+		}
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"renaissance/internal/metrics"
 )
 
 // pipeOp is one random pipeline stage: Kind picks Filter, Map or FlatMap,
@@ -232,4 +234,71 @@ func TestAllocationGates(t *testing.T) {
 		t.Errorf("FromSlice allocates %v, want 0", n)
 	}
 	_ = sink
+
+	// The slice terminals loop the slice themselves: Reduce allocates
+	// nothing, and CountBy only what a plain loop into a new map does.
+	xs := []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
+	if n := testing.AllocsPerRun(100, func() {
+		if got := Reduce(FromSlice(xs), 0, func(a, x int) int { return a + x }); got != 39 {
+			t.Fatalf("Reduce = %d, want 39", got)
+		}
+	}); n != 0 {
+		t.Errorf("Reduce over a slice allocates %v, want 0", n)
+	}
+	mod3 := func(x int) int { return x % 3 }
+	plain := testing.AllocsPerRun(100, func() {
+		m := make(map[int]int)
+		for _, x := range xs {
+			m[mod3(x)]++
+		}
+		mapSink = m // escapes, as CountBy's returned map does
+	})
+	if n := testing.AllocsPerRun(100, func() {
+		if got := CountBy(FromSlice(xs), mod3); len(got) != 3 {
+			t.Fatalf("CountBy counted %d keys", len(got))
+		}
+	}); n > plain {
+		t.Errorf("CountBy over a slice allocates %v, a plain loop into a map %v", n, plain)
+	}
+}
+
+var mapSink map[int]int
+
+// Property: CountBy and Reduce over a slice give what they give over the
+// same elements behind a pass-through Filter, and count the same idynamic
+// dispatches once the filter's own, one per element, are taken off.
+func TestDifferentialSliceTerminalsMatchPush(t *testing.T) {
+	idynamic := func(fn func()) int64 {
+		before := metrics.Default.Get(metrics.IDynamic)
+		fn()
+		return metrics.Default.Get(metrics.IDynamic) - before
+	}
+	f := func(raw []int8) bool {
+		xs := make([]int, len(raw))
+		for i, r := range raw {
+			xs[i] = int(r)
+		}
+		slice := FromSlice(xs)
+		push := slice.Filter(func(int) bool { return true })
+		key := func(x int) int { return x % 7 }
+		var gotSlice, gotPush map[int]int
+		dSlice := idynamic(func() { gotSlice = CountBy(slice, key) })
+		dPush := idynamic(func() { gotPush = CountBy(push, key) })
+		if !maps.Equal(gotSlice, gotPush) || dSlice != dPush-int64(len(xs)) {
+			t.Logf("CountBy: slice %v (%d dispatches), push %v (%d)", gotSlice, dSlice, gotPush, dPush)
+			return false
+		}
+		sum := func(a, x int) int { return 3*a + x }
+		var rSlice, rPush int
+		dSlice = idynamic(func() { rSlice = Reduce(slice, 1, sum) })
+		dPush = idynamic(func() { rPush = Reduce(push, 1, sum) })
+		if rSlice != rPush || dSlice != dPush-int64(len(xs)) {
+			t.Logf("Reduce: slice %d (%d dispatches), push %d (%d)", rSlice, dSlice, rPush, dPush)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
 }

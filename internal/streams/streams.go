@@ -116,10 +116,24 @@ func FlatMap[T, U any](s Stream[T], fn func(T) Stream[U]) Stream[U] {
 	}}
 }
 
-// Reduce folds the stream left-to-right starting from init.
+// Reduce folds the stream left-to-right starting from init. A slice
+// source is looped here, with its dispatches counted once per call.
 func Reduce[T, A any](s Stream[T], init A, fn func(A, T) A) A {
+	if s.push != nil {
+		return reducePush(s.push, init, fn)
+	}
+	metrics.AddIDynamic(int64(len(s.src)))
 	acc := init
-	s.forEach(func(x T) bool {
+	for _, x := range s.src {
+		acc = fn(acc, x)
+	}
+	return acc
+}
+
+// reducePush is Reduce over a push source. It is a function of its own so
+// that only this path's accumulator is captured, and moved to the heap.
+func reducePush[T, A any](push func(yield func(T) bool) bool, acc A, fn func(A, T) A) A {
+	push(func(x T) bool {
 		metrics.IncIDynamic()
 		acc = fn(acc, x)
 		return true
@@ -141,16 +155,30 @@ func GroupBy[T any, K comparable](s Stream[T], key func(T) K) map[K][]T {
 }
 
 // CountBy counts the elements by key(x): Java's groupingBy(classifier,
-// counting()), which keeps no bucket of elements.
+// counting()), which keeps no bucket of elements. A slice source is looped
+// here, with its dispatches counted once per call.
 func CountBy[T any, K comparable](s Stream[T], key func(T) K) map[K]int {
 	metrics.IncObject()
 	out := make(map[K]int)
-	s.forEach(func(x T) bool {
+	if s.push != nil {
+		countPush(s.push, key, out)
+		return out
+	}
+	metrics.AddIDynamic(int64(len(s.src)))
+	for _, x := range s.src {
+		out[key(x)]++
+	}
+	return out
+}
+
+// countPush is CountBy's loop over a push source, kept apart so that the
+// slice path captures nothing.
+func countPush[T any, K comparable](push func(yield func(T) bool) bool, key func(T) K, out map[K]int) {
+	push(func(x T) bool {
 		metrics.IncIDynamic()
 		out[key(x)]++
 		return true
 	})
-	return out
 }
 
 // parallelWorkers resolves the worker-count argument.

@@ -116,15 +116,21 @@ rbench:
 	bash benchmarks/run.sh --workload $(W) --seed 1 --seconds 10 --trace $(TRACE)
 
 # Exit-code smoke for CI, not a measurement: the open-loop load generator
-# against finagle-chirper (nothing else drives -openloop.* from the CLI),
-# and four 1-second rbench workloads, each of which exits non-zero when a
-# sample fails ("correct":false): compiler; taskparallel, whose run ends in
-# the Validate of fj-kmeans, future-genetic, scrabble and
-# streams-mnemonics; dataparallel, whose run ends in the Validate of the
-# seven Spark workloads; and messaging, whose run ends in the Validate of
-# akka-uct, reactors, rx-scrabble, finagle-http and finagle-chirper.
+# against finagle-chirper (nothing else drives -openloop.* from the CLI);
+# renaissance run's table at 20 measured iterations, whose 99% CI column
+# must read [lo, hi] around the median (below 8 iterations it reads n/a,
+# and make chaos measures 1); and four 1-second rbench workloads, each of
+# which exits non-zero when a sample fails ("correct":false): compiler;
+# taskparallel, whose run ends in the Validate of fj-kmeans,
+# future-genetic, scrabble and streams-mnemonics; dataparallel, whose run
+# ends in the Validate of the seven Spark workloads; and messaging, whose
+# run ends in the Validate of akka-uct, reactors, rx-scrabble,
+# finagle-http and finagle-chirper.
 smoke:
 	$(GO) run ./cmd/renaissance run -bench finagle-chirper -openloop.rate 200 -openloop.duration 500ms
+	$(GO) run ./cmd/renaissance run -bench scrabble -size 0.1 -warmup 1 -measured 20 | awk '{ print } \
+		$$2 == "scrabble" { lo = substr($$5, 2) + 0; ok = $$3 == "ok" && $$5 ~ /^\[[0-9.]+,$$/ && $$6 ~ /^[0-9.]+\]$$/ && lo <= $$4 && $$4 <= $$6 + 0 } \
+		END { if (!ok) print "renaissance run: the 99% CI column is not a [lo, hi] around the median"; exit !ok }'
 	bash benchmarks/run.sh --workload compiler --seed 1 --seconds 1
 	bash benchmarks/run.sh --workload taskparallel --seed 1 --seconds 1
 	bash benchmarks/run.sh --workload dataparallel --seed 1 --seconds 1

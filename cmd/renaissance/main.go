@@ -178,7 +178,7 @@ func cmdRun(args []string) error {
 		return runOpenLoop(specs, r.Config, rates, *openDur, *chaosSeed, *asJSON)
 	}
 
-	t := &report.Table{Headers: []string{"suite", "benchmark", "status", "mean ms", "99% CI", "min ms", "max ms", "validated"}}
+	t := &report.Table{Headers: []string{"suite", "benchmark", "status", "median ms", "99% CI", "min ms", "max ms", "validated"}}
 	var results []*core.Result
 	for _, s := range specs {
 		// Graceful degradation: record the failure and keep sweeping.
@@ -193,15 +193,14 @@ func cmdRun(args []string) error {
 			}
 			continue
 		}
-		sum := res.Summary()
 		ci := "n/a"
-		if mean, hw, err := stats.MeanCI(res.Durations, 0.99); err == nil {
-			ci = fmt.Sprintf("±%.2f", hw)
-			_ = mean
+		if _, lo, hi, err := stats.MedianCI(res.Durations); err == nil {
+			ci = fmt.Sprintf("[%.2f, %.2f]", lo, hi)
 		}
 		t.AddRow(s.Suite, s.Name, string(res.Status),
-			fmt.Sprintf("%.2f", sum.Mean), ci, fmt.Sprintf("%.2f", sum.Min),
-			fmt.Sprintf("%.2f", sum.Max), res.Validated)
+			fmt.Sprintf("%.2f", stats.Median(res.Durations)), ci,
+			fmt.Sprintf("%.2f", stats.Min(res.Durations)),
+			fmt.Sprintf("%.2f", stats.Max(res.Durations)), res.Validated)
 	}
 	if !*asJSON {
 		if err := t.Write(os.Stdout); err != nil {

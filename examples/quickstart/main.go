@@ -11,6 +11,7 @@ import (
 
 	"renaissance/internal/core"
 	"renaissance/internal/metrics"
+	"renaissance/internal/stats"
 	"renaissance/internal/streams"
 )
 
@@ -71,8 +72,8 @@ func main() {
 	}
 
 	// 3. Inspect the results and the metric profile.
-	fmt.Printf("\nmean steady-state iteration: %.2f ms over %d iterations\n",
-		res.MeanMillis(), len(res.Durations))
+	fmt.Printf("\nmedian steady-state iteration: %.2f ms over %d iterations\n",
+		stats.Median(res.Durations), len(res.Durations))
 	fmt.Println("metric profile (normalized rates per 10^9 reference cycles):")
 	type row struct {
 		name string

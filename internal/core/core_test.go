@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -139,8 +141,10 @@ func TestRunnerPhases(t *testing.T) {
 	if res.Profile.Suite != "test" || res.Profile.Benchmark != "phases" {
 		t.Errorf("profile identity %s/%s", res.Profile.Suite, res.Profile.Benchmark)
 	}
-	if res.MeanMillis() < 0 {
-		t.Error("negative mean duration")
+	for _, d := range res.Durations {
+		if d < 0 {
+			t.Errorf("negative duration %g", d)
+		}
 	}
 }
 
@@ -269,8 +273,12 @@ func TestResultJSON(t *testing.T) {
 			t.Errorf("JSON missing %q:\n%s", want, buf.String())
 		}
 	}
-	if s := res.Summary(); len(res.Durations) != 3 || s.Mean != 2 {
-		t.Errorf("Summary = %+v", s)
+	var back Result
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Durations, res.Durations) {
+		t.Errorf("steadyStateMillis round-trips to %v, want %v", back.Durations, res.Durations)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"renaissance/internal/chaos"
 	"renaissance/internal/metrics"
-	"renaissance/internal/stats"
 )
 
 // Status classifies the outcome of one benchmark run. A non-ok status never
@@ -91,12 +90,6 @@ type Result struct {
 	// and omitted — in fault-free runs.
 	Recomputes int64 `json:"rddRecomputes,omitempty"`
 }
-
-// MeanMillis returns the mean steady-state iteration time in milliseconds.
-func (r *Result) MeanMillis() float64 { return stats.Mean(r.Durations) }
-
-// Summary returns descriptive statistics of the steady-state durations.
-func (r *Result) Summary() stats.Summary { return stats.Summarize(r.Durations) }
 
 // WriteJSON writes the result as indented JSON.
 func (r *Result) WriteJSON(w io.Writer) error {

@@ -213,7 +213,7 @@ func (vm *Interp) flatLoop(st *mstate, m *Method, fr *frame, depth, maxDepth int
 			if v, ok := arithFast(in.Op, a, b); ok {
 				regs[sp-1] = v
 			} else {
-				v, err := arith(in.Op, a, b)
+				v, err := Arith(in.Op, a, b)
 				if err != nil {
 					return Null(), err
 				}
@@ -506,7 +506,11 @@ func (vm *Interp) resolveStatic(qualified string) (*Method, error) {
 	return mth, nil
 }
 
-func arith(op Opcode, a, b Value) (Value, error) {
+// Arith applies the arithmetic opcode op (OpAdd … OpRem) to a and b: the
+// guest's one definition of arithmetic, which every engine calls. A float
+// operand promotes both to float; OpRem takes the remainder of the
+// truncated operands; division or remainder by zero is ErrDivByZero.
+func Arith(op Opcode, a, b Value) (Value, error) {
 	if a.Kind() == KindFloat || b.Kind() == KindFloat {
 		x, y := a.AsFloat(), b.AsFloat()
 		switch op {
@@ -550,7 +554,10 @@ func arith(op Opcode, a, b Value) (Value, error) {
 	return Null(), fmt.Errorf("rvm: bad arithmetic opcode %s", op)
 }
 
-func compare(op Opcode, a, b Value) bool {
+// Compare applies the comparison opcode op (OpCmpLT … OpCmpNE) to a and
+// b. A reference, handle or null operand compares by identity and is only
+// equal or unequal; otherwise a float operand promotes both to float.
+func Compare(op Opcode, a, b Value) bool {
 	if a.Kind() == KindRef || b.Kind() == KindRef || a.Kind() == KindNull || b.Kind() == KindNull ||
 		a.Kind() == KindHandle || b.Kind() == KindHandle {
 		eq := a.Equal(b)

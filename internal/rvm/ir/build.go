@@ -256,3 +256,14 @@ func cmpOp(op rvm.Opcode) Op {
 		return OpCmpNE
 	}
 }
+
+// Bytecode is the inverse of arithOp and cmpOp: indexed by an arithmetic
+// or comparison op, the rvm opcode it was built from, so that Exec,
+// OpVecArith and constant folding evaluate through rvm.Arith and
+// rvm.Compare. It is a table, not a switch, because Exec looks it up on
+// every arithmetic and comparison instruction.
+var Bytecode = [...]rvm.Opcode{
+	OpAdd: rvm.OpAdd, OpSub: rvm.OpSub, OpMul: rvm.OpMul, OpDiv: rvm.OpDiv, OpRem: rvm.OpRem,
+	OpCmpLT: rvm.OpCmpLT, OpCmpLE: rvm.OpCmpLE, OpCmpGT: rvm.OpCmpGT,
+	OpCmpGE: rvm.OpCmpGE, OpCmpEQ: rvm.OpCmpEQ, OpCmpNE: rvm.OpCmpNE,
+}

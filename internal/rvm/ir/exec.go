@@ -148,7 +148,7 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 				charge(CostMove)
 
 			case OpAdd, OpSub, OpMul, OpDiv, OpRem:
-				v, err := evalArith(in.Op, regs[in.A], regs[in.B])
+				v, err := rvm.Arith(Bytecode[in.Op], regs[in.A], regs[in.B])
 				if err != nil {
 					return rvm.Null(), err
 				}
@@ -170,7 +170,7 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 				}
 				charge(CostArith)
 			case OpCmpLT, OpCmpLE, OpCmpGT, OpCmpGE, OpCmpEQ, OpCmpNE:
-				regs[in.Dst] = evalCmp(in.Op, regs[in.A], regs[in.B])
+				regs[in.Dst] = boolVal(rvm.Compare(Bytecode[in.Op], regs[in.A], regs[in.B]))
 				charge(CostCmp)
 
 			case OpNew:
@@ -417,7 +417,7 @@ func (e *Exec) call(f *Func, args []rvm.Value, depth int) (rvm.Value, error) {
 					} else {
 						o = a2.At(i)
 					}
-					v, err := evalArith(in.ArithOp, a1.At(i), o)
+					v, err := rvm.Arith(Bytecode[in.ArithOp], a1.At(i), o)
 					if err != nil {
 						return rvm.Null(), err
 					}
@@ -503,118 +503,9 @@ func guardName(base, sym string) string {
 	return base
 }
 
-func evalArith(op Op, a, b rvm.Value) (rvm.Value, error) {
-	if a.Kind() == rvm.KindFloat || b.Kind() == rvm.KindFloat {
-		x, y := a.AsFloat(), b.AsFloat()
-		switch op {
-		case OpAdd:
-			return rvm.Float(x + y), nil
-		case OpSub:
-			return rvm.Float(x - y), nil
-		case OpMul:
-			return rvm.Float(x * y), nil
-		case OpDiv:
-			if y == 0 {
-				return rvm.Null(), rvm.ErrDivByZero
-			}
-			return rvm.Float(x / y), nil
-		case OpRem: // integer remainder of the truncated operands
-			if int64(y) == 0 {
-				return rvm.Null(), rvm.ErrDivByZero
-			}
-			return rvm.Float(float64(int64(x) % int64(y))), nil
-		}
-	}
-	x, y := a.AsInt(), b.AsInt()
-	switch op {
-	case OpAdd:
-		return rvm.Int(x + y), nil
-	case OpSub:
-		return rvm.Int(x - y), nil
-	case OpMul:
-		return rvm.Int(x * y), nil
-	case OpDiv:
-		if y == 0 {
-			return rvm.Null(), rvm.ErrDivByZero
-		}
-		return rvm.Int(x / y), nil
-	case OpRem:
-		if y == 0 {
-			return rvm.Null(), rvm.ErrDivByZero
-		}
-		return rvm.Int(x % y), nil
-	}
-	return rvm.Null(), fmt.Errorf("ir: bad arith op %s", op)
-}
-
-func evalCmp(op Op, a, b rvm.Value) rvm.Value {
-	refLike := func(v rvm.Value) bool {
-		k := v.Kind()
-		return k == rvm.KindRef || k == rvm.KindNull || k == rvm.KindHandle
-	}
-	if refLike(a) || refLike(b) {
-		eq := a.Equal(b)
-		switch op {
-		case OpCmpEQ:
-			return boolVal(eq)
-		case OpCmpNE:
-			return boolVal(!eq)
-		default:
-			return boolVal(false)
-		}
-	}
-	if a.Kind() == rvm.KindFloat || b.Kind() == rvm.KindFloat {
-		x, y := a.AsFloat(), b.AsFloat()
-		return boolVal(cmpFloat(op, x, y))
-	}
-	x, y := a.AsInt(), b.AsInt()
-	return boolVal(cmpInt(op, x, y))
-}
-
-func cmpFloat(op Op, x, y float64) bool {
-	switch op {
-	case OpCmpLT:
-		return x < y
-	case OpCmpLE:
-		return x <= y
-	case OpCmpGT:
-		return x > y
-	case OpCmpGE:
-		return x >= y
-	case OpCmpEQ:
-		return x == y
-	default:
-		return x != y
-	}
-}
-
-func cmpInt(op Op, x, y int64) bool {
-	switch op {
-	case OpCmpLT:
-		return x < y
-	case OpCmpLE:
-		return x <= y
-	case OpCmpGT:
-		return x > y
-	case OpCmpGE:
-		return x >= y
-	case OpCmpEQ:
-		return x == y
-	default:
-		return x != y
-	}
-}
-
 func boolVal(b bool) rvm.Value {
 	if b {
 		return rvm.Int(1)
 	}
 	return rvm.Int(0)
 }
-
-// EvalArith evaluates an arithmetic op on constants (exported for the
-// canonicalization pass's constant folding).
-func EvalArith(op Op, a, b rvm.Value) (rvm.Value, error) { return evalArith(op, a, b) }
-
-// EvalCmp evaluates a comparison op on constants.
-func EvalCmp(op Op, a, b rvm.Value) rvm.Value { return evalCmp(op, a, b) }

@@ -58,7 +58,7 @@ func Canonicalize(f *ir.Func, prog *ir.Program) bool {
 				va, aok := consts[in.A]
 				vb, bok := consts[in.B]
 				if aok && bok {
-					if v, err := ir.EvalArith(in.Op, va, vb); err == nil {
+					if v, err := rvm.Arith(ir.Bytecode[in.Op], va, vb); err == nil {
 						ni := instr(ir.OpConst)
 						ni.Dst = in.Dst
 						ni.Val = v
@@ -76,7 +76,10 @@ func Canonicalize(f *ir.Func, prog *ir.Program) bool {
 				va, aok := consts[in.A]
 				vb, bok := consts[in.B]
 				if aok && bok {
-					v := ir.EvalCmp(in.Op, va, vb)
+					v := rvm.Int(0)
+					if rvm.Compare(ir.Bytecode[in.Op], va, vb) {
+						v = rvm.Int(1)
+					}
 					ni := instr(ir.OpConst)
 					ni.Dst = in.Dst
 					ni.Val = v

@@ -87,7 +87,7 @@ func (vm *Interp) dispatch(fr *frame, pc int) (Value, error) {
 	return fr.ret, nil
 }
 
-// cmpFast is compare with an integer fast path.
+// cmpFast is Compare with an integer fast path.
 func cmpFast(op Opcode, a, b Value) bool {
 	if a.isInt() && b.isInt() {
 		switch op {
@@ -105,7 +105,7 @@ func cmpFast(op Opcode, a, b Value) bool {
 			return a.int() != b.int()
 		}
 	}
-	return compare(op, a, b)
+	return Compare(op, a, b)
 }
 
 // arithFast performs trap-free integer arithmetic inline; ok is false
@@ -254,7 +254,7 @@ func qhArith(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		fr.regs[fr.sp-1] = v
 		return pc + 1, nil
 	}
-	v, err := arith(in.xop, a, b)
+	v, err := Arith(in.xop, a, b)
 	if err != nil {
 		return 0, err
 	}
@@ -748,7 +748,7 @@ func qhLenCmpBr(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	if iv.isInt() {
 		lt = iv.int() < int64(obj.Len())
 	} else {
-		lt = compare(OpCmpLT, iv, Int(int64(obj.Len())))
+		lt = Compare(OpCmpLT, iv, Int(int64(obj.Len())))
 	}
 	if !lt {
 		return int(in.c), nil
@@ -805,7 +805,7 @@ func qhLCArithStore(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		}
 		return pc + 1, nil
 	}
-	v, err := arith(in.xop, x, Int(in.i))
+	v, err := Arith(in.xop, x, Int(in.i))
 	if err != nil {
 		return 0, err
 	}
@@ -820,7 +820,7 @@ func qhLLArithStore(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		fr.regs[in.c] = v
 		return pc + 1, nil
 	}
-	v, err := arith(in.xop, x, y) // Add/Sub/Mul only: cannot trap
+	v, err := Arith(in.xop, x, y) // Add/Sub/Mul only: cannot trap
 	if err != nil {
 		return 0, err
 	}
@@ -836,7 +836,7 @@ func qhArithStore(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 	v, ok := arithFast(in.xop, a, b)
 	if !ok {
 		var err error
-		v, err = arith(in.xop, a, b)
+		v, err = Arith(in.xop, a, b)
 		if err != nil {
 			return 0, err // trap before the store is counted, like tier-0
 		}
@@ -854,7 +854,7 @@ func qhCArith(vm *Interp, fr *frame, in *qinstr, pc int) (int, error) {
 		fr.regs[fr.sp-1] = v
 		return pc + 1, nil
 	}
-	v, err := arith(in.xop, a, k) // non-zero constant: cannot trap
+	v, err := Arith(in.xop, a, k) // non-zero constant: cannot trap
 	if err != nil {
 		return 0, err
 	}

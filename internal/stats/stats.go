@@ -1,6 +1,6 @@
 // Package stats provides the statistics the harness and the benchmark
-// report: descriptive statistics, percentiles and Student-t confidence
-// intervals.
+// report: minimum, maximum, median, percentiles and the exact 99 %
+// confidence interval of the median.
 package stats
 
 import (
@@ -12,36 +12,6 @@ import (
 // ErrInsufficientData is returned when a statistic needs more observations
 // than were provided.
 var ErrInsufficientData = errors.New("stats: insufficient data")
-
-// Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (n-1 denominator).
-// It returns 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the minimum of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {
@@ -76,13 +46,19 @@ func Median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := sorted(xs)
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// sorted returns a sorted copy of xs.
+func sorted(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
 }
 
 // Percentile returns the q-th percentile (q in [0,1]) of xs using linear
@@ -91,8 +67,7 @@ func Percentile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := sorted(xs)
 	if q <= 0 {
 		return s[0]
 	}
@@ -109,17 +84,35 @@ func Percentile(xs []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Summary bundles descriptive statistics of one sample.
-type Summary struct {
-	Mean     float64
-	Min, Max float64
-}
+// ciTail is the most probability MedianCI's interval may miss on each
+// side: the package's one confidence level is 99 %.
+const ciTail = 0.005
 
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		Mean: Mean(xs),
-		Min:  Min(xs),
-		Max:  Max(xs),
+// MedianCI returns the median of xs and the exact distribution-free 99 %
+// confidence interval of the population median: the order statistics
+// [x(k), x(n−k+1)] of the sorted sample, where k is the largest rank with
+// P(Binomial(n, ½) ≤ k−1) ≤ 0.005. For any continuous distribution the
+// count of observations below the population median is Binomial(n, ½),
+// so the coverage is at least 99 % without assuming normal timings. It
+// returns ErrInsufficientData when n < 8: below that even [min, max]
+// misses with probability 2/2ⁿ > 1 %. xs is not reordered.
+func MedianCI(xs []float64) (median, lo, hi float64, err error) {
+	n := len(xs)
+	lgN, _ := math.Lgamma(float64(n + 1))
+	k, tail := 0, 0.0
+	for ; k < n; k++ {
+		// P(Binomial(n, ½) = k) = C(n, k) / 2ⁿ, in log space so that no
+		// factor overflows at large n.
+		lgK, _ := math.Lgamma(float64(k + 1))
+		lgNK, _ := math.Lgamma(float64(n - k + 1))
+		tail += math.Exp(lgN - lgK - lgNK - float64(n)*math.Ln2)
+		if tail > ciTail {
+			break
+		}
 	}
+	if k == 0 {
+		return 0, 0, 0, ErrInsufficientData
+	}
+	s := sorted(xs)
+	return Median(s), s[k-1], s[n-k], nil
 }

@@ -1,6 +1,7 @@
 package memdb
 
 import (
+	"slices"
 	"sync"
 
 	"renaissance/internal/metrics"
@@ -26,10 +27,24 @@ type btreeNode struct {
 
 func (n *btreeNode) leaf() bool { return n.children == nil }
 
+// newBTreeNode allocates a node at full capacity, so no insert into it
+// ever regrows its slices: a node holds at most btreeOrder keys and one
+// child more. Each node counts as one object.
+func newBTreeNode(leaf bool) *btreeNode {
+	metrics.IncObject()
+	n := &btreeNode{
+		keys:   make([]string, 0, btreeOrder),
+		values: make([][]byte, 0, btreeOrder),
+	}
+	if !leaf {
+		n.children = make([]*btreeNode, 0, btreeOrder+1)
+	}
+	return n
+}
+
 // NewBTree creates an empty B-tree store.
 func NewBTree() *BTree {
-	metrics.IncObject()
-	return &BTree{root: &btreeNode{}}
+	return &BTree{root: newBTreeNode(true)}
 }
 
 // Name implements Store.
@@ -74,9 +89,9 @@ func (t *BTree) Put(key string, value []byte) {
 	defer t.mu.Unlock()
 	if len(t.root.keys) == btreeOrder {
 		// Split the root preemptively (top-down insertion).
-		metrics.IncObject()
 		old := t.root
-		t.root = &btreeNode{children: []*btreeNode{old}}
+		t.root = newBTreeNode(false)
+		t.root.children = append(t.root.children, old)
 		t.root.splitChild(0)
 	}
 	if t.insertNonFull(t.root, key, value) {
@@ -88,20 +103,16 @@ func (t *BTree) Put(key string, value []byte) {
 func (n *btreeNode) splitChild(i int) {
 	child := n.children[i]
 	mid := btreeOrder / 2
-	metrics.IncObject()
-	right := &btreeNode{
-		keys:   append([]string(nil), child.keys[mid+1:]...),
-		values: append([][]byte(nil), child.values[mid+1:]...),
-	}
+	right := newBTreeNode(child.leaf())
+	right.keys = append(right.keys, child.keys[mid+1:]...)
+	right.values = append(right.values, child.values[mid+1:]...)
 	if !child.leaf() {
-		right.children = append([]*btreeNode(nil), child.children[mid+1:]...)
+		right.children = append(right.children, child.children[mid+1:]...)
+		child.children = child.children[:mid+1]
 	}
 	upKey, upVal := child.keys[mid], child.values[mid]
 	child.keys = child.keys[:mid]
 	child.values = child.values[:mid]
-	if !child.leaf() {
-		child.children = child.children[:mid+1]
-	}
 
 	n.keys = append(n.keys, "")
 	n.values = append(n.values, nil)
@@ -145,11 +156,11 @@ func (t *BTree) insertNonFull(n *btreeNode, key string, value []byte) bool {
 	}
 }
 
-// Delete implements Store. Deletion uses the simple "remove and rebuild
-// leaf path" strategy: the key is located and removed; internal keys are
-// replaced by their in-order predecessor. Nodes are allowed to underflow
-// (no rebalancing), which keeps lookups correct and is a common
-// simplification for in-memory stores with mixed workloads.
+// Delete implements Store. The key is located and removed; an internal
+// key is replaced by its in-order predecessor. Nodes are allowed to
+// underflow, down to no keys (no rebalancing), which keeps lookups correct
+// and is a common simplification for in-memory stores with mixed
+// workloads.
 func (t *BTree) Delete(key string) bool {
 	metrics.IncSynch()
 	t.mu.Lock()
@@ -159,18 +170,13 @@ func (t *BTree) Delete(key string) bool {
 		i, found := n.find(key)
 		if found {
 			if n.leaf() {
-				n.keys = append(n.keys[:i], n.keys[i+1:]...)
-				n.values = append(n.values[:i], n.values[i+1:]...)
+				n.removeKey(i)
+			} else if k, v, ok := n.children[i].popMax(); ok {
+				n.keys[i], n.values[i] = k, v
 			} else {
-				// Replace with in-order predecessor from the left subtree.
-				pred := n.children[i]
-				for !pred.leaf() {
-					pred = pred.children[len(pred.children)-1]
-				}
-				last := len(pred.keys) - 1
-				n.keys[i], n.values[i] = pred.keys[last], pred.values[last]
-				pred.keys = pred.keys[:last]
-				pred.values = pred.values[:last]
+				// The left subtree holds no keys: drop it with the key.
+				n.removeKey(i)
+				n.children = slices.Delete(n.children, i, i+1)
 			}
 			t.size--
 			return true
@@ -180,6 +186,35 @@ func (t *BTree) Delete(key string) bool {
 		}
 		n = n.children[i]
 	}
+}
+
+// removeKey removes key i and its value from n, zeroing the vacated slot.
+func (n *btreeNode) removeKey(i int) {
+	n.keys = slices.Delete(n.keys, i, i+1)
+	n.values = slices.Delete(n.values, i, i+1)
+}
+
+// popMax removes and returns the largest key of the subtree rooted at n,
+// reporting false if the subtree holds no keys. Underflowed nodes may be
+// empty anywhere, so the largest key is the rightmost non-empty position:
+// the last child's subtree if it holds a key, else the last key of n, whose
+// empty right child is dropped with it.
+func (n *btreeNode) popMax() (string, []byte, bool) {
+	if !n.leaf() {
+		if k, v, ok := n.children[len(n.children)-1].popMax(); ok {
+			return k, v, true
+		}
+	}
+	last := len(n.keys) - 1
+	if last < 0 {
+		return "", nil, false
+	}
+	k, v := n.keys[last], n.values[last]
+	n.removeKey(last)
+	if !n.leaf() {
+		n.children = slices.Delete(n.children, last+1, last+2)
+	}
+	return k, v, true
 }
 
 // Len implements Store.

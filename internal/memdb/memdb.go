@@ -1,14 +1,15 @@
 // Package memdb implements three concurrent in-memory key-value engines
 // behind one interface, the substrate of the db-shootout benchmark
 // (Table 1: "query-processing, data structures"): a sharded hash store
-// (lock-striped maps), an ordered B-tree store (reader/writer locked), and
-// a lock-free skip list (CAS-linked, logical deletion). The paper's
-// db-shootout runs a parallel shootout over multiple Java in-memory
-// databases; these engines play those roles.
+// (lock-striped dense arrays), an ordered B-tree store (reader/writer
+// locked), and a lock-free skip list (CAS-linked, logical deletion). The
+// paper's db-shootout runs a parallel shootout over multiple Java
+// in-memory databases; these engines play those roles.
 package memdb
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"renaissance/internal/metrics"
@@ -46,15 +47,39 @@ func fnv(key string) uint64 {
 	return h
 }
 
-// ShardedHash is a hash store with lock striping: each shard is a mutex-
-// protected map, so unrelated keys do not contend.
+// ShardedHash is a hash store with lock striping: each shard is an
+// RWMutex-protected dense array of entries plus a map from key to slot, so
+// unrelated keys do not contend and a range scan walks a flat slice.
 type ShardedHash struct {
 	shards []hashShard
 }
 
 type hashShard struct {
-	mu sync.RWMutex
-	m  map[string][]byte
+	mu    sync.RWMutex
+	ents  []hashEntry
+	index map[string]int32 // key -> slot in ents
+}
+
+// hashEntry is one live key. abbr is abbrev(key), so a range scan decides
+// most entries on one integer compare without loading the key bytes.
+type hashEntry struct {
+	abbr uint64
+	key  string
+	val  []byte
+}
+
+// abbrev returns the key's first 8 bytes as a big-endian integer, zero-
+// padded. abbrev(a) < abbrev(b) implies a < b; equal abbreviations decide
+// nothing, so a tie falls back to comparing the strings.
+func abbrev(key string) uint64 {
+	var a uint64
+	for i := 0; i < 8; i++ {
+		a <<= 8
+		if i < len(key) {
+			a |= uint64(key[i])
+		}
+	}
+	return a
 }
 
 // NewShardedHash creates a hash store with the given shard count (0 means
@@ -66,7 +91,7 @@ func NewShardedHash(shards int) *ShardedHash {
 	metrics.IncObject()
 	s := &ShardedHash{shards: make([]hashShard, shards)}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string][]byte)
+		s.shards[i].index = make(map[string]int32)
 	}
 	return s
 }
@@ -83,7 +108,12 @@ func (s *ShardedHash) Put(key string, value []byte) {
 	sh := s.shard(key)
 	metrics.IncSynch()
 	sh.mu.Lock()
-	sh.m[key] = value
+	if j, ok := sh.index[key]; ok {
+		sh.ents[j].val = value
+	} else {
+		sh.index[key] = int32(len(sh.ents))
+		sh.ents = append(sh.ents, hashEntry{abbr: abbrev(key), key: key, val: value})
+	}
 	sh.mu.Unlock()
 }
 
@@ -92,18 +122,33 @@ func (s *ShardedHash) Get(key string) ([]byte, bool) {
 	sh := s.shard(key)
 	metrics.IncSynch()
 	sh.mu.RLock()
-	v, ok := sh.m[key]
+	j, ok := sh.index[key]
+	var v []byte
+	if ok {
+		v = sh.ents[j].val
+	}
 	sh.mu.RUnlock()
 	return v, ok
 }
 
-// Delete implements Store.
+// Delete implements Store. The last entry moves into the hole and the
+// vacated tail slot is zeroed, so the array keeps no reference to the
+// deleted key or value.
 func (s *ShardedHash) Delete(key string) bool {
 	sh := s.shard(key)
 	metrics.IncSynch()
 	sh.mu.Lock()
-	_, ok := sh.m[key]
-	delete(sh.m, key)
+	j, ok := sh.index[key]
+	if ok {
+		delete(sh.index, key)
+		last := len(sh.ents) - 1
+		if int(j) != last {
+			sh.ents[j] = sh.ents[last]
+			sh.index[sh.ents[j].key] = j
+		}
+		sh.ents[last] = hashEntry{}
+		sh.ents = sh.ents[:last]
+	}
 	sh.mu.Unlock()
 	return ok
 }
@@ -115,33 +160,38 @@ func (s *ShardedHash) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.m)
+		n += len(sh.ents)
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// Range implements Store. Hash stores have no order, so the range
-// materializes and sorts matching keys — the documented cost of range
-// queries on hash engines in the shootout.
+// Range implements Store. Hash stores have no order, so the range examines
+// every entry of every shard, materializes the matching keys and sorts
+// them — the documented cost of range queries on hash engines in the
+// shootout.
 func (s *ShardedHash) Range(from, to string, fn func(string, []byte) bool) {
 	type kv struct {
 		k string
 		v []byte
 	}
 	var matches []kv
+	fa, ta := abbrev(from), abbrev(to)
 	metrics.AddSynch(int64(len(s.shards)))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k, v := range sh.m {
-			if k >= from && k < to {
-				matches = append(matches, kv{k, v})
+		for j := range sh.ents {
+			e := &sh.ents[j]
+			if e.abbr < fa || e.abbr > ta ||
+				(e.abbr == fa && e.key < from) || (e.abbr == ta && e.key >= to) {
+				continue
 			}
+			matches = append(matches, kv{e.key, e.val})
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].k < matches[j].k })
+	slices.SortFunc(matches, func(a, b kv) int { return strings.Compare(a.k, b.k) })
 	for _, m := range matches {
 		if !fn(m.k, m.v) {
 			return

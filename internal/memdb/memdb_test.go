@@ -3,6 +3,7 @@ package memdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -191,41 +192,93 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	})
 }
 
+// propertyKeys is the key space of TestPropertyMatchesMapModel: enough
+// keys for the B-tree to split, short keys and keys holding \x00 (which
+// tie with shorter keys on a zero-padded abbreviation), and groups of keys
+// that share their first 8 bytes, so a range bound drawn from the space
+// ties on the abbreviation with keys on both sides of it.
+func propertyKeys() []string {
+	keys := []string{
+		"", "\x00", "\x00\x00", "a", "k", "k\x00", "k\x00\x00", "k\x00a", "k0",
+		"key", "key-0001", "key-0001\x00", "key-0001\x00\x00", "key-0001\x00z",
+		"key-00010", "key-0001~", "key-0001\xff", "key-0002", "key-\x00\x00\x00\x00",
+		"zzzzzzzz", "zzzzzzzz\x00", "zzzzzzzzz", "\xff\xff\xff\xff\xff\xff\xff\xff\xff",
+	}
+	for i := 0; i < 200; i += 3 {
+		keys = append(keys, fmt.Sprintf("key-%06d", i*5)) // "key-0000".."key-0009"
+	}
+	for i := 0; i < 40; i++ {
+		keys = append(keys, fmt.Sprintf("k%d", i))
+	}
+	return keys
+}
+
 // Property: every engine agrees with a plain map reference model under a
-// random operation sequence.
+// random operation sequence, ranges included.
 func TestPropertyMatchesMapModel(t *testing.T) {
 	type op struct {
 		Kind  uint8
 		Key   uint8
 		Value uint8
 	}
+	keys := propertyKeys()
+	key := func(b uint8) string { return keys[int(b)%len(keys)] }
 	for _, engine := range []func() Store{
 		func() Store { return NewShardedHash(4) },
 		func() Store { return NewBTree() },
 		func() Store { return NewSkipList() },
 	} {
-		engine := engine
-		f := func(ops []op) bool {
+		f := func(ops [400]op) bool {
 			s := engine()
 			model := map[string][]byte{}
 			for _, o := range ops {
-				key := fmt.Sprintf("k%d", o.Key%32)
-				switch o.Kind % 3 {
-				case 0:
+				k := key(o.Key)
+				switch o.Kind % 5 {
+				case 0, 1:
 					v := []byte{o.Value}
-					s.Put(key, v)
-					model[key] = v
-				case 1:
-					got, ok := s.Get(key)
-					want, wok := model[key]
+					s.Put(k, v)
+					model[k] = v
+				case 2:
+					got, ok := s.Get(k)
+					want, wok := model[k]
 					if ok != wok || (ok && string(got) != string(want)) {
 						return false
 					}
-				case 2:
-					got := s.Delete(key)
-					_, want := model[key]
-					delete(model, key)
+				case 3:
+					got := s.Delete(k)
+					_, want := model[k]
+					delete(model, k)
 					if got != want {
+						return false
+					}
+				case 4:
+					// [from, to) from the key space, or the db-shootout
+					// shape [k, k+"~"); stop after limit visits when
+					// limit > 0.
+					from, to := k, key(o.Value)
+					if o.Value%4 == 0 {
+						to = from + "~"
+					}
+					limit := int(o.Kind/5) % 8
+					var want []string
+					for mk := range model {
+						if mk >= from && mk < to {
+							want = append(want, mk)
+						}
+					}
+					slices.Sort(want)
+					if limit > 0 && len(want) > limit {
+						want = want[:limit]
+					}
+					var got []string
+					s.Range(from, to, func(k string, v []byte) bool {
+						got = append(got, k)
+						if string(v) != string(model[k]) {
+							got = append(got, "<wrong value>")
+						}
+						return limit == 0 || len(got) < limit
+					})
+					if !slices.Equal(got, want) {
 						return false
 					}
 				}
@@ -234,6 +287,42 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 			t.Errorf("%s: %v", engine().Name(), err)
+		}
+	}
+}
+
+// The abbreviation orders strictly only where the strings do: abbrev(a) <
+// abbrev(b) implies a < b, and so a <= b implies abbrev(a) <= abbrev(b).
+// b shares a prefix of up to 9 bytes with a, so ties and near-ties occur.
+func TestAbbrevOrderProperty(t *testing.T) {
+	f := func(a, tail []byte, shared uint8) bool {
+		n := min(int(shared%10), len(a))
+		as, bs := string(a), string(a[:n])+string(tail)
+		for _, p := range [][2]string{{as, bs}, {bs, as}} {
+			x, y := p[0], p[1]
+			if abbrev(x) < abbrev(y) && !(x < y) {
+				return false
+			}
+			if x <= y && abbrev(x) > abbrev(y) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, c := range []struct {
+		key  string
+		want uint64
+	}{
+		{"", 0},
+		{"a", 0x61 << 56},
+		{"k\x00", 0x6b << 56},
+		{"key-000123", 0x6b65792d30303031},
+	} {
+		if got := abbrev(c.key); got != c.want {
+			t.Errorf("abbrev(%q) = %#x, want %#x", c.key, got, c.want)
 		}
 	}
 }
@@ -264,6 +353,161 @@ func TestBTreeSplits(t *testing.T) {
 		if (i%3 == 0) == ok {
 			t.Fatalf("key %d presence = %v after deletions", i, ok)
 		}
+	}
+}
+
+// Deleting an internal key whose in-order predecessor leaf earlier
+// deletes have emptied must neither panic nor lose keys: the predecessor
+// comes from the rightmost non-empty position of the left subtree, and a
+// left subtree with no keys is dropped with the key.
+func TestBTreeDeleteEmptiedPredecessor(t *testing.T) {
+	bt := NewBTree()
+	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
+	for i := 0; i < 40; i++ {
+		bt.Put(key(i), []byte{byte(i)})
+	}
+	if len(bt.root.keys) != 1 || bt.root.keys[0] != "k016" {
+		t.Fatalf("root keys = %q, want [k016]", bt.root.keys)
+	}
+	for _, k := range slices.Clone(bt.root.children[0].keys) {
+		if !bt.Delete(k) {
+			t.Fatalf("Delete(%q) = false", k)
+		}
+	}
+	if !bt.Delete("k016") {
+		t.Fatal("Delete(k016) = false")
+	}
+	var got []string
+	bt.Range("", "~", func(k string, _ []byte) bool {
+		got = append(got, k)
+		return true
+	})
+	var want []string
+	for i := 17; i < 40; i++ {
+		want = append(want, key(i))
+	}
+	if !slices.Equal(got, want) || bt.Len() != len(want) {
+		t.Fatalf("after deletes: Len %d, Range %q, want %q", bt.Len(), got, want)
+	}
+	// The tree stays usable: reinsert everything and delete it again.
+	for i := 0; i < 40; i++ {
+		bt.Put(key(i), []byte{byte(i)})
+	}
+	for i := 39; i >= 0; i-- {
+		if !bt.Delete(key(i)) {
+			t.Fatalf("second round: Delete(%q) = false", key(i))
+		}
+	}
+	if bt.Len() != 0 {
+		t.Fatalf("Len = %d after deleting every key", bt.Len())
+	}
+	checkBTree(t, bt.root)
+
+	// Three levels: empty the last leaf under the root's first child, then
+	// delete the root's first key. Its predecessor is that child's last key,
+	// which leaves with the emptied leaf to its right.
+	bt = NewBTree()
+	for i := 0; i < 1200; i++ {
+		bt.Put(fmt.Sprintf("k%04d", i), nil)
+	}
+	inner := bt.root.children[0]
+	if inner.leaf() {
+		t.Fatal("tree has fewer than three levels")
+	}
+	pred := inner.keys[len(inner.keys)-1]
+	for _, k := range slices.Clone(inner.children[len(inner.children)-1].keys) {
+		bt.Delete(k)
+	}
+	if !bt.Delete(bt.root.keys[0]) {
+		t.Fatal("Delete of the root's first key = false")
+	}
+	if bt.root.keys[0] != pred {
+		t.Fatalf("root's first key = %q, want the predecessor %q", bt.root.keys[0], pred)
+	}
+	checkBTree(t, bt.root)
+}
+
+// checkBTree fails unless every internal node under n has one child more
+// than it has keys and every subtree's keys lie strictly between the keys
+// around it.
+func checkBTree(t *testing.T, n *btreeNode) {
+	t.Helper()
+	var walk func(n *btreeNode, lo, hi string, hasLo, hasHi bool)
+	walk = func(n *btreeNode, lo, hi string, hasLo, hasHi bool) {
+		for _, k := range n.keys {
+			if (hasLo && k <= lo) || (hasHi && k >= hi) {
+				t.Fatalf("key %q out of order in (%q, %q)", k, lo, hi)
+			}
+		}
+		if n.leaf() {
+			return
+		}
+		if len(n.children) != len(n.keys)+1 {
+			t.Fatalf("node with %d keys has %d children", len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			clo, chi, cHasLo, cHasHi := lo, hi, hasLo, hasHi
+			if i > 0 {
+				clo, cHasLo = n.keys[i-1], true
+			}
+			if i < len(n.keys) {
+				chi, cHasHi = n.keys[i], true
+			}
+			walk(c, clo, chi, cHasLo, cHasHi)
+		}
+	}
+	walk(n, "", "", false, false)
+}
+
+// A node is allocated once at full capacity, so an insert never regrows it;
+// a hash Get and a range that matches nothing allocate nothing, and a
+// range that matches one key allocates only the buffer it sorts.
+func TestAllocationGates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	const runs = 20
+	h := NewShardedHash(16)
+	for i := 0; i < 1000; i++ {
+		h.Put(fmt.Sprintf("key-%06d", i), []byte("v"))
+	}
+	hashGates := []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"ShardedHash.Get", 0, func() { h.Get("key-000500") }},
+		{"ShardedHash.Range with no match", 0, func() {
+			h.Range("key-000500x", "key-000500x~", func(string, []byte) bool { return true })
+		}},
+		{"ShardedHash.Range with one match", 1, func() {
+			h.Range("key-000500", "key-000500~", func(string, []byte) bool { return true })
+		}},
+	}
+	for _, g := range hashGates {
+		if got := testing.AllocsPerRun(runs, g.run); got != g.want {
+			t.Errorf("%s: %v allocations, want %v", g.name, got, g.want)
+		}
+	}
+
+	// Each run fills one fresh tree's root leaf, one new key at a time.
+	keys := make([]string, btreeOrder)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+	}
+	trees := make([]*BTree, runs+1)
+	for i := range trees {
+		trees[i] = NewBTree()
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		bt := trees[next]
+		next++
+		for _, k := range keys {
+			bt.Put(k, nil)
+		}
+	}); got != 0 {
+		t.Errorf("BTree.Put of %d new keys into a non-full leaf: %v allocations, want 0", btreeOrder, got)
 	}
 }
 

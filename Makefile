@@ -1,9 +1,9 @@
 # Build/verify entry points. `make check` is the gate every change must
 # pass: gofmt, vet, build, the full test suite, the race detector over the
-# packages with lock-free and sharded concurrent code (metrics, forkjoin,
-# stm), which ordinary `go test` does not exercise under -race, the
-# freshness of the CK tables committed in analysis_output.txt, of its
-# Table 7 work counts, and of its simulated-cycle outputs.
+# packages with lock-free, sharded or otherwise concurrent code (the 19 of
+# RACE_PKGS below), which ordinary `go test` does not exercise under
+# -race, the freshness of the CK tables committed in analysis_output.txt,
+# of its Table 7 work counts, and of its simulated-cycle outputs.
 # `make rbench` (benchmarks/run.sh) is the only target that produces a
 # performance number; there is no `go test -bench` target.
 
@@ -40,7 +40,9 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # FuzzDotCounts seed corpus rides along with the naive-Bayes differential:
 # the byte-row dot Predict scores with is lin.Dot over the converted row,
 # bit for bit. memdb's concurrent writer and mixed-workload tests ride
-# along for the hash shards' swap-on-delete slots.
+# along for the hash shards' swap-on-delete slots, and the Queue fragment
+# also picks mpsc's FuzzQueueOps seed corpus (pushes held between swap and
+# link, against a slice model).
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts'
 STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir ./internal/lin ./internal/memdb
 

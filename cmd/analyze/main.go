@@ -285,7 +285,12 @@ func guards() error {
 		for k := range m {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return m[keys[i]] < m[keys[j]] })
+		sort.Slice(keys, func(i, j int) bool {
+			if m[keys[i]] != m[keys[j]] {
+				return m[keys[i]] < m[keys[j]]
+			}
+			return keys[i] < keys[j] // ties in name order, so the table is reproducible
+		})
 		for _, k := range keys {
 			t.AddRow(k, m[k], fmt.Sprintf("%.0f%%", 100*float64(m[k])/float64(total)))
 		}

@@ -7,9 +7,10 @@
 // The runtime is lock-free on the per-message hot path:
 //
 //   - Each mailbox is a Vyukov-style intrusive MPSC queue (internal/mpsc)
-//     with pooled envelope nodes: a send is one atomic swap plus one atomic
-//     link store, and the consuming worker drains a batch wait-free without
-//     taking a lock per message.
+//     with pooled envelope nodes and no stub: a send is one atomic swap
+//     plus one atomic link store, and the consuming worker drains a batch
+//     without taking a lock per message, with one CAS when it takes the
+//     last queued message.
 //   - Runnable actors are distributed over per-worker Chase–Lev deques
 //     (internal/forkjoin.Deque) with work stealing and a global lock-free
 //     inject queue for sends that originate off the scheduler; idle workers
@@ -21,6 +22,11 @@
 // Actor names are caller-side labels: Spawn takes one so call sites read
 // like Akka's, but the runtime keeps no registry and does not store it.
 // Any number of live actors may share a name; a Ref is the only identity.
+//
+// A spawn is one allocation, the Ref: the behavior, the mailbox and the
+// fault domain (supervisor and strategy) are its fields, and an empty
+// mailbox owns no queue node. akka-uct spawns an actor per tree node, so
+// this is the runtime's whole cost of a node.
 //
 // Per-message metric semantics (kept deterministic so PCA runs compare
 // across versions): each send bumps atomic by 3 (in-flight stripe, mailbox
@@ -123,23 +129,15 @@ func NewSystem(workers int) *System {
 // reference. The name is a label for the call site only (see the package
 // comment). It panics with ErrSystemStopped after Shutdown.
 func (s *System) Spawn(name string, r Receiver) *Ref {
-	return s.spawn(r, nil)
+	return s.spawn(r, SpawnOpts{})
 }
 
-func supCellFor(opts SpawnOpts) *supCell {
-	return &supCell{
-		supervisor: opts.Supervisor,
-		strategy:   opts.Strategy,
-	}
-}
-
-func (s *System) spawn(r Receiver, sup *supCell) *Ref {
+func (s *System) spawn(r Receiver, opts SpawnOpts) *Ref {
 	if s.stopped.Load() {
 		panic(ErrSystemStopped)
 	}
 	metrics.IncObject() // the actor itself
-	ref := &Ref{sys: s, sup: sup}
-	ref.setBehavior(r)
+	ref := &Ref{sys: s, recv: r, supervisor: opts.Supervisor, strategy: opts.Strategy}
 	ref.mb.Init(envPool)
 	return ref
 }
@@ -164,23 +162,27 @@ const (
 )
 
 // Ref is a reference to an actor; it is the only handle other code uses to
-// communicate with it.
+// communicate with it. A spawn allocates nothing else: the behavior, the
+// mailbox and the fault domain are fields (88 bytes, the 96-byte size
+// class).
 type Ref struct {
 	sys *System
-	// recv is the current behavior. It is swapped on Restart (always under
-	// the actor's scheduling slot) and read on every delivery; the atomic
-	// pointer makes external readers (Ref.Stop's PostStop hook) safe too.
-	recv atomic.Pointer[Receiver]
+	// recv is the behavior. It is set before the Ref is published and
+	// never changes (a restart resumes the same behavior), so every
+	// reader, Ref.Stop's PostStop hook included, reads it without a lock.
+	recv Receiver
 
-	mb      mpsc.Queue[envelope]
-	state   atomic.Int32
-	stopped atomic.Bool
-	// sup is the immutable fault-domain configuration (nil for plain
-	// spawns: DefaultStrategy, no supervisor). restarts counts consecutive
-	// restarts; it is touched only under the actor's scheduling slot and
-	// reset by every clean delivery.
-	sup      *supCell
+	mb mpsc.Queue[envelope]
+	// supervisor and strategy are the immutable fault-domain
+	// configuration: supervisor is nil for a tree root, strategy nil for
+	// DefaultStrategy.
+	supervisor *Ref
+	strategy   Strategy
+	state      atomic.Int32
+	// restarts counts consecutive restarts; it is touched only under the
+	// actor's scheduling slot and reset by every clean delivery.
 	restarts int32
+	stopped  atomic.Bool
 }
 
 type envelope struct {
@@ -316,7 +318,7 @@ func (r *Ref) Stop() {
 	if r.stopped.Swap(true) {
 		return
 	}
-	if h, ok := r.behavior().(PostStopper); ok {
+	if h, ok := r.recv.(PostStopper); ok {
 		runHook(h.PostStop)
 	}
 }
@@ -340,14 +342,14 @@ func (c *Context) Self() *Ref { return c.self }
 // System.Spawn; after Shutdown it panics with ErrSystemStopped, which
 // fails the spawning actor like any other panic in Receive.
 func (c *Context) Spawn(name string, r Receiver) *Ref {
-	return c.sys.spawn(r, nil)
+	return c.sys.spawn(r, SpawnOpts{})
 }
 
 // SpawnWith creates a child actor with an explicit fault-domain
 // configuration. The common tree shape passes Supervisor: c.Self(). The
 // name and the ErrSystemStopped panic are as for Spawn.
 func (c *Context) SpawnWith(name string, r Receiver, opts SpawnOpts) *Ref {
-	return c.sys.spawn(r, supCellFor(opts))
+	return c.sys.spawn(r, opts)
 }
 
 // Send delivers msg to the target with this actor as the sender, scheduling
@@ -370,15 +372,14 @@ func (c *Context) Reply(msg any) {
 func (r *Ref) Ask(msg any) <-chan any {
 	reply := make(chan any, 1)
 	metrics.IncObject()
-	tmp := &Ref{sys: r.sys}
-	tmp.mb.Init(envPool)
-	tmp.setBehavior(ReceiverFunc(func(ctx *Context, m any) {
+	tmp := &Ref{sys: r.sys, recv: ReceiverFunc(func(ctx *Context, m any) {
 		select {
 		case reply <- m:
 		default: // a second reply after the first; drop it
 		}
 		ctx.Self().Stop()
-	}))
+	})}
+	tmp.mb.Init(envPool)
 	r.TellFrom(msg, tmp)
 	return reply
 }

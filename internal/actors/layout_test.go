@@ -19,18 +19,16 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// An actor is one 64-byte object, one cache line: its mailbox is embedded
-// without the pad that used to keep the queue's two ends on separate lines
-// and made every Ref 128 bytes.
-func TestRefIsOneCacheLine(t *testing.T) {
-	if got := reflect.TypeFor[Ref]().Size(); got != 64 {
-		t.Errorf("Ref is %d bytes, want 64", got)
+// An actor is one object in the 96-byte size class: the behavior, the
+// unpadded mailbox and the fault domain are fields of the Ref.
+func TestRefFitsSizeClass(t *testing.T) {
+	if got := reflect.TypeFor[Ref]().Size(); got > 96 {
+		t.Errorf("Ref is %d bytes, want <= 96", got)
 	}
 }
 
-// A spawn allocates the 64-byte Ref, its 16-byte behavior box and the
-// mailbox's 32-byte stub node; a fault domain adds the 24-byte supCell,
-// its supervisor and strategy.
+// A spawn's bytes are the Ref's size class and nothing more, with or
+// without a fault domain.
 func TestSpawnBytesGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts only hold without the race detector")
@@ -43,15 +41,15 @@ func TestSpawnBytesGate(t *testing.T) {
 	sys.Spawn("gate", ReceiverFunc(func(ctx *Context, _ any) {
 		result <- [2]float64{
 			bytesPerRun(1000, func() { ctx.Spawn("leaf", inert) }),
-			bytesPerRun(1000, func() { ctx.SpawnWith("leaf", inert, SpawnOpts{}) }),
+			bytesPerRun(1000, func() { ctx.SpawnWith("leaf", inert, SpawnOpts{Supervisor: ctx.Self()}) }),
 		}
 	})).Tell(nil)
 	got := <-result
-	if got[0] > 64+16+32 {
-		t.Errorf("Context.Spawn: %.1f bytes, want <= 112", got[0])
+	if got[0] > 96 {
+		t.Errorf("Context.Spawn: %.1f bytes, want <= 96", got[0])
 	}
-	if got[1] > 64+16+32+24 {
-		t.Errorf("Context.SpawnWith: %.1f bytes, want <= 136", got[1])
+	if got[1] > 96 {
+		t.Errorf("Context.SpawnWith: %.1f bytes, want <= 96", got[1])
 	}
 }
 
@@ -79,15 +77,17 @@ func TestQuiesceCellsSizedToWorkers(t *testing.T) {
 	}
 }
 
-// A System costs what its workers need, not maxCells' 4 KB of stripes: a
-// workload that builds one per iteration (akka-uct builds 150 a round)
-// pays this every time.
+// A System costs what its workers need, not maxCells' 4 KB of stripes
+// nor a stub node for its inject queue: a workload that builds one per
+// iteration (akka-uct builds 150 a round) pays this every time. It
+// measures 1720 bytes on linux/amd64 (go1.24); the bound leaves room for
+// the runtime's occasional extra bytes under GC.
 func TestNewSystemBytesGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts only hold without the race detector")
 	}
 	got := bytesPerRun(50, func() { NewSystem(4).Shutdown() })
-	if got > 3072 {
-		t.Errorf("NewSystem(4) + Shutdown: %.0f bytes, want <= 3072", got)
+	if got > 1856 {
+		t.Errorf("NewSystem(4) + Shutdown: %.0f bytes, want <= 1856", got)
 	}
 }

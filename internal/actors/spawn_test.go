@@ -127,9 +127,9 @@ func TestSpawnAfterShutdown(t *testing.T) {
 	t.Error("System.Spawn returned on a shut-down system")
 }
 
-// A spawn allocates the Ref, its boxed behavior, the mailbox's stub node
-// and, with a fault domain, the supCell. Keeping names cost two more: a
-// registry entry and, for a taken name, a formatted suffix.
+// A spawn allocates exactly one object, the Ref, with or without a fault
+// domain: nothing is boxed, no name is kept, and an empty mailbox owns no
+// queue node.
 func TestSpawnAllocationGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts only hold without the race detector")
@@ -142,14 +142,14 @@ func TestSpawnAllocationGate(t *testing.T) {
 	sys.Spawn("gate", ReceiverFunc(func(ctx *Context, _ any) {
 		result <- [2]float64{
 			testing.AllocsPerRun(200, func() { ctx.Spawn("leaf", inert) }),
-			testing.AllocsPerRun(200, func() { ctx.SpawnWith("leaf", inert, SpawnOpts{}) }),
+			testing.AllocsPerRun(200, func() { ctx.SpawnWith("leaf", inert, SpawnOpts{Supervisor: ctx.Self()}) }),
 		}
 	})).Tell(nil)
 	got := <-result
-	if got[0] > 3 {
-		t.Errorf("Context.Spawn: %v allocations, want <= 3", got[0])
+	if got[0] != 1 {
+		t.Errorf("Context.Spawn: %v allocations, want 1", got[0])
 	}
-	if got[1] > 4 {
-		t.Errorf("Context.SpawnWith: %v allocations, want <= 4", got[1])
+	if got[1] != 1 {
+		t.Errorf("Context.SpawnWith: %v allocations, want 1", got[1])
 	}
 }

@@ -120,14 +120,6 @@ type SpawnOpts struct {
 	Strategy Strategy
 }
 
-// supCell is the per-actor fault-domain configuration. It is immutable
-// after spawn, so reads take no locks; plain actors carry none (nil) and
-// fall back to the package defaults.
-type supCell struct {
-	supervisor *Ref
-	strategy   Strategy
-}
-
 // PreRestarter is implemented by behaviors that want a hook before they
 // resume on Restart (reset partial state, log the failure). It runs under
 // the actor's slot; a panic inside the hook is swallowed.
@@ -154,24 +146,15 @@ func runHook(f func()) {
 	f()
 }
 
-func (r *Ref) behavior() Receiver { return *r.recv.Load() }
-
-func (r *Ref) setBehavior(recv Receiver) { r.recv.Store(&recv) }
-
 func (r *Ref) strategyFor() Strategy {
-	if r.sup != nil && r.sup.strategy != nil {
-		return r.sup.strategy
+	if r.strategy != nil {
+		return r.strategy
 	}
 	return DefaultStrategy
 }
 
 // Supervisor returns the actor's supervisor, or nil for a tree root.
-func (r *Ref) Supervisor() *Ref {
-	if r.sup != nil {
-		return r.sup.supervisor
-	}
-	return nil
-}
+func (r *Ref) Supervisor() *Ref { return r.supervisor }
 
 // deliver dispatches one message into the behavior under the actor panic
 // guard. It reports the recovered panic value, if any; a panicking Receive
@@ -188,7 +171,7 @@ func (r *Ref) deliver(w *worker, env envelope) (failure any, failed bool) {
 	if chaos.Maybe("actors.deliver") {
 		panic(&chaos.InjectedError{Point: "actors.deliver"})
 	}
-	r.behavior().Receive(&w.ctx, env.msg)
+	r.recv.Receive(&w.ctx, env.msg)
 	return nil, false
 }
 
@@ -219,7 +202,7 @@ func (r *Ref) fail(w *worker, err any) bool {
 // the actor when the backoff elapses.
 func (r *Ref) restart(err any) {
 	r.restarts++
-	if h, ok := r.behavior().(PreRestarter); ok {
+	if h, ok := r.recv.(PreRestarter); ok {
 		runHook(func() { h.PreRestart(err) })
 	}
 	d := DefaultBackoff

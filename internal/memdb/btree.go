@@ -160,7 +160,8 @@ func (t *BTree) insertNonFull(n *btreeNode, key string, value []byte) bool {
 // key is replaced by its in-order predecessor. Nodes are allowed to
 // underflow, down to no keys (no rebalancing), which keeps lookups correct
 // and is a common simplification for in-memory stores with mixed
-// workloads.
+// workloads. A root left internal with no keys and a single child is
+// replaced by that child, so a delete-heavy tree loses height.
 func (t *BTree) Delete(key string) bool {
 	metrics.IncSynch()
 	t.mu.Lock()
@@ -177,6 +178,9 @@ func (t *BTree) Delete(key string) bool {
 				// The left subtree holds no keys: drop it with the key.
 				n.removeKey(i)
 				n.children = slices.Delete(n.children, i, i+1)
+			}
+			for !t.root.leaf() && len(t.root.keys) == 0 {
+				t.root = t.root.children[0]
 			}
 			t.size--
 			return true

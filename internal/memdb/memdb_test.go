@@ -359,7 +359,8 @@ func TestBTreeSplits(t *testing.T) {
 // Deleting an internal key whose in-order predecessor leaf earlier
 // deletes have emptied must neither panic nor lose keys: the predecessor
 // comes from the rightmost non-empty position of the left subtree, and a
-// left subtree with no keys is dropped with the key.
+// left subtree with no keys is dropped with the key. A root that this
+// leaves with no keys and one child gives way to the child.
 func TestBTreeDeleteEmptiedPredecessor(t *testing.T) {
 	bt := NewBTree()
 	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
@@ -389,6 +390,10 @@ func TestBTreeDeleteEmptiedPredecessor(t *testing.T) {
 	if !slices.Equal(got, want) || bt.Len() != len(want) {
 		t.Fatalf("after deletes: Len %d, Range %q, want %q", bt.Len(), got, want)
 	}
+	if !bt.root.leaf() {
+		t.Fatalf("root kept its height: %d keys, %d children, want the remaining leaf",
+			len(bt.root.keys), len(bt.root.children))
+	}
 	// The tree stays usable: reinsert everything and delete it again.
 	for i := 0; i < 40; i++ {
 		bt.Put(key(i), []byte{byte(i)})
@@ -402,6 +407,7 @@ func TestBTreeDeleteEmptiedPredecessor(t *testing.T) {
 		t.Fatalf("Len = %d after deleting every key", bt.Len())
 	}
 	checkBTree(t, bt.root)
+	noKeylessRoot(t, bt)
 
 	// Three levels: empty the last leaf under the root's first child, then
 	// delete the root's first key. Its predecessor is that child's last key,
@@ -425,6 +431,26 @@ func TestBTreeDeleteEmptiedPredecessor(t *testing.T) {
 		t.Fatalf("root's first key = %q, want the predecessor %q", bt.root.keys[0], pred)
 	}
 	checkBTree(t, bt.root)
+
+	// Delete everything left in key order: each root key goes once its
+	// left subtree is empty, taking that subtree with it, until the root
+	// is the last leaf.
+	for i := 0; i < 1200; i++ {
+		bt.Delete(fmt.Sprintf("k%04d", i))
+		noKeylessRoot(t, bt)
+	}
+	if bt.Len() != 0 || !bt.root.leaf() {
+		t.Fatalf("after deleting every key: Len %d, root leaf %v", bt.Len(), bt.root.leaf())
+	}
+}
+
+// noKeylessRoot fails if the root is an internal node without keys, which
+// would add a level to every lookup while guarding nothing.
+func noKeylessRoot(t *testing.T, bt *BTree) {
+	t.Helper()
+	if !bt.root.leaf() && len(bt.root.keys) == 0 {
+		t.Fatalf("root is internal with no keys and %d children", len(bt.root.children))
+	}
 }
 
 // checkBTree fails unless every internal node under n has one child more

@@ -1,16 +1,25 @@
 // Package mpsc implements a Vyukov-style intrusive multi-producer
-// single-consumer queue with pooled nodes. It is the mailbox primitive of
-// the actor runtime (each actor's mailbox is one Queue, drained in batches
-// by whichever scheduler worker holds the actor's scheduling slot) and the
-// run queue of the rx event-loop Scheduler.
+// single-consumer queue with pooled nodes and no stub node. It is the
+// mailbox primitive of the actor runtime (each actor's mailbox is one
+// Queue, drained in batches by whichever scheduler worker holds the
+// actor's scheduling slot) and the run queue of the rx event-loop
+// Scheduler.
 //
 // The producer side is lock-free: an enqueue is one atomic swap of the head
-// pointer plus one atomic store to link the predecessor — no CAS loop, so
+// pointer plus one atomic store that links the node, into the predecessor
+// or, when the queue was empty, into the consumer's tail — no CAS loop, so
 // enqueue throughput does not degrade under producer contention. The
 // consumer side is wait-free except for a two-instruction window: if a
 // producer has swapped the head but not yet linked its node, Pop reports
 // "not ready" while Empty reports "not empty"; the consumer spins or goes
-// off to other work until the producer's second store lands.
+// off to other work until the producer's second store lands. The consumer
+// CASes only when it takes the last node: it detaches the node by swinging
+// the head back to nil, and if a producer swapped in behind the node first,
+// it leaves the node in place and reports "not ready" the same way.
+//
+// An empty queue holds no node, so embedding a Queue costs its three words
+// and nothing else: there is no stub to allocate per queue and none
+// stranded when the queue dies.
 //
 // Nodes are pooled. A Pool is shared across the queues of one subsystem
 // (e.g. every mailbox of every actor System draws from one Pool), so a
@@ -24,11 +33,10 @@ import (
 	"sync/atomic"
 )
 
-// node is one pooled queue link. The value is cleared on dequeue so a
-// drained queue retains no references through its stub node. A node's
-// next is nil whenever it is in the pool (Pop clears it before the Put, and
-// a Put synchronizes before the Get that returns the node), so Push and
-// Init publish a node without storing nil into it first.
+// node is one pooled queue link. A node's next is nil and its value zero
+// whenever it is in the pool (put clears both, and a Put synchronizes
+// before the Get that returns the node), so Push publishes a node without
+// storing nil into it first.
 type node[T any] struct {
 	next atomic.Pointer[node[T]]
 	val  T
@@ -47,23 +55,32 @@ func NewPool[T any]() *Pool[T] {
 	return pl
 }
 
-func (pl *Pool[T]) get() *node[T]  { return pl.p.Get().(*node[T]) }
-func (pl *Pool[T]) put(n *node[T]) { pl.p.Put(n) }
+func (pl *Pool[T]) get() *node[T] { return pl.p.Get().(*node[T]) }
+
+// put returns a popped node to the pool, cleared so that it pins no value.
+func (pl *Pool[T]) put(n *node[T]) {
+	var zero T
+	n.val = zero
+	n.next.Store(nil)
+	pl.p.Put(n)
+}
 
 // A Queue is an intrusive MPSC queue. Push and Empty may be called from any
-// goroutine; Pop only by the single consumer. The zero Queue is not usable:
-// call Init (or New) first.
+// goroutine; Pop only by the single consumer. The zero Queue is empty but
+// has no pool: call Init (or New) first.
 //
 // A Queue is three words with no padding: head (producers) and tail (the
 // consumer) share a cache line. Actors embed their mailbox, and
 // spawn-heavy workloads allocate one per actor, so a pad between the two
 // ends would double the actor's size.
 type Queue[T any] struct {
-	// head is the producer end: producers swap themselves in.
+	// head is the producer end, the newest node; nil means empty.
+	// Producers swap themselves in; the consumer CASes it back to nil
+	// when it takes the last node.
 	head atomic.Pointer[node[T]]
-	// tail is the consumer end: it always points at the current stub node,
-	// whose successors hold the queued values. Written only by the
-	// consumer; read atomically by Empty probes from other goroutines.
+	// tail is the consumer end, the oldest node. It is nil when the queue
+	// is empty and while the first push into an empty queue is in flight;
+	// that push stores it, every other write is the consumer's.
 	tail atomic.Pointer[node[T]]
 	pool *Pool[T]
 }
@@ -75,12 +92,9 @@ func New[T any](pool *Pool[T]) *Queue[T] {
 	return q
 }
 
-// Init prepares an embedded queue for use. It must complete before any
-// Push or Pop.
+// Init sets the pool an embedded queue draws its nodes from. It must
+// complete before any Push or Pop.
 func (q *Queue[T]) Init(pool *Pool[T]) {
-	stub := pool.get()
-	q.head.Store(stub)
-	q.tail.Store(stub)
 	q.pool = pool
 }
 
@@ -93,7 +107,11 @@ func (q *Queue[T]) Push(v T) {
 	// Between the swap and this store the queue is "in flight": the node
 	// is owned by the queue but not yet reachable from tail. Pop reports
 	// not-ready and Empty reports non-empty until the store lands.
-	prev.next.Store(n)
+	if prev == nil {
+		q.tail.Store(n)
+	} else {
+		prev.next.Store(n)
+	}
 }
 
 // Pop dequeues the oldest value. It returns ok == false either when the
@@ -101,17 +119,26 @@ func (q *Queue[T]) Push(v T) {
 // not linked); callers distinguish the two with Empty.
 func (q *Queue[T]) Pop() (T, bool) {
 	var zero T
-	tail := q.tail.Load()
-	next := tail.next.Load()
-	if next == nil {
-		return zero, false
+	t := q.tail.Load()
+	if t == nil {
+		return zero, false // empty, or the first push is in flight
 	}
-	v := next.val
-	next.val = zero // next becomes the new stub; drop its value reference
-	q.tail.Store(next)
-	tail.next.Store(nil)
-	q.pool.put(tail)
-	return v, true
+	v := t.val
+	if next := t.next.Load(); next != nil {
+		q.tail.Store(next)
+		q.pool.put(t)
+		return v, true
+	}
+	// t is the last linked node. Clear tail before the CAS: once head is
+	// nil, the next push stores tail itself.
+	q.tail.Store(nil)
+	if q.head.CompareAndSwap(t, nil) {
+		q.pool.put(t)
+		return v, true
+	}
+	// A producer swapped in behind t and is about to link itself to it.
+	q.tail.Store(t)
+	return zero, false
 }
 
 // Empty reports whether the queue holds no values (in-flight pushes count
@@ -119,5 +146,5 @@ func (q *Queue[T]) Pop() (T, bool) {
 // snapshot that may go stale immediately; the scheduler uses it only as a
 // parking hint, re-verified by the wakeup protocol.
 func (q *Queue[T]) Empty() bool {
-	return q.tail.Load() == q.head.Load()
+	return q.head.Load() == nil
 }

@@ -1,6 +1,6 @@
 # Build/verify entry points. `make check` is the gate every change must
 # pass: gofmt, vet, build, the full test suite, the race detector over the
-# packages with lock-free, sharded or otherwise concurrent code (the 19 of
+# packages with lock-free, sharded or otherwise concurrent code (the 20 of
 # RACE_PKGS below), which ordinary `go test` does not exercise under
 # -race, the freshness of the CK tables committed in analysis_output.txt,
 # of its Table 7 work counts, and of its simulated-cycle outputs.
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/lin ./internal/streams ./internal/actors ./internal/rx ./internal/mpsc ./internal/rvm ./internal/rvm/opt ./internal/minilang ./internal/hdr ./internal/loadgen ./internal/graphdb ./internal/memdb
+RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/lin ./internal/streams ./internal/actors ./internal/rx ./internal/mpsc ./internal/rvm ./internal/rvm/opt ./internal/minilang ./internal/hdr ./internal/loadgen ./internal/graphdb ./internal/memdb ./internal/taskbench
 
 # The fault-tolerance and engine-concurrency tests: harness panic/timeout
 # isolation, netstack drain/close/admission control and client close
@@ -42,9 +42,13 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # bit for bit. memdb's concurrent writer and mixed-workload tests ride
 # along for the hash shards' swap-on-delete slots, and the Queue fragment
 # also picks mpsc's FuzzQueueOps seed corpus (pushes held between swap and
-# link, against a slice model).
-STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts'
-STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir ./internal/lin ./internal/memdb
+# link, against a slice model). The TaskGraph fragment runs the
+# cross-substrate task-graph oracle (internal/taskbench): a Task Bench
+# stencil and binary tree through fork/join, the parallel-for, futures and
+# actors, every node's checksum against a sequential walk at GOMAXPROCS 1
+# and 2.
+STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts|TaskGraph'
+STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir ./internal/lin ./internal/memdb ./internal/taskbench
 
 .PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh work-fresh sim-fresh chaos smoke analyze rbench loc
 

@@ -12,9 +12,11 @@
 //     without taking a lock per message, with one CAS when it takes the
 //     last queued message.
 //   - Runnable actors are distributed over per-worker Chase–Lev deques
-//     (internal/forkjoin.Deque) with work stealing and a global lock-free
-//     inject queue for sends that originate off the scheduler; idle workers
-//     park on a wakeup channel instead of spinning.
+//     with work stealing, a lock-free inject queue for sends that
+//     originate off the scheduler, and a park protocol for idle workers:
+//     forkjoin.Sched, the scheduling core the fork–join pool runs on too.
+//     The System keeps its own workers, which run actors' message batches,
+//     not pool tasks.
 //   - The quiescence counter is striped into versioned per-worker cells and
 //     summed with a double-collect scan (see quiesce.go), so in-flight
 //     accounting never contends on one cache line.
@@ -41,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"renaissance/internal/forkjoin"
 	"renaissance/internal/metrics"
 	"renaissance/internal/mpsc"
 )
@@ -68,13 +71,12 @@ func (f ReceiverFunc) Receive(ctx *Context, msg any) { f(ctx, msg) }
 // detection.
 type System struct {
 	workers []*worker
-	inject  mpsc.Queue[*Ref] // runnable actors enqueued off-scheduler
-	latch   atomic.Bool      // single-consumer latch for draining inject
-	wake    chan struct{}
+	// sched holds the workers' deques of runnable actors, the inject
+	// queue for actors scheduled off the workers, and the park protocol.
+	sched   forkjoin.Sched[*Ref, Ref]
 	done    chan struct{}
 	wg      sync.WaitGroup
 	stopped atomic.Bool
-	idle    atomic.Int64
 	// Steals counts successful run-queue steals; the adversarial suite
 	// reads it to prove work does not stay pinned to one worker.
 	Steals atomic.Int64
@@ -106,18 +108,19 @@ func NewSystem(workers int) *System {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &System{
-		wake:      make(chan struct{}, workers),
 		done:      make(chan struct{}),
 		quiesceCh: make(chan struct{}, 1),
 	}
-	s.inject.Init(injectPool)
 	s.cells = make([]quiesceCell, quiesceCellCount(workers))
 	s.cellMask = len(s.cells) - 1
-	for i := 0; i < workers; i++ {
+	s.workers = make([]*worker, workers)
+	deques := make([]*forkjoin.Deque[Ref], workers)
+	for i := range s.workers {
 		w := &worker{sys: s, cell: i & s.cellMask, seq: uint64(i) << 32}
 		w.ctx = Context{sys: s, w: w}
-		s.workers = append(s.workers, w)
+		s.workers[i], deques[i] = w, &w.dq
 	}
+	s.sched.Init(deques, injectPool)
 	for _, w := range s.workers {
 		s.wg.Add(1)
 		go w.run()
@@ -153,6 +156,66 @@ func (s *System) Shutdown() {
 	s.AwaitQuiescence()
 	close(s.done)
 	s.wg.Wait()
+}
+
+type worker struct {
+	sys  *System
+	cell int // pinned in-flight stripe, see quiesce.go
+	dq   forkjoin.Deque[Ref]
+	seq  uint64  // steal-start counter, distinct per worker
+	ctx  Context // reused across deliveries; valid only inside Receive
+}
+
+// injectBatch bounds how many runnable actors one worker moves from the
+// inject queue to its own deque per poll: enough to amortize the consumer
+// latch, few enough that peers find surplus to steal.
+const injectBatch = 16
+
+func (w *worker) run() {
+	s := w.sys
+	defer s.wg.Done()
+	for {
+		if r := w.findRunnable(); r != nil {
+			r.processBatch(w)
+			continue
+		}
+		// Nothing visible anywhere. If a quiescence waiter is parked, this
+		// is exactly the moment the in-flight sum may have reached zero —
+		// signal it before parking (see quiesce.go for the protocol).
+		if s.waiters.Load() > 0 {
+			select {
+			case s.quiesceCh <- struct{}{}:
+				metrics.IncNotify()
+			default:
+			}
+		}
+		select {
+		case <-s.done:
+			return // shut down and fully drained
+		default:
+		}
+		if s.sched.Park(s.done) {
+			metrics.IncPark()
+		}
+	}
+}
+
+// findRunnable searches the worker's own deque (LIFO), then a batch of the
+// inject queue, then the other workers' deques (FIFO, a random start).
+func (w *worker) findRunnable() *Ref {
+	if r := w.dq.Pop(); r != nil {
+		return r
+	}
+	if r, n := w.sys.sched.Poll(injectBatch, w.dq.Push); n > 0 {
+		return r
+	}
+	w.seq++
+	if r := w.sys.sched.Steal(&w.dq, w.seq); r != nil {
+		w.sys.Steals.Add(1)
+		metrics.IncAtomic() // steal → atomic (a real scheduling event)
+		return r
+	}
+	return nil
 }
 
 // actor mailbox scheduling states
@@ -228,10 +291,10 @@ func (r *Ref) schedule(w *worker) {
 	if r.state.CompareAndSwap(idle, scheduled) {
 		if w != nil {
 			w.dq.Push(r)
+			r.sys.sched.Signal()
 		} else {
-			r.sys.inject.Push(r)
+			r.sys.sched.Push(r)
 		}
-		r.sys.signal()
 	}
 }
 
@@ -298,8 +361,7 @@ func (r *Ref) processBatch(w *worker) {
 	if processed == batchSize && !r.mb.Empty() {
 		// Fairness: keep the slot (state stays scheduled — producers must
 		// not double-enqueue us) but go to the back of the global queue.
-		r.sys.inject.Push(r)
-		r.sys.signal()
+		r.sys.sched.Push(r)
 		return
 	}
 	// Release the scheduling slot and reclaim it if messages raced in

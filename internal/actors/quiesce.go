@@ -25,7 +25,7 @@
 // to hold this.
 //
 // Liveness: a failed scan parks the waiter on quiesceCh. Workers signal the
-// channel exactly when they run out of visible work (sched.go), which is
+// channel exactly when they run out of visible work (worker.run), which is
 // the only moment the sum can have newly reached zero; a waiter that wakes
 // and still finds activity re-parks. Waiters chain the token on exit so
 // every concurrent AwaitQuiescence returns.

@@ -217,8 +217,7 @@ func (r *Ref) restart(err any) {
 		// polls the inject queue next. After Shutdown this re-injects into
 		// a dead scheduler, which is harmless: quiescence cannot have been
 		// reached with accounted messages still queued here.
-		r.sys.inject.Push(r)
-		r.sys.signal()
+		r.sys.sched.Push(r)
 	})
 }
 

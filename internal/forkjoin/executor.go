@@ -8,8 +8,10 @@
 // discipline). Three properties matter here:
 //
 //   - Caller-runs: the calling goroutine claims and executes chunks
-//     itself. Pool workers only add parallelism opportunistically, via
-//     helper tasks enqueued with a non-blocking submit. A For therefore
+//     itself. Pool workers only add parallelism opportunistically: the
+//     job itself is pushed onto the pool's inject queue once per helper,
+//     with no task or closure around it, and the helpers no worker took
+//     are taken back once the counter is drained. A For therefore
 //     always makes progress even when every pool worker is blocked —
 //     which genuinely happens in this engine: shuffles execute *inside*
 //     partition tasks (a wide RDD's partitions all call into a
@@ -26,12 +28,14 @@
 //     partition-shaped callers pass grain 1 because each index is already
 //     a coarse task.
 //
-// Helper tasks land on the pool's submission queue and are executed (or
-// stolen) by the Chase–Lev workers like any fork–join task; a helper that
-// arrives after the counter is drained simply exits.
+// A helper is taken from the inject queue by a pool worker, or by a
+// futures Await helping on its own goroutine, and drains the job like the
+// caller does; a helper that arrives after the counter is drained simply
+// exits.
 package forkjoin
 
 import (
+	"runtime"
 	"sync"
 
 	"renaissance/internal/metrics"
@@ -40,15 +44,19 @@ import (
 var (
 	sharedOnce sync.Once
 	sharedPool *Pool
+	// sharedWidth is GOMAXPROCS as the process starts: a caller that
+	// narrows GOMAXPROCS for a while (testing.AllocsPerRun does) around
+	// the first use does not narrow the shared pool for good.
+	sharedWidth = runtime.GOMAXPROCS(0)
 )
 
 // Shared returns the process-wide pool used by the data-parallel layers
 // (rdd partition evaluation, shuffle producers/consumers, the parallel
-// stream terminals). It is created on first use with GOMAXPROCS workers
-// and never closed.
+// stream terminals) and by futures.Async. It is created on first use with
+// as many workers as GOMAXPROCS had at process start and never closed.
 func Shared() *Pool {
 	sharedOnce.Do(func() {
-		sharedPool = NewPool(0)
+		sharedPool = NewPool(sharedWidth)
 	})
 	return sharedPool
 }
@@ -116,21 +124,19 @@ func (p *Pool) ForRetryE(n, grain, maxPar, retries int, body func(lo, hi, attemp
 	}
 	j.done = make(chan struct{})
 
-	helpers := par - 1
-	if helpers > chunks-1 {
-		helpers = chunks - 1
-	}
-	for i := 0; i < helpers; i++ {
-		if !p.trySubmit(func(w *Worker) any {
-			j.drain()
-			return nil
-		}) {
-			break // queue full; the caller still finishes
-		}
+	// Each helper counts as one object, so a multi-chunk job counts
+	// min(par-1, chunks-1) on every run, whoever ends up running them.
+	for range min(par-1, chunks-1) {
+		metrics.IncObject()
+		p.Inject(j)
 	}
 
 	j.drain()
-	// The counter is drained; wait for chunks still in flight on workers.
+	// The counter is drained, so a helper still queued could only exit:
+	// take it back, so a job its caller ran alone leaves nothing queued
+	// when workers had no CPU to take it (GOMAXPROCS below the width).
+	p.sched.Retract(j)
+	// Wait for chunks still in flight on workers.
 	metrics.IncPark()
 	<-j.done
 	// The barrier release is counted by the caller, not by whichever
@@ -143,21 +149,5 @@ func (p *Pool) ForRetryE(n, grain, maxPar, retries int, body func(lo, hi, attemp
 	return nil
 }
 
-// trySubmit enqueues a task without ever blocking: a full submission
-// queue drops the task. Used for the optional For helpers, which are pure
-// parallelism hints — correctness never depends on them running. Helper
-// tasks are completion-quiet: nobody joins them, and a helper finishing
-// after its For has returned must not leak completion bumps into a later
-// measurement window. Only an enqueued helper counts as an allocated
-// object, so the count does not depend on queue-full timing.
-func (p *Pool) trySubmit(fn Fn) bool {
-	t := &Task{fn: fn, quiet: true}
-	select {
-	case p.submit <- t:
-		metrics.IncObject()
-		p.wakeOne()
-		return true
-	default:
-		return false
-	}
-}
+// Run makes the job a pool helper: it drains the job like the caller.
+func (j *parJob) Run(*Worker) { j.drain() }

@@ -163,3 +163,28 @@ func TestForOnPrivatePool(t *testing.T) {
 		t.Errorf("post-close total = %d (caller must finish the range alone)", n.Load())
 	}
 }
+
+// A job whose caller ran every chunk takes back the helpers no worker
+// picked up: with every worker blocked, the inject queue is empty again
+// when ForRetryE returns.
+func TestExecutorRetractsUntakenHelpers(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	release := make(chan struct{})
+	defer close(release)
+	var blocked atomic.Int32
+	for range p.workers {
+		p.Submit(func(*Worker) any { blocked.Add(1); <-release; return nil })
+	}
+	for blocked.Load() < int32(len(p.workers)) {
+		time.Sleep(100 * time.Microsecond)
+	}
+	for range 10 {
+		if err := p.ForRetryE(100, 1, 0, 0, func(lo, hi, _ int) {}); err != nil {
+			t.Fatal(err)
+		}
+		if !p.sched.Empty() {
+			t.Fatal("helpers no worker took are still queued after ForRetryE returned")
+		}
+	}
+}

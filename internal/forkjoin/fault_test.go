@@ -335,24 +335,34 @@ func TestInvokeOnClosedPoolPanicsErrPoolClosed(t *testing.T) {
 	}
 }
 
-func TestExecutorDroppedHelperNotCounted(t *testing.T) {
-	// With the only worker busy, fill the submission queue with helpers:
-	// the object count must equal the helpers actually enqueued, not the
-	// submit attempts (the dropped one used to be counted too).
-	p := NewPool(1)
+// A multi-chunk job counts one object per helper it pushes onto the
+// inject queue, min(par-1, chunks-1), on every run, however the helpers
+// are scheduled (work-fresh compares the object column across runs).
+func TestExecutorHelperObjectCount(t *testing.T) {
+	p := NewPool(3)
 	defer p.Close()
-	started, release := make(chan struct{}), make(chan struct{})
-	p.Submit(func(*Worker) any { close(started); <-release; return nil })
-	<-started
-	defer close(release)
-
-	before := metrics.Default.Snapshot().Get(metrics.Object)
-	enqueued := int64(0)
-	for p.trySubmit(func(*Worker) any { return nil }) {
-		enqueued++
-	}
-	if got := metrics.Default.Snapshot().Get(metrics.Object) - before; got != enqueued {
-		t.Fatalf("object count rose by %d for %d enqueued helpers (one dropped)", got, enqueued)
+	for _, c := range []struct {
+		pool                *Pool
+		n, grain, maxPar, h int
+	}{
+		{p, 100, 1, 0, 3}, // par 4, 100 chunks
+		{p, 3, 1, 0, 2},   // 3 chunks: two helpers
+		{p, 100, 1, 2, 1}, // maxPar 2
+		{p, 100, 0, 0, 3}, // automatic grain
+		{p, 5, 5, 0, 0},   // one chunk: no helpers
+		{p, 100, 1, 1, 0}, // maxPar 1: the caller alone
+		{Shared(), 64, 1, 0, min(len(Shared().workers), 63)},
+	} {
+		for run := 0; run < 20; run++ {
+			before := metrics.Default.Snapshot().Get(metrics.Object)
+			if err := c.pool.ForRetryE(c.n, c.grain, c.maxPar, 0, func(lo, hi, _ int) {}); err != nil {
+				t.Fatal(err)
+			}
+			if got := metrics.Default.Snapshot().Get(metrics.Object) - before; got != int64(c.h) {
+				t.Fatalf("n=%d grain=%d maxPar=%d run %d: object count rose by %d, want %d helpers",
+					c.n, c.grain, c.maxPar, run, got, c.h)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,9 @@
 // concurrent data structures"). Workers push forked tasks onto their own
 // lock-free Chase–Lev deque (LIFO for locality) and steal from the top of
 // other workers' deques (FIFO) with a single CAS, and joining workers help
-// execute pending tasks instead of blocking. The scheduler's own
+// execute pending tasks instead of blocking. Work from outside the pool —
+// submitted tasks, parallel-for helpers and futures bodies — goes on the
+// pool's one lock-free inject queue (sched.go). The scheduler's own
 // accounting is a metrics.IncX call on the goroutine's hashed shard at
 // each counted event, never inside a critical section.
 package forkjoin
@@ -15,13 +17,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"renaissance/internal/chaos"
 	"renaissance/internal/metrics"
+	"renaissance/internal/mpsc"
 )
 
 // A Fn is the body of a fork-join task. It receives the worker executing it
-// so that it can fork and join subtasks.
+// so that it can fork and join subtasks; the worker is nil when the task
+// runs off the pool (see Pool.Help), and Fork and Join still work there.
 type Fn func(w *Worker) any
+
+// A Job is an element of a pool's inject queue: a submitted *Task, a
+// parallel-for job pushed once per helper, or a futures promise record.
+// Run executes it on worker w, nil when it runs off the pool.
+type Job interface{ Run(w *Worker) }
 
 // Task is a forked computation whose result can be joined.
 type Task struct {
@@ -34,33 +42,44 @@ type Task struct {
 	err *TaskError
 	// doneCh is closed on completion for Invoke, which parks on it. Only
 	// Submit makes it: forked tasks are joined by polling done while
-	// helping, and For helpers are never joined.
+	// helping.
 	doneCh chan struct{}
-	// quiet suppresses completion metric bumps: For helper tasks are
-	// never joined and may outlive the For that submitted them, so their
-	// completion must not land counts in a later measurement window.
-	quiet bool
+}
+
+// Run executes the task's body under a recover: a panicking body is
+// converted to a *TaskError on the task and completes it, so a misbehaving
+// task can never take down a pool worker or leave a joiner parked forever.
+// Its acquisition is counted here, once per task, so the count does not
+// depend on which queue or thief it came from.
+func (t *Task) Run(w *Worker) {
+	metrics.IncAtomic()
+	defer func() {
+		if p := recover(); p != nil {
+			if te, ok := p.(*TaskError); ok {
+				t.err = te // a nested join's re-panic keeps its identity
+			} else {
+				t.err = &TaskError{Index: -1, Value: p, Stack: debug.Stack()}
+			}
+			t.complete(nil)
+		}
+	}()
+	t.complete(t.fn(w))
 }
 
 func (t *Task) complete(v any) {
 	t.result = v
-	if !t.quiet {
-		metrics.IncAtomic()
-	}
+	metrics.IncAtomic()
 	t.done.Store(true)
 	if t.doneCh != nil {
 		close(t.doneCh)
 	}
-	if !t.quiet {
-		metrics.IncNotify()
-	}
+	metrics.IncNotify()
 }
 
 // Pool is a fork-join pool with a fixed number of workers.
 type Pool struct {
+	sched   Sched[Job, Task]
 	workers []*Worker
-	submit  chan *Task
-	wake    chan struct{}
 	done    chan struct{}
 	wg      sync.WaitGroup
 	closed  atomic.Bool
@@ -74,19 +93,21 @@ type Worker struct {
 	seq  uint64 // steal-start counter, distinct per worker
 }
 
+// jobNodes is the inject queues' node pool, shared by every Pool.
+var jobNodes = mpsc.NewPool[Job]()
+
 // NewPool creates a pool with n workers (0 means GOMAXPROCS).
 func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		submit: make(chan *Task, 4096),
-		wake:   make(chan struct{}, n),
-		done:   make(chan struct{}),
+	p := &Pool{workers: make([]*Worker, n), done: make(chan struct{})}
+	deques := make([]*Deque[Task], n)
+	for i := range p.workers {
+		w := &Worker{pool: p, seq: uint64(i) << 32}
+		p.workers[i], deques[i] = w, &w.dq
 	}
-	for i := 0; i < n; i++ {
-		p.workers = append(p.workers, &Worker{pool: p, seq: uint64(i) << 32})
-	}
+	p.sched.Init(deques, jobNodes)
 	for _, w := range p.workers {
 		p.wg.Add(1)
 		go w.run()
@@ -104,23 +125,15 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-func (p *Pool) wakeOne() {
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
+// Inject queues j on the pool from outside it.
+func (p *Pool) Inject(j Job) { p.sched.Push(j) }
 
-// Submit schedules a top-level task from outside the pool.
+// Submit schedules a top-level task from outside the pool. On a closed
+// pool the task never runs.
 func (p *Pool) Submit(fn Fn) *Task {
 	metrics.IncObject()
 	t := &Task{fn: fn, doneCh: make(chan struct{})}
-	select {
-	case p.submit <- t:
-	case <-p.done:
-		return t // pool closed; the task never runs
-	}
-	p.wakeOne()
+	p.Inject(t)
 	return t
 }
 
@@ -144,86 +157,68 @@ func (p *Pool) Invoke(fn Fn) any {
 	return t.result
 }
 
-func (w *Worker) run() {
-	defer w.pool.wg.Done()
+// Help runs one injected job on the calling goroutine, off the pool, and
+// reports whether there was one: a *Task's body gets a nil *Worker, so
+// its forks run inline. A latch held by a worker, or a push still
+// linking, is waited out, not taken for an empty queue.
+func (p *Pool) Help() bool {
 	for {
-		if t := w.findTask(); t != nil {
-			w.exec(t)
+		if j, n := p.sched.Poll(1, nil); n > 0 {
+			j.Run(nil)
+			return true
+		}
+		if p.sched.Empty() {
+			return false
+		}
+		runtime.Gosched()
+	}
+}
+
+func (w *Worker) run() {
+	p := w.pool
+	defer p.wg.Done()
+	for {
+		if j := w.find(); j != nil {
+			j.Run(w)
 			continue
 		}
 		select {
-		case t := <-w.pool.submit:
-			w.exec(t)
-		case <-w.pool.wake:
-		case <-w.pool.done:
+		case <-p.done:
 			return
+		default:
 		}
+		p.sched.Park(p.done)
 	}
 }
 
-// exec runs one task under a recover: a panicking body is converted to a
-// *TaskError on the task and completes it, so a misbehaving task can never
-// take down a pool worker or leave a joiner parked forever.
-func (w *Worker) exec(t *Task) {
-	defer func() {
-		if p := recover(); p != nil {
-			if te, ok := p.(*TaskError); ok {
-				t.err = te // a nested join's re-panic keeps its identity
-			} else {
-				t.err = &TaskError{Index: -1, Value: p, Stack: debug.Stack()}
-			}
-			t.complete(nil)
-		}
-	}()
-	v := t.fn(w)
-	t.complete(v)
-}
-
-// findTask looks for work: own deque first, then the submission queue, then
-// stealing from a random victim (scanning all on failure). Acquisitions
-// are counted on success for non-quiet tasks only: failed scan attempts
-// (and pickups of quiet For helpers) depend on wakeup timing, and
-// counting them would make per-run metric totals scheduling-dependent.
-func (w *Worker) findTask() *Task {
+// find looks for work: own deque first, then the inject queue, then
+// stealing from the other workers.
+func (w *Worker) find() Job {
 	if t := w.dq.Pop(); t != nil {
-		if !t.quiet {
-			metrics.IncAtomic()
-		}
 		return t
 	}
-	select {
-	case t := <-w.pool.submit:
-		if !t.quiet {
-			metrics.IncAtomic()
-		}
-		return t
-	default:
+	if j, n := w.pool.sched.Poll(1, nil); n > 0 {
+		return j
 	}
-	n := len(w.pool.workers)
 	w.seq++
-	start := int(chaos.Mix64(w.seq) % uint64(n))
-	for i := 0; i < n; i++ {
-		victim := w.pool.workers[(start+i)%n]
-		if victim == w {
-			continue
-		}
-		if t := victim.dq.Steal(); t != nil {
-			if !t.quiet {
-				metrics.IncAtomic()
-			}
-			return t
-		}
+	if t := w.pool.sched.Steal(&w.dq, w.seq); t != nil {
+		return t
 	}
 	return nil
 }
 
-// Fork schedules fn as a subtask on the worker's own deque.
+// Fork schedules fn as a subtask on the worker's own deque. Off the pool
+// (w == nil) it runs fn inline, so the Join that follows finds it done.
 func (w *Worker) Fork(fn Fn) *Task {
 	metrics.IncObject()
 	t := &Task{fn: fn}
 	metrics.IncAtomic()
+	if w == nil {
+		t.Run(nil)
+		return t
+	}
 	w.dq.Push(t)
-	w.pool.wakeOne()
+	w.pool.sched.Signal()
 	return t
 }
 
@@ -240,10 +235,12 @@ func (w *Worker) Join(t *Task) any {
 			}
 			return t.result
 		}
-		if other := w.findTask(); other != nil {
-			w.exec(other)
-		} else {
-			runtime.Gosched()
+		if w != nil {
+			if j := w.find(); j != nil {
+				j.Run(w)
+				continue
+			}
 		}
+		runtime.Gosched()
 	}
 }

@@ -5,28 +5,25 @@
 // future's mutex; continuations registered with Map/OnComplete are closure
 // dispatches, which is what the paper's idynamic metric estimates.
 //
-// Async bodies run on a package-private executor, as Scala futures and
-// Jenetics run theirs on an ExecutionContext: GOMAXPROCS long-lived
-// goroutines drain one bounded FIFO, and an Async that finds it full starts
-// a goroutine for its body instead of waiting. An Await on a pending future
-// runs queued bodies itself until its own future completes, so a body may
-// wait on another future through Await without starving the executor. A
+// Async bodies run on forkjoin.Shared(), as Scala futures and Jenetics run
+// theirs on a ForkJoinPool ExecutionContext: the promise record itself is
+// the pool's inject-queue element, so queueing a body allocates nothing
+// beyond the promise. An Await on a pending future runs the pool's
+// injected work on its own goroutine until its future completes or the
+// queue is empty, so a body may wait through Await on a future it made
+// without starving the pool. A body that Awaits a future made elsewhere
+// can, while it helps, pick up a body that Awaits it, and deadlock; a
 // body that blocks on something only a later Async body provides, other
 // than through Await, may wait for a worker to come free.
-//
-// The executor is not forkjoin.Shared(): a pool task allocates a *Task and
-// an Fn closure on top of the promise, where the executor queues the
-// promise record itself, and running a pool task needs a *Worker, so an
-// Await on a caller's goroutine could not help with it.
 package futures
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 
+	"renaissance/internal/forkjoin"
 	"renaissance/internal/metrics"
 )
 
@@ -155,12 +152,12 @@ func (f *Future[T]) OnComplete(cb func(T, error)) {
 }
 
 // Await blocks until the future completes and returns its result. While
-// the future is pending it runs queued Async bodies on the calling
-// goroutine, the way a fork/join Join helps; once the queue is empty it
-// parks.
+// the future is pending it runs forkjoin.Shared()'s injected work (Async
+// bodies among it) on the calling goroutine, the way a fork/join Join
+// helps; once that queue is empty it parks.
 func (f *Future[T]) Await() (T, error) {
 	metrics.IncPark()
-	for !f.isCompleted() && help() {
+	for !f.isCompleted() && forkjoin.Shared().Help() {
 	}
 	f.mu.Lock()
 	if f.completed {
@@ -189,32 +186,29 @@ func Completed[T any](v T) *Future[T] {
 	return &p.f
 }
 
-// Async queues fn on the package's executor and returns its future; fn
-// runs on an executor goroutine, on a goroutine of its own when the queue
-// is full, or on a goroutine that Awaits a pending future. A body that
-// waits on another future must do so through Await (see the package doc).
-// A panicking fn fails the future with a *PanicError instead of killing
-// the process: none of those goroutines is the harness's iteration
-// goroutine, so nothing above the body would recover.
+// Async queues fn on forkjoin.Shared() and returns its future; fn runs on
+// a pool worker or on a goroutine that Awaits a pending future. A body
+// that waits on another future must do so through Await (see the package
+// doc). A panicking fn fails the future with a *PanicError instead of
+// killing the process: neither of those goroutines is the harness's
+// iteration goroutine, so nothing above the body would recover.
 func Async[T any](fn func() (T, error)) *Future[T] {
 	metrics.IncObject()
 	t := &asyncTask[T]{fn: fn}
-	select {
-	case executor() <- t:
-	default:
-		go t.run()
-	}
+	forkjoin.Shared().Inject(t)
 	return &t.f
 }
 
-// asyncTask is an Async future's promise record and its body: the queue
-// entry, so queueing a body allocates nothing beyond the promise.
+// asyncTask is an Async future's promise record and its body: the pool's
+// inject-queue element, so queueing a body allocates nothing beyond the
+// promise.
 type asyncTask[T any] struct {
 	Promise[T]
 	fn func() (T, error)
 }
 
-func (t *asyncTask[T]) run() {
+// Run runs the body and completes the future; it needs no worker.
+func (t *asyncTask[T]) Run(*forkjoin.Worker) {
 	metrics.IncIDynamic()
 	v, err := protect(t.fn)
 	if err != nil {
@@ -222,50 +216,6 @@ func (t *asyncTask[T]) run() {
 		return
 	}
 	_ = t.Success(v)
-}
-
-// queueCap bounds the executor's FIFO. A future-genetic generation queues
-// a few hundred bodies at once; 1024 holds that with room to spare at
-// 16 KB of buffer, and a burst beyond it only costs goroutines.
-const queueCap = 1024
-
-var (
-	queue chan interface{ run() }
-	// workers is the executor's width, GOMAXPROCS as the process starts:
-	// a caller that narrows GOMAXPROCS for a while (testing.AllocsPerRun
-	// does) around the first Async does not narrow the executor for good.
-	workers      = runtime.GOMAXPROCS(0)
-	executorOnce sync.Once
-)
-
-// executor returns the executor's queue. The first Async, or the first
-// Await to find a future pending, makes it and starts the workers, which
-// live as long as the process, like forkjoin.Shared()'s; a process that
-// does neither pays for none of it.
-func executor() chan interface{ run() } {
-	executorOnce.Do(func() {
-		queue = make(chan interface{ run() }, queueCap)
-		for range workers {
-			go func() {
-				for t := range queue {
-					t.run()
-				}
-			}()
-		}
-	})
-	return queue
-}
-
-// help runs one queued Async body on the calling goroutine and reports
-// whether there was one.
-func help() bool {
-	select {
-	case t := <-executor():
-		t.run()
-		return true
-	default:
-		return false
-	}
 }
 
 // protect calls fn, converting a panic into a *PanicError.

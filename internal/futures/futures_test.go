@@ -2,10 +2,13 @@ package futures
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"renaissance/internal/forkjoin"
 )
 
 func TestPromiseSuccess(t *testing.T) {
@@ -442,22 +445,29 @@ func TestExecutorNestedAwaitChain(t *testing.T) {
 	})
 }
 
-// With every worker blocked in a body, outside any Await, a new Async
-// still completes: its Await runs the body on the caller's goroutine. And
-// Async never blocks: past a full queue its bodies get goroutines.
-func TestExecutorAwaitHelpsWhenWorkersBlocked(t *testing.T) {
+// workers is forkjoin.Shared()'s width: GOMAXPROCS as the process starts.
+var workers = runtime.GOMAXPROCS(0)
+
+// blockWorkers parks every Shared() worker in an Async body until the
+// returned release is called, which also checks the blocked bodies' results.
+func blockWorkers(t *testing.T) (release func()) {
 	started := make(chan struct{}, workers)
-	release := make(chan struct{})
+	unblock := make(chan struct{})
 	blocked := make([]*Future[int], workers)
 	for i := range blocked {
 		blocked[i] = Async(func() (int, error) {
 			started <- struct{}{}
-			<-release
+			<-unblock
 			return i, nil
 		})
 	}
-	defer func() {
-		close(release)
+	within(t, "every worker taking a blocking body", func() {
+		for range workers {
+			<-started
+		}
+	})
+	return func() {
+		close(unblock)
 		within(t, "the released bodies", func() {
 			for i, f := range blocked {
 				if v, err := f.Await(); v != i || err != nil {
@@ -465,26 +475,73 @@ func TestExecutorAwaitHelpsWhenWorkersBlocked(t *testing.T) {
 				}
 			}
 		})
-	}()
-	within(t, "every worker taking a blocking body", func() {
-		for range workers {
-			<-started
-		}
-	})
+	}
+}
+
+// With every worker blocked in a body, outside any Await, a new Async
+// still completes: its Await runs the body on the caller's goroutine. So
+// do 10,000 of them through one Await, on no goroutine of their own.
+func TestExecutorAwaitHelpsWhenWorkersBlocked(t *testing.T) {
+	defer blockWorkers(t)()
 	within(t, "an Await with every worker blocked", func() {
 		if v, err := Async(func() (int, error) { return 7, nil }).Await(); v != 7 || err != nil {
 			t.Errorf("Async = (%d, %v), want (7, nil)", v, err)
 		}
 	})
-	within(t, "Asyncs past a full queue", func() {
-		fs := make([]*Future[int], queueCap+8)
+	within(t, "10,000 Asyncs through one Await", func() {
+		before := runtime.NumGoroutine()
+		fs := make([]*Future[int], 10000)
 		for i := range fs {
 			fs[i] = Async(func() (int, error) { return i, nil })
 		}
-		for i, f := range fs {
-			if v, err := f.Await(); v != i || err != nil {
-				t.Errorf("future %d = (%d, %v)", i, v, err)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("goroutines rose from %d to %d while queueing bodies", before, n)
+		}
+		vs, err := Sequence(fs).Await()
+		if err != nil || len(vs) != len(fs) {
+			t.Errorf("Sequence = (%d values, %v)", len(vs), err)
+		}
+		for i, v := range vs {
+			if v != i {
+				t.Errorf("future %d = %d", i, v)
+				break
 			}
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("goroutines rose from %d to %d while running bodies", before, n)
+		}
+	})
+}
+
+// An Await off the pool runs whatever Shared() has injected, a fork/join
+// root among it: with every worker blocked, an Invoke's root task runs on
+// the Awaiting goroutine, its forks inline, and returns the right result.
+func TestExecutorAwaitRunsInjectedForkJoinRoot(t *testing.T) {
+	defer blockWorkers(t)()
+	var fib func(n int) forkjoin.Fn
+	fib = func(n int) forkjoin.Fn {
+		return func(w *forkjoin.Worker) any {
+			if n < 2 {
+				return n
+			}
+			left := w.Fork(fib(n - 1))
+			return fib(n-2)(w).(int) + w.Join(left).(int)
+		}
+	}
+	got := make(chan any, 1)
+	go func() { got <- forkjoin.Shared().Invoke(fib(15)) }()
+	within(t, "an injected Invoke root run by an Await", func() {
+		for {
+			select {
+			case v := <-got:
+				if v != 610 {
+					t.Errorf("fib(15) = %v, want 610", v)
+				}
+				return
+			default:
+			}
+			// The root is ahead of this body in the queue, once injected.
+			Async(func() (int, error) { return 0, nil }).Await()
 		}
 	})
 }

@@ -141,6 +141,18 @@ func (q *Queue[T]) Pop() (T, bool) {
 	return zero, false
 }
 
+// Peek returns the oldest value without dequeuing it (consumer only). It
+// reports false while the queue is empty or its first push is linking;
+// Pop may still report not-ready for the value Peek returned, while a
+// push behind that last node links.
+func (q *Queue[T]) Peek() (T, bool) {
+	if t := q.tail.Load(); t != nil {
+		return t.val, true
+	}
+	var zero T
+	return zero, false
+}
+
 // Empty reports whether the queue holds no values (in-flight pushes count
 // as present). From goroutines other than the consumer the answer is a
 // snapshot that may go stale immediately; the scheduler uses it only as a

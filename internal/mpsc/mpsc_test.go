@@ -254,6 +254,35 @@ func TestQueuePopNotReadyStates(t *testing.T) {
 	}
 }
 
+// Peek sees what the next Pop takes, takes nothing itself, and reports
+// nothing while the first push is still linking.
+func TestQueuePeek(t *testing.T) {
+	q := New(NewPool[int]())
+	if _, ok := q.Peek(); ok {
+		t.Fatal("Peek on an empty queue reported a value")
+	}
+	first := beginPush(q, 1)
+	if _, ok := q.Peek(); ok {
+		t.Fatal("Peek reported a value whose push is still linking")
+	}
+	first.link(q)
+	q.Push(2)
+	for _, want := range []int{1, 2} {
+		if v, ok := q.Peek(); !ok || v != want {
+			t.Fatalf("Peek = (%d, %v), want (%d, true)", v, ok, want)
+		}
+		if v, ok := q.Peek(); !ok || v != want {
+			t.Fatalf("second Peek = (%d, %v), want (%d, true)", v, ok, want)
+		}
+		if v, ok := q.Pop(); !ok || v != want {
+			t.Fatalf("Pop = (%d, %v), want (%d, true)", v, ok, want)
+		}
+	}
+	if _, ok := q.Peek(); ok || !q.Empty() {
+		t.Fatal("Peek on a drained queue reported a value")
+	}
+}
+
 // FuzzQueueOps runs a byte string as a single-consumer schedule against a
 // slice model. Each byte is one operation, chosen by its value mod 5:
 // push, pop, empty, begin a push (swap without link), or link the

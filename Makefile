@@ -39,7 +39,12 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # to a reference that still uses it, at GOMAXPROCS 1 and 2. rdd's
 # FuzzDotCounts seed corpus rides along with the naive-Bayes differential:
 # the byte-row dot Predict scores with is lin.Dot over the converted row,
-# bit for bit. memdb's concurrent writer and mixed-workload tests ride
+# bit for bit. So does its FuzzTreeSplit seed corpus: the decision tree's
+# one row-major pass per node picks the split the per-feature search
+# picked, bit for bit (constant features, ties between features, more
+# than 8 classes), and the Retry fragment picks the fitted tree being
+# identical at GOMAXPROCS 1 and 2 and under rdd.task retries. memdb's
+# concurrent writer and mixed-workload tests ride
 # along for the hash shards' swap-on-delete slots, and the Queue fragment
 # also picks mpsc's FuzzQueueOps seed corpus (pushes held between swap and
 # link, against a slice model). The TaskGraph fragment runs the
@@ -47,7 +52,7 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # stencil and binary tree through fork/join, the parallel-for, futures and
 # actors, every node's checksum against a sequential walk at GOMAXPROCS 1
 # and 2.
-STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts|TaskGraph'
+STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts|FuzzTreeSplit|TaskGraph'
 STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir ./internal/lin ./internal/memdb ./internal/taskbench
 
 .PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh work-fresh sim-fresh chaos smoke analyze rbench loc

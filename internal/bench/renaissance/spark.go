@@ -45,7 +45,7 @@ func syntheticPoints(cfg core.Config, n, dim int, stream string) *rdd.Points {
 		for j := range f {
 			f[j] = rng.NormFloat64() + shift
 		}
-		pts.Labels[i] = int32(label)
+		pts.Labels[i] = uint8(label)
 	}
 	return pts
 }
@@ -134,7 +134,7 @@ func newChiSquare(cfg core.Config) (core.Workload, error) {
 		for j := 1; j < dim; j++ {
 			f[j] = uint8(rng.Intn(4))
 		}
-		pts.Labels[i] = int32(label)
+		pts.Labels[i] = uint8(label)
 	}
 	return &chiSquareWorkload{points: pts}, nil
 }
@@ -308,7 +308,7 @@ func newNaiveBayes(cfg core.Config) (core.Workload, error) {
 			}
 			f[j] = uint8(base + rng.Intn(3))
 		}
-		pts.Labels[i] = int32(label)
+		pts.Labels[i] = uint8(label)
 	}
 	return &naiveBayesWorkload{points: pts}, nil
 }

@@ -85,7 +85,7 @@ func TestKernelPersistentFaultReturnsTaskError(t *testing.T) {
 	var ratings []Rating
 	var edges []Pair[int, int]
 	for i := range counts.Labels {
-		counts.Labels[i], points.Labels[i] = int32(i%2), int32(i%2)
+		counts.Labels[i], points.Labels[i] = uint8(i%2), uint8(i%2)
 		copy(counts.Row(i), []uint8{uint8(i % 2), uint8(i % 3)})
 		copy(points.X.Row(i), []float64{float64(i % 2), float64(i % 3)})
 		ratings = append(ratings, Rating{User: i % 8, Item: i / 8, Value: float64(i % 5)})

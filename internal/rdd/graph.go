@@ -17,12 +17,12 @@ import (
 // map[int]float64), the adjacency is stored by destination — row v of
 // the CSR lists v's in-neighbours — so every vertex pulls its new rank
 // from a sequential scan, and the per-iteration state is three dense
-// vectors.
+// vectors. The graph keeps no id table: vertex v is the v-th smallest
+// external id, which only NewGraph needs.
 type Graph struct {
-	ids      []int    // external id of each vertex, ascending
 	in       *lin.CSR // row v: the sources of v's in-edges, in input order
-	outDeg   []int32
-	dangling []int32 // vertices with no outgoing edge
+	outDeg   []int32  // one entry a vertex
+	dangling []int32  // vertices with no outgoing edge
 }
 
 // NewGraph compacts the edge list into in-edge CSR adjacency. Entries keep
@@ -32,22 +32,23 @@ func NewGraph(edges []Pair[int, int]) *Graph {
 	metrics.IncObject()
 	metrics.AddArray(4) // the CSR's flat arrays and the out-degrees
 	idx := make(map[int]int32)
-	g := &Graph{}
+	var ids []int
 	add := func(v int) {
 		if _, ok := idx[v]; !ok {
 			idx[v] = 0
-			g.ids = append(g.ids, v)
+			ids = append(ids, v)
 		}
 	}
 	for _, e := range edges {
 		add(e.Key)
 		add(e.Value)
 	}
-	sort.Ints(g.ids)
-	for i, id := range g.ids {
+	sort.Ints(ids)
+	for i, id := range ids {
 		idx[id] = int32(i)
 	}
-	n := len(g.ids)
+	n := len(ids)
+	g := &Graph{}
 	src := make([]int32, len(edges))
 	dst := make([]int32, len(edges))
 	g.outDeg = make([]int32, n)
@@ -66,7 +67,7 @@ func NewGraph(edges []Pair[int, int]) *Graph {
 }
 
 // NumVertices returns the number of distinct vertices.
-func (g *Graph) NumVertices() int { return len(g.ids) }
+func (g *Graph) NumVertices() int { return len(g.outDeg) }
 
 // prState is the per-run PageRank working set — the rank vectors and the
 // per-vertex outgoing share — allocated once per PageRank call and reused

@@ -15,48 +15,50 @@ import (
 // flat training set, built once at workload setup, in place: Points, one
 // float64 matrix, for the Gaussian features of logistic regression and
 // the decision tree; Counts, one byte a feature, for the category codes
-// and occurrence counts of chi-square and naive Bayes. The kernels run
+// and occurrence counts of chi-square and naive Bayes. Both keep one byte
+// a label: every workload has two or three classes. The kernels run
 // chunked parallel-for passes (forRetry) on the shared work-stealing
 // executor, the counting and gradient passes into flat per-chunk float64
 // tables merged in fixed chunk order (foldChunks) — so results are
 // deterministic at any GOMAXPROCS, and counting from bytes gives the bits
 // counting from float64s gave (integer sums are exact). Chunk c covers
 // rows [c·n/parts, (c+1)·n/parts): the partition split of
-// Parallelize(·, 8), the seed kernels' aggregation order. Accuracy scores
-// a fitted model over the same chunks.
+// Parallelize(·, 8), the seed kernels' aggregation order. The decision
+// tree makes one such pass over a node's rows, row by row, into per-chunk
+// int32 histograms. Accuracy scores a fitted model over the same chunks.
 
 // Points is a labeled training set in flat storage: row i of X holds
-// point i's features and Labels[i] its class. It is the layout of the
-// stacked InstanceBlock that Spark ML (3.1 and later) trains its linear
-// models on: one contiguous feature matrix plus a label vector, with no
-// per-point object for the collector to trace.
+// point i's features and Labels[i] its class, 0–255. It is the layout of
+// the stacked InstanceBlock that Spark ML (3.1 and later) trains its
+// linear models on: one contiguous feature matrix plus a label vector,
+// with no per-point object for the collector to trace.
 type Points struct {
 	X      *lin.Mat
-	Labels []int32
+	Labels []uint8
 }
 
 // NewPoints allocates a zeroed training set of n points with dim features
 // each; the caller fills X.Row(i) and Labels[i].
 func NewPoints(n, dim int) *Points {
 	metrics.AddArray(2)
-	return &Points{X: lin.NewMat(n, dim), Labels: make([]int32, n)}
+	return &Points{X: lin.NewMat(n, dim), Labels: make([]uint8, n)}
 }
 
 // Counts is a labeled training set of small non-negative integers —
 // category codes or occurrence counts, 0–255 — one byte a feature: X is
 // row-major n×Dim, row i holds point i's features and Labels[i] its
-// class. It is Points' layout at an eighth of the feature bytes.
+// class, 0–255. It is Points' layout at an eighth of the feature bytes.
 type Counts struct {
 	X      []uint8
 	Dim    int
-	Labels []int32
+	Labels []uint8
 }
 
 // NewCounts allocates a zeroed training set of n points with dim features
 // each; the caller fills Row(i) and Labels[i].
 func NewCounts(n, dim int) *Counts {
 	metrics.AddArray(2)
-	return &Counts{X: make([]uint8, n*dim), Dim: dim, Labels: make([]int32, n)}
+	return &Counts{X: make([]uint8, n*dim), Dim: dim, Labels: make([]uint8, n)}
 }
 
 // Row returns point i's features, capacity-clipped like lin.Mat.Row.
@@ -98,7 +100,7 @@ func foldChunks(tab *lin.Mat, n, width int, fold func(acc []float64, lo, hi int)
 // recompute budget (an attempt overwrites its own slot, so a retry never
 // double-counts) and the counts sum in chunk order; predict must be safe
 // to call concurrently. An empty label set returns ErrEmpty.
-func Accuracy(labels []int32, predict func(i int) int) (float64, error) {
+func Accuracy(labels []uint8, predict func(i int) int) (float64, error) {
 	n := len(labels)
 	if n == 0 {
 		return 0, ErrEmpty
@@ -172,7 +174,7 @@ type NaiveBayesModel struct {
 // chunk folds its rows into one flat table of numClasses×(numFeatures+1)
 // floats (class count in column 0, feature totals after), replacing the
 // seed's per-partition struct of nested slices; tables merge in chunk
-// order. Points with an out-of-range label are skipped, as in the seed.
+// order. Points with a label ≥ numClasses are skipped, as in the seed.
 func NaiveBayes(points *Counts, numClasses int) (*NaiveBayesModel, error) {
 	labels := points.Labels
 	n, numFeatures := len(labels), points.Dim
@@ -182,7 +184,7 @@ func NaiveBayes(points *Counts, numClasses int) (*NaiveBayesModel, error) {
 	res, err := foldChunks(lin.NewMat(mlParts(n), lin.PadStride(width)), n, width, func(acc []float64, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			l := int(labels[i])
-			if l < 0 || l >= numClasses {
+			if l >= numClasses {
 				continue
 			}
 			row := acc[l*stride : (l+1)*stride]
@@ -272,7 +274,7 @@ func ChiSquare(points *Counts, numClasses, numBuckets int) ([]float64, error) {
 	res, err := foldChunks(lin.NewMat(mlParts(n), lin.PadStride(width)), n, width, func(acc []float64, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			l := int(labels[i])
-			if l < 0 || l >= numClasses {
+			if l >= numClasses {
 				continue
 			}
 			for f, v := range points.Row(i) {
@@ -343,72 +345,151 @@ func (n *TreeNode) Predict(features []float64) int {
 }
 
 // DecisionTree fits a CART-style classification tree: at every node the
-// Gini-best (feature, threshold) split is selected from per-feature
-// histograms computed in parallel over the features — the dec-tree
-// benchmark kernel. Tree nodes work on index subsets of the flat training
-// set: one int32 index array for the whole tree, which every split
-// partitions in place (node by node, each node's subset is a contiguous
-// range of it), so every histogram fill walks one flat column-strided
-// array and no node copies points or allocates index slices. Every label
-// must lie in [0, numClasses): the histograms index by it.
+// Gini-best (feature, threshold) split is selected from histograms of
+// treeHistogramBins equal-width bins between each feature's minimum and
+// maximum over the node's points — the dec-tree benchmark kernel. Tree
+// nodes work on index subsets of the flat training set: one int32 index
+// array for the whole tree, which every split partitions in place (node by
+// node, each node's subset is a contiguous range of it), so no node copies
+// points or allocates index slices. A node costs one parallel pass over
+// its rows (search). The class counts and per-feature [lo, hi] that pass
+// bins by come from the parent's partition pass, and the root's from the
+// pass here, which also checks the labels: every label must be below
+// numClasses, since the histograms index by it.
 func DecisionTree(points *Points, numClasses, maxDepth, minLeaf int) (*TreeNode, error) {
 	n := points.X.Rows
 	if n == 0 {
 		return nil, ErrEmpty
 	}
-	for i, l := range points.Labels {
-		if l < 0 || int(l) >= numClasses {
-			return nil, fmt.Errorf("rdd: decision tree: point %d has label %d outside [0, %d)", i, l, numClasses)
-		}
-	}
 	if minLeaf < 1 {
 		minLeaf = 1
 	}
-	metrics.AddArray(2)
+	t := newTreeBuilder(points, numClasses, minLeaf)
+	metrics.IncArray()
 	idx := make([]int32, n)
-	for i := range idx {
+	root := t.level(0, maxDepth > 1)[0]
+	for i, l := range points.Labels {
+		if int(l) >= numClasses {
+			return nil, fmt.Errorf("rdd: decision tree: point %d has label %d outside [0, %d)", i, l, numClasses)
+		}
 		idx[i] = int32(i)
+		root.add(points.X.Row(i), l)
 	}
-	t := &treeBuilder{
-		x: points.X, labels: points.Labels, numClasses: numClasses, minLeaf: minLeaf,
-		spill: make([]int32, n),
-	}
-	root := t.grow(idx, maxDepth)
+	tree := t.grow(idx, 0, maxDepth, root)
 	if t.err != nil {
 		return nil, t.err
 	}
-	return root, nil
+	return tree, nil
 }
 
 const treeHistogramBins = 16
 
-// treeBuilder carries the flat training set through the recursion.
+// treeBuilder carries the flat training set and the fit's scratch through
+// the recursion. The recursion is sequential, so one set of buffers
+// serves every node.
 type treeBuilder struct {
 	x          *lin.Mat
-	labels     []int32
+	labels     []uint8
 	numClasses int
 	minLeaf    int
-	// spill holds the right side of the split in progress; the recursion
-	// is sequential, so one buffer serves every node.
-	spill []int32
-	err   error // the first failed split search: no node splits after it
+	spill      []int32        // the right side of the split in progress
+	hist       []int32        // per-chunk [feature][bin][class] tables, histStride apart
+	histStride int            // one table's width padded onto its own cache lines
+	bins       []binning      // the node's features with a range
+	leftCounts []int          // the Gini sweep's class counts left of a boundary
+	levels     [][2]nodeStats // the statistics of the nodes being built, by level
+	err        error          // the first failed split search: no node splits after it
 }
 
-// split is one feature's best histogram split.
+func newTreeBuilder(points *Points, numClasses, minLeaf int) *treeBuilder {
+	width := points.X.Cols * treeHistogramBins * numClasses
+	stride := (width+15)&^15 + 16 // lin.PadStride for 4-byte cells
+	metrics.AddArray(4)
+	return &treeBuilder{
+		x: points.X, labels: points.Labels, numClasses: numClasses, minLeaf: minLeaf,
+		spill:      make([]int32, points.X.Rows),
+		hist:       make([]int32, defaultPartitions*stride),
+		histStride: stride,
+		bins:       make([]binning, 0, points.X.Cols),
+		leftCounts: make([]int, numClasses),
+	}
+}
+
+// nodeStats is what a node's split search needs besides its rows: the
+// class counts and each feature's [lo, hi] over its points. lo and hi are
+// nil for a node its depth makes a leaf.
+type nodeStats struct {
+	counts []int
+	lo, hi []float64
+}
+
+// level returns cleared statistics for the left and the right node k
+// levels below the root (the root is level 0's left node). The recursion
+// is depth first, so one pair of siblings a level is built at a time, and
+// a level's pair is allocated once, when the tree first grows that deep.
+// bounds says whether the nodes may split and so need the per-feature
+// [lo, hi].
+func (t *treeBuilder) level(k int, bounds bool) [2]nodeStats {
+	if k == len(t.levels) {
+		nc, f := t.numClasses, t.x.Cols
+		metrics.AddArray(2)
+		counts, b := make([]int, 2*nc), make([]float64, 4*f)
+		t.levels = append(t.levels, [2]nodeStats{
+			{counts[:nc:nc], b[:f:f], b[f : 2*f : 2*f]},
+			{counts[nc:], b[2*f : 3*f : 3*f], b[3*f:]},
+		})
+	}
+	pair := t.levels[k]
+	for s := range pair {
+		clear(pair[s].counts)
+		if !bounds {
+			pair[s].lo, pair[s].hi = nil, nil
+			continue
+		}
+		for j := range pair[s].lo {
+			pair[s].lo[j], pair[s].hi[j] = math.Inf(1), math.Inf(-1)
+		}
+	}
+	return pair
+}
+
+// add counts a point of class l with features row into the statistics.
+func (s *nodeStats) add(row []float64, l uint8) {
+	s.counts[l]++
+	if s.lo == nil {
+		return
+	}
+	lo, hi := s.lo[:len(row)], s.hi[:len(row)]
+	for f, v := range row {
+		if v < lo[f] {
+			lo[f] = v
+		}
+		if v > hi[f] {
+			hi[f] = v
+		}
+	}
+}
+
+// binning maps feature f's values onto a node's histogram bins:
+// int((v-lo)/width), the last bin closed.
+type binning struct {
+	f         int
+	lo, width float64
+}
+
+// split is a Gini-best split; feature is -1 when none was found.
 type split struct {
 	gini      float64
 	feature   int
 	threshold float64
 }
 
-func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
-	counts := make([]int, t.numClasses)
-	for _, i := range idx {
-		counts[t.labels[i]]++
-	}
+// grow fits the subtree of the node k levels below the root, of the
+// given depth budget, over the points idx with statistics st.
+func (t *treeBuilder) grow(idx []int32, k, depth int, st nodeStats) *TreeNode {
 	majority, best := 0, -1
 	pure := true
-	for c, n := range counts {
+	for c, n := range st.counts {
 		if n > best {
 			majority, best = c, n
 		}
@@ -420,47 +501,33 @@ func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
 		metrics.IncObject()
 		return &TreeNode{Prediction: majority}
 	}
-
-	numFeatures := t.x.Cols
-	// Histogram split search, parallel per feature on the shared
-	// work-stealing executor (the data-parallel inner loop of MLlib's
-	// tree trainer). Results land in a fixed per-feature slot, so the
-	// arg-min below is deterministic and a retried feature overwrites
-	// only its own slot.
-	metrics.IncArray()
-	results := make([]split, numFeatures)
-	if err := forRetry(numFeatures, 1, func(flo, fhi int) {
-		metrics.AddIDynamic(int64(fhi - flo))
-		for f := flo; f < fhi; f++ {
-			results[f] = t.bestSplit(idx, f, counts)
-		}
-	}); err != nil {
+	s, err := t.search(idx, st)
+	if err != nil {
 		t.err = err
 		return nil
 	}
-	bestGini := math.Inf(1)
-	bestFeature, bestThreshold := -1, 0.0
-	for _, s := range results {
-		if s.gini < bestGini {
-			bestGini, bestFeature, bestThreshold = s.gini, s.feature, s.threshold
-		}
-	}
-	if bestFeature < 0 {
+	if s.feature < 0 {
 		metrics.IncObject()
 		return &TreeNode{Prediction: majority}
 	}
 
 	// Stable in-place partition: the left side compacts to the front of
 	// idx, the right side goes through the spill buffer to the back, both
-	// in their original order.
+	// in their original order. The children's statistics are gathered on
+	// the way, in that order; a child at depth 1 is a leaf and needs no
+	// bounds.
+	c := t.level(k+1, depth > 2)
 	nl, nr := 0, 0
 	for _, i := range idx {
-		if t.x.At(int(i), bestFeature) <= bestThreshold {
+		row := t.x.Row(int(i))
+		if row[s.feature] <= s.threshold {
 			idx[nl] = i
 			nl++
+			c[0].add(row, t.labels[i])
 		} else {
 			t.spill[nr] = i
 			nr++
+			c[1].add(row, t.labels[i])
 		}
 	}
 	copy(idx[nl:], t.spill[:nr])
@@ -470,59 +537,81 @@ func (t *treeBuilder) grow(idx []int32, depth int) *TreeNode {
 	}
 	metrics.IncObject()
 	return &TreeNode{
-		Feature:   bestFeature,
-		Threshold: bestThreshold,
-		Left:      t.grow(idx[:nl], depth-1),
-		Right:     t.grow(idx[nl:], depth-1),
+		Feature:   s.feature,
+		Threshold: s.threshold,
+		Left:      t.grow(idx[:nl], k+1, depth-1, c[0]),
+		Right:     t.grow(idx[nl:], k+1, depth-1, c[1]),
 	}
 }
 
-// bestSplit scans feature f over the node's points: one pass for the
-// range, one histogram fill into a flat [bin][class] table, then the
-// Gini sweep over bin boundaries — the same arithmetic as the seed, over
-// flat storage.
-func (t *treeBuilder) bestSplit(idx []int32, f int, counts []int) split {
-	nc := t.numClasses
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, i := range idx {
-		v := t.x.At(int(i), f)
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
+// search returns the node's Gini-best split, or the final
+// *forkjoin.TaskError of a chunk that spent its recompute budget. It is
+// one chunked parallel pass over the node's points in row order (the
+// data-parallel inner loop of MLlib's tree trainer): chunk c of
+// mlParts(len(idx)), rows [c·n/parts, (c+1)·n/parts) as in foldChunks,
+// clears its own [feature][bin][class] table and bins each of its rows
+// into every feature that has a range, reading the row once. The tables
+// sum into chunk 0's; integer sums are exact in any order. The Gini
+// sweep then runs feature by feature, and a later feature wins only with
+// a strictly lower impurity. A constant feature (hi <= lo) has no split.
+func (t *treeBuilder) search(idx []int32, st nodeStats) (split, error) {
+	bins := t.bins[:0]
+	for f, lo := range st.lo {
+		if hi := st.hi[f]; hi > lo {
+			bins = append(bins, binning{f, lo, (hi - lo) / treeHistogramBins})
 		}
 	}
-	if hi <= lo {
-		return split{gini: math.Inf(1)}
+	best := split{gini: math.Inf(1), feature: -1}
+	if len(bins) == 0 {
+		return best, nil
 	}
-	var hist [treeHistogramBins * 8]int32 // flat [bin][class], stack-backed for nc <= 8
-	h := hist[:]
-	if nc > 8 {
-		h = make([]int32, treeHistogramBins*nc)
-	} else {
-		h = h[:treeHistogramBins*nc]
+	nc, n := t.numClasses, len(idx)
+	width := t.x.Cols * treeHistogramBins * nc
+	parts := mlParts(n)
+	if err := forRetry(parts, 1, func(c, _ int) {
+		h := t.hist[c*t.histStride:][:width]
 		clear(h)
-	}
-	binWidth := (hi - lo) / treeHistogramBins
-	for _, i := range idx {
-		b := int((t.x.At(int(i), f) - lo) / binWidth)
-		if b >= treeHistogramBins {
-			b = treeHistogramBins - 1
+		lo, hi := c*n/parts, (c+1)*n/parts
+		metrics.AddIDynamic(int64(hi - lo))
+		for _, i := range idx[lo:hi] {
+			row := t.x.Row(int(i))
+			l := int(t.labels[i])
+			for _, bn := range bins {
+				b := int((row[bn.f] - bn.lo) / bn.width)
+				if b >= treeHistogramBins {
+					b = treeHistogramBins - 1
+				}
+				h[(bn.f*treeHistogramBins+b)*nc+l]++
+			}
 		}
-		h[b*nc+int(t.labels[i])]++
+	}); err != nil {
+		return split{}, err
 	}
-	bestLocal := split{gini: math.Inf(1)}
-	var leftCounts [8]int
-	lc := leftCounts[:]
-	if nc > 8 {
-		lc = make([]int, nc)
-	} else {
-		lc = lc[:nc]
-		clear(lc)
+	h := t.hist[:width]
+	for c := 1; c < parts; c++ {
+		for k, v := range t.hist[c*t.histStride:][:width] {
+			h[k] += v
+		}
 	}
+	fw := treeHistogramBins * nc
+	for _, bn := range bins {
+		if s := t.sweep(h[bn.f*fw:][:fw], st.counts, n, bn); s.gini < best.gini {
+			best = s
+		}
+	}
+	return best, nil
+}
+
+// sweep returns the Gini-best boundary of one feature's [bin][class]
+// histogram h over a node of total points with class counts counts: the
+// weighted impurity of both sides at every boundary between bins, the
+// first of equal ones kept.
+func (t *treeBuilder) sweep(h []int32, counts []int, total int, bn binning) split {
+	nc := t.numClasses
+	lc := t.leftCounts
+	clear(lc)
+	best := split{gini: math.Inf(1), feature: -1}
 	leftN := 0
-	total := len(idx)
 	for b := 0; b < treeHistogramBins-1; b++ {
 		for c := 0; c < nc; c++ {
 			lc[c] += int(h[b*nc+c])
@@ -540,9 +629,9 @@ func (t *treeBuilder) bestSplit(idx []int32, f int, counts []int) split {
 			gr -= pr * pr
 		}
 		weighted := (float64(leftN)*gl + float64(rightN)*gr) / float64(total)
-		if weighted < bestLocal.gini {
-			bestLocal = split{weighted, f, lo + binWidth*float64(b+1)}
+		if weighted < best.gini {
+			best = split{weighted, bn.f, bn.lo + bn.width*float64(b+1)}
 		}
 	}
-	return bestLocal
+	return best
 }

@@ -145,9 +145,10 @@ func treeNodes(n *TreeNode) int {
 }
 
 // TestDecisionTreeAllocBytes: beyond the per-node work (the node, its
-// class counts, split results and parallel-for), a fit allocates the
-// index array and the spill buffer, 4 bytes a point each. Splits
-// partition the index in place.
+// children's class counts and feature bounds, and its parallel-for), a
+// fit allocates the index array and the spill buffer, 4 bytes a point
+// each, and the per-chunk histogram tables once. Splits partition the
+// index in place.
 func TestDecisionTreeAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -163,4 +164,54 @@ func TestDecisionTreeAllocBytes(t *testing.T) {
 	if limit := uint64(8*n + perNode*nodes); got > limit {
 		t.Fatalf("DecisionTree allocated %d B over %d points and %d nodes, want <= %d", got, n, nodes, limit)
 	}
+}
+
+// TestTrainingSetBytesGate: a label is one byte. NewCounts(n, d) and
+// NewPoints(n, d) allocate the features, n bytes of labels and their
+// headers, nothing more per point.
+func TestTrainingSetBytesGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n, d, headers = 1 << 16, 4, 256
+	var counts *Counts
+	var points *Points
+	if got := allocBytesPerRun(5, func() { counts = NewCounts(n, d) }); got > n*d+n+headers {
+		t.Errorf("NewCounts(%d, %d): %d bytes, want <= %d features + %d labels + %d", n, d, got, n*d, n, headers)
+	}
+	if got := allocBytesPerRun(5, func() { points = NewPoints(n, d) }); got > 8*n*d+n+headers {
+		t.Errorf("NewPoints(%d, %d): %d bytes, want <= %d features + %d labels + %d", n, d, got, 8*n*d, n, headers)
+	}
+	if len(counts.Labels) != n || len(points.Labels) != n {
+		t.Errorf("label arrays hold %d and %d labels, want %d", len(counts.Labels), len(points.Labels), n)
+	}
+}
+
+// TestGraphBytesGate: a Graph retains its in-edge CSR, the out-degrees
+// and the dangling list, and nothing else per vertex. The sorted
+// external ids and the id → vertex map are NewGraph's scratch; vertex v
+// is the v-th smallest id.
+func TestGraphBytesGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	edges := webEdges(rand.New(rand.NewSource(5)), 1<<15)
+	edges = append(edges, KV(1<<20, 1<<21)) // two more vertices, one dangling
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := NewGraph(edges)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	// Each array rounded up to whole 8 KiB pages, plus the headers.
+	arrays := int64(4 * (cap(g.in.RowPtr) + cap(g.in.Col) + cap(g.outDeg) + cap(g.dangling)))
+	if limit := arrays + 4*8192 + 512; retained > limit {
+		t.Errorf("NewGraph over %d vertices retains %d bytes, want <= %d (CSR, out-degrees, dangling list)",
+			g.NumVertices(), retained, limit)
+	}
+	if g.NumVertices() != 1<<15+2 || len(g.dangling) != 1 {
+		t.Errorf("graph has %d vertices and %d dangling, want %d and 1", g.NumVertices(), len(g.dangling), 1<<15+2)
+	}
+	runtime.KeepAlive(edges)
 }

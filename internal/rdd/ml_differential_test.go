@@ -381,17 +381,30 @@ func TestPageRankDifferentialSparseIDs(t *testing.T) {
 
 // pageRankByID runs Graph.PageRank over the edge list and keys every
 // vertex's rank by its external id: entry i of the slice belongs to the
-// i-th smallest id.
+// i-th smallest id of the edge list (the graph keeps no id table).
 func pageRankByID(t *testing.T, edges []Pair[int, int], iterations int, damping float64) map[int]float64 {
 	t.Helper()
-	g := NewGraph(edges)
-	ranks, err := g.PageRank(iterations, damping)
+	seen := make(map[int]bool)
+	var ids []int
+	for _, e := range edges {
+		for _, v := range []int{e.Key, e.Value} {
+			if !seen[v] {
+				seen[v] = true
+				ids = append(ids, v)
+			}
+		}
+	}
+	sort.Ints(ids)
+	ranks, err := NewGraph(edges).PageRank(iterations, damping)
 	if err != nil {
 		t.Fatalf("PageRank: %v", err)
 	}
-	out := make(map[int]float64, g.NumVertices())
+	if len(ranks) != len(ids) {
+		t.Fatalf("PageRank ranked %d vertices, the edge list has %d ids", len(ranks), len(ids))
+	}
+	out := make(map[int]float64, len(ids))
 	for i, r := range ranks {
-		out[g.ids[i]] = r
+		out[ids[i]] = r
 	}
 	return out
 }
@@ -612,11 +625,11 @@ func TestAccuracyDifferential(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, n := range []int{1, 7, 8, 9, 1000} {
 			rng := rand.New(rand.NewSource(int64(n)))
-			labels := make([]int32, n)
+			labels := make([]uint8, n)
 			preds := make([]int, n)
 			correct := 0
 			for i := range labels {
-				labels[i], preds[i] = int32(rng.Intn(3)), rng.Intn(3)
+				labels[i], preds[i] = uint8(rng.Intn(3)), rng.Intn(3)
 				if preds[i] == int(labels[i]) {
 					correct++
 				}

@@ -297,10 +297,9 @@ func TestDecisionTree(t *testing.T) {
 		t.Errorf("accuracy = %.2f", acc)
 	}
 
-	// The histograms index by label, so a label outside [0, numClasses)
-	// is rejected up front instead of landing in a neighbouring bin's
-	// cell (numClasses) or out of range (-1).
-	for _, bad := range []int32{-1, 2} {
+	// The histograms index by label, so a label at or above numClasses is
+	// rejected up front instead of landing in a neighbouring bin's cell.
+	for _, bad := range []uint8{2, 255} {
 		pts := pointsOf(points)
 		pts.Labels[7] = bad
 		if tree, err := DecisionTree(pts, 2, 4, 1); err == nil || tree != nil {

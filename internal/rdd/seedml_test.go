@@ -40,7 +40,7 @@ func pointsOf(pts []LabeledPoint) *Points {
 			panic("pointsOf: ragged feature vectors")
 		}
 		copy(out.X.Row(i), p.Features)
-		out.Labels[i] = int32(p.Label)
+		out.Labels[i] = uint8(p.Label)
 	}
 	return out
 }
@@ -66,7 +66,7 @@ func countsOf(pts []LabeledPoint) *Counts {
 			}
 			row[j] = uint8(v)
 		}
-		out.Labels[i] = int32(p.Label)
+		out.Labels[i] = uint8(p.Label)
 	}
 	return out
 }

@@ -160,6 +160,7 @@ var surfaceProbeOnly = map[string]string{
 	"lin.Syr":     "lin.syr_ns_per_elem",
 	"lin.Syrk":    "lin.cholesky_us",
 	"lin.Mat.Set": "lin.cholesky_us",
+	"lin.Mat.At":  "lin.cholesky_us",
 
 	"graphdb.Graph.Neighbors": "graphdb.traverse_ns_per_edge",
 	"graphdb.countType":       "graphdb.traverse_ns_per_edge",

@@ -55,7 +55,7 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts|FuzzTreeSplit|TaskGraph'
 STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir ./internal/lin ./internal/memdb ./internal/taskbench
 
-.PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh work-fresh sim-fresh chaos smoke analyze rbench loc
+.PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh work-fresh sim-fresh chaos smoke fuzz analyze rbench loc
 
 check: fmt vet build test test-rbench race stress-fragments ck-fresh work-fresh sim-fresh
 
@@ -91,6 +91,21 @@ stress-fragments:
 	@names=$$($(GO) test -list . $(STRESS_PKGS) | grep -E '^(Test|Fuzz)'); \
 	for frag in $$(echo $(STRESS_RUN) | tr '|' ' '); do \
 		echo "$$names" | grep -q "$$frag" || { echo "STRESS_RUN fragment '$$frag' matches no test in STRESS_PKGS"; exit 1; }; \
+	done
+
+# Fuzzing beyond the seeds: each fuzz target with a committed corpus
+# (testdata/fuzz/<target>) runs for 30 s on two workers — the mpsc
+# queue against a slice model with pushes held mid-link (the queue under
+# every actor mailbox and every fork–join inject queue), the rvm/ir
+# verifier against tier-0, tier-1 and the IR executor, and the decision
+# tree's row-major split against the per-feature search. A failing input
+# lands in that corpus directory; commit it with the fix.
+FUZZ_TARGETS = ./internal/mpsc:FuzzQueueOps ./internal/rvm/ir:FuzzVerify ./internal/rdd:FuzzTreeSplit
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "== fuzz $$name ($$pkg, 30s)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 30s -parallel 2 $$pkg || exit 1; \
 	done
 
 # Chaos sweep: run the renaissance suite with seeded fault injection at

@@ -1,8 +1,8 @@
 // Package actors implements a message-passing actor runtime in the style of
 // Akka and the Reactors framework, used by the akka-uct and reactors
 // benchmarks (Table 1: "actors, message-passing"). Actors own a mailbox,
-// process one message at a time, and are multiplexed over a fixed pool of
-// scheduler workers.
+// process one message at a time, and are multiplexed over the workers of a
+// fork–join pool, as Akka's default dispatcher runs on a ForkJoinPool.
 //
 // The runtime is lock-free on the per-message hot path:
 //
@@ -11,36 +11,37 @@
 //     plus one atomic link store, and the consuming worker drains a batch
 //     without taking a lock per message, with one CAS when it takes the
 //     last queued message.
-//   - Runnable actors are distributed over per-worker Chase–Lev deques
-//     with work stealing, a lock-free inject queue for sends that
-//     originate off the scheduler, and a park protocol for idle workers:
-//     forkjoin.Sched, the scheduling core the fork–join pool runs on too.
-//     The System keeps its own workers, which run actors' message batches,
-//     not pool tasks.
-//   - The quiescence counter is striped into versioned per-worker cells and
-//     summed with a double-collect scan (see quiesce.go), so in-flight
-//     accounting never contends on one cache line.
+//   - An actor with mail is a forkjoin.Job: its message batch runs on a
+//     worker of the System's private forkjoin.Pool. A send from inside a
+//     Receive pushes the receiver onto the sending worker's own deque; a
+//     send from outside, a fairness requeue and a restart after backoff
+//     go on the pool's inject queue. The runtime has no worker loop, run
+//     queue or park protocol of its own: finding, stealing and parking
+//     are the pool's.
+//   - The quiescence counter is striped into versioned cells, one per pool
+//     worker, and summed with a double-collect scan (see quiesce.go), so
+//     in-flight accounting never contends on one cache line.
 //
 // Actor names are caller-side labels: Spawn takes one so call sites read
 // like Akka's, but the runtime keeps no registry and does not store it.
 // Any number of live actors may share a name; a Ref is the only identity.
 //
-// A spawn is one allocation, the Ref: the behavior, the mailbox and the
-// fault domain (supervisor and strategy) are its fields, and an empty
-// mailbox owns no queue node. akka-uct spawns an actor per tree node, so
-// this is the runtime's whole cost of a node.
+// A spawn is one allocation, the Ref: the behavior, the mailbox, the deque
+// slot and the fault domain (supervisor and strategy) are its fields, and
+// an empty mailbox owns no queue node. akka-uct spawns an actor per tree
+// node, so this is the runtime's whole cost of a node.
 //
 // Per-message metric semantics (kept deterministic so PCA runs compare
 // across versions): each send bumps atomic by 3 (in-flight stripe, mailbox
 // swap, schedule CAS), each delivery bumps method by 1 (dispatch into the
-// behavior) and atomic by 1 (in-flight decrement). Steals, parks, and
-// notifies are scheduling events and are counted as they occur.
+// behavior) and atomic by 1 (in-flight decrement). The pool counts no
+// steal and no park; a quiescence waiter's park and the notify that wakes
+// it are counted as they occur.
 package actors
 
 import (
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"renaissance/internal/forkjoin"
@@ -66,23 +67,16 @@ type ReceiverFunc func(ctx *Context, msg any)
 // Receive calls the function.
 func (f ReceiverFunc) Receive(ctx *Context, msg any) { f(ctx, msg) }
 
-// System is an actor system: per-worker run queues served by parked-when-idle
-// worker goroutines, plus striped in-flight accounting for quiescence
+// System is an actor system: a private fork–join pool that runs actors'
+// message batches, plus striped in-flight accounting for quiescence
 // detection.
 type System struct {
-	workers []*worker
-	// sched holds the workers' deques of runnable actors, the inject
-	// queue for actors scheduled off the workers, and the park protocol.
-	sched   forkjoin.Sched[*Ref, Ref]
-	done    chan struct{}
-	wg      sync.WaitGroup
+	pool    *forkjoin.Pool
 	stopped atomic.Bool
-	// Steals counts successful run-queue steals; the adversarial suite
-	// reads it to prove work does not stay pinned to one worker.
-	Steals atomic.Int64
 
-	cells     []quiesceCell // quiesceCellCount(workers) of them
-	cellMask  int
+	// lanes holds one lane per pool worker, by Worker.Index (see
+	// quiesce.go).
+	lanes     []lane
 	waiters   atomic.Int64
 	quiesceCh chan struct{}
 
@@ -93,37 +87,25 @@ type System struct {
 	rootFails atomic.Int64
 }
 
-// The node pools are shared by every System in the process, so the nodes
-// of one System's drained mailboxes serve the next: a workload that builds
-// a System per iteration does not refill a fresh pool each time.
-var (
-	envPool    = mpsc.NewPool[envelope]()
-	injectPool = mpsc.NewPool[*Ref]()
-)
+// envPool is the mailboxes' node pool, shared by every System in the
+// process, so the nodes of one System's drained mailboxes serve the next:
+// a workload that builds a System per iteration does not refill a fresh
+// pool each time.
+var envPool = mpsc.NewPool[envelope]()
 
-// NewSystem creates an actor system with the given number of scheduler
-// workers (0 means GOMAXPROCS).
+// NewSystem creates an actor system on a private pool of the given number
+// of workers (0 means GOMAXPROCS).
 func NewSystem(workers int) *System {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &System{
-		done:      make(chan struct{}),
+		pool:      forkjoin.NewPool(workers),
+		lanes:     make([]lane, workers),
 		quiesceCh: make(chan struct{}, 1),
 	}
-	s.cells = make([]quiesceCell, quiesceCellCount(workers))
-	s.cellMask = len(s.cells) - 1
-	s.workers = make([]*worker, workers)
-	deques := make([]*forkjoin.Deque[Ref], workers)
-	for i := range s.workers {
-		w := &worker{sys: s, cell: i & s.cellMask, seq: uint64(i) << 32}
-		w.ctx = Context{sys: s, w: w}
-		s.workers[i], deques[i] = w, &w.dq
-	}
-	s.sched.Init(deques, injectPool)
-	for _, w := range s.workers {
-		s.wg.Add(1)
-		go w.run()
+	for i := range s.lanes {
+		s.lanes[i].ctx.sys = s
 	}
 	return s
 }
@@ -142,6 +124,7 @@ func (s *System) spawn(r Receiver, opts SpawnOpts) *Ref {
 	metrics.IncObject() // the actor itself
 	ref := &Ref{sys: s, recv: r, supervisor: opts.Supervisor, strategy: opts.Strategy}
 	ref.mb.Init(envPool)
+	ref.slot = forkjoin.NewSlot(ref)
 	return ref
 }
 
@@ -154,80 +137,24 @@ func (s *System) Shutdown() {
 		return
 	}
 	s.AwaitQuiescence()
-	close(s.done)
-	s.wg.Wait()
+	s.pool.Close()
 }
 
-type worker struct {
-	sys  *System
-	cell int // pinned in-flight stripe, see quiesce.go
-	dq   forkjoin.Deque[Ref]
-	seq  uint64  // steal-start counter, distinct per worker
-	ctx  Context // reused across deliveries; valid only inside Receive
-}
-
-// injectBatch bounds how many runnable actors one worker moves from the
-// inject queue to its own deque per poll: enough to amortize the consumer
-// latch, few enough that peers find surplus to steal.
-const injectBatch = 16
-
-func (w *worker) run() {
-	s := w.sys
-	defer s.wg.Done()
-	for {
-		if r := w.findRunnable(); r != nil {
-			r.processBatch(w)
-			continue
-		}
-		// Nothing visible anywhere. If a quiescence waiter is parked, this
-		// is exactly the moment the in-flight sum may have reached zero —
-		// signal it before parking (see quiesce.go for the protocol).
-		if s.waiters.Load() > 0 {
-			select {
-			case s.quiesceCh <- struct{}{}:
-				metrics.IncNotify()
-			default:
-			}
-		}
-		select {
-		case <-s.done:
-			return // shut down and fully drained
-		default:
-		}
-		if s.sched.Park(s.done) {
-			metrics.IncPark()
-		}
-	}
-}
-
-// findRunnable searches the worker's own deque (LIFO), then a batch of the
-// inject queue, then the other workers' deques (FIFO, a random start).
-func (w *worker) findRunnable() *Ref {
-	if r := w.dq.Pop(); r != nil {
-		return r
-	}
-	if r, n := w.sys.sched.Poll(injectBatch, w.dq.Push); n > 0 {
-		return r
-	}
-	w.seq++
-	if r := w.sys.sched.Steal(&w.dq, w.seq); r != nil {
-		w.sys.Steals.Add(1)
-		metrics.IncAtomic() // steal → atomic (a real scheduling event)
-		return r
-	}
-	return nil
-}
-
-// actor mailbox scheduling states
+// An actor's state word: whether it holds its scheduling slot (it is on a
+// deque or the inject queue, running a batch, or suspended for a backoff
+// restart), and whether it has stopped. The bits are set and cleared with
+// atomic Or and And, so a stop never clears the scheduled bit and a
+// schedule never clears the stopped one: a message that races a Stop is
+// still scheduled, and its batch dead-letters and accounts for it.
 const (
-	idle int32 = iota
-	scheduled
+	scheduledBit int32 = 1 << iota
+	stoppedBit
 )
 
 // Ref is a reference to an actor; it is the only handle other code uses to
 // communicate with it. A spawn allocates nothing else: the behavior, the
-// mailbox and the fault domain are fields (88 bytes, the 96-byte size
-// class).
+// mailbox, the deque slot and the fault domain are fields (96 bytes, a
+// size class of its own).
 type Ref struct {
 	sys *System
 	// recv is the behavior. It is set before the Ref is published and
@@ -241,11 +168,13 @@ type Ref struct {
 	// DefaultStrategy.
 	supervisor *Ref
 	strategy   Strategy
-	state      atomic.Int32
+	// slot is what a worker's deque holds while the actor is scheduled
+	// there; its job is the Ref.
+	slot  forkjoin.Slot
+	state atomic.Int32 // scheduledBit | stoppedBit
 	// restarts counts consecutive restarts; it is touched only under the
 	// actor's scheduling slot and reset by every clean delivery.
 	restarts int32
-	stopped  atomic.Bool
 }
 
 type envelope struct {
@@ -259,41 +188,64 @@ func (r *Ref) Tell(msg any) { r.enqueue(msg, nil, nil) }
 // TellFrom enqueues a message with an explicit sender reference.
 func (r *Ref) TellFrom(msg any, sender *Ref) { r.enqueue(msg, sender, nil) }
 
-// enqueue is the send hot path. w, when non-nil, is the scheduler worker on
-// whose goroutine the send executes (sends made through a Context during
-// Receive): its run queue and pinned in-flight cell are used.
-func (r *Ref) enqueue(msg any, sender *Ref, w *worker) {
-	if w != nil && w.sys != r.sys {
-		w = nil // cross-system send: the hint's queues belong elsewhere
-	}
-	if r.stopped.Load() || r.sys.stopped.Load() {
-		r.sys.deadLetter()
+// enqueue is the send hot path. c, when non-nil, is the Context of the
+// Receive the send executes in: the receiver goes on that worker's own
+// deque, and the send is counted in the worker's lane.
+func (r *Ref) enqueue(msg any, sender *Ref, c *Context) {
+	s := r.sys
+	if r.isStopped() || s.stopped.Load() {
+		s.deadLetter()
 		return
 	}
 	// Deterministic per-send accounting: in-flight bump + mailbox swap +
 	// schedule CAS, counted identically however the send is scheduled.
 	metrics.AddAtomic(3)
-	if w != nil {
-		r.sys.incInFlightAt(w.cell)
+	var w *forkjoin.Worker
+	if c != nil && c.sys == s {
+		w = c.w
+		s.lanes[w.Index()].cell.Add(packDelta(1))
 	} else {
-		r.sys.incInFlightAt(hashedCell(r.sys.cellMask))
+		// Off the pool, or a cross-system send whose worker belongs to
+		// another pool.
+		s.lanes[hashedLane(len(s.lanes))].cell.Add(packDelta(1))
 	}
 	r.mb.Push(envelope{msg, sender})
 	r.schedule(w)
 }
 
-// schedule transitions the mailbox from idle to scheduled with a CAS and
-// puts the actor on a run queue: the sending worker's own deque when the
-// send originates on the scheduler, the lock-free inject queue otherwise.
-// If the actor is already scheduled, the holder of its slot will observe
-// the new message.
-func (r *Ref) schedule(w *worker) {
-	if r.state.CompareAndSwap(idle, scheduled) {
-		if w != nil {
-			w.dq.Push(r)
-			r.sys.sched.Signal()
-		} else {
-			r.sys.sched.Push(r)
+// isStopped reports whether the actor has stopped.
+func (r *Ref) isStopped() bool { return r.state.Load()&stoppedBit != 0 }
+
+// schedule takes the actor's scheduling slot and puts the actor on a run
+// queue: worker w's own deque when the send originates on one of the
+// System's workers, the pool's inject queue otherwise. If the actor is
+// already scheduled, the holder of its slot will observe the new message.
+func (r *Ref) schedule(w *forkjoin.Worker) {
+	if r.state.Or(scheduledBit)&scheduledBit != 0 {
+		return
+	}
+	if w != nil {
+		w.Push(&r.slot)
+	} else {
+		r.sys.pool.Inject(r)
+	}
+}
+
+// Run is the actor's message batch, a job of the System's pool: the worker
+// that took the actor off a deque or the inject queue holds its
+// scheduling slot. A batch that leaves a quiescence waiter behind and its
+// worker's own deque empty wakes the waiter when the in-flight sum reads
+// zero (see quiesce.go).
+func (r *Ref) Run(w *forkjoin.Worker) {
+	s := r.sys
+	ctx := &s.lanes[w.Index()].ctx
+	ctx.w = w
+	r.processBatch(ctx)
+	if s.waiters.Load() > 0 && !w.Queued() && s.inFlightZero() {
+		select {
+		case s.quiesceCh <- struct{}{}:
+			metrics.IncNotify()
+		default:
 		}
 	}
 }
@@ -304,16 +256,16 @@ func (r *Ref) schedule(w *worker) {
 // global inject queue, behind every other runnable actor.
 const batchSize = 64
 
-// processBatch drains up to batchSize messages on worker w, which holds the
-// actor's scheduling slot. Every popped envelope is accounted with exactly
-// one messageDone, whether it was delivered, dead-lettered after a stop, or
-// consumed by the supervision machinery, and only after everything the
-// envelope causes has been published: the sends of its Receive, its dead
+// processBatch drains up to batchSize messages on the worker of ctx, which
+// holds the actor's scheduling slot. Every popped envelope is accounted
+// with exactly one messageDone, whether it was delivered, dead-lettered
+// after a stop, or consumed by the supervision machinery, and only after
+// everything the envelope causes has been published: the sends of its Receive, its dead
 // letter, and the supervision decision (an escalation enqueued on the
 // supervisor, a root failure counted). The quiescence sum depends on both:
 // a messageDone ahead of fail lets the sum reach a verified zero while
 // the failure is still climbing the tree.
-func (r *Ref) processBatch(w *worker) {
+func (r *Ref) processBatch(ctx *Context) {
 	processed := 0
 	for processed < batchSize {
 		env, ok := r.mb.Pop()
@@ -327,33 +279,33 @@ func (r *Ref) processBatch(w *worker) {
 			continue
 		}
 		processed++
-		if r.stopped.Load() {
+		if r.isStopped() {
 			// Stopped with queued messages: dead-letter them, keeping the
 			// in-flight accounting so quiescence still reaches zero.
 			r.sys.deadLetter()
-			r.sys.messageDone(w)
+			r.sys.messageDone(ctx)
 			continue
 		}
 		if esc, ok := env.msg.(escalated); ok {
 			// A child failure escalated here: apply this actor's own
 			// strategy under its own slot (see supervision.go).
-			suspended := r.fail(w, esc.err)
-			r.sys.messageDone(w)
+			suspended := r.fail(ctx, esc.err)
+			r.sys.messageDone(ctx)
 			if suspended {
 				return // suspended for a backoff restart; slot handed off
 			}
 			continue
 		}
-		failure, failed := r.deliver(w, env)
+		failure, failed := r.deliver(ctx, env)
 		if failed {
-			suspended := r.fail(w, failure)
-			r.sys.messageDone(w)
+			suspended := r.fail(ctx, failure)
+			r.sys.messageDone(ctx)
 			if suspended {
 				return // suspended for a backoff restart; slot handed off
 			}
 			continue
 		}
-		r.sys.messageDone(w)
+		r.sys.messageDone(ctx)
 		if r.restarts != 0 {
 			r.restarts = 0 // a clean delivery resets the backoff ladder
 		}
@@ -361,14 +313,14 @@ func (r *Ref) processBatch(w *worker) {
 	if processed == batchSize && !r.mb.Empty() {
 		// Fairness: keep the slot (state stays scheduled — producers must
 		// not double-enqueue us) but go to the back of the global queue.
-		r.sys.sched.Push(r)
+		r.sys.pool.Inject(r)
 		return
 	}
 	// Release the scheduling slot and reclaim it if messages raced in
 	// after the emptiness check.
-	r.state.Store(idle)
+	r.state.And(^scheduledBit)
 	if !r.mb.Empty() {
-		r.schedule(w)
+		r.schedule(ctx.w)
 	}
 }
 
@@ -377,7 +329,7 @@ func (r *Ref) processBatch(w *worker) {
 // PostStop hook, when the behavior implements it, runs exactly once on the
 // goroutine that won the stop.
 func (r *Ref) Stop() {
-	if r.stopped.Swap(true) {
+	if r.state.Or(stoppedBit)&stoppedBit != 0 {
 		return
 	}
 	if h, ok := r.recv.(PostStopper); ok {
@@ -386,14 +338,14 @@ func (r *Ref) Stop() {
 }
 
 // Context is passed to Receive and exposes the runtime to behaviors. It is
-// owned by the delivering scheduler worker and valid only for the duration
-// of the Receive invocation; behaviors that need a handle past that must
+// owned by the delivering pool worker and valid only for the duration of
+// the Receive invocation; behaviors that need a handle past that must
 // capture Self()/Sender() refs, not the Context.
 type Context struct {
 	sys    *System
 	self   *Ref
 	sender *Ref
-	w      *worker
+	w      *forkjoin.Worker
 }
 
 // Self returns the reference of the actor processing the message.
@@ -418,13 +370,13 @@ func (c *Context) SpawnWith(name string, r Receiver, opts SpawnOpts) *Ref {
 // the target on the delivering worker's own run queue — the fast path for
 // actor-to-actor sends (an Akka-style implicit sender).
 func (c *Context) Send(to *Ref, msg any) {
-	to.enqueue(msg, c.self, c.w)
+	to.enqueue(msg, c.self, c)
 }
 
 // Reply sends a message back to the sender, if there is one.
 func (c *Context) Reply(msg any) {
 	if c.sender != nil {
-		c.sender.enqueue(msg, c.self, c.w)
+		c.sender.enqueue(msg, c.self, c)
 	}
 }
 
@@ -442,6 +394,7 @@ func (r *Ref) Ask(msg any) <-chan any {
 		ctx.Self().Stop()
 	})}
 	tmp.mb.Init(envPool)
+	tmp.slot = forkjoin.NewSlot(tmp)
 	r.TellFrom(msg, tmp)
 	return reply
 }

@@ -273,17 +273,19 @@ func TestMailboxFloodDrainReleasesBuffers(t *testing.T) {
 	}
 }
 
-// The scheduler must actually steal: a single actor fanning out to children
-// fills one worker's deque, and the other workers must take from it. Forces
-// real parallelism — on one P the victim drains its own deque before a
-// thief ever gets scheduled.
+// The pool must actually steal: a single actor fanning out to children
+// fills one worker's deque, and a child delivered on another worker was
+// stolen from it (only the owner pops its deque). Forces real parallelism
+// — on one P the victim drains its own deque before a thief ever gets
+// scheduled.
 func TestStealAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	sys := NewSystem(4)
 	defer sys.Shutdown()
 
-	var hits atomic.Int64
+	var fanWorker atomic.Int64
+	var hits, stolen atomic.Int64
 	var spin atomic.Int64
 	children := make([]*Ref, 256)
 	for i := range children {
@@ -291,24 +293,82 @@ func TestStealAcrossWorkers(t *testing.T) {
 			for i := 0; i < 200; i++ { // give thieves a window
 				spin.Add(1)
 			}
+			if int64(ctx.w.Index()) != fanWorker.Load() {
+				stolen.Add(1)
+			}
 			hits.Add(1)
 		}))
 	}
 	fan := sys.Spawn("fan", ReceiverFunc(func(ctx *Context, msg any) {
+		fanWorker.Store(int64(ctx.w.Index()))
 		for _, c := range children {
 			ctx.Send(c, msg) // all land on this worker's own deque
 		}
 	}))
 
 	deadline := time.Now().Add(20 * time.Second)
-	for round := 0; sys.Steals.Load() == 0; round++ {
+	for round := 0; stolen.Load() == 0; round++ {
 		if time.Now().After(deadline) {
-			t.Fatal("no steals observed; work stays pinned to one worker")
+			t.Fatal("no child delivered off the fan's worker; work stays pinned to one worker")
 		}
 		fan.Tell(round)
 		sys.AwaitQuiescence()
 	}
 	if hits.Load() == 0 {
 		t.Fatal("no child deliveries")
+	}
+}
+
+// Stop racing the scheduling of its actor, from off the pool (Tell, the
+// inject queue) and from on it (Context.Send, a worker's deque): the stop
+// and scheduled bits share one state word, and neither may clear the
+// other. Every message must be delivered or dead-lettered exactly once,
+// and AwaitQuiescence must return. Run under -race -count=20.
+func TestStopRacingScheduleAccountsEveryMessage(t *testing.T) {
+	const perSender = 500
+	for round := 0; round < 40; round++ {
+		sys := NewSystem(2)
+		var received atomic.Int64
+		target := sys.Spawn("target", ReceiverFunc(func(*Context, any) { received.Add(1) }))
+		relay := sys.Spawn("relay", ReceiverFunc(func(ctx *Context, msg any) {
+			for i := 0; i < perSender; i++ {
+				ctx.Send(target, i)
+			}
+		}))
+
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				target.Tell(i)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			relay.Tell(nil)
+		}()
+		for i := 0; i < round%8; i++ {
+			runtime.Gosched()
+		}
+		target.Stop()
+		wg.Wait()
+
+		done := make(chan struct{})
+		go func() {
+			sys.AwaitQuiescence()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: AwaitQuiescence did not return after Stop raced the sends", round)
+		}
+		// The relay's own message is the one delivery that is not the
+		// target's.
+		if got, dead := received.Load(), sys.DeadLetterCount(); got+dead != 2*perSender {
+			t.Fatalf("round %d: %d delivered + %d dead-lettered, want %d sends accounted", round, got, dead, 2*perSender)
+		}
+		sys.Shutdown()
 	}
 }

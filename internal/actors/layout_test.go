@@ -3,7 +3,9 @@ package actors
 import (
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
@@ -53,32 +55,36 @@ func TestSpawnBytesGate(t *testing.T) {
 	}
 }
 
-// The quiescence stripes are sized to the workers: the smallest power of
-// two that gives every worker its own cell, capped at maxCells.
+// A System has one quiescence cell per pool worker, in a lane of one cache
+// line, and every delivery uses the lane of the worker that runs it.
 func TestQuiesceCellsSizedToWorkers(t *testing.T) {
-	for _, c := range []struct{ workers, cells int }{
-		{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {63, 64}, {64, 64}, {65, 64}, {1000, 64},
-	} {
-		if got := quiesceCellCount(c.workers); got != c.cells {
-			t.Errorf("quiesceCellCount(%d) = %d, want %d", c.workers, got, c.cells)
-		}
+	if got := unsafe.Sizeof(lane{}); got != 64 {
+		t.Errorf("a lane is %d bytes, want one 64-byte cache line", got)
 	}
-	sys := NewSystem(3)
-	defer sys.Shutdown()
-	if len(sys.cells) != 4 {
-		t.Fatalf("NewSystem(3) has %d cells, want 4", len(sys.cells))
-	}
-	seen := map[int]bool{}
-	for _, w := range sys.workers {
-		if seen[w.cell] {
-			t.Errorf("cell %d pinned by two workers", w.cell)
+	for _, n := range []int{1, 2, 3, 5} {
+		sys := NewSystem(n)
+		if len(sys.lanes) != n {
+			t.Errorf("NewSystem(%d) has %d cells, want %d", n, len(sys.lanes), n)
 		}
-		seen[w.cell] = true
+		var wrong atomic.Int32
+		a := sys.Spawn("probe", ReceiverFunc(func(ctx *Context, _ any) {
+			if i := ctx.w.Index(); i >= n || ctx != &sys.lanes[i].ctx {
+				wrong.Add(1)
+			}
+		}))
+		for i := 0; i < 100; i++ {
+			a.Tell(i)
+		}
+		sys.AwaitQuiescence()
+		sys.Shutdown()
+		if wrong.Load() != 0 {
+			t.Errorf("NewSystem(%d): %d deliveries ran outside their worker's lane", n, wrong.Load())
+		}
 	}
 }
 
-// A System costs what its workers need, not maxCells' 4 KB of stripes
-// nor a stub node for its inject queue: a workload that builds one per
+// A System costs what its workers need, not 4 KB of stripes nor a stub
+// node for its inject queue: a workload that builds one per
 // iteration (akka-uct builds 150 a round) pays this every time. It
 // measures 1720 bytes on linux/amd64 (go1.24); the bound leaves room for
 // the runtime's occasional extra bytes under GC.

@@ -3,12 +3,11 @@
 // The previous runtime kept one global atomic.Int64: every send and every
 // delivery in the whole system hammered the same cache line, which is the
 // synchronization-density hot spot the actor benchmarks exist to measure.
-// The counter is now striped into versioned per-worker cells:
+// The counter is now striped into versioned cells, one per pool worker:
 //
-//   - A send increments the sending worker's pinned cell (or a
-//     goroutine-hashed cell off the scheduler); a delivery decrements the
-//     delivering worker's pinned cell. Individual cells go negative —
-//     only the sum is meaningful.
+//   - A send increments the sending worker's cell (or a goroutine-hashed
+//     cell off the pool); a delivery decrements the delivering worker's
+//     cell. Individual cells go negative — only the sum is meaningful.
 //   - Each cell packs a 32-bit two's-complement net count (low half) and
 //     an update version (high half) into one uint64, so an update is still
 //     a single fetch-add: Add(1<<32 | uint32(delta)). A low-half carry may
@@ -18,17 +17,25 @@
 // A naive sum over the cells is not a consistent snapshot (counts migrate
 // between cells mid-scan and can transiently sum to zero while messages are
 // in flight), so AwaitQuiescence uses the classic double-collect: read all
-// cells, and accept a zero sum only if a second read finds every cell's
-// version unchanged — in that window no update occurred anywhere, so the
-// first read was a true snapshot. Termination therefore cannot be reported
+// cells, and accept a zero sum only if a second read finds the versions
+// unchanged — in that window no update occurred anywhere, so the first
+// read was a true snapshot. Termination therefore cannot be reported
 // early; the stress tests race AwaitQuiescence against the final deliveries
 // to hold this.
 //
-// Liveness: a failed scan parks the waiter on quiesceCh. Workers signal the
-// channel exactly when they run out of visible work (worker.run), which is
-// the only moment the sum can have newly reached zero; a waiter that wakes
-// and still finds activity re-parks. Waiters chain the token on exit so
-// every concurrent AwaitQuiescence returns.
+// Liveness: a failed scan parks the waiter on quiesceCh. An actor batch
+// that ends with a waiter registered and its worker's own deque empty
+// takes a naive sum of the cells, and a zero sum leaves a token (Ref.Run).
+// A batch that leaves its deque non-empty skips the sum: a queued actor
+// still has mail, so nothing is quiescent yet. The batch holding the final
+// decrement is the last to write any cell, and the cells are sequentially
+// consistent atomics, so its sum reads exactly zero; its deque is empty,
+// since every actor slot on a deque stands for mail still counted, and a
+// thief takes a slot before it runs, and so before it decrements. The
+// waiter is therefore woken unless its own scan, made after it
+// registered, already saw the zero. A waiter that wakes to a transient
+// zero re-scans and re-parks. Waiters chain the token on exit so every
+// concurrent AwaitQuiescence returns.
 package actors
 
 import (
@@ -38,25 +45,13 @@ import (
 	"renaissance/internal/metrics"
 )
 
-// maxCells bounds the stripe count.
-const maxCells = 64
-
-type quiesceCell struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// quiesceCellCount picks a power-of-two stripe count of at least the
-// worker count, capped at maxCells: one cell per worker is all the
-// striping needs, and a System that allocated the full maxCells would
-// carry 4 KB of cells for its usual four workers.
-func quiesceCellCount(workers int) int {
-	n := min(workers, maxCells)
-	c := 1
-	for c < n {
-		c <<= 1
-	}
-	return c
+// A lane is one pool worker's share of a System, one cache line: its
+// in-flight cell and the Context its deliveries reuse. Only that worker
+// writes the Context; off-pool senders hash onto any lane's cell.
+type lane struct {
+	cell atomic.Uint64
+	ctx  Context
+	_    [64 - 8 - 4*8]byte // the Context is four words
 }
 
 // packDelta encodes delta for a single fetch-add on a versioned cell.
@@ -67,51 +62,55 @@ func packDelta(delta int32) uint64 {
 // cellValue extracts the cell's net count.
 func cellValue(v uint64) int64 { return int64(int32(uint32(v))) }
 
-// hashedCell spreads off-scheduler senders across cells by goroutine stack
+// hashedLane spreads off-pool senders across n lanes by goroutine stack
 // address (distinct goroutines occupy distinct stacks; any cell is correct,
 // the hash only reduces contention).
-func hashedCell(mask int) int {
+func hashedLane(n int) int {
 	var probe byte
 	h := uint64(uintptr(unsafe.Pointer(&probe)))
 	h ^= h >> 17
 	h *= 0x9E3779B97F4A7C15
-	return int((h >> 32) & uint64(mask))
-}
-
-func (s *System) incInFlightAt(cell int) {
-	s.cells[cell].v.Add(packDelta(1))
+	return int((h >> 32) % uint64(n))
 }
 
 // messageDone accounts one delivered (or dead-lettered-after-queueing)
-// message on the worker's pinned cell.
-func (s *System) messageDone(w *worker) {
+// message in the delivering worker's lane.
+func (s *System) messageDone(ctx *Context) {
 	metrics.IncAtomic()
-	s.cells[w.cell].v.Add(packDelta(-1))
+	s.lanes[ctx.w.Index()].cell.Add(packDelta(-1))
+}
+
+// inFlightZero reports whether one naive pass over the cells sums to zero.
+func (s *System) inFlightZero() bool {
+	var sum int64
+	for i := range s.lanes {
+		sum += cellValue(s.lanes[i].cell.Load())
+	}
+	return sum == 0
 }
 
 // quiescent performs a bounded number of double-collect scans. It returns
 // true only on a verified consistent zero; false means "activity observed",
-// and the caller parks for the next worker-idle signal.
+// and the caller parks for the next batch's signal. The versions are
+// compared by their sum: each only grows, so an equal sum means no cell
+// changed.
 func (s *System) quiescent() bool {
-	var vers [maxCells]uint64
 	for attempt := 0; attempt < 4; attempt++ {
 		var sum int64
-		for i := range s.cells {
-			v := s.cells[i].v.Load()
-			vers[i] = v
+		var vers uint64
+		for i := range s.lanes {
+			v := s.lanes[i].cell.Load()
 			sum += cellValue(v)
+			vers += v >> 32
 		}
 		if sum != 0 {
 			return false
 		}
-		stable := true
-		for i := range s.cells {
-			if s.cells[i].v.Load() != vers[i] {
-				stable = false
-				break
-			}
+		var again uint64
+		for i := range s.lanes {
+			again += s.lanes[i].cell.Load() >> 32
 		}
-		if stable {
+		if again == vers {
 			return true
 		}
 	}
@@ -130,9 +129,9 @@ func (s *System) AwaitQuiescence() {
 	}
 	s.waiters.Add(1)
 	for {
-		// Re-scan after registering: the final messageDone either sees
-		// our registration and leaves a token, or its decrement is
-		// ordered before this scan.
+		// Re-scan after registering: the batch holding the final
+		// decrement either sees our registration and leaves a token, or
+		// its decrement is ordered before this scan.
 		if s.quiescent() {
 			break
 		}

@@ -114,7 +114,7 @@ func TestSpawnAfterShutdown(t *testing.T) {
 	if got := decided.Load(); got != 1 {
 		t.Errorf("the spawning actor's strategy decided %d failures, want 1", got)
 	}
-	if !late.stopped.Load() {
+	if !late.isStopped() {
 		t.Error("the Stop directive was not applied to the spawning actor")
 	}
 

@@ -1,6 +1,6 @@
 // Supervision: fault domains for the actor runtime, in the style of Akka's
 // supervision trees. A panic escaping Receive is recovered by the
-// delivering worker (a misbehaving actor can never take down a scheduler
+// delivering worker (a misbehaving actor can never take down a pool
 // worker) and routed to the failing actor's Strategy, which picks one of
 // four directives: Resume (keep state, next message), Restart (resume the
 // same behavior after an exponential backoff, mailbox preserved), Stop
@@ -158,20 +158,20 @@ func (r *Ref) Supervisor() *Ref { return r.supervisor }
 
 // deliver dispatches one message into the behavior under the actor panic
 // guard. It reports the recovered panic value, if any; a panicking Receive
-// can therefore never unwind a scheduler worker.
-func (r *Ref) deliver(w *worker, env envelope) (failure any, failed bool) {
+// can therefore never unwind a pool worker.
+func (r *Ref) deliver(ctx *Context, env envelope) (failure any, failed bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			failure, failed = p, true
 		}
 	}()
-	w.ctx.self = r
-	w.ctx.sender = env.sender
+	ctx.self = r
+	ctx.sender = env.sender
 	metrics.IncMethod() // dynamic dispatch into the behavior
 	if chaos.Maybe("actors.deliver") {
 		panic(&chaos.InjectedError{Point: "actors.deliver"})
 	}
-	r.recv.Receive(&w.ctx, env.msg)
+	r.recv.Receive(ctx, env.msg)
 	return nil, false
 }
 
@@ -179,7 +179,7 @@ func (r *Ref) deliver(w *worker, env envelope) (failure any, failed bool) {
 // actor's scheduling slot. It returns true when the slot has been handed
 // off to the backoff timer (a suspended restart): the caller must return
 // immediately without releasing or requeueing the slot.
-func (r *Ref) fail(w *worker, err any) bool {
+func (r *Ref) fail(ctx *Context, err any) bool {
 	switch r.strategyFor().Decide(err, int(r.restarts)) {
 	case Resume:
 		return false
@@ -190,7 +190,7 @@ func (r *Ref) fail(w *worker, err any) bool {
 		r.Stop()
 		return false
 	default: // Escalate
-		r.escalate(w, err)
+		r.escalate(ctx, err)
 		return false
 	}
 }
@@ -215,9 +215,9 @@ func (r *Ref) restart(err any) {
 	time.AfterFunc(d, func() {
 		// The actor still holds its slot; hand it to whichever worker
 		// polls the inject queue next. After Shutdown this re-injects into
-		// a dead scheduler, which is harmless: quiescence cannot have been
+		// a closed pool, which is harmless: quiescence cannot have been
 		// reached with accounted messages still queued here.
-		r.sys.sched.Push(r)
+		r.sys.pool.Inject(r)
 	})
 }
 
@@ -225,14 +225,14 @@ func (r *Ref) restart(err any) {
 // supervisor as an internal system message (see the package comment for
 // why this is asynchronous). Without a live supervisor the failure has
 // reached the root of the tree.
-func (r *Ref) escalate(w *worker, err any) {
+func (r *Ref) escalate(ctx *Context, err any) {
 	sup := r.Supervisor()
 	r.Stop()
-	if sup == nil || sup.stopped.Load() {
+	if sup == nil || sup.isStopped() {
 		r.sys.rootFails.Add(1)
 		return
 	}
-	sup.enqueue(escalated{err: err}, r, w)
+	sup.enqueue(escalated{err: err}, r, ctx)
 }
 
 // RootFailures returns the number of failures that escalated past the top

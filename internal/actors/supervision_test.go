@@ -137,7 +137,7 @@ func TestRestartLadderOverflowStopsAndDeadLetters(t *testing.T) {
 	a.Tell("c")
 	a.Tell(1) // queued behind the fatal failure: becomes a dead letter
 	sys.AwaitQuiescence()
-	if !a.stopped.Load() {
+	if !a.isStopped() {
 		t.Fatal("actor not stopped after overflowing the restart ladder")
 	}
 	if got := b.preRestarts.Load(); got != 2 {
@@ -174,7 +174,7 @@ func TestEscalationClimbsToRootFailure(t *testing.T) {
 		t.Fatalf("RootFailures = %d, want 1", got)
 	}
 	for name, r := range map[string]*Ref{"leaf": leaf, "mid": mid, "top": top} {
-		if !r.stopped.Load() {
+		if !r.isStopped() {
 			t.Errorf("%s not stopped by the escalation chain", name)
 		}
 	}
@@ -238,10 +238,10 @@ func TestEscalationRestartsSupervisor(t *testing.T) {
 	child.Tell("go")
 	top.Tell(7) // must still be served after the escalation-triggered restart
 	sys.AwaitQuiescence()
-	if !child.stopped.Load() {
+	if !child.isStopped() {
 		t.Error("escalating child not stopped")
 	}
-	if top.stopped.Load() {
+	if top.isStopped() {
 		t.Error("supervisor stopped; its strategy said Restart")
 	}
 	if sup.preRestarts.Load() != 1 {
@@ -304,7 +304,7 @@ func TestDefaultStrategyBoundsPlainSpawnFaults(t *testing.T) {
 		a.Tell(i)
 	}
 	sys.AwaitQuiescence()
-	if !a.stopped.Load() {
+	if !a.isStopped() {
 		t.Error("always-failing plain actor still running after default ladder")
 	}
 }

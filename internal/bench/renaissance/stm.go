@@ -18,18 +18,10 @@ func init() {
 		[]string{"STM", "atomics"}, newSTMBench7)
 }
 
-// stmWorkers derives the worker count from the config so -cpu sweeps
-// actually vary contention: the Threads hint wins, otherwise the current
-// GOMAXPROCS.
-func stmWorkers(cfg core.Config, min int) int {
-	n := cfg.Threads
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < min {
-		n = min
-	}
-	return n
+// stmWorkers is the STM workloads' worker count: GOMAXPROCS at setup, so
+// a run at a different GOMAXPROCS varies contention, and at least min.
+func stmWorkers(min int) int {
+	return max(runtime.GOMAXPROCS(0), min)
 }
 
 type philosophersWorkload struct {
@@ -40,9 +32,9 @@ type philosophersWorkload struct {
 
 func newPhilosophers(cfg core.Config) (core.Workload, error) {
 	return &philosophersWorkload{
-		// The paper's table runs five philosophers; scale up with the
-		// parallelism hint so wider machines see more fork contention.
-		philosophers: stmWorkers(cfg, 5),
+		// The paper's table runs five philosophers; scale up with
+		// GOMAXPROCS so wider machines see more fork contention.
+		philosophers: stmWorkers(5),
 		meals:        cfg.Scale(120),
 	}, nil
 }
@@ -153,7 +145,7 @@ func newSTMBench7Mix(cfg core.Config, mix sbMix) (core.Workload, error) {
 	}
 	w := &stmBench7Workload{
 		ops:     cfg.Scale(400),
-		workers: stmWorkers(cfg, 2),
+		workers: stmWorkers(2),
 		mix:     mix,
 	}
 	perBottom := nLeaves / intPow(sbFanout, sbDepth)

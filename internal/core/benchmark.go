@@ -32,12 +32,11 @@ const (
 type Config struct {
 	SizeFactor float64
 	Seed       int64
-	Threads    int // degree of parallelism hint; 0 means GOMAXPROCS
 }
 
 // DefaultConfig returns the configuration used when none is supplied.
 func DefaultConfig() Config {
-	return Config{SizeFactor: 1.0, Seed: 42, Threads: 0}
+	return Config{SizeFactor: 1.0, Seed: 42}
 }
 
 // Scale scales n by the config's size factor, with a minimum of 1.

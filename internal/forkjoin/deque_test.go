@@ -8,10 +8,29 @@ import (
 	"time"
 )
 
+// taskDeque views the deque through the *Task jobs the tests push, setting
+// each task's slot as Fork does.
+type taskDeque struct{ deque }
+
+func (d *taskDeque) Push(t *Task) {
+	t.slot.job = t
+	d.push(&t.slot)
+}
+
+func (d *taskDeque) Pop() *Task   { return slotTask(d.pop()) }
+func (d *taskDeque) Steal() *Task { return slotTask(d.steal()) }
+
+func slotTask(s *Slot) *Task {
+	if s == nil {
+		return nil
+	}
+	return s.job.(*Task)
+}
+
 // Every pushed task must be taken exactly once, split between the owner's
 // pops and concurrent thieves. Run with -race.
 func TestDequeConcurrentOwnership(t *testing.T) {
-	var d Deque[Task]
+	var d taskDeque
 	const n = 50000
 	const thieves = 4
 
@@ -82,7 +101,7 @@ func TestDequeConcurrentOwnership(t *testing.T) {
 }
 
 func TestDequeGrowthPreservesOrder(t *testing.T) {
-	var d Deque[Task]
+	var d taskDeque
 	const n = initialDequeCap * 8 // force several growths
 	tasks := make([]*Task, n)
 	for i := range tasks {
@@ -101,7 +120,7 @@ func TestDequeGrowthPreservesOrder(t *testing.T) {
 }
 
 func TestDequeStealFIFOAfterGrowth(t *testing.T) {
-	var d Deque[Task]
+	var d taskDeque
 	const n = initialDequeCap * 4
 	tasks := make([]*Task, n)
 	for i := range tasks {
@@ -120,28 +139,32 @@ func TestDequeStealFIFOAfterGrowth(t *testing.T) {
 
 // The old slice-shift steal (`tasks = tasks[1:]`) kept every stolen task
 // reachable through the backing array. The ring deque must not pin tasks
-// the owner has popped: all slots it vacates are cleared, so the tasks
+// the owner has popped: all cells it vacates are cleared, so the tasks
 // become collectable immediately.
 func TestDequePopDoesNotPinTasks(t *testing.T) {
-	var d Deque[Task]
+	var d taskDeque
 	const n = 100
 	collected := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
+		// The finalizer watches the task's payload: a task's slot points
+		// back at the task, and the GC never runs a finalizer on an object
+		// that reaches itself.
+		payload := &struct{ pad [1024]byte }{}
+		runtime.SetFinalizer(payload, func(*struct{ pad [1024]byte }) { collected <- struct{}{} })
 		task := new(Task)
-		task.result = &struct{ pad [1024]byte }{}
-		runtime.SetFinalizer(task, func(*Task) { collected <- struct{}{} })
+		task.result = payload
 		d.Push(task)
 	}
 	for d.Pop() != nil {
 	}
-	// All ring slots the owner vacated must be nil — no lingering refs.
+	// All ring cells the owner vacated must be nil — no lingering refs.
 	a := d.arr.Load()
 	if a == nil {
 		t.Fatal("ring not allocated")
 	}
-	for i := range a.slots {
-		if a.slots[i].Load() != nil {
-			t.Fatalf("slot %d still pins a popped task", i)
+	for i := range a.cells {
+		if a.cells[i].Load() != nil {
+			t.Fatalf("cell %d still pins a popped task", i)
 		}
 	}
 	// And the GC can actually reclaim them.
@@ -160,7 +183,7 @@ func TestDequePopDoesNotPinTasks(t *testing.T) {
 // Interleaved push/pop around the empty boundary — the trickiest Chase–Lev
 // region (bottom == top) — must stay consistent.
 func TestDequeEmptyBoundary(t *testing.T) {
-	var d Deque[Task]
+	var d taskDeque
 	for i := 0; i < 1000; i++ {
 		if d.Pop() != nil || d.Steal() != nil {
 			t.Fatal("empty deque returned a task")

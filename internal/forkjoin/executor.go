@@ -135,7 +135,7 @@ func (p *Pool) ForRetryE(n, grain, maxPar, retries int, body func(lo, hi, attemp
 	// The counter is drained, so a helper still queued could only exit:
 	// take it back, so a job its caller ran alone leaves nothing queued
 	// when workers had no CPU to take it (GOMAXPROCS below the width).
-	p.sched.Retract(j)
+	p.retract(j)
 	// Wait for chunks still in flight on workers.
 	metrics.IncPark()
 	<-j.done

@@ -183,7 +183,7 @@ func TestExecutorRetractsUntakenHelpers(t *testing.T) {
 		if err := p.ForRetryE(100, 1, 0, 0, func(lo, hi, _ int) {}); err != nil {
 			t.Fatal(err)
 		}
-		if !p.sched.Empty() {
+		if !p.inject.Empty() {
 			t.Fatal("helpers no worker took are still queued after ForRetryE returned")
 		}
 	}

@@ -5,10 +5,19 @@
 // lock-free Chase–Lev deque (LIFO for locality) and steal from the top of
 // other workers' deques (FIFO) with a single CAS, and joining workers help
 // execute pending tasks instead of blocking. Work from outside the pool —
-// submitted tasks, parallel-for helpers and futures bodies — goes on the
-// pool's one lock-free inject queue (sched.go). The scheduler's own
-// accounting is a metrics.IncX call on the goroutine's hashed shard at
-// each counted event, never inside a critical section.
+// submitted tasks, parallel-for helpers, futures bodies and actors with
+// mail — goes on the pool's one lock-free inject queue, an mpsc.Queue
+// drained under a single-consumer latch; and a worker that finds nothing
+// parks with the idle-count-then-recheck protocol, so an idle pool burns
+// no CPU and no wakeup is lost.
+//
+// The pool runs Jobs, not just tasks: a deque holds Slots, and every job
+// a worker can push embeds one — a forked *Task, and an actors.Ref, whose
+// message batch is one job. Worker.run is the only worker loop in the
+// repository; an actor System runs on a private Pool of its own. The
+// scheduler's own accounting is a metrics.IncX call on the goroutine's
+// hashed shard at each counted event, never inside a critical section:
+// a task's acquisition and completion, never a steal or a park.
 package forkjoin
 
 import (
@@ -17,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"renaissance/internal/chaos"
 	"renaissance/internal/metrics"
 	"renaissance/internal/mpsc"
 )
@@ -26,13 +36,16 @@ import (
 // runs off the pool (see Pool.Help), and Fork and Join still work there.
 type Fn func(w *Worker) any
 
-// A Job is an element of a pool's inject queue: a submitted *Task, a
-// parallel-for job pushed once per helper, or a futures promise record.
-// Run executes it on worker w, nil when it runs off the pool.
+// A Job is what a pool worker runs: a submitted or forked *Task, a
+// parallel-for job pushed once per helper, a futures promise record, or an
+// actor's message batch. Run executes it on worker w, nil when it runs off
+// the pool (Pool.Help). A job that a worker pushes onto its own deque
+// embeds a Slot; the inject queue takes any Job.
 type Job interface{ Run(w *Worker) }
 
 // Task is a forked computation whose result can be joined.
 type Task struct {
+	slot   Slot
 	fn     Fn
 	done   atomic.Bool
 	result any
@@ -76,21 +89,29 @@ func (t *Task) complete(v any) {
 	metrics.IncNotify()
 }
 
-// Pool is a fork-join pool with a fixed number of workers.
+// Pool is a fork-join pool with a fixed number of workers: their deques,
+// the inject queue for work that arrives off the workers, and the park
+// protocol.
 type Pool struct {
-	sched   Sched[Job, Task]
 	workers []*Worker
-	done    chan struct{}
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	inject  mpsc.Queue[Job]
+	latch   atomic.Bool // single-consumer latch for draining inject
+	idle    atomic.Int64
+	// wake holds up to one token per worker: more could only wake a
+	// worker that is not parked.
+	wake   chan struct{}
+	done   chan struct{}
+	wg     sync.WaitGroup
+	closed atomic.Bool
 }
 
-// Worker is one pool worker; tasks receive their executing worker to fork
-// and join subtasks.
+// Worker is one pool worker; jobs receive their executing worker to fork
+// and join subtasks, or to push other jobs onto its deque.
 type Worker struct {
-	pool *Pool
-	dq   Deque[Task]
-	seq  uint64 // steal-start counter, distinct per worker
+	pool  *Pool
+	dq    deque
+	seq   uint32 // steal-start counter
+	index int32
 }
 
 // jobNodes is the inject queues' node pool, shared by every Pool.
@@ -101,18 +122,31 @@ func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: make([]*Worker, n), done: make(chan struct{})}
-	deques := make([]*Deque[Task], n)
+	p := &Pool{workers: make([]*Worker, n), wake: make(chan struct{}, n), done: make(chan struct{})}
+	p.inject.Init(jobNodes)
 	for i := range p.workers {
-		w := &Worker{pool: p, seq: uint64(i) << 32}
-		p.workers[i], deques[i] = w, &w.dq
+		p.workers[i] = &Worker{pool: p, index: int32(i)}
 	}
-	p.sched.Init(deques, jobNodes)
 	for _, w := range p.workers {
 		p.wg.Add(1)
 		go w.run()
 	}
 	return p
+}
+
+// Index returns the worker's position in its pool, in [0, n) for a pool
+// of n workers.
+func (w *Worker) Index() int { return int(w.index) }
+
+// Queued reports whether the worker's own deque holds a job. Only the
+// owner's answer is exact: a peer may be stealing concurrently.
+func (w *Worker) Queued() bool { return w.dq.size() > 0 }
+
+// Push puts s's job on the worker's own deque, where the worker finds it
+// first and its peers can steal it, and wakes a parked peer for it.
+func (w *Worker) Push(s *Slot) {
+	w.dq.push(s)
+	w.pool.signal()
 }
 
 // Close shuts the pool down. Outstanding tasks are not waited for; callers
@@ -125,8 +159,13 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Inject queues j on the pool from outside it.
-func (p *Pool) Inject(j Job) { p.sched.Push(j) }
+// Inject queues j on the pool's inject queue, behind everything already
+// there, and wakes a parked worker for it. It is the way in from outside
+// the pool, and the way to the back of the line from inside it.
+func (p *Pool) Inject(j Job) {
+	p.inject.Push(j)
+	p.signal()
+}
 
 // Submit schedules a top-level task from outside the pool. On a closed
 // pool the task never runs.
@@ -163,11 +202,11 @@ func (p *Pool) Invoke(fn Fn) any {
 // linking, is waited out, not taken for an empty queue.
 func (p *Pool) Help() bool {
 	for {
-		if j, n := p.sched.Poll(1, nil); n > 0 {
+		if j := p.poll(); j != nil {
 			j.Run(nil)
 			return true
 		}
-		if p.sched.Empty() {
+		if p.inject.Empty() {
 			return false
 		}
 		runtime.Gosched()
@@ -187,24 +226,109 @@ func (w *Worker) run() {
 			return
 		default:
 		}
-		p.sched.Park(p.done)
+		p.park()
 	}
 }
 
 // find looks for work: own deque first, then the inject queue, then
 // stealing from the other workers.
 func (w *Worker) find() Job {
-	if t := w.dq.Pop(); t != nil {
-		return t
+	if s := w.dq.pop(); s != nil {
+		return s.job
 	}
-	if j, n := w.pool.sched.Poll(1, nil); n > 0 {
+	if j := w.pool.poll(); j != nil {
 		return j
 	}
 	w.seq++
-	if t := w.pool.sched.Steal(&w.dq, w.seq); t != nil {
-		return t
+	if s := w.pool.steal(w); s != nil {
+		return s.job
 	}
 	return nil
+}
+
+// poll takes the oldest job off the inject queue. nil means the queue was
+// empty, a push was still linking, or another consumer held the latch;
+// callers that must tell those apart check inject.Empty.
+func (p *Pool) poll() Job {
+	if p.inject.Empty() || !p.latch.CompareAndSwap(false, true) {
+		return nil
+	}
+	j, _ := p.inject.Pop() // empty, or a producer is mid-link: don't spin latched
+	p.latch.Store(false)
+	return j
+}
+
+// retract pops the inject queue's oldest jobs while they are j, so a
+// producer can take back what no worker picked up in time. It gives up
+// when another consumer holds the latch.
+func (p *Pool) retract(j Job) {
+	if p.inject.Empty() || !p.latch.CompareAndSwap(false, true) {
+		return
+	}
+	for {
+		if head, ok := p.inject.Peek(); !ok || head != j {
+			break
+		}
+		if _, ok := p.inject.Pop(); !ok {
+			break
+		}
+	}
+	p.latch.Store(false)
+}
+
+// steal takes the oldest slot of another worker's deque, scanning from a
+// start that the thief's index and steal counter pick (distinct per worker
+// and call).
+func (p *Pool) steal(thief *Worker) *Slot {
+	n := len(p.workers)
+	start := int(chaos.Mix64(uint64(thief.index)<<32|uint64(thief.seq)) % uint64(n))
+	for i := range n {
+		if v := p.workers[(start+i)%n]; v != thief {
+			if s := v.dq.steal(); s != nil {
+				return s
+			}
+		}
+	}
+	return nil
+}
+
+// park blocks the calling worker until a signal or until the pool closes.
+// It first advertises idleness, then re-checks every queue: a producer
+// either sees the idle count and leaves a wake token, or made its work
+// visible before the count went up and the re-check finds it.
+func (p *Pool) park() {
+	p.idle.Add(1)
+	defer p.idle.Add(-1)
+	if p.anyWork() {
+		return
+	}
+	select {
+	case <-p.wake:
+	case <-p.done:
+	}
+}
+
+func (p *Pool) anyWork() bool {
+	if !p.inject.Empty() {
+		return true
+	}
+	for _, w := range p.workers {
+		if w.dq.size() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// signal wakes one parked worker, if any. Producers call it after making
+// their work visible, which pairs with park's re-check.
+func (p *Pool) signal() {
+	if p.idle.Load() > 0 {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Fork schedules fn as a subtask on the worker's own deque. Off the pool
@@ -217,8 +341,8 @@ func (w *Worker) Fork(fn Fn) *Task {
 		t.Run(nil)
 		return t
 	}
-	w.dq.Push(t)
-	w.pool.sched.Signal()
+	t.slot.job = t
+	w.Push(&t.slot)
 	return t
 }
 

@@ -166,7 +166,7 @@ func TestPropertyParallelSumMatchesSequential(t *testing.T) {
 }
 
 func TestDequeOperations(t *testing.T) {
-	var d Deque[Task]
+	var d taskDeque
 	if d.Pop() != nil || d.Steal() != nil {
 		t.Error("empty deque should return nil")
 	}

@@ -1,9 +1,11 @@
 // Package mpsc implements a Vyukov-style intrusive multi-producer
 // single-consumer queue with pooled nodes and no stub node. It is the
 // mailbox primitive of the actor runtime (each actor's mailbox is one
-// Queue, drained in batches by whichever scheduler worker holds the
-// actor's scheduling slot) and the run queue of the rx event-loop
-// Scheduler.
+// Queue, drained in batches by whichever pool worker holds the actor's
+// scheduling slot), the inject queue of every fork–join pool (of Jobs:
+// submitted tasks, parallel-for helpers, futures bodies and actors with
+// mail, drained by one worker at a time under a latch), and the run
+// queue of the rx event-loop Scheduler.
 //
 // The producer side is lock-free: an enqueue is one atomic swap of the head
 // pointer plus one atomic store that links the node, into the predecessor
@@ -155,7 +157,7 @@ func (q *Queue[T]) Peek() (T, bool) {
 
 // Empty reports whether the queue holds no values (in-flight pushes count
 // as present). From goroutines other than the consumer the answer is a
-// snapshot that may go stale immediately; the scheduler uses it only as a
+// snapshot that may go stale immediately; the pool uses it only as a
 // parking hint, re-verified by the wakeup protocol.
 func (q *Queue[T]) Empty() bool {
 	return q.head.Load() == nil

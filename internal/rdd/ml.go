@@ -354,8 +354,9 @@ func (n *TreeNode) Predict(features []float64) int {
 // points or allocates index slices. A node costs one parallel pass over
 // its rows (search). The class counts and per-feature [lo, hi] that pass
 // bins by come from the parent's partition pass, and the root's from the
-// pass here, which also checks the labels: every label must be below
-// numClasses, since the histograms index by it.
+// pass here, which also checks the points: every label must be below
+// numClasses, since the histograms index by it, and every feature finite,
+// since a NaN or an infinity has no bin.
 func DecisionTree(points *Points, numClasses, maxDepth, minLeaf int) (*TreeNode, error) {
 	n := points.X.Rows
 	if n == 0 {
@@ -372,8 +373,14 @@ func DecisionTree(points *Points, numClasses, maxDepth, minLeaf int) (*TreeNode,
 		if int(l) >= numClasses {
 			return nil, fmt.Errorf("rdd: decision tree: point %d has label %d outside [0, %d)", i, l, numClasses)
 		}
+		row := points.X.Row(i)
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("rdd: decision tree: point %d has non-finite feature %d (%v)", i, f, v)
+			}
+		}
 		idx[i] = int32(i)
-		root.add(points.X.Row(i), l)
+		root.add(row, l)
 	}
 	tree := t.grow(idx, 0, maxDepth, root)
 	if t.err != nil {

@@ -1,9 +1,11 @@
 package rdd
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -304,6 +306,32 @@ func TestDecisionTree(t *testing.T) {
 		pts.Labels[7] = bad
 		if tree, err := DecisionTree(pts, 2, 4, 1); err == nil || tree != nil {
 			t.Errorf("label %d: DecisionTree = (%v, %v), want an error and no tree", bad, tree, err)
+		}
+	}
+}
+
+// A NaN or an infinity has no histogram bin: the root pass rejects a
+// non-finite feature, naming the point and the feature, instead of
+// binning it into bin 0 and returning a tree.
+func TestDecisionTreeRejectsNonFiniteFeatures(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		pts := NewPoints(64, 3)
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 64; i++ {
+			row := pts.X.Row(i)
+			for f := range row {
+				row[f] = rng.Float64()
+			}
+			pts.Labels[i] = uint8(i % 2)
+		}
+		pts.X.Row(41)[2] = bad
+		tree, err := DecisionTree(pts, 2, 4, 1)
+		if err == nil || tree != nil {
+			t.Errorf("feature %v: DecisionTree = (%v, %v), want an error and no tree", bad, tree, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "point 41") || !strings.Contains(msg, "feature 2") {
+			t.Errorf("feature %v: error %q does not name point 41 and feature 2", bad, msg)
 		}
 	}
 }

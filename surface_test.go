@@ -76,7 +76,6 @@ var surfaceAllow = map[string]string{
 	"pca.Result.Eigenvalues":   "reference: the decomposition is checked against closed-form eigenvalues (1±r, trace = K) through it",
 	"ck.ClassMetrics.Name":     "reference: ck_test looks a fixture type's row up by it to compare with the hand-computed CK values",
 
-	"actors.System.Steals":     "fault domain: TestStealAcrossWorkers observes that work does not stay pinned to one worker",
 	"netstack.Server.Rejected": "fault domain: the admission tests observe the server's overload verdicts through it",
 	"netstack.Client.Rejected": "fault domain: the admission tests observe the calls admission control turned away through it",
 	"forkjoin.TaskError.Stack": "fault domain: the stack captured where a task panicked, kept for whoever handles the error",

@@ -97,10 +97,14 @@ stress-fragments:
 # (testdata/fuzz/<target>) runs for 30 s on two workers — the mpsc
 # queue against a slice model with pushes held mid-link (the queue under
 # every actor mailbox and every fork–join inject queue), the rvm/ir
-# verifier against tier-0, tier-1 and the IR executor, and the decision
-# tree's row-major split against the per-feature search. A failing input
-# lands in that corpus directory; commit it with the fix.
-FUZZ_TARGETS = ./internal/mpsc:FuzzQueueOps ./internal/rvm/ir:FuzzVerify ./internal/rdd:FuzzTreeSplit
+# verifier against tier-0, tier-1 and the IR executor, and the
+# dataparallel kernels against their oracles, bit for bit: the decision
+# tree's row-major split against the per-feature search, PageRank's one
+# pass a step over shares against the sequential rank/outdeg reference,
+# naive-Bayes' byte-row dot against lin.Dot, and ALS's fused normal
+# equations against the per-rating Syr+Axpy pair. A failing input lands
+# in that corpus directory; commit it with the fix.
+FUZZ_TARGETS = ./internal/mpsc:FuzzQueueOps ./internal/rvm/ir:FuzzVerify ./internal/rdd:FuzzTreeSplit ./internal/rdd:FuzzPageRank ./internal/rdd:FuzzDotCounts ./internal/lin:FuzzNormalEq
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t##*:}; \

@@ -174,7 +174,7 @@ func TestExecutorRetractsUntakenHelpers(t *testing.T) {
 	defer close(release)
 	var blocked atomic.Int32
 	for range p.workers {
-		p.Submit(func(*Worker) any { blocked.Add(1); <-release; return nil })
+		submit(p, func(*Worker) any { blocked.Add(1); <-release; return nil })
 	}
 	for blocked.Load() < int32(len(p.workers)) {
 		time.Sleep(100 * time.Microsecond)

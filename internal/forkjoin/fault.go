@@ -33,7 +33,7 @@ var ErrPoolClosed = errors.New("forkjoin: pool closed")
 // goroutine outlives the join.
 type TaskError struct {
 	// Index is the start index of the chunk whose body panicked, or -1 for
-	// a pool task submitted via Submit/Fork.
+	// a pool task run by Invoke or Fork.
 	Index int
 	// Value is the recovered panic value.
 	Value any

@@ -109,17 +109,17 @@ func TestSubmitPanicSurfacesViaErr(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 
-	task := p.Submit(func(w *Worker) any { panic("submitted") })
-	if task.doneCh == nil {
-		t.Fatal("Submit made no completion channel to wait on")
+	task := submit(p, func(w *Worker) any { panic("submitted") })
+	deadline := time.Now().Add(5 * time.Second)
+	for task.state.Load() == taskPending {
+		if time.Now().After(deadline) {
+			t.Fatal("panicked task never completed")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	select {
-	case <-task.doneCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("panicked task never completed")
-	}
-	if te := task.err; te == nil || te.Value != "submitted" || te.Index != -1 {
-		t.Fatalf("task.err = %v, want TaskError{Index:-1 Value:submitted}", te)
+	te, ok := task.result.(*TaskError)
+	if task.state.Load() != taskFailed || !ok || te.Value != "submitted" || te.Index != -1 {
+		t.Fatalf("task state %d, result %v, want failed with TaskError{Index:-1 Value:submitted}", task.state.Load(), task.result)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	release := make(chan struct{})
 	var blocked atomic.Int32
 	for i := 0; i < len(p.workers); i++ {
-		p.Submit(func(*Worker) any { blocked.Add(1); <-release; return nil })
+		submit(p, func(*Worker) any { blocked.Add(1); <-release; return nil })
 	}
 	for blocked.Load() < int32(len(p.workers)) {
 		time.Sleep(100 * time.Microsecond)
@@ -315,8 +315,8 @@ func TestForRetryExhaustionNoGoroutineLeak(t *testing.T) {
 }
 
 func TestInvokeOnClosedPoolPanicsErrPoolClosed(t *testing.T) {
-	// Submit on a closed pool returns a task that can never run; Invoke
-	// used to park on it forever.
+	// A task injected into a closed pool can never run; Invoke used to
+	// park on it forever.
 	p := NewPool(2)
 	p.Close()
 	recovered := make(chan any, 1)

@@ -43,21 +43,25 @@ type Fn func(w *Worker) any
 // embeds a Slot; the inject queue takes any Job.
 type Job interface{ Run(w *Worker) }
 
-// Task is a forked computation whose result can be joined.
+// Task is a forked computation whose result can be joined. It is one
+// 48-byte object: Join polls state while helping, so a task carries no
+// completion channel (only Invoke's wrapper does).
 type Task struct {
-	slot   Slot
-	fn     Fn
-	done   atomic.Bool
+	slot  Slot
+	fn    Fn
+	state atomic.Uint32 // taskPending, then taskDone or taskFailed
+	// result is the body's value, or, once state is taskFailed, the
+	// *TaskError of its panic, which Join and Invoke re-panic (fork/join
+	// exception propagation). It is written before state is published.
 	result any
-	// err holds the *TaskError of a panicking body, written before done is
-	// published. Join and Invoke re-panic it (fork/join exception
-	// propagation).
-	err *TaskError
-	// doneCh is closed on completion for Invoke, which parks on it. Only
-	// Submit makes it: forked tasks are joined by polling done while
-	// helping.
-	doneCh chan struct{}
 }
+
+// Task states: a task is published done or failed exactly once.
+const (
+	taskPending uint32 = iota
+	taskDone
+	taskFailed
+)
 
 // Run executes the task's body under a recover: a panicking body is
 // converted to a *TaskError on the task and completes it, so a misbehaving
@@ -68,25 +72,42 @@ func (t *Task) Run(w *Worker) {
 	metrics.IncAtomic()
 	defer func() {
 		if p := recover(); p != nil {
-			if te, ok := p.(*TaskError); ok {
-				t.err = te // a nested join's re-panic keeps its identity
-			} else {
-				t.err = &TaskError{Index: -1, Value: p, Stack: debug.Stack()}
+			te, ok := p.(*TaskError) // a nested join's re-panic keeps its identity
+			if !ok {
+				te = &TaskError{Index: -1, Value: p, Stack: debug.Stack()}
 			}
-			t.complete(nil)
+			t.complete(te, taskFailed)
 		}
 	}()
-	t.complete(t.fn(w))
+	t.complete(t.fn(w), taskDone)
 }
 
-func (t *Task) complete(v any) {
+func (t *Task) complete(v any, state uint32) {
 	t.result = v
 	metrics.IncAtomic()
-	t.done.Store(true)
-	if t.doneCh != nil {
-		close(t.doneCh)
-	}
+	t.state.Store(state)
 	metrics.IncNotify()
+}
+
+// value returns a completed task's result, re-panicking its *TaskError
+// if the body panicked.
+func (t *Task) value() any {
+	if t.state.Load() == taskFailed {
+		panic(t.result.(*TaskError))
+	}
+	return t.result
+}
+
+// invocation is the job Invoke injects: a task and the channel its caller
+// parks on, closed once the task completes.
+type invocation struct {
+	Task
+	doneCh chan struct{}
+}
+
+func (v *invocation) Run(w *Worker) {
+	v.Task.Run(w)
+	close(v.doneCh)
 }
 
 // Pool is a fork-join pool with a fixed number of workers: their deques,
@@ -167,33 +188,23 @@ func (p *Pool) Inject(j Job) {
 	p.signal()
 }
 
-// Submit schedules a top-level task from outside the pool. On a closed
-// pool the task never runs.
-func (p *Pool) Submit(fn Fn) *Task {
-	metrics.IncObject()
-	t := &Task{fn: fn, doneCh: make(chan struct{})}
-	p.Inject(t)
-	return t
-}
-
-// Invoke submits fn and blocks until it completes, returning its result. A
-// panicking fn is re-panicked here as a *TaskError (the join point), and
-// so is a task that can never run because the pool is closed (its cause
-// is ErrPoolClosed).
+// Invoke runs fn on the pool and blocks until it completes, returning its
+// result. A panicking fn is re-panicked here as a *TaskError (the join
+// point), and so is a task that can never run because the pool is closed
+// (its cause is ErrPoolClosed).
 func (p *Pool) Invoke(fn Fn) any {
-	t := p.Submit(fn)
+	metrics.IncObject()
+	v := &invocation{Task: Task{fn: fn}, doneCh: make(chan struct{})}
+	p.Inject(v)
 	metrics.IncPark()
 	select {
-	case <-t.doneCh:
+	case <-v.doneCh:
 	case <-p.done:
-		if !t.done.Load() {
+		if v.state.Load() == taskPending {
 			panic(&TaskError{Index: -1, Value: ErrPoolClosed})
 		}
 	}
-	if t.err != nil {
-		panic(t.err)
-	}
-	return t.result
+	return v.value()
 }
 
 // Help runs one injected job on the calling goroutine, off the pool, and
@@ -353,11 +364,8 @@ func (w *Worker) Fork(fn Fn) *Task {
 func (w *Worker) Join(t *Task) any {
 	for {
 		metrics.IncAtomic()
-		if t.done.Load() {
-			if t.err != nil {
-				panic(t.err)
-			}
-			return t.result
+		if t.state.Load() != taskPending {
+			return t.value()
 		}
 		if w != nil {
 			if j := w.find(); j != nil {

@@ -16,7 +16,7 @@ import (
 // compacted in sorted order (ranks live in dense []float64, not
 // map[int]float64), the adjacency is stored by destination — row v of
 // the CSR lists v's in-neighbours — so every vertex pulls its new rank
-// from a sequential scan, and the per-iteration state is three dense
+// from a sequential scan, and the per-iteration state is two dense
 // vectors. The graph keeps no id table: vertex v is the v-th smallest
 // external id, which only NewGraph needs.
 type Graph struct {
@@ -69,64 +69,60 @@ func NewGraph(edges []Pair[int, int]) *Graph {
 // NumVertices returns the number of distinct vertices.
 func (g *Graph) NumVertices() int { return len(g.outDeg) }
 
-// prState is the per-run PageRank working set — the rank vectors and the
-// per-vertex outgoing share — allocated once per PageRank call and reused
-// across iterations.
+// prState is the per-run PageRank working set, two dense vectors
+// allocated once per PageRank call and swapped every step. cur holds
+// each vertex's share: rank/outdeg for a vertex with out-edges, the rank
+// itself for a sink. No in-edge reads a sink's entry, and the dangling
+// mass is summed from those entries, so the shares are all a step reads.
 type prState struct {
-	g                 *Graph
-	damping           float64
-	ranks, out, share []float64
+	g         *Graph
+	damping   float64
+	cur, next []float64
 }
 
 func (g *Graph) newPRState(damping float64) *prState {
 	n := g.NumVertices()
-	metrics.AddArray(3)
+	metrics.AddArray(2)
 	st := &prState{
 		g:       g,
 		damping: damping,
-		ranks:   make([]float64, n),
-		out:     make([]float64, n),
-		share:   make([]float64, n),
+		cur:     make([]float64, n),
+		next:    make([]float64, n),
 	}
-	for i := range st.ranks {
-		st.ranks[i] = 1.0
+	for v, d := range g.outDeg {
+		st.cur[v] = 1.0
+		if d > 0 {
+			st.cur[v] = 1.0 / float64(d)
+		}
 	}
 	return st
 }
 
-// step advances the ranks by one PageRank iteration:
+// step advances the shares by one PageRank iteration, one parallel-for
+// over the vertices: each vertex sums the shares of its in-neighbours in
+// input edge order, applies the damping update to get its rank r, and
+// stores r/outdeg, the contribution it sends along each of its out-edges
+// next step; a sink, and every vertex on the last step, stores r itself.
+// Dangling (sink) vertices send nothing along edges; their mass is summed
+// before the pass and redistributed uniformly (standard PageRank), so
+// total rank is conserved exactly.
 //
-// Share — a parallel-for sets share[u] = rank[u]/outdeg[u], the
-// contribution u sends along each of its out-edges. Dangling (sink)
-// vertices send nothing along edges; their mass is summed separately and
-// redistributed uniformly (standard PageRank), so total rank is conserved
-// exactly.
+// A share is the same rank/outdeg division the textbook formulation
+// makes on every out-edge, taken once, so the ranks match it bit for bit;
+// every rank is one sequential sum, so the chunking changes no bit at any
+// GOMAXPROCS. No vertex is written by two
+// chunks, so there are no atomics and no merge.
 //
-// Pull — a parallel-for over the vertices: each vertex sums the shares of
-// its in-neighbours in input edge order and applies the damping update.
-// No vertex is written by two chunks, so there are no atomics and no
-// merge, and since every rank is one sequential sum, the chunking changes
-// no bit at any GOMAXPROCS.
-//
-// Both passes run under the recompute budget (forRetry): a chunk only
-// overwrites its own vertices, so a faulted chunk replays alone. A chunk
-// that spends the budget fails the step with its *forkjoin.TaskError.
-func (s *prState) step() error {
+// The pass runs under the recompute budget (forRetry): a chunk reads only
+// cur and overwrites only its own entries of next, so a faulted chunk
+// replays alone. A chunk that spends the budget fails the step with its
+// *forkjoin.TaskError.
+func (s *prState) step(last bool) error {
 	g := s.g
 	n := g.NumVertices()
-	if err := forRetry(n, 0, func(lo, hi int) {
-		metrics.AddIDynamic(int64(hi - lo))
-		for u := lo; u < hi; u++ {
-			if d := g.outDeg[u]; d > 0 {
-				s.share[u] = s.ranks[u] / float64(d)
-			}
-		}
-	}); err != nil {
-		return err
-	}
 	danglingMass := 0.0
 	for _, v := range g.dangling {
-		danglingMass += s.ranks[v]
+		danglingMass += s.cur[v]
 	}
 	base := (1 - s.damping) + s.damping*danglingMass/float64(n)
 	if err := forRetry(n, 0, func(lo, hi int) {
@@ -135,16 +131,20 @@ func (s *prState) step() error {
 			sum := 0.0
 			srcs := g.in.RowCols(v)
 			for _, u := range srcs {
-				sum += s.share[u]
+				sum += s.cur[u]
 			}
-			s.out[v] = base + s.damping*sum
+			r := base + s.damping*sum
+			if d := g.outDeg[v]; d > 0 && !last {
+				r /= float64(d)
+			}
+			s.next[v] = r
 			edges += len(srcs)
 		}
-		metrics.AddIDynamic(int64(edges))
+		metrics.AddIDynamic(int64(hi - lo + edges))
 	}); err != nil {
 		return err
 	}
-	s.ranks, s.out = s.out, s.ranks
+	s.cur, s.next = s.next, s.cur
 	return nil
 }
 
@@ -155,14 +155,23 @@ func (s *prState) step() error {
 // the vertex count up to floating-point rounding. A failed step ends the
 // run with its error and no ranks.
 func (g *Graph) PageRank(iterations int, damping float64) ([]float64, error) {
-	if g.NumVertices() == 0 {
+	n := g.NumVertices()
+	if n == 0 {
 		return nil, nil
+	}
+	if iterations <= 0 {
+		metrics.AddArray(1)
+		ranks := make([]float64, n)
+		for i := range ranks {
+			ranks[i] = 1.0
+		}
+		return ranks, nil
 	}
 	st := g.newPRState(damping)
 	for it := 0; it < iterations; it++ {
-		if err := st.step(); err != nil {
+		if err := st.step(it == iterations-1); err != nil {
 			return nil, err
 		}
 	}
-	return st.ranks, nil
+	return st.cur, nil
 }

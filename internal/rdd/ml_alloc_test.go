@@ -45,10 +45,10 @@ func TestPageRankIterationAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	st := NewGraph(webEdges(rand.New(rand.NewSource(19)), 600)).newPRState(0.85)
-	if err := st.step(); err != nil { // warm
+	if err := st.step(false); err != nil { // warm
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() { st.step() })
+	allocs := testing.AllocsPerRun(20, func() { st.step(false) })
 	if allocs > mlIterAllocBound {
 		t.Fatalf("PageRank step allocated %.1f objects, want <= %d", allocs, mlIterAllocBound)
 	}
@@ -68,7 +68,7 @@ func webEdges(rng *rand.Rand, n int) []Pair[int, int] {
 }
 
 // TestPageRankAllocsIndependentOfVertices: a PageRank run allocates its
-// three rank vectors and the fixed fork–join overhead of its passes,
+// two share vectors and the fixed fork–join overhead of its passes,
 // whatever the graph size (the scatter kernel's result was a map with one
 // entry per vertex).
 func TestPageRankAllocsIndependentOfVertices(t *testing.T) {
@@ -81,6 +81,25 @@ func TestPageRankAllocsIndependentOfVertices(t *testing.T) {
 	b := testing.AllocsPerRun(5, func() { large.PageRank(3, 0.85) })
 	if a != b {
 		t.Fatalf("PageRank allocated %.0f objects at 1k vertices, %.0f at 16k", a, b)
+	}
+}
+
+// TestPageRankBytesGate: a PageRank run allocates two vectors of one
+// float64 a vertex — the shares it reads and the ones it writes, the
+// latter returned as the ranks — and the fork–join overhead of its one
+// pass a step, nothing else that grows with the graph.
+func TestPageRankBytesGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := NewGraph(webEdges(rand.New(rand.NewSource(3)), 16000))
+	// A vector this large is allocated in whole 8 KiB pages.
+	vector := uint64(8*g.NumVertices()+8191) &^ 8191
+	got := allocBytesPerRun(5, func() { g.PageRank(10, 0.85) })
+	t.Logf("PageRank(10, 0.85) over %d vertices: %d B", g.NumVertices(), got)
+	if limit := 2*vector + 4096; got > limit {
+		t.Errorf("PageRank(10, 0.85) over %d vertices allocated %d B, want <= %d (2 vectors of %d B + 4 KiB)",
+			g.NumVertices(), got, limit, vector)
 	}
 }
 

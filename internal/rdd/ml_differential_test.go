@@ -474,6 +474,73 @@ func TestPageRankBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// FuzzPageRank checks Graph.PageRank against refPageRank bit for bit on
+// random graphs: up to 256 vertices under sparse or dense external ids,
+// up to 1023 edges whose sources are drawn from the first k/8 of the
+// vertices, so the rest can only be sinks, 0–12 iterations, and a damping
+// factor that is 0.85 or random. The reference runs on the edge list
+// compacted the way NewGraph compacts it, sorted ids to dense vertices.
+func FuzzPageRank(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint32) {
+		rng := rand.New(rand.NewSource(seed))
+		nv := 1 + int(byte(shape))
+		ne := int(shape >> 8 & 1023)
+		iterations := int(shape>>18&15) % 13
+		sources := max(1, nv*int(shape>>22&7+1)/8)
+		sparse, randomDamping := shape>>25&1 == 1, shape>>26&1 == 1
+		damping := 0.85
+		if randomDamping {
+			damping = rng.Float64()
+		}
+		pool := make([]int, nv)
+		for i := range pool {
+			pool[i] = i
+			if sparse {
+				pool[i] = int(rng.Int63n(1<<40)) - 1<<39
+			}
+		}
+		edges := make([]Pair[int, int], ne)
+		for k := range edges {
+			edges[k] = KV(pool[rng.Intn(sources)], pool[rng.Intn(nv)])
+		}
+
+		seen := make(map[int]bool)
+		var ids []int
+		for _, e := range edges {
+			for _, v := range []int{e.Key, e.Value} {
+				if !seen[v] {
+					seen[v] = true
+					ids = append(ids, v)
+				}
+			}
+		}
+		sort.Ints(ids)
+		dense := make(map[int]int, len(ids))
+		for i, id := range ids {
+			dense[id] = i
+		}
+		compact := make([]Pair[int, int], ne)
+		for k, e := range edges {
+			compact[k] = KV(dense[e.Key], dense[e.Value])
+		}
+		want := refPageRank(compact, len(ids), iterations, damping)
+
+		got, err := NewGraph(edges).PageRank(iterations, damping)
+		if err != nil {
+			t.Fatalf("PageRank: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d ranks, reference %d", len(got), len(want))
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%d vertices, %d edges, %d iterations, damping %v: vertex %d rank %v, reference %v",
+					len(ids), ne, iterations, damping, v, got[v], want[v])
+			}
+		}
+	})
+}
+
 // --- Logistic regression ---
 
 func syntheticLabeled(rng *rand.Rand, n, dim int) []LabeledPoint {

@@ -250,15 +250,15 @@ func TestShuffleEpochRetryAfterInjectedExchangeFault(t *testing.T) {
 // TaskError and the test fail), and a chunk spends its budget only when all
 // four of its attempts fail. The seed pins every decision by trial index;
 // the interleaving decides only which chunk meets which trial.
-//   - rdd.* legs: a run makes ≈ 575 chunk passes at GOMAXPROCS 2, and
+//   - rdd.* legs: a run makes ≈ 455 chunk passes at GOMAXPROCS 2, and
 //     among the retries a leg reaches rdd.recompute and rdd.shuffle fire
 //     at most once each (three fires in all at GOMAXPROCS 4), so at
 //     GOMAXPROCS ≤ 2 no chunk can fail three retries, whatever the
 //     interleaving.
 //   - claim leg: forkjoin.claim alone at q = claimRate fails all four
 //     attempts of a chunk with probability q⁴ ≈ 2.6e-10. The three claim
-//     legs make ≈ 3 × 575 chunk passes (3 × 790 at GOMAXPROCS 4), so the
-//     chance that they spend any budget is ≈ 4.4e-7 (6.1e-7), below
+//     legs make ≈ 3 × 455 chunk passes (3 × 595 at GOMAXPROCS 4), so the
+//     chance that they spend any budget is ≈ 3.5e-7 (4.6e-7), below
 //     1e-6, and the point still fires a few times.
 func TestChaosDifferentialBitIdentical(t *testing.T) {
 	const claimRate = 0.004

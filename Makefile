@@ -102,9 +102,11 @@ stress-fragments:
 # tree's row-major split against the per-feature search, PageRank's one
 # pass a step over shares against the sequential rank/outdeg reference,
 # naive-Bayes' byte-row dot against lin.Dot, and ALS's fused normal
-# equations against the per-rating Syr+Axpy pair. A failing input lands
-# in that corpus directory; commit it with the fix.
-FUZZ_TARGETS = ./internal/mpsc:FuzzQueueOps ./internal/rvm/ir:FuzzVerify ./internal/rdd:FuzzTreeSplit ./internal/rdd:FuzzPageRank ./internal/rdd:FuzzDotCounts ./internal/lin:FuzzNormalEq
+# equations against the per-rating Syr+Axpy pair; the minilang compiler
+# against the baseline and quickened interpreters (result, error and
+# counters), and the netstack frame codec's decode/re-encode round trip.
+# A failing input lands in that corpus directory; commit it with the fix.
+FUZZ_TARGETS = ./internal/mpsc:FuzzQueueOps ./internal/rvm/ir:FuzzVerify ./internal/rdd:FuzzTreeSplit ./internal/rdd:FuzzPageRank ./internal/rdd:FuzzDotCounts ./internal/lin:FuzzNormalEq ./internal/minilang:FuzzCompile ./internal/netstack:FuzzFrameCodec
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t##*:}; \

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"renaissance/internal/forkjoin"
+	"renaissance/internal/futures"
 	"renaissance/internal/rdd"
 	"renaissance/internal/streams"
 )
@@ -13,7 +14,9 @@ import (
 // TestParallelFailureContract pins the one failure contract every parallel
 // entry point shares: a body that panics is re-raised at the join as a
 // *forkjoin.TaskError that errors.Is the panic value, and the shared pool
-// runs a clean job afterwards.
+// runs a clean job afterwards. A future is the one form that returns the
+// failure instead: Await's error is that same *forkjoin.TaskError, which
+// the futures cases re-panic so that one check covers every case.
 func TestParallelFailureContract(t *testing.T) {
 	sentinel := errors.New("contract sentinel")
 	xs := make([]int, 256)
@@ -56,6 +59,14 @@ func TestParallelFailureContract(t *testing.T) {
 		}},
 		{"streams.ParMap", func() {
 			streams.ParMap(xs, 0, failAt)
+		}},
+		{"futures.Async", func() {
+			_, err := futures.Async(func() (int, error) { return failAt(100), nil }).Await()
+			panic(err)
+		}},
+		{"futures.Map", func() {
+			_, err := futures.Map(futures.Async(func() (int, error) { return 100, nil }), failAt).Await()
+			panic(err)
 		}},
 	}
 	for _, c := range cases {

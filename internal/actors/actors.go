@@ -165,7 +165,7 @@ type Ref struct {
 	mb mpsc.Queue[envelope]
 	// supervisor and strategy are the immutable fault-domain
 	// configuration: supervisor is nil for a tree root, strategy nil for
-	// DefaultStrategy.
+	// defaultStrategy.
 	supervisor *Ref
 	strategy   Strategy
 	// slot is what a worker's deque holds while the actor is scheduled
@@ -352,9 +352,10 @@ type Context struct {
 func (c *Context) Self() *Ref { return c.self }
 
 // Spawn creates a child actor with the default fault domain (no
-// supervisor, DefaultStrategy). The name is a label only, as for
-// System.Spawn; after Shutdown it panics with ErrSystemStopped, which
-// fails the spawning actor like any other panic in Receive.
+// supervisor, the strategy a nil SpawnOpts.Strategy means). The name is a
+// label only, as for System.Spawn; after Shutdown it panics with
+// ErrSystemStopped, which fails the spawning actor like any other panic
+// in Receive.
 func (c *Context) Spawn(name string, r Receiver) *Ref {
 	return c.sys.spawn(r, SpawnOpts{})
 }

@@ -97,10 +97,10 @@ func (s OneForOne) Decide(_ any, restarts int) Directive {
 	return Restart
 }
 
-// DefaultStrategy governs actors spawned without SpawnOpts: a bounded
+// defaultStrategy governs actors spawned without a Strategy: a bounded
 // restart ladder degrading to Stop, so an unsupervised failing actor
 // neither crashes the process nor restarts forever.
-var DefaultStrategy Strategy = OneForOne{MaxRestarts: 5, Overflow: Stop}
+var defaultStrategy Strategy = OneForOne{MaxRestarts: 5, Overflow: Stop}
 
 const (
 	// DefaultBackoff is the base restart delay, doubled per consecutive
@@ -116,7 +116,9 @@ type SpawnOpts struct {
 	// Supervisor receives this actor's escalated failures; nil makes the
 	// actor a supervision-tree root.
 	Supervisor *Ref
-	// Strategy decides failure directives; nil means DefaultStrategy.
+	// Strategy decides failure directives. Nil means OneForOne{MaxRestarts:
+	// 5, Overflow: Stop}: up to five consecutive restarts, each after an
+	// exponential backoff from DefaultBackoff, then Stop.
 	Strategy Strategy
 }
 
@@ -150,7 +152,7 @@ func (r *Ref) strategyFor() Strategy {
 	if r.strategy != nil {
 		return r.strategy
 	}
-	return DefaultStrategy
+	return defaultStrategy
 }
 
 // Supervisor returns the actor's supervisor, or nil for a tree root.

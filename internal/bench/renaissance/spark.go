@@ -3,6 +3,7 @@ package renaissance
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"renaissance/internal/core"
 	"renaissance/internal/rdd"
@@ -59,8 +60,21 @@ type alsWorkload struct {
 }
 
 func newALS(cfg core.Config) (core.Workload, error) {
+	const rank = 4
+	// The rating graph is grouped into CSR once at setup; the measured
+	// iteration is pure alternating solves (the seed re-grouped the
+	// ratings inside every ALS call).
+	return &alsWorkload{graph: rdd.NewRatingsGraph(alsRatings(cfg, rank)), rank: rank}, nil
+}
+
+// alsRatings draws the als workload's ratings: each (user, item) pair is
+// rated with probability 0.4 by the dot product of hidden rank-dimensional
+// factors. Ids are rows, so a user or item that drew no rating would be
+// an empty row; at rbench's size every id draws one
+// (TestSparkGeneratorsNameEveryID).
+func alsRatings(cfg core.Config, rank int) []rdd.Rating {
 	rng := cfg.Rand("als")
-	users, items, rank := cfg.Scale(60), cfg.Scale(40), 4
+	users, items := cfg.Scale(60), cfg.Scale(40)
 	trueU := make([][]float64, users)
 	trueI := make([][]float64, items)
 	for u := range trueU {
@@ -81,10 +95,7 @@ func newALS(cfg core.Config) (core.Workload, error) {
 			}
 		}
 	}
-	// The rating graph is grouped into CSR once at setup; the measured
-	// iteration is pure alternating solves (the seed re-grouped the
-	// ratings inside every ALS call).
-	return &alsWorkload{graph: rdd.NewRatingsGraph(ratings), rank: rank}, nil
+	return ratings
 }
 
 func randomVec(rng interface{ Float64() float64 }, n int) []float64 {
@@ -235,6 +246,23 @@ type movieLensWorkload struct {
 }
 
 func newMovieLens(cfg core.Config) (core.Workload, error) {
+	ratings := movieLensRatings(cfg)
+	w := &movieLensWorkload{graph: rdd.NewRatingsGraph(ratings)}
+	for u := range w.rated {
+		w.rated[u] = make(map[int]bool)
+	}
+	for _, r := range ratings {
+		if r.User < movieLensQueried {
+			w.rated[r.User][r.Item] = true
+		}
+	}
+	return w, nil
+}
+
+// movieLensRatings draws the movie-lens workload's ratings: each user rates
+// each movie with probability 0.3, and movie u mod movies always, so every
+// user and (with users >= movies) every movie id is named.
+func movieLensRatings(cfg core.Config) []rdd.Rating {
 	rng := cfg.Rand("movie-lens")
 	users, movies := cfg.Scale(50), cfg.Scale(35)
 	if users < 12 {
@@ -242,10 +270,6 @@ func newMovieLens(cfg core.Config) (core.Workload, error) {
 	}
 	if movies < 9 {
 		movies = 9
-	}
-	w := &movieLensWorkload{}
-	for u := range w.rated {
-		w.rated[u] = make(map[int]bool)
 	}
 	var ratings []rdd.Rating
 	for u := 0; u < users; u++ {
@@ -257,14 +281,10 @@ func newMovieLens(cfg core.Config) (core.Workload, error) {
 					base = 4.5
 				}
 				ratings = append(ratings, rdd.Rating{User: u, Item: m, Value: base + rng.Float64()})
-				if u < movieLensQueried {
-					w.rated[u][m] = true
-				}
 			}
 		}
 	}
-	w.graph = rdd.NewRatingsGraph(ratings)
-	return w, nil
+	return ratings
 }
 
 func (w *movieLensWorkload) RunIteration() error {
@@ -340,21 +360,26 @@ type pageRankWorkload struct {
 }
 
 func newPageRank(cfg core.Config) (core.Workload, error) {
-	rng := cfg.Rand("page-rank")
 	n := cfg.Scale(600)
+	// The web graph is built into a CSR edge array once at setup; the
+	// measured iteration is pure rank propagation (the seed re-derived
+	// the link groups with a shuffle every iteration).
+	return &pageRankWorkload{graph: rdd.NewGraph(pageRankEdges(cfg.Rand("page-rank"), n)), n: n}, nil
+}
+
+// pageRankEdges draws the page-rank workload's web graph over vertices
+// 0 … n−1: every vertex links to its successor (strong connectivity, and
+// every id named) plus a few preferential links toward low-numbered "hub"
+// vertices.
+func pageRankEdges(rng *rand.Rand, n int) []rdd.Pair[int, int] {
 	edges := make([]rdd.Pair[int, int], 0, 4*n)
 	for v := 0; v < n; v++ {
-		// Every vertex links to its successor (strong connectivity) plus a
-		// few preferential links toward low-numbered "hub" vertices.
 		edges = append(edges, rdd.KV(v, (v+1)%n))
 		for k := 0; k < 3; k++ {
 			edges = append(edges, rdd.KV(v, rng.Intn(v/4+1)))
 		}
 	}
-	// The web graph is compacted into a CSR edge array once at setup; the
-	// measured iteration is pure rank propagation (the seed re-derived
-	// the link groups with a shuffle every iteration).
-	return &pageRankWorkload{graph: rdd.NewGraph(edges), n: n}, nil
+	return edges
 }
 
 func (w *pageRankWorkload) RunIteration() (err error) {

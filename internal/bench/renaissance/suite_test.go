@@ -6,6 +6,7 @@ import (
 
 	"renaissance/internal/chaos"
 	"renaissance/internal/core"
+	"renaissance/internal/rdd"
 )
 
 // paperBenchmarks is the Table 1 inventory.
@@ -183,5 +184,62 @@ func TestShootoutKeyMatchesSprintf(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = shootoutKey(4799) }); n > 1 {
 		t.Errorf("shootoutKey allocates %v times, want <= 1", n)
+	}
+}
+
+// TestSparkGeneratorsNameEveryID: rdd.NewGraph and rdd.NewRatingsGraph
+// take ids as rows, so an id that no edge or rating names would be an
+// isolated vertex or an empty factor row. At rbench's size factors for
+// page-rank, als and movie-lens (500, 13 and 22), every id in [0, n) of
+// each generator is named, so the graphs are exactly the dense ones the
+// workloads mean.
+func TestSparkGeneratorsNameEveryID(t *testing.T) {
+	named := func(t *testing.T, what string, n int, ids func(yield func(int))) {
+		t.Helper()
+		seen := make([]bool, n)
+		ids(func(id int) {
+			if id < 0 || id >= n {
+				t.Fatalf("%s id %d outside [0, %d)", what, id, n)
+			}
+			seen[id] = true
+		})
+		for id, ok := range seen {
+			if !ok {
+				t.Fatalf("%s id %d of [0, %d) named by nothing", what, id, n)
+			}
+		}
+	}
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 42} {
+		cfg := core.Config{SizeFactor: 500, Seed: seed}
+		n := cfg.Scale(600)
+		edges := pageRankEdges(cfg.Rand("page-rank"), n)
+		named(t, "page-rank vertex", n, func(yield func(int)) {
+			for _, e := range edges {
+				yield(e.Key)
+				yield(e.Value)
+			}
+		})
+		for _, c := range []struct {
+			name         string
+			size         float64
+			users, items int
+			ratings      func(core.Config) []rdd.Rating
+		}{
+			{"als", 13, 60, 40, func(cfg core.Config) []rdd.Rating { return alsRatings(cfg, 4) }},
+			{"movie-lens", 22, 50, 35, movieLensRatings},
+		} {
+			cfg := core.Config{SizeFactor: c.size, Seed: seed}
+			ratings := c.ratings(cfg)
+			named(t, c.name+" user", cfg.Scale(c.users), func(yield func(int)) {
+				for _, r := range ratings {
+					yield(r.User)
+				}
+			})
+			named(t, c.name+" item", cfg.Scale(c.items), func(yield func(int)) {
+				for _, r := range ratings {
+					yield(r.Item)
+				}
+			})
+		}
 	}
 }

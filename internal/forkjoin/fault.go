@@ -27,13 +27,14 @@ import (
 var ErrPoolClosed = errors.New("forkjoin: pool closed")
 
 // TaskError wraps the first panic recovered from a parallel job's chunk or
-// from a pool task, with the panicking goroutine's stack attached. Sibling
+// from a pool task (futures fail an Async body's or Map stage's future
+// with one too), with the panicking goroutine's stack attached. Sibling
 // chunks of the same job are cancelled at their next chunk claim; chunks
 // already executing run to completion before the barrier releases, so no
 // goroutine outlives the join.
 type TaskError struct {
 	// Index is the start index of the chunk whose body panicked, or -1 for
-	// a pool task run by Invoke or Fork.
+	// a pool task run by Invoke or Fork and for a futures body or stage.
 	Index int
 	// Value is the recovered panic value.
 	Value any

@@ -19,7 +19,6 @@ package futures
 
 import (
 	"errors"
-	"fmt"
 	"runtime/debug"
 	"sync"
 
@@ -29,27 +28,6 @@ import (
 
 // ErrAlreadyCompleted is returned when a promise is completed twice.
 var ErrAlreadyCompleted = errors.New("futures: promise already completed")
-
-// PanicError is the failure of a future whose Async body panicked: the
-// recovered value with the panicking goroutine's stack attached.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-// Error implements error.
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("futures: async body panicked: %v", e.Value)
-}
-
-// Unwrap exposes a panic value that was itself an error, so errors.Is/As
-// see through the wrapper.
-func (e *PanicError) Unwrap() error {
-	if err, ok := e.Value.(error); ok {
-		return err
-	}
-	return nil
-}
 
 // Future is a read handle on an eventually available value of type T.
 // Everything below mu is guarded by it until completed is set; after that
@@ -189,8 +167,9 @@ func Completed[T any](v T) *Future[T] {
 // Async queues fn on forkjoin.Shared() and returns its future; fn runs on
 // a pool worker or on a goroutine that Awaits a pending future. A body
 // that waits on another future must do so through Await (see the package
-// doc). A panicking fn fails the future with a *PanicError instead of
-// killing the process: neither of those goroutines is the harness's
+// doc). A panicking fn fails the future with a *forkjoin.TaskError (Index
+// −1), the error every pool job's panic becomes, instead of killing the
+// process: neither of those goroutines is the harness's
 // iteration goroutine, so nothing above the body would recover.
 func Async[T any](fn func() (T, error)) *Future[T] {
 	metrics.IncObject()
@@ -218,11 +197,11 @@ func (t *asyncTask[T]) Run(*forkjoin.Worker) {
 	_ = t.Success(v)
 }
 
-// protect calls fn, converting a panic into a *PanicError.
+// protect calls fn, converting a panic into a *forkjoin.TaskError.
 func protect[T any](fn func() (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			err = &forkjoin.TaskError{Index: -1, Value: r, Stack: debug.Stack()}
 		}
 	}()
 	return fn()
@@ -230,8 +209,8 @@ func protect[T any](fn func() (T, error)) (v T, err error) {
 
 // Map returns a future holding fn applied to f's value; errors pass
 // through. fn runs on whichever goroutine completes f, so a panicking fn
-// fails the derived future with a *PanicError instead of unwinding into
-// the completer.
+// fails the derived future with a *forkjoin.TaskError instead of
+// unwinding into the completer.
 func Map[T, U any](f *Future[T], fn func(T) U) *Future[U] {
 	p := NewPromise[U]()
 	f.OnComplete(func(v T, err error) {

@@ -222,12 +222,12 @@ func TestAsync(t *testing.T) {
 // must fail the future, not kill the process.
 func TestAsyncPanicFailsFuture(t *testing.T) {
 	_, err := Async(func() (int, error) { panic("fitness exploded") }).Await()
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Value != "fitness exploded" {
-		t.Fatalf("Async err = %v, want PanicError(fitness exploded)", err)
+	var te *forkjoin.TaskError
+	if !errors.As(err, &te) || te.Index != -1 || te.Value != "fitness exploded" {
+		t.Fatalf("Async err = %v, want TaskError{Index: -1, Value: fitness exploded}", err)
 	}
-	if len(pe.Stack) == 0 {
-		t.Error("PanicError carries no stack")
+	if len(te.Stack) == 0 {
+		t.Error("TaskError carries no stack")
 	}
 	boom := errors.New("boom")
 	_, err = Async(func() (int, error) { panic(boom) }).Await()
@@ -236,7 +236,7 @@ func TestAsyncPanicFailsFuture(t *testing.T) {
 	}
 	// Continuations see the failure like any other.
 	g := Map(Async(func() (int, error) { panic("again") }), func(v int) int { return v + 1 })
-	if _, err := g.Await(); !errors.As(err, &pe) {
+	if _, err := g.Await(); !errors.As(err, &te) {
 		t.Errorf("Map over a panicked future: err = %v", err)
 	}
 }
@@ -250,9 +250,9 @@ func TestMapPanicFailsFuture(t *testing.T) {
 		return 1, nil
 	})
 	_, err := Map(up, func(int) int { panic("stage exploded") }).Await()
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Value != "stage exploded" || len(pe.Stack) == 0 {
-		t.Fatalf("Map err = %v, want PanicError(stage exploded) with a stack", err)
+	var te *forkjoin.TaskError
+	if !errors.As(err, &te) || te.Index != -1 || te.Value != "stage exploded" || len(te.Stack) == 0 {
+		t.Fatalf("Map err = %v, want TaskError{Index: -1, Value: stage exploded} with a stack", err)
 	}
 	if v, err := up.Await(); v != 1 || err != nil {
 		t.Errorf("upstream = (%d, %v), want (1, nil): the mapper's panic is its own", v, err)
@@ -555,9 +555,9 @@ func TestExecutorRunsOnAfterPanic(t *testing.T) {
 	}
 	within(t, "the panicking bodies", func() {
 		for range 2 * workers {
-			var pe *PanicError
-			if err := <-failed; !errors.As(err, &pe) {
-				t.Errorf("panicking body err = %v, want a PanicError", err)
+			var te *forkjoin.TaskError
+			if err := <-failed; !errors.As(err, &te) {
+				t.Errorf("panicking body err = %v, want a *forkjoin.TaskError", err)
 			}
 		}
 	})

@@ -13,6 +13,14 @@ const btreeOrder = 32
 
 // BTree is an ordered store backed by a B-tree under a readers–writer
 // lock: range scans and gets take the read lock, mutations the write lock.
+//
+// Delete does not rebalance, so below the root a node may hold any number
+// of keys from none to btreeOrder, and a delete-heavy tree keeps emptied
+// leaves and keyless one-child nodes. What every operation keeps is this:
+// an in-order walk visits every key once, in ascending order (an internal
+// node has one child more than it has keys, and each subtree's keys lie
+// strictly between the keys around it); every leaf is at the same depth;
+// the root is a leaf or holds a key; and a delete never adds height.
 type BTree struct {
 	mu   sync.RWMutex
 	root *btreeNode
@@ -158,10 +166,10 @@ func (t *BTree) insertNonFull(n *btreeNode, key string, value []byte) bool {
 
 // Delete implements Store. The key is located and removed; an internal
 // key is replaced by its in-order predecessor. Nodes are allowed to
-// underflow, down to no keys (no rebalancing), which keeps lookups correct
-// and is a common simplification for in-memory stores with mixed
-// workloads. A root left internal with no keys and a single child is
-// replaced by that child, so a delete-heavy tree loses height.
+// underflow, down to no keys (no rebalancing, see BTree), which keeps
+// lookups correct and is a common simplification for in-memory stores
+// with mixed workloads. A root left internal with no keys and a single
+// child is replaced by that child, so a delete-heavy tree loses height.
 func (t *BTree) Delete(key string) bool {
 	metrics.IncSynch()
 	t.mu.Lock()

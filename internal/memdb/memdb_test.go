@@ -231,6 +231,25 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 		f := func(ops [400]op) bool {
 			s := engine()
 			model := map[string][]byte{}
+			// del deletes k from both; a B-tree delete must also keep the
+			// invariant BTree documents and never add height.
+			bt, _ := s.(*BTree)
+			del := func(k string) bool {
+				var before int
+				if bt != nil {
+					before, _ = btreeViolation(bt)
+				}
+				got := s.Delete(k)
+				_, want := model[k]
+				delete(model, k)
+				if bt != nil {
+					if after, v := btreeViolation(bt); v != "" || after > before {
+						t.Logf("after Delete(%q): %q, height %d → %d", k, v, before, after)
+						return false
+					}
+				}
+				return got == want
+			}
 			for _, o := range ops {
 				k := key(o.Key)
 				switch o.Kind % 5 {
@@ -245,10 +264,7 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 						return false
 					}
 				case 3:
-					got := s.Delete(k)
-					_, want := model[k]
-					delete(model, k)
-					if got != want {
+					if !del(k) {
 						return false
 					}
 				case 4:
@@ -283,7 +299,22 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 					}
 				}
 			}
-			return s.Len() == len(model)
+			if s.Len() != len(model) {
+				return false
+			}
+			// Drain the store in the order the ops named the keys, so that
+			// deletes empty nodes below the root and shrink the B-tree.
+			for _, o := range ops {
+				if !del(key(o.Key)) {
+					return false
+				}
+			}
+			for _, k := range keys {
+				if !del(k) {
+					return false
+				}
+			}
+			return s.Len() == 0
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 			t.Errorf("%s: %v", engine().Name(), err)
@@ -406,8 +437,7 @@ func TestBTreeDeleteEmptiedPredecessor(t *testing.T) {
 	if bt.Len() != 0 {
 		t.Fatalf("Len = %d after deleting every key", bt.Len())
 	}
-	checkBTree(t, bt.root)
-	noKeylessRoot(t, bt)
+	checkBTree(t, bt)
 
 	// Three levels: empty the last leaf under the root's first child, then
 	// delete the root's first key. Its predecessor is that child's last key,
@@ -430,46 +460,48 @@ func TestBTreeDeleteEmptiedPredecessor(t *testing.T) {
 	if bt.root.keys[0] != pred {
 		t.Fatalf("root's first key = %q, want the predecessor %q", bt.root.keys[0], pred)
 	}
-	checkBTree(t, bt.root)
+	checkBTree(t, bt)
 
 	// Delete everything left in key order: each root key goes once its
 	// left subtree is empty, taking that subtree with it, until the root
 	// is the last leaf.
 	for i := 0; i < 1200; i++ {
 		bt.Delete(fmt.Sprintf("k%04d", i))
-		noKeylessRoot(t, bt)
+		checkBTree(t, bt)
 	}
 	if bt.Len() != 0 || !bt.root.leaf() {
 		t.Fatalf("after deleting every key: Len %d, root leaf %v", bt.Len(), bt.root.leaf())
 	}
 }
 
-// noKeylessRoot fails if the root is an internal node without keys, which
-// would add a level to every lookup while guarding nothing.
-func noKeylessRoot(t *testing.T, bt *BTree) {
-	t.Helper()
+// btreeViolation returns how bt breaks the invariant BTree documents, or
+// "" along with the tree's height: keys in order with one child more than
+// keys in every internal node, size keys in all, every leaf at one depth,
+// and a root that is a leaf or holds a key.
+func btreeViolation(bt *BTree) (height int, violation string) {
 	if !bt.root.leaf() && len(bt.root.keys) == 0 {
-		t.Fatalf("root is internal with no keys and %d children", len(bt.root.children))
+		return 0, fmt.Sprintf("root is internal with no keys and %d children", len(bt.root.children))
 	}
-}
-
-// checkBTree fails unless every internal node under n has one child more
-// than it has keys and every subtree's keys lie strictly between the keys
-// around it.
-func checkBTree(t *testing.T, n *btreeNode) {
-	t.Helper()
-	var walk func(n *btreeNode, lo, hi string, hasLo, hasHi bool)
-	walk = func(n *btreeNode, lo, hi string, hasLo, hasHi bool) {
-		for _, k := range n.keys {
-			if (hasLo && k <= lo) || (hasHi && k >= hi) {
-				t.Fatalf("key %q out of order in (%q, %q)", k, lo, hi)
+	keys, leafDepth := 0, -1
+	var walk func(n *btreeNode, depth int, lo, hi string, hasLo, hasHi bool) string
+	walk = func(n *btreeNode, depth int, lo, hi string, hasLo, hasHi bool) string {
+		keys += len(n.keys)
+		for i, k := range n.keys {
+			if (hasLo && k <= lo) || (hasHi && k >= hi) || (i > 0 && k <= n.keys[i-1]) {
+				return fmt.Sprintf("key %q out of order in (%q, %q)", k, lo, hi)
 			}
 		}
 		if n.leaf() {
-			return
+			if leafDepth < 0 {
+				leafDepth = depth
+			}
+			if depth != leafDepth {
+				return fmt.Sprintf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			return ""
 		}
 		if len(n.children) != len(n.keys)+1 {
-			t.Fatalf("node with %d keys has %d children", len(n.keys), len(n.children))
+			return fmt.Sprintf("node with %d keys has %d children", len(n.keys), len(n.children))
 		}
 		for i, c := range n.children {
 			clo, chi, cHasLo, cHasHi := lo, hi, hasLo, hasHi
@@ -479,10 +511,27 @@ func checkBTree(t *testing.T, n *btreeNode) {
 			if i < len(n.keys) {
 				chi, cHasHi = n.keys[i], true
 			}
-			walk(c, clo, chi, cHasLo, cHasHi)
+			if v := walk(c, depth+1, clo, chi, cHasLo, cHasHi); v != "" {
+				return v
+			}
 		}
+		return ""
 	}
-	walk(n, "", "", false, false)
+	if v := walk(bt.root, 0, "", "", false, false); v != "" {
+		return 0, v
+	}
+	if keys != bt.size {
+		return 0, fmt.Sprintf("%d keys reachable, size %d", keys, bt.size)
+	}
+	return leafDepth, ""
+}
+
+// checkBTree fails the test if bt breaks its invariant.
+func checkBTree(t *testing.T, bt *BTree) {
+	t.Helper()
+	if _, v := btreeViolation(bt); v != "" {
+		t.Fatal(v)
+	}
 }
 
 // A node is allocated once at full capacity, so an insert never regrows it;

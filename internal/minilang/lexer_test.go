@@ -68,7 +68,8 @@ func TestLexTokens(t *testing.T) {
 
 // FuzzCompile: whatever Compile accepts must run, under a fuel limit, to
 // the same result, error and counters on the baseline and the quickened
-// interpreter, and nothing on the way may panic.
+// interpreter, and nothing on the way may panic. testdata/fuzz/FuzzCompile
+// holds the same seeds as files.
 func FuzzCompile(f *testing.F) {
 	for _, src := range Corpus(6) {
 		f.Add(src)

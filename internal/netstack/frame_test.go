@@ -113,6 +113,7 @@ func TestFrameCodecAcrossBuffer(t *testing.T) {
 
 // Any byte stream decodes without panicking, and the frames it yields,
 // written back, reproduce the prefix of the stream they came from.
+// testdata/fuzz/FuzzFrameCodec holds the same seeds as files.
 func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 'x'})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 2, 'h', 'i', 0, 0})

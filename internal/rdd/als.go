@@ -21,72 +21,51 @@ type Rating struct {
 // ratings on every ALS call — GroupByKey + CollectAsMap rebuilt two
 // hash-maps-of-slices per benchmark iteration — where the alternating
 // solves only ever need a per-id adjacency scan. Here each side is three
-// flat arrays (lin.CSR) over compacted int32 ids: byUser's row u lists
-// (item row, rating) pairs, byItem's row i lists (user row, rating)
-// pairs. External ids are compacted in sorted order, so factor-matrix
-// row r corresponds to the r-th smallest external id and every
-// computation over the graph is deterministic.
+// flat arrays (lin.CSR) whose rows are the ids: byUser's row u lists
+// (item, rating) pairs, byItem's row i lists (user, rating) pairs, and
+// factor-matrix row r belongs to id r, so every computation over the
+// graph is deterministic.
 type RatingsGraph struct {
-	userIDs, itemIDs []int
-	userIdx          map[int]int32
-	byUser, byItem   *lin.CSR
+	byUser, byItem *lin.CSR
 }
 
 // NewRatingsGraph groups the ratings into both CSR orientations. Call it
-// once per dataset (benchmark setup), not per training run.
+// once per dataset (benchmark setup), not per training run. User and item
+// ids are rows: there are 1 + the largest user id users and 1 + the
+// largest item id items, and an id that no rating names has an empty row.
+// An id outside [0, math.MaxInt32) panics.
 func NewRatingsGraph(ratings []Rating) *RatingsGraph {
-	// The id compaction and the two CSR builds are the grouping work the
-	// seed re-did every iteration; count its allocations where they now
-	// happen — once, at setup.
+	// The two CSR builds are the grouping work the seed re-did every
+	// iteration; count its allocations where they now happen — once, at
+	// setup.
 	metrics.IncObject()
 	metrics.AddArray(2 * 3) // two CSRs, three flat arrays each
-	g := &RatingsGraph{userIdx: make(map[int]int32)}
-	itemIdx := make(map[int]int32) // only the build reads it
-	for _, r := range ratings {
-		if _, ok := g.userIdx[r.User]; !ok {
-			g.userIdx[r.User] = 0
-			g.userIDs = append(g.userIDs, r.User)
-		}
-		if _, ok := itemIdx[r.Item]; !ok {
-			itemIdx[r.Item] = 0
-			g.itemIDs = append(g.itemIDs, r.Item)
-		}
-	}
-	sort.Ints(g.userIDs)
-	sort.Ints(g.itemIDs)
-	for i, id := range g.userIDs {
-		g.userIdx[id] = int32(i)
-	}
-	for i, id := range g.itemIDs {
-		itemIdx[id] = int32(i)
-	}
-	uSrc := make([]int32, len(ratings))
-	uDst := make([]int32, len(ratings))
+	users := make([]int32, len(ratings))
+	items := make([]int32, len(ratings))
 	vals := make([]float64, len(ratings))
+	nu, ni := 0, 0
 	for k, r := range ratings {
-		uSrc[k] = g.userIdx[r.User]
-		uDst[k] = itemIdx[r.Item]
-		vals[k] = r.Value
+		users[k], items[k], vals[k] = row("user", r.User), row("item", r.Item), r.Value
+		nu, ni = max(nu, int(users[k])+1), max(ni, int(items[k])+1)
 	}
-	g.byUser = lin.NewCSR(len(g.userIDs), uSrc, uDst, vals)
-	// Reuse the buffers transposed for the item side.
-	uSrc, uDst = uDst, uSrc
-	g.byItem = lin.NewCSR(len(g.itemIDs), uSrc, uDst, vals)
-	return g
+	return &RatingsGraph{
+		byUser: lin.NewCSR(nu, users, items, vals),
+		byItem: lin.NewCSR(ni, items, users, vals),
+	}
 }
 
-// NumUsers returns the number of distinct users.
-func (g *RatingsGraph) NumUsers() int { return len(g.userIDs) }
+// NumUsers returns 1 + the largest user id.
+func (g *RatingsGraph) NumUsers() int { return g.byUser.NumRows() }
 
-// NumItems returns the number of distinct items.
-func (g *RatingsGraph) NumItems() int { return len(g.itemIDs) }
+// NumItems returns 1 + the largest item id.
+func (g *RatingsGraph) NumItems() int { return g.byItem.NumRows() }
 
 // NumRatings returns the number of observations.
 func (g *RatingsGraph) NumRatings() int { return g.byUser.NumEdges() }
 
 // RMSE computes the root-mean-square error of the model on the graph's
-// own ratings: one Dot per byUser entry on compacted rows, summed in user
-// order, then each row's input order (input order, for user-major input).
+// own ratings: one Dot per byUser entry, summed in user order, then each
+// row's input order (input order, for user-major input).
 func (g *RatingsGraph) RMSE(m *ALSModel) float64 {
 	n := g.NumRatings()
 	if n == 0 {
@@ -105,19 +84,17 @@ func (g *RatingsGraph) RMSE(m *ALSModel) float64 {
 }
 
 // ALSModel holds the fitted latent factors as dense id-indexed flat
-// matrices: row r of Users/Items is the factor vector of the r-th
-// smallest external user/item id (the seed stored map[int][]float64 —
-// one pointer-chased allocation per id).
+// matrices: row r of Users/Items is the factor vector of user/item id r
+// (the seed stored map[int][]float64 — one pointer-chased allocation per
+// id). An id that no rating names has a zero row.
 type ALSModel struct {
 	Users, Items *lin.Mat
-	userIdx      map[int]int32
-	itemIDs      []int
 }
 
 // ALSTrain fits latent factors by alternating least squares with L2
 // regularization over a pre-grouped rating graph — the als benchmark
 // kernel (Table 1: "data-parallel, compute-bound"). Factor rows start in
-// sorted-id order from the seeded rng (the seed kernel used map order),
+// id order from the seeded rng (the seed kernel used map order),
 // and every iteration rewrites both factor matrices in place: holding one
 // side fixed, each row of the other solves its normal equations
 // (Yᵀ·Y + λ·nᵢ·I)·x = Yᵀ·b, SPD since λ·nᵢ > 0, in parallel across rows
@@ -130,10 +107,8 @@ func ALSTrain(g *RatingsGraph, rank, iterations int, lambda float64, seed int64)
 	rng := rand.New(rand.NewSource(seed))
 	metrics.AddArray(2) // the two factor matrices
 	model := &ALSModel{
-		Users:   lin.NewMat(g.NumUsers(), rank),
-		Items:   lin.NewMat(g.NumItems(), rank),
-		userIdx: g.userIdx,
-		itemIDs: g.itemIDs,
+		Users: lin.NewMat(g.NumUsers(), rank),
+		Items: lin.NewMat(g.NumItems(), rank),
 	}
 	for i := range model.Users.Data {
 		model.Users.Data[i] = rng.Float64()
@@ -190,37 +165,22 @@ func solveFactors(adj *lin.CSR, target, other *lin.Mat, lambda float64) error {
 }
 
 // Recommend returns the top-n unrated items for the user, by predicted
-// rating (the movie-lens recommender step). Ties break toward the lower
+// rating (the movie-lens recommender step). Every item row is a candidate;
+// a user without a row scores every item 0. Ties break toward the lower
 // item id, as in the seed kernel.
 func (m *ALSModel) Recommend(user int, rated map[int]bool, n int) []int {
-	type scored struct {
-		item  int
-		score float64
-	}
-	u, okU := m.userIdx[user]
-	var cands []scored
-	for r, item := range m.itemIDs {
-		if rated[item] {
-			continue
+	score := make([]float64, m.Items.Rows)
+	if user >= 0 && user < m.Users.Rows {
+		for item := range score {
+			score[item] = lin.Dot(m.Users.Row(user), m.Items.Row(item))
 		}
-		score := 0.0
-		if okU {
-			score = lin.Dot(m.Users.Row(int(u)), m.Items.Row(r))
+	}
+	var cands []int
+	for item := range score {
+		if !rated[item] {
+			cands = append(cands, item)
 		}
-		cands = append(cands, scored{item, score})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].item < cands[j].item
-	})
-	if n > len(cands) {
-		n = len(cands)
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = cands[i].item
-	}
-	return out
+	sort.SliceStable(cands, func(i, j int) bool { return score[cands[i]] > score[cands[j]] })
+	return cands[:min(n, len(cands))]
 }

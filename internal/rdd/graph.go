@@ -1,61 +1,47 @@
 package rdd
 
 import (
-	"sort"
+	"fmt"
+	"math"
 
 	"renaissance/internal/lin"
 	"renaissance/internal/metrics"
 )
 
-// Graph is a directed graph compacted into a CSR edge array, built once
-// at workload setup — the flat-memory substrate of the page-rank kernel
-// (Table 1: "data-parallel, atomics"). The seed kernel kept the graph as
-// an RDD of pairs and re-derived everything per iteration: a FlatMap
-// allocating one contribution pair per edge, a ReduceByKey shuffle, and
-// a CollectAsMap rebuilding a hash map of ranks. Here vertex ids are
-// compacted in sorted order (ranks live in dense []float64, not
-// map[int]float64), the adjacency is stored by destination — row v of
-// the CSR lists v's in-neighbours — so every vertex pulls its new rank
-// from a sequential scan, and the per-iteration state is two dense
-// vectors. The graph keeps no id table: vertex v is the v-th smallest
-// external id, which only NewGraph needs.
+// Graph is a directed graph in a CSR edge array, built once at workload
+// setup — the flat-memory substrate of the page-rank kernel (Table 1:
+// "data-parallel, atomics"). The seed kernel kept the graph as an RDD of
+// pairs and re-derived everything per iteration: a FlatMap allocating one
+// contribution pair per edge, a ReduceByKey shuffle, and a CollectAsMap
+// rebuilding a hash map of ranks. Here a vertex id is its row (ranks live
+// in dense []float64, not map[int]float64), the adjacency is stored by
+// destination — row v of the CSR lists v's in-neighbours — so every
+// vertex pulls its new rank from a sequential scan, and the per-iteration
+// state is two dense vectors.
 type Graph struct {
 	in       *lin.CSR // row v: the sources of v's in-edges, in input order
 	outDeg   []int32  // one entry a vertex
 	dangling []int32  // vertices with no outgoing edge
 }
 
-// NewGraph compacts the edge list into in-edge CSR adjacency. Entries keep
-// input order (stable counting sort), so rank accumulation is
-// deterministic.
+// NewGraph builds the in-edge CSR adjacency of the edge list. Vertex ids
+// are rows: the graph has 1 + the largest id vertices, and an id in
+// between that no edge names is an isolated sink. An id outside
+// [0, math.MaxInt32) panics. Entries keep input order (stable counting
+// sort), so rank accumulation is deterministic.
 func NewGraph(edges []Pair[int, int]) *Graph {
 	metrics.IncObject()
 	metrics.AddArray(4) // the CSR's flat arrays and the out-degrees
-	idx := make(map[int]int32)
-	var ids []int
-	add := func(v int) {
-		if _, ok := idx[v]; !ok {
-			idx[v] = 0
-			ids = append(ids, v)
-		}
-	}
-	for _, e := range edges {
-		add(e.Key)
-		add(e.Value)
-	}
-	sort.Ints(ids)
-	for i, id := range ids {
-		idx[id] = int32(i)
-	}
-	n := len(ids)
-	g := &Graph{}
 	src := make([]int32, len(edges))
 	dst := make([]int32, len(edges))
-	g.outDeg = make([]int32, n)
+	n := 0
 	for k, e := range edges {
-		src[k] = idx[e.Key]
-		dst[k] = idx[e.Value]
-		g.outDeg[src[k]]++
+		src[k], dst[k] = row("vertex", e.Key), row("vertex", e.Value)
+		n = max(n, int(src[k])+1, int(dst[k])+1)
+	}
+	g := &Graph{outDeg: make([]int32, n)}
+	for _, s := range src {
+		g.outDeg[s]++
 	}
 	g.in = lin.NewCSR(n, dst, src, nil)
 	for v, d := range g.outDeg {
@@ -66,7 +52,16 @@ func NewGraph(edges []Pair[int, int]) *Graph {
 	return g
 }
 
-// NumVertices returns the number of distinct vertices.
+// row returns an id as a CSR row, panicking with the id if no int32 row
+// count can hold it.
+func row(kind string, id int) int32 {
+	if id < 0 || id >= math.MaxInt32 {
+		panic(fmt.Sprintf("rdd: %s id %d outside [0, %d)", kind, id, math.MaxInt32))
+	}
+	return int32(id)
+}
+
+// NumVertices returns 1 + the largest vertex id.
 func (g *Graph) NumVertices() int { return len(g.outDeg) }
 
 // prState is the per-run PageRank working set, two dense vectors
@@ -149,10 +144,9 @@ func (s *prState) step(last bool) error {
 }
 
 // PageRank runs the iterative computation over the pre-built graph and
-// returns the rank of every vertex, indexed by compacted vertex: entry i
-// is the rank of the i-th smallest external id. Rank mass is conserved
-// exactly (dangling mass is redistributed uniformly), so Σ ranks equals
-// the vertex count up to floating-point rounding. A failed step ends the
+// returns the rank of every vertex, indexed by vertex id. Rank mass is
+// conserved exactly (dangling mass is redistributed uniformly), so Σ ranks
+// equals the vertex count up to floating-point rounding. A failed step ends the
 // run with its error and no ranks.
 func (g *Graph) PageRank(iterations int, damping float64) ([]float64, error) {
 	n := g.NumVertices()

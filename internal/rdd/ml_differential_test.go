@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -121,8 +120,8 @@ func TestALSDifferentialOneStep(t *testing.T) {
 	ratings := syntheticRatings(rng, 30, 20, rank)
 	g := NewRatingsGraph(ratings)
 
-	// Shared deterministic init, keyed by compacted row so both layouts
-	// see the same values.
+	// Shared deterministic init, keyed by id (the row) so both layouts see
+	// the same values.
 	users := lin.NewMat(g.NumUsers(), rank)
 	items := lin.NewMat(g.NumItems(), rank)
 	initRng := rand.New(rand.NewSource(99))
@@ -134,11 +133,11 @@ func TestALSDifferentialOneStep(t *testing.T) {
 	}
 	userMap := make(map[int][]float64, g.NumUsers())
 	itemMap := make(map[int][]float64, g.NumItems())
-	for r, id := range g.userIDs {
-		userMap[id] = append([]float64(nil), users.Row(r)...)
+	for id := range g.NumUsers() {
+		userMap[id] = append([]float64(nil), users.Row(id)...)
 	}
-	for r, id := range g.itemIDs {
-		itemMap[id] = append([]float64(nil), items.Row(r)...)
+	for id := range g.NumItems() {
+		itemMap[id] = append([]float64(nil), items.Row(id)...)
 	}
 	userRatings := make(map[int][]Rating)
 	for _, r := range ratings {
@@ -149,8 +148,8 @@ func TestALSDifferentialOneStep(t *testing.T) {
 	seedSolveSide(userRatings, userMap, itemMap, rank, lambda,
 		func(r Rating) int { return r.Item })
 
-	for r, id := range g.userIDs {
-		if d := maxAbsDiff(users.Row(r), userMap[id]); d > 1e-8 {
+	for id := range g.NumUsers() {
+		if d := maxAbsDiff(users.Row(id), userMap[id]); d > 1e-8 {
 			t.Fatalf("user %d: factor diff %g after one half-step", id, d)
 		}
 	}
@@ -257,12 +256,11 @@ func TestALSTrainDifferentialSyrAxpyBitIdentical(t *testing.T) {
 }
 
 // ratingsRMSE is the RMSE as a pass over the input ratings: each
-// prediction looks its user and item rows up by external id.
-func ratingsRMSE(g *RatingsGraph, m *ALSModel, ratings []Rating) float64 {
+// prediction reads the rows of its user and item ids.
+func ratingsRMSE(m *ALSModel, ratings []Rating) float64 {
 	sum := 0.0
 	for _, r := range ratings {
-		u, i := g.userIdx[r.User], sort.SearchInts(g.itemIDs, r.Item)
-		d := lin.Dot(m.Users.Row(int(u)), m.Items.Row(i)) - r.Value
+		d := lin.Dot(m.Users.Row(r.User), m.Items.Row(r.Item)) - r.Value
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(ratings)))
@@ -278,7 +276,7 @@ func TestALSGraphRMSEDifferentialRatingsOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := g.RMSE(m), ratingsRMSE(g, m, ratings)
+	got, want := g.RMSE(m), ratingsRMSE(m, ratings)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("graph RMSE %v, ratings-order RMSE %v", got, want)
 	}
@@ -304,7 +302,7 @@ func TestPageRankDifferentialNoDangling(t *testing.T) {
 	}
 	rdd := Parallelize(edges, 8)
 
-	got := pageRankByID(t, edges, 12, 0.85)
+	got := pageRank(t, edges, 12, 0.85)
 	want := seedPageRank(rdd, 12, 0.85)
 	if len(got) != len(want) {
 		t.Fatalf("rank count %d, want %d", len(got), len(want))
@@ -329,31 +327,30 @@ func TestPageRankDifferentialDangling(t *testing.T) {
 	rdd := Parallelize(edges, 4)
 	n := float64(k + 1)
 
-	sum := func(ranks map[int]float64) float64 {
-		s := 0.0
-		for _, r := range ranks {
-			s += r
-		}
-		return s
+	got := 0.0
+	for _, r := range pageRank(t, edges, 10, 0.85) {
+		got += r
 	}
-	got := pageRankByID(t, edges, 10, 0.85)
-	if d := math.Abs(sum(got) - n); d > 1e-9*n {
-		t.Fatalf("live kernel lost rank mass: Σ=%.9f want %.0f", sum(got), n)
+	if d := math.Abs(got - n); d > 1e-9*n {
+		t.Fatalf("live kernel lost rank mass: Σ=%.9f want %.0f", got, n)
 	}
-	seed := seedPageRank(rdd, 10, 0.85)
-	if lost := n - sum(seed); lost < 0.5 {
-		t.Fatalf("expected the seed kernel to lose dangling mass, Σ=%.9f (lost %.3f)", sum(seed), lost)
+	seed := 0.0
+	for _, r := range seedPageRank(rdd, 10, 0.85) {
+		seed += r
+	}
+	if lost := n - seed; lost < 0.5 {
+		t.Fatalf("expected the seed kernel to lose dangling mass, Σ=%.9f (lost %.3f)", seed, lost)
 	}
 }
 
-// TestPageRankDifferentialSparseIDs: Graph.PageRank's slice is in
-// ascending external-id order, and pageRankByID keys it back by id.
-// Ids here are sparse and first appear out of order, so a wrong mapping
+// TestPageRankDifferentialPermutedIDs: Graph.PageRank's slice is indexed
+// by vertex id. Ids here first appear out of order (a permutation of
+// 0 … n−1), so a kernel that numbered vertices in order of appearance
 // would hand vertices each other's ranks.
-func TestPageRankDifferentialSparseIDs(t *testing.T) {
+func TestPageRankDifferentialPermutedIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 200
-	id := func(v int) int { return (v*37%n)*5 + 3 }
+	id := func(v int) int { return v * 37 % n }
 	var edges []Pair[int, int]
 	for v := 0; v < n; v++ {
 		edges = append(edges, KV(id(v), id((v+1)%n)))
@@ -363,50 +360,27 @@ func TestPageRankDifferentialSparseIDs(t *testing.T) {
 	}
 	rdd := Parallelize(edges, 8)
 
-	got := pageRankByID(t, edges, 12, 0.85)
+	got := pageRank(t, edges, 12, 0.85)
 	want := seedPageRank(rdd, 12, 0.85)
 	if len(got) != len(want) {
 		t.Fatalf("rank count %d, want %d", len(got), len(want))
 	}
 	for v, w := range want {
-		r, ok := got[v]
-		if !ok {
-			t.Fatalf("vertex %d missing from the ranks", v)
-		}
-		if d := math.Abs(r - w); d > 1e-9 {
-			t.Fatalf("vertex %d: rank %.12f vs seed %.12f (diff %g)", v, r, w, d)
+		if d := math.Abs(got[v] - w); d > 1e-9 {
+			t.Fatalf("vertex %d: rank %.12f vs seed %.12f (diff %g)", v, got[v], w, d)
 		}
 	}
 }
 
-// pageRankByID runs Graph.PageRank over the edge list and keys every
-// vertex's rank by its external id: entry i of the slice belongs to the
-// i-th smallest id of the edge list (the graph keeps no id table).
-func pageRankByID(t *testing.T, edges []Pair[int, int], iterations int, damping float64) map[int]float64 {
+// pageRank runs Graph.PageRank over the edge list and fails the test on
+// an error.
+func pageRank(t *testing.T, edges []Pair[int, int], iterations int, damping float64) []float64 {
 	t.Helper()
-	seen := make(map[int]bool)
-	var ids []int
-	for _, e := range edges {
-		for _, v := range []int{e.Key, e.Value} {
-			if !seen[v] {
-				seen[v] = true
-				ids = append(ids, v)
-			}
-		}
-	}
-	sort.Ints(ids)
 	ranks, err := NewGraph(edges).PageRank(iterations, damping)
 	if err != nil {
 		t.Fatalf("PageRank: %v", err)
 	}
-	if len(ranks) != len(ids) {
-		t.Fatalf("PageRank ranked %d vertices, the edge list has %d ids", len(ranks), len(ids))
-	}
-	out := make(map[int]float64, len(ids))
-	for i, r := range ranks {
-		out[ids[i]] = r
-	}
-	return out
+	return ranks
 }
 
 // refPageRank is the pull formulation written out sequentially: every
@@ -475,11 +449,11 @@ func TestPageRankBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // FuzzPageRank checks Graph.PageRank against refPageRank bit for bit on
-// random graphs: up to 256 vertices under sparse or dense external ids,
-// up to 1023 edges whose sources are drawn from the first k/8 of the
-// vertices, so the rest can only be sinks, 0–12 iterations, and a damping
-// factor that is 0.85 or random. The reference runs on the edge list
-// compacted the way NewGraph compacts it, sorted ids to dense vertices.
+// random graphs: up to 256 distinct ids, either 0 … k−1 or (the "gaps"
+// bit) drawn from [0, 4k) so the ids no edge names are isolated sinks, up
+// to 1023 edges whose sources are drawn from the first k/8 of the ids, so
+// the rest can only be sinks, 0–12 iterations, and a damping factor that
+// is 0.85 or random. The reference runs over 1 + the largest id vertices.
 func FuzzPageRank(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shape uint32) {
 		rng := rand.New(rand.NewSource(seed))
@@ -487,7 +461,7 @@ func FuzzPageRank(f *testing.F) {
 		ne := int(shape >> 8 & 1023)
 		iterations := int(shape>>18&15) % 13
 		sources := max(1, nv*int(shape>>22&7+1)/8)
-		sparse, randomDamping := shape>>25&1 == 1, shape>>26&1 == 1
+		gaps, randomDamping := shape>>25&1 == 1, shape>>26&1 == 1
 		damping := 0.85
 		if randomDamping {
 			damping = rng.Float64()
@@ -495,35 +469,17 @@ func FuzzPageRank(f *testing.F) {
 		pool := make([]int, nv)
 		for i := range pool {
 			pool[i] = i
-			if sparse {
-				pool[i] = int(rng.Int63n(1<<40)) - 1<<39
+			if gaps {
+				pool[i] = rng.Intn(4 * nv)
 			}
 		}
 		edges := make([]Pair[int, int], ne)
+		n := 0
 		for k := range edges {
 			edges[k] = KV(pool[rng.Intn(sources)], pool[rng.Intn(nv)])
+			n = max(n, edges[k].Key+1, edges[k].Value+1)
 		}
-
-		seen := make(map[int]bool)
-		var ids []int
-		for _, e := range edges {
-			for _, v := range []int{e.Key, e.Value} {
-				if !seen[v] {
-					seen[v] = true
-					ids = append(ids, v)
-				}
-			}
-		}
-		sort.Ints(ids)
-		dense := make(map[int]int, len(ids))
-		for i, id := range ids {
-			dense[id] = i
-		}
-		compact := make([]Pair[int, int], ne)
-		for k, e := range edges {
-			compact[k] = KV(dense[e.Key], dense[e.Value])
-		}
-		want := refPageRank(compact, len(ids), iterations, damping)
+		want := refPageRank(edges, n, iterations, damping)
 
 		got, err := NewGraph(edges).PageRank(iterations, damping)
 		if err != nil {
@@ -535,7 +491,7 @@ func FuzzPageRank(f *testing.F) {
 		for v := range want {
 			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
 				t.Fatalf("%d vertices, %d edges, %d iterations, damping %v: vertex %d rank %v, reference %v",
-					len(ids), ne, iterations, damping, v, got[v], want[v])
+					n, ne, iterations, damping, v, got[v], want[v])
 			}
 		}
 	})

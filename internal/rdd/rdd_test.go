@@ -424,6 +424,45 @@ func TestALSRecommend(t *testing.T) {
 	if len(recs) != 1 || recs[0] != 2 {
 		t.Errorf("recs = %v, want [2]", recs)
 	}
+	// A user without a row scores every item 0: the ties go to the lower ids.
+	if recs := model.Recommend(9, nil, 2); !reflect.DeepEqual(recs, []int{0, 1}) {
+		t.Errorf("recs for an unknown user = %v, want [0 1]", recs)
+	}
+}
+
+// TestIDsAreRows: the graphs take an id as its row. An id that no edge or
+// rating names gets an isolated row, and an id no int32 row can hold
+// panics with a message that names it.
+func TestIDsAreRows(t *testing.T) {
+	g := NewGraph([]Pair[int, int]{KV(0, 3), KV(3, 0)})
+	if g.NumVertices() != 4 || !reflect.DeepEqual(g.dangling, []int32{1, 2}) {
+		t.Errorf("edges 0⇄3: %d vertices, dangling %v, want 4 and [1 2]", g.NumVertices(), g.dangling)
+	}
+	rg := NewRatingsGraph([]Rating{{User: 2, Item: 5, Value: 1}})
+	if rg.NumUsers() != 3 || rg.NumItems() != 6 || rg.NumRatings() != 1 {
+		t.Errorf("one rating (2, 5): %d users, %d items, %d ratings, want 3, 6 and 1",
+			rg.NumUsers(), rg.NumItems(), rg.NumRatings())
+	}
+	for _, c := range []struct {
+		name, want string
+		build      func()
+	}{
+		{"negative source", "vertex id -3", func() { NewGraph([]Pair[int, int]{KV(0, 1), KV(-3, 1)}) }},
+		{"negative destination", "vertex id -1", func() { NewGraph([]Pair[int, int]{KV(0, -1)}) }},
+		{"source past int32", "vertex id 2147483647", func() { NewGraph([]Pair[int, int]{KV(math.MaxInt32, 0)}) }},
+		{"negative user", "user id -7", func() { NewRatingsGraph([]Rating{{User: -7, Item: 0}}) }},
+		{"item past int32", "item id 2147483648", func() { NewRatingsGraph([]Rating{{User: 0, Item: math.MaxInt32 + 1}}) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panicked with %q, want a message naming %q", c.name, msg, c.want)
+				}
+			}()
+			c.build()
+		}()
+	}
 }
 
 func TestPageRank(t *testing.T) {
@@ -431,7 +470,7 @@ func TestPageRank(t *testing.T) {
 	edges := []Pair[int, int]{
 		KV(1, 0), KV(2, 0), KV(3, 0), KV(4, 0), KV(0, 1),
 	}
-	ranks := pageRankByID(t, edges, 20, 0.85)
+	ranks := pageRank(t, edges, 20, 0.85)
 	if len(ranks) != 5 {
 		t.Fatalf("ranks = %v", ranks)
 	}
@@ -450,7 +489,7 @@ func TestPageRankSumConservation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		edges = append(edges, KV(i, (i+1)%n), KV(i, (i+3)%n))
 	}
-	ranks := pageRankByID(t, edges, 30, 0.85)
+	ranks := pageRank(t, edges, 30, 0.85)
 	total := 0.0
 	for _, r := range ranks {
 		total += r

@@ -79,7 +79,6 @@ var surfaceAllow = map[string]string{
 	"netstack.Server.Rejected": "fault domain: the admission tests observe the server's overload verdicts through it",
 	"netstack.Client.Rejected": "fault domain: the admission tests observe the calls admission control turned away through it",
 	"forkjoin.TaskError.Stack": "fault domain: the stack captured where a task panicked, kept for whoever handles the error",
-	"futures.PanicError.Stack": "fault domain: the stack captured where a stage panicked, kept for whoever handles the error",
 	"graphdb.Graph.Commits":    "fault domain: how the rollback and concurrent-writer tests observe which transactions committed",
 	"graphdb.edge.Props":       "fault domain: TestPropsSnapshotAtStage observes that a staged relationship is isolated from later caller writes",
 	"stm.Tx.Extensions":        "fault domain: the timestamp-extension tests observe that a read revalidated instead of aborting",

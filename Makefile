@@ -51,7 +51,11 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # cross-substrate task-graph oracle (internal/taskbench): a Task Bench
 # stencil and binary tree through fork/join, the parallel-for, futures and
 # actors, every node's checksum against a sequential walk at GOMAXPROCS 1
-# and 2.
+# and 2, and the same tree on two actor Systems, futures and fork/join at
+# once on the one shared pool, each System quiescing with exactly its own
+# deliveries. The Quiesce fragment also picks an actor batch that a
+# future's Await runs off the pool, and a System whose last batch leaves
+# another System's actor on its worker's deque.
 STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts|FuzzTreeSplit|TaskGraph'
 STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir ./internal/lin ./internal/memdb ./internal/taskbench
 
@@ -158,7 +162,9 @@ rbench:
 # future-genetic, scrabble and streams-mnemonics; dataparallel, whose run
 # ends in the Validate of the seven Spark workloads; and messaging, whose
 # run ends in the Validate of akka-uct, reactors, rx-scrabble,
-# finagle-http and finagle-chirper.
+# finagle-http and finagle-chirper. Last, each program under examples/
+# runs to completion and must exit 0.
+EXAMPLES = bankstm chatroom minijit quickstart wordcount
 smoke:
 	$(GO) run ./cmd/renaissance run -bench finagle-chirper -openloop.rate 200 -openloop.duration 500ms
 	$(GO) run ./cmd/renaissance run -bench scrabble -size 0.1 -warmup 1 -measured 20 | awk '{ print } \
@@ -168,6 +174,10 @@ smoke:
 	bash benchmarks/run.sh --workload taskparallel --seed 1 --seconds 1
 	bash benchmarks/run.sh --workload dataparallel --seed 1 --seconds 1
 	bash benchmarks/run.sh --workload messaging --seed 1 --seconds 1
+	@for e in $(EXAMPLES); do \
+		echo "== example $$e"; \
+		$(GO) run ./examples/$$e > /dev/null || { echo "examples/$$e exited non-zero"; exit 1; }; \
+	done
 
 # GOMAXPROCS is pinned: the Spark workloads' object counts follow the
 # executor count (work-fresh compares them).

@@ -19,7 +19,7 @@ type post struct {
 type transcriptQuery struct{}
 
 func main() {
-	sys := actors.NewSystem(4)
+	sys := actors.NewSystem(0)
 	defer sys.Shutdown()
 
 	// The room broadcasts posts to every member and keeps a transcript.

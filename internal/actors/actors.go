@@ -1,8 +1,10 @@
 // Package actors implements a message-passing actor runtime in the style of
 // Akka and the Reactors framework, used by the akka-uct and reactors
 // benchmarks (Table 1: "actors, message-passing"). Actors own a mailbox,
-// process one message at a time, and are multiplexed over the workers of a
-// fork–join pool, as Akka's default dispatcher runs on a ForkJoinPool.
+// process one message at a time, and are multiplexed over the workers of
+// forkjoin.Shared, as Akka's default dispatcher runs on a ForkJoinPool.
+// Every System shares that pool with fork–join tasks and futures bodies,
+// so a Receive must not block on the pool except through Await.
 //
 // The runtime is lock-free on the per-message hot path:
 //
@@ -12,12 +14,13 @@
 //     without taking a lock per message, with one CAS when it takes the
 //     last queued message.
 //   - An actor with mail is a forkjoin.Job: its message batch runs on a
-//     worker of the System's private forkjoin.Pool. A send from inside a
-//     Receive pushes the receiver onto the sending worker's own deque; a
-//     send from outside, a fairness requeue and a restart after backoff
-//     go on the pool's inject queue. The runtime has no worker loop, run
-//     queue or park protocol of its own: finding, stealing and parking
-//     are the pool's.
+//     pool worker, or off the pool on a goroutine whose Await took it from
+//     the inject queue (forkjoin.Pool.Help). A send from inside a Receive
+//     on a worker pushes the receiver onto that worker's own deque; any
+//     other send, a fairness requeue and a restart after backoff go on the
+//     pool's inject queue. The runtime has no worker loop, run queue or
+//     park protocol of its own: finding, stealing and parking are the
+//     pool's.
 //   - The quiescence counter is striped into versioned cells, one per pool
 //     worker, and summed with a double-collect scan (see quiesce.go), so
 //     in-flight accounting never contends on one cache line.
@@ -67,9 +70,9 @@ type ReceiverFunc func(ctx *Context, msg any)
 // Receive calls the function.
 func (f ReceiverFunc) Receive(ctx *Context, msg any) { f(ctx, msg) }
 
-// System is an actor system: a private fork–join pool that runs actors'
-// message batches, plus striped in-flight accounting for quiescence
-// detection.
+// System is an actor system: its actors, whose message batches run on the
+// shared pool, and the striped in-flight accounting that detects their
+// quiescence. It owns no goroutine and no pool.
 type System struct {
 	pool    *forkjoin.Pool
 	stopped atomic.Bool
@@ -93,15 +96,15 @@ type System struct {
 // pool each time.
 var envPool = mpsc.NewPool[envelope]()
 
-// NewSystem creates an actor system on a private pool of the given number
-// of workers (0 means GOMAXPROCS).
-func NewSystem(workers int) *System {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// NewSystem creates an actor system on forkjoin.Shared. The workers
+// argument is ignored.
+func NewSystem(workers int) *System { return newSystem(forkjoin.Shared()) }
+
+// newSystem creates an actor system on p, with one lane per worker of p.
+func newSystem(p *forkjoin.Pool) *System {
 	s := &System{
-		pool:      forkjoin.NewPool(workers),
-		lanes:     make([]lane, workers),
+		pool:      p,
+		lanes:     make([]lane, p.Width()),
 		quiesceCh: make(chan struct{}, 1),
 	}
 	for i := range s.lanes {
@@ -128,16 +131,15 @@ func (s *System) spawn(r Receiver, opts SpawnOpts) *Ref {
 	return ref
 }
 
-// Shutdown stops the workers after in-flight messages drain. Pending
-// messages that were already enqueued are still processed. A Tell racing
-// Shutdown is delivered or becomes a dead letter; it never panics (the
-// previous runtime could send on a closed run-queue channel here).
+// Shutdown stops the system and waits for in-flight messages to drain:
+// messages already enqueued are still processed, later sends become dead
+// letters, and a Tell racing Shutdown is one or the other, never a panic.
+// The pool keeps running.
 func (s *System) Shutdown() {
 	if s.stopped.Swap(true) {
 		return
 	}
 	s.AwaitQuiescence()
-	s.pool.Close()
 }
 
 // An actor's state word: whether it holds its scheduling slot (it is on a
@@ -201,14 +203,10 @@ func (r *Ref) enqueue(msg any, sender *Ref, c *Context) {
 	// schedule CAS, counted identically however the send is scheduled.
 	metrics.AddAtomic(3)
 	var w *forkjoin.Worker
-	if c != nil && c.sys == s {
-		w = c.w
-		s.lanes[w.Index()].cell.Add(packDelta(1))
-	} else {
-		// Off the pool, or a cross-system send whose worker belongs to
-		// another pool.
-		s.lanes[hashedLane(len(s.lanes))].cell.Add(packDelta(1))
+	if c != nil && c.sys.pool == s.pool {
+		w = c.w // nil for a batch that runs off the pool
 	}
+	s.cell(w).Add(packDelta(1))
 	r.mb.Push(envelope{msg, sender})
 	r.schedule(w)
 }
@@ -217,8 +215,8 @@ func (r *Ref) enqueue(msg any, sender *Ref, c *Context) {
 func (r *Ref) isStopped() bool { return r.state.Load()&stoppedBit != 0 }
 
 // schedule takes the actor's scheduling slot and puts the actor on a run
-// queue: worker w's own deque when the send originates on one of the
-// System's workers, the pool's inject queue otherwise. If the actor is
+// queue: worker w's own deque when the send originates on a worker of the
+// System's pool, the pool's inject queue otherwise. If the actor is
 // already scheduled, the holder of its slot will observe the new message.
 func (r *Ref) schedule(w *forkjoin.Worker) {
 	if r.state.Or(scheduledBit)&scheduledBit != 0 {
@@ -233,15 +231,21 @@ func (r *Ref) schedule(w *forkjoin.Worker) {
 
 // Run is the actor's message batch, a job of the System's pool: the worker
 // that took the actor off a deque or the inject queue holds its
-// scheduling slot. A batch that leaves a quiescence waiter behind and its
-// worker's own deque empty wakes the waiter when the in-flight sum reads
-// zero (see quiesce.go).
+// scheduling slot, and delivers with its lane's Context. A batch that
+// Pool.Help runs off the pool (w is nil) delivers with a Context of its
+// own. A batch that ends with a quiescence waiter registered wakes it
+// when the in-flight sum reads zero (see quiesce.go).
 func (r *Ref) Run(w *forkjoin.Worker) {
 	s := r.sys
-	ctx := &s.lanes[w.Index()].ctx
-	ctx.w = w
+	var ctx *Context
+	if w != nil {
+		ctx = &s.lanes[w.Index()].ctx
+		ctx.w = w
+	} else {
+		ctx = &Context{sys: s}
+	}
 	r.processBatch(ctx)
-	if s.waiters.Load() > 0 && !w.Queued() && s.inFlightZero() {
+	if s.waiters.Load() > 0 && s.inFlightZero() {
 		select {
 		case s.quiesceCh <- struct{}{}:
 			metrics.IncNotify()
@@ -338,9 +342,10 @@ func (r *Ref) Stop() {
 }
 
 // Context is passed to Receive and exposes the runtime to behaviors. It is
-// owned by the delivering pool worker and valid only for the duration of
-// the Receive invocation; behaviors that need a handle past that must
-// capture Self()/Sender() refs, not the Context.
+// owned by the delivering pool worker (or by a batch run off the pool) and
+// valid only for the duration of the Receive invocation; behaviors that
+// need a handle past that must capture Self()/Sender() refs, not the
+// Context.
 type Context struct {
 	sys    *System
 	self   *Ref

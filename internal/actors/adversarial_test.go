@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"renaissance/internal/forkjoin"
 )
 
 // A Tell racing Shutdown must never panic (the previous runtime could send
@@ -14,7 +16,7 @@ import (
 // stress`.
 func TestSendShutdownRace(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		sys := NewSystem(4)
+		sys := NewSystem(0)
 		var received atomic.Int64
 		a := sys.Spawn("target", ReceiverFunc(func(ctx *Context, msg any) {
 			received.Add(1)
@@ -49,7 +51,7 @@ func TestSendShutdownRace(t *testing.T) {
 // fairness test — the victim's one message must still be delivered while
 // the flooder self-perpetuates.
 func TestFloodingActorFairness(t *testing.T) {
-	sys := NewSystem(1)
+	sys := newSystem(oneWorker)
 	defer sys.Shutdown()
 
 	stop := make(chan struct{})
@@ -85,7 +87,7 @@ func TestFloodingActorFairness(t *testing.T) {
 // still has a message in flight. Every round asserts the full count the
 // instant AwaitQuiescence returns — an early report loses increments.
 func TestQuiesceNotEarlyUnderChains(t *testing.T) {
-	sys := NewSystem(4)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	const chains = 8
@@ -124,7 +126,7 @@ func TestQuiesceNotEarlyUnderChains(t *testing.T) {
 // accounted), and no message may arrive after Stop's effects are visible.
 func TestStopRacingTellQuiesces(t *testing.T) {
 	for round := 0; round < 30; round++ {
-		sys := NewSystem(2)
+		sys := NewSystem(0)
 		var received atomic.Int64
 		a := sys.Spawn("stopme", ReceiverFunc(func(ctx *Context, msg any) {
 			received.Add(1)
@@ -153,7 +155,7 @@ func TestStopRacingTellQuiesces(t *testing.T) {
 // producers, and concurrent AwaitQuiescence callers must all agree on
 // termination, with every send accounted.
 func TestQuiesceUnderAdversarialLoad(t *testing.T) {
-	sys := NewSystem(4)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	var count atomic.Int64
@@ -215,7 +217,7 @@ func TestQuiesceUnderAdversarialLoad(t *testing.T) {
 // interfere with one another, and each stops itself without leaving a dead
 // letter behind.
 func TestAskRepeated(t *testing.T) {
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	echo := sys.Spawn("echo", ReceiverFunc(func(ctx *Context, msg any) {
@@ -243,7 +245,7 @@ func TestAskRepeated(t *testing.T) {
 // mutex mailbox, whose `queue = queue[1:]` drain pinned the slice head (and
 // everything it referenced) until the next reallocation.
 func TestMailboxFloodDrainReleasesBuffers(t *testing.T) {
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	a := sys.Spawn("hoarder", ReceiverFunc(func(ctx *Context, msg any) {}))
@@ -281,7 +283,7 @@ func TestMailboxFloodDrainReleasesBuffers(t *testing.T) {
 func TestStealAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
-	sys := NewSystem(4)
+	sys := newSystem(forkjoin.NewPool(4))
 	defer sys.Shutdown()
 
 	var fanWorker atomic.Int64
@@ -327,7 +329,7 @@ func TestStealAcrossWorkers(t *testing.T) {
 func TestStopRacingScheduleAccountsEveryMessage(t *testing.T) {
 	const perSender = 500
 	for round := 0; round < 40; round++ {
-		sys := NewSystem(2)
+		sys := NewSystem(0)
 		var received atomic.Int64
 		target := sys.Spawn("target", ReceiverFunc(func(*Context, any) { received.Add(1) }))
 		relay := sys.Spawn("relay", ReceiverFunc(func(ctx *Context, msg any) {
@@ -370,5 +372,37 @@ func TestStopRacingScheduleAccountsEveryMessage(t *testing.T) {
 			t.Fatalf("round %d: %d delivered + %d dead-lettered, want %d sends accounted", round, got, dead, 2*perSender)
 		}
 		sys.Shutdown()
+	}
+}
+
+// Two Systems on one worker: the last batch of one sends to an actor of
+// the other, which goes on the worker's own deque, and then ends. Its
+// waiter must still be woken: on a shared pool the deque can hold another
+// System's mail, so the wake rule reads the lanes, not the deque.
+func TestQuiesceWhenLastBatchLeavesOtherWorkQueued(t *testing.T) {
+	other, sys := newSystem(oneWorker), newSystem(oneWorker)
+	var got atomic.Int64
+	sink := other.Spawn("sink", ReceiverFunc(func(*Context, any) { got.Add(1) }))
+	src := sys.Spawn("src", ReceiverFunc(func(ctx *Context, msg any) {
+		for sys.waiters.Load() == 0 {
+			runtime.Gosched()
+		}
+		time.Sleep(5 * time.Millisecond) // let the waiter park
+		ctx.Send(sink, msg)
+	}))
+	src.Tell(1)
+	done := make(chan struct{})
+	go func() {
+		sys.AwaitQuiescence()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("AwaitQuiescence missed the wake of a batch that left another System's actor on its deque")
+	}
+	other.AwaitQuiescence()
+	if got.Load() != 1 {
+		t.Errorf("sink got %d messages, want 1", got.Load())
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"renaissance/internal/forkjoin"
 )
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
@@ -35,7 +37,7 @@ func TestSpawnBytesGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts only hold without the race detector")
 	}
-	sys := NewSystem(1)
+	sys := newSystem(oneWorker)
 	defer sys.Shutdown()
 
 	inert := ReceiverFunc(func(*Context, any) {})
@@ -55,16 +57,22 @@ func TestSpawnBytesGate(t *testing.T) {
 	}
 }
 
-// A System has one quiescence cell per pool worker, in a lane of one cache
-// line, and every delivery uses the lane of the worker that runs it.
+// A System has one quiescence cell per worker of its pool, in a lane of
+// one cache line, and every delivery uses the lane of the worker that
+// runs it. NewSystem's pool is Shared, whatever width it asks for.
 func TestQuiesceCellsSizedToWorkers(t *testing.T) {
 	if got := unsafe.Sizeof(lane{}); got != 64 {
 		t.Errorf("a lane is %d bytes, want one 64-byte cache line", got)
 	}
+	systems := []func() *System{func() *System { return NewSystem(0) }}
 	for _, n := range []int{1, 2, 3, 5} {
-		sys := NewSystem(n)
+		systems = append(systems, func() *System { return newSystem(forkjoin.NewPool(n)) })
+	}
+	for _, mk := range systems {
+		sys := mk()
+		n := sys.pool.Width()
 		if len(sys.lanes) != n {
-			t.Errorf("NewSystem(%d) has %d cells, want %d", n, len(sys.lanes), n)
+			t.Errorf("a System on %d workers has %d cells", n, len(sys.lanes))
 		}
 		var wrong atomic.Int32
 		a := sys.Spawn("probe", ReceiverFunc(func(ctx *Context, _ any) {
@@ -78,23 +86,25 @@ func TestQuiesceCellsSizedToWorkers(t *testing.T) {
 		sys.AwaitQuiescence()
 		sys.Shutdown()
 		if wrong.Load() != 0 {
-			t.Errorf("NewSystem(%d): %d deliveries ran outside their worker's lane", n, wrong.Load())
+			t.Errorf("a System on %d workers: %d deliveries ran outside their worker's lane", n, wrong.Load())
 		}
+	}
+	if got, want := len(NewSystem(4).lanes), forkjoin.Shared().Width(); got != want {
+		t.Errorf("NewSystem(4) has %d cells, want the shared pool's %d", got, want)
 	}
 }
 
-// A System costs what its workers need, not 4 KB of stripes nor a stub
-// node for its inject queue: a workload that builds one per
-// iteration (akka-uct builds 150 a round) pays this every time. It
-// measures 1,520 to 1,610 bytes on linux/amd64 (go1.24) since the system
-// runs on a forkjoin.Pool; the bound leaves room for the runtime's
-// occasional extra bytes under GC.
+// A System costs its lanes and its wake channel, and no pool: a workload
+// that builds one per iteration (akka-uct builds 150 a round) pays this
+// every time. It measures 320 bytes on a two-worker pool on linux/amd64
+// (go1.24): the System, two 64-byte lanes and the channel.
 func TestNewSystemBytesGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts only hold without the race detector")
 	}
-	got := bytesPerRun(50, func() { NewSystem(4).Shutdown() })
-	if got > 1856 {
-		t.Errorf("NewSystem(4) + Shutdown: %.0f bytes, want <= 1856", got)
+	got := bytesPerRun(50, func() { NewSystem(0).Shutdown() })
+	t.Logf("NewSystem(0) + Shutdown: %.0f bytes", got)
+	if bound := 256 + 64*forkjoin.Shared().Width(); got > float64(bound) {
+		t.Errorf("NewSystem(0) + Shutdown: %.0f bytes, want <= %d", got, bound)
 	}
 }

@@ -7,7 +7,8 @@
 //
 //   - A send increments the sending worker's cell (or a goroutine-hashed
 //     cell off the pool); a delivery decrements the delivering worker's
-//     cell. Individual cells go negative — only the sum is meaningful.
+//     cell (or a hashed one, for a batch run off the pool). Individual
+//     cells go negative — only the sum is meaningful.
 //   - Each cell packs a 32-bit two's-complement net count (low half) and
 //     an update version (high half) into one uint64, so an update is still
 //     a single fetch-add: Add(1<<32 | uint32(delta)). A low-half carry may
@@ -23,31 +24,35 @@
 // early; the stress tests race AwaitQuiescence against the final deliveries
 // to hold this.
 //
-// Liveness: a failed scan parks the waiter on quiesceCh. An actor batch
-// that ends with a waiter registered and its worker's own deque empty
-// takes a naive sum of the cells, and a zero sum leaves a token (Ref.Run).
-// A batch that leaves its deque non-empty skips the sum: a queued actor
-// still has mail, so nothing is quiescent yet. The batch holding the final
-// decrement is the last to write any cell, and the cells are sequentially
-// consistent atomics, so its sum reads exactly zero; its deque is empty,
-// since every actor slot on a deque stands for mail still counted, and a
-// thief takes a slot before it runs, and so before it decrements. The
-// waiter is therefore woken unless its own scan, made after it
-// registered, already saw the zero. A waiter that wakes to a transient
-// zero re-scans and re-parks. Waiters chain the token on exit so every
-// concurrent AwaitQuiescence returns.
+// Liveness: a failed scan parks the waiter on quiesceCh. Every actor batch
+// that ends with a waiter registered takes a naive sum of the cells, one
+// per pool worker, and a zero sum leaves a token (Ref.Run). Only this
+// System's batches decrement its cells, so the batch holding the final
+// decrement is the last to write any of them before the System goes
+// quiet; the cells are sequentially consistent atomics, so that batch's
+// sum reads exactly zero. Either its load of the waiter count sees the
+// registration and it leaves a token, or the load came first, and then so
+// did the final decrement, which the waiter's own scan, made after it
+// registered, sees. A waiter that wakes to a transient zero re-scans and
+// re-parks. Waiters chain the token on exit so every concurrent
+// AwaitQuiescence returns. The rule asks nothing of the worker's deque:
+// the pool is shared, so a batch whose Receive sent to another System's
+// actor leaves that actor on the deque, and "the deque is empty" says
+// nothing about this System's mail.
 package actors
 
 import (
 	"sync/atomic"
 	"unsafe"
 
+	"renaissance/internal/forkjoin"
 	"renaissance/internal/metrics"
 )
 
 // A lane is one pool worker's share of a System, one cache line: its
 // in-flight cell and the Context its deliveries reuse. Only that worker
-// writes the Context; off-pool senders hash onto any lane's cell.
+// writes the Context; off-pool senders and batches hash onto any lane's
+// cell.
 type lane struct {
 	cell atomic.Uint64
 	ctx  Context
@@ -62,22 +67,26 @@ func packDelta(delta int32) uint64 {
 // cellValue extracts the cell's net count.
 func cellValue(v uint64) int64 { return int64(int32(uint32(v))) }
 
-// hashedLane spreads off-pool senders across n lanes by goroutine stack
-// address (distinct goroutines occupy distinct stacks; any cell is correct,
-// the hash only reduces contention).
-func hashedLane(n int) int {
+// cell returns the in-flight cell that a send or delivery on worker w
+// counts in: w's lane's or, off the pool (w nil), a lane's picked by the
+// goroutine's stack address (distinct goroutines occupy distinct stacks;
+// any cell is correct, the hash only reduces contention).
+func (s *System) cell(w *forkjoin.Worker) *atomic.Uint64 {
+	if w != nil {
+		return &s.lanes[w.Index()].cell
+	}
 	var probe byte
 	h := uint64(uintptr(unsafe.Pointer(&probe)))
 	h ^= h >> 17
 	h *= 0x9E3779B97F4A7C15
-	return int((h >> 32) % uint64(n))
+	return &s.lanes[(h>>32)%uint64(len(s.lanes))].cell
 }
 
 // messageDone accounts one delivered (or dead-lettered-after-queueing)
 // message in the delivering worker's lane.
 func (s *System) messageDone(ctx *Context) {
 	metrics.IncAtomic()
-	s.lanes[ctx.w.Index()].cell.Add(packDelta(-1))
+	s.cell(ctx.w).Add(packDelta(-1))
 }
 
 // inFlightZero reports whether one naive pass over the cells sums to zero.

@@ -12,7 +12,7 @@ import (
 // from inside a Receive at once — yields refs that each get exactly their
 // own messages, and stopping one leaves the rest live.
 func TestSpawnSameNameConcurrent(t *testing.T) {
-	sys := NewSystem(4)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	const goroutines, perG, storm = 8, 200, 400
@@ -80,7 +80,7 @@ func TestSpawnSameNameConcurrent(t *testing.T) {
 // during Shutdown it is the spawning actor's failure, decided by its own
 // strategy, and never unwinds the worker.
 func TestSpawnAfterShutdown(t *testing.T) {
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 
 	var decided atomic.Int32
 	release := make(chan struct{})
@@ -134,7 +134,7 @@ func TestSpawnAllocationGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts only hold without the race detector")
 	}
-	sys := NewSystem(1)
+	sys := newSystem(oneWorker)
 	defer sys.Shutdown()
 
 	inert := ReceiverFunc(func(*Context, any) {})

@@ -216,9 +216,10 @@ func (r *Ref) restart(err any) {
 	}
 	time.AfterFunc(d, func() {
 		// The actor still holds its slot; hand it to whichever worker
-		// polls the inject queue next. After Shutdown this re-injects into
-		// a closed pool, which is harmless: quiescence cannot have been
-		// reached with accounted messages still queued here.
+		// polls the inject queue next. After Shutdown the batch finds an
+		// empty mailbox and releases the slot: Shutdown waited for
+		// quiescence, which counts every queued message, and refuses new
+		// ones.
 		r.sys.pool.Inject(r)
 	})
 }

@@ -46,7 +46,7 @@ func spawnWith(sys *System, name string, r Receiver, opts SpawnOpts) *Ref {
 func TestPanicInReceiveDoesNotKillWorker(t *testing.T) {
 	// A panicking Receive must be absorbed by the supervision machinery:
 	// the worker keeps scheduling other actors and the system quiesces.
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	bad := spawnWith(sys, "bad", ReceiverFunc(func(ctx *Context, msg any) {
@@ -70,7 +70,7 @@ func TestPanicInReceiveDoesNotKillWorker(t *testing.T) {
 func TestRestartPreservesMailbox(t *testing.T) {
 	// Messages behind the failing one — and messages arriving during the
 	// backoff suspension — are delivered to the restarted behavior.
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	b := &boomBehavior{}
@@ -97,7 +97,7 @@ func TestRestartPreservesMailbox(t *testing.T) {
 func TestResumeKeepsStateAcrossFault(t *testing.T) {
 	// Resume drops the failing message but keeps behavior state: the
 	// counter is NOT reset.
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	count := 0 // unsynchronized: Receive is serial per actor
@@ -124,7 +124,7 @@ func TestResumeKeepsStateAcrossFault(t *testing.T) {
 func TestRestartLadderOverflowStopsAndDeadLetters(t *testing.T) {
 	// An actor that keeps failing climbs the restart ladder, overflows to
 	// Stop, runs PostStop once, and dead-letters everything still queued.
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	b := &boomBehavior{}
@@ -157,7 +157,7 @@ func TestRestartLadderOverflowStopsAndDeadLetters(t *testing.T) {
 func TestEscalationClimbsToRootFailure(t *testing.T) {
 	// leaf -> mid -> top, all escalating: one leaf failure stops the whole
 	// chain and surfaces as exactly one root failure on the System.
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	inert := ReceiverFunc(func(ctx *Context, msg any) {})
@@ -189,7 +189,7 @@ func TestQuiescenceWaitsForEscalation(t *testing.T) {
 	// before the failure has reached the root.
 	for slow, level := range []string{"leaf", "mid", "top"} {
 		t.Run(level, func(t *testing.T) {
-			sys := NewSystem(2)
+			sys := NewSystem(0)
 			defer sys.Shutdown()
 
 			deciding := make(chan struct{})
@@ -224,7 +224,7 @@ func TestEscalationRestartsSupervisor(t *testing.T) {
 	// A supervisor whose own strategy says Restart treats an escalated
 	// child failure like its own: it restarts and keeps serving its
 	// mailbox.
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	sup := &boomBehavior{}
@@ -256,7 +256,7 @@ func TestBackoffRestartQuiesceRace(t *testing.T) {
 	// A fault storm across many supervised actors — restarts suspended on
 	// backoff timers while producers keep sending — must still quiesce:
 	// every queued message is accounted and eventually delivered.
-	sys := NewSystem(4)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	const actors, msgs = 8, 200
@@ -294,7 +294,7 @@ func TestBackoffRestartQuiesceRace(t *testing.T) {
 func TestDefaultStrategyBoundsPlainSpawnFaults(t *testing.T) {
 	// A plain Spawn gets DefaultStrategy: failures restart a bounded number
 	// of times and then the actor stops instead of looping forever.
-	sys := NewSystem(2)
+	sys := NewSystem(0)
 	defer sys.Shutdown()
 
 	a := sys.Spawn("plain", ReceiverFunc(func(ctx *Context, msg any) {

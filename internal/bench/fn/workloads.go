@@ -40,7 +40,7 @@ func newActors(cfg core.Config) (core.Workload, error) {
 }
 
 func (w *fnActorsWorkload) RunIteration() error {
-	sys := actors.NewSystem(2)
+	sys := actors.NewSystem(0)
 	defer sys.Shutdown()
 	done := make(chan struct{}, w.rings)
 	for r := 0; r < w.rings; r++ {

@@ -79,7 +79,7 @@ type uctVisit struct {
 
 func (w *uctWorkload) RunIteration() error {
 	w.visits.Store(0)
-	sys := actors.NewSystem(4)
+	sys := actors.NewSystem(0)
 	defer sys.Shutdown()
 
 	// One boxed strategy for the whole tree: converting the literal per
@@ -139,7 +139,7 @@ func newReactors(cfg core.Config) (core.Workload, error) {
 }
 
 func (w *reactorsWorkload) RunIteration() error {
-	sys := actors.NewSystem(4)
+	sys := actors.NewSystem(0)
 	defer sys.Shutdown()
 
 	// Ping-pong pairs.

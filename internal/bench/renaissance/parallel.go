@@ -50,9 +50,6 @@ type kmAccum struct {
 }
 
 func (w *fjKMeansWorkload) RunIteration() error {
-	pool := forkjoin.NewPool(4)
-	defer pool.Close()
-
 	// Points are generated round-robin by cluster, so the first k points
 	// belong to k distinct clusters — a deterministic, well-spread
 	// initialization.
@@ -93,7 +90,7 @@ func (w *fjKMeansWorkload) RunIteration() error {
 				return right
 			}
 		}
-		acc := pool.Invoke(assign(0, len(w.points))).(kmAccum)
+		acc := forkjoin.Shared().Invoke(assign(0, len(w.points))).(kmAccum)
 		for c := 0; c < w.k; c++ {
 			if acc.counts[c] > 0 {
 				centroids[c][0] = acc.sums[c][0] / float64(acc.counts[c])

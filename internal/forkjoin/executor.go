@@ -50,10 +50,12 @@ var (
 	sharedWidth = runtime.GOMAXPROCS(0)
 )
 
-// Shared returns the process-wide pool used by the data-parallel layers
-// (rdd partition evaluation, shuffle producers/consumers, the parallel
-// stream terminals) and by futures.Async. It is created on first use with
-// as many workers as GOMAXPROCS had at process start and never closed.
+// Shared returns the process-wide pool, the only one outside tests: the
+// data-parallel layers (rdd partition evaluation, shuffle
+// producers/consumers, the parallel stream terminals), futures.Async
+// bodies, fj-kmeans' fork–join tree and every actor System's message
+// batches run on it. It is created on first use with as many workers as
+// GOMAXPROCS had at process start and never closed.
 func Shared() *Pool {
 	sharedOnce.Do(func() {
 		sharedPool = NewPool(sharedWidth)

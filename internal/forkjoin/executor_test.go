@@ -142,9 +142,7 @@ func TestExecutorConcurrentForRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestForOnPrivatePool checks the job against a dedicated (closeable) pool,
-// including after Close: the caller-runs discipline still completes the
-// range even though helpers are dropped.
+// TestForOnPrivatePool checks the job against a pool other than Shared.
 func TestForOnPrivatePool(t *testing.T) {
 	p := NewPool(2)
 	var n atomic.Int64
@@ -152,15 +150,7 @@ func TestForOnPrivatePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n.Load() != 100 {
-		t.Errorf("pre-close total = %d", n.Load())
-	}
-	p.Close()
-	n.Store(0)
-	if err := p.ForRetryE(100, 3, 0, 0, func(lo, hi, _ int) { n.Add(int64(hi - lo)) }); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 100 {
-		t.Errorf("post-close total = %d (caller must finish the range alone)", n.Load())
+		t.Errorf("total = %d", n.Load())
 	}
 }
 
@@ -169,7 +159,6 @@ func TestForOnPrivatePool(t *testing.T) {
 // when ForRetryE returns.
 func TestExecutorRetractsUntakenHelpers(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
 	release := make(chan struct{})
 	defer close(release)
 	var blocked atomic.Int32

@@ -12,7 +12,6 @@
 package forkjoin
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
@@ -21,10 +20,6 @@ import (
 	"renaissance/internal/chaos"
 	"renaissance/internal/metrics"
 )
-
-// ErrPoolClosed is the cause of the *TaskError that Invoke re-panics when
-// the pool was closed before the task could run.
-var ErrPoolClosed = errors.New("forkjoin: pool closed")
 
 // TaskError wraps the first panic recovered from a parallel job's chunk or
 // from a pool task (futures fail an Async body's or Map stage's future

@@ -12,7 +12,6 @@ import (
 
 func TestForEPanicReturnsTaskError(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 
 	err := p.ForRetryE(1000, 1, 0, 0, func(lo, hi, _ int) {
 		if lo == 500 {
@@ -35,7 +34,6 @@ func TestForEPanicSingleChunkFastPath(t *testing.T) {
 	// n <= grain takes the no-barrier fast path; the failure must still
 	// surface as a TaskError, not escape as a panic.
 	p := NewPool(2)
-	defer p.Close()
 
 	err := p.ForRetryE(3, 10, 0, 0, func(lo, hi, _ int) { panic("tiny") })
 	var te *TaskError
@@ -69,7 +67,6 @@ func TestForEFirstFailureWinsAndCancels(t *testing.T) {
 	// Exactly one failure is reported; sibling chunks stop being claimed
 	// after cancellation, and the barrier still releases.
 	p := NewPool(4)
-	defer p.Close()
 
 	var executed atomic.Int64
 	err := p.ForRetryE(10000, 1, 0, 0, func(lo, hi, _ int) {
@@ -93,7 +90,6 @@ func TestForEFirstFailureWinsAndCancels(t *testing.T) {
 
 func TestInvokePanicRepanicsTaskError(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
 
 	defer func() {
 		te, ok := recover().(*TaskError)
@@ -107,7 +103,6 @@ func TestInvokePanicRepanicsTaskError(t *testing.T) {
 
 func TestSubmitPanicSurfacesViaErr(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
 
 	task := submit(p, func(w *Worker) any { panic("submitted") })
 	deadline := time.Now().Add(5 * time.Second)
@@ -127,7 +122,6 @@ func TestJoinRepanicsNestedTaskIdentity(t *testing.T) {
 	// A nested fork whose panic crosses two joins keeps the innermost
 	// TaskError identity instead of being re-wrapped per level.
 	p := NewPool(4)
-	defer p.Close()
 
 	var inner *TaskError
 	got := p.Invoke(func(w *Worker) any {
@@ -189,7 +183,6 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	// (the shuffle-exchange shape: siblings parked on the exchange mutex)
 	// still completes — caller-runs claims and retries on the caller alone.
 	p := NewPool(2)
-	defer p.Close()
 	release := make(chan struct{})
 	var blocked atomic.Int32
 	for i := 0; i < len(p.workers); i++ {
@@ -220,7 +213,6 @@ func TestForRetryAttemptsUntilSuccess(t *testing.T) {
 	// A chunk failing k <= budget times sees attempts 0..k in order, the
 	// job returns nil, and every index runs to success exactly once.
 	p := NewPool(4)
-	defer p.Close()
 
 	const n, grain, budget = 256, 4, 3
 	succeeded := make([]int, n)
@@ -259,7 +251,6 @@ func TestForRetryBudgetExhaustionCancelsSiblings(t *testing.T) {
 	// TaskError, the sibling's retry loop stops at the cancellation token
 	// instead of spending its own budget, and unclaimed chunks never run.
 	p := NewPool(4)
-	defer p.Close()
 
 	const budget = 3
 	last := make(chan struct{})
@@ -314,33 +305,11 @@ func TestForRetryExhaustionNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-func TestInvokeOnClosedPoolPanicsErrPoolClosed(t *testing.T) {
-	// A task injected into a closed pool can never run; Invoke used to
-	// park on it forever.
-	p := NewPool(2)
-	p.Close()
-	recovered := make(chan any, 1)
-	go func() {
-		defer func() { recovered <- recover() }()
-		p.Invoke(func(*Worker) any { return 1 })
-	}()
-	select {
-	case r := <-recovered:
-		te, ok := r.(*TaskError)
-		if !ok || !errors.Is(te, ErrPoolClosed) {
-			t.Fatalf("recovered %v, want *TaskError wrapping ErrPoolClosed", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Invoke on a closed pool never returned")
-	}
-}
-
 // A multi-chunk job counts one object per helper it pushes onto the
 // inject queue, min(par-1, chunks-1), on every run, however the helpers
 // are scheduled (work-fresh compares the object column across runs).
 func TestExecutorHelperObjectCount(t *testing.T) {
 	p := NewPool(3)
-	defer p.Close()
 	for _, c := range []struct {
 		pool                *Pool
 		n, grain, maxPar, h int

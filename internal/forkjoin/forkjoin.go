@@ -14,7 +14,9 @@
 // The pool runs Jobs, not just tasks: a deque holds Slots, and every job
 // a worker can push embeds one — a forked *Task, and an actors.Ref, whose
 // message batch is one job. Worker.run is the only worker loop in the
-// repository; an actor System runs on a private Pool of its own. The
+// repository, and Shared is the only pool outside tests: every actor
+// System runs on it, beside fork–join tasks, parallel-for helpers and
+// futures bodies. No code closes a pool; an idle one parks. The
 // scheduler's own accounting is a metrics.IncX call on the goroutine's
 // hashed shard at each counted event, never inside a critical section:
 // a task's acquisition and completion, never a steal or a park.
@@ -23,7 +25,6 @@ package forkjoin
 import (
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"renaissance/internal/chaos"
@@ -120,10 +121,7 @@ type Pool struct {
 	idle    atomic.Int64
 	// wake holds up to one token per worker: more could only wake a
 	// worker that is not parked.
-	wake   chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	wake chan struct{}
 }
 
 // Worker is one pool worker; jobs receive their executing worker to fork
@@ -138,46 +136,32 @@ type Worker struct {
 // jobNodes is the inject queues' node pool, shared by every Pool.
 var jobNodes = mpsc.NewPool[Job]()
 
-// NewPool creates a pool with n workers (0 means GOMAXPROCS).
+// NewPool creates a pool with n >= 1 workers. Its workers run for the
+// life of the process, parked while there is no work.
 func NewPool(n int) *Pool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{workers: make([]*Worker, n), wake: make(chan struct{}, n), done: make(chan struct{})}
+	p := &Pool{workers: make([]*Worker, n), wake: make(chan struct{}, n)}
 	p.inject.Init(jobNodes)
 	for i := range p.workers {
 		p.workers[i] = &Worker{pool: p, index: int32(i)}
 	}
 	for _, w := range p.workers {
-		p.wg.Add(1)
 		go w.run()
 	}
 	return p
 }
 
+// Width returns the pool's number of workers.
+func (p *Pool) Width() int { return len(p.workers) }
+
 // Index returns the worker's position in its pool, in [0, n) for a pool
 // of n workers.
 func (w *Worker) Index() int { return int(w.index) }
-
-// Queued reports whether the worker's own deque holds a job. Only the
-// owner's answer is exact: a peer may be stealing concurrently.
-func (w *Worker) Queued() bool { return w.dq.size() > 0 }
 
 // Push puts s's job on the worker's own deque, where the worker finds it
 // first and its peers can steal it, and wakes a parked peer for it.
 func (w *Worker) Push(s *Slot) {
 	w.dq.push(s)
 	w.pool.signal()
-}
-
-// Close shuts the pool down. Outstanding tasks are not waited for; callers
-// should join their tasks first.
-func (p *Pool) Close() {
-	if p.closed.Swap(true) {
-		return
-	}
-	close(p.done)
-	p.wg.Wait()
 }
 
 // Inject queues j on the pool's inject queue, behind everything already
@@ -190,20 +174,13 @@ func (p *Pool) Inject(j Job) {
 
 // Invoke runs fn on the pool and blocks until it completes, returning its
 // result. A panicking fn is re-panicked here as a *TaskError (the join
-// point), and so is a task that can never run because the pool is closed
-// (its cause is ErrPoolClosed).
+// point).
 func (p *Pool) Invoke(fn Fn) any {
 	metrics.IncObject()
 	v := &invocation{Task: Task{fn: fn}, doneCh: make(chan struct{})}
 	p.Inject(v)
 	metrics.IncPark()
-	select {
-	case <-v.doneCh:
-	case <-p.done:
-		if v.state.Load() == taskPending {
-			panic(&TaskError{Index: -1, Value: ErrPoolClosed})
-		}
-	}
+	<-v.doneCh
 	return v.value()
 }
 
@@ -225,19 +202,12 @@ func (p *Pool) Help() bool {
 }
 
 func (w *Worker) run() {
-	p := w.pool
-	defer p.wg.Done()
 	for {
 		if j := w.find(); j != nil {
 			j.Run(w)
 			continue
 		}
-		select {
-		case <-p.done:
-			return
-		default:
-		}
-		p.park()
+		w.pool.park()
 	}
 }
 
@@ -303,7 +273,7 @@ func (p *Pool) steal(thief *Worker) *Slot {
 	return nil
 }
 
-// park blocks the calling worker until a signal or until the pool closes.
+// park blocks the calling worker until a signal.
 // It first advertises idleness, then re-checks every queue: a producer
 // either sees the idle count and leaves a wake token, or made its work
 // visible before the count went up and the re-check finds it.
@@ -313,10 +283,7 @@ func (p *Pool) park() {
 	if p.anyWork() {
 		return
 	}
-	select {
-	case <-p.wake:
-	case <-p.done:
-	}
+	<-p.wake
 }
 
 func (p *Pool) anyWork() bool {

@@ -10,7 +10,6 @@ import (
 
 func TestInvokeSimple(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
 	got := p.Invoke(func(w *Worker) any { return 21 * 2 })
 	if got != 42 {
 		t.Errorf("Invoke = %v, want 42", got)
@@ -31,7 +30,6 @@ func fibTask(n int) Fn {
 
 func TestRecursiveForkJoin(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 	got := p.Invoke(fibTask(15))
 	if got != 610 {
 		t.Errorf("fib(15) = %v, want 610", got)
@@ -46,7 +44,6 @@ func TestForkAllocationGate(t *testing.T) {
 		t.Skip("the race detector's bookkeeping allocates")
 	}
 	p := NewPool(2)
-	defer p.Close()
 	leaf := Fn(func(*Worker) any { return nil })
 	const runs = 10000 // a stray allocation elsewhere adds under 1 B a run
 	got := p.Invoke(func(w *Worker) any {
@@ -78,7 +75,6 @@ func submit(p *Pool, fn Fn) *Task {
 
 func TestParallelSum(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 
 	data := make([]int, 100000)
 	for i := range data {
@@ -109,7 +105,6 @@ func TestParallelSum(t *testing.T) {
 
 func TestConcurrentSubmitters(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 	var total atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -134,17 +129,11 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-func TestCloseIdempotent(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	p.Close() // must not panic
-}
-
+// The default pool, Shared, is as wide as GOMAXPROCS was at process
+// start, and Width reports its workers.
 func TestDefaultPoolSize(t *testing.T) {
-	p := NewPool(0)
-	defer p.Close()
-	if len(p.workers) < 1 {
-		t.Errorf("NewPool(0) started %d workers, want >= 1", len(p.workers))
+	if got := Shared().Width(); got != sharedWidth {
+		t.Errorf("Shared().Width() = %d, want GOMAXPROCS at start, %d", got, sharedWidth)
 	}
 }
 
@@ -152,7 +141,6 @@ func TestDefaultPoolSize(t *testing.T) {
 // sequential sum.
 func TestPropertyParallelSumMatchesSequential(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
 	f := func(data []int8) bool {
 		want := 0
 		for _, v := range data {

@@ -314,6 +314,36 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 					return false
 				}
 			}
+			if s.Len() != 0 {
+				return false
+			}
+			if bt == nil {
+				return true
+			}
+			// The ops name too few keys to build a third level, so the
+			// B-tree also fills 1,200 keys and drains them, both in
+			// orders the ops seed: a delete at the root then reaches
+			// popMax's recursion into an emptied child two levels down.
+			var seed int64
+			for _, o := range ops {
+				seed = seed*31 + int64(o.Kind)<<16 + int64(o.Key)<<8 + int64(o.Value)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			const fill = 1200
+			for _, i := range rng.Perm(fill) {
+				k := fmt.Sprintf("fill-%04d", i)
+				s.Put(k, []byte{byte(i)})
+				model[k] = []byte{byte(i)}
+			}
+			if h, v := btreeViolation(bt); v != "" || h < 2 {
+				t.Logf("after %d puts: %q, height %d, want 2 or more", fill, v, h)
+				return false
+			}
+			for _, i := range rng.Perm(fill) {
+				if !del(fmt.Sprintf("fill-%04d", i)) {
+					return false
+				}
+			}
 			return s.Len() == 0
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -12,6 +12,8 @@ package taskbench
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +188,13 @@ type input struct {
 // its inputs and sends its checksum to its dependents with Context.Send;
 // AwaitQuiescence ends the run.
 func actorNodes(g *graph) []uint64 {
+	sums, _ := actorGraph(g)
+	return sums
+}
+
+// actorGraph is actorNodes that also returns how many messages its
+// actors had received when AwaitQuiescence returned.
+func actorGraph(g *graph) ([]uint64, int64) {
 	n := len(g.deps)
 	dependents := make([][]int, n)
 	for id, deps := range g.deps {
@@ -197,11 +206,13 @@ func actorNodes(g *graph) []uint64 {
 	defer sys.Shutdown()
 	sums := make([]uint64, n)
 	refs := make([]*actors.Ref, n)
+	var delivered atomic.Int64
 	for id := range refs {
 		deps := g.deps[id]
 		in := make([]uint64, len(deps))
 		have := 0
 		refs[id] = sys.Spawn("node", actors.ReceiverFunc(func(ctx *actors.Context, msg any) {
+			delivered.Add(1)
 			m := msg.(input)
 			for k, d := range deps {
 				if d == m.from {
@@ -224,7 +235,17 @@ func actorNodes(g *graph) []uint64 {
 		}
 	}
 	sys.AwaitQuiescence()
-	return sums
+	return sums, delivered.Load()
+}
+
+// messages is how many messages actorGraph sends over g: one per edge,
+// and a start signal per node without dependencies.
+func messages(g *graph) int64 {
+	var n int64
+	for _, deps := range g.deps {
+		n += int64(max(len(deps), 1))
+	}
+	return n
 }
 
 var substrates = []struct {
@@ -259,6 +280,61 @@ func TestTaskGraphOracle(t *testing.T) {
 					}
 				case <-time.After(30 * time.Second):
 					t.Fatalf("%s did not finish within 30 s", name)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// Two actor Systems, futures bodies and a fork–join tree run at once on
+// the one shared pool, at GOMAXPROCS 1 and 2: each System's
+// AwaitQuiescence returns with exactly its own messages delivered, and
+// every substrate's checksums match the sequential walk. Futures bodies
+// that Await help the pool, so they also run actor batches off it.
+func TestTaskGraphSubstratesShareOnePool(t *testing.T) {
+	g := tree(7)
+	want := sequential(g)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for round := range 5 {
+			var delivered [2]int64
+			runs := []func() []uint64{
+				func() []uint64 { sums, n := actorGraph(g); delivered[0] = n; return sums },
+				func() []uint64 { sums, n := actorGraph(g); delivered[1] = n; return sums },
+				func() []uint64 { return asyncAwait(g) },
+				func() []uint64 { return forkJoin(g) },
+			}
+			got := make([][]uint64, len(runs))
+			var wg sync.WaitGroup
+			for k, run := range runs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[k] = run()
+				}()
+			}
+			done := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("procs=%d round %d: the substrates did not finish within 30 s", procs, round)
+			}
+			for i, n := range delivered {
+				if n != messages(g) {
+					t.Errorf("procs=%d round %d: System %d quiesced with %d of %d messages delivered", procs, round, i, n, messages(g))
+				}
+			}
+			for k, sums := range got {
+				for id := range want {
+					if sums[id] != want[id] {
+						t.Errorf("procs=%d round %d: run %d: node %d checksum %#x, want %#x", procs, round, k, id, sums[id], want[id])
+						break
+					}
 				}
 			}
 		}

@@ -13,7 +13,7 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 
 # The fault-tolerance and engine-concurrency tests: harness panic/timeout
 # isolation, netstack drain/close/admission control and client close
-# races, the data-parallel engine's executor/shuffle/fused-action
+# races, the data-parallel engine's executor/shuffle/action
 # interleavings, the actor runtime's shutdown/quiescence/fairness/steal
 # races, and the supervision fault domains (restart/escalation/dead
 # letters, plus the MPSC queue and rx scheduler close races). `make
@@ -23,8 +23,9 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # interpreter tiers stay bit-identical under the race detector too, as
 # does the STM adversarial suite (lost-wakeup, opacity, timestamp
 # extension differential vs a global-lock reference) and the RDD lineage
-# recovery suite (recompute vs concurrent actions on a shared cache,
-# retry-budget exhaustion, shuffle epoch retries).
+# recovery suite (recompute vs concurrent actions on a shared dataset,
+# retry-budget exhaustion, and the TaskError a transformation re-panics
+# when a partition spends its budget).
 # minilang's FuzzCompile seed corpus (compile, then baseline vs quickened
 # execution) rides along too, as does the rvm/ir FuzzVerify seed corpus
 # (bytecode the verifier accepts runs identically on tier-0, tier-1 and
@@ -56,7 +57,7 @@ RACE_PKGS = ./internal/metrics ./internal/forkjoin ./internal/stm ./internal/cor
 # deliveries. The Quiesce fragment also picks an actor batch that a
 # future's Await runs off the pool, and a System whose last batch leaves
 # another System's actor on its worker's deque.
-STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Epoch|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts|FuzzTreeSplit|TaskGraph'
+STRESS_RUN = 'Close|Drain|Timeout|Race|Racing|Panic|Retry|Fault|Discard|Exchange|Executor|Fused|Nested|Quiesce|Flood|Steal|Scheduler|Queue|Mailbox|Ask|Restart|Resume|Escalation|DeadLetter|Tier|Quicken|Admission|Backoff|Concurrent|Outstanding|Opacity|Wakeup|Extension|Differential|Cholesky|Recompute|Budget|FuzzCompile|FuzzVerify|FuzzNormalEq|FuzzDotCounts|FuzzTreeSplit|TaskGraph'
 STRESS_PKGS = ./internal/metrics ./internal/core ./internal/netstack ./internal/futures ./internal/rdd ./internal/forkjoin ./internal/actors ./internal/rx ./internal/mpsc ./internal/streams ./internal/rvm ./internal/rvm/opt ./internal/hdr ./internal/loadgen ./internal/stm ./internal/minilang ./internal/graphdb ./internal/rvm/ir ./internal/lin ./internal/memdb ./internal/taskbench
 
 .PHONY: check fmt vet build test test-rbench race stress stress-fragments ck-fresh work-fresh sim-fresh chaos smoke fuzz analyze rbench loc

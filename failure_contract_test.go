@@ -48,6 +48,13 @@ func TestParallelFailureContract(t *testing.T) {
 				return w.Join(w.Fork(func(*forkjoin.Worker) any { panic(sentinel) }))
 			})
 		}},
+		{"rdd.Map", func() {
+			rdd.Map(rdd.Parallelize(xs, 8), failAt)
+		}},
+		{"rdd.ReduceByKey", func() {
+			pairs := rdd.Map(rdd.Parallelize(xs, 8), func(x int) rdd.Pair[int, int] { return rdd.KV(x%7, x) })
+			rdd.ReduceByKey(pairs, 4, func(a, b int) int { return a + failAt(b) })
+		}},
 		{"rdd.Count", func() {
 			rdd.Parallelize(xs, 8).Filter(func(x int) bool { return failAt(x) >= 0 }).Count()
 		}},

@@ -2,9 +2,9 @@
 // rate-configurable registry of named injection points compiled into the
 // harness and the concurrency substrates — core.iteration (a panic before
 // a benchmark iteration), actor mailbox delivery, fork-join chunk claiming
-// and deque stealing, the RDD engine's partition tasks, recomputes, and
-// shuffle exchange (rdd.task, rdd.recompute, rdd.shuffle), netstack reads
-// and writes, STM commits — so the fault *domains* built into each layer
+// and deque stealing, the RDD chunk tasks and their recomputes (rdd.task,
+// rdd.recompute), netstack reads and writes, STM commits — so the fault
+// *domains* built into each layer
 // (the harness's panic isolation and run retries, supervision, TaskError
 // propagation, lineage recompute) are exercised under deterministic,
 // reproducible schedules.

@@ -13,7 +13,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"sort"
+	"strings"
 )
 
 // ClassMetrics holds the six CK metrics of one type.
@@ -45,13 +47,16 @@ type classInfo struct {
 }
 
 // AnalyzeDirs parses the given directories (non-recursively) and computes
-// CK metrics over all named struct and interface types found.
+// CK metrics over all named struct and interface types found. Test files
+// are left out: the paper counts the classes a benchmark loads, and a
+// type only a _test.go file declares is never loaded by a run.
 func AnalyzeDirs(dirs []string) (*Report, error) {
 	classes := map[string]*classInfo{}
 	fset := token.NewFileSet()
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
 
 	for _, dir := range dirs {
-		pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+		pkgs, err := parser.ParseDir(fset, dir, notTest, 0)
 		if err != nil {
 			return nil, fmt.Errorf("ck: parsing %s: %w", dir, err)
 		}

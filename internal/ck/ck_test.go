@@ -155,6 +155,27 @@ func TestAnalyzeRealPackages(t *testing.T) {
 	}
 }
 
+// TestTestFilesNotCounted: a type declared only in a _test.go file is
+// not a class the benchmark loads.
+func TestTestFilesNotCounted(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"a.go":      "package a\n\ntype Loaded struct{ n int }\n",
+		"a_test.go": "package a\n\ntype fixture struct{ n int }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := AnalyzeDirs([]string{dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TypeCount != 1 || len(rep.Classes) != 1 || rep.Classes[0].Name != "Loaded" {
+		t.Errorf("TypeCount %d, classes %+v; want only Loaded", rep.TypeCount, rep.Classes)
+	}
+}
+
 func TestBadDir(t *testing.T) {
 	if _, err := AnalyzeDirs([]string{"/nonexistent-dir-xyz"}); err == nil {
 		t.Error("missing directory accepted")

@@ -12,11 +12,9 @@
 //     job itself is pushed onto the pool's inject queue once per helper,
 //     with no task or closure around it, and the helpers no worker took
 //     are taken back once the counter is drained. A For therefore
-//     always makes progress even when every pool worker is blocked —
-//     which genuinely happens in this engine: shuffles execute *inside*
-//     partition tasks (a wide RDD's partitions all call into a
-//     mutex-guarded shuffle exchange), so a worker can invoke a nested
-//     For while its siblings are parked on the mutex. With a blocking
+//     always makes progress even when every pool worker is blocked: a
+//     worker can invoke a nested For from inside a chunk while its
+//     siblings are parked on a mutex that chunk holds. With a blocking
 //     barrier-style fan-out that is a deadlock; with caller-runs the
 //     nested For drains its own counter and completes.
 //   - Bounded parallelism: only the pool's workers and the caller ever

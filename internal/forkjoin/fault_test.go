@@ -180,7 +180,7 @@ func TestPanickingPartitionNestedForNoDeadlock(t *testing.T) {
 	}
 
 	// A retrying job nested inside a chunk while every worker is blocked
-	// (the shuffle-exchange shape: siblings parked on the exchange mutex)
+	// (siblings parked on a mutex the nesting chunk holds)
 	// still completes — caller-runs claims and retries on the caller alone.
 	p := NewPool(2)
 	release := make(chan struct{})

@@ -9,13 +9,14 @@ import (
 )
 
 func TestCollectEPanicSurfacesTaskError(t *testing.T) {
-	r := Map(Parallelize(ints(100), 8), func(x int) int {
-		if x == 42 {
-			panic("element failure")
-		}
-		return x * 2
+	got, err := collectE(func() *RDD[int] {
+		return Map(Parallelize(ints(100), 8), func(x int) int {
+			if x == 42 {
+				panic("element failure")
+			}
+			return x * 2
+		})
 	})
-	got, err := collectE(r)
 	var te *forkjoin.TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("collectE error = %v, want *forkjoin.TaskError", err)
@@ -30,7 +31,7 @@ func TestCollectEPanicSurfacesTaskError(t *testing.T) {
 
 func TestCollectECleanMatchesCollect(t *testing.T) {
 	r := Map(Parallelize(ints(50), 4), func(x int) int { return x + 1 })
-	got, err := collectE(r)
+	got, err := collectE(func() *RDD[int] { return r })
 	if err != nil {
 		t.Fatalf("collectE: %v", err)
 	}
@@ -41,36 +42,42 @@ func TestCollectECleanMatchesCollect(t *testing.T) {
 
 func TestLegacyCollectStillPanicsOnFault(t *testing.T) {
 	// Without the error return, a persistent partition failure re-panics
-	// at the join: the contract Count and Aggregate share.
-	defer func() {
-		if _, ok := recover().(*forkjoin.TaskError); !ok {
-			t.Fatal("collect did not re-panic a *forkjoin.TaskError")
-		}
-	}()
-	collect(Map(Parallelize(ints(32), 4), func(x int) int {
-		if x == 10 {
-			panic("legacy rdd")
-		}
-		return x
-	}))
-	t.Fatal("collect returned normally")
+	// at the join of the transformation that ran it: Map itself panics and
+	// returns no dataset, so no later collect is reached.
+	var r *RDD[int]
+	err := recovered(func() {
+		r = Map(Parallelize(ints(32), 4), func(x int) int {
+			if x == 10 {
+				panic("legacy rdd")
+			}
+			return x
+		})
+	})
+	if _, ok := err.(*forkjoin.TaskError); !ok {
+		t.Fatalf("Map re-panicked %v, want a *forkjoin.TaskError", err)
+	}
+	if r != nil {
+		t.Fatal("Map returned a dataset alongside its failure")
+	}
 }
 
 func TestCollectEAfterFaultPipelineReusable(t *testing.T) {
-	// A failed action must not poison the shared executor: the same (narrow)
-	// pipeline evaluated again without the fault succeeds.
+	// A failed transformation must not poison the shared executor: the
+	// same pipeline built again without the fault succeeds.
 	var arm = true
-	r := Map(Parallelize(ints(40), 8), func(x int) int {
-		if arm && x == 0 {
-			panic("one-shot")
-		}
-		return x
-	})
-	if _, err := collectE(r); err == nil {
+	build := func() *RDD[int] {
+		return Map(Parallelize(ints(40), 8), func(x int) int {
+			if arm && x == 0 {
+				panic("one-shot")
+			}
+			return x
+		})
+	}
+	if _, err := collectE(build); err == nil {
 		t.Fatal("armed pipeline did not fail")
 	}
 	arm = false
-	got, err := collectE(r)
+	got, err := collectE(build)
 	if err != nil || len(got) != 40 {
 		t.Fatalf("re-evaluation = (%d elems, %v), want (40, nil)", len(got), err)
 	}

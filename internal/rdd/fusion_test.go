@@ -1,7 +1,10 @@
 package rdd
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,8 +12,8 @@ import (
 	"testing/quick"
 )
 
-// refMap/refFilter/refFlatMap are the unfused seed semantics: one full
-// intermediate slice per stage, evaluated sequentially. The fused engine
+// refMap/refFilter/refFlatMap are the seed semantics: one full
+// intermediate slice per stage, evaluated sequentially. The engine
 // must be element-for-element identical to chains of these.
 func refMap[T, U any](in []T, fn func(T) U) []U {
 	out := make([]U, len(in))
@@ -77,8 +80,8 @@ func TestPropertyFusedMatchesSequential(t *testing.T) {
 				return false
 			}
 		}
-		// Count must agree with collect, and a second collect (replaying
-		// the pipeline, or reading the cache) must be identical.
+		// Count must agree with collect, and a second collect must be
+		// identical.
 		if s4.Count() != len(want) {
 			return false
 		}
@@ -89,10 +92,10 @@ func TestPropertyFusedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFusedCacheComputesOnceMidChain verifies the Cache() interaction:
-// a cache in the middle of a fused chain is a fusion barrier that
-// evaluates its upstream exactly once, while downstream stages replay
-// from the memoized slices.
+// TestFusedCacheComputesOnceMidChain verifies that a Cache() in the
+// middle of a chain costs nothing: Map evaluated its function once per
+// element when called, and the stages and actions after it read the
+// materialized partitions.
 func TestFusedCacheComputesOnceMidChain(t *testing.T) {
 	var upstream atomic.Int64
 	base := Parallelize(ints(100), 4)
@@ -118,12 +121,12 @@ func TestFusedCacheComputesOnceMidChain(t *testing.T) {
 	}
 }
 
-// TestFusedEmptyPartitions drives fused chains whose partitions go empty
+// TestFusedEmptyPartitions drives chains whose partitions go empty
 // (filter-all, empty source) through every action.
 func TestFusedEmptyPartitions(t *testing.T) {
 	empty := Parallelize([]int{}, 4)
-	if empty.numPartitions != 1 {
-		t.Errorf("empty dataset partitions = %d, want 1", empty.numPartitions)
+	if len(empty.parts) != 1 {
+		t.Errorf("empty dataset partitions = %d, want 1", len(empty.parts))
 	}
 	chain := flatMap(Map(empty, func(x int) int { return x }).Filter(func(int) bool { return true }),
 		func(x int) []int { return []int{x} })
@@ -151,17 +154,17 @@ func TestFusedEmptyPartitions(t *testing.T) {
 // (clampPartitions): Parallelize caps at len(data), wide transformations
 // cap at shuffleLimit, results stay correct after clamping.
 func TestPartitionClampRule(t *testing.T) {
-	if got := Parallelize(ints(3), 100).numPartitions; got != 3 {
+	if got := len(Parallelize(ints(3), 100).parts); got != 3 {
 		t.Errorf("Parallelize clamp = %d, want 3", got)
 	}
-	if got := Parallelize(ints(100), 0).numPartitions; got != defaultPartitions {
+	if got := len(Parallelize(ints(100), 0).parts); got != defaultPartitions {
 		t.Errorf("Parallelize default = %d", got)
 	}
 
 	pairs := Map(Parallelize(ints(60), 4), func(x int) Pair[int, int] { return KV(x%9, 1) })
 	huge := ReduceByKey(pairs, 1<<20, func(a, b int) int { return a + b })
-	if limit := shuffleLimit(4); huge.numPartitions > limit {
-		t.Errorf("ReduceByKey partitions = %d, above limit %d", huge.numPartitions, limit)
+	if limit := shuffleLimit(4); len(huge.parts) > limit {
+		t.Errorf("ReduceByKey partitions = %d, above limit %d", len(huge.parts), limit)
 	}
 	counts := collectAsMap(huge)
 	for k := 0; k < 9; k++ {
@@ -173,7 +176,7 @@ func TestPartitionClampRule(t *testing.T) {
 			t.Errorf("clamped ReduceByKey[%d] = %d, want %d", k, counts[k], want)
 		}
 	}
-	if got := groupByKey(pairs, -7).numPartitions; got != 4 {
+	if got := len(groupByKey(pairs, -7).parts); got != 4 {
 		t.Errorf("groupByKey(-7) partitions = %d, want parent 4", got)
 	}
 }
@@ -225,10 +228,9 @@ func TestStructKeyedShuffleSpreadsBuckets(t *testing.T) {
 		k := pointKey{X: float64(i % keys), Y: float64((i % keys) * 2)}
 		data = append(data, KV(k, 1))
 	}
-	r := Parallelize(data, 8)
-	buckets := shuffle(r, 8)
+	summed := ReduceByKey(Parallelize(data, 8), 8, func(a, b int) int { return a + b })
 	nonEmpty := 0
-	for _, b := range buckets {
+	for _, b := range summed.parts {
 		if len(b) > 0 {
 			nonEmpty++
 		}
@@ -236,7 +238,7 @@ func TestStructKeyedShuffleSpreadsBuckets(t *testing.T) {
 	if nonEmpty < 6 {
 		t.Errorf("struct-keyed shuffle used %d of 8 buckets; keys collapsed", nonEmpty)
 	}
-	counts := collectAsMap(ReduceByKey(r, 8, func(a, b int) int { return a + b }))
+	counts := collectAsMap(summed)
 	if len(counts) != keys {
 		t.Fatalf("distinct keys = %d, want %d", len(counts), keys)
 	}
@@ -247,9 +249,8 @@ func TestStructKeyedShuffleSpreadsBuckets(t *testing.T) {
 	}
 }
 
-// TestShuffleExchangeRace runs overlapping shuffles (shared staging-row
-// pool, shared executor) from concurrent goroutines; run under -race by
-// make stress.
+// TestShuffleExchangeRace runs overlapping shuffles on the shared executor
+// from concurrent goroutines; run under -race by make stress.
 func TestShuffleExchangeRace(t *testing.T) {
 	words := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	var wg sync.WaitGroup
@@ -277,9 +278,8 @@ func TestShuffleExchangeRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFusedActionsRace overlaps fused-pipeline actions (collect, Count,
-// Aggregate) including cached datasets across goroutines; run under
-// -race by make stress.
+// TestFusedActionsRace overlaps actions (Count, Aggregate) on one shared
+// dataset across goroutines; run under -race by make stress.
 func TestFusedActionsRace(t *testing.T) {
 	shared := Map(Parallelize(ints(500), 8), func(x int) int { return x * 2 }).Cache()
 	var wg sync.WaitGroup
@@ -304,7 +304,7 @@ func TestFusedActionsRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShuffledRDDSortedCollect double-checks shuffled iterate semantics:
+// TestShuffledRDDSortedCollect double-checks a shuffled dataset:
 // collecting a ReduceByKey result twice yields the same multiset.
 func TestShuffledRDDSortedCollect(t *testing.T) {
 	pairs := Map(Parallelize(ints(97), 6), func(x int) Pair[int, int] { return KV(x%13, x) })
@@ -320,5 +320,48 @@ func TestShuffledRDDSortedCollect(t *testing.T) {
 	}
 	if len(a) != 13 {
 		t.Errorf("distinct keys = %d, want 13", len(a))
+	}
+}
+
+// TestReduceByKeyFoldsInInputOrder pins the order the seed PageRank
+// oracle depends on: ReduceByKey folds each key's float64 values left to
+// right in input order, at any GOMAXPROCS, so its sums are bit-identical
+// to a sequential loop.
+func TestReduceByKeyFoldsInInputOrder(t *testing.T) {
+	const n, keys = 12000, 61
+	rng := rand.New(rand.NewSource(17))
+	data := make([]Pair[int, float64], n)
+	for i := range data {
+		data[i] = KV(rng.Intn(keys), rng.Float64()*math.Pow(10, float64(rng.Intn(12)-6)))
+	}
+	want := map[int]float64{}
+	reversed := map[int]float64{}
+	for i := range data {
+		kv, back := data[i], data[n-1-i]
+		want[kv.Key] += kv.Value
+		reversed[back.Key] += back.Value
+	}
+	differs := 0
+	for k := range want {
+		if math.Float64bits(want[k]) != math.Float64bits(reversed[k]) {
+			differs++
+		}
+	}
+	if differs == 0 {
+		t.Fatal("no key's sum depends on the order of its values; the test would pin nothing")
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := collectAsMap(ReduceByKey(Parallelize(data, 8), 8, func(a, b float64) float64 { return a + b }))
+		if len(got) != keys {
+			t.Fatalf("GOMAXPROCS %d: %d keys, want %d", procs, len(got), keys)
+		}
+		for k, w := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(w) {
+				t.Errorf("GOMAXPROCS %d: key %d sums to %v, the input-order fold to %v", procs, k, got[k], w)
+			}
+		}
 	}
 }

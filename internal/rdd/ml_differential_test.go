@@ -553,12 +553,10 @@ func TestMLChunksMatchPartitions(t *testing.T) {
 	for n := 0; n <= 64; n++ {
 		r := Parallelize(ints(n), 8)
 		parts := mlParts(n)
-		if parts != r.numPartitions {
-			t.Fatalf("n=%d: %d chunks, Parallelize made %d partitions", n, parts, r.numPartitions)
+		if parts != len(r.parts) {
+			t.Fatalf("n=%d: %d chunks, Parallelize made %d partitions", n, parts, len(r.parts))
 		}
-		for c := 0; c < parts; c++ {
-			var part []int
-			r.iterate(c, func(x int) bool { part = append(part, x); return true })
+		for c, part := range r.parts {
 			if chunk := ints(n)[c*n/parts : (c+1)*n/parts]; !slices.Equal(part, chunk) {
 				t.Fatalf("n=%d chunk %d: rows %v, partition holds %v", n, c, chunk, part)
 			}

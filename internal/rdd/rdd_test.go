@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -19,38 +20,16 @@ func ints(n int) []int {
 	return xs
 }
 
-// collectE is the tests' collecting action: every partition evaluated
-// through runParts, the recovery path Count and Aggregate run on, and
-// concatenated in partition order; a persistent failure is returned.
-func collectE[T any](r *RDD[T]) ([]T, error) {
-	parts, err := runParts(r.numPartitions, func(p int) []T {
-		if r.cache != nil {
-			return r.cachedPartition(p)
-		}
-		return r.materialize(p)
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
+// collect is the tests' collecting action: the dataset's partitions
+// concatenated in partition order.
+func collect[T any](r *RDD[T]) []T { return slices.Concat(r.parts...) }
 
-// collect is collectE under the package's failure contract: a persistent
-// failure re-panics as a *forkjoin.TaskError.
-func collect[T any](r *RDD[T]) []T {
-	out, err := collectE(r)
-	if err != nil {
-		panic(err)
-	}
-	return out
+// collectE builds a dataset and collects it. A partition that spends its
+// recompute budget re-panics at the join of the transformation that ran
+// it; collectE returns that *forkjoin.TaskError and no data instead.
+func collectE[T any](build func() *RDD[T]) (out []T, err error) {
+	err = recovered(func() { out = collect(build()) })
+	return out, err
 }
 
 // collectAsMap collects a pair dataset into a map (later keys overwrite).
@@ -64,8 +43,8 @@ func collectAsMap[K comparable, V any](r *RDD[Pair[K, V]]) map[K]V {
 
 func TestParallelizeCollect(t *testing.T) {
 	r := Parallelize(ints(100), 8)
-	if r.numPartitions != 8 {
-		t.Errorf("partitions = %d", r.numPartitions)
+	if len(r.parts) != 8 {
+		t.Errorf("partitions = %d", len(r.parts))
 	}
 	got := collect(r)
 	if !reflect.DeepEqual(got, ints(100)) {
@@ -82,15 +61,15 @@ func TestParallelizeEdgeCases(t *testing.T) {
 		t.Errorf("empty count = %d", empty.Count())
 	}
 	small := Parallelize([]int{1, 2}, 16)
-	if small.numPartitions > 2 {
-		t.Errorf("small dataset got %d partitions", small.numPartitions)
+	if len(small.parts) > 2 {
+		t.Errorf("small dataset got %d partitions", len(small.parts))
 	}
 	if got := collect(small); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("small collect = %v", got)
 	}
 	defaulted := Parallelize(ints(100), 0)
-	if defaulted.numPartitions != 8 {
-		t.Errorf("default partitions = %d", defaulted.numPartitions)
+	if len(defaulted.parts) != 8 {
+		t.Errorf("default partitions = %d", len(defaulted.parts))
 	}
 }
 

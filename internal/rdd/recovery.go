@@ -1,6 +1,6 @@
 // Lineage-based partition recovery (DESIGN.md §14). Every parallel loop
-// in the package — the kernels' passes, the actions and the shuffle
-// phases — runs through forRetry, a thin wrapper over forkjoin's retrying
+// in the package — the kernels' passes and the engine's partition jobs —
+// runs through forRetry, a thin wrapper over forkjoin's retrying
 // parallel-for, the one claim/cancel/join implementation in the
 // repository. The wrapper adds only what is RDD-specific:
 //
@@ -8,16 +8,14 @@
 //     partition recompute budget (taskRetries). A chunk attempt that
 //     fails — an organic panic, a *forkjoin.TaskError from a nested job,
 //     or an injected chaos fault — is recomputed from the chunk's lineage
-//     (a kernel chunk rewrites its own rows; a fused pipeline re-runs from
-//     the nearest cached partition or published shuffle exchange). When
-//     the budget is spent the final *forkjoin.TaskError is returned;
-//     unclaimed siblings are cancelled, and chunks already in flight run
-//     to completion first.
+//     (a kernel chunk rewrites its own rows; an engine partition re-reads
+//     its materialized parent partition). When the budget is spent the
+//     final *forkjoin.TaskError is returned; unclaimed siblings are
+//     cancelled, and chunks already in flight run to completion first.
 //   - Caller-runs discipline, inherited from the job: the calling
 //     goroutine claims and evaluates chunks itself while pool workers
-//     help opportunistically, so a nested runParts — a shuffle exchange
-//     evaluated inside a consumer partition — always makes progress even
-//     when every worker is busy.
+//     help opportunistically, so a job nested inside a chunk always makes
+//     progress even when every worker is busy.
 //
 // Chaos points: "rdd.task" fires before every first chunk attempt,
 // "rdd.recompute" before every retry, and the job's own "forkjoin.claim"
@@ -56,25 +54,14 @@ func forRetry(n, grain int, body func(lo, hi int)) error {
 }
 
 // runParts evaluates compute(p) for every partition p in [0, n) with
-// bounded recompute, returning the values in partition order. On
-// persistent failure it returns the final *forkjoin.TaskError after
-// handing every slot to discard, when non-nil — the published values plus
-// the zero value of each partition that never published — so a failed
-// shuffle exchange can recycle its staging rows before the retry's fresh
-// epoch.
-func runParts[R any](n int, compute func(p int) R, discard func(R)) ([]R, error) {
-	if n <= 0 {
-		return nil, nil
-	}
+// bounded recompute and returns the values in partition order. A
+// partition that spends its budget re-panics its *forkjoin.TaskError
+// here, at the join.
+func runParts[R any](n int, compute func(p int) R) []R {
 	metrics.IncArray()
 	out := make([]R, n)
 	if err := forRetry(n, 1, func(p, _ int) { out[p] = compute(p) }); err != nil {
-		if discard != nil {
-			for _, v := range out {
-				discard(v)
-			}
-		}
-		return nil, err
+		panic(err)
 	}
-	return out, nil
+	return out
 }

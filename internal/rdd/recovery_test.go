@@ -1,7 +1,7 @@
 // Adversarial tests for the lineage recovery engine: injected-fault
-// recompute, retry-budget exhaustion, recovery racing concurrent actions
-// on a shared cache, and shuffle epoch retries. Names match the stress
-// regex in the Makefile so `make stress` shakes them under -race.
+// recompute, retry-budget exhaustion, and recovery racing concurrent
+// actions on a shared dataset. Names match the stress regex in the
+// Makefile so `make stress` shakes them under -race.
 package rdd
 
 import (
@@ -48,12 +48,13 @@ func recovered(f func()) (err error) {
 
 func TestRecomputeRecoversInjectedTaskFaults(t *testing.T) {
 	// Every first attempt fails (rdd.task at rate 1); every recompute
-	// succeeds (rdd.recompute dormant). The action must still deliver the
-	// exact fault-free result, with one recompute per partition.
+	// succeeds (rdd.recompute dormant). Map must still deliver the exact
+	// fault-free result, with one recompute per partition.
 	chaosQuiet(t, 11, map[string]float64{"rdd.task": 1})
 
-	r := Map(Parallelize(ints(200), 8), func(x int) int { return x * 3 })
-	got, err := collectE(r)
+	got, err := collectE(func() *RDD[int] {
+		return Map(Parallelize(ints(200), 8), func(x int) int { return x * 3 })
+	})
 	if err != nil {
 		t.Fatalf("collectE under full first-attempt injection: %v", err)
 	}
@@ -75,12 +76,13 @@ func TestRecomputeRecoversInjectedTaskFaults(t *testing.T) {
 func TestRecomputeRecoversInjectedClaimFaults(t *testing.T) {
 	// Only the job's own forkjoin.claim point is armed. It sits inside the
 	// partition retry loop, so a claim fault costs one recompute and both a
-	// narrow and a wide action stay bit-identical to the fault-free run.
+	// narrow and a wide transformation stay bit-identical to the
+	// fault-free run.
 	// (Before partitions ran on forkjoin's job the point was not on the
 	// partition path at all, so nothing fired.)
 	run := func() ([]int, map[int]int) {
 		base := Parallelize(ints(300), 8)
-		narrow, err := collectE(Map(base, func(x int) int { return x*x - x }))
+		narrow, err := collectE(func() *RDD[int] { return Map(base, func(x int) int { return x*x - x }) })
 		if err != nil {
 			t.Fatalf("collectE: %v", err)
 		}
@@ -99,20 +101,22 @@ func TestRecomputeRecoversInjectedClaimFaults(t *testing.T) {
 		t.Fatal("forkjoin.claim never fired on the partition path")
 	}
 
-	// All four points on the partition path armed together.
-	for _, pt := range []string{"rdd.task", "rdd.recompute", "rdd.shuffle", "forkjoin.claim"} {
+	// All three points on the partition path armed together.
+	for _, pt := range []string{"rdd.task", "rdd.recompute", "forkjoin.claim"} {
 		chaos.SetRate(pt, 0.05)
 	}
 	gotNarrow, gotByKey = run()
 	if !reflect.DeepEqual(gotNarrow, wantNarrow) || !reflect.DeepEqual(gotByKey, wantByKey) {
-		t.Fatal("run under all four injected points diverged from fault-free run")
+		t.Fatal("run under all three injected points diverged from fault-free run")
 	}
 
 	// A claim fault on every attempt spends the budget and surfaces as the
 	// one TaskError wrapping the injected fault.
 	chaos.Configure(7, 0)
 	chaos.SetRate("forkjoin.claim", 1)
-	_, err := collectE(Parallelize(ints(64), 4))
+	_, err := collectE(func() *RDD[int] {
+		return Map(Parallelize(ints(64), 4), func(x int) int { return x })
+	})
 	var te *forkjoin.TaskError
 	var inj *chaos.InjectedError
 	if !errors.As(err, &te) || !errors.As(err, &inj) || inj.Point != "forkjoin.claim" {
@@ -122,12 +126,14 @@ func TestRecomputeRecoversInjectedClaimFaults(t *testing.T) {
 
 func TestRetryBudgetExhaustionSurfacesTaskError(t *testing.T) {
 	// Both the first attempt and every recompute fail: the budget is spent
-	// and the final injected fault surfaces as a *forkjoin.TaskError, the
-	// pre-recovery action contract.
+	// and the final injected fault surfaces from Map as a
+	// *forkjoin.TaskError, the pre-recovery contract.
 	chaosQuiet(t, 11, map[string]float64{"rdd.task": 1, "rdd.recompute": 1})
 
-	r := Map(Parallelize(ints(64), 4), func(x int) int { return x + 1 })
-	_, err := collectE(r)
+	build := func() *RDD[int] {
+		return Map(Parallelize(ints(64), 4), func(x int) int { return x + 1 })
+	}
+	_, err := collectE(build)
 	var te *forkjoin.TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("collectE error = %v, want *forkjoin.TaskError", err)
@@ -143,17 +149,25 @@ func TestRetryBudgetExhaustionSurfacesTaskError(t *testing.T) {
 	// The failure must not poison anything: disarm and the same pipeline
 	// evaluates cleanly.
 	chaos.Configure(11, 0)
-	if got, err := collectE(r); err != nil || len(got) != 64 {
+	if got, err := collectE(build); err != nil || len(got) != 64 {
 		t.Fatalf("re-evaluation after exhaustion = (%d elems, %v), want (64, nil)", len(got), err)
+	}
+
+	// An action spends its budget the same way: Count, which runs no user
+	// code, re-panics the injected fault at its own join.
+	r := build()
+	chaos.SetRate("rdd.task", 1)
+	chaos.SetRate("rdd.recompute", 1)
+	if err := recovered(func() { r.Count() }); !errors.As(err, &te) || !errors.As(err, &inj) {
+		t.Fatalf("Count under exhaustion re-panicked %v, want a *forkjoin.TaskError wrapping the injected fault", err)
 	}
 }
 
 func TestRecomputeRacingConcurrentActionsOnCachedRDD(t *testing.T) {
 	// Concurrent actions race over one cached RDD while first attempts
-	// fail half the time. Recovery re-runs partitions — cache fills
-	// included — and every action must agree with the fault-free result;
-	// the cache must still compute each partition's *published* value
-	// exactly once per fill (no torn or partial slices observable).
+	// fail half the time. Recovery re-runs partitions of the Map that
+	// builds it and of every action, and every action must agree with the
+	// fault-free result.
 	chaosQuiet(t, 7, map[string]float64{"rdd.task": 0.5})
 
 	base := Map(Parallelize(ints(400), 8), func(x int) int { return x * 7 }).Cache()
@@ -197,68 +211,24 @@ func TestRecomputeRacingConcurrentActionsOnCachedRDD(t *testing.T) {
 	}
 }
 
-func TestShuffleEpochRetryAfterInjectedExchangeFault(t *testing.T) {
-	// While rdd.shuffle fires at rate 1, every exchange attempt fails and
-	// the action degrades to a TaskError once the budgets are spent — the
-	// exchange is NOT poisoned: disarming the point, the next action
-	// retries the whole two-phase shuffle under a fresh epoch and
-	// succeeds.
-	chaosQuiet(t, 3, map[string]float64{"rdd.shuffle": 1})
-
-	pairs := Map(Parallelize(ints(120), 6), func(x int) Pair[int, int] {
-		return Pair[int, int]{x % 10, x}
-	})
-	sums := ReduceByKey(pairs, 4, func(a, b int) int { return a + b })
-
-	if _, err := collectE(sums); err == nil {
-		t.Fatal("action succeeded while every exchange attempt was failing")
-	}
-	failedEpochs := sums.ShuffleEpochs()
-	if failedEpochs < 1 {
-		t.Fatalf("ShuffleEpochs = %d after failed exchange attempts, want >= 1", failedEpochs)
-	}
-
-	chaos.Configure(3, 0) // disarm; next consumer retries under a fresh epoch
-	got, err := collectE(sums)
-	if err != nil {
-		t.Fatalf("post-fault exchange retry failed: %v", err)
-	}
-	if sums.ShuffleEpochs() <= failedEpochs {
-		t.Errorf("ShuffleEpochs = %d, want > %d (a fresh epoch per retried exchange)",
-			sums.ShuffleEpochs(), failedEpochs)
-	}
-	want := map[int]int{}
-	for _, x := range ints(120) {
-		want[x%10] += x
-	}
-	gotMap := map[int]int{}
-	for _, kv := range got {
-		gotMap[kv.Key] = kv.Value
-	}
-	if !reflect.DeepEqual(gotMap, want) {
-		t.Fatal("retried exchange produced different sums than fault-free")
-	}
-}
-
 // TestChaosDifferentialBitIdentical asserts the recovery engine's core
-// guarantee: under injected faults on every rdd chaos point at rates up to
-// 0.05, and on the job's own forkjoin.claim point, every action's result —
-// through a mid-chain Cache, narrow and wide dependencies, and the seven
-// ML kernels — is bit-identical to the fault-free run.
+// guarantee: under injected faults on both rdd chaos points at rates up to
+// 0.05, and on the job's own forkjoin.claim point, every result — through
+// a mid-chain Cache, narrow and wide transformations, the actions and the
+// seven ML kernels — is bit-identical to the fault-free run.
 //
 // No leg may spend a recompute budget (the kernel would return its
 // TaskError and the test fail), and a chunk spends its budget only when all
 // four of its attempts fail. The seed pins every decision by trial index;
 // the interleaving decides only which chunk meets which trial.
-//   - rdd.* legs: a run makes ≈ 455 chunk passes at GOMAXPROCS 2, and
-//     among the retries a leg reaches rdd.recompute and rdd.shuffle fire
-//     at most once each (three fires in all at GOMAXPROCS 4), so at
-//     GOMAXPROCS ≤ 2 no chunk can fail three retries, whatever the
-//     interleaving.
+//   - rdd.* legs: a run makes ≈ 468 chunk passes at GOMAXPROCS 2, and
+//     among the retries a leg reaches rdd.recompute fires at most once
+//     (twice at GOMAXPROCS 4), so no chunk can fail three retries,
+//     whatever the interleaving.
 //   - claim leg: forkjoin.claim alone at q = claimRate fails all four
 //     attempts of a chunk with probability q⁴ ≈ 2.6e-10. The three claim
-//     legs make ≈ 3 × 455 chunk passes (3 × 595 at GOMAXPROCS 4), so the
-//     chance that they spend any budget is ≈ 3.5e-7 (4.6e-7), below
+//     legs make ≈ 3 × 468 chunk passes (3 × 608 at GOMAXPROCS 4), so the
+//     chance that they spend any budget is ≈ 3.6e-7 (4.7e-7), below
 //     1e-6, and the point still fires a few times.
 func TestChaosDifferentialBitIdentical(t *testing.T) {
 	const claimRate = 0.004
@@ -365,15 +335,14 @@ func TestChaosDifferentialBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 7, 13} {
 		for _, rate := range []float64{0.01, 0.05} {
 			chaos.Configure(seed, 0)
-			for _, pt := range []string{"rdd.task", "rdd.recompute", "rdd.shuffle"} {
+			for _, pt := range []string{"rdd.task", "rdd.recompute"} {
 				chaos.SetRate(pt, rate)
 			}
 			got := run()
 			// Read fire counts before Configure resets them. At rate 0.01 a
 			// seed can legitimately fire nothing; at 0.05 over hundreds of
 			// trials a silent run means the points aren't wired in.
-			fires := chaos.FireCount("rdd.task") +
-				chaos.FireCount("rdd.recompute") + chaos.FireCount("rdd.shuffle")
+			fires := chaos.FireCount("rdd.task") + chaos.FireCount("rdd.recompute")
 			chaos.Configure(seed, 0)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed=%d rate=%g: chaos run diverged from fault-free run", seed, rate)

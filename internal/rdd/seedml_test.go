@@ -553,55 +553,25 @@ func seedGrowTree(data []LabeledPoint, numClasses, depth, minLeaf int) *TreeNode
 // left the package once nothing outside this oracle used them; the bodies
 // are the package's last versions.
 
-// groupByKey gathers all values of each key through the shuffle exchange.
+// groupByKey gathers all values of each key, in input order, through
+// ReduceByKey's shuffle.
 func groupByKey[K comparable, V any](r *RDD[Pair[K, V]], numPartitions int) *RDD[Pair[K, []V]] {
-	metrics.IncObject()
-	numPartitions = clampPartitions(numPartitions, r.numPartitions, shuffleLimit(r.numPartitions))
-	ex := &exchange[[][]Pair[K, V]]{}
-	ensure := func() [][]Pair[K, V] {
-		return ex.ensure(func() [][]Pair[K, V] { return shuffle(r, numPartitions) })
-	}
-	return &RDD[Pair[K, []V]]{
-		numPartitions: numPartitions,
-		wideEpochs:    &ex.epoch,
-		sizeHint: func(p int) int {
-			return len(ensure()[p])
-		},
-		iterate: func(p int, sink func(Pair[K, []V]) bool) {
-			buckets := ensure()
-			metrics.IncObject()
-			agg := make(map[K][]V)
-			for _, kv := range buckets[p] {
-				agg[kv.Key] = append(agg[kv.Key], kv.Value)
-			}
-			for k, vs := range agg {
-				if !sink(Pair[K, []V]{k, vs}) {
-					return
-				}
-			}
-		},
-	}
+	singles := Map(r, func(kv Pair[K, V]) Pair[K, []V] { return KV(kv.Key, []V{kv.Value}) })
+	return ReduceByKey(singles, numPartitions, func(a, b []V) []V { return append(a, b...) })
 }
 
-// flatMap maps each element to zero or more outputs (narrow dependency,
-// fused; sizeHint is a guess the output may outgrow).
+// flatMap maps each element to zero or more outputs, one job over the
+// partitions.
 func flatMap[T, U any](r *RDD[T], fn func(T) []U) *RDD[U] {
 	metrics.IncObject()
-	return &RDD[U]{
-		numPartitions: r.numPartitions,
-		sizeHint:      r.sizeHint,
-		iterate: func(p int, sink func(U) bool) {
-			r.run(p, func(x T) bool {
-				metrics.IncIDynamic()
-				for _, u := range fn(x) {
-					if !sink(u) {
-						return false
-					}
-				}
-				return true
-			})
-		},
-	}
+	return &RDD[U]{runParts(len(r.parts), func(p int) []U {
+		var out []U
+		for _, x := range r.parts[p] {
+			out = append(out, fn(x)...)
+		}
+		metrics.AddIDynamic(int64(len(r.parts[p])))
+		return out
+	})}
 }
 
 // parMapSlice evaluates fn over xs on the shared work-stealing executor,

@@ -65,7 +65,6 @@ var surfaceStdIfaces = []string{"fmt", "sort", "container/heap", "flag", "io", "
 var surfaceReasons = []string{"reference: ", "fault domain: ", "serialised: "}
 
 var surfaceAllow = map[string]string{
-	"rdd.RDD.ShuffleEpochs":      "fault domain: the recovery tests' observation point for exchange retries",
 	"graphdb.Tx.Rollback":        "fault domain: abandons a transaction's staged writes",
 	"chaos.SetRate":              "fault domain: how the rdd recovery and stm adversarial suites and core's harness-point test drive one injection point at rate 1 while the rest stay quiet",
 	"chaos.Disable":              "fault domain: how those suites disarm the engine again so later tests run clean",
@@ -124,24 +123,16 @@ const surfaceBenchmarkFile = "BENCHMARK.json"
 // a non-probe caller, or whose declaration is gone, fails the test so the
 // ledger cannot rot.
 var surfaceProbeOnly = map[string]string{
-	"rdd.Parallelize":         "rdd.narrow_ns_per_elem",
-	"rdd.Map":                 "rdd.narrow_ns_per_elem",
-	"rdd.RDD.Filter":          "rdd.narrow_ns_per_elem",
-	"rdd.RDD.Count":           "rdd.narrow_ns_per_elem",
-	"rdd.RDD.run":             "rdd.narrow_ns_per_elem",
-	"rdd.runParts":            "rdd.job_us",
-	"rdd.RDD.Cache":           "rdd.cached_ns_per_elem",
-	"rdd.RDD.cachedPartition": "rdd.cached_ns_per_elem",
-	"rdd.RDD.materialize":     "rdd.cached_ns_per_elem",
-	"rdd.Aggregate":           "rdd.cached_ns_per_elem",
-	"rdd.ReduceByKey":         "rdd.shuffle_ns_per_elem",
-	"rdd.shuffle":             "rdd.shuffle_ns_per_elem",
-	"rdd.shuffleLimit":        "rdd.shuffle_ns_per_elem",
-	"rdd.hashKey":             "rdd.shuffle_ns_per_elem",
-	"rdd.stagingPoolFor":      "rdd.shuffle_ns_per_elem",
-	"rdd.getStagingRow":       "rdd.shuffle_ns_per_elem",
-	"rdd.putStagingRow":       "rdd.shuffle_ns_per_elem",
-	"rdd.exchange.ensure":     "rdd.shuffle_ns_per_elem",
+	"rdd.Parallelize":  "rdd.narrow_ns_per_elem",
+	"rdd.Map":          "rdd.narrow_ns_per_elem",
+	"rdd.RDD.Filter":   "rdd.narrow_ns_per_elem",
+	"rdd.RDD.Count":    "rdd.narrow_ns_per_elem",
+	"rdd.runParts":     "rdd.job_us",
+	"rdd.RDD.Cache":    "rdd.cached_ns_per_elem",
+	"rdd.Aggregate":    "rdd.cached_ns_per_elem",
+	"rdd.ReduceByKey":  "rdd.shuffle_ns_per_elem",
+	"rdd.shuffleLimit": "rdd.shuffle_ns_per_elem",
+	"rdd.hashKey":      "rdd.shuffle_ns_per_elem",
 
 	"streams.ParMap":          "streams.parmap_ns_per_elem",
 	"streams.parallelWorkers": "streams.parmap_ns_per_elem",
